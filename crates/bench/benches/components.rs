@@ -11,7 +11,8 @@ use idsbench_core::Dataset;
 use idsbench_datasets::{scenarios, ScenarioScale};
 use idsbench_flow::{AfterImage, AfterImageConfig, FlowTable, FlowTableConfig};
 use idsbench_kitsune::kitnet::{KitNet, KitNetConfig};
-use idsbench_net::{pcap, Packet, ParsedPacket};
+use idsbench_net::{pcap, MacAddr, Packet, PacketBuilder, ParsedPacket, Timestamp};
+use std::net::Ipv4Addr;
 
 /// A realistic packet workload: one Tiny UNSW realisation (~2-3k packets of
 /// mixed enterprise traffic).
@@ -63,7 +64,49 @@ fn bench_flow_table(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // The bot-iot shape, where the table's cost used to hide: one- and
+    // two-packet flows on fresh 5-tuples at 180 packets per trace-second, so
+    // ~19k flows sit waiting out the 120 s idle timeout while ~160 of them
+    // expire at every once-per-second sweep. `table_observe` above tracks a
+    // few hundred flows and cannot see a cost that grows with the open set.
+    let churn = churn_workload(60_000);
+    group.throughput(Throughput::Elements(churn.len() as u64));
+    group.bench_function("table_observe_churn", |b| {
+        b.iter_batched(
+            || FlowTable::new(FlowTableConfig::default()),
+            |mut table| {
+                let mut emitted = 0usize;
+                for packet in &churn {
+                    table.observe_with(packet, |_| emitted += 1);
+                }
+                emitted + table.active_flows()
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
+}
+
+/// `packets` UDP packets, 180 per trace-second; of every ten, nine open a
+/// flow on a fresh source address and the tenth is the reply to the first.
+fn churn_workload(packets: u32) -> Vec<ParsedPacket> {
+    let server = (MacAddr::from_host_id(1), Ipv4Addr::new(10, 0, 0, 1));
+    (0..packets)
+        .map(|i| {
+            let reply = i % 10 == 9;
+            let flow = if reply { i - 9 } else { i };
+            let client = (MacAddr::from_host_id(2), Ipv4Addr::from(0x0b00_0000 + flow));
+            let port = 1024 + (flow % 60_000) as u16;
+            let builder = PacketBuilder::new();
+            let builder = if reply {
+                builder.ethernet(server.0, client.0).ipv4(server.1, client.1).udp(53, port)
+            } else {
+                builder.ethernet(client.0, server.0).ipv4(client.1, server.1).udp(port, 53)
+            };
+            let ts = Timestamp::from_micros(u64::from(i) * 1_000_000 / 180);
+            ParsedPacket::parse(&builder.payload_len(32).build(ts)).unwrap()
+        })
+        .collect()
 }
 
 fn bench_afterimage(c: &mut Criterion) {

@@ -622,14 +622,25 @@ impl FlowEventAssembler {
 mod tests {
     use super::*;
     use crate::label::AttackKind;
+    use idsbench_flow::FlowTermination;
     use idsbench_net::{MacAddr, Packet, PacketBuilder, TcpFlags, Timestamp};
     use std::net::Ipv4Addr;
 
     fn tcp_view(src: (u8, u16), dst: (u8, u16), t: f64, label: Label) -> ParsedView {
+        flagged_view(src, dst, TcpFlags::ACK, t, label)
+    }
+
+    fn flagged_view(
+        src: (u8, u16),
+        dst: (u8, u16),
+        flags: TcpFlags,
+        t: f64,
+        label: Label,
+    ) -> ParsedView {
         let p = PacketBuilder::new()
             .ethernet(MacAddr::from_host_id(src.0 as u32), MacAddr::from_host_id(dst.0 as u32))
             .ipv4(Ipv4Addr::new(10, 0, 0, src.0), Ipv4Addr::new(10, 0, 0, dst.0))
-            .tcp(src.1, dst.1, TcpFlags::ACK)
+            .tcp(src.1, dst.1, flags)
             .payload(&[0; 20])
             .build(Timestamp::from_secs_f64(t));
         ParsedView::from_packet(LabeledPacket::new(p, label))
@@ -815,17 +826,28 @@ mod tests {
             time_wait: Duration::from_secs(1),
             max_flows: 4096,
         };
+        let flagged = |src, flags, t| flagged_view(src, (2, 80), flags, t, Label::Benign);
         let mut donor = FlowEventAssembler::new(config);
         donor.observe(
             &tcp_view((1, 40_000), (2, 80), 0.0, Label::Attack(AttackKind::SynFlood)),
             |_| {},
         );
         donor.observe(&tcp_view((3, 41_000), (2, 80), 0.5, Label::Benign), |_| {});
+        // Two flows torn down and sitting in TIME_WAIT (one of them touched
+        // again since), one mid-idle flow touched since it was opened: the
+        // donor's expiry index holds dead and lagging entries for them, the
+        // replica's is rebuilt from the records alone.
+        donor.observe(&flagged((6, 43_000), TcpFlags::SYN, 0.55), |_| {});
+        donor.observe(&flagged((6, 43_000), TcpFlags::RST, 0.6), |_| {});
+        donor.observe(&flagged((7, 44_000), TcpFlags::SYN, 0.6), |_| {});
+        donor.observe(&flagged((7, 44_000), TcpFlags::RST, 0.65), |_| {});
+        donor.observe(&flagged((7, 44_000), TcpFlags::ACK, 0.8), |_| {});
+        donor.observe(&tcp_view((3, 41_000), (2, 80), 0.85, Label::Benign), |_| {});
 
         let snapshot = donor.snapshot_all();
-        assert_eq!(snapshot.len(), 2);
-        assert_eq!(donor.active_flows(), 2, "snapshot must not disturb the donor");
-        assert_eq!(donor.label_entries(), 2);
+        assert_eq!(snapshot.len(), 4);
+        assert_eq!(donor.active_flows(), 4, "snapshot must not disturb the donor");
+        assert_eq!(donor.label_entries(), 4);
 
         let mut replica = FlowEventAssembler::new(config);
         let (last_ts, sweep) = donor.clock();
@@ -834,10 +856,15 @@ mod tests {
         }
         replica.restore_clock(last_ts, sweep);
 
-        // Same subsequent traffic → same evictions at the same packets,
-        // including sweep-triggered idle evictions, and an identical flush.
+        // Same subsequent traffic → same evictions at the same packets —
+        // TIME_WAIT expiry at 1.7 (one flow) and 1.9 (the other), a reopen
+        // of a TIME_WAIT tuple, sweep-triggered idle evictions — and an
+        // identical flush.
         let tail = [
             tcp_view((1, 40_000), (2, 80), 0.9, Label::Benign),
+            tcp_view((8, 45_000), (2, 80), 1.7, Label::Benign),
+            flagged((7, 44_000), TcpFlags::SYN, 1.75),
+            tcp_view((8, 45_000), (2, 80), 2.9, Label::Benign),
             tcp_view((5, 42_000), (2, 80), 4.0, Label::Benign),
             tcp_view((5, 42_000), (2, 80), 4.5, Label::Benign),
         ];
@@ -846,10 +873,26 @@ mod tests {
         for view in &tail {
             donor.observe(view, |flow| donor_evicted.push(flow));
             replica.observe(view, |flow| replica_evicted.push(flow));
+            assert_eq!(
+                donor_evicted, replica_evicted,
+                "replica diverged at {}",
+                view.packet.packet.ts
+            );
         }
+        let terminations: Vec<FlowTermination> =
+            donor_evicted.iter().map(|flow| flow.record.termination).collect();
+        assert_eq!(
+            terminations,
+            [
+                FlowTermination::TcpClose,    // (6, 43_000): TIME_WAIT over at 1.7
+                FlowTermination::TcpClose,    // (7, 44_000): reopened at 1.75
+                FlowTermination::IdleTimeout, // (1, 40_000): idle since 0.9 at 2.9
+                FlowTermination::IdleTimeout, // (3, 41_000): idle since 0.85 at 2.9
+                FlowTermination::IdleTimeout, // (7, 44_000) again: idle since 1.75 at 4.0
+            ]
+        );
         donor_evicted.extend(donor.flush());
         replica_evicted.extend(replica.flush());
-        assert!(!donor_evicted.is_empty(), "workload must evict something");
         assert_eq!(donor_evicted, replica_evicted, "replica diverged from the donor");
     }
 

@@ -8,7 +8,12 @@
 //! * [`FlowKey`]/[`FlowTable`]/[`FlowRecord`]: bidirectional flow assembly
 //!   with idle/active timeouts and TCP teardown detection, producing
 //!   CICFlowMeter-style statistical feature vectors
-//!   ([`FlowFeatures::from_record`]).
+//!   ([`FlowFeatures::from_record`]). The table keeps records in a slab
+//!   behind a `key → slot` hash map and finds due flows through an expiry
+//!   index, so a packet costs a hash lookup plus O(log n) per flow it opens
+//!   or expires — never a pass over the open flows, however many a scan or
+//!   flood leaves behind. What is emitted, when, and in which order is a
+//!   function of the packet timestamps alone (see [`FlowTable`]).
 //! * [`DampedStat`]/[`DampedPairStat`]/[`AfterImage`]: the damped incremental
 //!   statistics framework from Kitsune (Mirsky et al., NDSS'18) that HELAD
 //!   reuses — per-packet 100-dimensional temporal context vectors computed in

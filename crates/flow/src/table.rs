@@ -1,3 +1,6 @@
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use idsbench_net::fasthash::FastMap;
 use idsbench_net::{Duration, ParsedPacket, Timestamp};
 
@@ -34,24 +37,102 @@ impl Default for FlowTableConfig {
     }
 }
 
+/// Index entries a class heap may hold beyond twice the live flow count
+/// before its dead entries are compacted away.
+const INDEX_SLACK: usize = 64;
+
+/// One slab cell. `serial` names the record filed here last, so an index
+/// entry filed for an earlier tenant of the cell is recognisably dead.
+#[derive(Debug)]
+struct Cell {
+    serial: u64,
+    record: Option<FlowRecord>,
+}
+
+/// One expiry-index entry: "the record `serial` in `slot` was last seen no
+/// earlier than `seen`". The derived order is `(seen, key)` first — the
+/// staleness order capacity eviction needs, tie-break included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct IndexEntry {
+    seen: Timestamp,
+    key: FlowKey,
+    slot: u32,
+    serial: u64,
+}
+
 /// Assembles packets into bidirectional flows.
 ///
 /// Feed packets in timestamp order via [`FlowTable::observe`]; completed
 /// flows are returned as they terminate (TCP close, idle timeout, active
 /// timeout, capacity eviction). Call [`FlowTable::flush`] at end of trace to
 /// drain the remainder.
+///
+/// # Layout and complexity
+///
+/// Records live in a slab (`Vec` of cells plus a free list); the hash map
+/// holds only `key → slot`, so growing or compacting it moves small entries
+/// and never a record (over 400 bytes). Expiry is served by an *expiry
+/// index*: a lazy min-heap of `(seen, key)` entries per timeout class — open
+/// flows expire `idle_timeout` after their last packet, flows in TIME_WAIT
+/// `time_wait` after it — so that within a heap the order by `seen` is both
+/// the order by deadline (what the sweep pops) and the order by staleness
+/// (what capacity eviction pops).
+///
+/// * A packet on a known flow costs one hash lookup and one record update;
+///   the index is **not** touched (an entry may lag its record).
+/// * Opening, reopening or [`absorb`](FlowTable::absorb)ing a flow, and the
+///   open → TIME_WAIT transition — the only event that moves a deadline
+///   *earlier* — each file one entry: O(log n), O(1) when timestamps ascend.
+/// * The idle sweep (first packet of each trace-second) pops only entries
+///   whose `seen + timeout` has passed: O((expired + lagging) · log n), not
+///   O(open flows). Capacity eviction pops the stalest entry: O(log n).
+/// * Dead entries (their flow was extracted, cut by the active timeout,
+///   reopened, or left the class) are dropped when popped, and a class heap
+///   that outgrows `2 · active_flows + 64` entries is compacted in place —
+///   amortised O(1) per filed entry — so the index is bounded by the live
+///   flow count, not by traffic history.
+///
+/// Nothing on the per-packet path iterates the table; only
+/// [`flush`](FlowTable::flush) does.
+///
+/// # Index invariant
+///
+/// Every live record has, in the heap of its class, exactly one entry that
+/// names its slot and serial, and that entry's `seen` is ≤ the record's
+/// `last_seen` — i.e. its deadline `seen + timeout` is never later than the
+/// record's true one. `last_seen` never decreases, so the bound survives
+/// every update without re-indexing. Popping in `seen` order therefore
+/// meets every record that can be due; each is re-validated against the
+/// live record and either emitted, or re-filed at its current `last_seen`.
+/// All comparisons are saturating differences of timestamps (no deadline is
+/// ever added up), so far-future and backwards timestamps cannot overflow.
+///
+/// # Determinism contract
+///
+/// The index decides only *how fast* the due set is found, never what it
+/// is: a sweep at `now` emits exactly the records with `now − last_seen ≥
+/// idle_timeout` (`time_wait` when closing), ordered by `(first_seen,
+/// key)`; capacity eviction removes exactly the minimum `(last_seen, key)`.
+/// Sweep cadence is a function of packet timestamps and
+/// [`sweep_clock`](FlowTable::sweep_clock) alone. A table rebuilt through
+/// `absorb` + [`set_sweep_clock`](FlowTable::set_sweep_clock) therefore
+/// replays byte-identically to its donor, whatever the heaps' internal
+/// arrangement.
 #[derive(Debug)]
 pub struct FlowTable {
     config: FlowTableConfig,
     /// FxHash open-addressing map: the flow lookup runs once per packet, so
     /// SipHash here is pure tax (`max_flows` bounds the table, not an
     /// attacker).
-    flows: FastMap<FlowKey, FlowRecord>,
+    flows: FastMap<FlowKey, u32>,
+    slab: Vec<Cell>,
+    free: Vec<u32>,
+    next_serial: u64,
+    /// The expiry index: `[open, closing]` min-heaps (see the type docs).
+    index: [BinaryHeap<Reverse<IndexEntry>>; 2],
     last_sweep: Timestamp,
     emitted: u64,
-    /// Sweep scratch, reused so the once-per-trace-second expiry scan stays
-    /// off the heap (the last steady-state allocation of the eviction path).
-    sweep_keys: Vec<FlowKey>,
+    /// Sweep scratch, reused so the expiry sweep stays off the heap.
     sweep_records: Vec<FlowRecord>,
 }
 
@@ -66,9 +147,12 @@ impl FlowTable {
         FlowTable {
             config,
             flows: FastMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            next_serial: 0,
+            index: [BinaryHeap::new(), BinaryHeap::new()],
             last_sweep: Timestamp::ZERO,
             emitted: 0,
-            sweep_keys: Vec::new(),
             sweep_records: Vec::new(),
         }
     }
@@ -88,7 +172,7 @@ impl FlowTable {
     /// is the checkpoint half of fault tolerance: a snapshot clones records
     /// without disturbing the live flow state.
     pub fn get(&self, key: &FlowKey) -> Option<&FlowRecord> {
-        self.flows.get(key)
+        self.slab[*self.flows.get(key)? as usize].record.as_ref()
     }
 
     /// The timestamp of the last idle sweep ([`Timestamp::ZERO`] before the
@@ -143,24 +227,38 @@ impl FlowTable {
                 if h.flags.contains(idsbench_net::TcpFlags::SYN)
                     && !h.flags.contains(idsbench_net::TcpFlags::ACK)
         );
-        /// What the (rare) emitting outcomes of the lookup defer until the
-        /// map borrow is released.
+        /// What the (rare) outcomes of the lookup defer until the record
+        /// borrow is released.
         enum Outcome {
             None,
+            /// Teardown seen: the flow's deadline moved earlier, so it needs
+            /// an entry in the closing class.
+            Closing(IndexEntry),
             /// TIME_WAIT ended by a new connection on the same tuple.
             Reopen,
             ActiveTimeout,
         }
-        let outcome = match self.flows.get_mut(&canonical) {
-            Some(flow) => {
+        let outcome = match self.flows.get(&canonical) {
+            Some(&slot) => {
+                let cell = &mut self.slab[slot as usize];
+                let flow = cell.record.as_mut().expect("mapped slot holds a record");
                 if flow.closing && is_fresh_syn {
                     Outcome::Reopen
                 } else {
                     flow.update(direction, packet);
                     if flow.tcp_closed() {
                         // Linger in TIME_WAIT; trailing ACKs join this flow.
-                        flow.closing = true;
-                        Outcome::None
+                        if flow.closing {
+                            Outcome::None
+                        } else {
+                            flow.closing = true;
+                            Outcome::Closing(IndexEntry {
+                                seen: flow.last_seen,
+                                key: canonical,
+                                slot,
+                                serial: cell.serial,
+                            })
+                        }
                     } else if packet.ts.saturating_since(flow.first_seen)
                         >= self.config.active_timeout
                     {
@@ -171,22 +269,24 @@ impl FlowTable {
                 }
             }
             None => {
-                self.flows.insert(canonical, FlowRecord::open(canonical, direction, packet));
+                self.insert(FlowRecord::open(canonical, direction, packet));
                 Outcome::None
             }
         };
         let record = match outcome {
             Outcome::None => None,
+            Outcome::Closing(entry) => {
+                self.file(entry, true);
+                None
+            }
             Outcome::Reopen => {
-                let mut old = self
-                    .flows
-                    .insert(canonical, FlowRecord::open(canonical, direction, packet))
-                    .expect("reopened flow was present");
+                let mut old = self.extract(&canonical).expect("reopened flow was present");
+                self.insert(FlowRecord::open(canonical, direction, packet));
                 old.termination = FlowTermination::TcpClose;
                 Some(old)
             }
             Outcome::ActiveTimeout => {
-                let mut record = self.flows.remove(&canonical).expect("timed-out flow was present");
+                let mut record = self.extract(&canonical).expect("timed-out flow was present");
                 record.termination = FlowTermination::ActiveTimeout;
                 Some(record)
             }
@@ -210,7 +310,11 @@ impl FlowTable {
     /// another table, which will [`FlowTable::absorb`] the record and
     /// continue aggregating as if the handoff never happened.
     pub fn extract(&mut self, key: &FlowKey) -> Option<FlowRecord> {
-        self.flows.remove(key)
+        let slot = self.flows.remove(key)?;
+        self.free.push(slot);
+        // The cell keeps its serial; with no record in it, the index
+        // entries filed for this flow are dead.
+        self.slab[slot as usize].record.take()
     }
 
     /// Adopts a record extracted from another table ([`FlowTable::extract`])
@@ -222,59 +326,126 @@ impl FlowTable {
     /// a flow lives in exactly one table at a time (checked in debug
     /// builds).
     pub fn absorb(&mut self, record: FlowRecord) {
-        let previous = self.flows.insert(record.key, record);
-        debug_assert!(previous.is_none(), "absorbed a flow the table already owned");
+        debug_assert!(!self.contains(&record.key), "absorbed a flow the table already owned");
+        self.insert(record);
     }
 
     /// Emits every flow still open, in first-seen order. Flows already in
     /// TIME_WAIT report [`FlowTermination::TcpClose`].
     pub fn flush(&mut self) -> Vec<FlowRecord> {
         let mut records: Vec<FlowRecord> = self
-            .flows
-            .drain()
-            .map(|(_, mut record)| {
+            .slab
+            .drain(..)
+            .filter_map(|cell| cell.record)
+            .map(|mut record| {
                 record.termination =
                     if record.closing { FlowTermination::TcpClose } else { FlowTermination::Flush };
                 record
             })
             .collect();
+        self.flows = FastMap::new();
+        self.free.clear();
+        self.index.iter_mut().for_each(BinaryHeap::clear);
         records.sort_by_key(|r| (r.first_seen, r.key));
         self.emitted += records.len() as u64;
         records
     }
 
-    /// Lazily emits idle flows. Runs at most once per second of trace time
-    /// to keep `observe` amortized O(1), and entirely in reused scratch
-    /// buffers so the steady-state eviction path performs no heap
-    /// allocation (`sort_unstable` included — flow keys are unique, so the
-    /// unstable sort is deterministic).
+    /// Files `record` under its key in a free slab cell and indexes it in
+    /// the class its `closing` state selects. A record already filed under
+    /// the key is replaced.
+    fn insert(&mut self, record: FlowRecord) {
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        let (seen, key, closing) = (record.last_seen, record.key, record.closing);
+        let cell = Cell { serial, record: Some(record) };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = cell;
+                slot
+            }
+            None => {
+                self.slab.push(cell);
+                u32::try_from(self.slab.len() - 1).expect("flow slab outgrew u32 slot ids")
+            }
+        };
+        let entry = IndexEntry { seen, key, slot, serial };
+        if let Some(replaced) = self.flows.insert(key, slot) {
+            self.slab[replaced as usize].record = None;
+            self.free.push(replaced);
+        }
+        self.file(entry, closing);
+    }
+
+    /// Pushes one entry onto its class heap, compacting the heap when dead
+    /// entries have come to outnumber the live flows (see the type docs).
+    fn file(&mut self, entry: IndexEntry, closing: bool) {
+        let heap = &mut self.index[usize::from(closing)];
+        heap.push(Reverse(entry));
+        if heap.len() > 2 * self.flows.len() + INDEX_SLACK {
+            let slab = &self.slab;
+            heap.retain(|Reverse(entry)| Self::resolve(slab, entry, closing).is_some());
+        }
+    }
+
+    /// The live record an index entry still speaks for: the same tenant of
+    /// its slab cell, still in the entry's class.
+    fn resolve<'a>(slab: &'a [Cell], entry: &IndexEntry, closing: bool) -> Option<&'a FlowRecord> {
+        let cell = &slab[entry.slot as usize];
+        cell.record
+            .as_ref()
+            .filter(|record| cell.serial == entry.serial && record.closing == closing)
+    }
+
+    /// Brings an *exact* entry — live, with `seen` equal to its record's
+    /// `last_seen` — to the top of a class heap and returns a copy of it,
+    /// looking only at entries whose filed `seen` is `due`. Dead tops are
+    /// dropped; lagging ones are re-filed at their record's `last_seen`.
+    /// Every other entry bounds its record from below (the index
+    /// invariant), so the returned one is the class minimum of
+    /// `(last_seen, key)`.
+    fn settle(&mut self, closing: bool, due: impl Fn(Timestamp) -> bool) -> Option<IndexEntry> {
+        let heap = &mut self.index[usize::from(closing)];
+        while let Some(mut top) = heap.peek_mut() {
+            if !due(top.0.seen) {
+                return None;
+            }
+            match Self::resolve(&self.slab, &top.0, closing).map(|record| record.last_seen) {
+                None => {
+                    PeekMut::pop(top);
+                }
+                Some(last_seen) if last_seen != top.0.seen => top.0.seen = last_seen,
+                Some(_) => return Some(top.0),
+            }
+        }
+        None
+    }
+
+    /// Lazily emits idle flows: at most once per second of trace time, pop
+    /// each class of the expiry index up to `now − timeout`. Cost follows
+    /// the number of flows that expire (plus lagging entries met on the
+    /// way), not the number open, and everything runs in reused scratch so
+    /// the steady-state eviction path performs no heap allocation
+    /// (`sort_unstable` included — flow keys are unique, so the unstable
+    /// sort is deterministic).
     fn sweep_into(&mut self, now: Timestamp, emit: &mut impl FnMut(FlowRecord)) {
         if now.saturating_since(self.last_sweep) < Duration::from_secs(1) {
             return;
         }
         self.last_sweep = now;
-        let idle = self.config.idle_timeout;
-        let time_wait = self.config.time_wait;
-        self.sweep_keys.clear();
-        for (key, record) in self.flows.iter() {
-            let quiet = now.saturating_since(record.last_seen);
-            if quiet >= if record.closing { time_wait } else { idle } {
-                self.sweep_keys.push(*key);
-            }
-        }
-        if self.sweep_keys.is_empty() {
-            return;
-        }
-        let mut keys = std::mem::take(&mut self.sweep_keys);
         let mut records = std::mem::take(&mut self.sweep_records);
-        records.clear();
-        for key in &keys {
-            if let Some(mut record) = self.flows.remove(key) {
-                record.termination = if record.closing {
-                    FlowTermination::TcpClose
-                } else {
-                    FlowTermination::IdleTimeout
-                };
+        for closing in [false, true] {
+            let (timeout, termination) = if closing {
+                (self.config.time_wait, FlowTermination::TcpClose)
+            } else {
+                (self.config.idle_timeout, FlowTermination::IdleTimeout)
+            };
+            while let Some(entry) =
+                self.settle(closing, |seen| now.saturating_since(seen) >= timeout)
+            {
+                // Extraction kills the entry; the next `settle` drops it.
+                let mut record = self.extract(&entry.key).expect("settled entry names a live flow");
+                record.termination = termination;
                 records.push(record);
             }
         }
@@ -283,14 +454,19 @@ impl FlowTable {
         for record in records.drain(..) {
             emit(record);
         }
-        keys.clear();
-        self.sweep_keys = keys;
         self.sweep_records = records;
     }
 
+    /// Evicts the flow with the minimum `(last_seen, key)`: the smaller of
+    /// the two classes' exact minima.
     fn evict_stalest(&mut self) -> Option<FlowRecord> {
-        let stalest = self.flows.iter().min_by_key(|(k, r)| (r.last_seen, **k)).map(|(k, _)| *k)?;
-        let mut record = self.flows.remove(&stalest)?;
+        let open = self.settle(false, |_| true);
+        let closing = self.settle(true, |_| true);
+        let stalest = match (open, closing) {
+            (Some(open), Some(closing)) => open.min(closing),
+            (open, closing) => open.or(closing)?,
+        };
+        let mut record = self.extract(&stalest.key)?;
         record.termination = FlowTermination::Evicted;
         self.emitted += 1;
         Some(record)
@@ -529,6 +705,47 @@ mod tests {
         assert_eq!(heir.sweep_clock(), Timestamp::ZERO);
         heir.set_sweep_clock(donor.sweep_clock());
         assert_eq!(heir.sweep_clock(), donor.sweep_clock());
+    }
+
+    /// The index invariant of the type docs, checked exhaustively.
+    fn assert_index_invariant(table: &FlowTable) {
+        for cell in &table.slab {
+            let Some(record) = &cell.record else { continue };
+            let entries: Vec<&IndexEntry> = table.index[usize::from(record.closing)]
+                .iter()
+                .map(|Reverse(entry)| entry)
+                .filter(|entry| entry.serial == cell.serial)
+                .collect();
+            assert_eq!(entries.len(), 1, "one entry per live record in its class: {entries:?}");
+            assert!(entries[0].seen <= record.last_seen && entries[0].key == record.key);
+            assert_eq!(table.flows.get(&record.key), Some(&entries[0].slot));
+        }
+        assert_eq!(table.slab.iter().filter(|c| c.record.is_some()).count(), table.flows.len());
+        assert_eq!(table.free.len() + table.flows.len(), table.slab.len());
+    }
+
+    #[test]
+    fn index_invariant_holds_and_index_stays_bounded_under_churn() {
+        // Close/reopen cycles on three tuples, all inside one TIME_WAIT:
+        // every cycle strands dead entries (the open-class entry of a flow
+        // that went to TIME_WAIT, then both entries of the flow the next SYN
+        // replaced), and no sweep or capacity eviction comes by to pop them.
+        let mut table = FlowTable::new(FlowTableConfig::default());
+        for i in 0..5_000u32 {
+            let t = f64::from(i) * 1e-3;
+            let tuple = (1 + (i % 3) as u8, 5000);
+            table.observe(&tcp_packet(tuple, (9, 80), TcpFlags::SYN, t));
+            table.observe(&tcp_packet(tuple, (9, 80), TcpFlags::RST, t + 2e-4));
+            assert_index_invariant(&table);
+            let entries: usize = table.index.iter().map(BinaryHeap::len).sum();
+            assert!(
+                entries <= 2 * (2 * table.active_flows() + INDEX_SLACK) + 2,
+                "index grew to {entries} entries over {} flows",
+                table.active_flows()
+            );
+        }
+        assert_eq!(table.slab.len(), 3, "slab cells are recycled");
+        assert_eq!(table.flows_emitted(), 5_000 - 3);
     }
 
     #[test]

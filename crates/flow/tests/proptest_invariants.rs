@@ -93,20 +93,31 @@ proptest! {
     }
 
     /// The flow table conserves packets: every observed IP packet lands in
-    /// exactly one emitted record.
+    /// exactly one emitted record — in timestamp order or not, across idle
+    /// sweeps and capacity evictions, with the odd packet stamped at the
+    /// ends of the clock's range.
     #[test]
     fn flow_table_conserves_packets(
         specs in proptest::collection::vec(
-            (1u8..6, 1u16..6, 6u8..11, 1u16..4, 0u64..5_000_000),
+            (1u8..6, 1u16..6, 6u8..11, 1u16..4, 0u64..400_000_000, 0u8..40),
             1..200,
         ),
+        ordered in any::<bool>(),
+        max_flows in 4usize..200,
     ) {
         let mut specs = specs;
-        specs.sort_by_key(|s| s.4);
-        let mut table = FlowTable::new(FlowTableConfig::default());
+        if ordered {
+            specs.sort_by_key(|s| s.4);
+        }
+        let mut table = FlowTable::new(FlowTableConfig { max_flows, ..FlowTableConfig::default() });
         let mut emitted = Vec::new();
         let mut observed = 0u64;
-        for (src, sport, dst, dport, micros) in specs {
+        for (src, sport, dst, dport, micros, extreme) in specs {
+            let micros = match extreme {
+                0 if !ordered => u64::MAX,
+                1 if !ordered => 0,
+                _ => micros,
+            };
             let p = PacketBuilder::new()
                 .ethernet(MacAddr::from_host_id(src as u32), MacAddr::from_host_id(dst as u32))
                 .ipv4(Ipv4Addr::new(10, 0, 0, src), Ipv4Addr::new(10, 0, 0, dst))
@@ -116,10 +127,13 @@ proptest! {
             let parsed = ParsedPacket::parse(&p).unwrap();
             observed += 1;
             emitted.extend(table.observe(&parsed));
+            prop_assert!(table.active_flows() <= max_flows);
         }
+        prop_assert_eq!(table.flows_emitted(), emitted.len() as u64);
         emitted.extend(table.flush());
         let total: u64 = emitted.iter().map(|r| r.total_packets()).sum();
         prop_assert_eq!(total, observed);
+        prop_assert_eq!(table.flows_emitted(), emitted.len() as u64);
     }
 
     /// Flow features are always finite, regardless of flow shape.

@@ -139,7 +139,8 @@ impl<K, V> Slot<K, V> {
 ///
 /// Drop-in for the `std::collections::HashMap` usage of the per-packet
 /// state maps: linear probing over one flat slot array, tombstone
-/// deletion, capacity doubling at 7/8 load. Iteration order is
+/// deletion (compacted in place, without reallocating, when tombstones
+/// fill the table), capacity doubling at 7/8 load. Iteration order is
 /// unspecified, exactly like `HashMap`.
 ///
 /// # Examples
@@ -244,11 +245,39 @@ impl<K: Hash + Eq, V> FastMap<K, V> {
         if cap == 0 {
             self.rebuild(16);
         } else if (self.len + self.tombstones + 1) * 8 > cap * 7 {
-            // Double when genuinely full; same size when tombstones are the
-            // bulk (compaction).
-            let target = if (self.len + 1) * 4 > cap * 3 { cap * 2 } else { cap };
-            self.rebuild(target);
+            // Double when genuinely full; compact in place when tombstones
+            // are the bulk.
+            if (self.len + 1) * 4 > cap * 3 {
+                self.rebuild(cap * 2);
+            } else {
+                self.compact();
+            }
         }
+    }
+
+    /// Clears every tombstone without allocating: each live entry is lifted
+    /// out and re-placed at the first free slot of its own probe chain.
+    ///
+    /// The walk starts just past an empty slot, so it meets every cluster
+    /// (maximal run of non-empty slots) from its first slot. An entry's home
+    /// slot lies in its cluster at or before the entry, and every slot from
+    /// there up to the entry has already been rewritten — so the entry lands
+    /// at or before where it was, never among slots the walk has yet to
+    /// visit.
+    fn compact(&mut self) {
+        let mask = self.slots.len() - 1;
+        let start = self
+            .slots
+            .iter()
+            .position(|slot| matches!(slot, Slot::Empty))
+            .expect("the 7/8 load ceiling leaves an empty slot");
+        for step in 1..=mask {
+            let from = (start + step) & mask;
+            if let Slot::Full(k, v) = std::mem::replace(&mut self.slots[from], Slot::Empty) {
+                self.place(k, v);
+            }
+        }
+        self.tombstones = 0;
     }
 
     /// Rehashes every live entry into a fresh table of `new_cap` slots.
@@ -259,16 +288,22 @@ impl<K: Hash + Eq, V> FastMap<K, V> {
             (0..new_cap).map(|_| Slot::Empty).collect::<Vec<_>>(),
         );
         self.tombstones = 0;
-        let mask = new_cap - 1;
         for slot in old {
             if let Slot::Full(k, v) = slot {
-                let mut idx = self.index_of(fx_hash(&k));
-                while self.slots[idx].is_full() {
-                    idx = (idx + 1) & mask;
-                }
-                self.slots[idx] = Slot::Full(k, v);
+                self.place(k, v);
             }
         }
+    }
+
+    /// Puts an entry known to be absent into the first non-full slot of its
+    /// probe chain (rehashing only: `len` is the caller's business).
+    fn place(&mut self, key: K, value: V) {
+        let mask = self.slots.len() - 1;
+        let mut idx = self.index_of(fx_hash(&key));
+        while self.slots[idx].is_full() {
+            idx = (idx + 1) & mask;
+        }
+        self.slots[idx] = Slot::Full(key, value);
     }
 
     /// Inserts, returning the previous value for the key (like
@@ -445,6 +480,29 @@ mod tests {
             assert_eq!(map.insert(i, i + 1000), None);
         }
         assert_eq!(map.len(), 64);
+    }
+
+    #[test]
+    fn churn_compacts_in_place_without_losing_entries() {
+        // A sliding window of live keys: every insert lands on a fresh key,
+        // every removal leaves a tombstone, so the fixed-size table must
+        // compact over and over — in place, never by reallocating.
+        let mut map = FastMap::with_capacity(24);
+        let slots = map.slots.len();
+        let storage = map.slots.as_ptr();
+        for i in 0..10_000u64 {
+            assert_eq!(map.insert(i, i * 3), None);
+            if i >= 20 {
+                assert_eq!(map.remove(&(i - 20)), Some((i - 20) * 3));
+            }
+            for live in i.saturating_sub(19)..=i {
+                assert_eq!(map.get(&live), Some(&(live * 3)), "key {live} lost at step {i}");
+            }
+        }
+        assert_eq!(map.len(), 20);
+        assert_eq!(map.slots.len(), slots, "churn at constant load must not grow the table");
+        assert_eq!(map.slots.as_ptr(), storage, "compaction must reuse the slot array");
+        assert!(map.tombstones < slots);
     }
 
     #[test]
