@@ -1,6 +1,7 @@
 //! Criterion micro/macro benchmarks for the substrates on the evaluation
 //! hot path: packet parsing, pcap I/O, flow assembly, AfterImage feature
-//! extraction, KitNET training/execution, and scenario generation.
+//! extraction, KitNET training/execution, batch-of-rows scoring at both
+//! lanes, and scenario generation.
 //!
 //! ```text
 //! cargo bench -p idsbench-bench
@@ -12,6 +13,7 @@ use idsbench_datasets::{scenarios, ScenarioScale};
 use idsbench_flow::{AfterImage, AfterImageConfig, FlowTable, FlowTableConfig};
 use idsbench_kitsune::kitnet::{KitNet, KitNetConfig};
 use idsbench_net::{pcap, MacAddr, Packet, PacketBuilder, ParsedPacket, Timestamp};
+use idsbench_nn::{Autoencoder, AutoencoderConfig, Lane, Mat, Matrix, Precision, Workspace};
 use std::net::Ipv4Addr;
 
 /// A realistic packet workload: one Tiny UNSW realisation (~2-3k packets of
@@ -159,6 +161,7 @@ fn bench_kitnet(c: &mut Criterion) {
         for f in &features {
             net.train(f);
         }
+        net.freeze();
         b.iter(|| {
             let mut net = net.clone();
             let mut acc = 0.0;
@@ -166,6 +169,43 @@ fn bench_kitnet(c: &mut Criterion) {
                 acc += net.execute(f);
             }
             acc
+        })
+    });
+    group.finish();
+}
+
+/// The two numbers nothing else shows: what a batch of one costs against a
+/// real batch, and where the `f32` lane starts to pay. The shape is the
+/// Kitsune ensemble at its reference defaults — ten 10-feature
+/// autoencoders plus the 10-input output autoencoder — scored over `M`
+/// staged rows; throughput is rows per second.
+fn bench_score_rows(c: &mut Criterion) {
+    for m in [1, 64] {
+        score_rows_case::<f64>(c, m, Precision::F64Bitwise);
+        score_rows_case::<f32>(c, m, Precision::F32Wide);
+    }
+}
+
+fn score_rows_case<L: Lane>(c: &mut Criterion, m: usize, precision: Precision) {
+    let ensemble: Vec<Autoencoder> = (0..11)
+        .map(|seed| {
+            let mut ae = Autoencoder::new(10, AutoencoderConfig { seed, ..Default::default() });
+            ae.freeze(precision);
+            ae
+        })
+        .collect();
+    let rows: Mat<L> =
+        Mat::from_f64(&Matrix::from_fn(m, 10, |r, c| ((r * 10 + c) as f64 * 0.37).sin().abs()));
+    let (mut ws, mut scores) = (Workspace::new(), Vec::new());
+    let mut group = c.benchmark_group("nn");
+    group.throughput(Throughput::Elements(m as u64));
+    group.bench_function(&format!("score_rows/{}/m{m}", precision.label()), |b| {
+        b.iter(|| {
+            scores.clear();
+            for ae in &ensemble {
+                ae.score_rows_with(&rows, &mut scores, &mut ws);
+            }
+            scores.iter().sum::<f64>()
         })
     });
     group.finish();
@@ -187,6 +227,6 @@ fn bench_generation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_parsing, bench_pcap, bench_flow_table, bench_afterimage, bench_kitnet, bench_generation
+    targets = bench_parsing, bench_pcap, bench_flow_table, bench_afterimage, bench_kitnet, bench_score_rows, bench_generation
 }
 criterion_main!(benches);

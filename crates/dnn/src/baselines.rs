@@ -6,7 +6,8 @@
 
 use idsbench_core::{Event, EventDetector, InputFormat, LabeledFlow, TrainView};
 use idsbench_nn::{
-    Activation, Adam, Loss, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, ZScoreNormalizer,
+    Activation, Adam, Loss, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, Precision, Workspace,
+    ZScoreNormalizer,
 };
 
 fn training_matrix(train: &TrainView) -> Option<(Vec<Vec<f64>>, Vec<f64>, MinMaxNormalizer)> {
@@ -38,7 +39,10 @@ impl LogisticRegression {
     fn score_flow(&mut self, flow: &LabeledFlow) -> f64 {
         match &mut self.model {
             Some((model, norm)) => model
-                .predict(&Matrix::row_vector(&norm.transform(flow.features.as_slice())))
+                .predict_with(
+                    &Matrix::row_vector(&norm.transform(flow.features.as_slice())),
+                    &mut Workspace::new(),
+                )
                 .get(0, 0),
             None => NEUTRAL,
         }
@@ -67,6 +71,7 @@ impl EventDetector for LogisticRegression {
         for _ in 0..200 {
             model.train_batch(&matrix, &targets, Loss::BinaryCrossEntropy, &mut opt);
         }
+        model.freeze(Precision::F64Bitwise);
         self.model = Some((model, norm));
     }
 

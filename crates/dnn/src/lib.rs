@@ -21,7 +21,7 @@ pub mod baselines;
 
 use idsbench_core::{Event, EventDetector, InputFormat, LabeledFlow, TrainView};
 use idsbench_nn::{
-    Activation, Adam, Loss, Matrix, MatrixF32, MinMaxNormalizer, Mlp, MlpBuilder, Precision,
+    Activation, Adam, Lane, Loss, Mat, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, Precision,
     Workspace,
 };
 use rand::rngs::SmallRng;
@@ -47,9 +47,9 @@ pub struct DnnConfig {
     pub normalize: bool,
     /// Weight-initialization and shuffling seed.
     pub seed: u64,
-    /// Numeric mode of the inference kernels: bitwise `f64` (default) or
-    /// eight-lane `f32` under the epsilon-parity contract. Training always
-    /// runs in `f64`; this selects how the frozen network scores.
+    /// Numeric lane of the inference kernels: bitwise `f64` (default) or
+    /// `f32` under the epsilon-parity contract. Training always runs in
+    /// `f64`; this selects how the frozen network scores.
     pub precision: Precision,
 }
 
@@ -78,31 +78,37 @@ struct DnnModel {
     precision: Precision,
     /// Reused normalized-feature buffer.
     feat_buf: Vec<f64>,
-    /// Reused per-flow input row.
-    input: Matrix,
-    /// Wide-lane sibling of `input` for the f32 path.
-    input32: MatrixF32,
-    /// Reused NN inference scratch.
-    ws: Workspace,
+    /// Lane-typed scratch; only the configured precision's is ever filled.
+    lane64: LaneScratch<f64>,
+    lane32: LaneScratch<f32>,
+}
+
+/// The input row and model workspace of one numeric lane.
+#[derive(Debug, Default)]
+struct LaneScratch<L: Lane> {
+    input: Mat<L>,
+    ws: Workspace<L>,
 }
 
 impl DnnModel {
     fn score_flow(&mut self, flow: &LabeledFlow) -> f64 {
-        let features = flow.features.as_slice();
+        let mut features = flow.features.as_slice();
         if self.normalize {
             self.norm.transform_into(features, &mut self.feat_buf);
-            self.input.set_row(&self.feat_buf);
-        } else {
-            self.input.set_row(features);
+            features = &self.feat_buf;
         }
         match self.precision {
-            Precision::F64Bitwise => self.mlp.predict_with(&self.input, &mut self.ws).get(0, 0),
-            Precision::F32Wide => {
-                self.input32.set_row_from_f64(self.input.row(0));
-                f64::from(self.mlp.predict_wide_with(&self.input32, &mut self.ws).row(0)[0])
-            }
+            Precision::F64Bitwise => score_row(&self.mlp, features, &mut self.lane64),
+            Precision::F32Wide => score_row(&self.mlp, features, &mut self.lane32),
         }
     }
+}
+
+/// One flow through the batch-of-rows entry point: a batch of one row.
+fn score_row<L: Lane>(mlp: &Mlp, features: &[f64], lane: &mut LaneScratch<L>) -> f64 {
+    lane.input.start_rows(features.len());
+    lane.input.push_row(features.iter().copied());
+    mlp.predict_with(&lane.input, &mut lane.ws).get(0, 0).to_f64()
 }
 
 /// The supervised DNN NIDS (see crate docs).
@@ -205,23 +211,17 @@ impl EventDetector for Dnn {
             }
         }
 
-        // Training is done: pack the layer weights for the fused inference
-        // kernel (bit-identical predictions, no column striding) and, in
-        // f32 mode, convert the wide weight mirrors.
-        mlp.pack();
-        if self.config.precision == Precision::F32Wide {
-            mlp.pack_wide();
-        }
-        let ws = mlp.workspace();
+        // Training is done: snapshot the layer weights into the configured
+        // lane for scoring.
+        mlp.freeze(self.config.precision);
         self.model = Some(DnnModel {
             norm,
             mlp,
             normalize: self.config.normalize,
             precision: self.config.precision,
             feat_buf: Vec::with_capacity(width),
-            input: Matrix::zeros(1, width),
-            input32: MatrixF32::default(),
-            ws,
+            lane64: LaneScratch::default(),
+            lane32: LaneScratch::default(),
         });
     }
 

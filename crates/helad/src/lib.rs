@@ -32,7 +32,7 @@
 use idsbench_core::{Event, EventDetector, InputFormat, ParsedView, TrainView};
 use idsbench_flow::{AfterImage, AfterImageConfig};
 use idsbench_nn::{
-    Autoencoder, AutoencoderConfig, LstmRegressor, LstmRegressorConfig, Matrix, MatrixF32,
+    Autoencoder, AutoencoderConfig, Lane, LstmRegressor, LstmRegressorConfig, Mat,
     MinMaxNormalizer, Precision, Workspace,
 };
 
@@ -110,9 +110,11 @@ pub struct HeladConfig {
     pub weight_lstm: f64,
     /// Weight-initialization seed.
     pub seed: u64,
-    /// Numeric mode of the inference kernels: bitwise `f64` (default) or
-    /// eight-lane `f32` under the epsilon-parity contract. Training always
-    /// runs in `f64`; this selects how the frozen ensemble scores.
+    /// Numeric lane of the inference kernels: bitwise `f64` (default) or
+    /// `f32` under the epsilon-parity contract (measured at most a few
+    /// percent faster than `f64` on HELAD — its time goes to the recurrent
+    /// chain and libm `tanh`, not lane width). Training always runs in
+    /// `f64`; this selects how the frozen ensemble scores.
     pub precision: Precision,
 }
 
@@ -236,15 +238,10 @@ impl Helad {
         for &score in history.iter().rev().take(window).rev() {
             recent.push(score);
         }
-        // Training is done: pack the autoencoder weights for the fused
-        // inference kernels (bit-identical scores, no column striding) and,
-        // in f32 mode, convert the wide weight mirrors of both models.
-        autoencoder.pack();
-        if self.config.precision == Precision::F32Wide {
-            autoencoder.pack_wide();
-            lstm.pack_wide();
-        }
-        let ws = autoencoder.workspace();
+        // Training is done: snapshot both models' weights into the
+        // configured lane for the scoring phase.
+        autoencoder.freeze(self.config.precision);
+        lstm.freeze(self.config.precision);
         HeladEngine {
             extractor,
             norm,
@@ -259,14 +256,12 @@ impl Helad {
             precision: self.config.precision,
             feat_buf: Vec::with_capacity(width),
             norm_buf: Vec::with_capacity(width),
-            ws,
-            norm_buf32: Vec::new(),
-            feat_rows: Matrix::default(),
-            feat_rows32: MatrixF32::default(),
-            windows: Matrix::default(),
             batch_rmses: Vec::new(),
             batch_preds: Vec::new(),
             batch_keys: Vec::new(),
+            single: Vec::with_capacity(1),
+            lane64: LaneScratch::default(),
+            lane32: LaneScratch::default(),
         }
     }
 }
@@ -297,16 +292,6 @@ pub struct HeladEngine {
     feat_buf: Vec<f64>,
     /// Reused normalized-feature buffer.
     norm_buf: Vec<f64>,
-    /// Shared NN inference scratch (autoencoder and LSTM).
-    ws: Workspace,
-    /// Narrowed features for the wide (f32) single-packet path.
-    norm_buf32: Vec<f32>,
-    /// Batch staging: one normalized feature row per well-formed packet.
-    feat_rows: Matrix,
-    /// Wide-lane sibling of `feat_rows`.
-    feat_rows32: MatrixF32,
-    /// Lockstep LSTM input: one score-history window per predicted row.
-    windows: Matrix,
     /// Reconstruction errors for the valid rows of the current burst.
     batch_rmses: Vec<f64>,
     /// LSTM predictions for the rows whose history window was full.
@@ -315,179 +300,124 @@ pub struct HeladEngine {
     /// 0), `Some(None)` = valid but channel-less, `Some(Some(key))` = valid
     /// with a smoothing channel.
     batch_keys: Vec<Option<Option<ChannelKey>>>,
+    /// The one-score output of [`HeladEngine::score_view`].
+    single: Vec<f64>,
+    /// Lane-typed scratch; only the configured precision's is ever filled.
+    lane64: LaneScratch<f64>,
+    lane32: LaneScratch<f32>,
+}
+
+/// The staging rows and model workspace of one numeric lane.
+#[derive(Debug, Default)]
+struct LaneScratch<L: Lane> {
+    /// One normalized feature row per well-formed packet of the burst.
+    feat_rows: Mat<L>,
+    /// Lockstep LSTM input: one score-history window per predicted row.
+    windows: Mat<L>,
+    /// Shared NN inference scratch (autoencoder and LSTM).
+    ws: Workspace<L>,
 }
 
 impl HeladEngine {
     /// Scores one packet from its parsed view: blended reconstruction error
-    /// and LSTM surprise. Malformed packets (no parsed view) score 0
-    /// (pass-through), keeping stream alignment.
+    /// and LSTM surprise — a one-row call into the batch path. Malformed
+    /// packets (no parsed view) score 0 (pass-through), keeping stream
+    /// alignment.
     ///
     /// Steady-state allocation-free: extraction, normalization, both model
     /// forward passes, and the score ring all reuse engine-owned buffers
     /// (pinned by the `hot_path_allocs` integration test).
     pub fn score_view(&mut self, view: &ParsedView) -> f64 {
-        let Some(parsed) = &view.parsed else {
-            return 0.0;
-        };
-        self.extractor.update_into(parsed, &mut self.feat_buf);
-        // HELAD fits its scaler offline on the training set; out-of-range
-        // eval features clamp to the boundary (and read as anomalous)
-        // rather than re-scaling the whole space.
-        self.norm.transform_into(&self.feat_buf, &mut self.norm_buf);
-        let rmse = match self.precision {
-            Precision::F64Bitwise => self.autoencoder.score_with(&self.norm_buf, &mut self.ws),
-            Precision::F32Wide => {
-                self.norm_buf32.clear();
-                self.norm_buf32.extend(self.norm_buf.iter().map(|&v| v as f32));
-                self.autoencoder.score_wide_with(&self.norm_buf32, &mut self.ws)
-            }
-        };
-        let surprise = if self.recent.len() == self.window {
-            let predicted = match self.precision {
-                Precision::F64Bitwise => self
-                    .lstm
-                    .predict_with(self.recent.iter().map(std::slice::from_ref), &mut self.ws),
-                Precision::F32Wide => self
-                    .lstm
-                    .predict_wide_with(self.recent.iter().map(std::slice::from_ref), &mut self.ws),
-            };
-            (rmse - predicted).abs()
-        } else {
-            0.0
-        };
-        self.recent.push(rmse);
-        // Per-channel smoothing: a channel's sustained anomaly stays high;
-        // other channels keep their own quiet history.
-        let smoothed = match (parsed.src_ip(), parsed.dst_ip()) {
-            (Some(a), Some(b)) => {
-                let key = if a <= b { (a, b) } else { (b, a) };
-                let history = self.channel_history.entry_or_insert_with(key, Default::default);
-                history.push_back(rmse);
-                if history.len() > self.smooth {
-                    history.pop_front();
-                }
-                history.iter().sum::<f64>() / history.len() as f64
-            }
-            _ => rmse,
-        };
-        self.weight_ae * smoothed + self.weight_lstm * surprise
+        let mut single = std::mem::take(&mut self.single);
+        single.clear();
+        self.score_batch(&mut std::iter::once(view), &mut single);
+        let score = single[0];
+        self.single = single;
+        score
     }
 
-    /// Batch-of-rows [`HeladEngine::score_view`] over a burst of views,
-    /// pushing one score per view in order. Stateful stages (AfterImage
-    /// extraction, the score ring, per-channel smoothing) run sequentially
-    /// exactly as the one-at-a-time path does; the pure model forwards run
-    /// batched — all autoencoder RMSEs in one batch forward, then the LSTM
-    /// in lockstep over every row's history window — so both models stream
-    /// their weights through cache once per *burst* instead of once per
-    /// *packet*. In the default f64 mode the scores are bitwise identical
-    /// to scoring each view alone.
+    /// Scores a burst of views, pushing one score per view in order.
+    /// Stateful stages (AfterImage extraction, the score ring, per-channel
+    /// smoothing) run sequentially in arrival order; the pure model
+    /// forwards run batched — all autoencoder RMSEs in one batch forward,
+    /// then the LSTM in lockstep over every row's history window — so both
+    /// models stream their weights through cache once per *burst* instead
+    /// of once per *packet*. Scores do not depend on how the packet stream
+    /// was cut into bursts.
     pub fn score_batch(
         &mut self,
         views: &mut dyn Iterator<Item = &ParsedView>,
         out: &mut Vec<f64>,
     ) {
-        let width = self.extractor.feature_count();
+        match self.precision {
+            Precision::F64Bitwise => {
+                let mut lane = std::mem::take(&mut self.lane64);
+                self.score_batch_in(&mut lane, views, out);
+                self.lane64 = lane;
+            }
+            Precision::F32Wide => {
+                let mut lane = std::mem::take(&mut self.lane32);
+                self.score_batch_in(&mut lane, views, out);
+                self.lane32 = lane;
+            }
+        }
+    }
+
+    fn score_batch_in<L: Lane>(
+        &mut self,
+        lane: &mut LaneScratch<L>,
+        views: &mut dyn Iterator<Item = &ParsedView>,
+        out: &mut Vec<f64>,
+    ) {
         self.batch_keys.clear();
-        let mut rows = 0;
+        lane.feat_rows.start_rows(self.extractor.feature_count());
         // Pass 1 (sequential): feature extraction and normalization into
         // the staging rows; channel keys are captured here because the
         // views are consumed by this pass.
         for view in views {
-            match &view.parsed {
-                Some(parsed) => {
-                    self.extractor.update_into(parsed, &mut self.feat_buf);
-                    self.norm.transform_into(&self.feat_buf, &mut self.norm_buf);
-                    rows += 1;
-                    if self.feat_rows.rows() < rows || self.feat_rows.cols() != width {
-                        self.feat_rows.reshape(rows.max(self.feat_rows.rows()), width);
-                    }
-                    self.feat_rows.as_mut_slice()[(rows - 1) * width..rows * width]
-                        .copy_from_slice(&self.norm_buf);
-                    let key = match (parsed.src_ip(), parsed.dst_ip()) {
-                        (Some(a), Some(b)) => Some(if a <= b { (a, b) } else { (b, a) }),
-                        _ => None,
-                    };
-                    self.batch_keys.push(Some(key));
-                }
-                None => self.batch_keys.push(None),
-            }
+            let Some(parsed) = &view.parsed else {
+                self.batch_keys.push(None);
+                continue;
+            };
+            self.extractor.update_into(parsed, &mut self.feat_buf);
+            // HELAD fits its scaler offline on the training set;
+            // out-of-range eval features clamp to the boundary (and read as
+            // anomalous) rather than re-scaling the whole space.
+            self.norm.transform_into(&self.feat_buf, &mut self.norm_buf);
+            lane.feat_rows.push_row(self.norm_buf.iter().copied());
+            let key = match (parsed.src_ip(), parsed.dst_ip()) {
+                (Some(a), Some(b)) => Some(if a <= b { (a, b) } else { (b, a) }),
+                _ => None,
+            };
+            self.batch_keys.push(Some(key));
         }
-        if rows == 0 {
-            out.extend(self.batch_keys.iter().map(|_| 0.0));
-            return;
-        }
-        self.feat_rows.reshape(rows, width);
 
         // Pass 2 (batched): every row's reconstruction error in one
         // autoencoder batch forward.
         self.batch_rmses.clear();
-        match self.precision {
-            Precision::F64Bitwise => {
-                self.autoencoder.score_rows_with(
-                    &self.feat_rows,
-                    &mut self.batch_rmses,
-                    &mut self.ws,
-                );
-            }
-            Precision::F32Wide => {
-                self.feat_rows32.reshape(rows, width);
-                for (o, &v) in
-                    self.feat_rows32.as_mut_slice().iter_mut().zip(self.feat_rows.as_slice())
-                {
-                    *o = v as f32;
-                }
-                self.autoencoder.score_rows_wide_with(
-                    &self.feat_rows32,
-                    &mut self.batch_rmses,
-                    &mut self.ws,
-                );
-            }
-        }
+        self.autoencoder.score_rows_with(&lane.feat_rows, &mut self.batch_rmses, &mut lane.ws);
 
         // Pass 3 (sequential ring, then lockstep LSTM): snapshot each row's
-        // history window in arrival order — row `i` sees the ring exactly
-        // as the one-at-a-time path would, i.e. after pushes of rows
-        // `0..i` — then predict every full window in one lockstep batch.
-        // The first `missing` rows have incomplete windows (no surprise
-        // term), matching the sequential warm-up.
+        // history window in arrival order — row `i` sees the ring after the
+        // pushes of rows `0..i` — then predict every full window in one
+        // lockstep batch. The first `missing` rows have incomplete windows
+        // (no surprise term): the warm-up of a freshly fitted engine.
         let missing = self.window - self.recent.len().min(self.window);
-        let predicted_rows = rows - missing.min(rows);
-        self.windows.reshape(predicted_rows, self.window);
-        let mut w = 0;
-        for i in 0..rows {
+        lane.windows.start_rows(self.window);
+        for &rmse in &self.batch_rmses {
             if self.recent.len() == self.window {
-                let row = &mut self.windows.as_mut_slice()[w * self.window..(w + 1) * self.window];
-                for (slot, &score) in row.iter_mut().zip(self.recent.iter()) {
-                    *slot = score;
-                }
-                w += 1;
+                lane.windows.push_row(self.recent.iter().copied());
             }
-            self.recent.push(self.batch_rmses[i]);
+            self.recent.push(rmse);
         }
-        debug_assert_eq!(w, predicted_rows);
+        debug_assert_eq!(lane.windows.rows(), self.batch_rmses.len().saturating_sub(missing));
         self.batch_preds.clear();
-        if predicted_rows > 0 {
-            match self.precision {
-                Precision::F64Bitwise => {
-                    self.lstm.predict_windows_with(
-                        &self.windows,
-                        &mut self.batch_preds,
-                        &mut self.ws,
-                    );
-                }
-                Precision::F32Wide => {
-                    self.lstm.predict_windows_wide_with(
-                        &self.windows,
-                        &mut self.batch_preds,
-                        &mut self.ws,
-                    );
-                }
-            }
-        }
+        self.lstm.predict_windows_with(&lane.windows, &mut self.batch_preds, &mut lane.ws);
 
         // Pass 4 (sequential): blend and per-channel smoothing in arrival
-        // order — the channel histories are shared mutable state.
+        // order — the channel histories are shared mutable state. A
+        // channel's sustained anomaly stays high; other channels keep their
+        // own quiet history.
         let mut i = 0;
         for entry in &self.batch_keys {
             let Some(channel) = entry else {
@@ -715,23 +645,52 @@ mod tests {
         let _ = Helad::new(HeladConfig { lstm_window: 0, ..Default::default() });
     }
 
+    /// Stream batching, autoscaling and fabric re-homing all re-cut batch
+    /// boundaries, so a score must not depend on where a batch was cut: one
+    /// packet per call, the whole trace in one call, and an uneven random
+    /// split all give the same bits — in both precisions, from a trained
+    /// engine and from an unfitted one (whose empty score ring makes the
+    /// first bursts straddle the LSTM warm-up of partial windows).
     #[test]
-    fn batch_scoring_is_bitwise_identical_to_row_scoring() {
+    fn scores_do_not_depend_on_batch_boundaries() {
         let (train, eval) = clean_baseline_input();
-        let mut one_at_a_time = Helad::default();
-        let reference = score_all(&mut one_at_a_time, &train, &eval);
-
-        let mut batched = Helad::default();
-        EventDetector::fit(&mut batched, &train);
-        let mut scores = Vec::new();
-        // Uneven bursts exercise the warm-up (partial LSTM windows), full
-        // windows, and re-used staging across batch sizes.
-        for chunk in eval.chunks(89) {
-            batched.on_packet_batch(&mut chunk.iter(), &mut scores);
-        }
-        assert_eq!(scores.len(), reference.len());
-        for (i, (b, r)) in scores.iter().zip(&reference).enumerate() {
-            assert_eq!(b.to_bits(), r.to_bits(), "packet {i}: batch {b} vs row {r}");
+        let untrained = TrainView::default();
+        let cases = [Precision::F64Bitwise, Precision::F32Wide]
+            .into_iter()
+            .flat_map(|precision| [(precision, &train), (precision, &untrained)]);
+        for (precision, train) in cases {
+            let fitted = || {
+                let mut helad = Helad::new(HeladConfig { precision, ..Default::default() });
+                EventDetector::fit(&mut helad, train);
+                helad
+            };
+            let reference: Vec<f64> = {
+                let mut helad = fitted();
+                eval.iter().map(|v| helad.on_event(&Event::Packet(v)).unwrap()).collect()
+            };
+            let mut whole = Vec::new();
+            fitted().on_packet_batch(&mut eval.iter(), &mut whole);
+            // Uneven bursts (1..=89 packets, LCG-sized) re-use the staging
+            // across batch sizes.
+            let (mut split, mut helad, mut rest, mut state) =
+                (Vec::new(), fitted(), &eval[..], 7u64);
+            while !rest.is_empty() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let (burst, tail) =
+                    rest.split_at((1 + (state >> 33) as usize % 89).min(rest.len()));
+                helad.on_packet_batch(&mut burst.iter(), &mut split);
+                rest = tail;
+            }
+            for (name, scores) in [("whole", &whole), ("split", &split)] {
+                assert_eq!(scores.len(), reference.len());
+                for (i, (b, r)) in scores.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        b.to_bits(),
+                        r.to_bits(),
+                        "{precision:?} packet {i}: {name} {b} vs one-row {r}"
+                    );
+                }
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! the reference implementation.
 
 use idsbench_nn::{
-    Autoencoder, AutoencoderConfig, Matrix, MatrixF32, MinMaxNormalizer, Precision, Workspace,
+    Autoencoder, AutoencoderConfig, Lane, Mat, Matrix, MinMaxNormalizer, Precision, Workspace,
 };
 
 /// Configuration for [`KitNet`].
@@ -19,9 +19,9 @@ pub struct KitNetConfig {
     pub learning_rate: f64,
     /// Weight-initialization seed.
     pub seed: u64,
-    /// Numeric mode of the inference kernels. Training always runs in
-    /// `f64`; under [`Precision::F32Wide`] the execution phase scores
-    /// through the eight-lane `f32` kernels instead (epsilon contract).
+    /// Numeric lane of the inference kernels. Training always runs in
+    /// `f64`; under [`Precision::F32Wide`] the execution phase scores in
+    /// `f32` instead (epsilon contract).
     pub precision: Precision,
 }
 
@@ -47,7 +47,7 @@ impl Default for KitNetConfig {
 #[derive(Debug, Clone)]
 pub struct KitNet {
     clusters: Vec<Vec<usize>>,
-    /// Concatenated cluster indices: partitioning a feature vector is one
+    /// Concatenated cluster indices: partitioning a training sample is one
     /// gather pass `part_buf[i] = x[flat[i]]`, no per-cluster `Vec`s.
     flat: Vec<usize>,
     /// Cluster `k` owns `part_buf[offsets[k]..offsets[k + 1]]`.
@@ -59,23 +59,30 @@ pub struct KitNet {
     precision: Precision,
     trained: u64,
     executed: u64,
-    // Scratch (reused every sample, allocation-free once warm).
+    // Scratch (reused every call, allocation-free once warm).
     norm_buf: Vec<f64>,
     part_buf: Vec<f64>,
     rmse_buf: Vec<f64>,
     scaled_buf: Vec<f64>,
-    ws: Workspace,
-    // Wide-lane scratch (empty until the first f32 score).
-    part_buf32: Vec<f32>,
-    scaled_buf32: Vec<f32>,
-    // Batch-of-rows scratch (empty until the first batch).
-    part_rows: Matrix,
-    cluster_rows: Matrix,
-    cluster_rows32: MatrixF32,
-    rmse_rows: Matrix,
-    scaled_rows: Matrix,
-    scaled_rows32: MatrixF32,
-    batch_scores: Vec<f64>,
+    /// Per-cluster RMSEs of the current batch, cluster-major: member `k`'s
+    /// `M` scores sit at `[k·M, (k+1)·M)`.
+    rmse_cols: Vec<f64>,
+    /// Final scores of the current batch.
+    scores: Vec<f64>,
+    /// Lane-typed scratch of the execution phase; only the configured
+    /// precision's is ever filled.
+    lane64: LaneScratch<f64>,
+    lane32: LaneScratch<f32>,
+}
+
+/// The staging rows and model workspace of one numeric lane.
+#[derive(Debug, Clone, Default)]
+struct LaneScratch<L: Lane> {
+    /// Ensemble member `k`'s normalized input rows for the current batch.
+    cluster_rows: Vec<Mat<L>>,
+    /// The output autoencoder's input rows.
+    scaled_rows: Mat<L>,
+    ws: Workspace<L>,
 }
 
 impl KitNet {
@@ -122,12 +129,6 @@ impl KitNet {
             flat.extend_from_slice(cluster);
             offsets.push(flat.len());
         }
-        let widest = ensemble
-            .iter()
-            .chain(std::iter::once(&output))
-            .map(|ae| ae.input_size().max(ae.hidden_size()))
-            .max()
-            .expect("ensemble is non-empty");
         let cluster_count = clusters.len();
         KitNet {
             clusters,
@@ -144,20 +145,14 @@ impl KitNet {
             norm_buf: Vec::with_capacity(feature_width),
             rmse_buf: vec![0.0; cluster_count],
             scaled_buf: Vec::with_capacity(cluster_count),
-            ws: Workspace::with_max_width(widest),
-            part_buf32: Vec::new(),
-            scaled_buf32: Vec::new(),
-            part_rows: Matrix::default(),
-            cluster_rows: Matrix::default(),
-            cluster_rows32: MatrixF32::default(),
-            rmse_rows: Matrix::default(),
-            scaled_rows: Matrix::default(),
-            scaled_rows32: MatrixF32::default(),
-            batch_scores: Vec::new(),
+            rmse_cols: Vec::new(),
+            scores: Vec::new(),
+            lane64: LaneScratch::default(),
+            lane32: LaneScratch::default(),
         }
     }
 
-    /// The numeric mode the execution phase scores in.
+    /// The numeric lane the execution phase scores in.
     pub fn precision(&self) -> Precision {
         self.precision
     }
@@ -182,17 +177,6 @@ impl KitNet {
         self.executed
     }
 
-    /// Normalizes `x` into `norm_buf` and gathers the cluster partitions
-    /// into `part_buf` through the precomputed index map — the shared
-    /// allocation-free front half of [`KitNet::train`] and
-    /// [`KitNet::execute`].
-    fn stage_sample(&mut self, x: &[f64]) {
-        self.input_norm.observe_and_transform_into(x, &mut self.norm_buf);
-        for (slot, &index) in self.part_buf.iter_mut().zip(&self.flat) {
-            *slot = self.norm_buf[index];
-        }
-    }
-
     /// One online training step (updates normalizers and all autoencoders);
     /// returns the pre-update anomaly score.
     ///
@@ -200,7 +184,10 @@ impl KitNet {
     ///
     /// Panics if `x` has the wrong width.
     pub fn train(&mut self, x: &[f64]) -> f64 {
-        self.stage_sample(x);
+        self.input_norm.observe_and_transform_into(x, &mut self.norm_buf);
+        for (slot, &index) in self.part_buf.iter_mut().zip(&self.flat) {
+            *slot = self.norm_buf[index];
+        }
         let KitNet { ensemble, part_buf, offsets, rmse_buf, .. } = self;
         for (k, ae) in ensemble.iter_mut().enumerate() {
             rmse_buf[k] = ae.train_sample(&part_buf[offsets[k]..offsets[k + 1]]);
@@ -211,165 +198,109 @@ impl KitNet {
         self.output.train_sample(&self.scaled_buf)
     }
 
-    /// Packs every autoencoder's weights for the fused inference kernel
-    /// (training is over, execution begins) — and, under
-    /// [`Precision::F32Wide`], converts and caches the `f32` weight mirrors
-    /// the wide kernels score from. f64 scores are bit-identical either
-    /// way; a later [`KitNet::train`] drops packs and mirrors automatically.
+    /// Ends the training phase: snapshots every autoencoder's weights into
+    /// the configured lane. [`KitNet::execute`] requires it; a later
+    /// [`KitNet::train`] drops the snapshots again.
     pub fn freeze(&mut self) {
         for ae in &mut self.ensemble {
-            ae.pack();
+            ae.freeze(self.precision);
         }
-        self.output.pack();
-        if self.precision == Precision::F32Wide {
-            for ae in &mut self.ensemble {
-                ae.pack_wide();
-            }
-            self.output.pack_wide();
-        }
+        self.output.freeze(self.precision);
     }
 
-    /// Scores a sample without updating weights (execution phase). The
-    /// input normalizer still widens, matching the reference behaviour of
-    /// normalizing by the range observed so far.
-    ///
-    /// Allocation-free in steady state: every intermediate lives in the
-    /// ensemble's scratch buffers. Under [`Precision::F32Wide`] the
-    /// autoencoder forwards run through the eight-lane `f32` kernels
-    /// (feature extraction and normalization stay `f64`; the vector narrows
-    /// once, right before the ensemble).
+    /// Scores one sample without updating weights (execution phase): a
+    /// one-row [`KitNet::execute_batch`]. The input normalizer still
+    /// widens, matching the reference behaviour of normalizing by the range
+    /// observed so far. Allocation-free in steady state.
     ///
     /// # Panics
     ///
-    /// Panics if `x` has the wrong width.
+    /// Panics if `x` has the wrong width or the ensemble was trained since
+    /// the last [`KitNet::freeze`].
     pub fn execute(&mut self, x: &[f64]) -> f64 {
-        self.stage_sample(x);
+        assert_eq!(x.len(), self.input_norm.width(), "vector width mismatch");
+        self.score_rows(x);
+        self.scores[0]
+    }
+
+    /// Scores the `M` feature vectors in `xs` (one per row), appending one
+    /// score per row to `out`. Staging — the order-sensitive
+    /// input-normalizer updates — runs sequentially per row first; the pure
+    /// autoencoder forwards then run batched per cluster, so each ensemble
+    /// member streams its weights through cache once per *batch* instead of
+    /// once per *packet*. Feature extraction and normalization stay `f64`;
+    /// under [`Precision::F32Wide`] each value narrows once, as it is
+    /// staged for the ensemble.
+    ///
+    /// A score never depends on where the batch was cut: any split of the
+    /// same rows across calls gives bitwise the same scores, in either
+    /// precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` does not have the feature width as its column count,
+    /// or the ensemble was trained since the last [`KitNet::freeze`].
+    pub fn execute_batch(&mut self, xs: &Matrix, out: &mut Vec<f64>) {
+        assert_eq!(xs.cols(), self.input_norm.width(), "vector width mismatch");
+        self.score_rows(xs.as_slice());
+        out.extend_from_slice(&self.scores);
+    }
+
+    /// Scores the row-major `rows` into `self.scores` in the configured
+    /// lane.
+    fn score_rows(&mut self, rows: &[f64]) {
         match self.precision {
             Precision::F64Bitwise => {
-                let KitNet { ensemble, part_buf, offsets, rmse_buf, ws, .. } = self;
-                for (k, ae) in ensemble.iter().enumerate() {
-                    rmse_buf[k] = ae.score_with(&part_buf[offsets[k]..offsets[k + 1]], ws);
-                }
-                self.executed += 1;
-                self.score_norm.transform_into(&self.rmse_buf, &mut self.scaled_buf);
-                self.output.score_with(&self.scaled_buf, &mut self.ws)
+                let mut lane = std::mem::take(&mut self.lane64);
+                self.score_rows_in(&mut lane, rows);
+                self.lane64 = lane;
             }
             Precision::F32Wide => {
-                narrow_into(&self.part_buf, &mut self.part_buf32);
-                let KitNet { ensemble, part_buf32, offsets, rmse_buf, ws, .. } = self;
-                for (k, ae) in ensemble.iter().enumerate() {
-                    rmse_buf[k] = ae.score_wide_with(&part_buf32[offsets[k]..offsets[k + 1]], ws);
-                }
-                self.executed += 1;
-                self.score_norm.transform_into(&self.rmse_buf, &mut self.scaled_buf);
-                narrow_into(&self.scaled_buf, &mut self.scaled_buf32);
-                self.output.score_wide_with(&self.scaled_buf32, &mut self.ws)
+                let mut lane = std::mem::take(&mut self.lane32);
+                self.score_rows_in(&mut lane, rows);
+                self.lane32 = lane;
             }
         }
     }
 
-    /// Batch-of-rows [`KitNet::execute`]: scores the `M` feature vectors in
-    /// `xs` (one per row), appending one score per row to `out`. Staging —
-    /// the order-sensitive input-normalizer updates — runs sequentially per
-    /// row first; the pure autoencoder forwards then run batched per
-    /// cluster, so each ensemble member streams its weights through cache
-    /// once per *batch* instead of once per *packet*.
-    ///
-    /// In the default f64 mode the scores are bitwise identical to calling
-    /// [`KitNet::execute`] per row (the batch kernels share the row
-    /// kernels' per-row chains); under [`Precision::F32Wide`] the same
-    /// epsilon contract as the single-row wide path applies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` does not have the feature width as its column count.
-    pub fn execute_batch(&mut self, xs: &Matrix, out: &mut Vec<f64>) {
-        let m = xs.rows();
-        if m == 0 {
-            return;
-        }
+    fn score_rows_in<L: Lane>(&mut self, lane: &mut LaneScratch<L>, rows: &[f64]) {
+        let (clusters, width) = (self.ensemble.len(), self.input_norm.width());
+        let m = rows.len() / width;
         // Sequential staging: normalizer observation order is part of the
-        // scoring semantics and must match the one-at-a-time path.
-        self.part_rows.reshape(m, self.flat.len());
-        for i in 0..m {
-            self.input_norm.observe_and_transform_into(xs.row(i), &mut self.norm_buf);
-            let row =
-                &mut self.part_rows.as_mut_slice()[i * self.flat.len()..(i + 1) * self.flat.len()];
-            for (slot, &index) in row.iter_mut().zip(&self.flat) {
-                *slot = self.norm_buf[index];
+        // scoring semantics. Each normalized row is gathered straight into
+        // its clusters' input rows through the precomputed index map.
+        lane.cluster_rows.resize_with(clusters, Mat::default);
+        for (staged, members) in lane.cluster_rows.iter_mut().zip(&self.clusters) {
+            staged.reshape(m, members.len());
+        }
+        for (i, x) in rows.chunks_exact(width).enumerate() {
+            self.input_norm.observe_and_transform_into(x, &mut self.norm_buf);
+            for (staged, members) in lane.cluster_rows.iter_mut().zip(&self.clusters) {
+                for (slot, &index) in staged.row_mut(i).iter_mut().zip(members) {
+                    *slot = L::from_f64(self.norm_buf[index]);
+                }
             }
         }
-        // Pure scoring: per-cluster batch forwards into the RMSE matrix.
-        let clusters = self.ensemble.len();
-        self.rmse_rows.reshape(m, clusters);
-        for k in 0..clusters {
-            let width = self.offsets[k + 1] - self.offsets[k];
-            gather_cluster(&self.part_rows, self.offsets[k], width, &mut self.cluster_rows);
-            self.batch_scores.clear();
-            match self.precision {
-                Precision::F64Bitwise => {
-                    self.ensemble[k].score_rows_with(
-                        &self.cluster_rows,
-                        &mut self.batch_scores,
-                        &mut self.ws,
-                    );
-                }
-                Precision::F32Wide => {
-                    narrow_rows(&self.cluster_rows, &mut self.cluster_rows32);
-                    self.ensemble[k].score_rows_wide_with(
-                        &self.cluster_rows32,
-                        &mut self.batch_scores,
-                        &mut self.ws,
-                    );
-                }
-            }
-            for (i, &score) in self.batch_scores.iter().enumerate() {
-                self.rmse_rows.set(i, k, score);
-            }
+        // Pure scoring: one batch forward per ensemble member.
+        self.rmse_cols.clear();
+        for (ae, staged) in self.ensemble.iter().zip(&lane.cluster_rows) {
+            ae.score_rows_with(staged, &mut self.rmse_cols, &mut lane.ws);
         }
         self.executed += m as u64;
         // Score normalization per row (transform only — no observation in
         // the execution phase), then the output autoencoder over the batch.
-        self.scaled_rows.reshape(m, clusters);
+        lane.scaled_rows.reshape(m, clusters);
         for i in 0..m {
-            self.score_norm.transform_into(self.rmse_rows.row(i), &mut self.scaled_buf);
-            self.scaled_rows.as_mut_slice()[i * clusters..(i + 1) * clusters]
-                .copy_from_slice(&self.scaled_buf);
-        }
-        match self.precision {
-            Precision::F64Bitwise => {
-                self.output.score_rows_with(&self.scaled_rows, out, &mut self.ws);
+            for (k, rmse) in self.rmse_buf.iter_mut().enumerate() {
+                *rmse = self.rmse_cols[k * m + i];
             }
-            Precision::F32Wide => {
-                narrow_rows(&self.scaled_rows, &mut self.scaled_rows32);
-                self.output.score_rows_wide_with(&self.scaled_rows32, out, &mut self.ws);
+            self.score_norm.transform_into(&self.rmse_buf, &mut self.scaled_buf);
+            for (slot, &scaled) in lane.scaled_rows.row_mut(i).iter_mut().zip(&self.scaled_buf) {
+                *slot = L::from_f64(scaled);
             }
         }
-    }
-}
-
-/// Narrows an `f64` scratch vector into its reused `f32` sibling.
-fn narrow_into(src: &[f64], dst: &mut Vec<f32>) {
-    dst.clear();
-    dst.extend(src.iter().map(|&v| v as f32));
-}
-
-/// Narrows an `f64` scratch matrix into its reused `f32` sibling.
-fn narrow_rows(src: &Matrix, dst: &mut MatrixF32) {
-    dst.reshape(src.rows(), src.cols());
-    for (o, &v) in dst.as_mut_slice().iter_mut().zip(src.as_slice()) {
-        *o = v as f32;
-    }
-}
-
-/// Copies the `width` columns starting at `start` out of the gathered
-/// partition matrix into a contiguous per-cluster batch.
-fn gather_cluster(part_rows: &Matrix, start: usize, width: usize, dst: &mut Matrix) {
-    let m = part_rows.rows();
-    dst.reshape(m, width);
-    for i in 0..m {
-        let src = &part_rows.row(i)[start..start + width];
-        dst.as_mut_slice()[i * width..(i + 1) * width].copy_from_slice(src);
+        self.scores.clear();
+        self.output.score_rows_with(&lane.scaled_rows, &mut self.scores, &mut lane.ws);
     }
 }
 
@@ -390,6 +321,7 @@ mod tests {
             net.train(&pattern);
             net.train(&other);
         }
+        net.freeze();
         let on_manifold = net.execute(&[10.5, 19.5, 5.2, 1.1]);
         let off_manifold = net.execute(&[20.0, 1.0, 0.0, 9.0]);
         assert!(
@@ -404,6 +336,7 @@ mod tests {
         for _ in 0..50 {
             net.train(&[1.0, 2.0, 3.0, 4.0]);
         }
+        net.freeze();
         let a = net.execute(&[5.0, 5.0, 5.0, 5.0]);
         let b = net.execute(&[5.0, 5.0, 5.0, 5.0]);
         assert_eq!(a, b, "execution must be weight-pure");
@@ -419,6 +352,7 @@ mod tests {
             let s = net.train(&x);
             assert!(s.is_finite() && s >= 0.0);
         }
+        net.freeze();
         let s = net.execute(&[1e9, -1e9, 0.0, 42.0]);
         assert!(s.is_finite() && s >= 0.0);
     }

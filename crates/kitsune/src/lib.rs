@@ -56,10 +56,10 @@ pub struct KitsuneConfig {
     pub afterimage: AfterImageConfig,
     /// Ensemble training configuration.
     pub kitnet: KitNetConfig,
-    /// Numeric mode of the inference kernels: bitwise `f64` (default, the
-    /// score-digest contract) or eight-lane `f32` (the epsilon-parity
-    /// contract). Training always runs in `f64`; this selects how the
-    /// frozen ensemble scores.
+    /// Numeric lane of the inference kernels: bitwise `f64` (default, the
+    /// score-digest contract) or `f32` (the epsilon-parity contract, which
+    /// pays once packets arrive in stream-sized batches). Training always
+    /// runs in `f64`; this selects how the frozen ensemble scores.
     pub precision: Precision,
 }
 
@@ -152,9 +152,8 @@ impl Kitsune {
             }
         }
 
-        // Training is done: pack the ensemble weights for the fused
-        // inference kernel (bit-identical scores, no column striding) and,
-        // in f32 mode, convert the wide weight mirrors.
+        // Training is done: snapshot the ensemble weights into the
+        // configured lane for the execution phase.
         net.freeze();
         KitsuneEngine {
             extractor,
@@ -189,8 +188,9 @@ pub struct KitsuneEngine {
 }
 
 impl KitsuneEngine {
-    /// Scores one packet from its parsed view. Malformed packets (no
-    /// parsed view) score 0 (pass-through), keeping stream alignment.
+    /// Scores one packet from its parsed view — a one-row call into the
+    /// batch path. Malformed packets (no parsed view) score 0
+    /// (pass-through), keeping stream alignment.
     ///
     /// Steady-state allocation-free: feature extraction, normalization,
     /// cluster partitioning, and every autoencoder forward pass write into
@@ -203,51 +203,38 @@ impl KitsuneEngine {
         self.net.execute(&self.feat_buf)
     }
 
-    /// Batch-of-rows [`KitsuneEngine::score_view`] over a burst of views,
-    /// pushing one score per view in order. Feature extraction (stateful
-    /// AfterImage updates) runs sequentially per packet exactly as the
-    /// one-at-a-time path does; the ensemble forwards then run batched
-    /// through [`KitNet::execute_batch`], amortizing every autoencoder's
-    /// weight traffic across the burst. In the default f64 mode the scores
-    /// are bitwise identical to scoring each view alone.
+    /// Scores a burst of views, pushing one score per view in order.
+    /// Feature extraction (stateful AfterImage updates) runs sequentially
+    /// per packet; the ensemble forwards then run batched through
+    /// [`KitNet::execute_batch`], amortizing every autoencoder's weight
+    /// traffic across the burst. Scores do not depend on how the packet
+    /// stream was cut into bursts.
     pub fn score_batch(
         &mut self,
         views: &mut dyn Iterator<Item = &ParsedView>,
         out: &mut Vec<f64>,
     ) {
-        let width = self.extractor.feature_count();
         self.valid.clear();
-        let mut rows = 0;
+        self.feat_rows.start_rows(self.extractor.feature_count());
         // First pass: sequential feature extraction into the staging rows.
-        // The row count is unknown until the iterator is drained, so rows
-        // land in the (grow-only) backing store before the final reshape.
         for view in views {
             let ok = features_into(&mut self.extractor, view, &mut self.feat_buf);
             self.valid.push(ok);
             if ok {
-                rows += 1;
-                if self.feat_rows.rows() < rows || self.feat_rows.cols() != width {
-                    self.feat_rows.reshape(rows.max(self.feat_rows.rows()), width);
-                }
-                self.feat_rows.as_mut_slice()[(rows - 1) * width..rows * width]
-                    .copy_from_slice(&self.feat_buf);
+                self.feat_rows.push_row(self.feat_buf.iter().copied());
             }
         }
-        if rows > 0 {
-            self.feat_rows.reshape(rows, width);
-            self.batch_scores.clear();
-            self.net.execute_batch(&self.feat_rows, &mut self.batch_scores);
-        }
+        self.batch_scores.clear();
+        self.net.execute_batch(&self.feat_rows, &mut self.batch_scores);
         // Merge: valid views take the next batch score, malformed score 0.
-        let mut next = 0;
-        for &ok in &self.valid {
+        let mut scored = self.batch_scores.iter();
+        out.extend(self.valid.iter().map(|&ok| {
             if ok {
-                out.push(self.batch_scores[next]);
-                next += 1;
+                *scored.next().expect("one score per valid view")
             } else {
-                out.push(0.0);
+                0.0
             }
-        }
+        }));
     }
 }
 
@@ -439,22 +426,46 @@ mod tests {
         assert!(score.expect("scored").is_finite());
     }
 
+    /// Stream batching, autoscaling and fabric re-homing all re-cut batch
+    /// boundaries, so a score must not depend on where a batch was cut: one
+    /// packet per call, the whole trace in one call, and an uneven random
+    /// split all give the same bits — in both precisions.
     #[test]
-    fn batch_scoring_is_bitwise_identical_to_row_scoring() {
+    fn scores_do_not_depend_on_batch_boundaries() {
         let (train, eval) = toy_input();
-        let mut one_at_a_time = Kitsune::default();
-        let reference = score_all(&mut one_at_a_time, &train, &eval);
-
-        let mut batched = Kitsune::default();
-        EventDetector::fit(&mut batched, &train);
-        let mut scores = Vec::new();
-        // Deliver in uneven bursts to exercise staging across batch sizes.
-        for chunk in eval.chunks(97) {
-            batched.on_packet_batch(&mut chunk.iter(), &mut scores);
-        }
-        assert_eq!(scores.len(), reference.len());
-        for (i, (b, r)) in scores.iter().zip(&reference).enumerate() {
-            assert_eq!(b.to_bits(), r.to_bits(), "packet {i}: batch {b} vs row {r}");
+        for precision in [Precision::F64Bitwise, Precision::F32Wide] {
+            let fitted = || {
+                let mut kitsune = Kitsune::new(KitsuneConfig { precision, ..Default::default() });
+                EventDetector::fit(&mut kitsune, &train);
+                kitsune
+            };
+            let reference: Vec<f64> = {
+                let mut kitsune = fitted();
+                eval.iter().map(|v| kitsune.on_event(&Event::Packet(v)).unwrap()).collect()
+            };
+            let mut whole = Vec::new();
+            fitted().on_packet_batch(&mut eval.iter(), &mut whole);
+            // Uneven bursts (1..=97 packets, LCG-sized) re-use the staging
+            // across batch sizes.
+            let (mut split, mut kitsune, mut rest, mut state) =
+                (Vec::new(), fitted(), &eval[..], 7u64);
+            while !rest.is_empty() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let (burst, tail) =
+                    rest.split_at((1 + (state >> 33) as usize % 97).min(rest.len()));
+                kitsune.on_packet_batch(&mut burst.iter(), &mut split);
+                rest = tail;
+            }
+            for (name, scores) in [("whole", &whole), ("split", &split)] {
+                assert_eq!(scores.len(), reference.len());
+                for (i, (b, r)) in scores.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        b.to_bits(),
+                        r.to_bits(),
+                        "{precision:?} packet {i}: {name} {b} vs one-row {r}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,3 +1,4 @@
+use crate::lane::Lane;
 use crate::matrix::Matrix;
 
 /// Element-wise activation functions.
@@ -33,34 +34,19 @@ impl Activation {
         }
     }
 
-    /// Applies the activation to one scalar — the per-element kernel the
-    /// fused affine-activate inference pass inlines (see
-    /// [`crate::Dense::forward_into`]). Exactly the function
-    /// [`Activation::apply_assign`] maps, so fused and staged paths stay
-    /// bit-identical.
+    /// Applies the activation to one scalar of either [`Lane`] — the
+    /// per-element kernel of the fused bias+activation epilogue (see
+    /// [`crate::Dense::forward_rows_into`]). In `f64` it is exactly the
+    /// function [`Activation::apply_assign`] maps (libm `exp`/`tanh`), so
+    /// fused and staged paths stay bit-identical; in `f32` the sigmoid runs
+    /// on the vectorizable polynomial exp of [`crate::wide`], within the
+    /// epsilon contract.
     #[inline]
-    pub fn eval(self, x: f64) -> f64 {
+    pub fn eval<L: Lane>(self, x: L) -> L {
         match self {
-            Activation::Sigmoid => sigmoid(x),
-            Activation::Relu => x.max(0.0),
+            Activation::Sigmoid => x.sigmoid(),
+            Activation::Relu => x.relu(),
             Activation::Tanh => x.tanh(),
-            Activation::Linear => x,
-        }
-    }
-
-    /// The `f32` counterpart of [`Activation::eval`] — the per-element
-    /// kernel of the wide-lane ([`crate::Precision::F32Wide`]) inference
-    /// paths. Sigmoid runs on the vectorizable polynomial exp
-    /// ([`crate::wide::fast_exp_f32`]); results differ from [`eval`] by at
-    /// most the f32 epsilon contract, never more.
-    ///
-    /// [`eval`]: Activation::eval
-    #[inline]
-    pub fn eval_f32(self, x: f32) -> f32 {
-        match self {
-            Activation::Sigmoid => crate::wide::sigmoid_f32(x),
-            Activation::Relu => x.max(0.0),
-            Activation::Tanh => crate::wide::tanh_f32(x),
             Activation::Linear => x,
         }
     }
@@ -78,6 +64,10 @@ impl Activation {
     }
 }
 
+// `#[inline]`: the lane-generic kernels calling this are instantiated in
+// downstream crates, where a non-inline function is an opaque call inside
+// the activation loops.
+#[inline]
 pub(crate) fn sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())

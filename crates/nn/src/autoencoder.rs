@@ -1,8 +1,9 @@
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::matrix::Matrix;
+use crate::lane::Lane;
+use crate::matrix::{Mat, Matrix};
 use crate::optimizer::Sgd;
-use crate::wide::MatrixF32;
+use crate::wide::Precision;
 use crate::workspace::Workspace;
 
 /// Configuration for [`Autoencoder`].
@@ -33,7 +34,7 @@ impl Default for AutoencoderConfig {
 /// # Examples
 ///
 /// ```
-/// use idsbench_nn::{Autoencoder, AutoencoderConfig};
+/// use idsbench_nn::{Autoencoder, AutoencoderConfig, Matrix, Precision, Workspace};
 ///
 /// let mut ae = Autoencoder::new(4, AutoencoderConfig::default());
 /// // Train on a repeated "normal" pattern…
@@ -41,7 +42,11 @@ impl Default for AutoencoderConfig {
 ///     ae.train_sample(&[0.1, 0.9, 0.1, 0.9]);
 /// }
 /// // …then an unseen pattern reconstructs worse.
-/// assert!(ae.score(&[0.9, 0.1, 0.9, 0.1]) > ae.score(&[0.1, 0.9, 0.1, 0.9]));
+/// ae.freeze(Precision::F64Bitwise);
+/// let rows = Matrix::from_rows(&[&[0.9, 0.1, 0.9, 0.1], &[0.1, 0.9, 0.1, 0.9]]);
+/// let mut scores = Vec::new();
+/// ae.score_rows_with(&rows, &mut scores, &mut Workspace::new());
+/// assert!(scores[0] > scores[1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Autoencoder {
@@ -90,109 +95,44 @@ impl Autoencoder {
         self.trained_samples
     }
 
-    /// A workspace presized for this autoencoder's layers (the buffers for
-    /// [`Autoencoder::score_with`] allocated up front).
-    pub fn workspace(&self) -> Workspace {
-        Workspace::with_max_width(self.input_size.max(self.hidden_size()))
+    /// Snapshots both layers' parameters into the lane `precision` selects
+    /// (see [`crate::Dense::freeze`]). Call when training is finished; a
+    /// later [`Autoencoder::train_sample`] drops the snapshots
+    /// automatically.
+    pub fn freeze(&mut self, precision: Precision) {
+        self.encoder.freeze(precision);
+        self.decoder.freeze(precision);
     }
 
-    /// Packs both layers' weights for the fused inference kernel (see
-    /// [`crate::Dense::pack_weights`]). Call when training is finished;
-    /// scores are bit-identical either way, packed is just faster. A later
-    /// [`Autoencoder::train_sample`] drops the packs automatically.
-    pub fn pack(&mut self) {
-        self.encoder.pack_weights();
-        self.decoder.pack_weights();
-    }
-
-    /// Converts and caches both layers' `f32` mirrors for the wide-lane
-    /// scoring entry points (see [`crate::Dense::pack_wide`]). Call at
-    /// freeze time when running under [`crate::Precision::F32Wide`]; a
-    /// later [`Autoencoder::train_sample`] drops the mirrors automatically.
-    pub fn pack_wide(&mut self) {
-        self.encoder.pack_wide();
-        self.decoder.pack_wide();
-    }
-
-    /// Whether both layers hold current `f32` mirrors.
-    pub fn is_wide_packed(&self) -> bool {
-        self.encoder.is_wide_packed() && self.decoder.is_wide_packed()
-    }
-
-    /// Reconstruction RMSE of `x` without updating weights.
+    /// Reconstruction RMSE of every row of `xs`, without updating weights:
+    /// one score per row is appended to `scores`. This is the steady-state
+    /// entry point of the Kitsune/HELAD scoring hot path — zero heap
+    /// allocations once `ws` is warm; a single sample is a batch of one
+    /// row.
     ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong width.
-    pub fn score(&self, x: &[f64]) -> f64 {
-        self.score_with(x, &mut Workspace::new())
-    }
-
-    /// [`Autoencoder::score`] through caller-owned scratch: bitwise the
-    /// same RMSE, zero heap allocations once `ws` is warm. This is the
-    /// steady-state entry point of the Kitsune/HELAD scoring hot path —
-    /// the feature slice feeds the layer kernels directly, with no staging
-    /// copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong width.
-    pub fn score_with(&self, x: &[f64], ws: &mut Workspace) -> f64 {
-        assert_eq!(x.len(), self.input_size, "input width mismatch");
-        self.encoder.forward_row_into(x, &mut ws.ping);
-        self.decoder.forward_row_into(ws.ping.row(0), &mut ws.pong);
-        rmse_slices(x, ws.pong.as_slice())
-    }
-
-    /// Batch-of-rows [`Autoencoder::score_with`]: scores every row of `xs`
-    /// in one pass, appending one RMSE per row to `scores`. Each layer's
-    /// weights stream through cache once per batch instead of once per
-    /// sample, and every row's score is bitwise identical to scoring that
-    /// row alone — batching reorders only pure computation (the digest
-    /// contract survives; pinned by the `batch_rows_parity` proptests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` has the wrong width.
-    pub fn score_rows_with(&self, xs: &Matrix, scores: &mut Vec<f64>, ws: &mut Workspace) {
-        assert_eq!(xs.cols(), self.input_size, "input width mismatch");
-        self.encoder.forward_rows_into(xs, &mut ws.ping);
-        self.decoder.forward_rows_into(&ws.ping, &mut ws.pong);
-        for i in 0..xs.rows() {
-            scores.push(rmse_slices(xs.row(i), ws.pong.row(i)));
-        }
-    }
-
-    /// Wide-lane ([`crate::Precision::F32Wide`]) [`Autoencoder::score_with`]
-    /// for one already-narrowed `f32` feature row. The squared-error fold
-    /// runs in `f64` over the `f32` reconstruction, so the only epsilon
+    /// Each layer's weights stream through cache once per batch, and every
+    /// row's score is bitwise identical however the rows are split across
+    /// calls — batching reorders only pure computation (pinned, in both
+    /// lanes, by the `batch_rows_parity` proptests). The squared-error fold
+    /// runs in `f64` whatever the lane, so in `f32` the only epsilon
     /// sources are the kernels themselves.
     ///
     /// # Panics
     ///
-    /// Panics if `x` has the wrong width or the `f32` mirrors are missing
-    /// (call [`Autoencoder::pack_wide`] after the last training step).
-    pub fn score_wide_with(&self, x: &[f32], ws: &mut Workspace) -> f64 {
-        assert_eq!(x.len(), self.input_size, "input width mismatch");
-        self.encoder.forward_row_wide_into(x, &mut ws.ping32);
-        self.decoder.forward_row_wide_into(ws.ping32.row(0), &mut ws.pong32);
-        rmse_slices_f32(x, ws.pong32.as_slice())
-    }
-
-    /// Batch-of-rows [`Autoencoder::score_wide_with`]: the wide-lane
-    /// counterpart of [`Autoencoder::score_rows_with`], appending one RMSE
-    /// per row. Batch and row-at-a-time wide scores agree within the
-    /// epsilon contract (different lane chains), not bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` has the wrong width or the `f32` mirrors are missing.
-    pub fn score_rows_wide_with(&self, xs: &MatrixF32, scores: &mut Vec<f64>, ws: &mut Workspace) {
+    /// Panics if `xs` has the wrong width or lane `L` has no current
+    /// snapshot (call [`Autoencoder::freeze`] after the last training
+    /// step).
+    pub fn score_rows_with<L: Lane>(
+        &self,
+        xs: &Mat<L>,
+        scores: &mut Vec<f64>,
+        ws: &mut Workspace<L>,
+    ) {
         assert_eq!(xs.cols(), self.input_size, "input width mismatch");
-        self.encoder.forward_rows_wide_into(xs, &mut ws.ping32);
-        self.decoder.forward_rows_wide_into(&ws.ping32, &mut ws.pong32);
+        self.encoder.forward_rows_into(xs, &mut ws.ping);
+        self.decoder.forward_rows_into(&ws.ping, &mut ws.pong);
         for i in 0..xs.rows() {
-            scores.push(rmse_slices_f32(xs.row(i), ws.pong32.row(i)));
+            scores.push(rmse(xs.row(i), ws.pong.row(i)));
         }
     }
 
@@ -207,7 +147,7 @@ impl Autoencoder {
         let input = Matrix::row_vector(x);
         let hidden = self.encoder.forward_training(input.clone());
         let reconstruction = self.decoder.forward_training(hidden);
-        let error = rmse(&input, &reconstruction);
+        let error = rmse(input.as_slice(), reconstruction.as_slice());
         // d(MSE)/d(reconstruction) = 2(x̂ - x)/n
         let grad = (&reconstruction - &input).scale(2.0 / self.input_size as f64);
         let grad_hidden = self.decoder.backward(&grad, &mut self.optimizer);
@@ -217,31 +157,15 @@ impl Autoencoder {
     }
 }
 
-fn rmse(x: &Matrix, reconstruction: &Matrix) -> f64 {
-    rmse_slices(x.as_slice(), reconstruction.as_slice())
-}
-
-/// RMSE of an `f32` reconstruction against its `f32` input, folded in
-/// `f64`: the handful of squared-error terms cost nothing, and keeping the
-/// fold in `f64` removes one epsilon source from the wide scoring path.
-fn rmse_slices_f32(x: &[f32], reconstruction: &[f32]) -> f64 {
+/// RMSE of a reconstruction against its input, folded in `f64` whatever
+/// the lane: the handful of squared-error terms cost nothing, and it keeps
+/// the fold from adding an epsilon source of its own in `f32`.
+fn rmse<L: Lane>(x: &[L], reconstruction: &[L]) -> f64 {
     let sum: f64 = x
         .iter()
         .zip(reconstruction)
         .map(|(&a, &b)| {
-            let d = f64::from(a) - f64::from(b);
-            d * d
-        })
-        .sum();
-    (sum / x.len() as f64).sqrt()
-}
-
-fn rmse_slices(x: &[f64], reconstruction: &[f64]) -> f64 {
-    let sum: f64 = x
-        .iter()
-        .zip(reconstruction)
-        .map(|(a, b)| {
-            let d = a - b;
+            let d = a.to_f64() - b.to_f64();
             d * d
         })
         .sum();
@@ -253,6 +177,15 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// f64 score of one sample on the autoencoder's current weights.
+    fn score(ae: &Autoencoder, x: &[f64]) -> f64 {
+        let mut frozen = ae.clone();
+        frozen.freeze(Precision::F64Bitwise);
+        let mut scores = Vec::new();
+        frozen.score_rows_with(&Matrix::row_vector(x), &mut scores, &mut Workspace::new());
+        scores[0]
+    }
 
     #[test]
     fn hidden_size_follows_ratio() {
@@ -266,11 +199,11 @@ mod tests {
     fn training_reduces_reconstruction_error() {
         let mut ae = Autoencoder::new(8, AutoencoderConfig::default());
         let pattern = [0.2, 0.8, 0.2, 0.8, 0.5, 0.5, 0.1, 0.9];
-        let first = ae.score(&pattern);
+        let first = score(&ae, &pattern);
         for _ in 0..500 {
             ae.train_sample(&pattern);
         }
-        let last = ae.score(&pattern);
+        let last = score(&ae, &pattern);
         assert!(last < first * 0.5, "rmse {first} -> {last}");
     }
 
@@ -286,10 +219,10 @@ mod tests {
         let normal: Vec<f64> = (0..6).map(|_| rng.random_range(0.0..0.2)).collect();
         let anomaly = vec![0.95; 6];
         assert!(
-            ae.score(&anomaly) > 2.0 * ae.score(&normal),
+            score(&ae, &anomaly) > 2.0 * score(&ae, &normal),
             "anomaly {} vs normal {}",
-            ae.score(&anomaly),
-            ae.score(&normal)
+            score(&ae, &anomaly),
+            score(&ae, &normal)
         );
     }
 
@@ -299,8 +232,8 @@ mod tests {
         for _ in 0..10 {
             ae.train_sample(&[0.1, 0.2, 0.3, 0.4]);
         }
-        let a = ae.score(&[0.5; 4]);
-        let b = ae.score(&[0.5; 4]);
+        let a = score(&ae, &[0.5; 4]);
+        let b = score(&ae, &[0.5; 4]);
         assert_eq!(a, b);
         assert_eq!(ae.trained_samples(), 10);
     }
@@ -308,14 +241,14 @@ mod tests {
     #[test]
     fn rmse_is_nonnegative_and_bounded_for_unit_inputs() {
         let ae = Autoencoder::new(5, AutoencoderConfig::default());
-        let score = ae.score(&[0.0, 1.0, 0.0, 1.0, 0.5]);
-        assert!((0.0..=1.0).contains(&score), "sigmoid outputs keep rmse in [0,1]: {score}");
+        let rmse = score(&ae, &[0.0, 1.0, 0.0, 1.0, 0.5]);
+        assert!((0.0..=1.0).contains(&rmse), "sigmoid outputs keep rmse in [0,1]: {rmse}");
     }
 
     #[test]
     #[should_panic(expected = "input width mismatch")]
     fn wrong_width_panics() {
         let ae = Autoencoder::new(4, AutoencoderConfig::default());
-        let _ = ae.score(&[0.0; 3]);
+        let _ = score(&ae, &[0.0; 3]);
     }
 }

@@ -1,7 +1,8 @@
 use crate::activation::Activation;
-use crate::matrix::{dot, Matrix, PackedB};
+use crate::lane::Lane;
+use crate::matrix::{Mat, Matrix, Packed};
 use crate::optimizer::Optimizer;
-use crate::wide::{dot_f32, matmul_f32_into, row_matmul_f32_into, MatrixF32, PackedBF32};
+use crate::wide::Precision;
 
 /// Output widths up to this use the transposed-weight dot kernel; beyond
 /// it the broadcast matmul vectorizes across the row and wins.
@@ -13,14 +14,12 @@ const NARROW_OUTPUT: usize = 2;
 /// backprop. Parameter ids for the optimizer are `base_id` (weights) and
 /// `base_id + 1` (bias).
 ///
-/// Inference serves two numeric modes (see [`crate::Precision`]). The
-/// default `f64` kernels keep a fixed accumulation order so scores are
-/// bitwise-reproducible; the opt-in wide path runs the same affine shape
-/// through the eight-lane `f32` kernels of [`crate::wide`]. Both fast
-/// layouts are snapshots of the weights: [`Dense::pack_weights`] packs the
-/// `f64` columns, [`Dense::pack_wide`] converts and caches the `f32`
-/// mirror, and any further [`Dense::backward`] step invalidates *both*, so
-/// a stale fast path can never be consulted.
+/// Inference has one entry point, [`Dense::forward_rows_into`], generic
+/// over the numeric [`Lane`]. It reads a *snapshot* of the parameters taken
+/// by [`Dense::freeze`] in the requested [`Precision`]; any further
+/// [`Dense::backward`] step drops every snapshot, so stale weights can
+/// never be consulted — inference after training without a fresh freeze
+/// panics instead.
 #[derive(Debug, Clone)]
 pub struct Dense {
     weights: Matrix,
@@ -29,25 +28,97 @@ pub struct Dense {
     base_id: usize,
     cached_input: Option<Matrix>,
     cached_output: Option<Matrix>,
-    /// Column-packed weights for the fused inference kernel; present only
-    /// while in sync with `weights`.
-    packed: Option<PackedB>,
-    /// Converted `f32` weights for the wide-lane kernels; present only
-    /// while in sync with `weights` (same lifecycle as `packed`).
-    wide: Option<WideWeights>,
+    snapshot: Snapshot,
 }
 
-/// The cached `f32` mirror of a layer's parameters, converted once at
-/// [`Dense::pack_wide`] time (never per sample).
+/// One lane's frozen copy of an affine block `x·W + b`, converted once at
+/// freeze time (never per sample).
 #[derive(Debug, Clone)]
-struct WideWeights {
+pub struct Frozen<L: Lane> {
     /// Row-major `input × output` weights for the broadcast kernel.
-    weights: MatrixF32,
-    /// Column-packed transpose for the narrow-head dot kernel; built under
-    /// the same width rule as the `f64` pack.
-    packed: Option<PackedBF32>,
-    /// Bias row.
-    bias: Vec<f32>,
+    pub(crate) weights: Mat<L>,
+    /// Column-packed transpose for the dot kernel; built for narrow heads
+    /// only — wide layers read `weights` directly, so a pack would be a
+    /// dead duplicate of the weight memory.
+    packed: Option<Packed<L>>,
+    /// Bias row (empty for a bias-free block).
+    pub(crate) bias: Vec<L>,
+}
+
+impl<L: Lane> Frozen<L> {
+    fn of(weights: &Matrix, bias: &[f64]) -> Self {
+        Frozen {
+            weights: Mat::from_f64(weights),
+            packed: (weights.cols() <= NARROW_OUTPUT).then(|| Packed::pack(weights)),
+            bias: bias.iter().map(|&b| L::from_f64(b)).collect(),
+        }
+    }
+
+    /// `out = act(x·W + b)` for every row of `x`. The product picks the
+    /// kernel by output width. Wide layers run the cache-blocked broadcast
+    /// matmul (SIMD across the output row — no per-element dependency
+    /// chain) followed by the fused bias+activation epilogue. Narrow heads
+    /// (where a broadcast pass would serialize through one or two memory
+    /// cells `K` times) run [`Lane::dot`] over the column pack. Either way
+    /// each output row is a function of its own input row alone, built by
+    /// the same operations in the same order whatever the batch size.
+    pub(crate) fn apply(&self, x: &Mat<L>, act: Activation, out: &mut Mat<L>) {
+        match &self.packed {
+            Some(packed) => {
+                assert_eq!(x.cols(), packed.rows(), "input width mismatch");
+                out.reshape(x.rows(), packed.cols());
+                for i in 0..x.rows() {
+                    let x_row = x.row(i);
+                    for (j, o) in out.row_mut(i).iter_mut().enumerate() {
+                        *o = act.eval(L::dot(x_row, packed.col(j)) + self.bias[j]);
+                    }
+                }
+            }
+            None => {
+                x.matmul_into(&self.weights, out);
+                bias_activate(out, &self.bias, act);
+            }
+        }
+    }
+}
+
+/// The per-lane snapshot slots of one affine block: filled by `freeze`,
+/// emptied by any training step.
+#[derive(Debug, Clone, Default)]
+pub struct Snapshot {
+    pub(crate) f64: Option<Frozen<f64>>,
+    pub(crate) f32: Option<Frozen<f32>>,
+}
+
+impl Snapshot {
+    /// Snapshots `weights` and `bias` into the lane `precision` selects.
+    pub(crate) fn freeze(&mut self, precision: Precision, weights: &Matrix, bias: &[f64]) {
+        match precision {
+            Precision::F64Bitwise => self.f64 = Some(Frozen::of(weights, bias)),
+            Precision::F32Wide => self.f32 = Some(Frozen::of(weights, bias)),
+        }
+    }
+
+    /// Drops every lane's snapshot (the parameters moved).
+    pub(crate) fn clear(&mut self) {
+        *self = Snapshot::default();
+    }
+
+    /// The current snapshot in lane `L`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that lane was not frozen since the last weight update —
+    /// loud, instead of silently scoring from stale weights.
+    pub(crate) fn get<L: Lane>(&self) -> &Frozen<L> {
+        L::frozen(self).unwrap_or_else(|| {
+            panic!(
+                "{} inference without a current snapshot: call freeze() after the last weight \
+                 update",
+                std::any::type_name::<L>()
+            )
+        })
+    }
 }
 
 impl Dense {
@@ -67,112 +138,17 @@ impl Dense {
             base_id,
             cached_input: None,
             cached_output: None,
-            packed: None,
-            wide: None,
+            snapshot: Snapshot::default(),
         }
     }
 
-    /// Snapshots the weights into the column-packed layout consumed by the
-    /// fused inference pass of [`Dense::forward_into`]. Call once when a
-    /// model finishes fitting; training afterwards drops the pack.
-    ///
-    /// Only narrow layers (regression/classifier heads, where the dot
-    /// kernel is the one that runs) actually pack — for wide layers the
-    /// broadcast kernel reads the row-major weights directly, so a pack
-    /// would be a dead duplicate of the weight memory and this call is a
-    /// no-op.
-    pub fn pack_weights(&mut self) {
-        if self.output_size() <= NARROW_OUTPUT {
-            self.packed = Some(PackedB::pack(&self.weights));
-        }
-    }
-
-    /// Whether a current (in-sync) weight pack exists.
-    pub fn is_packed(&self) -> bool {
-        self.packed.is_some()
-    }
-
-    /// Converts and caches the `f32` weight mirror the wide-lane
-    /// ([`crate::Precision::F32Wide`]) kernels consume: row-major weights
-    /// for the lane-chunked matmul, plus a column pack for narrow heads
-    /// under the same width rule as [`Dense::pack_weights`]. Call once when
-    /// a model finishes fitting (models do this from their `freeze`/`pack`
-    /// entry points); training afterwards drops the mirror.
-    pub fn pack_wide(&mut self) {
-        let packed = (self.output_size() <= NARROW_OUTPUT).then(|| PackedBF32::pack(&self.weights));
-        self.wide = Some(WideWeights {
-            weights: MatrixF32::from_f64(&self.weights),
-            packed,
-            bias: self.bias.as_slice().iter().map(|&b| b as f32).collect(),
-        });
-    }
-
-    /// Whether a current (in-sync) `f32` mirror exists.
-    pub fn is_wide_packed(&self) -> bool {
-        self.wide.is_some()
-    }
-
-    /// Wide-lane forward pass over a batch of rows: `out` is reshaped to
-    /// `x.rows() × output_size` and filled with `f(x·W + b)` through the
-    /// eight-lane `f32` kernels — the [`crate::Precision::F32Wide`]
-    /// counterpart of [`Dense::forward_into`]. Narrow heads run the
-    /// lane-chunked transposed-dot kernel over the `f32` column pack; wide
-    /// layers run the register-blocked matmul with a fused bias+activation
-    /// epilogue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong width, or if the `f32` mirror is missing
-    /// — wide inference requires [`Dense::pack_wide`] after the last weight
-    /// update (the same stale-pack discipline the `f64` pack follows, made
-    /// loud instead of silently slow).
-    pub fn forward_rows_wide_into(&self, x: &MatrixF32, out: &mut MatrixF32) {
-        let wide = self.wide_or_panic();
-        match &wide.packed {
-            Some(packed) => {
-                assert_eq!(x.cols(), packed.rows(), "input width mismatch");
-                out.reshape(x.rows(), packed.cols());
-                for i in 0..x.rows() {
-                    let (x_row, n) = (x.row(i), packed.cols());
-                    // Split borrows: `x` and `out` are distinct matrices.
-                    let out_row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
-                    affine_row_kernel_f32(x_row, packed, &wide.bias, self.activation, out_row);
-                }
-            }
-            None => {
-                matmul_f32_into(x, &wide.weights, out);
-                bias_activate_f32(out, &wide.bias, self.activation);
-            }
-        }
-    }
-
-    /// [`Dense::forward_rows_wide_into`] for one bare `f32` feature slice —
-    /// the per-sample entry point of the wide scoring paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the input width or the `f32` mirror
-    /// is missing (see [`Dense::forward_rows_wide_into`]).
-    pub fn forward_row_wide_into(&self, x: &[f32], out: &mut MatrixF32) {
-        let wide = self.wide_or_panic();
-        match &wide.packed {
-            Some(packed) => {
-                assert_eq!(x.len(), packed.rows(), "input width mismatch");
-                out.reshape(1, packed.cols());
-                affine_row_kernel_f32(x, packed, &wide.bias, self.activation, out.as_mut_slice());
-            }
-            None => {
-                row_matmul_f32_into(&wide.weights, x, out);
-                bias_activate_f32(out, &wide.bias, self.activation);
-            }
-        }
-    }
-
-    fn wide_or_panic(&self) -> &WideWeights {
-        self.wide.as_ref().expect(
-            "wide (f32) inference without a current mirror: call pack_wide() after the last \
-             weight update",
-        )
+    /// Snapshots the parameters into the lane `precision` selects — the
+    /// weights row-major for the broadcast kernel, plus a column pack for
+    /// narrow heads. Call once when a model finishes fitting; training
+    /// afterwards drops the snapshot. Freezing in both precisions keeps
+    /// both lanes servable.
+    pub fn freeze(&mut self, precision: Precision) {
+        self.snapshot.freeze(precision, &self.weights, self.bias.as_slice());
     }
 
     /// Input width.
@@ -195,126 +171,29 @@ impl Dense {
         &self.weights
     }
 
-    /// Forward pass without caching (inference).
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(x.rows(), self.output_size());
-        self.forward_into(x, &mut out);
-        out
+    /// Immutable view of the `1 × output` bias row.
+    pub fn bias(&self) -> &Matrix {
+        &self.bias
     }
 
-    /// Forward pass written into caller-owned scratch: `out` is reshaped to
-    /// `x.rows() × output_size` and filled with `f(x·W + b)` without any
-    /// heap allocation (once `out` has capacity). Bitwise-identical to
-    /// [`Dense::forward`].
+    /// Inference over a batch of rows, written into caller-owned scratch:
+    /// `out` is reshaped to `x.rows() × output_size` and filled with
+    /// `f(x·W + b)` without any heap allocation (once `out` has capacity).
+    /// A single sample is a batch of one row.
     ///
-    /// This is the `f64` half of the two-precision kernel design (the
-    /// `f32` half is [`Dense::forward_rows_wide_into`]). The product picks
-    /// the kernel by output width. Wide layers run the cache-blocked
-    /// broadcast matmul (SIMD across the output row — no per-element
-    /// dependency chain) followed by one fused bias+activation pass instead
-    /// of the staged broadcast-then-activate pair. Narrow layers (the
-    /// regressor/classifier heads, where a broadcast pass would serialize
-    /// through one or two memory cells `K` times) use the transposed-weight
-    /// dot kernel over the pack from [`Dense::pack_weights`]. Same
-    /// floating-point operations in the same order either way, so every
-    /// `f64` path is bit-for-bit identical — including across batch shapes:
-    /// feeding `M` rows at once builds each output row's chain exactly as
-    /// the row-at-a-time entry points do, which is what lets the
-    /// batch-of-rows scoring paths stay on the digest contract.
-    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        match &self.packed {
-            Some(packed) if packed.cols() <= NARROW_OUTPUT => {
-                self.affine_activate_into(x, packed, out);
-            }
-            _ => {
-                x.matmul_into(&self.weights, out);
-                self.bias_activate_assign(out);
-            }
-        }
-    }
-
-    /// Batch-of-rows name for [`Dense::forward_into`]: scores `M` staged
-    /// samples through one kernel invocation, so the weight matrix streams
-    /// through cache once per batch instead of once per packet. Each output
-    /// row's accumulation chain is exactly the chain
-    /// [`Dense::forward_row_into`] builds for that sample, so batch scoring
-    /// is bitwise identical to row-at-a-time scoring (pinned by the
-    /// `batch_rows_parity` proptest suite).
-    pub fn forward_rows_into(&self, x: &Matrix, out: &mut Matrix) {
-        self.forward_into(x, out);
-    }
-
-    /// [`Dense::forward_into`] for a bare feature slice: the row is handed
-    /// straight to the kernel, skipping the copy into a staging matrix.
-    /// Bitwise identical to `forward_into(&row_vector(x), out)` — this is
-    /// the per-sample inference entry point of the scoring hot paths.
+    /// Every output row is computed from its own input row by the same
+    /// operations in the same order whatever `x.rows()` is, so a result
+    /// never depends on where a batch was cut — bitwise, in both lanes
+    /// (pinned by the `batch_rows_parity` proptests). In `f64` each element
+    /// is additionally the exact ascending-`k` chain of the naive triple
+    /// loop, which is what keeps batch scoring on the digest contract.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` differs from the input width.
-    pub fn forward_row_into(&self, x: &[f64], out: &mut Matrix) {
-        match &self.packed {
-            Some(packed) if packed.cols() <= NARROW_OUTPUT => {
-                self.affine_activate_row(x, packed, out);
-            }
-            _ => {
-                self.weights.row_matmul_into(x, out);
-                self.bias_activate_assign(out);
-            }
-        }
-    }
-
-    /// Fused epilogue: `out[j] = f(out[j] + b[j])` in one pass over the
-    /// output, replacing the staged broadcast-add + activate pair.
-    fn bias_activate_assign(&self, out: &mut Matrix) {
-        let n = self.bias.cols();
-        let bias = self.bias.as_slice();
-        let act = self.activation;
-        for row in out.as_mut_slice().chunks_exact_mut(n) {
-            for (o, &b) in row.iter_mut().zip(bias) {
-                *o = act.eval(*o + b);
-            }
-        }
-    }
-
-    /// The fused narrow-output kernel: `out[i][j] = f(dot(x[i], W[:,j]) +
-    /// b[j])` over the packed weight columns.
-    fn affine_activate_into(&self, x: &Matrix, packed: &PackedB, out: &mut Matrix) {
-        let kd = packed.rows();
-        let n = packed.cols();
-        assert_eq!(x.cols(), kd, "input width mismatch: {} vs {}", x.cols(), kd);
-        out.reshape(x.rows(), n);
-        for i in 0..x.rows() {
-            let (x_row, out_slice) = (x.row(i), &mut out.as_mut_slice()[i * n..(i + 1) * n]);
-            // Split borrows: `x` and `out` are distinct matrices.
-            self.affine_row_kernel(x_row, packed, out_slice);
-        }
-    }
-
-    /// Single-row variant of [`Dense::affine_activate_into`] over a bare
-    /// slice.
-    fn affine_activate_row(&self, x: &[f64], packed: &PackedB, out: &mut Matrix) {
-        assert_eq!(
-            x.len(),
-            packed.rows(),
-            "input width mismatch: {} vs {}",
-            x.len(),
-            packed.rows()
-        );
-        out.reshape(1, packed.cols());
-        self.affine_row_kernel(x, packed, out.as_mut_slice());
-    }
-
-    /// `out_row[j] = f(dot(x_row, W[:,j]) + b[j])` for one row. At most
-    /// [`NARROW_OUTPUT`] columns ever reach this kernel, so a plain loop
-    /// of contiguous dots is the whole story (wider packed products go
-    /// through the multi-chain [`Matrix::matmul_packed_into`]).
-    fn affine_row_kernel(&self, x_row: &[f64], packed: &PackedB, out_row: &mut [f64]) {
-        let bias = self.bias.as_slice();
-        let act = self.activation;
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o = act.eval(dot(x_row, packed.col(j)) + bias[j]);
-        }
+    /// Panics if `x` has the wrong width, or if lane `L` has no current
+    /// snapshot (see [`Dense::freeze`]).
+    pub fn forward_rows_into<L: Lane>(&self, x: &Mat<L>, out: &mut Mat<L>) {
+        self.snapshot.get::<L>().apply(x, self.activation, out);
     }
 
     /// Forward pass that caches activations for a subsequent
@@ -325,7 +204,9 @@ impl Dense {
     /// training step instead of the three a borrow-and-clone signature
     /// forces.
     pub fn forward_training(&mut self, x: Matrix) -> Matrix {
-        let out = self.forward(&x);
+        let mut out = Matrix::default();
+        x.matmul_into(&self.weights, &mut out);
+        bias_activate(&mut out, self.bias.as_slice(), self.activation);
         self.cached_input = Some(x);
         self.cached_output = Some(out.clone());
         out
@@ -347,62 +228,32 @@ impl Dense {
         let grad_input = delta.matmul(&self.weights.transpose());
         opt.step(self.base_id, &mut self.weights, &grad_weights);
         opt.step(self.base_id + 1, &mut self.bias, &grad_bias);
-        // The weights moved: any packed snapshot is stale — both the f64
-        // column pack and the f32 wide mirror.
-        self.packed = None;
-        self.wide = None;
+        // The weights moved: every lane's snapshot is stale.
+        self.snapshot.clear();
         grad_input
     }
 }
 
-/// Fused `f32` epilogue: `out[j] = f(out[j] + b[j])` in one pass — the
-/// wide-lane counterpart of [`Dense::forward_into`]'s bias+activation
-/// fusion. With the sigmoid built on arithmetic-only exp, the whole pass
-/// vectorizes.
-fn bias_activate_f32(out: &mut MatrixF32, bias: &[f32], act: Activation) {
-    let n = bias.len();
-    for row in out.as_mut_slice().chunks_exact_mut(n) {
-        for (o, &b) in row.iter_mut().zip(bias) {
-            *o += b;
+/// Fused epilogue: `out[i][j] = f(out[i][j] + b[j])`. The bias add runs
+/// per row; the activation then runs as one flat elementwise pass over the
+/// whole matrix with the variant match hoisted out of the loop, so each arm
+/// is a bare loop `m·n` long — in `f32` the polynomial exp vectorizes at
+/// full width even for the narrow layers (`n` of 7–10) the ensemble
+/// autoencoders use. Same per-element arithmetic either way, same bits.
+fn bias_activate<L: Lane>(out: &mut Mat<L>, bias: &[L], act: Activation) {
+    if !bias.is_empty() {
+        for row in out.as_mut_slice().chunks_exact_mut(bias.len()) {
+            for (o, &b) in row.iter_mut().zip(bias) {
+                *o += b;
+            }
         }
     }
-    // One flat elementwise pass over the whole matrix: the activation loop
-    // runs m·n long instead of n per row, so the polynomial exp vectorizes
-    // at full width even for the narrow layers (n of 7–10) the ensemble
-    // autoencoders use. Same per-element arithmetic, same bits.
-    activate_slice_f32(act, out.as_mut_slice());
-}
-
-/// Elementwise activation over a flat `f32` slice, with the variant match
-/// hoisted out of the loop so each arm is a bare vectorizable loop.
-fn activate_slice_f32(act: Activation, xs: &mut [f32]) {
+    let xs = out.as_mut_slice();
     match act {
         Activation::Linear => {}
-        Activation::Relu => {
-            for x in xs.iter_mut() {
-                *x = x.max(0.0);
-            }
-        }
-        _ => {
-            for x in xs.iter_mut() {
-                *x = act.eval_f32(*x);
-            }
-        }
-    }
-}
-
-/// `out_row[j] = f(dot_f32(x_row, W[:,j]) + b[j])` for one row over the
-/// `f32` column pack — the narrow-head kernel of the wide path, with the
-/// eight-lane dot inside.
-fn affine_row_kernel_f32(
-    x_row: &[f32],
-    packed: &PackedBF32,
-    bias: &[f32],
-    act: Activation,
-    out_row: &mut [f32],
-) {
-    for (j, o) in out_row.iter_mut().enumerate() {
-        *o = act.eval_f32(dot_f32(x_row, packed.col(j)) + bias[j]);
+        Activation::Relu => xs.iter_mut().for_each(|x| *x = x.relu()),
+        Activation::Sigmoid => xs.iter_mut().for_each(|x| *x = x.sigmoid()),
+        Activation::Tanh => xs.iter_mut().for_each(|x| *x = x.tanh()),
     }
 }
 
@@ -412,11 +263,19 @@ mod tests {
     use crate::loss::Loss;
     use crate::optimizer::Sgd;
 
+    /// f64 inference on the layer's current weights.
+    fn infer(layer: &Dense, x: &Matrix) -> Matrix {
+        let mut frozen = layer.clone();
+        frozen.freeze(Precision::F64Bitwise);
+        let mut out = Matrix::default();
+        frozen.forward_rows_into(x, &mut out);
+        out
+    }
+
     #[test]
     fn forward_shape() {
         let layer = Dense::new(3, 5, Activation::Relu, 0, 1);
-        let x = Matrix::zeros(4, 3);
-        let y = layer.forward(&x);
+        let y = infer(&layer, &Matrix::zeros(4, 3));
         assert_eq!((y.rows(), y.cols()), (4, 5));
     }
 
@@ -432,8 +291,7 @@ mod tests {
             let grad = Loss::Mse.gradient(&out, &y);
             layer.backward(&grad, &mut opt);
         }
-        let out = layer.forward(&x);
-        assert!(Loss::Mse.value(&out, &y) < 1e-6);
+        assert!(Loss::Mse.value(&infer(&layer, &x), &y) < 1e-6);
     }
 
     /// Finite-difference check of the full dense-layer gradient.
@@ -446,8 +304,8 @@ mod tests {
         // Analytic gradient of the input, captured through backward with a
         // frozen "optimizer" that applies no update.
         #[derive(Debug)]
-        struct Frozen;
-        impl Optimizer for Frozen {
+        struct NoStep;
+        impl Optimizer for NoStep {
             fn step(&mut self, _: usize, _: &mut Matrix, _: &Matrix) {}
             fn learning_rate(&self) -> f64 {
                 0.0
@@ -458,7 +316,7 @@ mod tests {
         let mut layer = Dense::new(2, 1, Activation::Sigmoid, 0, 11);
         let out = layer.forward_training(x.clone());
         let grad_out = Loss::Mse.gradient(&out, &y);
-        let grad_in = layer.backward(&grad_out, &mut Frozen);
+        let grad_in = layer.backward(&grad_out, &mut NoStep);
 
         for r in 0..2 {
             for c in 0..2 {
@@ -466,8 +324,8 @@ mod tests {
                 xp.set(r, c, x.get(r, c) + eps);
                 let mut xm = x.clone();
                 xm.set(r, c, x.get(r, c) - eps);
-                let lp = Loss::Mse.value(&layer.forward(&xp), &y);
-                let lm = Loss::Mse.value(&layer.forward(&xm), &y);
+                let lp = Loss::Mse.value(&infer(&layer, &xp), &y);
+                let lm = Loss::Mse.value(&infer(&layer, &xm), &y);
                 let numeric = (lp - lm) / (2.0 * eps);
                 assert!(
                     (grad_in.get(r, c) - numeric).abs() < 1e-5,
@@ -479,51 +337,41 @@ mod tests {
     }
 
     #[test]
-    fn packed_forward_is_bitwise_identical() {
+    fn inference_is_bitwise_the_training_forward() {
+        // The narrow head (dot over the column pack), the wide layer
+        // (broadcast matmul) and the training-time forward all build the
+        // same ascending-k chain per element.
         for activation in
             [Activation::Sigmoid, Activation::Relu, Activation::Tanh, Activation::Linear]
         {
-            // A narrow head (2 outputs): the shape the dot kernel serves.
-            let mut layer = Dense::new(5, 2, activation, 0, 23);
-            let x = Matrix::xavier(3, 5, 99);
-            let staged = layer.forward(&x);
-            layer.pack_weights();
-            assert!(layer.is_packed());
-            let fused = layer.forward(&x);
-            assert_eq!(staged, fused, "{activation:?} fused path diverged");
-            // Slice-input entry point agrees too.
-            let mut row_out = Matrix::default();
-            layer.forward_row_into(x.row(1), &mut row_out);
-            assert_eq!(row_out.row(0), staged.row(1));
+            for outputs in [1, 2, 7] {
+                let mut layer = Dense::new(5, outputs, activation, 0, 23);
+                let x = Matrix::xavier(3, 5, 99);
+                let trained = layer.forward_training(x.clone());
+                assert_eq!(infer(&layer, &x), trained, "{activation:?} x{outputs} diverged");
+            }
         }
     }
 
     #[test]
-    fn wide_layers_skip_the_pack() {
+    fn only_narrow_heads_pack() {
         // The broadcast kernel reads row-major weights directly; a pack
         // would only duplicate the weight memory.
-        let mut layer = Dense::new(5, 7, Activation::Relu, 0, 23);
-        let x = Matrix::xavier(1, 5, 99);
-        let before = layer.forward(&x);
-        layer.pack_weights();
-        assert!(!layer.is_packed(), "wide layers must not hold a dead pack");
-        assert_eq!(layer.forward(&x), before);
+        let weights = Matrix::xavier(5, 7, 23);
+        assert!(Frozen::<f64>::of(&weights, &[0.0; 7]).packed.is_none());
+        let head = Matrix::xavier(5, 2, 23);
+        assert!(Frozen::<f32>::of(&head, &[0.0; 2]).packed.is_some());
     }
 
     #[test]
-    fn training_invalidates_the_pack() {
+    #[should_panic(expected = "call freeze()")]
+    fn training_invalidates_the_snapshot() {
         let mut layer = Dense::new(2, 2, Activation::Linear, 0, 1);
-        layer.pack_weights();
-        assert!(layer.is_packed());
+        layer.freeze(Precision::F64Bitwise);
         let mut opt = Sgd::new(0.1);
         let out = layer.forward_training(Matrix::zeros(1, 2));
         layer.backward(&out, &mut opt);
-        assert!(!layer.is_packed(), "stale pack must not survive a weight update");
-        // Unpacked inference still agrees with a repack.
-        let x = Matrix::from_rows(&[&[0.5, -0.5]]);
-        let unpacked = layer.forward(&x);
-        layer.pack_weights();
-        assert_eq!(layer.forward(&x), unpacked);
+        layer.forward_rows_into(&Matrix::zeros(1, 2), &mut Matrix::default());
     }
 
     #[test]

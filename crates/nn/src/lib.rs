@@ -15,30 +15,47 @@
 //! * [`MinMaxNormalizer`] / [`ZScoreNormalizer`]: streaming normalizers,
 //! * [`Sgd`] / [`Adam`]: optimizers with per-parameter state,
 //! * [`Workspace`]: caller-owned scratch buffers for allocation-free
-//!   steady-state inference (`score_with`/`predict_with` entry points).
+//!   steady-state inference.
 //!
 //! Everything is deterministic given a seed, with no threads and no
-//! external math libraries. Inference runs in one of two numeric modes,
-//! selected per run via [`Precision`]:
+//! external math libraries.
 //!
-//! * **[`Precision::F64Bitwise`]** (the default): scalar/blocked `f64`
-//!   kernels with a fixed accumulation order — scores are
-//!   bitwise-reproducible across runs, shard counts, and batch shapes
-//!   (the contract the score-digest tests pin).
-//! * **[`Precision::F32Wide`]**: explicit eight-lane `f32` kernels (see
-//!   [`wide`]) that `-C target-cpu=native` autovectorizes to full-width
-//!   SIMD, plus batch-of-rows entry points that amortize weight traffic
-//!   across a whole packet batch. Roughly 2× the arithmetic throughput,
-//!   under a documented epsilon-parity contract instead of bitwise
-//!   digests. `f32` weight mirrors are converted once at pack/freeze time
-//!   and invalidated by any training step, exactly like the `f64` packs.
+//! **One inference shape.** Every model scores a *batch of rows* into
+//! caller-owned scratch — [`Dense::forward_rows_into`],
+//! [`Autoencoder::score_rows_with`], [`Mlp::predict_with`],
+//! [`Lstm::final_hidden_windows_with`],
+//! [`LstmRegressor::predict_windows_with`] — and a single sample is a batch
+//! of one row. A row's result never depends on the rows it was batched
+//! with, so stream batching, autoscaling and fabric re-homing can cut
+//! batches anywhere without moving a score.
+//!
+//! **One kernel source, two lanes.** Those entry points, the matrix type
+//! ([`Mat`]), the matmul, the bias+activation epilogue, the LSTM gate
+//! update, the frozen-weight snapshots and the scratch buffers are generic
+//! over a [`Lane`] scalar, instantiated for `f64` and `f32`. A model
+//! snapshots its weights into a lane at `freeze(precision)` time; any
+//! training step drops the snapshots, and inference without a current one
+//! panics rather than scoring from stale weights. The lane is selected per
+//! run via [`Precision`]:
+//!
+//! * **[`Precision::F64Bitwise`]** (the default): blocked `f64` kernels
+//!   with a fixed ascending accumulation order and libm activations —
+//!   scores are bitwise-reproducible across runs, shard counts, and batch
+//!   shapes (the contract the score-digest tests pin).
+//! * **[`Precision::F32Wide`]**: the same kernels at twice the lane width
+//!   (see [`wide`]), with an eight-lane dot for narrow heads and a
+//!   vectorizable polynomial-`exp` sigmoid, under a documented
+//!   epsilon-parity contract instead of bitwise digests. Measured, it pays
+//!   on Kitsune at stream batch sizes, buys a few percent at most on
+//!   HELAD, and is no faster than `f64` on one-row calls — it is a batch
+//!   optimisation, not a universally faster mode.
 //!
 //! # Examples
 //!
 //! Train a tiny network on XOR:
 //!
 //! ```
-//! use idsbench_nn::{Activation, Adam, Loss, Matrix, MlpBuilder};
+//! use idsbench_nn::{Activation, Adam, Loss, Matrix, MlpBuilder, Precision, Workspace};
 //!
 //! let mut mlp = MlpBuilder::new(2)
 //!     .layer(8, Activation::Tanh)
@@ -51,7 +68,9 @@
 //! for _ in 0..800 {
 //!     mlp.train_batch(&x, &y, Loss::Mse, &mut opt);
 //! }
-//! let out = mlp.predict(&x);
+//! mlp.freeze(Precision::F64Bitwise);
+//! let mut ws = Workspace::new();
+//! let out = mlp.predict_with(&x, &mut ws);
 //! assert!(out.get(0, 0) < 0.2 && out.get(1, 0) > 0.8);
 //! ```
 
@@ -61,6 +80,7 @@
 mod activation;
 mod autoencoder;
 mod dense;
+mod lane;
 mod loss;
 mod lstm;
 mod matrix;
@@ -73,11 +93,12 @@ mod workspace;
 pub use activation::Activation;
 pub use autoencoder::{Autoencoder, AutoencoderConfig};
 pub use dense::Dense;
+pub use lane::Lane;
 pub use loss::Loss;
 pub use lstm::{Lstm, LstmRegressor, LstmRegressorConfig};
-pub use matrix::{Matrix, PackedB};
+pub use matrix::{Mat, Matrix};
 pub use mlp::{Mlp, MlpBuilder};
 pub use normalize::{MinMaxNormalizer, ZScoreNormalizer};
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use wide::{MatrixF32, PackedBF32, Precision};
+pub use wide::{MatrixF32, Precision};
 pub use workspace::Workspace;

@@ -1,9 +1,9 @@
-use crate::activation::sigmoid;
-use crate::matrix::Matrix;
+use crate::activation::{sigmoid, Activation};
+use crate::dense::Snapshot;
+use crate::lane::Lane;
+use crate::matrix::{Mat, Matrix};
 use crate::optimizer::{Adam, Optimizer};
-use crate::wide::{
-    dot_f32, matmul_f32_into, row_matmul_f32_into, sigmoid_f32, tanh_f32, MatrixF32,
-};
+use crate::wide::Precision;
 use crate::workspace::Workspace;
 
 /// A single-layer LSTM (no peepholes, forget-gate bias initialized to 1).
@@ -11,11 +11,9 @@ use crate::workspace::Workspace;
 /// Gate layout in the packed matrices is `[input, forget, candidate,
 /// output]`, each `hidden_size` wide.
 ///
-/// Inference follows the crate's two-precision design: the `f64` entry
-/// points ([`Lstm::final_hidden_with`] and the lockstep batch variant
-/// [`Lstm::final_hidden_windows_with`]) keep a fixed accumulation order and
-/// are bitwise-reproducible; the wide entry points run the fused gate
-/// kernel in eight-lane `f32` over mirrors cached by [`Lstm::pack_wide`].
+/// Inference has one entry point, [`Lstm::final_hidden_windows_with`]: a
+/// lockstep batch of sequences, generic over the numeric [`Lane`], reading
+/// the parameter snapshot taken by [`Lstm::freeze`].
 #[derive(Debug, Clone)]
 pub struct Lstm {
     /// Input→gates weights, `input_size × 4·hidden`.
@@ -26,17 +24,11 @@ pub struct Lstm {
     bias: Matrix,
     input_size: usize,
     hidden_size: usize,
-    /// Converted `f32` mirrors for the wide gate kernel; present only while
-    /// in sync with the weights (any training step drops them).
-    wide: Option<LstmWide>,
-}
-
-/// The cached `f32` mirror of the LSTM parameters.
-#[derive(Debug, Clone)]
-struct LstmWide {
-    w_x: MatrixF32,
-    w_h: MatrixF32,
-    bias: Vec<f32>,
+    /// Snapshot of `x·w_x + bias`; present only while in sync with the
+    /// weights (any training step drops it).
+    frozen_x: Snapshot,
+    /// Snapshot of the bias-free `h·w_h`, same lifecycle.
+    frozen_h: Snapshot,
 }
 
 /// Cached values for one timestep, used by BPTT.
@@ -72,31 +64,16 @@ impl Lstm {
             bias,
             input_size,
             hidden_size,
-            wide: None,
+            frozen_x: Snapshot::default(),
+            frozen_h: Snapshot::default(),
         }
     }
 
-    /// Converts and caches the `f32` parameter mirrors the wide gate kernel
-    /// consumes. Call at freeze time when running under
-    /// [`crate::Precision::F32Wide`]; any training step drops the mirrors.
-    pub fn pack_wide(&mut self) {
-        self.wide = Some(LstmWide {
-            w_x: MatrixF32::from_f64(&self.w_x),
-            w_h: MatrixF32::from_f64(&self.w_h),
-            bias: self.bias.as_slice().iter().map(|&b| b as f32).collect(),
-        });
-    }
-
-    /// Whether a current (in-sync) `f32` mirror exists.
-    pub fn is_wide_packed(&self) -> bool {
-        self.wide.is_some()
-    }
-
-    fn wide_or_panic(&self) -> &LstmWide {
-        self.wide.as_ref().expect(
-            "wide (f32) LSTM inference without a current mirror: call pack_wide() after the \
-             last weight update",
-        )
+    /// Snapshots the parameters into the lane `precision` selects. Call
+    /// when training is finished; any training step drops the snapshot.
+    pub fn freeze(&mut self, precision: Precision) {
+        self.frozen_x.freeze(precision, &self.w_x, self.bias.as_slice());
+        self.frozen_h.freeze(precision, &self.w_h, &[]);
     }
 
     /// Input width.
@@ -136,214 +113,91 @@ impl Lstm {
         (h_new, c, cache)
     }
 
-    /// Runs the sequence and returns the final hidden state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input vector has the wrong width.
-    pub fn final_hidden(&self, inputs: &[Vec<f64>]) -> Matrix {
-        let mut ws = Workspace::new();
-        self.final_hidden_with(inputs.iter().map(Vec::as_slice), &mut ws).clone()
-    }
-
-    /// [`Lstm::final_hidden`] through caller-owned scratch: runs the
-    /// timestep slices through preallocated gate/state buffers and returns
-    /// a reference to the final hidden state inside `ws` — zero heap
-    /// allocations once `ws` is warm, bitwise the same state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input slice has the wrong width.
-    pub fn final_hidden_with<'w, 'x>(
-        &self,
-        steps: impl Iterator<Item = &'x [f64]>,
-        ws: &'w mut Workspace,
-    ) -> &'w Matrix {
-        let h = self.hidden_size;
-        ws.hidden.reshape_zeroed(1, h);
-        ws.cell.reshape_zeroed(1, h);
-        for x in steps {
-            assert_eq!(x.len(), self.input_size, "input width mismatch");
-            // z = (x·Wx + b) + h·Wh, summed in exactly the order the
-            // allocating `step` uses so both paths stay bit-identical: the
-            // two products land in separate buffers and the final `+` is
-            // fused into the gate loop below instead of a separate pass.
-            // (The transposed-weight dot kernel is deliberately *not* used
-            // here: the gate matrices are wide, and the broadcast matmul's
-            // SIMD-across-columns beats serial dot chains on them — see
-            // `Dense::forward_into` for where the packed path pays off.)
-            if self.input_size == 1 {
-                // Width-one input (the HELAD score history): x·Wx is a
-                // scalar broadcast, fused with the bias add in one pass.
-                let x0 = x[0];
-                ws.gates.reshape(1, 4 * h);
-                let wx = self.w_x.row(0);
-                let bias = self.bias.row(0);
-                for ((g, &w), &b) in ws.gates.as_mut_slice().iter_mut().zip(wx).zip(bias) {
-                    *g = (0.0 + x0 * w) + b;
-                }
-            } else {
-                self.w_x.row_matmul_into(x, &mut ws.gates);
-                ws.gates.add_assign_row_broadcast(&self.bias);
-            }
-            self.w_h.row_matmul_into(ws.hidden.row(0), &mut ws.gates_h);
-            gate_update(
-                h,
-                ws.gates.as_slice(),
-                ws.gates_h.as_slice(),
-                &mut ws.hidden.as_mut_slice()[..h],
-                &mut ws.cell.as_mut_slice()[..h],
-            );
-        }
-        &ws.hidden
-    }
-
-    /// Lockstep batch of [`Lstm::final_hidden_with`] over width-one
-    /// sequences: row `i` of `windows` is one `T`-step scalar sequence
-    /// (HELAD's score-history windows), and the returned `M × hidden`
-    /// matrix holds each sequence's final hidden state in its row.
+    /// Runs a lockstep batch of sequences and returns their final hidden
+    /// states: row `i` of `windows` is one sequence of `T` timesteps laid
+    /// end to end (`T · input_size` columns — for HELAD's width-one score
+    /// histories simply the `T` scores), and row `i` of the returned
+    /// `M × hidden` matrix, which lives inside `ws`, is that sequence's
+    /// final state. Zero heap allocations once `ws` is warm; a single
+    /// sequence is a batch of one row.
     ///
     /// Per timestep the `M` hidden states advance together, so the
     /// hidden→gates product is one `M×h · h×4h` matmul — the recurrent
     /// weights stream through cache once per timestep instead of once per
-    /// sequence per timestep. Every row's arithmetic chain is exactly the
-    /// chain the row-at-a-time path builds for that sequence, so each
-    /// returned state is bitwise identical to running the sequence alone
-    /// (the digest contract; pinned by the `batch_rows_parity` proptests).
+    /// sequence per timestep. Every row's arithmetic chain is the chain the
+    /// training-time step builds for that sequence alone, so each returned
+    /// state is bitwise independent of the rows it was batched with, in
+    /// both lanes (pinned by the `batch_rows_parity` proptests).
     ///
     /// # Panics
     ///
-    /// Panics if the LSTM's input width is not 1.
-    pub fn final_hidden_windows_with<'w>(
+    /// Panics if the window width is not a multiple of the input width or
+    /// lane `L` has no current snapshot (see [`Lstm::freeze`]).
+    pub fn final_hidden_windows_with<'w, L: Lane>(
         &self,
-        windows: &Matrix,
-        ws: &'w mut Workspace,
-    ) -> &'w Matrix {
-        assert_eq!(self.input_size, 1, "lockstep batching serves width-1 sequences");
-        let (m, t) = (windows.rows(), windows.cols());
-        let h = self.hidden_size;
-        ws.hidden.reshape_zeroed(m, h);
-        ws.cell.reshape_zeroed(m, h);
-        let wx = self.w_x.row(0);
-        for step in 0..t {
-            // x·Wx + b per row: the same scalar-broadcast fusion the row
-            // path uses, chain-for-chain.
-            ws.gates.reshape(m, 4 * h);
-            for i in 0..m {
-                let x0 = windows.get(i, step);
-                let row = &mut ws.gates.as_mut_slice()[i * 4 * h..(i + 1) * 4 * h];
-                for ((g, &w), &b) in row.iter_mut().zip(wx).zip(self.bias.row(0)) {
-                    *g = (0.0 + x0 * w) + b;
-                }
-            }
-            // All M hidden rows through one matmul; each output row's chain
-            // equals the row_matmul_into chain of the row path.
-            ws.hidden.matmul_into(&self.w_h, &mut ws.gates_h);
-            for i in 0..m {
-                let (gates, gates_h) = (ws.gates.row(i), ws.gates_h.row(i));
-                // Split borrows: gates live in different workspace fields
-                // than the hidden/cell state.
-                let hidden = &mut ws.hidden.as_mut_slice()[i * h..(i + 1) * h];
-                let cell = &mut ws.cell.as_mut_slice()[i * h..(i + 1) * h];
-                gate_update(h, gates, gates_h, hidden, cell);
-            }
-        }
+        windows: &Mat<L>,
+        ws: &'w mut Workspace<L>,
+    ) -> &'w Mat<L> {
+        self.run(windows, ws);
         &ws.hidden
     }
 
-    /// Wide-lane ([`crate::Precision::F32Wide`]) [`Lstm::final_hidden_with`]:
-    /// the fused gate kernel in eight-lane `f32` over the mirrors cached by
-    /// [`Lstm::pack_wide`]. Returns the final hidden state as a `1 × hidden`
-    /// `f32` row inside `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input slice has the wrong width or the mirror is
-    /// missing.
-    pub fn final_hidden_wide_with<'w, 'x>(
-        &self,
-        steps: impl Iterator<Item = &'x [f64]>,
-        ws: &'w mut Workspace,
-    ) -> &'w MatrixF32 {
-        let wide = self.wide_or_panic();
-        let h = self.hidden_size;
-        ws.hidden32.reshape_zeroed(1, h);
-        ws.cell32.reshape_zeroed(1, h);
-        for x in steps {
-            assert_eq!(x.len(), self.input_size, "input width mismatch");
-            if self.input_size == 1 {
-                let x0 = x[0] as f32;
-                ws.gates32.reshape(1, 4 * h);
-                let iter = ws.gates32.as_mut_slice().iter_mut().zip(wide.w_x.row(0));
-                for ((g, &w), &b) in iter.zip(&wide.bias) {
-                    *g = x0 * w + b;
+    /// [`Lstm::final_hidden_windows_with`], leaving the states in
+    /// `ws.hidden` so crate-internal callers can keep using the rest of
+    /// `ws`.
+    fn run<L: Lane>(&self, windows: &Mat<L>, ws: &mut Workspace<L>) {
+        let (d, h) = (self.input_size, self.hidden_size);
+        assert_eq!(windows.cols() % d, 0, "window width must be a multiple of the input width");
+        let (m, steps) = (windows.rows(), windows.cols() / d);
+        let (frozen_x, frozen_h) = (self.frozen_x.get::<L>(), self.frozen_h.get::<L>());
+        ws.hidden.reshape_zeroed(m, h);
+        ws.cell.reshape_zeroed(m, h);
+        for step in 0..steps {
+            // z = (x·Wx + b) + h·Wh, summed in exactly the order the
+            // training-time `step` uses: the two products land in separate
+            // buffers and the final `+` is fused into the gate loop below
+            // instead of a separate pass.
+            if d == 1 {
+                // Width-one input (the HELAD score history): x·Wx is a
+                // scalar broadcast, fused with the bias add in one pass —
+                // the chain the general branch builds, without a kernel
+                // call per row per step on the slowest detector's hot loop.
+                ws.gates.reshape(m, 4 * h);
+                let wx = frozen_x.weights.row(0);
+                for i in 0..m {
+                    let x0 = windows.row(i)[step];
+                    let gates = ws.gates.row_mut(i).iter_mut();
+                    for ((g, &w), &b) in gates.zip(wx).zip(&frozen_x.bias) {
+                        *g = (L::ZERO + x0 * w) + b;
+                    }
                 }
             } else {
-                ws.stage32.set_row_from_f64(x);
-                row_matmul_f32_into(&wide.w_x, ws.stage32.row(0), &mut ws.gates32);
-                for (g, &b) in ws.gates32.as_mut_slice().iter_mut().zip(&wide.bias) {
-                    *g += b;
+                ws.stage.reshape(m, d);
+                for i in 0..m {
+                    let x = &windows.row(i)[step * d..(step + 1) * d];
+                    ws.stage.row_mut(i).copy_from_slice(x);
                 }
+                frozen_x.apply(&ws.stage, Activation::Linear, &mut ws.gates);
             }
-            row_matmul_f32_into(&wide.w_h, ws.hidden32.row(0), &mut ws.gates_h32);
-            gate_update_f32(
-                h,
-                ws.gates32.as_slice(),
-                ws.gates_h32.as_slice(),
-                &mut ws.hidden32.as_mut_slice()[..h],
-                &mut ws.cell32.as_mut_slice()[..h],
-            );
-        }
-        &ws.hidden32
-    }
-
-    /// Wide-lane lockstep batch: [`Lstm::final_hidden_windows_with`] in
-    /// eight-lane `f32`. The hidden→gates product per timestep is one `f32`
-    /// matmul over all `M` rows; results match the wide row path within the
-    /// epsilon contract (different lane chains), not bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width is not 1 or the mirror is missing.
-    pub fn final_hidden_windows_wide_with<'w>(
-        &self,
-        windows: &Matrix,
-        ws: &'w mut Workspace,
-    ) -> &'w MatrixF32 {
-        assert_eq!(self.input_size, 1, "lockstep batching serves width-1 sequences");
-        let wide = self.wide_or_panic();
-        let (m, t) = (windows.rows(), windows.cols());
-        let h = self.hidden_size;
-        ws.hidden32.reshape_zeroed(m, h);
-        ws.cell32.reshape_zeroed(m, h);
-        for step in 0..t {
-            ws.gates32.reshape(m, 4 * h);
+            ws.hidden.matmul_into(&frozen_h.weights, &mut ws.gates_h);
             for i in 0..m {
-                let x0 = windows.get(i, step) as f32;
-                let row = ws.gates32.row_mut(i);
-                for ((g, &w), &b) in row.iter_mut().zip(wide.w_x.row(0)).zip(&wide.bias) {
-                    *g = x0 * w + b;
-                }
-            }
-            matmul_f32_into(&ws.hidden32, &wide.w_h, &mut ws.gates_h32);
-            for i in 0..m {
-                let (gates, gates_h) = (ws.gates32.row(i), ws.gates_h32.row(i));
-                let hidden = &mut ws.hidden32.as_mut_slice()[i * h..(i + 1) * h];
-                let cell = &mut ws.cell32.as_mut_slice()[i * h..(i + 1) * h];
-                gate_update_f32(h, gates, gates_h, hidden, cell);
+                gate_update(
+                    h,
+                    ws.gates.row(i),
+                    ws.gates_h.row(i),
+                    &mut ws.hidden.as_mut_slice()[i * h..(i + 1) * h],
+                    &mut ws.cell.as_mut_slice()[i * h..(i + 1) * h],
+                );
             }
         }
-        &ws.hidden32
     }
 }
 
-/// The fused `f64` gate kernel for one sequence at one timestep: exact-width
+/// The fused gate kernel for one sequence at one timestep: exact-width
 /// slices (no bounds checks inside the loop), `z + z_h` summed gate-wise in
-/// the order the allocating path uses, cell and hidden updated in place.
-/// Shared verbatim by the row and lockstep-batch paths so both build the
-/// same bitwise chain.
+/// the order the training-time step uses, cell and hidden updated in place.
 #[inline]
-fn gate_update(h: usize, z: &[f64], z_h: &[f64], hidden: &mut [f64], cell: &mut [f64]) {
+fn gate_update<L: Lane>(h: usize, z: &[L], z_h: &[L], hidden: &mut [L], cell: &mut [L]) {
     let (z_i, rest) = z.split_at(h);
     let (z_f, rest) = rest.split_at(h);
     let (z_g, z_o) = rest.split_at(h);
@@ -351,34 +205,13 @@ fn gate_update(h: usize, z: &[f64], z_h: &[f64], hidden: &mut [f64], cell: &mut 
     let (zh_f, rest_h) = rest_h.split_at(h);
     let (zh_g, zh_o) = rest_h.split_at(h);
     for j in 0..h {
-        let i_gate = sigmoid(z_i[j] + zh_i[j]);
-        let f_gate = sigmoid(z_f[j] + zh_f[j]);
+        let i_gate = (z_i[j] + zh_i[j]).sigmoid();
+        let f_gate = (z_f[j] + zh_f[j]).sigmoid();
         let g_gate = (z_g[j] + zh_g[j]).tanh();
-        let o_gate = sigmoid(z_o[j] + zh_o[j]);
+        let o_gate = (z_o[j] + zh_o[j]).sigmoid();
         let c = f_gate * cell[j] + i_gate * g_gate;
         cell[j] = c;
         hidden[j] = o_gate * c.tanh();
-    }
-}
-
-/// The fused gate kernel in `f32`: same structure as [`gate_update`], with
-/// the sigmoid running on the vectorizable polynomial exp.
-#[inline]
-fn gate_update_f32(h: usize, z: &[f32], z_h: &[f32], hidden: &mut [f32], cell: &mut [f32]) {
-    let (z_i, rest) = z.split_at(h);
-    let (z_f, rest) = rest.split_at(h);
-    let (z_g, z_o) = rest.split_at(h);
-    let (zh_i, rest_h) = z_h.split_at(h);
-    let (zh_f, rest_h) = rest_h.split_at(h);
-    let (zh_g, zh_o) = rest_h.split_at(h);
-    for j in 0..h {
-        let i_gate = sigmoid_f32(z_i[j] + zh_i[j]);
-        let f_gate = sigmoid_f32(z_f[j] + zh_f[j]);
-        let g_gate = tanh_f32(z_g[j] + zh_g[j]);
-        let o_gate = sigmoid_f32(z_o[j] + zh_o[j]);
-        let c = f_gate * cell[j] + i_gate * g_gate;
-        cell[j] = c;
-        hidden[j] = o_gate * tanh_f32(c);
     }
 }
 
@@ -406,7 +239,7 @@ impl Default for LstmRegressorConfig {
 /// # Examples
 ///
 /// ```
-/// use idsbench_nn::{LstmRegressor, LstmRegressorConfig};
+/// use idsbench_nn::{LstmRegressor, LstmRegressorConfig, Matrix, Precision, Workspace};
 ///
 /// let mut model = LstmRegressor::new(1, LstmRegressorConfig::default());
 /// // Learn "output the last input".
@@ -415,9 +248,12 @@ impl Default for LstmRegressorConfig {
 ///     let seq: Vec<Vec<f64>> = (0..5).map(|_| vec![v]).collect();
 ///     model.train_sequence(&seq, v);
 /// }
-/// let ones: Vec<Vec<f64>> = (0..5).map(|_| vec![1.0]).collect();
-/// let zeros: Vec<Vec<f64>> = (0..5).map(|_| vec![0.0]).collect();
-/// assert!(model.predict(&ones) > model.predict(&zeros));
+/// model.freeze(Precision::F64Bitwise);
+/// // One five-step sequence per row.
+/// let windows = Matrix::from_rows(&[&[1.0; 5], &[0.0; 5]]);
+/// let mut predictions = Vec::new();
+/// model.predict_windows_with(&windows, &mut predictions, &mut Workspace::new());
+/// assert!(predictions[0] > predictions[1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LstmRegressor {
@@ -426,9 +262,9 @@ pub struct LstmRegressor {
     head_b: Matrix,
     optimizer: Adam,
     trained_sequences: u64,
-    /// `f32` mirror of the scalar head (weights column + bias); present
-    /// only while in sync, like the LSTM's own mirror.
-    wide_head: Option<(Vec<f32>, f32)>,
+    /// Snapshot of the scalar head `h·head_w + head_b`; present only while
+    /// in sync, like the LSTM's own snapshots.
+    frozen_head: Snapshot,
 }
 
 /// Parameter ids for the optimizer state.
@@ -452,25 +288,16 @@ impl LstmRegressor {
             head_b: Matrix::zeros(1, 1),
             optimizer: Adam::new(config.learning_rate),
             trained_sequences: 0,
-            wide_head: None,
+            frozen_head: Snapshot::default(),
         }
     }
 
-    /// Converts and caches the `f32` mirrors (LSTM parameters and head) for
-    /// the wide prediction entry points. Call at freeze time under
-    /// [`crate::Precision::F32Wide`]; a later
-    /// [`LstmRegressor::train_sequence`] drops the mirrors automatically.
-    pub fn pack_wide(&mut self) {
-        self.lstm.pack_wide();
-        self.wide_head = Some((
-            self.head_w.as_slice().iter().map(|&w| w as f32).collect(),
-            self.head_b.get(0, 0) as f32,
-        ));
-    }
-
-    /// Whether current (in-sync) `f32` mirrors exist.
-    pub fn is_wide_packed(&self) -> bool {
-        self.lstm.is_wide_packed() && self.wide_head.is_some()
+    /// Snapshots the LSTM and head parameters into the lane `precision`
+    /// selects. Call when training is finished; a later
+    /// [`LstmRegressor::train_sequence`] drops the snapshots automatically.
+    pub fn freeze(&mut self, precision: Precision) {
+        self.lstm.freeze(precision);
+        self.frozen_head.freeze(precision, &self.head_w, self.head_b.as_slice());
     }
 
     /// Number of training sequences consumed.
@@ -478,106 +305,32 @@ impl LstmRegressor {
         self.trained_sequences
     }
 
-    /// Predicts the scalar target for a sequence.
+    /// Predicts the scalar target of every sequence in a lockstep batch:
+    /// row `i` of `windows` is one sequence (laid out as
+    /// [`Lstm::final_hidden_windows_with`] describes), and one prediction
+    /// per row is appended to `out`. Zero heap allocations once `ws` is
+    /// warm; each prediction is bitwise independent of the rows it was
+    /// batched with, while the recurrent weights stream through cache once
+    /// per timestep for the whole batch. A zero-width window predicts from
+    /// the zero hidden state.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` is empty or any vector has the wrong width.
-    pub fn predict(&self, inputs: &[Vec<f64>]) -> f64 {
-        assert!(!inputs.is_empty(), "sequence must be non-empty");
-        let mut ws = Workspace::new();
-        self.predict_with(inputs.iter().map(Vec::as_slice), &mut ws)
-    }
-
-    /// [`LstmRegressor::predict`] through caller-owned scratch: zero heap
-    /// allocations once `ws` is warm, bitwise the same prediction. The
-    /// caller guarantees a non-empty sequence (an empty iterator predicts
-    /// from the zero hidden state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input slice has the wrong width.
-    pub fn predict_with<'x>(
+    /// Panics if the window width is not a multiple of the input width or
+    /// lane `L` has no current snapshot (call [`LstmRegressor::freeze`]
+    /// after the last training step).
+    pub fn predict_windows_with<L: Lane>(
         &self,
-        steps: impl Iterator<Item = &'x [f64]>,
-        ws: &mut Workspace,
-    ) -> f64 {
-        let h = self.lstm.final_hidden_with(steps, ws);
-        // 1×h · h×1 head matmul, accumulated in the same order `matmul`
-        // uses so the scalar comes out bit-identical.
-        let dot =
-            h.row(0).iter().zip(self.head_w.as_slice()).fold(0.0, |acc, (&a, &b)| acc + a * b);
-        dot + self.head_b.get(0, 0)
-    }
-
-    /// Lockstep batch of [`LstmRegressor::predict_with`] over width-one
-    /// sequences: row `i` of `windows` is one scalar sequence, and one
-    /// prediction per row is appended to `out`. Each prediction is bitwise
-    /// identical to predicting that row alone (see
-    /// [`Lstm::final_hidden_windows_with`] for why), while the recurrent
-    /// weights stream through cache once per timestep for the whole batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the LSTM's input width is not 1.
-    pub fn predict_windows_with(&self, windows: &Matrix, out: &mut Vec<f64>, ws: &mut Workspace) {
-        let h = self.lstm.final_hidden_windows_with(windows, ws);
-        for i in 0..windows.rows() {
-            let dot =
-                h.row(i).iter().zip(self.head_w.as_slice()).fold(0.0, |acc, (&a, &b)| acc + a * b);
-            out.push(dot + self.head_b.get(0, 0));
-        }
-    }
-
-    /// Wide-lane ([`crate::Precision::F32Wide`])
-    /// [`LstmRegressor::predict_with`]: the `f32` fused gate kernel plus an
-    /// eight-lane head dot, under the epsilon contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input slice has the wrong width or the mirrors are
-    /// missing (call [`LstmRegressor::pack_wide`]).
-    pub fn predict_wide_with<'x>(
-        &self,
-        steps: impl Iterator<Item = &'x [f64]>,
-        ws: &mut Workspace,
-    ) -> f64 {
-        let (head_w, head_b) = self.wide_head_or_panic();
-        let h = self.lstm.final_hidden_wide_with(steps, ws);
-        f64::from(dot_f32(h.row(0), head_w) + head_b)
-    }
-
-    /// Wide-lane lockstep batch: [`LstmRegressor::predict_windows_with`] in
-    /// eight-lane `f32`, one prediction per row appended to `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width is not 1 or the mirrors are missing.
-    pub fn predict_windows_wide_with(
-        &self,
-        windows: &Matrix,
+        windows: &Mat<L>,
         out: &mut Vec<f64>,
-        ws: &mut Workspace,
+        ws: &mut Workspace<L>,
     ) {
-        let (head_w, head_b) = self.wide_head_or_panic();
-        let h = self.lstm.final_hidden_windows_wide_with(windows, ws);
-        for i in 0..windows.rows() {
-            out.push(f64::from(dot_f32(h.row(i), head_w) + head_b));
-        }
-    }
-
-    fn wide_head_or_panic(&self) -> (&[f32], f32) {
-        let (w, b) = self.wide_head.as_ref().expect(
-            "wide (f32) prediction without a current mirror: call pack_wide() after the last \
-             training step",
-        );
-        (w.as_slice(), *b)
-    }
-
-    /// A workspace presized for this regressor's LSTM (the buffers for
-    /// [`LstmRegressor::predict_with`] allocated up front).
-    pub fn workspace(&self) -> Workspace {
-        Workspace::for_lstm(self.lstm.input_size, self.lstm.hidden_size)
+        let head = self.frozen_head.get::<L>();
+        self.lstm.run(windows, ws);
+        // The 1-wide head is a narrow affine block: one `Lane::dot` per
+        // row, in `f64` the ascending chain `matmul` builds.
+        head.apply(&ws.hidden, Activation::Linear, &mut ws.ping);
+        out.extend(ws.ping.as_slice().iter().map(|p| p.to_f64()));
     }
 
     /// One BPTT step on `(inputs, target)`; returns the squared error before
@@ -658,9 +411,10 @@ impl LstmRegressor {
         self.optimizer.step(PID_B, &mut self.lstm.bias, &grad_b);
         self.optimizer.step(PID_HEAD_W, &mut self.head_w, &grad_head_w);
         self.optimizer.step(PID_HEAD_B, &mut self.head_b, &grad_head_b);
-        // The parameters moved: any f32 mirrors are stale.
-        self.lstm.wide = None;
-        self.wide_head = None;
+        // The parameters moved: every lane's snapshot is stale.
+        self.lstm.frozen_x.clear();
+        self.lstm.frozen_h.clear();
+        self.frozen_head.clear();
         self.trained_sequences += 1;
         loss
     }
@@ -679,6 +433,27 @@ fn clip_norm(grad: &mut Matrix, max_norm: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One sequence as a one-row window matrix (timesteps laid end to end).
+    fn window(seq: &[Vec<f64>]) -> Matrix {
+        Matrix::row_vector(&seq.concat())
+    }
+
+    /// f64 prediction for one sequence on the model's current weights.
+    fn predict(model: &LstmRegressor, seq: &[Vec<f64>]) -> f64 {
+        let mut frozen = model.clone();
+        frozen.freeze(Precision::F64Bitwise);
+        let mut out = Vec::new();
+        frozen.predict_windows_with(&window(seq), &mut out, &mut Workspace::new());
+        out[0]
+    }
+
+    /// f64 final hidden state for one sequence.
+    fn final_hidden(lstm: &Lstm, seq: &[Vec<f64>]) -> Matrix {
+        let mut frozen = lstm.clone();
+        frozen.freeze(Precision::F64Bitwise);
+        frozen.final_hidden_windows_with(&window(seq), &mut Workspace::new()).clone()
+    }
 
     #[test]
     fn learns_to_echo_last_input() {
@@ -742,7 +517,7 @@ mod tests {
         // step and reading the parameter delta is unreliable; check loss
         // decrease direction instead plus numeric loss gradient on w_x[0,0].
         let loss_of = |model: &LstmRegressor| {
-            let p = model.predict(&seq);
+            let p = predict(model, &seq);
             (p - target).powi(2)
         };
 
@@ -773,23 +548,40 @@ mod tests {
     fn final_hidden_is_deterministic() {
         let lstm = Lstm::new(2, 4, 21);
         let seq = vec![vec![0.1, 0.2], vec![0.3, 0.4]];
-        assert_eq!(lstm.final_hidden(&seq), lstm.final_hidden(&seq));
+        assert_eq!(final_hidden(&lstm, &seq), final_hidden(&lstm, &seq));
     }
 
     #[test]
     fn hidden_state_is_bounded() {
         let lstm = Lstm::new(1, 4, 3);
         let seq: Vec<Vec<f64>> = (0..100).map(|i| vec![(i as f64 * 1e3).sin() * 100.0]).collect();
-        let h = lstm.final_hidden(&seq);
+        let h = final_hidden(&lstm, &seq);
         for &v in h.as_slice() {
             assert!(v.abs() <= 1.0, "lstm hidden state must stay in [-1,1]: {v}");
         }
     }
 
+    /// The inference path is the training-time `step`, bit for bit, at
+    /// input widths one and above.
+    #[test]
+    fn inference_is_bitwise_the_training_step() {
+        for input_size in [1, 3] {
+            let lstm = Lstm::new(input_size, 5, 17);
+            let seq: Vec<Vec<f64>> = (0..7)
+                .map(|t| (0..input_size).map(|k| ((t * 3 + k) as f64 * 0.37).sin()).collect())
+                .collect();
+            let (mut h, mut c) = (Matrix::zeros(1, 5), Matrix::zeros(1, 5));
+            for x in &seq {
+                (h, c, _) = lstm.step(&Matrix::row_vector(x), &h, &c);
+            }
+            assert_eq!(final_hidden(&lstm, &seq), h, "input width {input_size}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "sequence must be non-empty")]
-    fn empty_sequence_panics() {
-        let model = LstmRegressor::new(1, LstmRegressorConfig::default());
-        let _ = model.predict(&[]);
+    fn empty_training_sequence_panics() {
+        let mut model = LstmRegressor::new(1, LstmRegressorConfig::default());
+        let _ = model.train_sequence(&[], 0.0);
     }
 }

@@ -4,6 +4,21 @@ use std::ops::{Add, Mul, Sub};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::lane::Lane;
+
+/// A dense row-major matrix over one numeric [`Lane`]: [`Matrix`] is the
+/// `f64` instantiation, [`crate::MatrixF32`] the `f32` one.
+///
+/// The inference surface (shape, [`Mat::reshape`]-style scratch reuse,
+/// [`Mat::push_row`] staging, [`Mat::matmul_into`]) is generic; the
+/// allocating linear-algebra helpers training needs exist for `f64` only.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Mat<L: Lane> {
+    rows: usize,
+    cols: usize,
+    data: Vec<L>,
+}
+
 /// A dense row-major `f64` matrix.
 ///
 /// Sized for the small networks this workspace trains (tens to a few hundred
@@ -20,19 +35,164 @@ use rand::{Rng, SeedableRng};
 /// assert_eq!(a.matmul(&b), a);
 /// assert_eq!(a.transpose().get(0, 1), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
+pub type Matrix = Mat<f64>;
+
+impl<L: Lane> Mat<L> {
+    /// Creates a matrix of zeros.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Mat { rows, cols, data: vec![L::ZERO; rows * cols] }
+    }
+
+    /// Converts an `f64` matrix into this lane (weights, at freeze time —
+    /// never per sample).
+    pub fn from_f64(m: &Matrix) -> Self {
+        Mat { rows: m.rows, cols: m.cols, data: m.data.iter().map(|&v| L::from_f64(v)).collect() }
+    }
+
+    /// Reshapes this matrix to `rows × cols`, reusing the existing
+    /// allocation. Contents are unspecified afterwards; the buffer only
+    /// grows, never shrinks its capacity — the scratch-space contract that
+    /// makes repeated inference allocation-free once every shape has been
+    /// seen.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, L::ZERO);
+    }
+
+    /// Reshapes to `rows × cols` and zeroes every element.
+    pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
+        self.reshape(rows, cols);
+        self.data.fill(L::ZERO);
+    }
+
+    /// Empties the matrix to `0 × cols`, keeping the allocation: the start
+    /// of a staging pass that appends one row per sample with
+    /// [`Mat::push_row`] when the row count is not known up front.
+    pub fn start_rows(&mut self, cols: usize) {
+        self.rows = 0;
+        self.cols = cols;
+        self.data.clear();
+    }
+
+    /// Appends one row of `f64` values converted into this lane — how
+    /// callers stage feature rows for the batch-of-rows inference entry
+    /// points (the identity in `f64`, the one narrowing step in `f32`).
+    /// Allocation-free once the backing store has held this many rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not yield exactly [`Mat::cols`] elements.
+    pub fn push_row(&mut self, values: impl IntoIterator<Item = f64>) {
+        self.data.extend(values.into_iter().map(L::from_f64));
+        self.rows += 1;
+        assert_eq!(self.data.len(), self.rows * self.cols, "row width mismatch");
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Element at `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-bounds indices.
+    #[inline]
+    pub fn get(&self, row: usize, col: usize) -> L {
+        assert!(row < self.rows && col < self.cols, "index ({row},{col}) out of bounds");
+        self.data[row * self.cols + col]
+    }
+
+    /// Sets the element at `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-bounds indices.
+    #[inline]
+    pub fn set(&mut self, row: usize, col: usize, value: L) {
+        assert!(row < self.rows && col < self.cols, "index ({row},{col}) out of bounds");
+        self.data[row * self.cols + col] = value;
+    }
+
+    /// The elements of row `row` as a slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    pub fn row(&self, row: usize) -> &[L] {
+        assert!(row < self.rows, "row {row} out of bounds");
+        &self.data[row * self.cols..(row + 1) * self.cols]
+    }
+
+    /// Mutable view of row `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    pub fn row_mut(&mut self, row: usize) -> &mut [L] {
+        assert!(row < self.rows, "row {row} out of bounds");
+        &mut self.data[row * self.cols..(row + 1) * self.cols]
+    }
+
+    /// All elements in row-major order.
+    pub fn as_slice(&self) -> &[L] {
+        &self.data
+    }
+
+    /// Mutable view of all elements in row-major order.
+    pub fn as_mut_slice(&mut self) -> &mut [L] {
+        &mut self.data
+    }
+
+    /// Matrix product `self · other` written into `out` (reshaped as
+    /// needed), allocating nothing once `out` has the right capacity.
+    ///
+    /// The kernel is cache-blocked over the output columns and unrolled
+    /// eight-wide over the inner dimension: each pass over an output-row
+    /// tile folds eight rows of `other` in, so the tile is loaded and
+    /// stored `⌈K/8⌉` times instead of `K`. Every output element still
+    /// accumulates its `k` terms in ascending order from zero, so the
+    /// result is bitwise identical to the naive triple loop (the invariant
+    /// the score-digest tests pin in `f64`), and each output row depends
+    /// on its own input row only — which is what makes a score independent
+    /// of where a batch was cut, in both lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inner dimensions disagree.
+    pub fn matmul_into(&self, other: &Mat<L>, out: &mut Mat<L>) {
+        assert_eq!(
+            self.cols, other.rows,
+            "matmul dimension mismatch: {}x{} · {}x{}",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        let (m, kd, n) = (self.rows, self.cols, other.cols);
+        if kd == 0 {
+            out.reshape_zeroed(m, n);
+            return;
+        }
+        out.reshape(m, n);
+        // Output-column tile sized so the tile plus the unroll window of
+        // `other` rows stay L1-resident (see `Lane::TILE`).
+        for j0 in (0..n).step_by(L::TILE) {
+            let jn = (j0 + L::TILE).min(n);
+            for i in 0..m {
+                let a_row = &self.data[i * kd..(i + 1) * kd];
+                let out_row = &mut out.data[i * n + j0..i * n + jn];
+                broadcast_tile(a_row, &other.data, n, j0, jn, out_row);
+            }
+        }
+    }
 }
 
 impl Matrix {
-    /// Creates a matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
     /// Creates the identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -74,88 +234,12 @@ impl Matrix {
         Matrix { rows: 1, cols: values.len(), data: values.to_vec() }
     }
 
-    /// Reshapes this matrix to `rows × cols`, reusing the existing
-    /// allocation. Contents are unspecified afterwards; the buffer only
-    /// grows, never shrinks its capacity — the scratch-space contract that
-    /// makes repeated inference allocation-free once every shape has been
-    /// seen.
-    pub fn reshape(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Reshapes to a 1×n row and copies `values` in — the allocation-free
-    /// counterpart of [`Matrix::row_vector`].
-    pub fn set_row(&mut self, values: &[f64]) {
-        self.reshape(1, values.len());
-        self.data.copy_from_slice(values);
-    }
-
-    /// Reshapes to `rows × cols` and zeroes every element.
-    pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
-        self.reshape(rows, cols);
-        self.data.fill(0.0);
-    }
-
     /// Creates a matrix with Xavier/Glorot-uniform entries, deterministic in
     /// `seed`.
     pub fn xavier(rows: usize, cols: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let limit = (6.0 / (rows + cols) as f64).sqrt();
         Matrix::from_fn(rows, cols, |_, _| rng.random_range(-limit..limit))
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Element at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds indices.
-    #[inline]
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        assert!(row < self.rows && col < self.cols, "index ({row},{col}) out of bounds");
-        self.data[row * self.cols + col]
-    }
-
-    /// Sets the element at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds indices.
-    #[inline]
-    pub fn set(&mut self, row: usize, col: usize, value: f64) {
-        assert!(row < self.rows && col < self.cols, "index ({row},{col}) out of bounds");
-        self.data[row * self.cols + col] = value;
-    }
-
-    /// The elements of row `row` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds.
-    pub fn row(&self, row: usize) -> &[f64] {
-        assert!(row < self.rows, "row {row} out of bounds");
-        &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// All elements in row-major order.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutable view of all elements in row-major order.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Matrix product `self · other`.
@@ -167,121 +251,6 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
         self.matmul_into(other, &mut out);
         out
-    }
-
-    /// Matrix product `self · other` written into `out` (reshaped as
-    /// needed), allocating nothing once `out` has the right capacity.
-    ///
-    /// The kernel is cache-blocked over the output columns and unrolled
-    /// eight-wide over the inner dimension: each pass over an output-row
-    /// tile folds eight rows of `other` in, so the tile is loaded and
-    /// stored `⌈K/8⌉` times instead of `K`. Every output element still
-    /// accumulates its `k` terms in ascending order from `0.0`, so the
-    /// result is bitwise identical to the naive triple loop (the invariant
-    /// the score-digest tests pin).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul dimension mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, kd, n) = (self.rows, self.cols, other.cols);
-        if kd == 0 {
-            out.reshape_zeroed(m, n);
-            return;
-        }
-        out.reshape(m, n);
-        // Output-column tile sized so the tile plus the unroll window of
-        // `other` rows stay L1-resident (see `NC`).
-        for j0 in (0..n).step_by(NC) {
-            let jn = (j0 + NC).min(n);
-            for i in 0..m {
-                let a_row = &self.data[i * kd..(i + 1) * kd];
-                let out_row = &mut out.data[i * n + j0..i * n + jn];
-                broadcast_tile(a_row, &other.data, n, j0, jn, out_row);
-            }
-        }
-    }
-
-    /// `x · self` for a bare row slice, written into `out` (reshaped to
-    /// `1 × cols`): [`Matrix::matmul_into`] without wrapping `x` in a
-    /// matrix first. This is the inference entry point — the scoring hot
-    /// paths hand their feature slices straight to the kernel instead of
-    /// copying them into a staging row. Bitwise identical to
-    /// `row_vector(x).matmul_into(self, out)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the matrix's row count.
-    pub fn row_matmul_into(&self, x: &[f64], out: &mut Matrix) {
-        assert_eq!(
-            x.len(),
-            self.rows,
-            "matmul dimension mismatch: 1x{} · {}x{}",
-            x.len(),
-            self.rows,
-            self.cols
-        );
-        let n = self.cols;
-        if self.rows == 0 {
-            out.reshape_zeroed(1, n);
-            return;
-        }
-        out.reshape(1, n);
-        for j0 in (0..n).step_by(NC) {
-            let jn = (j0 + NC).min(n);
-            broadcast_tile(x, &self.data, n, j0, jn, &mut out.data[j0..jn]);
-        }
-    }
-
-    /// Matrix product `self · B` against a [`PackedB`] (column-packed)
-    /// right-hand side, written into `out`.
-    ///
-    /// This is the inference fast path: with `B` transposed at pack time,
-    /// each output element is a dot product over two contiguous slices, and
-    /// the kernel runs four independent accumulator chains (four output
-    /// columns) per pass — instruction-level parallelism without touching
-    /// any element's addition order, so the product is bitwise identical to
-    /// [`Matrix::matmul_into`] against the unpacked matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul_packed_into(&self, packed: &PackedB, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, packed.k,
-            "matmul dimension mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, packed.k, packed.n
-        );
-        let (m, kd, n) = (self.rows, self.cols, packed.n);
-        out.reshape(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * kd..(i + 1) * kd];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            let mut j = 0;
-            while j + 4 <= n {
-                let (acc0, acc1, acc2, acc3) = dot4(
-                    a_row,
-                    packed.col(j),
-                    packed.col(j + 1),
-                    packed.col(j + 2),
-                    packed.col(j + 3),
-                );
-                out_row[j] = acc0;
-                out_row[j + 1] = acc1;
-                out_row[j + 2] = acc2;
-                out_row[j + 3] = acc3;
-                j += 4;
-            }
-            while j < n {
-                out_row[j] = dot(a_row, packed.col(j));
-                j += 1;
-            }
-        }
     }
 
     /// Transpose.
@@ -314,37 +283,15 @@ impl Matrix {
     ///
     /// Panics if `row` is not 1×cols.
     pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
-        let mut out = self.clone();
-        out.add_assign_row_broadcast(row);
-        out
-    }
-
-    /// In-place [`Matrix::add_row_broadcast`]: adds `row` to every row of
-    /// `self` without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is not 1×cols.
-    pub fn add_assign_row_broadcast(&mut self, row: &Matrix) {
         assert_eq!(row.rows, 1, "broadcast row must be 1xN");
         assert_eq!(row.cols, self.cols, "broadcast width mismatch");
-        for chunk in self.data.chunks_exact_mut(self.cols) {
+        let mut out = self.clone();
+        for chunk in out.data.chunks_exact_mut(self.cols) {
             for (v, &b) in chunk.iter_mut().zip(&row.data) {
                 *v += b;
             }
         }
-    }
-
-    /// In-place element-wise addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
-        for (v, &b) in self.data.iter_mut().zip(&other.data) {
-            *v += b;
-        }
+        out
     }
 
     /// Sums each column into a 1×cols matrix; used for bias gradients.
@@ -374,101 +321,86 @@ impl Matrix {
     }
 }
 
-impl Default for Matrix {
+impl<L: Lane> Default for Mat<L> {
     /// An empty 0×0 matrix — the starting state of scratch buffers, which
-    /// [`Matrix::reshape`] grows on first use.
+    /// [`Mat::reshape`] grows on first use.
     fn default() -> Self {
-        Matrix::zeros(0, 0)
+        Mat { rows: 0, cols: 0, data: Vec::new() }
     }
 }
 
-/// A right-hand-side matrix packed column-major for the inference
-/// microkernel: column `j` of the original matrix is the contiguous slice
-/// [`PackedB::col`]`(j)`.
+/// A right-hand-side matrix packed column-major for the narrow-head
+/// inference kernel: column `j` of the original matrix is the contiguous
+/// slice [`Packed::col`]`(j)`.
 ///
-/// Row-major `x · W` inference walks the columns of `W`; packing the
-/// transpose once (at fit time — see [`crate::Dense::pack_weights`]) turns
-/// every output element into a dot product over two contiguous slices, so
-/// the steady-state score loop never strides memory. Products computed
-/// through a pack are bitwise identical to the unpacked path: packing
-/// permutes the *layout*, never any element's accumulation order.
-///
-/// # Examples
-///
-/// ```
-/// use idsbench_nn::{Matrix, PackedB};
-///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-/// let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-/// let packed = PackedB::pack(&b);
-/// let mut out = Matrix::default();
-/// a.matmul_packed_into(&packed, &mut out);
-/// assert_eq!(out, a.matmul(&b));
-/// ```
+/// Row-major `x · W` inference walks the columns of `W`; for a layer with
+/// one or two outputs a broadcast pass would serialize through one or two
+/// memory cells `K` times, so those layers pack the transpose once (at
+/// freeze time) and every output element becomes one [`Lane::dot`] over two
+/// contiguous slices. Packing permutes the *layout*, never any element's
+/// accumulation order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PackedB {
+pub(crate) struct Packed<L: Lane> {
     /// Inner dimension (rows of the original matrix).
     k: usize,
     /// Output dimension (columns of the original matrix).
     n: usize,
     /// Column-major data: column `j` lives at `data[j*k..(j+1)*k]`.
-    data: Vec<f64>,
+    data: Vec<L>,
 }
 
-impl PackedB {
-    /// Packs `b` (the right-hand side of a product) column-major.
-    pub fn pack(b: &Matrix) -> Self {
+impl<L: Lane> Packed<L> {
+    /// Packs `b` (the right-hand side of a product) column-major,
+    /// converting into the lane.
+    pub(crate) fn pack(b: &Matrix) -> Self {
         let (k, n) = (b.rows, b.cols);
         let mut data = Vec::with_capacity(k * n);
         for j in 0..n {
             for i in 0..k {
-                data.push(b.data[i * n + j]);
+                data.push(L::from_f64(b.data[i * n + j]));
             }
         }
-        PackedB { k, n, data }
+        Packed { k, n, data }
     }
 
     /// Inner dimension (rows of the packed matrix).
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.k
     }
 
     /// Output dimension (columns of the packed matrix).
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.n
     }
 
-    /// Column `j` of the original matrix, contiguous.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of bounds.
+    /// Column `col` of the original matrix, contiguous.
     #[inline]
-    pub fn col(&self, col: usize) -> &[f64] {
+    pub(crate) fn col(&self, col: usize) -> &[L] {
         &self.data[col * self.k..(col + 1) * self.k]
     }
 }
 
-/// Output-column tile width: the tile plus the eight right-hand-side rows
-/// of one unrolled pass stay L1-resident (9 × 256 × 8 B = 18 KiB against a
-/// typical 32 KiB L1d, leaving room for the left-hand row and stack).
-const NC: usize = 256;
-
 /// The broadcast microkernel: accumulates `a_row · B` into one output-row
 /// tile (columns `j0..jn` of a `B` with `n` columns), up to eight `k` rows
-/// per pass. The first pass *writes* (`0.0 + a·b`, the zero-init chain
-/// spelled out) so the tile never needs a zeroing pass; every element
-/// accumulates
-/// its `k` terms in ascending order from `0.0`, bitwise identical to the
-/// naive triple loop.
-#[inline]
-fn broadcast_tile(
-    a_row: &[f64],
-    bdata: &[f64],
+/// per pass, vectorizing across the output columns — independent
+/// accumulator chains per column give the instruction-level parallelism a
+/// single dot-product accumulator lacks. The first pass *writes* (`0 + a·b`,
+/// the zero-init chain spelled out) so the tile never needs a zeroing pass;
+/// every element accumulates its `k` terms in ascending order from zero,
+/// bitwise identical to the naive triple loop.
+///
+/// Kept out of line on purpose: standing alone, the eight right-hand-side
+/// row pointers of the unrolled pass each get a register; inlined into
+/// [`Mat::matmul_into`]'s row loop they are rebuilt by a serial chain of
+/// stride adds inside the hot loop (measured ~8 % slower at 100×50).
+#[inline(never)]
+fn broadcast_tile<L: Lane>(
+    a_row: &[L],
+    bdata: &[L],
     n: usize,
     j0: usize,
     jn: usize,
-    out_row: &mut [f64],
+    out_row: &mut [L],
 ) {
     let kd = a_row.len();
     debug_assert!(kd > 0);
@@ -476,21 +408,19 @@ fn broadcast_tile(
     debug_assert_eq!(len, jn - j0);
     // `row(k)` is row `k` of the right-hand side, tile-aligned.
     let row = |k: usize| &bdata[k * n + j0..k * n + jn][..len];
-    // First chunk writes instead of accumulating (`0.0 + a·b` is the
-    // zero-init chain spelled out), so the tile needs no zeroing pass.
     let mut k;
     if kd >= 4 {
         let (a0, a1, a2, a3) = (a_row[0], a_row[1], a_row[2], a_row[3]);
         let (b0, b1, b2, b3) = (row(0), row(1), row(2), row(3));
         for j in 0..len {
-            out_row[j] = (((0.0 + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) + a3 * b3[j];
+            out_row[j] = (((L::ZERO + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) + a3 * b3[j];
         }
         k = 4;
     } else {
         let a = a_row[0];
         let b = row(0);
         for (o, &bv) in out_row.iter_mut().zip(b) {
-            *o = 0.0 + a * bv;
+            *o = L::ZERO + a * bv;
         }
         k = 1;
     }
@@ -523,43 +453,6 @@ fn broadcast_tile(
         }
         k += 1;
     }
-}
-
-/// Sequential dot product: the exact addition chain one output element of
-/// the naive matmul builds (ascending `k`, starting from `0.0`).
-#[inline]
-pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc
-}
-
-/// Four sequential dot products over one shared left-hand side — four
-/// independent accumulator chains advancing in lockstep, which is where the
-/// microkernel's instruction-level parallelism comes from. Each chain is
-/// element-for-element the chain [`dot`] builds.
-#[inline]
-pub(crate) fn dot4(
-    a: &[f64],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
-) -> (f64, f64, f64, f64) {
-    let n = a.len();
-    debug_assert!(b0.len() == n && b1.len() == n && b2.len() == n && b3.len() == n);
-    let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
-    let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0, 0.0, 0.0, 0.0);
-    for (i, &x) in a.iter().enumerate() {
-        acc0 += x * b0[i];
-        acc1 += x * b1[i];
-        acc2 += x * b2[i];
-        acc3 += x * b3[i];
-    }
-    (acc0, acc1, acc2, acc3)
 }
 
 impl Add for &Matrix {
@@ -678,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn into_kernels_match_allocating_ops() {
+    fn scratch_reuse_and_row_staging() {
         let a = Matrix::xavier(3, 4, 7);
         let b = Matrix::xavier(4, 2, 8);
         let mut out = Matrix::default();
@@ -689,27 +582,33 @@ mod tests {
         a.matmul_into(&c, &mut out);
         assert_eq!(out, a.matmul(&c));
 
-        let mut x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let row = Matrix::row_vector(&[10.0, 20.0]);
-        let broadcast = x.add_row_broadcast(&row);
-        x.add_assign_row_broadcast(&row);
-        assert_eq!(x, broadcast);
+        // Staging: rows append in order, in either lane, and a restart
+        // reuses the store.
+        let mut staged = Mat::<f32>::default();
+        staged.start_rows(3);
+        staged.push_row([0.5, -0.25, 8.0]);
+        staged.push_row([1.0, 2.0, 3.0]);
+        assert_eq!((staged.rows(), staged.cols()), (2, 3));
+        assert_eq!(staged.row(1), &[1.0f32, 2.0, 3.0]);
+        staged.start_rows(1);
+        staged.push_row([7.0]);
+        assert_eq!(staged.as_slice(), &[7.0f32]);
+        staged.row_mut(0)[0] = 9.0;
+        assert_eq!(staged.get(0, 0), 9.0);
+    }
 
-        let mut s = Matrix::from_rows(&[&[1.0, -1.0]]);
-        s.add_assign(&Matrix::from_rows(&[&[0.5, 0.5]]));
-        assert_eq!(s, Matrix::from_rows(&[&[1.5, -0.5]]));
-
-        let mut r = Matrix::default();
-        r.set_row(&[7.0, 8.0, 9.0]);
-        assert_eq!(r, Matrix::row_vector(&[7.0, 8.0, 9.0]));
-        r.set_row(&[1.0]);
-        assert_eq!(r, Matrix::row_vector(&[1.0]));
+    #[test]
+    #[should_panic(expected = "row width mismatch")]
+    fn staging_a_short_row_panics() {
+        let mut staged = Matrix::default();
+        staged.start_rows(3);
+        staged.push_row([1.0, 2.0]);
     }
 
     #[test]
     fn blocked_kernel_matches_naive_product_bitwise() {
         // Shapes straddling the 4-wide unroll boundary and the remainder
-        // loop, including the row-vector inference shape.
+        // loop, including the one-row inference shape.
         for (m, k, n) in [(1, 1, 1), (1, 100, 75), (3, 5, 7), (4, 8, 4), (2, 9, 13), (7, 4, 1)] {
             let a = Matrix::xavier(m, k, (m * 100 + k * 10 + n) as u64);
             let b = Matrix::xavier(k, n, (n * 100 + k) as u64);
@@ -723,24 +622,21 @@ mod tests {
                     }
                 }
             }
-            let blocked = a.matmul(&b);
-            assert_eq!(blocked, naive, "blocked kernel diverged at {m}x{k}x{n}");
-
-            let packed = PackedB::pack(&b);
-            assert_eq!((packed.rows(), packed.cols()), (k, n));
-            let mut via_pack = Matrix::default();
-            a.matmul_packed_into(&packed, &mut via_pack);
-            assert_eq!(via_pack, naive, "packed kernel diverged at {m}x{k}x{n}");
+            assert_eq!(a.matmul(&b), naive, "blocked kernel diverged at {m}x{k}x{n}");
         }
     }
 
     #[test]
     fn packed_columns_are_original_columns() {
         let b = Matrix::xavier(5, 3, 11);
-        let packed = PackedB::pack(&b);
+        let packed = Packed::<f64>::pack(&b);
+        assert_eq!((packed.rows(), packed.cols()), (5, 3));
+        let narrowed = Packed::<f32>::pack(&b);
         for j in 0..3 {
             let col: Vec<f64> = (0..5).map(|i| b.get(i, j)).collect();
             assert_eq!(packed.col(j), &col[..]);
+            let col32: Vec<f32> = col.iter().map(|&v| v as f32).collect();
+            assert_eq!(narrowed.col(j), &col32[..]);
         }
     }
 

@@ -1,9 +1,10 @@
 use crate::activation::Activation;
 use crate::dense::Dense;
+use crate::lane::Lane;
 use crate::loss::Loss;
-use crate::matrix::Matrix;
+use crate::matrix::{Mat, Matrix};
 use crate::optimizer::Optimizer;
-use crate::wide::MatrixF32;
+use crate::wide::Precision;
 use crate::workspace::Workspace;
 
 /// A feed-forward network of [`Dense`] layers.
@@ -16,32 +17,26 @@ pub struct Mlp {
 }
 
 impl Mlp {
-    /// Inference forward pass.
+    /// Inference over a batch of rows through caller-owned scratch: the
+    /// layers ping-pong between two workspace buffers and the returned
+    /// reference points at the final activation (`x.rows() × output_size`)
+    /// — zero heap allocations once `ws` is warm. A single sample is a
+    /// batch of one row, and a row's output never depends on the rows it
+    /// was batched with.
     ///
     /// # Panics
     ///
-    /// Panics if `x` does not have [`Mlp::input_size`] columns.
-    pub fn predict(&self, x: &Matrix) -> Matrix {
-        self.predict_with(x, &mut Workspace::new()).clone()
-    }
-
-    /// [`Mlp::predict`] through caller-owned scratch: the layers ping-pong
-    /// between two workspace buffers and the returned reference points at
-    /// the final activation — zero heap allocations once `ws` is warm, and
-    /// bitwise the same output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not have [`Mlp::input_size`] columns or the
-    /// network has no layers.
-    pub fn predict_with<'w>(&self, x: &Matrix, ws: &'w mut Workspace) -> &'w Matrix {
+    /// Panics if `x` does not have [`Mlp::input_size`] columns, the network
+    /// has no layers, or lane `L` has no current snapshot (call
+    /// [`Mlp::freeze`] after the last training step).
+    pub fn predict_with<'w, L: Lane>(&self, x: &Mat<L>, ws: &'w mut Workspace<L>) -> &'w Mat<L> {
         assert!(!self.layers.is_empty(), "network needs at least one layer");
         let mut into_ping = true;
         for (i, layer) in self.layers.iter().enumerate() {
             match (i == 0, into_ping) {
-                (true, _) => layer.forward_into(x, &mut ws.ping),
-                (false, true) => layer.forward_into(&ws.pong, &mut ws.ping),
-                (false, false) => layer.forward_into(&ws.ping, &mut ws.pong),
+                (true, _) => layer.forward_rows_into(x, &mut ws.ping),
+                (false, true) => layer.forward_rows_into(&ws.pong, &mut ws.ping),
+                (false, false) => layer.forward_rows_into(&ws.ping, &mut ws.pong),
             }
             into_ping = !into_ping;
         }
@@ -54,64 +49,13 @@ impl Mlp {
         }
     }
 
-    /// A workspace presized for this network's widest layer (the buffers
-    /// for [`Mlp::predict_with`] on row-vector inputs allocated up front).
-    pub fn workspace(&self) -> Workspace {
-        let widest =
-            self.layers.iter().map(|l| l.input_size().max(l.output_size())).max().unwrap_or(0);
-        Workspace::with_max_width(widest)
-    }
-
-    /// Packs every layer's weights for the fused inference kernel (see
-    /// [`crate::Dense::pack_weights`]). Call when training is finished;
-    /// predictions are bit-identical either way. A later
-    /// [`Mlp::train_batch`] drops the packs automatically.
-    pub fn pack(&mut self) {
+    /// Snapshots every layer's parameters into the lane `precision`
+    /// selects (see [`crate::Dense::freeze`]). Call when training is
+    /// finished; a later [`Mlp::train_batch`] drops the snapshots
+    /// automatically.
+    pub fn freeze(&mut self, precision: Precision) {
         for layer in &mut self.layers {
-            layer.pack_weights();
-        }
-    }
-
-    /// Converts and caches every layer's `f32` mirror for
-    /// [`Mlp::predict_wide_with`] (see [`crate::Dense::pack_wide`]). Call
-    /// at freeze time when running under [`crate::Precision::F32Wide`]; a
-    /// later [`Mlp::train_batch`] drops the mirrors automatically.
-    pub fn pack_wide(&mut self) {
-        for layer in &mut self.layers {
-            layer.pack_wide();
-        }
-    }
-
-    /// Whether every layer holds a current `f32` mirror.
-    pub fn is_wide_packed(&self) -> bool {
-        self.layers.iter().all(Dense::is_wide_packed)
-    }
-
-    /// Wide-lane ([`crate::Precision::F32Wide`]) [`Mlp::predict_with`]:
-    /// ping-pongs the batch through the eight-lane `f32` kernels and
-    /// returns a reference to the final activation. Accepts any number of
-    /// rows, so one call serves both per-sample and batch-of-rows scoring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong width, the network has no layers, or any
-    /// `f32` mirror is missing (call [`Mlp::pack_wide`] after the last
-    /// training step).
-    pub fn predict_wide_with<'w>(&self, x: &MatrixF32, ws: &'w mut Workspace) -> &'w MatrixF32 {
-        assert!(!self.layers.is_empty(), "network needs at least one layer");
-        let mut into_ping = true;
-        for (i, layer) in self.layers.iter().enumerate() {
-            match (i == 0, into_ping) {
-                (true, _) => layer.forward_rows_wide_into(x, &mut ws.ping32),
-                (false, true) => layer.forward_rows_wide_into(&ws.pong32, &mut ws.ping32),
-                (false, false) => layer.forward_rows_wide_into(&ws.ping32, &mut ws.pong32),
-            }
-            into_ping = !into_ping;
-        }
-        if into_ping {
-            &ws.pong32
-        } else {
-            &ws.ping32
+            layer.freeze(precision);
         }
     }
 
@@ -231,6 +175,13 @@ mod tests {
     use super::*;
     use crate::optimizer::Adam;
 
+    /// f64 inference on the network's current weights.
+    fn predict(mlp: &Mlp, x: &Matrix) -> Matrix {
+        let mut frozen = mlp.clone();
+        frozen.freeze(Precision::F64Bitwise);
+        frozen.predict_with(x, &mut Workspace::new()).clone()
+    }
+
     #[test]
     fn xor_is_learnable() {
         let mut mlp = MlpBuilder::new(2)
@@ -246,7 +197,7 @@ mod tests {
             last = mlp.train_batch(&x, &y, Loss::BinaryCrossEntropy, &mut opt);
         }
         assert!(last < 0.1, "final loss {last}");
-        let out = mlp.predict(&x);
+        let out = predict(&mlp, &x);
         assert!(out.get(0, 0) < 0.3);
         assert!(out.get(1, 0) > 0.7);
         assert!(out.get(2, 0) > 0.7);
@@ -289,7 +240,7 @@ mod tests {
         let a = MlpBuilder::new(2).layer(4, Activation::Tanh).seed(5).build();
         let b = MlpBuilder::new(2).layer(4, Activation::Tanh).seed(5).build();
         let x = Matrix::from_rows(&[&[0.3, -0.4]]);
-        assert_eq!(a.predict(&x), b.predict(&x));
+        assert_eq!(predict(&a, &x), predict(&b, &x));
     }
 
     #[test]

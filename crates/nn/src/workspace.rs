@@ -3,116 +3,64 @@
 //! Every model in this crate allocates freely while *training* (backprop
 //! needs per-step caches anyway), but steady-state *scoring* — the path a
 //! deployed IDS pays per packet, forever — must not touch the heap. The
-//! [`Workspace`] holds the preallocated activation buffers those scoring
-//! entry points ([`Autoencoder::score_with`], [`Mlp::predict_with`],
-//! [`Lstm::final_hidden_with`], [`LstmRegressor::predict_with`]) write
-//! into. Buffers grow to the largest shape they have ever held and are then
-//! reused verbatim, so after one warmup pass per shape the scoring loop
-//! performs zero heap allocations (pinned by the `hot_path_allocs`
-//! integration test at the workspace root).
+//! [`Workspace`] holds the activation buffers the inference entry points
+//! ([`Autoencoder::score_rows_with`], [`Mlp::predict_with`],
+//! [`Lstm::final_hidden_windows_with`],
+//! [`LstmRegressor::predict_windows_with`]) write into. Buffers grow to the
+//! largest shape they have ever held and are then reused verbatim, so after
+//! one warmup pass per shape the scoring loop performs zero heap
+//! allocations (pinned by the `hot_path_allocs` integration test at the
+//! workspace root).
 //!
 //! One workspace can serve many models of different sizes — KitNET routes
 //! its whole autoencoder ensemble through a single workspace — because the
-//! buffers reshape without shrinking capacity.
+//! buffers reshape without shrinking capacity. A workspace belongs to one
+//! [`Lane`]: a detector scoring in `f32` holds a `Workspace<f32>`.
 //!
-//! [`Autoencoder::score_with`]: crate::Autoencoder::score_with
+//! [`Autoencoder::score_rows_with`]: crate::Autoencoder::score_rows_with
 //! [`Mlp::predict_with`]: crate::Mlp::predict_with
-//! [`Lstm::final_hidden_with`]: crate::Lstm::final_hidden_with
-//! [`LstmRegressor::predict_with`]: crate::LstmRegressor::predict_with
+//! [`Lstm::final_hidden_windows_with`]: crate::Lstm::final_hidden_windows_with
+//! [`LstmRegressor::predict_windows_with`]: crate::LstmRegressor::predict_windows_with
 
-use crate::matrix::Matrix;
-use crate::wide::MatrixF32;
+use crate::lane::Lane;
+use crate::matrix::Mat;
 
 /// Reusable inference scratch buffers (see module docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use idsbench_nn::{Autoencoder, AutoencoderConfig, Workspace};
+/// use idsbench_nn::{Autoencoder, AutoencoderConfig, Matrix, Precision, Workspace};
 ///
-/// let ae = Autoencoder::new(4, AutoencoderConfig::default());
-/// let mut ws = Workspace::new();
-/// let a = ae.score_with(&[0.1, 0.9, 0.1, 0.9], &mut ws);
-/// let b = ae.score(&[0.1, 0.9, 0.1, 0.9]);
-/// assert_eq!(a, b, "scratch-space inference is bitwise-identical");
+/// let mut ae = Autoencoder::new(4, AutoencoderConfig::default());
+/// ae.freeze(Precision::F64Bitwise);
+/// let rows = Matrix::from_rows(&[&[0.1, 0.9, 0.1, 0.9], &[0.5, 0.5, 0.5, 0.5]]);
+/// let (mut ws, mut scores) = (Workspace::new(), Vec::new());
+/// ae.score_rows_with(&rows, &mut scores, &mut ws);
+/// assert_eq!(scores.len(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Workspace {
+pub struct Workspace<L: Lane> {
     /// Ping/pong activation buffers for layered forward passes.
-    pub(crate) ping: Matrix,
-    pub(crate) pong: Matrix,
-    /// LSTM packed-gate pre-activations (1 × 4·hidden).
-    pub(crate) gates: Matrix,
+    pub(crate) ping: Mat<L>,
+    pub(crate) pong: Mat<L>,
+    /// One LSTM timestep's inputs, gathered from every sequence of a batch.
+    pub(crate) stage: Mat<L>,
+    /// LSTM input→gates pre-activations (`M × 4·hidden`).
+    pub(crate) gates: Mat<L>,
     /// LSTM hidden→gates contribution, kept separate so the summation
-    /// order matches the allocating path bit-for-bit.
-    pub(crate) gates_h: Matrix,
+    /// order matches the training-time step bit-for-bit.
+    pub(crate) gates_h: Mat<L>,
     /// LSTM hidden state.
-    pub(crate) hidden: Matrix,
+    pub(crate) hidden: Mat<L>,
     /// LSTM cell state.
-    pub(crate) cell: Matrix,
-    /// `f32` mirrors of the buffers above for the wide-lane
-    /// ([`crate::Precision::F32Wide`]) inference paths. Same grow-only
-    /// contract; they stay empty until a wide entry point first runs.
-    pub(crate) ping32: MatrixF32,
-    pub(crate) pong32: MatrixF32,
-    pub(crate) stage32: MatrixF32,
-    pub(crate) gates32: MatrixF32,
-    pub(crate) gates_h32: MatrixF32,
-    pub(crate) hidden32: MatrixF32,
-    pub(crate) cell32: MatrixF32,
+    pub(crate) cell: Mat<L>,
 }
 
-impl Workspace {
+impl<L: Lane> Workspace<L> {
     /// Creates an empty workspace; buffers are sized on first use and kept
     /// thereafter.
     pub fn new() -> Self {
         Workspace::default()
-    }
-
-    /// Preallocates the buffers for row-vector inference through layers of
-    /// at most `max_width` units (the "sized at layer-construction time"
-    /// path — [`Autoencoder`](crate::Autoencoder) and
-    /// [`Mlp`](crate::Mlp) expose their widths for this).
-    pub fn with_max_width(max_width: usize) -> Self {
-        let mut ws = Workspace::new();
-        ws.ping.reshape(1, max_width);
-        ws.pong.reshape(1, max_width);
-        ws
-    }
-
-    /// Preallocates the recurrent buffers for an LSTM of the given sizes.
-    /// (Input rows feed the kernels as bare slices, so only the hidden
-    /// size determines buffer shapes; the input size is kept for signature
-    /// stability.)
-    pub fn for_lstm(_input_size: usize, hidden_size: usize) -> Self {
-        let mut ws = Workspace::new();
-        ws.gates.reshape(1, 4 * hidden_size);
-        ws.gates_h.reshape(1, 4 * hidden_size);
-        ws.hidden.reshape(1, hidden_size);
-        ws.cell.reshape(1, hidden_size);
-        ws
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn buffers_grow_and_never_shrink() {
-        let mut ws = Workspace::with_max_width(8);
-        let cap = ws.ping.as_slice().len();
-        assert_eq!(cap, 8);
-        ws.ping.reshape(1, 3);
-        assert_eq!(ws.ping.cols(), 3);
-        ws.ping.reshape(1, 8);
-        assert_eq!(ws.ping.cols(), 8);
-    }
-
-    #[test]
-    fn lstm_workspace_presizes_gates() {
-        let ws = Workspace::for_lstm(2, 5);
-        assert_eq!(ws.gates.cols(), 20);
-        assert_eq!(ws.hidden.cols(), 5);
     }
 }

@@ -1,19 +1,25 @@
-//! Property-based parity between batch-of-rows scoring and row-at-a-time
-//! scoring, over random layer shapes and inputs.
+//! Chunking invariance of the batch-of-rows inference entry points, over
+//! random layer shapes, inputs and batch cuts.
 //!
-//! The contract the executor and fabric workers rely on:
+//! Stream batching, autoscaling and fabric re-homing all re-cut batch
+//! boundaries, so the contract every executor relies on is that a score
+//! does not depend on where a batch was cut:
 //!
-//! * **f64 mode is bitwise**: scoring M rows through the batch entry points
-//!   produces, per row, exactly the bits that scoring that row alone
-//!   produces. This is why batching can sit underneath the score-digest
-//!   contract without its own pin.
-//! * **f32 mode is epsilon-bounded**: the wide batch path agrees with the
-//!   wide row path exactly (same kernels, same chains per row), and both
-//!   track the f64 reference within a small relative error.
+//! * **Any cut, same bits — in both lanes.** `M` rows in one call, `M`
+//!   one-row calls, and any random split of the `M` rows produce bitwise
+//!   identical results per row, in `f64` *and* in `f32` (the lane structure
+//!   is fixed by the code, never by the batch shape). This is why batching
+//!   can sit underneath the score-digest contract without its own pin.
+//! * **f64 is the naive reference.** The blocked, tiled, column-packed
+//!   `f64` kernels equal a plain triple loop (ascending `k` from `0.0`,
+//!   then bias, then the libm activation) bit for bit. The reference lives
+//!   here, never in `src/`.
+//! * **f32 is epsilon-bounded.** The wide lane tracks the `f64` results
+//!   within a small relative error.
 
 use idsbench_nn::{
-    Activation, Autoencoder, AutoencoderConfig, Dense, LstmRegressor, LstmRegressorConfig, Matrix,
-    MatrixF32, MlpBuilder,
+    Activation, Autoencoder, AutoencoderConfig, Dense, Lane, Lstm, LstmRegressor,
+    LstmRegressorConfig, Mat, Matrix, MlpBuilder, Precision, Sgd, Workspace,
 };
 use proptest::prelude::*;
 
@@ -26,73 +32,144 @@ fn arb_activation() -> impl Strategy<Value = Activation> {
     })
 }
 
+/// Chunk sizes covering `rows`, drawn from a seeded LCG.
+fn random_cut(rows: usize, mut seed: u64) -> Vec<usize> {
+    let mut cut = Vec::new();
+    let mut left = rows;
+    while left > 0 {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let take = 1 + (seed >> 33) as usize % left;
+        cut.push(take);
+        left -= take;
+    }
+    cut
+}
+
+/// Scores `x` cut into consecutive chunks of the given sizes through
+/// `score` (which appends one or more `f64` per row), concatenated.
+fn scored_in_chunks<L: Lane>(
+    x: &Mat<L>,
+    cut: &[usize],
+    mut score: impl FnMut(&Mat<L>, &mut Vec<f64>),
+) -> Vec<u64> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    for &len in cut {
+        let mut chunk = Mat::<L>::zeros(len, x.cols());
+        for i in 0..len {
+            chunk.row_mut(i).copy_from_slice(x.row(start + i));
+        }
+        score(&chunk, &mut out);
+        start += len;
+    }
+    assert_eq!(start, x.rows(), "cut must cover every row");
+    out.into_iter().map(f64::to_bits).collect()
+}
+
+/// The contract: one call ≡ one-row calls ≡ a random split, bitwise.
+/// Returns the (shared) results.
+fn assert_cut_invariant<L: Lane>(
+    x: &Mat<L>,
+    cut_seed: u64,
+    mut score: impl FnMut(&Mat<L>, &mut Vec<f64>),
+) -> Result<Vec<f64>, TestCaseError> {
+    let rows = x.rows();
+    let whole = scored_in_chunks(x, &[rows], &mut score);
+    let ones = scored_in_chunks(x, &vec![1; rows], &mut score);
+    let split = scored_in_chunks(x, &random_cut(rows, cut_seed), &mut score);
+    prop_assert_eq!(&whole, &ones, "one-row calls differ from one {}-row call", rows);
+    prop_assert_eq!(&whole, &split, "a random split differs from one {}-row call", rows);
+    Ok(whole.into_iter().map(f64::from_bits).collect())
+}
+
+fn assert_tracks(wide: &[f64], reference: &[f64], rel: f64) -> Result<(), TestCaseError> {
+    prop_assert_eq!(wide.len(), reference.len());
+    for (i, (&w, &r)) in wide.iter().zip(reference).enumerate() {
+        prop_assert!(
+            (w - r).abs() <= rel * r.abs().max(1.0),
+            "element {}: f32 {} vs f64 {}",
+            i,
+            w,
+            r
+        );
+    }
+    Ok(())
+}
+
+fn flat<L: Lane>(m: &Mat<L>, out: &mut Vec<f64>) {
+    out.extend(m.as_slice().iter().map(|v| v.to_f64()));
+}
+
+/// The naive reference for one dense layer: the textbook triple loop
+/// (ascending `k` from `0.0`), then the bias, then the libm activation.
+fn naive_dense(x: &Matrix, w: &Matrix, bias: &Matrix, act: Activation) -> Vec<f64> {
+    let mut out = Vec::new();
+    for i in 0..x.rows() {
+        for j in 0..w.cols() {
+            let mut acc = 0.0;
+            for k in 0..w.rows() {
+                acc += x.get(i, k) * w.get(k, j);
+            }
+            let z = acc + bias.get(0, j);
+            out.push(match act {
+                Activation::Sigmoid if z >= 0.0 => 1.0 / (1.0 + (-z).exp()),
+                Activation::Sigmoid => z.exp() / (1.0 + z.exp()),
+                Activation::Relu => z.max(0.0),
+                Activation::Tanh => z.tanh(),
+                _ => z,
+            });
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dense: `forward_rows_into` over M rows == M× `forward_row_into`,
-    /// bitwise, packed or not (narrow outputs exercise the packed kernel).
+    /// Dense: cut-invariant in both lanes (narrow outputs exercise the
+    /// column-packed dot kernel), f64 equal to the naive triple loop with a
+    /// trained (non-zero) bias, f32 within epsilon of it.
     #[test]
-    fn dense_batch_is_bitwise_row_equal(
+    fn dense_is_cut_invariant_and_f64_is_the_naive_loop(
         input in 1usize..24,
         output in 1usize..12,
         rows in 1usize..9,
         activation in arb_activation(),
         seed in any::<u64>(),
-        pack in any::<bool>(),
     ) {
         let mut layer = Dense::new(input, output, activation, 0, seed);
-        if pack {
-            layer.pack_weights();
-        }
         let x = Matrix::from_fn(rows, input, |r, c| ((r * input + c) as f64 * 0.37).sin());
-        let mut batch = Matrix::default();
-        layer.forward_rows_into(&x, &mut batch);
-        prop_assert_eq!((batch.rows(), batch.cols()), (rows, output));
-        let mut single = Matrix::default();
-        for r in 0..rows {
-            layer.forward_row_into(x.row(r), &mut single);
-            prop_assert_eq!(single.row(0), batch.row(r), "row {} diverged", r);
-        }
+        // One optimizer step so the bias is not all zeros.
+        let out = layer.forward_training(x.clone());
+        let grad = Matrix::from_fn(out.rows(), out.cols(), |r, c| 0.05 + 0.01 * (r + c) as f64);
+        layer.backward(&grad, &mut Sgd::new(0.1));
+        layer.freeze(Precision::F64Bitwise);
+        layer.freeze(Precision::F32Wide);
+
+        let reference = assert_cut_invariant(&x, seed, |chunk, out| {
+            let mut y = Matrix::default();
+            layer.forward_rows_into(chunk, &mut y);
+            assert_eq!((y.rows(), y.cols()), (chunk.rows(), output));
+            flat(&y, out);
+        })?;
+        let naive = naive_dense(&x, layer.weights(), layer.bias(), activation);
+        prop_assert_eq!(
+            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            naive.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "f64 kernel diverged from the naive triple loop"
+        );
+
+        let wide = assert_cut_invariant(&Mat::<f32>::from_f64(&x), seed, |chunk, out| {
+            let mut y = Mat::<f32>::default();
+            layer.forward_rows_into(chunk, &mut y);
+            flat(&y, out);
+        })?;
+        assert_tracks(&wide, &reference, 1e-4)?;
     }
 
-    /// Dense wide path: the f32 batch kernel equals the f32 row kernel
-    /// exactly (identical chains per row), and both track f64 within
-    /// epsilon.
+    /// Autoencoder scores: cut-invariant in both lanes; f32 tracks f64.
     #[test]
-    fn dense_wide_batch_equals_wide_rows_and_tracks_f64(
-        input in 1usize..24,
-        output in 1usize..12,
-        rows in 1usize..9,
-        activation in arb_activation(),
-        seed in any::<u64>(),
-    ) {
-        let mut layer = Dense::new(input, output, activation, 0, seed);
-        layer.pack_wide();
-        let x = Matrix::from_fn(rows, input, |r, c| ((r * input + c) as f64 * 0.53).cos());
-        let x32 = MatrixF32::from_f64(&x);
-
-        let mut batch32 = MatrixF32::default();
-        layer.forward_rows_wide_into(&x32, &mut batch32);
-        let mut single32 = MatrixF32::default();
-        for r in 0..rows {
-            layer.forward_row_wide_into(x32.row(r), &mut single32);
-            prop_assert_eq!(single32.row(0), batch32.row(r), "wide row {} diverged", r);
-        }
-
-        let mut reference = Matrix::default();
-        layer.forward_rows_into(&x, &mut reference);
-        for (i, (&w, &f)) in batch32.as_slice().iter().zip(reference.as_slice()).enumerate() {
-            prop_assert!(
-                (f64::from(w) - f).abs() <= 1e-4 * f.abs().max(1.0),
-                "element {}: f32 {} vs f64 {}", i, w, f
-            );
-        }
-    }
-
-    /// Autoencoder: batch scores == per-row scores bitwise in f64 mode; the
-    /// wide batch equals the wide row path and tracks f64 within epsilon.
-    #[test]
-    fn autoencoder_batch_scores_match_rows(
+    fn autoencoder_scores_are_cut_invariant(
         input in 2usize..20,
         rows in 1usize..9,
         seed in any::<u64>(),
@@ -103,38 +180,28 @@ proptest! {
         for _ in 0..train_rounds {
             ae.train_sample(&sample);
         }
-        ae.pack_wide();
+        ae.freeze(Precision::F64Bitwise);
+        ae.freeze(Precision::F32Wide);
         let xs = Matrix::from_fn(rows, input, |r, c| ((r + c * 3) as f64 * 0.41).sin().abs());
-        let mut ws = ae.workspace();
 
-        let mut batch = Vec::new();
-        ae.score_rows_with(&xs, &mut batch, &mut ws);
-        prop_assert_eq!(batch.len(), rows);
-        for (r, scored) in batch.iter().enumerate() {
-            let single = ae.score_with(xs.row(r), &mut ws);
-            prop_assert_eq!(single.to_bits(), scored.to_bits(), "row {} not bitwise", r);
-        }
+        let mut ws = Workspace::new();
+        let reference =
+            assert_cut_invariant(&xs, seed, |chunk, out| ae.score_rows_with(chunk, out, &mut ws))?;
+        prop_assert_eq!(reference.len(), rows);
 
-        let xs32 = MatrixF32::from_f64(&xs);
-        let mut wide_batch = Vec::new();
-        ae.score_rows_wide_with(&xs32, &mut wide_batch, &mut ws);
-        for r in 0..rows {
-            let wide_single = ae.score_wide_with(xs32.row(r), &mut ws);
-            prop_assert_eq!(
-                wide_single.to_bits(), wide_batch[r].to_bits(),
-                "wide row {} differs from wide batch", r
-            );
-            prop_assert!(
-                (wide_batch[r] - batch[r]).abs() <= 1e-4 * batch[r].max(1e-9),
-                "row {}: wide {} vs f64 {}", r, wide_batch[r], batch[r]
-            );
+        let mut ws32 = Workspace::new();
+        let wide = assert_cut_invariant(&Mat::<f32>::from_f64(&xs), seed, |chunk, out| {
+            ae.score_rows_with(chunk, out, &mut ws32)
+        })?;
+        for (r, (&w, &f)) in wide.iter().zip(&reference).enumerate() {
+            prop_assert!((w - f).abs() <= 1e-4 * f.max(1e-9), "row {}: f32 {} vs f64 {}", r, w, f);
         }
     }
 
-    /// MLP over multi-row input: already batch-shaped in f64; the wide pass
-    /// tracks it within epsilon on every element.
+    /// MLP predictions: cut-invariant in both lanes; f32 tracks f64 on
+    /// every element.
     #[test]
-    fn mlp_wide_batch_tracks_f64(
+    fn mlp_predictions_are_cut_invariant(
         input in 1usize..12,
         hidden in 1usize..16,
         rows in 1usize..9,
@@ -145,71 +212,79 @@ proptest! {
             .layer(1, Activation::Sigmoid)
             .seed(seed)
             .build();
-        mlp.pack_wide();
+        mlp.freeze(Precision::F64Bitwise);
+        mlp.freeze(Precision::F32Wide);
         let x = Matrix::from_fn(rows, input, |r, c| ((r * 7 + c) as f64 * 0.29).sin());
-        let mut ws = mlp.workspace();
-        let reference = mlp.predict_with(&x, &mut ws).clone();
-        let x32 = MatrixF32::from_f64(&x);
-        let wide = mlp.predict_wide_with(&x32, &mut ws);
-        prop_assert_eq!((wide.rows(), wide.cols()), (rows, 1));
-        for (i, (&w, &f)) in wide.as_slice().iter().zip(reference.as_slice()).enumerate() {
-            prop_assert!(
-                (f64::from(w) - f).abs() <= 1e-4 * f.abs().max(1.0),
-                "row {}: f32 {} vs f64 {}", i, w, f
-            );
-        }
+
+        let mut ws = Workspace::new();
+        let reference = assert_cut_invariant(&x, seed, |chunk, out| {
+            let y = mlp.predict_with(chunk, &mut ws);
+            assert_eq!((y.rows(), y.cols()), (chunk.rows(), 1));
+            flat(y, out);
+        })?;
+        let mut ws32 = Workspace::new();
+        let wide = assert_cut_invariant(&Mat::<f32>::from_f64(&x), seed, |chunk, out| {
+            flat(mlp.predict_with(chunk, &mut ws32), out);
+        })?;
+        assert_tracks(&wide, &reference, 1e-4)?;
     }
 
-    /// LSTM regressor lockstep batch: each row of the window matrix
-    /// predicts bitwise-identically to predicting that sequence alone
-    /// (f64), and the wide lockstep batch equals the wide row path while
-    /// tracking f64 within epsilon.
+    /// LSTM regressor over score-history windows (the HELAD shape): each
+    /// prediction is cut-invariant in both lanes; f32 tracks f64.
     #[test]
-    fn lstm_windows_batch_matches_rows(
+    fn lstm_window_predictions_are_cut_invariant(
         timesteps in 1usize..12,
         rows in 1usize..7,
         seed in any::<u64>(),
         train_rounds in 0usize..6,
     ) {
-        let mut model = LstmRegressor::new(
-            1,
-            LstmRegressorConfig { seed, ..Default::default() },
-        );
+        let mut model = LstmRegressor::new(1, LstmRegressorConfig { seed, ..Default::default() });
         let seq: Vec<Vec<f64>> = (0..timesteps).map(|t| vec![(t % 2) as f64]).collect();
         for i in 0..train_rounds {
             model.train_sequence(&seq, (i % 2) as f64);
         }
-        model.pack_wide();
+        model.freeze(Precision::F64Bitwise);
+        model.freeze(Precision::F32Wide);
         let windows =
             Matrix::from_fn(rows, timesteps, |r, t| ((r * 13 + t) as f64 * 0.47).sin());
-        let mut ws = model.workspace();
 
-        let mut batch = Vec::new();
-        model.predict_windows_with(&windows, &mut batch, &mut ws);
-        prop_assert_eq!(batch.len(), rows);
-        for (r, scored) in batch.iter().enumerate() {
-            let row: Vec<f64> = windows.row(r).to_vec();
-            let steps: Vec<[f64; 1]> = row.iter().map(|&v| [v]).collect();
-            let single =
-                model.predict_with(steps.iter().map(|s| s.as_slice()), &mut ws);
-            prop_assert_eq!(single.to_bits(), scored.to_bits(), "row {} not bitwise", r);
-        }
+        let mut ws = Workspace::new();
+        let reference = assert_cut_invariant(&windows, seed, |chunk, out| {
+            model.predict_windows_with(chunk, out, &mut ws)
+        })?;
+        prop_assert_eq!(reference.len(), rows);
+        let mut ws32 = Workspace::new();
+        let wide = assert_cut_invariant(&Mat::<f32>::from_f64(&windows), seed, |chunk, out| {
+            model.predict_windows_with(chunk, out, &mut ws32)
+        })?;
+        assert_tracks(&wide, &reference, 2e-4)?;
+    }
 
-        let mut wide_batch = Vec::new();
-        model.predict_windows_wide_with(&windows, &mut wide_batch, &mut ws);
-        for r in 0..rows {
-            let row: Vec<f64> = windows.row(r).to_vec();
-            let steps: Vec<[f64; 1]> = row.iter().map(|&v| [v]).collect();
-            let wide_single =
-                model.predict_wide_with(steps.iter().map(|s| s.as_slice()), &mut ws);
-            prop_assert_eq!(
-                wide_single.to_bits(), wide_batch[r].to_bits(),
-                "wide row {} differs from wide lockstep batch", r
-            );
-            prop_assert!(
-                (wide_batch[r] - batch[r]).abs() <= 2e-4 * batch[r].abs().max(1.0),
-                "row {}: wide {} vs f64 {}", r, wide_batch[r], batch[r]
-            );
-        }
+    /// Bare LSTM over multi-feature timesteps: every final hidden state is
+    /// cut-invariant in both lanes; f32 tracks f64.
+    #[test]
+    fn lstm_final_states_are_cut_invariant(
+        input in 1usize..4,
+        hidden in 1usize..9,
+        timesteps in 1usize..8,
+        rows in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let mut lstm = Lstm::new(input, hidden, seed);
+        lstm.freeze(Precision::F64Bitwise);
+        lstm.freeze(Precision::F32Wide);
+        let windows =
+            Matrix::from_fn(rows, timesteps * input, |r, c| ((r * 11 + c) as f64 * 0.31).cos());
+
+        let mut ws = Workspace::new();
+        let reference = assert_cut_invariant(&windows, seed, |chunk, out| {
+            flat(lstm.final_hidden_windows_with(chunk, &mut ws), out)
+        })?;
+        prop_assert_eq!(reference.len(), rows * hidden);
+        let mut ws32 = Workspace::new();
+        let wide = assert_cut_invariant(&Mat::<f32>::from_f64(&windows), seed, |chunk, out| {
+            flat(lstm.final_hidden_windows_with(chunk, &mut ws32), out)
+        })?;
+        assert_tracks(&wide, &reference, 2e-4)?;
     }
 }

@@ -1,151 +1,183 @@
-//! Regression tests for the pack lifecycle: a training step after
-//! `pack_weights()` / `pack_wide()` must drop every cached mirror (the f64
-//! column packs and the f32 wide mirrors alike), so inference can never be
-//! served from stale weights. Re-packing after training must agree with a
-//! fresh conversion of the updated weights, and the wide entry points must
-//! refuse to run (panic loudly) rather than silently fall back when the
-//! mirror is gone.
+//! Regression tests for the snapshot lifecycle: a training step after
+//! `freeze()` must drop every lane's frozen weights (the `f64` and `f32`
+//! snapshots alike, narrow column packs included), so inference can never
+//! be served from stale weights. Re-freezing after training must score
+//! from the updated weights, and inference must refuse to run (panic
+//! loudly) rather than silently fall back when the snapshot is gone — in
+//! either lane, for every model.
 
 use idsbench_nn::{
     Activation, Autoencoder, AutoencoderConfig, Dense, LstmRegressor, LstmRegressorConfig, Matrix,
-    MatrixF32, Sgd, Workspace,
+    MatrixF32, Precision, Sgd, Workspace,
 };
+
+const BOTH: [Precision; 2] = [Precision::F64Bitwise, Precision::F32Wide];
 
 fn probe_rows(cols: usize) -> Matrix {
     Matrix::from_fn(3, cols, |r, c| ((r * cols + c) as f64 * 0.61).sin())
 }
 
-/// One gradient step through a narrow-output Dense layer (the shape whose
-/// f64 pack is actually built — `pack_weights` is a no-op above the narrow
-/// threshold).
-fn narrow_dense() -> Dense {
-    Dense::new(16, 2, Activation::Sigmoid, 0, 7)
+/// A narrow-output Dense layer (the shape whose column pack is actually
+/// built — wider layers score from the row-major snapshot alone), frozen
+/// in both lanes.
+fn frozen_narrow_dense() -> Dense {
+    let mut layer = Dense::new(16, 2, Activation::Sigmoid, 0, 7);
+    for precision in BOTH {
+        layer.freeze(precision);
+    }
+    layer
 }
 
-#[test]
-fn dense_backward_drops_both_pack_families() {
-    let mut layer = narrow_dense();
-    layer.pack_weights();
-    layer.pack_wide();
-    assert!(layer.is_packed());
-    assert!(layer.is_wide_packed());
-
-    // Take one real optimization step.
-    let x = probe_rows(16);
-    let out = layer.forward_training(x);
-    let grad = Matrix::from_fn(out.rows(), out.cols(), |_, _| 0.05);
-    let mut opt = Sgd::new(0.1);
-    layer.backward(&grad, &mut opt);
-
-    assert!(!layer.is_packed(), "f64 pack survived backward()");
-    assert!(!layer.is_wide_packed(), "f32 mirror survived backward()");
-}
-
-#[test]
-fn dense_repack_after_training_matches_fresh_weights() {
-    let mut layer = narrow_dense();
-    layer.pack_weights();
-    layer.pack_wide();
-
-    let x = probe_rows(16);
+/// One real optimization step; returns the layer's training-time output
+/// on `x` *after* the step.
+fn train_step(layer: &mut Dense, x: &Matrix) -> Matrix {
     let out = layer.forward_training(x.clone());
     let grad = Matrix::from_fn(out.rows(), out.cols(), |_, _| 0.05);
-    let mut opt = Sgd::new(0.1);
-    layer.backward(&grad, &mut opt);
+    layer.backward(&grad, &mut Sgd::new(0.1));
+    layer.clone().forward_training(x.clone())
+}
 
-    // Scoring straight after training uses the updated weights (no pack)…
-    let mut unpacked = Matrix::default();
-    layer.forward_into(&x, &mut unpacked);
+#[test]
+fn dense_refreeze_after_training_scores_from_the_updated_weights() {
+    let mut layer = frozen_narrow_dense();
+    let x = probe_rows(16);
+    let mut before = Matrix::default();
+    layer.forward_rows_into(&x, &mut before);
 
-    // …and re-packing must reproduce exactly those outputs, in both
-    // precisions: f64 bitwise, f32 identical to a fresh conversion.
-    layer.pack_weights();
-    layer.pack_wide();
-    let mut packed = Matrix::default();
-    layer.forward_into(&x, &mut packed);
-    assert_eq!(unpacked, packed, "packed f64 outputs differ from unpacked");
+    let updated = train_step(&mut layer, &x);
+    assert_ne!(updated, before, "the step must move the outputs");
 
-    let x32 = MatrixF32::from_f64(&x);
-    let mut wide_out = MatrixF32::default();
-    layer.forward_rows_wide_into(&x32, &mut wide_out);
-    for (i, (&w, &r)) in wide_out.as_slice().iter().zip(packed.as_slice()).enumerate() {
+    // Re-freezing must reproduce exactly the updated weights' outputs:
+    // f64 bitwise (the narrow column pack included), f32 within epsilon.
+    for precision in BOTH {
+        layer.freeze(precision);
+    }
+    let mut refrozen = Matrix::default();
+    layer.forward_rows_into(&x, &mut refrozen);
+    assert_eq!(refrozen, updated, "re-frozen f64 outputs differ from the live weights'");
+
+    let mut wide = MatrixF32::default();
+    layer.forward_rows_into(&MatrixF32::from_f64(&x), &mut wide);
+    for (i, (&w, &r)) in wide.as_slice().iter().zip(updated.as_slice()).enumerate() {
         assert!(
             (f64::from(w) - r).abs() <= 1e-4 * r.abs().max(1.0),
-            "wide output {i} diverged after re-pack: {w} vs {r}"
+            "f32 output {i} diverged after re-freeze: {w} vs {r}"
         );
     }
 }
 
 #[test]
-#[should_panic(expected = "pack_wide()")]
-fn dense_wide_inference_panics_when_mirror_is_stale() {
-    let mut layer = narrow_dense();
-    layer.pack_wide();
-
+#[should_panic(expected = "f64 inference without a current snapshot")]
+fn dense_f64_inference_panics_when_the_snapshot_is_stale() {
+    let mut layer = frozen_narrow_dense();
     let x = probe_rows(16);
-    let out = layer.forward_training(x.clone());
-    let grad = Matrix::from_fn(out.rows(), out.cols(), |_, _| 0.05);
-    let mut opt = Sgd::new(0.1);
-    layer.backward(&grad, &mut opt);
-
-    // The mirror is gone; the wide path must refuse, not silently score
-    // from pre-training weights.
-    let x32 = MatrixF32::from_f64(&x);
-    let mut out32 = MatrixF32::default();
-    layer.forward_rows_wide_into(&x32, &mut out32);
+    train_step(&mut layer, &x);
+    // The snapshot is gone; inference must refuse, not silently score from
+    // pre-training weights.
+    layer.forward_rows_into(&x, &mut Matrix::default());
 }
 
 #[test]
-fn autoencoder_training_drops_wide_mirrors() {
+#[should_panic(expected = "f32 inference without a current snapshot")]
+fn dense_f32_inference_panics_when_the_snapshot_is_stale() {
+    let mut layer = frozen_narrow_dense();
+    let x = probe_rows(16);
+    train_step(&mut layer, &x);
+    layer.forward_rows_into(&MatrixF32::from_f64(&x), &mut MatrixF32::default());
+}
+
+#[test]
+#[should_panic(expected = "f32 inference without a current snapshot")]
+fn freezing_one_lane_does_not_serve_the_other() {
+    let mut layer = Dense::new(4, 3, Activation::Relu, 0, 1);
+    layer.freeze(Precision::F64Bitwise);
+    layer.forward_rows_into(&MatrixF32::zeros(1, 4), &mut MatrixF32::default());
+}
+
+fn trained_autoencoder() -> (Autoencoder, Matrix) {
     let mut ae = Autoencoder::new(8, AutoencoderConfig::default());
     let sample: Vec<f64> = (0..8).map(|i| (i as f64) / 8.0).collect();
     ae.train_sample(&sample);
-    ae.pack_wide();
-    assert!(ae.is_wide_packed());
-
+    for precision in BOTH {
+        ae.freeze(precision);
+    }
     ae.train_sample(&sample);
-    assert!(!ae.is_wide_packed(), "wide mirrors survived train_sample()");
+    (ae, Matrix::row_vector(&sample))
+}
 
-    // Re-pack and check the wide score tracks the post-training f64 score.
-    ae.pack_wide();
-    let mut ws = ae.workspace();
-    let reference = ae.score_with(&sample, &mut ws);
-    let sample32: Vec<f32> = sample.iter().map(|&v| v as f32).collect();
-    let wide = ae.score_wide_with(&sample32, &mut ws);
+#[test]
+fn autoencoder_refreeze_after_training_tracks_across_lanes() {
+    let (mut ae, sample) = trained_autoencoder();
+    for precision in BOTH {
+        ae.freeze(precision);
+    }
+    let (mut reference, mut wide) = (Vec::new(), Vec::new());
+    ae.score_rows_with(&sample, &mut reference, &mut Workspace::new());
+    ae.score_rows_with(&MatrixF32::from_f64(&sample), &mut wide, &mut Workspace::new());
     assert!(
-        (wide - reference).abs() <= 1e-4 * reference.max(1e-9),
-        "wide score {wide} diverged from f64 {reference} after re-pack"
+        (wide[0] - reference[0]).abs() <= 1e-4 * reference[0].max(1e-9),
+        "f32 score {} diverged from f64 {} after re-freeze",
+        wide[0],
+        reference[0]
     );
 }
 
 #[test]
-fn lstm_regressor_training_drops_wide_mirrors() {
+#[should_panic(expected = "f64 inference without a current snapshot")]
+fn autoencoder_training_drops_the_f64_snapshot() {
+    let (ae, sample) = trained_autoencoder();
+    ae.score_rows_with(&sample, &mut Vec::new(), &mut Workspace::new());
+}
+
+#[test]
+#[should_panic(expected = "f32 inference without a current snapshot")]
+fn autoencoder_training_drops_the_f32_snapshot() {
+    let (ae, sample) = trained_autoencoder();
+    ae.score_rows_with(&MatrixF32::from_f64(&sample), &mut Vec::new(), &mut Workspace::new());
+}
+
+fn trained_regressor() -> (LstmRegressor, Matrix) {
     let mut model = LstmRegressor::new(1, LstmRegressorConfig::default());
     let seq: Vec<Vec<f64>> = (0..6).map(|i| vec![f64::from(i % 2)]).collect();
     model.train_sequence(&seq, 1.0);
-    model.pack_wide();
-    assert!(model.is_wide_packed());
-
+    for precision in BOTH {
+        model.freeze(precision);
+    }
     model.train_sequence(&seq, 0.0);
-    assert!(!model.is_wide_packed(), "wide mirrors survived train_sequence()");
+    (model, Matrix::row_vector(&seq.concat()))
+}
 
-    model.pack_wide();
-    let mut ws = model.workspace();
-    let reference = model.predict_with(seq.iter().map(Vec::as_slice), &mut ws);
-    let wide = model.predict_wide_with(seq.iter().map(Vec::as_slice), &mut ws);
+#[test]
+fn lstm_regressor_refreeze_after_training_tracks_across_lanes() {
+    let (mut model, window) = trained_regressor();
+    for precision in BOTH {
+        model.freeze(precision);
+    }
+    let (mut reference, mut wide) = (Vec::new(), Vec::new());
+    model.predict_windows_with(&window, &mut reference, &mut Workspace::new());
+    model.predict_windows_with(&MatrixF32::from_f64(&window), &mut wide, &mut Workspace::new());
     assert!(
-        (wide - reference).abs() <= 1e-4 * reference.abs().max(1.0),
-        "wide prediction {wide} diverged from f64 {reference} after re-pack"
+        (wide[0] - reference[0]).abs() <= 1e-4 * reference[0].abs().max(1.0),
+        "f32 prediction {} diverged from f64 {} after re-freeze",
+        wide[0],
+        reference[0]
     );
 }
 
 #[test]
-#[should_panic(expected = "pack_wide()")]
-fn lstm_wide_prediction_panics_when_mirror_is_stale() {
-    let mut model = LstmRegressor::new(1, LstmRegressorConfig::default());
-    let seq: Vec<Vec<f64>> = (0..6).map(|i| vec![f64::from(i % 3)]).collect();
-    model.pack_wide();
-    model.train_sequence(&seq, 1.0);
-    let mut ws = Workspace::new();
-    let _ = model.predict_wide_with(seq.iter().map(Vec::as_slice), &mut ws);
+#[should_panic(expected = "f64 inference without a current snapshot")]
+fn lstm_regressor_training_drops_the_f64_snapshot() {
+    let (model, window) = trained_regressor();
+    model.predict_windows_with(&window, &mut Vec::new(), &mut Workspace::new());
+}
+
+#[test]
+#[should_panic(expected = "f32 inference without a current snapshot")]
+fn lstm_regressor_training_drops_the_f32_snapshot() {
+    let (model, window) = trained_regressor();
+    model.predict_windows_with(
+        &MatrixF32::from_f64(&window),
+        &mut Vec::new(),
+        &mut Workspace::new(),
+    );
 }
