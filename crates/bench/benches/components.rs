@@ -1,7 +1,7 @@
 //! Criterion micro/macro benchmarks for the substrates on the evaluation
 //! hot path: packet parsing, pcap I/O, flow assembly, AfterImage feature
 //! extraction, KitNET training/execution, batch-of-rows scoring at both
-//! lanes, and scenario generation.
+//! lanes, one training step of each model shape, and scenario generation.
 //!
 //! ```text
 //! cargo bench -p idsbench-bench
@@ -13,7 +13,10 @@ use idsbench_datasets::{scenarios, ScenarioScale};
 use idsbench_flow::{AfterImage, AfterImageConfig, FlowTable, FlowTableConfig};
 use idsbench_kitsune::kitnet::{KitNet, KitNetConfig};
 use idsbench_net::{pcap, MacAddr, Packet, PacketBuilder, ParsedPacket, Timestamp};
-use idsbench_nn::{Autoencoder, AutoencoderConfig, Lane, Mat, Matrix, Precision, Workspace};
+use idsbench_nn::{
+    Activation, Adam, Autoencoder, AutoencoderConfig, Lane, Loss, LstmRegressor,
+    LstmRegressorConfig, Mat, Matrix, MlpBuilder, Precision, Workspace,
+};
 use std::net::Ipv4Addr;
 
 /// A realistic packet workload: one Tiny UNSW realisation (~2-3k packets of
@@ -211,6 +214,72 @@ fn score_rows_case<L: Lane>(c: &mut Criterion, m: usize, precision: Precision) {
     group.finish();
 }
 
+/// One steady-state training step at each shape the Table IV grid trains:
+/// HELAD's 100→50 autoencoder, a KitNET ensemble member (10→8), HELAD's
+/// LSTM (hidden 12 over a 12-step score window) and the DNN's MLP on a
+/// 64-flow mini-batch. Inputs cycle through pools of hash noise: a model
+/// stepped on one fixed sample converges, its gradients underflow, and
+/// the case ends up timing Adam on denormals.
+fn bench_train(c: &mut Criterion) {
+    let noise = |i: usize| ((i as f64 * 12.9898).sin() * 43_758.545_3).fract().abs();
+    let mut group = c.benchmark_group("nn/train");
+    for (name, width, hidden_ratio) in [("ae_100x50", 100, 0.5), ("ae_10x8", 10, 0.75)] {
+        let mut ae =
+            Autoencoder::new(width, AutoencoderConfig { hidden_ratio, ..Default::default() });
+        let pool: Vec<f64> = (0..256 * width).map(noise).collect();
+        let mut samples = pool.chunks_exact(width).cycle();
+        group.bench_function(name, |b| {
+            b.iter(|| ae.train_sample(samples.next().expect("cycle never ends")))
+        });
+    }
+
+    let mut lstm =
+        LstmRegressor::new(1, LstmRegressorConfig { hidden_size: 12, ..Default::default() });
+    let history: Vec<f64> = (0..4096 + 13).map(noise).collect();
+    let mut starts = (0..4096).step_by(4).cycle();
+    group.bench_function("lstm_h12_t12", |b| {
+        b.iter(|| {
+            let start = starts.next().expect("cycle never ends");
+            lstm.train_window(&history[start..start + 12], history[start + 12])
+        })
+    });
+
+    let width = idsbench_flow::FLOW_FEATURE_COUNT;
+    let mut mlp = MlpBuilder::new(width)
+        .layer(64, Activation::Relu)
+        .layer(48, Activation::Relu)
+        .layer(32, Activation::Relu)
+        .layer(1, Activation::Sigmoid)
+        .build();
+    let pool: Vec<(Matrix, Matrix)> = (0..64)
+        .map(|batch| {
+            let x = Matrix::from_fn(64, width, |r, c| noise((batch * 64 + r) * width + c));
+            let y = Matrix::from_fn(64, 1, |r, _| noise(batch * 64 + r + 7_000_000).round());
+            (x, y)
+        })
+        .collect();
+    let mut opt = Adam::new(0.005);
+    for (x, y) in pool.iter().take(8) {
+        mlp.train_batch(x, y, Loss::BinaryCrossEntropy, &mut opt);
+    }
+    // Every sample replays the same 64 steps from the same warmed state (the
+    // reported time is per 64-step pass): left running, dead ReLU units let
+    // Adam's first moments decay into denormals and samples turn bimodal.
+    group.throughput(Throughput::Elements(pool.len() as u64));
+    group.bench_function("mlp_64x[64,48,32,1]", |b| {
+        b.iter_batched(
+            || (mlp.clone(), opt.clone()),
+            |(mut mlp, mut opt)| {
+                pool.iter()
+                    .map(|(x, y)| mlp.train_batch(x, y, Loss::BinaryCrossEntropy, &mut opt))
+                    .sum::<f64>()
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("datasets");
     group.bench_function("generate_unsw_tiny", |b| {
@@ -227,6 +296,6 @@ fn bench_generation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_parsing, bench_pcap, bench_flow_table, bench_afterimage, bench_kitnet, bench_score_rows, bench_generation
+    targets = bench_parsing, bench_pcap, bench_flow_table, bench_afterimage, bench_kitnet, bench_score_rows, bench_train, bench_generation
 }
 criterion_main!(benches);

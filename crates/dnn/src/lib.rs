@@ -202,11 +202,17 @@ impl EventDetector for Dnn {
         let mut optimizer = Adam::new(self.config.learning_rate);
 
         let batch = self.config.batch_size.max(1);
+        // Each mini-batch is staged into the same two matrices.
+        let (mut x, mut y) = (Matrix::default(), Matrix::default());
         for _ in 0..self.config.epochs {
             rows.shuffle(&mut rng);
             for chunk in rows.chunks(batch) {
-                let x = Matrix::from_fn(chunk.len(), width, |r, c| chunk[r].0[c]);
-                let y = Matrix::from_fn(chunk.len(), 1, |r, _| chunk[r].1);
+                x.start_rows(width);
+                y.start_rows(1);
+                for (features, target) in chunk {
+                    x.push_row(features.iter().copied());
+                    y.push_row([*target]);
+                }
                 mlp.train_batch(&x, &y, Loss::BinaryCrossEntropy, &mut optimizer);
             }
         }

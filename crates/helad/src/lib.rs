@@ -213,13 +213,12 @@ impl Helad {
             }
         }
         let mut history: Vec<f64> = Vec::with_capacity(buffered.len());
-        for epoch in 0..self.config.epochs.max(1) {
+        for _ in 0..self.config.epochs.max(1) {
             history.clear();
             for features in &buffered {
                 let rmse = autoencoder.train_sample(&norm.transform(features));
                 history.push(rmse);
             }
-            let _ = epoch;
         }
 
         // Phase 2 — train the LSTM to predict the next reconstruction error
@@ -228,9 +227,7 @@ impl Helad {
         if history.len() > window {
             let stride = self.config.lstm_stride.max(1);
             for start in (0..history.len() - window).step_by(stride) {
-                let sequence: Vec<Vec<f64>> =
-                    history[start..start + window].iter().map(|&s| vec![s]).collect();
-                lstm.train_sequence(&sequence, history[start + window]);
+                lstm.train_window(&history[start..start + window], history[start + window]);
             }
         }
 

@@ -1,5 +1,4 @@
 use crate::lane::Lane;
-use crate::matrix::Matrix;
 
 /// Element-wise activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,31 +15,12 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation element-wise.
-    pub fn apply(self, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        self.apply_assign(&mut out);
-        out
-    }
-
-    /// Applies the activation element-wise in place — the allocation-free
-    /// kernel behind [`Activation::apply`] and the inference hot path.
-    pub fn apply_assign(self, x: &mut Matrix) {
-        if self == Activation::Linear {
-            return;
-        }
-        for v in x.as_mut_slice() {
-            *v = self.eval(*v);
-        }
-    }
-
     /// Applies the activation to one scalar of either [`Lane`] — the
     /// per-element kernel of the fused bias+activation epilogue (see
-    /// [`crate::Dense::forward_rows_into`]). In `f64` it is exactly the
-    /// function [`Activation::apply_assign`] maps (libm `exp`/`tanh`), so
-    /// fused and staged paths stay bit-identical; in `f32` the sigmoid runs
-    /// on the vectorizable polynomial exp of [`crate::wide`], within the
-    /// epsilon contract.
+    /// [`crate::Dense::forward_rows_into`]) and of the training forward. In
+    /// `f64` it is libm `exp`/`tanh`, so training and inference stay
+    /// bit-identical; in `f32` the sigmoid runs on the vectorizable
+    /// polynomial exp of [`crate::wide`], within the epsilon contract.
     #[inline]
     pub fn eval<L: Lane>(self, x: L) -> L {
         match self {
@@ -54,12 +34,19 @@ impl Activation {
     /// Derivative with respect to the pre-activation, expressed in terms of
     /// the *activated* output `y = f(x)` (all four supported functions admit
     /// this form, which avoids caching pre-activations).
-    pub fn derivative_from_output(self, y: &Matrix) -> Matrix {
+    #[inline]
+    pub fn derivative_from_output(self, y: f64) -> f64 {
         match self {
-            Activation::Sigmoid => y.map(|v| v * (1.0 - v)),
-            Activation::Relu => y.map(|v| if v > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Tanh => y.map(|v| 1.0 - v * v),
-            Activation::Linear => y.map(|_| 1.0),
+            Activation::Sigmoid => y * (1.0 - y),
+            Activation::Relu => {
+                if y > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Activation::Tanh => 1.0 - y * y,
+            Activation::Linear => 1.0,
         }
     }
 }
@@ -91,8 +78,7 @@ mod tests {
 
     #[test]
     fn relu_clamps_negatives() {
-        let x = Matrix::from_rows(&[&[-1.0, 0.0, 2.5]]);
-        assert_eq!(Activation::Relu.apply(&x), Matrix::from_rows(&[&[0.0, 0.0, 2.5]]));
+        assert_eq!([-1.0, 0.0, 2.5].map(|x| Activation::Relu.eval(x)), [0.0, 0.0, 2.5]);
     }
 
     #[test]
@@ -101,12 +87,8 @@ mod tests {
         let eps = 1e-6;
         for act in [Activation::Sigmoid, Activation::Tanh, Activation::Linear] {
             for &p in &points {
-                let x = Matrix::from_rows(&[&[p]]);
-                let y = act.apply(&x);
-                let analytic = act.derivative_from_output(&y).get(0, 0);
-                let xp = Matrix::from_rows(&[&[p + eps]]);
-                let xm = Matrix::from_rows(&[&[p - eps]]);
-                let numeric = (act.apply(&xp).get(0, 0) - act.apply(&xm).get(0, 0)) / (2.0 * eps);
+                let analytic = act.derivative_from_output(act.eval(p));
+                let numeric = (act.eval(p + eps) - act.eval(p - eps)) / (2.0 * eps);
                 assert!(
                     (analytic - numeric).abs() < 1e-5,
                     "{act:?} at {p}: analytic {analytic} vs numeric {numeric}"
@@ -117,9 +99,8 @@ mod tests {
 
     #[test]
     fn relu_derivative_from_output() {
-        let x = Matrix::from_rows(&[&[-1.0, 2.0]]);
-        let y = Activation::Relu.apply(&x);
-        let d = Activation::Relu.derivative_from_output(&y);
-        assert_eq!(d, Matrix::from_rows(&[&[0.0, 1.0]]));
+        let d =
+            [-1.0, 2.0].map(|x| Activation::Relu.derivative_from_output(Activation::Relu.eval(x)));
+        assert_eq!(d, [0.0, 1.0]);
     }
 }

@@ -1,6 +1,7 @@
 use crate::activation::Activation;
 use crate::dense::Dense;
 use crate::lane::Lane;
+use crate::loss::Loss;
 use crate::matrix::{Mat, Matrix};
 use crate::optimizer::Sgd;
 use crate::wide::Precision;
@@ -55,6 +56,12 @@ pub struct Autoencoder {
     optimizer: Sgd,
     input_size: usize,
     trained_samples: u64,
+    /// Training scratch, sized by the first [`Autoencoder::train_sample`]
+    /// and reused: the staged sample, the loss gradient, and the gradient
+    /// the decoder propagates to the encoder.
+    input: Matrix,
+    grad: Matrix,
+    grad_hidden: Matrix,
 }
 
 impl Autoencoder {
@@ -77,6 +84,9 @@ impl Autoencoder {
             optimizer: Sgd::new(config.learning_rate),
             input_size,
             trained_samples: 0,
+            input: Matrix::default(),
+            grad: Matrix::default(),
+            grad_hidden: Matrix::default(),
         }
     }
 
@@ -93,6 +103,12 @@ impl Autoencoder {
     /// Number of training samples consumed.
     pub fn trained_samples(&self) -> u64 {
         self.trained_samples
+    }
+
+    /// The encoder and decoder layers (read-only: weights and biases for
+    /// inspection and for the training reference tests).
+    pub fn layers(&self) -> [&Dense; 2] {
+        [&self.encoder, &self.decoder]
     }
 
     /// Snapshots both layers' parameters into the lane `precision` selects
@@ -138,20 +154,21 @@ impl Autoencoder {
 
     /// One online SGD step on `x`; returns the RMSE measured *before* the
     /// update (the score Kitsune reports during its training phase).
+    /// Allocation-free after the first call; the encoder is the first
+    /// layer, so no input gradient is computed for it.
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong width.
     pub fn train_sample(&mut self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.input_size, "input width mismatch");
-        let input = Matrix::row_vector(x);
-        let hidden = self.encoder.forward_training(input.clone());
+        self.input.assign(1, self.input_size, x);
+        let hidden = self.encoder.forward_training(&self.input);
         let reconstruction = self.decoder.forward_training(hidden);
-        let error = rmse(input.as_slice(), reconstruction.as_slice());
-        // d(MSE)/d(reconstruction) = 2(x̂ - x)/n
-        let grad = (&reconstruction - &input).scale(2.0 / self.input_size as f64);
-        let grad_hidden = self.decoder.backward(&grad, &mut self.optimizer);
-        self.encoder.backward(&grad_hidden, &mut self.optimizer);
+        let error = rmse(x, reconstruction.as_slice());
+        Loss::Mse.gradient_into(reconstruction, &self.input, &mut self.grad);
+        self.decoder.backward(&self.grad, &mut self.optimizer, Some(&mut self.grad_hidden));
+        self.encoder.backward(&self.grad_hidden, &mut self.optimizer, None);
         self.trained_samples += 1;
         error
     }

@@ -8,10 +8,15 @@ use crate::wide::Precision;
 /// it the broadcast matmul vectorizes across the row and wins.
 const NARROW_OUTPUT: usize = 2;
 
+/// Batch rows from which [`Dense::backward`] computes the input gradient as
+/// a vectorized product against a scratch copy of `Wᵀ` instead of scalar
+/// dot chains over `W`'s rows (measured crossover at the DNN's layer
+/// shapes: two to three rows).
+const PACK_ROWS: usize = 4;
+
 /// A fully connected layer: `y = f(x·W + b)`.
 ///
-/// Holds its weights and, transiently, the cached forward values needed by
-/// backprop. Parameter ids for the optimizer are `base_id` (weights) and
+/// Parameter ids for the optimizer are `base_id` (weights) and
 /// `base_id + 1` (bias).
 ///
 /// Inference has one entry point, [`Dense::forward_rows_into`], generic
@@ -20,15 +25,51 @@ const NARROW_OUTPUT: usize = 2;
 /// [`Dense::backward`] step drops every snapshot, so stale weights can
 /// never be consulted — inference after training without a fresh freeze
 /// panics instead.
+///
+/// **Training contract.** A step is [`Dense::forward_training`] then
+/// [`Dense::backward`], in `f64`. The layer owns everything the step needs
+/// — its copy of the input, the activated output, `δ` and both parameter
+/// gradients — in scratch that is sized by the first step and reused
+/// verbatim: a steady-state step at a seen batch size performs zero heap
+/// allocations (pinned by `hot_path_allocs`). The gradient with respect to
+/// the input is *optional*: it is computed, from the pre-update weights,
+/// only into a destination the caller passes — a network's first layer
+/// passes none. One-row steps (online training) form no transpose at all;
+/// a batch of `PACK_ROWS` (4) rows or more copies `Wᵀ` into scratch once,
+/// because only then do the scalar dot chains of the transpose-free
+/// kernel cost more than the copy plus a vectorized product. Either way
+/// the elements are the same chains. Every accumulation
+/// chain is pinned: forward elements ascend `k` from zero, `grad_W`
+/// ascends the batch rows with its first term `0 + a·b`, `grad_b` ascends
+/// the rows from zero, `grad_X` ascends the output columns from zero —
+/// the chains of the allocating `transpose`/`matmul` formulation kept as
+/// the reference in `tests/training_reference.rs`, bit for bit.
 #[derive(Debug, Clone)]
 pub struct Dense {
     weights: Matrix,
     bias: Matrix,
     activation: Activation,
     base_id: usize,
-    cached_input: Option<Matrix>,
-    cached_output: Option<Matrix>,
+    train: TrainScratch,
     snapshot: Snapshot,
+}
+
+/// One layer's training scratch (see the training contract on [`Dense`]).
+#[derive(Debug, Clone, Default)]
+struct TrainScratch {
+    /// The forward input, kept for `grad_W = Xᵀ·δ`.
+    input: Matrix,
+    /// The activated forward output.
+    output: Matrix,
+    /// `δ = dL/d(pre-activation)`.
+    delta: Matrix,
+    grad_weights: Matrix,
+    grad_bias: Matrix,
+    /// `Wᵀ`, filled only by batched steps that propagate an input gradient.
+    weights_t: Matrix,
+    /// Whether `input`/`output` hold a forward pass no backward has
+    /// consumed yet.
+    forwarded: bool,
 }
 
 /// One lane's frozen copy of an affine block `x·W + b`, converted once at
@@ -136,8 +177,7 @@ impl Dense {
             bias: Matrix::zeros(1, output_size),
             activation,
             base_id,
-            cached_input: None,
-            cached_output: None,
+            train: TrainScratch::default(),
             snapshot: Snapshot::default(),
         }
     }
@@ -196,41 +236,67 @@ impl Dense {
         self.snapshot.get::<L>().apply(x, self.activation, out);
     }
 
-    /// Forward pass that caches activations for a subsequent
-    /// [`Dense::backward`].
-    ///
-    /// Takes the input by value: it is moved into the cache (no copy), the
-    /// output is cloned into the cache once, and returned — one copy per
-    /// training step instead of the three a borrow-and-clone signature
-    /// forces.
-    pub fn forward_training(&mut self, x: Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        x.matmul_into(&self.weights, &mut out);
-        bias_activate(&mut out, self.bias.as_slice(), self.activation);
-        self.cached_input = Some(x);
-        self.cached_output = Some(out.clone());
-        out
-    }
-
-    /// Backward pass: consumes the gradient w.r.t. this layer's output,
-    /// updates weights via `opt`, and returns the gradient w.r.t. the input.
+    /// Forward pass that keeps what a subsequent [`Dense::backward`] needs
+    /// (a copy of `x` and the returned output) in the layer's own scratch.
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding [`Dense::forward_training`].
-    pub fn backward(&mut self, grad_output: &Matrix, opt: &mut dyn Optimizer) -> Matrix {
-        let input = self.cached_input.take().expect("backward without forward_training");
-        let output = self.cached_output.take().expect("backward without forward_training");
-        // δ = dL/d(pre-activation)
-        let delta = grad_output.hadamard(&self.activation.derivative_from_output(&output));
-        let grad_weights = input.transpose().matmul(&delta);
-        let grad_bias = delta.column_sums();
-        let grad_input = delta.matmul(&self.weights.transpose());
-        opt.step(self.base_id, &mut self.weights, &grad_weights);
-        opt.step(self.base_id + 1, &mut self.bias, &grad_bias);
+    /// Panics if `x` has the wrong width.
+    pub fn forward_training(&mut self, x: &Matrix) -> &Matrix {
+        let train = &mut self.train;
+        train.input.assign(x.rows(), x.cols(), x.as_slice());
+        x.matmul_into(&self.weights, &mut train.output);
+        bias_activate(&mut train.output, self.bias.as_slice(), self.activation);
+        train.forwarded = true;
+        &train.output
+    }
+
+    /// Backward pass: consumes the gradient w.r.t. this layer's output and
+    /// updates weights via `opt`. When `grad_input` is given it is filled
+    /// with the gradient w.r.t. the layer's input (computed from the
+    /// pre-update weights); a layer nobody propagates past passes `None`
+    /// and skips that product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called without a preceding [`Dense::forward_training`], or
+    /// if `grad_output` does not have that forward pass's output shape.
+    pub fn backward(
+        &mut self,
+        grad_output: &Matrix,
+        opt: &mut dyn Optimizer,
+        grad_input: Option<&mut Matrix>,
+    ) {
+        let train = &mut self.train;
+        assert!(train.forwarded, "backward without forward_training");
+        train.forwarded = false;
+        let (rows, cols) = (train.output.rows(), train.output.cols());
+        assert_eq!((grad_output.rows(), grad_output.cols()), (rows, cols), "shape mismatch");
+        train.delta.reshape(rows, cols);
+        let activation = self.activation;
+        for ((d, &g), &y) in train
+            .delta
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad_output.as_slice())
+            .zip(train.output.as_slice())
+        {
+            *d = g * activation.derivative_from_output(y);
+        }
+        train.input.transposed_matmul_into(&train.delta, &mut train.grad_weights);
+        train.delta.column_sums_into(&mut train.grad_bias);
+        if let Some(grad_input) = grad_input {
+            if rows < PACK_ROWS {
+                train.delta.matmul_transposed_into(&self.weights, grad_input);
+            } else {
+                self.weights.transpose_into(&mut train.weights_t);
+                train.delta.matmul_into(&train.weights_t, grad_input);
+            }
+        }
+        opt.step(self.base_id, &mut self.weights, &train.grad_weights);
+        opt.step(self.base_id + 1, &mut self.bias, &train.grad_bias);
         // The weights moved: every lane's snapshot is stale.
         self.snapshot.clear();
-        grad_input
     }
 }
 
@@ -286,10 +352,10 @@ mod tests {
         // Target: y = 2a - b
         let x = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0], &[0.5, 0.25]]);
         let y = Matrix::from_rows(&[&[2.0], &[-1.0], &[1.0], &[0.75]]);
+        let mut grad = Matrix::default();
         for _ in 0..3000 {
-            let out = layer.forward_training(x.clone());
-            let grad = Loss::Mse.gradient(&out, &y);
-            layer.backward(&grad, &mut opt);
+            Loss::Mse.gradient_into(layer.forward_training(&x), &y, &mut grad);
+            layer.backward(&grad, &mut opt, None);
         }
         assert!(Loss::Mse.value(&infer(&layer, &x), &y) < 1e-6);
     }
@@ -314,9 +380,9 @@ mod tests {
         }
 
         let mut layer = Dense::new(2, 1, Activation::Sigmoid, 0, 11);
-        let out = layer.forward_training(x.clone());
-        let grad_out = Loss::Mse.gradient(&out, &y);
-        let grad_in = layer.backward(&grad_out, &mut NoStep);
+        let (mut grad_out, mut grad_in) = (Matrix::default(), Matrix::default());
+        Loss::Mse.gradient_into(layer.forward_training(&x), &y, &mut grad_out);
+        layer.backward(&grad_out, &mut NoStep, Some(&mut grad_in));
 
         for r in 0..2 {
             for c in 0..2 {
@@ -347,7 +413,7 @@ mod tests {
             for outputs in [1, 2, 7] {
                 let mut layer = Dense::new(5, outputs, activation, 0, 23);
                 let x = Matrix::xavier(3, 5, 99);
-                let trained = layer.forward_training(x.clone());
+                let trained = layer.forward_training(&x).clone();
                 assert_eq!(infer(&layer, &x), trained, "{activation:?} x{outputs} diverged");
             }
         }
@@ -369,8 +435,8 @@ mod tests {
         let mut layer = Dense::new(2, 2, Activation::Linear, 0, 1);
         layer.freeze(Precision::F64Bitwise);
         let mut opt = Sgd::new(0.1);
-        let out = layer.forward_training(Matrix::zeros(1, 2));
-        layer.backward(&out, &mut opt);
+        let out = layer.forward_training(&Matrix::zeros(1, 2)).clone();
+        layer.backward(&out, &mut opt, None);
         layer.forward_rows_into(&Matrix::zeros(1, 2), &mut Matrix::default());
     }
 
@@ -380,6 +446,6 @@ mod tests {
         let mut layer = Dense::new(2, 2, Activation::Linear, 0, 1);
         let grad = Matrix::zeros(1, 2);
         let mut opt = Sgd::new(0.1);
-        layer.backward(&grad, &mut opt);
+        layer.backward(&grad, &mut opt, None);
     }
 }

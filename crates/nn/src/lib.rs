@@ -29,6 +29,15 @@
 //! with, so stream batching, autoscaling and fabric re-homing can cut
 //! batches anywhere without moving a score.
 //!
+//! **One training implementation.** Training is `f64`, one step at a time
+//! ([`Autoencoder::train_sample`], [`Mlp::train_batch`],
+//! [`LstmRegressor::train_window`]), over model-owned scratch that the
+//! first step sizes: no per-step heap allocation, and the weight and input
+//! gradients come from two kernels (`Xᵀ·δ` as rank-1 row accumulations,
+//! `δ·Wᵀ` as dot products over `W`'s contiguous rows) whose accumulation
+//! chains are pinned bit for bit to the allocating `transpose`/`matmul`
+//! formulation kept as a test-side reference (`tests/training_reference.rs`).
+//!
 //! **One kernel source, two lanes.** Those entry points, the matrix type
 //! ([`Mat`]), the matmul, the bias+activation epilogue, the LSTM gate
 //! update, the frozen-weight snapshots and the scratch buffers are generic

@@ -25,8 +25,11 @@ impl Loss {
         let n = (prediction.rows() * prediction.cols()) as f64;
         match self {
             Loss::Mse => {
-                let diff = prediction - target;
-                diff.as_slice().iter().map(|d| d * d).sum::<f64>() / n
+                let squares = prediction.as_slice().iter().zip(target.as_slice()).map(|(p, y)| {
+                    let d = p - y;
+                    d * d
+                });
+                squares.sum::<f64>() / n
             }
             Loss::BinaryCrossEntropy => {
                 prediction
@@ -43,26 +46,35 @@ impl Loss {
         }
     }
 
-    /// Gradient of the mean loss with respect to the prediction.
+    /// Gradient of the mean loss with respect to the prediction, written
+    /// into `out` (reshaped as needed; allocation-free once it has held
+    /// this shape).
     ///
     /// # Panics
     ///
     /// Panics if `prediction` and `target` have different shapes.
-    pub fn gradient(self, prediction: &Matrix, target: &Matrix) -> Matrix {
+    pub fn gradient_into(self, prediction: &Matrix, target: &Matrix, out: &mut Matrix) {
         assert_eq!(
             (prediction.rows(), prediction.cols()),
             (target.rows(), target.cols()),
             "loss shape mismatch"
         );
         let n = (prediction.rows() * prediction.cols()) as f64;
+        out.reshape(prediction.rows(), prediction.cols());
+        let terms =
+            out.as_mut_slice().iter_mut().zip(prediction.as_slice().iter().zip(target.as_slice()));
         match self {
-            Loss::Mse => (prediction - target).scale(2.0 / n),
+            Loss::Mse => {
+                let scale = 2.0 / n;
+                for (g, (&p, &y)) in terms {
+                    *g = (p - y) * scale;
+                }
+            }
             Loss::BinaryCrossEntropy => {
-                Matrix::from_fn(prediction.rows(), prediction.cols(), |r, c| {
-                    let p = prediction.get(r, c).clamp(1e-12, 1.0 - 1e-12);
-                    let y = target.get(r, c);
-                    ((p - y) / (p * (1.0 - p))) / n
-                })
+                for (g, (&p, &y)) in terms {
+                    let p = p.clamp(1e-12, 1.0 - 1e-12);
+                    *g = ((p - y) / (p * (1.0 - p))) / n;
+                }
             }
         }
     }
@@ -102,7 +114,8 @@ mod tests {
         for loss in [Loss::Mse, Loss::BinaryCrossEntropy] {
             let p = Matrix::from_rows(&[&[0.3, 0.7], &[0.5, 0.9]]);
             let y = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 1.0]]);
-            let grad = loss.gradient(&p, &y);
+            let mut grad = Matrix::default();
+            loss.gradient_into(&p, &y, &mut grad);
             for r in 0..2 {
                 for c in 0..2 {
                     let mut pp = p.clone();
@@ -126,6 +139,8 @@ mod tests {
         let y = Matrix::from_rows(&[&[0.0, 1.0]]);
         let v = Loss::BinaryCrossEntropy.value(&p, &y);
         assert!(v.is_finite());
-        assert!(Loss::BinaryCrossEntropy.gradient(&p, &y).as_slice().iter().all(|g| g.is_finite()));
+        let mut grad = Matrix::default();
+        Loss::BinaryCrossEntropy.gradient_into(&p, &y, &mut grad);
+        assert!(grad.as_slice().iter().all(|g| g.is_finite()));
     }
 }

@@ -31,17 +31,41 @@ pub struct Lstm {
     frozen_h: Snapshot,
 }
 
-/// Cached values for one timestep, used by BPTT.
-#[derive(Debug, Clone)]
-struct StepCache {
-    x: Matrix,
+/// Training scratch of one LSTM: the per-timestep values BPTT needs, in
+/// flat buffers sized by the first window and reused. The per-step buffers
+/// hold one row per timestep **in BPTT order** — row `s` is timestep
+/// `T−1−s` — so the backward pass walks them top to bottom and the weight
+/// gradients, which sum over the steps in reverse-time order, are plain
+/// ascending-row products (`Xᵀ·δ`) over those buffers.
+#[derive(Debug, Clone, Default)]
+struct Bptt {
+    /// Step inputs, `T × input`.
+    xs: Matrix,
+    /// Input→gates products `x·w_x`, `T × 4h` (bias not yet added).
+    zx: Matrix,
+    /// Hidden and cell state entering each step, `T × h`.
     h_prev: Matrix,
     c_prev: Matrix,
-    i: Matrix,
-    f: Matrix,
-    g: Matrix,
-    o: Matrix,
+    /// Activated gates `[i, f, g, o]`, `T × 4h`.
+    gates: Matrix,
+    /// `tanh(c)` leaving each step, `T × h`.
     tanh_c: Matrix,
+    /// Gate pre-activation gradients, `T × 4h`.
+    dz: Matrix,
+    /// Running hidden/cell state (`1 × h`); after the forward pass, the
+    /// final state.
+    h: Matrix,
+    c: Matrix,
+    /// The current step's hidden→gates product `h·w_h` (`1 × 4h`).
+    zh: Matrix,
+    /// Running gradients w.r.t. the hidden/cell state (`1 × h`) and the
+    /// current step's row of `dz` (`1 × 4h`).
+    dh: Matrix,
+    dc: Matrix,
+    dz_row: Matrix,
+    grad_wx: Matrix,
+    grad_wh: Matrix,
+    grad_b: Matrix,
 }
 
 impl Lstm {
@@ -86,31 +110,91 @@ impl Lstm {
         self.hidden_size
     }
 
-    /// One forward step; returns `(h, c)` and the cache for BPTT.
-    fn step(&self, x: &Matrix, h_prev: &Matrix, c_prev: &Matrix) -> (Matrix, Matrix, StepCache) {
-        let z = &x.matmul(&self.w_x).add_row_broadcast(&self.bias) + &h_prev.matmul(&self.w_h);
+    /// Training-time forward pass over one window (`T` timesteps laid end
+    /// to end), keeping every step's gates, states and `tanh(c)` in `s` for
+    /// [`Lstm::backward`]; the final hidden state is left in `s.h`. Each
+    /// step's arithmetic is the chain the inference path builds for a
+    /// one-row batch: `z = (x·w_x + b) + h·w_h`, gate-wise.
+    fn forward_training(&self, window: &[f64], s: &mut Bptt) {
+        let (d, h) = (self.input_size, self.hidden_size);
+        assert_eq!(window.len() % d, 0, "window width must be a multiple of the input width");
+        let steps = window.len() / d;
+        s.xs.reshape(steps, d);
+        for (t, x) in window.chunks_exact(d).enumerate() {
+            s.xs.row_mut(steps - 1 - t).copy_from_slice(x);
+        }
+        // The input projections do not depend on the recurrence: one
+        // product for the whole window.
+        s.xs.matmul_into(&self.w_x, &mut s.zx);
+        for m in [&mut s.h_prev, &mut s.c_prev, &mut s.tanh_c] {
+            m.reshape(steps, h);
+        }
+        s.gates.reshape(steps, 4 * h);
+        s.h.reshape_zeroed(1, h);
+        s.c.reshape_zeroed(1, h);
+        let bias = self.bias.as_slice();
+        for row in (0..steps).rev() {
+            s.h_prev.row_mut(row).copy_from_slice(s.h.as_slice());
+            s.c_prev.row_mut(row).copy_from_slice(s.c.as_slice());
+            s.h.matmul_into(&self.w_h, &mut s.zh);
+            let (zx, zh) = (s.zx.row(row), s.zh.as_slice());
+            let z = |j: usize| (zx[j] + bias[j]) + zh[j];
+            let (gates, tanh_c) = (s.gates.row_mut(row), s.tanh_c.row_mut(row));
+            let (hidden, cell) = (s.h.as_mut_slice(), s.c.as_mut_slice());
+            for j in 0..h {
+                let i_gate = sigmoid(z(j));
+                let f_gate = sigmoid(z(h + j));
+                let g_gate = z(2 * h + j).tanh();
+                let o_gate = sigmoid(z(3 * h + j));
+                let c = f_gate * cell[j] + i_gate * g_gate;
+                (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]) =
+                    (i_gate, f_gate, g_gate, o_gate);
+                tanh_c[j] = c.tanh();
+                cell[j] = c;
+                hidden[j] = o_gate * tanh_c[j];
+            }
+        }
+    }
+
+    /// BPTT over the window [`Lstm::forward_training`] cached: takes the
+    /// gradient w.r.t. the final hidden state in `s.dh` and leaves the
+    /// parameter gradients in `s.grad_wx` / `s.grad_wh` / `s.grad_b`.
+    ///
+    /// The per-step `dz` rows are collected first (last timestep on top),
+    /// then each weight gradient is one `Xᵀ·δ` product whose ascending-row
+    /// chain is the reverse-time accumulation `grad += xᵀ·dz` of the
+    /// reference, bit for bit: a sum that starts `0 + a·b` is never `−0`,
+    /// so adding each further term bare or as `0 + a·b` rounds alike.
+    fn backward(&self, s: &mut Bptt) {
         let h = self.hidden_size;
-        let slice = |from: usize, f: fn(f64) -> f64| {
-            Matrix::from_fn(1, h, |_, j| f(z.get(0, from * h + j)))
-        };
-        let i = slice(0, sigmoid);
-        let f = slice(1, sigmoid);
-        let g = slice(2, f64::tanh);
-        let o = slice(3, sigmoid);
-        let c = &f.hadamard(c_prev) + &i.hadamard(&g);
-        let tanh_c = c.map(f64::tanh);
-        let h_new = o.hadamard(&tanh_c);
-        let cache = StepCache {
-            x: x.clone(),
-            h_prev: h_prev.clone(),
-            c_prev: c_prev.clone(),
-            i,
-            f,
-            g,
-            o,
-            tanh_c,
-        };
-        (h_new, c, cache)
+        let steps = s.xs.rows();
+        s.dz.reshape(steps, 4 * h);
+        s.dz_row.reshape(1, 4 * h);
+        s.dc.reshape_zeroed(1, h);
+        for row in 0..steps {
+            let (gates, tanh_c, c_prev) = (s.gates.row(row), s.tanh_c.row(row), s.c_prev.row(row));
+            let (dh, dc, dz) = (s.dh.as_slice(), s.dc.as_mut_slice(), s.dz_row.as_mut_slice());
+            for j in 0..h {
+                let (i, f, g, o) = (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]);
+                let d_o = dh[j] * tanh_c[j];
+                let dc_total = dc[j] + (dh[j] * o) * (1.0 - tanh_c[j] * tanh_c[j]);
+                // Pre-activation gradients (gate order: i, f, g, o).
+                dz[j] = (dc_total * g) * (i * (1.0 - i));
+                dz[h + j] = (dc_total * c_prev[j]) * (f * (1.0 - f));
+                dz[2 * h + j] = (dc_total * i) * (1.0 - g * g);
+                dz[3 * h + j] = d_o * (o * (1.0 - o));
+                dc[j] = dc_total * f;
+            }
+            s.dz.row_mut(row).copy_from_slice(s.dz_row.as_slice());
+            // dh for the step before (from the pre-update weights); the
+            // first timestep has nobody to hand it to.
+            if row + 1 < steps {
+                s.dz_row.matmul_transposed_into(&self.w_h, &mut s.dh);
+            }
+        }
+        s.xs.transposed_matmul_into(&s.dz, &mut s.grad_wx);
+        s.h_prev.transposed_matmul_into(&s.dz, &mut s.grad_wh);
+        s.dz.column_sums_into(&mut s.grad_b);
     }
 
     /// Runs a lockstep batch of sequences and returns their final hidden
@@ -236,6 +320,17 @@ impl Default for LstmRegressorConfig {
 /// windows. HELAD uses this to predict the next anomaly score from recent
 /// history.
 ///
+/// **Training contract.** [`LstmRegressor::train_window`] takes a window in
+/// the shape [`LstmRegressor::predict_windows_with`] takes a row — the
+/// timesteps laid end to end — and runs in `f64` over model-owned scratch
+/// (flat `T × 4h` / `T × h` per-step buffers, the gradients, Adam's
+/// moments) that the first window sizes and later windows reuse: a
+/// steady-state step performs zero heap allocations (pinned by
+/// `hot_path_allocs`) and forms no transpose. The update is pinned bit for
+/// bit to the allocating reference in `tests/training_reference.rs`: BPTT
+/// accumulates in reverse-time order, each `dh` comes from the pre-update
+/// recurrent weights, then clip → Adam.
+///
 /// # Examples
 ///
 /// ```
@@ -245,8 +340,7 @@ impl Default for LstmRegressorConfig {
 /// // Learn "output the last input".
 /// for round in 0..300 {
 ///     let v = f64::from(round % 2);
-///     let seq: Vec<Vec<f64>> = (0..5).map(|_| vec![v]).collect();
-///     model.train_sequence(&seq, v);
+///     model.train_window(&[v; 5], v);
 /// }
 /// model.freeze(Precision::F64Bitwise);
 /// // One five-step sequence per row.
@@ -265,6 +359,10 @@ pub struct LstmRegressor {
     /// Snapshot of the scalar head `h·head_w + head_b`; present only while
     /// in sync, like the LSTM's own snapshots.
     frozen_head: Snapshot,
+    /// Training scratch (see the training contract above).
+    bptt: Bptt,
+    grad_head_w: Matrix,
+    grad_head_b: Matrix,
 }
 
 /// Parameter ids for the optimizer state.
@@ -289,12 +387,15 @@ impl LstmRegressor {
             optimizer: Adam::new(config.learning_rate),
             trained_sequences: 0,
             frozen_head: Snapshot::default(),
+            bptt: Bptt::default(),
+            grad_head_w: Matrix::default(),
+            grad_head_b: Matrix::default(),
         }
     }
 
     /// Snapshots the LSTM and head parameters into the lane `precision`
     /// selects. Call when training is finished; a later
-    /// [`LstmRegressor::train_sequence`] drops the snapshots automatically.
+    /// [`LstmRegressor::train_window`] drops the snapshots automatically.
     pub fn freeze(&mut self, precision: Precision) {
         self.lstm.freeze(precision);
         self.frozen_head.freeze(precision, &self.head_w, self.head_b.as_slice());
@@ -303,6 +404,13 @@ impl LstmRegressor {
     /// Number of training sequences consumed.
     pub fn trained_sequences(&self) -> u64 {
         self.trained_sequences
+    }
+
+    /// The trainable parameters in optimizer-id order — `w_x`, `w_h`, the
+    /// gate bias, the head weights, the head bias (read-only: for
+    /// inspection and for the training reference tests).
+    pub fn parameters(&self) -> [&Matrix; 5] {
+        [&self.lstm.w_x, &self.lstm.w_h, &self.lstm.bias, &self.head_w, &self.head_b]
     }
 
     /// Predicts the scalar target of every sequence in a lockstep batch:
@@ -333,84 +441,44 @@ impl LstmRegressor {
         out.extend(ws.ping.as_slice().iter().map(|p| p.to_f64()));
     }
 
-    /// One BPTT step on `(inputs, target)`; returns the squared error before
-    /// the update.
+    /// One BPTT step on `(window, target)`, the window's timesteps laid end
+    /// to end; returns the squared error before the update.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` is empty or any vector has the wrong width.
-    pub fn train_sequence(&mut self, inputs: &[Vec<f64>], target: f64) -> f64 {
-        assert!(!inputs.is_empty(), "sequence must be non-empty");
+    /// Panics if `window` is empty or not a whole number of timesteps.
+    pub fn train_window(&mut self, window: &[f64], target: f64) -> f64 {
+        assert!(!window.is_empty(), "sequence must be non-empty");
         let hidden = self.lstm.hidden_size;
-
-        // Forward with caches.
-        let mut caches = Vec::with_capacity(inputs.len());
-        let mut h = Matrix::zeros(1, hidden);
-        let mut c = Matrix::zeros(1, hidden);
-        for x in inputs {
-            let (h2, c2, cache) = self.lstm.step(&Matrix::row_vector(x), &h, &c);
-            caches.push(cache);
-            h = h2;
-            c = c2;
-        }
-        let prediction = h.matmul(&self.head_w).get(0, 0) + self.head_b.get(0, 0);
+        let s = &mut self.bptt;
+        self.lstm.forward_training(window, s);
+        let head_w = self.head_w.as_slice();
+        let prediction = f64::dot(s.h.as_slice(), head_w) + self.head_b.get(0, 0);
         let loss = (prediction - target).powi(2);
 
-        // Head gradients.
+        // Head gradients, and the gradient entering the last timestep.
         let dpred = 2.0 * (prediction - target);
-        let grad_head_w = h.transpose().scale(dpred);
-        let grad_head_b = Matrix::from_rows(&[&[dpred]]);
-        let mut dh = self.head_w.transpose().scale(dpred); // 1 × hidden
-        let mut dc = Matrix::zeros(1, hidden);
-
-        // Accumulated parameter gradients.
-        let mut grad_wx = Matrix::zeros(self.lstm.input_size, 4 * hidden);
-        let mut grad_wh = Matrix::zeros(hidden, 4 * hidden);
-        let mut grad_b = Matrix::zeros(1, 4 * hidden);
-
-        for cache in caches.iter().rev() {
-            // dh, dc are gradients w.r.t. this step's outputs.
-            let do_ = dh.hadamard(&cache.tanh_c);
-            let dtanh_c = dh.hadamard(&cache.o);
-            let dc_total = &dc + &dtanh_c.hadamard(&cache.tanh_c.map(|v| 1.0 - v * v));
-            let di = dc_total.hadamard(&cache.g);
-            let dg = dc_total.hadamard(&cache.i);
-            let df = dc_total.hadamard(&cache.c_prev);
-            let dc_prev = dc_total.hadamard(&cache.f);
-
-            // Pre-activation gradients (gate order: i, f, g, o).
-            let dzi = di.hadamard(&cache.i.map(|v| v * (1.0 - v)));
-            let dzf = df.hadamard(&cache.f.map(|v| v * (1.0 - v)));
-            let dzg = dg.hadamard(&cache.g.map(|v| 1.0 - v * v));
-            let dzo = do_.hadamard(&cache.o.map(|v| v * (1.0 - v)));
-            let dz = Matrix::from_fn(1, 4 * hidden, |_, j| {
-                let (gate, k) = (j / hidden, j % hidden);
-                match gate {
-                    0 => dzi.get(0, k),
-                    1 => dzf.get(0, k),
-                    2 => dzg.get(0, k),
-                    _ => dzo.get(0, k),
-                }
-            });
-
-            grad_wx = &grad_wx + &cache.x.transpose().matmul(&dz);
-            grad_wh = &grad_wh + &cache.h_prev.transpose().matmul(&dz);
-            grad_b = &grad_b + &dz;
-
-            dh = dz.matmul(&self.lstm.w_h.transpose());
-            dc = dc_prev;
+        self.grad_head_w.reshape(hidden, 1);
+        for (g, &h) in self.grad_head_w.as_mut_slice().iter_mut().zip(s.h.as_slice()) {
+            *g = h * dpred;
         }
+        self.grad_head_b.assign(1, 1, &[dpred]);
+        s.dh.reshape(1, hidden);
+        for (d, &w) in s.dh.as_mut_slice().iter_mut().zip(head_w) {
+            *d = w * dpred;
+        }
+        self.lstm.backward(s);
 
         // Clip to keep long windows stable.
-        for grad in [&mut grad_wx, &mut grad_wh, &mut grad_b] {
+        for grad in [&mut s.grad_wx, &mut s.grad_wh, &mut s.grad_b] {
             clip_norm(grad, 5.0);
         }
 
-        self.optimizer.step(PID_WX, &mut self.lstm.w_x, &grad_wx);
-        self.optimizer.step(PID_WH, &mut self.lstm.w_h, &grad_wh);
-        self.optimizer.step(PID_B, &mut self.lstm.bias, &grad_b);
-        self.optimizer.step(PID_HEAD_W, &mut self.head_w, &grad_head_w);
-        self.optimizer.step(PID_HEAD_B, &mut self.head_b, &grad_head_b);
+        self.optimizer.step(PID_WX, &mut self.lstm.w_x, &s.grad_wx);
+        self.optimizer.step(PID_WH, &mut self.lstm.w_h, &s.grad_wh);
+        self.optimizer.step(PID_B, &mut self.lstm.bias, &s.grad_b);
+        self.optimizer.step(PID_HEAD_W, &mut self.head_w, &self.grad_head_w);
+        self.optimizer.step(PID_HEAD_B, &mut self.head_b, &self.grad_head_b);
         // The parameters moved: every lane's snapshot is stale.
         self.lstm.frozen_x.clear();
         self.lstm.frozen_h.clear();
@@ -464,8 +532,7 @@ mod tests {
         let mut loss = f64::INFINITY;
         for round in 0..600 {
             let v = (round % 4) as f64 / 4.0;
-            let seq: Vec<Vec<f64>> = (0..6).map(|j| vec![if j == 5 { v } else { 0.5 }]).collect();
-            loss = model.train_sequence(&seq, v);
+            loss = model.train_window(&[0.5, 0.5, 0.5, 0.5, 0.5, v], v);
         }
         assert!(loss < 0.05, "final loss {loss}");
     }
@@ -487,7 +554,7 @@ mod tests {
         for epoch in 0..400 {
             total = 0.0;
             for (xs, y) in &sequences {
-                total += model.train_sequence(xs, *y);
+                total += model.train_window(&xs.concat(), *y);
             }
             if epoch > 50 && total < 0.01 {
                 break;
@@ -533,7 +600,7 @@ mod tests {
         // One training step should move w_x[0,0] opposite to the numeric
         // gradient (Adam preserves sign of the first step).
         let before = trained.lstm.w_x.get(0, 0);
-        trained.train_sequence(&seq, target);
+        trained.train_window(&seq.concat(), target);
         let after = trained.lstm.w_x.get(0, 0);
         if numeric.abs() > 1e-8 {
             assert!(
@@ -561,20 +628,18 @@ mod tests {
         }
     }
 
-    /// The inference path is the training-time `step`, bit for bit, at
-    /// input widths one and above.
+    /// The inference path is the training-time forward pass, bit for bit,
+    /// at input widths one and above.
     #[test]
-    fn inference_is_bitwise_the_training_step() {
+    fn inference_is_bitwise_the_training_forward() {
         for input_size in [1, 3] {
             let lstm = Lstm::new(input_size, 5, 17);
             let seq: Vec<Vec<f64>> = (0..7)
                 .map(|t| (0..input_size).map(|k| ((t * 3 + k) as f64 * 0.37).sin()).collect())
                 .collect();
-            let (mut h, mut c) = (Matrix::zeros(1, 5), Matrix::zeros(1, 5));
-            for x in &seq {
-                (h, c, _) = lstm.step(&Matrix::row_vector(x), &h, &c);
-            }
-            assert_eq!(final_hidden(&lstm, &seq), h, "input width {input_size}");
+            let mut scratch = Bptt::default();
+            lstm.forward_training(&seq.concat(), &mut scratch);
+            assert_eq!(final_hidden(&lstm, &seq), scratch.h, "input width {input_size}");
         }
     }
 
@@ -582,6 +647,6 @@ mod tests {
     #[should_panic(expected = "sequence must be non-empty")]
     fn empty_training_sequence_panics() {
         let mut model = LstmRegressor::new(1, LstmRegressorConfig::default());
-        let _ = model.train_sequence(&[], 0.0);
+        let _ = model.train_window(&[], 0.0);
     }
 }

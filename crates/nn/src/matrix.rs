@@ -1,5 +1,4 @@
 use std::fmt;
-use std::ops::{Add, Mul, Sub};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -11,7 +10,8 @@ use crate::lane::Lane;
 ///
 /// The inference surface (shape, [`Mat::reshape`]-style scratch reuse,
 /// [`Mat::push_row`] staging, [`Mat::matmul_into`]) is generic; the
-/// allocating linear-algebra helpers training needs exist for `f64` only.
+/// constructors and the two training kernels (`Xᵀ·δ`, `δ·Wᵀ`) exist for
+/// `f64` only — training never runs in the wide lane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mat<L: Lane> {
     rows: usize,
@@ -31,9 +31,8 @@ pub struct Mat<L: Lane> {
 /// use idsbench_nn::Matrix;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::identity(2);
+/// let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// assert_eq!(a.matmul(&b), a);
-/// assert_eq!(a.transpose().get(0, 1), 3.0);
 /// ```
 pub type Matrix = Mat<f64>;
 
@@ -193,15 +192,6 @@ impl<L: Lane> Mat<L> {
 }
 
 impl Matrix {
-    /// Creates the identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// Creates a matrix by evaluating `f(row, col)` for each element.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -253,66 +243,134 @@ impl Matrix {
         out
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
-    }
-
-    /// Element-wise map.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
-    }
-
-    /// Element-wise product (Hadamard).
+    /// Reshapes to `rows × cols` and copies `values` in — how training
+    /// stages a sample or a window into model-owned scratch.
     ///
     /// # Panics
     ///
-    /// Panics if the shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect(),
-        }
+    /// Panics if `values` does not hold exactly `rows · cols` elements.
+    pub(crate) fn assign(&mut self, rows: usize, cols: usize, values: &[f64]) {
+        self.reshape(rows, cols);
+        self.data.copy_from_slice(values);
     }
 
-    /// Adds `row` (a 1×cols matrix) to every row; used for bias terms.
+    /// The weight-gradient kernel: `out = selfᵀ · delta` without forming
+    /// the transpose, as rank-1 row accumulations — row `i` of `out` is
+    /// `Σ_r self[r][i] · delta[r][:]`, vectorized across the row, four `r`
+    /// per pass. Every element accumulates its `r` terms in ascending order
+    /// with the first written as `0 + a·b`: the chain `transpose()` followed
+    /// by [`Matrix::matmul`] builds, bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `row` is not 1×cols.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
-        assert_eq!(row.rows, 1, "broadcast row must be 1xN");
-        assert_eq!(row.cols, self.cols, "broadcast width mismatch");
-        let mut out = self.clone();
-        for chunk in out.data.chunks_exact_mut(self.cols) {
-            for (v, &b) in chunk.iter_mut().zip(&row.data) {
-                *v += b;
+    /// Panics if the row counts disagree.
+    pub(crate) fn transposed_matmul_into(&self, delta: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, delta.rows, "row count mismatch");
+        let (rows, k, n) = (self.rows, self.cols, delta.cols);
+        if rows == 0 || n == 0 {
+            out.reshape_zeroed(k, n);
+            return;
+        }
+        out.reshape(k, n);
+        let d = |r: usize| &delta.data[r * n..(r + 1) * n];
+        for (i, out_row) in out.data.chunks_exact_mut(n).enumerate() {
+            let x = |r: usize| self.data[r * k + i];
+            let a = x(0);
+            for (o, &b) in out_row.iter_mut().zip(d(0)) {
+                *o = 0.0 + a * b;
+            }
+            let mut r = 1;
+            while r + 4 <= rows {
+                let (a0, a1, a2, a3) = (x(r), x(r + 1), x(r + 2), x(r + 3));
+                let (b0, b1, b2, b3) = (d(r), d(r + 1), d(r + 2), d(r + 3));
+                for j in 0..n {
+                    out_row[j] =
+                        (((out_row[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) + a3 * b3[j];
+                }
+                r += 4;
+            }
+            while r < rows {
+                let a = x(r);
+                for (o, &b) in out_row.iter_mut().zip(d(r)) {
+                    *o += a * b;
+                }
+                r += 1;
             }
         }
-        out
     }
 
-    /// Sums each column into a 1×cols matrix; used for bias gradients.
-    pub fn column_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.get(r, c);
+    /// The input-gradient kernel: `out = self · wᵀ` without forming the
+    /// transpose — `out[r][i]` is the dot product of row `r` of `self` with
+    /// the *contiguous* row `i` of `w`, ascending `j` from zero (the chain
+    /// [`Matrix::matmul`] against a materialised `wᵀ` builds, bit for bit).
+    /// A single chain is latency-bound — one dependent add per term — so
+    /// four rows of `w` advance together and their chains overlap (four
+    /// cover the latency of an add; measured, eight abreast is slower at
+    /// every training shape of this workspace).
+    /// The chains stay scalar (lanes would need a column of `w`), which is
+    /// the right trade for the one-row steps of online training; see
+    /// [`crate::Dense::backward`] for batches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column counts disagree.
+    pub(crate) fn matmul_transposed_into(&self, w: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, w.cols, "column count mismatch");
+        let (n, k) = (self.cols, w.rows);
+        out.reshape(self.rows, k);
+        if n == 0 || k == 0 {
+            out.data.fill(0.0);
+            return;
+        }
+        let w_row = |i: usize| &w.data[i * n..][..n];
+        for (d, out_row) in self.data.chunks_exact(n).zip(out.data.chunks_exact_mut(k)) {
+            let mut i = 0;
+            while i + 4 <= k {
+                let (w0, w1, w2, w3) = (w_row(i), w_row(i + 1), w_row(i + 2), w_row(i + 3));
+                let mut acc = [0.0; 4];
+                for j in 0..n {
+                    let dj = d[j];
+                    acc[0] += dj * w0[j];
+                    acc[1] += dj * w1[j];
+                    acc[2] += dj * w2[j];
+                    acc[3] += dj * w3[j];
+                }
+                out_row[i..i + 4].copy_from_slice(&acc);
+                i += 4;
+            }
+            for (i, o) in out_row.iter_mut().enumerate().skip(i) {
+                *o = f64::dot(d, w_row(i));
             }
         }
-        out
     }
 
-    /// Scales every element.
-    pub fn scale(&self, factor: f64) -> Matrix {
-        self.map(|x| x * factor)
+    /// Writes `selfᵀ` into `out` (reshaped as needed, no allocation once it
+    /// has held this shape) — for the one caller that amortises the copy:
+    /// a multi-row batch's input gradient (see [`crate::Dense::backward`]).
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
+        out.reshape(self.cols, self.rows);
+        if self.rows == 0 {
+            return;
+        }
+        for (j, out_row) in out.data.chunks_exact_mut(self.rows).enumerate() {
+            for (i, o) in out_row.iter_mut().enumerate() {
+                *o = self.data[i * self.cols + j];
+            }
+        }
     }
 
-    /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
+    /// Sums each column into the `1 × cols` matrix `out` (ascending rows
+    /// from zero); used for bias gradients.
+    pub(crate) fn column_sums_into(&self, out: &mut Matrix) {
+        out.reshape_zeroed(1, self.cols);
+        if self.cols == 0 {
+            return;
+        }
+        for row in self.data.chunks_exact(self.cols) {
+            for (o, &v) in out.data.iter_mut().zip(row) {
+                *o += v;
+            }
+        }
     }
 
     /// Frobenius norm.
@@ -455,46 +513,6 @@ fn broadcast_tile<L: Lane>(
     }
 }
 
-impl Add for &Matrix {
-    type Output = Matrix;
-
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a + b).collect(),
-        }
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a - b).collect(),
-        }
-    }
-}
-
-impl Mul<f64> for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, rhs: f64) -> Matrix {
-        self.scale(rhs)
-    }
-}
-
 impl fmt::Display for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "[{}x{}]", self.rows, self.cols)?;
@@ -532,12 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involutive() {
-        let a = Matrix::xavier(3, 5, 42);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
     fn xavier_is_deterministic_and_bounded() {
         let a = Matrix::xavier(10, 10, 1);
         let b = Matrix::xavier(10, 10, 1);
@@ -550,24 +562,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn broadcast_and_column_sums() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::row_vector(&[10.0, 20.0]);
-        let y = x.add_row_broadcast(&b);
-        assert_eq!(y, Matrix::from_rows(&[&[11.0, 22.0], &[13.0, 24.0]]));
-        assert_eq!(y.column_sums(), Matrix::row_vector(&[24.0, 46.0]));
+    /// The pre-kernel formulation: a materialised transpose.
+    fn transpose(m: &Matrix) -> Matrix {
+        Matrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r))
     }
 
     #[test]
-    fn elementwise_ops() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(&a + &b, Matrix::from_rows(&[&[4.0, 2.0]]));
-        assert_eq!(&b - &a, Matrix::from_rows(&[&[2.0, 6.0]]));
-        assert_eq!(a.hadamard(&b), Matrix::from_rows(&[&[3.0, -8.0]]));
-        assert_eq!(&a * 2.0, Matrix::from_rows(&[&[2.0, -4.0]]));
-        assert_eq!(a.map(f64::abs), Matrix::from_rows(&[&[1.0, 2.0]]));
+    fn training_kernels_match_the_transposed_products_bitwise() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Batch rows straddling the 4-wide `r` unroll, widths straddling
+        // the four-row blocks of the dot kernel.
+        for (rows, k, n) in [(1, 1, 1), (1, 100, 50), (4, 3, 2), (5, 9, 7), (13, 4, 8), (64, 6, 5)]
+        {
+            let mut x = Matrix::xavier(rows, k, (rows * 100 + k) as u64);
+            // A zero times a negative is −0: the leading `0 + a·b` of every
+            // chain is what turns it into the +0 the reference produces.
+            x.set(0, 0, 0.0);
+            let delta = Matrix::xavier(rows, n, (rows * 100 + n + 7) as u64);
+            let w = Matrix::xavier(k, n, (k * 10 + n) as u64);
+            let mut out = Matrix::default();
+            x.transposed_matmul_into(&delta, &mut out);
+            assert_eq!(bits(&out), bits(&transpose(&x).matmul(&delta)), "xT·delta {rows}x{k}x{n}");
+            delta.matmul_transposed_into(&w, &mut out);
+            assert_eq!(bits(&out), bits(&delta.matmul(&transpose(&w))), "delta·wT {rows}x{k}x{n}");
+            w.transpose_into(&mut out);
+            assert_eq!(out, transpose(&w));
+        }
+    }
+
+    #[test]
+    fn column_sums_start_from_positive_zero() {
+        let x = Matrix::from_rows(&[&[11.0, -0.0], &[13.0, -0.0]]);
+        let mut sums = Matrix::zeros(3, 3);
+        x.column_sums_into(&mut sums);
+        assert_eq!(sums, Matrix::row_vector(&[24.0, 0.0]));
+        assert!(sums.get(0, 1).is_sign_positive(), "0 + -0 is +0");
     }
 
     #[test]
@@ -641,16 +670,8 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_matmul_neutral() {
-        let a = Matrix::xavier(4, 4, 3);
-        assert_eq!(a.matmul(&Matrix::identity(4)), a);
-    }
-
-    #[test]
-    fn norm_and_sum() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(a.norm(), 5.0);
-        assert_eq!(a.sum(), 7.0);
+    fn frobenius_norm() {
+        assert_eq!(Matrix::from_rows(&[&[3.0, 4.0]]).norm(), 5.0);
     }
 
     #[test]

@@ -14,6 +14,11 @@ use crate::workspace::Workspace;
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
+    /// Training scratch, sized by the first [`Mlp::train_batch`] and
+    /// reused: the gradient arriving at the current layer and the one it
+    /// propagates, swapped layer by layer.
+    grad: Matrix,
+    grad_next: Matrix,
 }
 
 impl Mlp {
@@ -60,6 +65,8 @@ impl Mlp {
     }
 
     /// One optimization step on a batch; returns the pre-step loss.
+    /// Allocation-free once a batch of this many rows has been seen; the
+    /// first layer computes no input gradient.
     ///
     /// # Panics
     ///
@@ -71,16 +78,23 @@ impl Mlp {
         loss: Loss,
         opt: &mut dyn Optimizer,
     ) -> f64 {
-        let mut activation = x.clone();
+        let mut activation = x;
         for layer in &mut self.layers {
             activation = layer.forward_training(activation);
         }
-        let loss_value = loss.value(&activation, y);
-        let mut grad = loss.gradient(&activation, y);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad, opt);
+        let loss_value = loss.value(activation, y);
+        loss.gradient_into(activation, y, &mut self.grad);
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            layer.backward(&self.grad, opt, (i > 0).then_some(&mut self.grad_next));
+            std::mem::swap(&mut self.grad, &mut self.grad_next);
         }
         loss_value
+    }
+
+    /// The layers, input side first (read-only: weights and biases for
+    /// inspection and for the training reference tests).
+    pub fn layers(&self) -> &[Dense] {
+        &self.layers
     }
 
     /// Width of the input layer.
@@ -166,7 +180,7 @@ impl MlpBuilder {
             ));
             in_size = out_size;
         }
-        Mlp { layers }
+        Mlp { layers, grad: Matrix::default(), grad_next: Matrix::default() }
     }
 }
 

@@ -1,11 +1,11 @@
-use std::collections::HashMap;
-
 use crate::matrix::Matrix;
 
 /// A gradient-descent parameter updater with per-parameter state.
 ///
-/// Parameters are identified by a stable `param_id` assigned by the model;
-/// the optimizer lazily allocates state (momentum/moment buffers) per id.
+/// Parameters are identified by a stable `param_id` assigned by the model
+/// — small consecutive integers, so the state (momentum/moment buffers)
+/// lives in a dense table indexed by id. A parameter's state is allocated
+/// on its first step; every later step allocates nothing.
 pub trait Optimizer: std::fmt::Debug {
     /// Applies one update step to `param` given its gradient.
     ///
@@ -26,7 +26,16 @@ pub trait Optimizer: std::fmt::Debug {
 pub struct Sgd {
     lr: f64,
     momentum: f64,
-    velocity: HashMap<usize, Matrix>,
+    velocity: Vec<Option<Matrix>>,
+}
+
+/// The state slot of `param_id`, created by `init` on the parameter's
+/// first step (the table grows to the highest id seen).
+fn state_of<T>(states: &mut Vec<Option<T>>, param_id: usize, init: impl FnOnce() -> T) -> &mut T {
+    if states.len() <= param_id {
+        states.resize_with(param_id + 1, || None);
+    }
+    states[param_id].get_or_insert_with(init)
 }
 
 impl Sgd {
@@ -47,7 +56,7 @@ impl Sgd {
     pub fn with_momentum(lr: f64, momentum: f64) -> Self {
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Sgd { lr, momentum, velocity: HashMap::new() }
+        Sgd { lr, momentum, velocity: Vec::new() }
     }
 }
 
@@ -64,10 +73,8 @@ impl Optimizer for Sgd {
             }
             return;
         }
-        let velocity = self
-            .velocity
-            .entry(param_id)
-            .or_insert_with(|| Matrix::zeros(param.rows(), param.cols()));
+        let velocity =
+            state_of(&mut self.velocity, param_id, || Matrix::zeros(param.rows(), param.cols()));
         for ((v, p), g) in
             velocity.as_mut_slice().iter_mut().zip(param.as_mut_slice()).zip(grad.as_slice())
         {
@@ -92,7 +99,7 @@ pub struct Adam {
     beta1: f64,
     beta2: f64,
     epsilon: f64,
-    state: HashMap<usize, AdamState>,
+    state: Vec<Option<AdamState>>,
 }
 
 #[derive(Debug, Clone)]
@@ -110,7 +117,7 @@ impl Adam {
     /// Panics if `lr` is not finite and positive.
     pub fn new(lr: f64) -> Self {
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        Adam { lr, beta1: 0.9, beta2: 0.999, epsilon: 1e-8, state: HashMap::new() }
+        Adam { lr, beta1: 0.9, beta2: 0.999, epsilon: 1e-8, state: Vec::new() }
     }
 }
 
@@ -121,7 +128,7 @@ impl Optimizer for Adam {
             (grad.rows(), grad.cols()),
             "gradient shape mismatch"
         );
-        let state = self.state.entry(param_id).or_insert_with(|| AdamState {
+        let state = state_of(&mut self.state, param_id, || AdamState {
             m: Matrix::zeros(param.rows(), param.cols()),
             v: Matrix::zeros(param.rows(), param.cols()),
             t: 0,

@@ -1,22 +1,28 @@
 //! Caller-owned scratch space for allocation-free inference.
 //!
-//! Every model in this crate allocates freely while *training* (backprop
-//! needs per-step caches anyway), but steady-state *scoring* — the path a
-//! deployed IDS pays per packet, forever — must not touch the heap. The
-//! [`Workspace`] holds the activation buffers the inference entry points
+//! Neither half of this crate touches the heap in steady state, and the two
+//! halves own their scratch differently. *Scoring* — the path a deployed
+//! IDS pays per packet, forever — writes into a caller-owned [`Workspace`]:
+//! the activation buffers of the inference entry points
 //! ([`Autoencoder::score_rows_with`], [`Mlp::predict_with`],
 //! [`Lstm::final_hidden_windows_with`],
-//! [`LstmRegressor::predict_windows_with`]) write into. Buffers grow to the
-//! largest shape they have ever held and are then reused verbatim, so after
-//! one warmup pass per shape the scoring loop performs zero heap
-//! allocations (pinned by the `hot_path_allocs` integration test at the
-//! workspace root).
+//! [`LstmRegressor::predict_windows_with`]), shareable across models and
+//! typed by [`Lane`]. *Training* runs in `f64` only and keeps its scratch
+//! inside the model being trained (each [`Dense`] layer's input copy,
+//! output, `δ` and parameter gradients; the LSTM's flat per-timestep
+//! buffers; the optimizer's moment tables), because those buffers carry
+//! state from the forward pass to the backward pass of one step. Both kinds
+//! grow to the largest shape they have ever held and are then reused
+//! verbatim, so after one warm-up pass per shape neither a scoring loop nor
+//! a training loop performs a heap allocation (pinned, for both, by the
+//! `hot_path_allocs` integration test at the workspace root).
 //!
 //! One workspace can serve many models of different sizes — KitNET routes
 //! its whole autoencoder ensemble through a single workspace — because the
 //! buffers reshape without shrinking capacity. A workspace belongs to one
 //! [`Lane`]: a detector scoring in `f32` holds a `Workspace<f32>`.
 //!
+//! [`Dense`]: crate::Dense
 //! [`Autoencoder::score_rows_with`]: crate::Autoencoder::score_rows_with
 //! [`Mlp::predict_with`]: crate::Mlp::predict_with
 //! [`Lstm::final_hidden_windows_with`]: crate::Lstm::final_hidden_windows_with

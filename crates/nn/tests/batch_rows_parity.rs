@@ -140,9 +140,9 @@ proptest! {
         let mut layer = Dense::new(input, output, activation, 0, seed);
         let x = Matrix::from_fn(rows, input, |r, c| ((r * input + c) as f64 * 0.37).sin());
         // One optimizer step so the bias is not all zeros.
-        let out = layer.forward_training(x.clone());
+        let out = layer.forward_training(&x);
         let grad = Matrix::from_fn(out.rows(), out.cols(), |r, c| 0.05 + 0.01 * (r + c) as f64);
-        layer.backward(&grad, &mut Sgd::new(0.1));
+        layer.backward(&grad, &mut Sgd::new(0.1), None);
         layer.freeze(Precision::F64Bitwise);
         layer.freeze(Precision::F32Wide);
 
@@ -239,9 +239,9 @@ proptest! {
         train_rounds in 0usize..6,
     ) {
         let mut model = LstmRegressor::new(1, LstmRegressorConfig { seed, ..Default::default() });
-        let seq: Vec<Vec<f64>> = (0..timesteps).map(|t| vec![(t % 2) as f64]).collect();
+        let window: Vec<f64> = (0..timesteps).map(|t| (t % 2) as f64).collect();
         for i in 0..train_rounds {
-            model.train_sequence(&seq, (i % 2) as f64);
+            model.train_window(&window, (i % 2) as f64);
         }
         model.freeze(Precision::F64Bitwise);
         model.freeze(Precision::F32Wide);

@@ -31,10 +31,10 @@ fn frozen_narrow_dense() -> Dense {
 /// One real optimization step; returns the layer's training-time output
 /// on `x` *after* the step.
 fn train_step(layer: &mut Dense, x: &Matrix) -> Matrix {
-    let out = layer.forward_training(x.clone());
+    let out = layer.forward_training(x);
     let grad = Matrix::from_fn(out.rows(), out.cols(), |_, _| 0.05);
-    layer.backward(&grad, &mut Sgd::new(0.1));
-    layer.clone().forward_training(x.clone())
+    layer.backward(&grad, &mut Sgd::new(0.1), None);
+    layer.clone().forward_training(x).clone()
 }
 
 #[test]
@@ -138,13 +138,13 @@ fn autoencoder_training_drops_the_f32_snapshot() {
 
 fn trained_regressor() -> (LstmRegressor, Matrix) {
     let mut model = LstmRegressor::new(1, LstmRegressorConfig::default());
-    let seq: Vec<Vec<f64>> = (0..6).map(|i| vec![f64::from(i % 2)]).collect();
-    model.train_sequence(&seq, 1.0);
+    let window: Vec<f64> = (0..6).map(|i| f64::from(i % 2)).collect();
+    model.train_window(&window, 1.0);
     for precision in BOTH {
         model.freeze(precision);
     }
-    model.train_sequence(&seq, 0.0);
-    (model, Matrix::row_vector(&seq.concat()))
+    model.train_window(&window, 0.0);
+    (model, Matrix::row_vector(&window))
 }
 
 #[test]

@@ -137,8 +137,9 @@ proptest! {
             prop_assert!((x - y).abs() < 1e-9);
         }
         let d = Matrix::xavier(3, 5, seed ^ 3);
-        let dist_left = a.matmul(&(&b + &d));
-        let dist_right = &a.matmul(&b) + &a.matmul(&d);
+        let sum = |p: &Matrix, q: &Matrix| Matrix::from_fn(p.rows(), p.cols(), |r, c| p.get(r, c) + q.get(r, c));
+        let dist_left = a.matmul(&sum(&b, &d));
+        let dist_right = sum(&a.matmul(&b), &a.matmul(&d));
         for (x, y) in dist_left.as_slice().iter().zip(dist_right.as_slice()) {
             prop_assert!((x - y).abs() < 1e-9);
         }

@@ -17,6 +17,10 @@
 //! sampled inference probes, and per-stage histograms join the measured
 //! window, and the budget stays zero — observability must be free on the
 //! hot path.
+//!
+//! Steady-state **training** is pinned the same way: after one warm-up step
+//! has sized a model's scratch and its optimizer state, further steps of
+//! the autoencoder, the LSTM regressor and the MLP allocate nothing.
 
 use idsbench::core::allocwatch::{allocation_snapshot, CountingAllocator};
 use idsbench::core::{
@@ -28,6 +32,10 @@ use idsbench::flow::FlowTableConfig;
 use idsbench::helad::Helad;
 use idsbench::kitsune::Kitsune;
 use idsbench::net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
+use idsbench::nn::{
+    Activation, Adam, Autoencoder, AutoencoderConfig, Loss, LstmRegressor, LstmRegressorConfig,
+    Matrix, MlpBuilder,
+};
 use idsbench::slips::Slips;
 use idsbench::telemetry::{Counter, Stage, Telemetry, TelemetryConfig};
 use std::net::Ipv4Addr;
@@ -168,6 +176,67 @@ fn steady_state_scoring_allocates_nothing() {
 
     // ---- Flow-format detectors: the eviction path must be clean too ----
     flow_detectors_evict_without_allocating();
+
+    // ---- Training: scratch is sized by the first step, then reused ----
+    training_steps_allocate_nothing();
+}
+
+/// Allocator traffic of `steps` calls of `step`, after one warm-up call.
+fn training_allocations(steps: usize, mut step: impl FnMut(usize) -> f64) -> (u64, u64) {
+    assert!(step(0).is_finite(), "warm-up step must be finite");
+    let before = allocation_snapshot();
+    let mut checksum = 0.0;
+    for i in 1..=steps {
+        checksum += step(i);
+    }
+    let after = allocation_snapshot();
+    assert!(checksum.is_finite(), "training losses must stay finite");
+    (after.allocations_since(&before), after.bytes_since(&before))
+}
+
+/// After one warm-up step, training allocates **zero bytes**: the HELAD
+/// (100→50) and KitNET-member (10→8) autoencoders, HELAD's LSTM (hidden 12,
+/// window 12) and the DNN's MLP at a fixed 64-row batch.
+fn training_steps_allocate_nothing() {
+    let value = |i: usize| ((i as f64) * 0.37).sin().abs();
+
+    for (width, hidden_ratio) in [(100, 0.5), (10, 0.75)] {
+        let mut ae =
+            Autoencoder::new(width, AutoencoderConfig { hidden_ratio, ..Default::default() });
+        let samples: Vec<f64> = (0..8 * width).map(value).collect();
+        let (allocs, bytes) = training_allocations(1_000, |i| {
+            ae.train_sample(&samples[(i % 8) * width..(i % 8 + 1) * width])
+        });
+        assert_eq!(
+            bytes, 0,
+            "Autoencoder::train_sample at width {width} must not allocate ({allocs} allocations)"
+        );
+    }
+
+    let mut lstm =
+        LstmRegressor::new(1, LstmRegressorConfig { hidden_size: 12, ..Default::default() });
+    let history: Vec<f64> = (0..64).map(value).collect();
+    let (allocs, bytes) = training_allocations(1_000, |i| {
+        let start = i % 50;
+        lstm.train_window(&history[start..start + 12], history[start + 12])
+    });
+    assert_eq!(bytes, 0, "LstmRegressor::train_window must not allocate ({allocs} allocations)");
+
+    let mut mlp = MlpBuilder::new(42)
+        .layer(64, Activation::Relu)
+        .layer(48, Activation::Relu)
+        .layer(32, Activation::Relu)
+        .layer(1, Activation::Sigmoid)
+        .build();
+    let x = Matrix::from_fn(64, 42, |r, c| value(r * 42 + c));
+    let y = Matrix::from_fn(64, 1, |r, _| (r % 2) as f64);
+    let mut opt = Adam::new(0.005);
+    let (allocs, bytes) =
+        training_allocations(100, |_| mlp.train_batch(&x, &y, Loss::BinaryCrossEntropy, &mut opt));
+    assert_eq!(
+        bytes, 0,
+        "Mlp::train_batch at a fixed batch must not allocate ({allocs} allocations)"
+    );
 }
 
 /// One complete TCP session (handshake, data, orderly close) on a stable
