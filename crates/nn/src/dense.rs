@@ -302,10 +302,10 @@ impl Dense {
 
 /// Fused epilogue: `out[i][j] = f(out[i][j] + b[j])`. The bias add runs
 /// per row; the activation then runs as one flat elementwise pass over the
-/// whole matrix with the variant match hoisted out of the loop, so each arm
-/// is a bare loop `m·n` long — in `f32` the polynomial exp vectorizes at
-/// full width even for the narrow layers (`n` of 7–10) the ensemble
-/// autoencoders use. Same per-element arithmetic either way, same bits.
+/// whole matrix ([`Activation::apply`]), `m·n` long, so the polynomial exp
+/// of either lane vectorizes at full width even for the narrow layers (`n`
+/// of 7–10) the ensemble autoencoders use. Same per-element arithmetic
+/// either way, same bits.
 fn bias_activate<L: Lane>(out: &mut Mat<L>, bias: &[L], act: Activation) {
     if !bias.is_empty() {
         for row in out.as_mut_slice().chunks_exact_mut(bias.len()) {
@@ -314,13 +314,7 @@ fn bias_activate<L: Lane>(out: &mut Mat<L>, bias: &[L], act: Activation) {
             }
         }
     }
-    let xs = out.as_mut_slice();
-    match act {
-        Activation::Linear => {}
-        Activation::Relu => xs.iter_mut().for_each(|x| *x = x.relu()),
-        Activation::Sigmoid => xs.iter_mut().for_each(|x| *x = x.sigmoid()),
-        Activation::Tanh => xs.iter_mut().for_each(|x| *x = x.tanh()),
-    }
+    act.apply(out.as_mut_slice());
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Mul};
 
-use crate::activation::sigmoid;
+use crate::activation::{sigmoid, tanh};
 use crate::dense::{Frozen, Snapshot};
 
 /// A numeric lane of the inference kernels. Implemented for `f64` and `f32`
@@ -50,9 +50,10 @@ pub trait Lane:
     fn frozen(snapshot: &Snapshot) -> Option<&Frozen<Self>>;
 }
 
-/// The bitwise lane: ascending-`k` accumulation chains and libm
-/// activations, so every score is reproducible bit for bit (the contract
-/// the score-digest tests pin).
+/// The bitwise lane: ascending-`k` accumulation chains and the in-crate
+/// activations of [`crate::activation`], so every score is reproducible bit
+/// for bit (the contract the score-digest tests pin) without depending on
+/// the host's math library.
 impl Lane for f64 {
     const ZERO: f64 = 0.0;
     const TILE: usize = 256;
@@ -86,7 +87,7 @@ impl Lane for f64 {
 
     #[inline]
     fn tanh(self) -> f64 {
-        f64::tanh(self)
+        tanh(self)
     }
 
     #[inline]

@@ -18,7 +18,9 @@
 //!   steady-state inference.
 //!
 //! Everything is deterministic given a seed, with no threads and no
-//! external math libraries.
+//! external math libraries — the activations included: `exp`, `sigmoid` and
+//! `tanh` are in-crate polynomial kernels ([`activation`] for `f64`,
+//! [`wide`] for `f32`), not calls into the host's libm.
 //!
 //! **One inference shape.** Every model scores a *batch of rows* into
 //! caller-owned scratch — [`Dense::forward_rows_into`],
@@ -48,16 +50,17 @@
 //! run via [`Precision`]:
 //!
 //! * **[`Precision::F64Bitwise`]** (the default): blocked `f64` kernels
-//!   with a fixed ascending accumulation order and libm activations —
-//!   scores are bitwise-reproducible across runs, shard counts, and batch
-//!   shapes (the contract the score-digest tests pin).
+//!   with a fixed ascending accumulation order and the branch-free
+//!   activations of [`activation`] — scores are bitwise-reproducible across
+//!   runs, shard counts, batch shapes, build profiles and vector widths
+//!   (the contract the score-digest tests pin).
 //! * **[`Precision::F32Wide`]**: the same kernels at twice the lane width
 //!   (see [`wide`]), with an eight-lane dot for narrow heads and a
-//!   vectorizable polynomial-`exp` sigmoid, under a documented
-//!   epsilon-parity contract instead of bitwise digests. Measured, it pays
-//!   on Kitsune at stream batch sizes, buys a few percent at most on
-//!   HELAD, and is no faster than `f64` on one-row calls — it is a batch
-//!   optimisation, not a universally faster mode.
+//!   shorter activation polynomial, under a documented epsilon-parity
+//!   contract instead of bitwise digests. Measured, it pays
+//!   ~1.7× on HELAD (activation- and autoencoder-bound, both lane-width
+//!   work) and ~1.25× on Kitsune at stream batch sizes, and is within a few
+//!   percent of `f64` on Kitsune's one-row calls.
 //!
 //! # Examples
 //!
@@ -86,7 +89,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod activation;
+pub mod activation;
 mod autoencoder;
 mod dense;
 mod lane;

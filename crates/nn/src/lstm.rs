@@ -1,4 +1,4 @@
-use crate::activation::{sigmoid, Activation};
+use crate::activation::Activation;
 use crate::dense::Snapshot;
 use crate::lane::Lane;
 use crate::matrix::{Mat, Matrix};
@@ -137,21 +137,18 @@ impl Lstm {
             s.h_prev.row_mut(row).copy_from_slice(s.h.as_slice());
             s.c_prev.row_mut(row).copy_from_slice(s.c.as_slice());
             s.h.matmul_into(&self.w_h, &mut s.zh);
-            let (zx, zh) = (s.zx.row(row), s.zh.as_slice());
-            let z = |j: usize| (zx[j] + bias[j]) + zh[j];
             let (gates, tanh_c) = (s.gates.row_mut(row), s.tanh_c.row_mut(row));
-            let (hidden, cell) = (s.h.as_mut_slice(), s.c.as_mut_slice());
-            for j in 0..h {
-                let i_gate = sigmoid(z(j));
-                let f_gate = sigmoid(z(h + j));
-                let g_gate = z(2 * h + j).tanh();
-                let o_gate = sigmoid(z(3 * h + j));
-                let c = f_gate * cell[j] + i_gate * g_gate;
-                (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]) =
-                    (i_gate, f_gate, g_gate, o_gate);
-                tanh_c[j] = c.tanh();
-                cell[j] = c;
-                hidden[j] = o_gate * tanh_c[j];
+            for (((z, &zx), &b), &zh) in
+                gates.iter_mut().zip(s.zx.row(row)).zip(bias).zip(s.zh.as_slice())
+            {
+                *z = (zx + b) + zh;
+            }
+            gate_update(h, gates, s.c.as_mut_slice(), tanh_c);
+            Activation::Tanh.apply(tanh_c);
+            for ((hidden, &o), &t) in
+                s.h.as_mut_slice().iter_mut().zip(&gates[3 * h..]).zip(tanh_c.iter())
+            {
+                *hidden = o * t;
             }
         }
     }
@@ -238,9 +235,8 @@ impl Lstm {
         ws.cell.reshape_zeroed(m, h);
         for step in 0..steps {
             // z = (x·Wx + b) + h·Wh, summed in exactly the order the
-            // training-time `step` uses: the two products land in separate
-            // buffers and the final `+` is fused into the gate loop below
-            // instead of a separate pass.
+            // training-time forward uses: the two products land in separate
+            // buffers and one flat pass over the step matrix adds them.
             if d == 1 {
                 // Width-one input (the HELAD score history): x·Wx is a
                 // scalar broadcast, fused with the bias add in one pass —
@@ -264,38 +260,42 @@ impl Lstm {
                 frozen_x.apply(&ws.stage, Activation::Linear, &mut ws.gates);
             }
             ws.hidden.matmul_into(&frozen_h.weights, &mut ws.gates_h);
+            for (z, &zh) in ws.gates.as_mut_slice().iter_mut().zip(ws.gates_h.as_slice()) {
+                *z += zh;
+            }
+            // The gates row by row, then `tanh(c)` for every sequence of the
+            // batch in one pass: `hidden` holds `c` in between.
             for i in 0..m {
-                gate_update(
-                    h,
-                    ws.gates.row(i),
-                    ws.gates_h.row(i),
-                    &mut ws.hidden.as_mut_slice()[i * h..(i + 1) * h],
-                    &mut ws.cell.as_mut_slice()[i * h..(i + 1) * h],
-                );
+                gate_update(h, ws.gates.row_mut(i), ws.cell.row_mut(i), ws.hidden.row_mut(i));
+            }
+            Activation::Tanh.apply(ws.hidden.as_mut_slice());
+            for i in 0..m {
+                for (t, &o) in ws.hidden.row_mut(i).iter_mut().zip(&ws.gates.row(i)[3 * h..]) {
+                    *t = o * *t;
+                }
             }
         }
     }
 }
 
-/// The fused gate kernel for one sequence at one timestep: exact-width
-/// slices (no bounds checks inside the loop), `z + z_h` summed gate-wise in
-/// the order the training-time step uses, cell and hidden updated in place.
+/// The gate kernel for one sequence at one timestep. `z` enters as the
+/// summed pre-activations `[i, f, g, o]` and leaves activated — sigmoid over
+/// `[0, 2h)` and `[3h, 4h)`, tanh over `[2h, 3h)`, each a bare slice loop
+/// (see [`Activation::apply`]) rather than four interleaved scalar calls per
+/// hidden unit. Then the cell update `c = f·c + i·g`, written to `cell` and
+/// to `c_out`, where the caller takes its tanh.
 #[inline]
-fn gate_update<L: Lane>(h: usize, z: &[L], z_h: &[L], hidden: &mut [L], cell: &mut [L]) {
-    let (z_i, rest) = z.split_at(h);
-    let (z_f, rest) = rest.split_at(h);
-    let (z_g, z_o) = rest.split_at(h);
-    let (zh_i, rest_h) = z_h.split_at(h);
-    let (zh_f, rest_h) = rest_h.split_at(h);
-    let (zh_g, zh_o) = rest_h.split_at(h);
+fn gate_update<L: Lane>(h: usize, z: &mut [L], cell: &mut [L], c_out: &mut [L]) {
+    let (input_forget, rest) = z.split_at_mut(2 * h);
+    let (candidate, output) = rest.split_at_mut(h);
+    Activation::Sigmoid.apply(input_forget);
+    Activation::Tanh.apply(candidate);
+    Activation::Sigmoid.apply(output);
+    let (i_gate, f_gate) = input_forget.split_at(h);
     for j in 0..h {
-        let i_gate = (z_i[j] + zh_i[j]).sigmoid();
-        let f_gate = (z_f[j] + zh_f[j]).sigmoid();
-        let g_gate = (z_g[j] + zh_g[j]).tanh();
-        let o_gate = (z_o[j] + zh_o[j]).sigmoid();
-        let c = f_gate * cell[j] + i_gate * g_gate;
+        let c = f_gate[j] * cell[j] + i_gate[j] * candidate[j];
         cell[j] = c;
-        hidden[j] = o_gate * c.tanh();
+        c_out[j] = c;
     }
 }
 

@@ -3,25 +3,27 @@
 //! The inference kernels of this crate are written once over a
 //! [`Lane`]; this module is the `f32` instantiation. It trades the crate's
 //! bitwise-f64 reproducibility contract for lane width: twice the elements
-//! per vector in the broadcast matmul, an eight-lane dot product
-//! ([`dot_f32`]) for narrow heads, and a sigmoid built on a polynomial
-//! `exp` ([`fast_exp_f32`]) whose every operation has a vector equivalent,
-//! so activation loops vectorize along with the affine part — all plain
-//! Rust that `-C target-cpu=native` compiles to full-width SIMD, no
-//! intrinsics. The lane structure is fixed by the *code*, not the hardware
-//! vector width, so f32 results are still deterministic across x86-64
-//! hosts and independent of how a batch was cut — they are just not the
-//! f64 results. Consumers opt in per run via [`Precision`]; the default
-//! everywhere stays [`Precision::F64Bitwise`], and the f32 mode is covered
-//! by the epsilon-parity contract pinned in `tests/epsilon_parity.rs`
-//! instead of the score digests.
+//! per vector in the broadcast matmul and in the activation passes, an
+//! eight-lane dot product ([`dot_f32`]) for narrow heads, and a degree-6
+//! polynomial `exp` ([`fast_exp_f32`]) under its sigmoid and tanh where the
+//! `f64` lane needs degree 13 — all plain Rust that `-C target-cpu=native`
+//! compiles to full-width SIMD, no intrinsics. Both lanes' activations are
+//! branch-free polynomial kernels with no libm call (the `f64` ones live in
+//! [`crate::activation`]); what this lane gives up is digits, not
+//! determinism. The lane structure is fixed by the *code*, not the hardware
+//! vector width, so f32 results are still deterministic across hosts and
+//! independent of how a batch was cut — they are just not the f64 results.
+//! Consumers opt in per run via [`Precision`]; the default everywhere stays
+//! [`Precision::F64Bitwise`], and the f32 mode is covered by the
+//! epsilon-parity contract pinned in `tests/epsilon_parity.rs` instead of
+//! the score digests.
 //!
 //! What it buys is measured, not assumed (147 k-packet runs per cell, see
-//! the README table): it pays on Kitsune once batches reach the stream
-//! batch size (~1.3× at 64 rows), buys at most a few percent on HELAD
-//! (whose time goes to libm `tanh` and the recurrent chain, not lane
-//! width), and a one-row f32 call is *not* a fast path — the narrowing and
-//! the scalar tails eat what the wider lanes return.
+//! the README table): ~1.7× on HELAD at every call shape, because HELAD's
+//! time is activations and the 100→50→100 autoencoder, both of which scale
+//! with lane width; ~1.25× on Kitsune once batches reach the stream batch
+//! size, and a few percent on its one-row calls — there the narrowing and
+//! the scalar tails of 7–10-wide layers eat what the wider lanes return.
 
 use crate::dense::{Frozen, Snapshot};
 use crate::lane::Lane;
@@ -38,12 +40,12 @@ pub enum Precision {
     /// bitwise-reproducible scores (the digest contract). The default.
     #[default]
     F64Bitwise,
-    /// `f32` kernels: twice the lane width plus a vectorizable sigmoid,
-    /// under the epsilon-parity contract (per-detector relative error
-    /// bound + identical threshold decisions, pinned by
-    /// `tests/epsilon_parity.rs`). Pays on Kitsune at stream batch sizes;
-    /// a few percent at most on HELAD; no faster than `f64` on one-row
-    /// calls.
+    /// `f32` kernels: twice the lane width and a shorter activation
+    /// polynomial, under the epsilon-parity contract (per-detector relative
+    /// error bound + identical threshold decisions, pinned by
+    /// `tests/epsilon_parity.rs`). Pays ~1.7× on HELAD at any call shape
+    /// and ~1.25× on Kitsune at stream batch sizes; on Kitsune's one-row
+    /// calls it is within a few percent of `f64`.
     F32Wide,
 }
 
@@ -112,16 +114,16 @@ pub fn matmul_f32_into(a: &MatrixF32, b: &MatrixF32, out: &mut MatrixF32) {
 // Vectorizable f32 activations.
 // ---------------------------------------------------------------------------
 
-/// `exp(x)` for `f32` from pure arithmetic (no libm call): range-reduce to
-/// `x = k·ln2 + r` with `|r| ≤ ln2/2`, evaluate a degree-6 polynomial for
-/// `exp(r)`, and scale by `2^k` through the exponent bits. Every operation
-/// has a vector equivalent, so activation loops calling this vectorize
-/// end-to-end. Relative error ≤ 1e-5 against `f64` libm — dominated by the
-/// f32 rounding of the argument itself, not the polynomial (pinned by this
-/// module's tests). Out-of-range inputs saturate: `+∞` above, the smallest
-/// positive normal below (the input clamp keeps `2^k` representable).
-#[inline]
-pub fn fast_exp_f32(x: f32) -> f32 {
+/// `1.5 · 2^23`: the `f32` twin of the `f64` lane's rounding constant —
+/// adding it leaves `round(v)` in the low mantissa bits, subtracting it
+/// returns that integer as a float.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// The shared core of [`fast_exp_f32`] and [`fast_tanh_f32`], shaped like
+/// the `f64` lane's: returns `(k, r·q, 2^k)` with `x = k·ln 2 + r`,
+/// `|r| ≤ ln 2 / 2` and `e^r = 1 + r·q`.
+#[inline(always)]
+fn exp_parts_f32(x: f32) -> (f32, f32, f32) {
     const LOG2_E: f32 = std::f32::consts::LOG2_E;
     // ln2 split hi/lo so `x - k·ln2` keeps extra bits of the reduction.
     // The hi part is written out in full: 0.693359375 is 0x1.63p-1,
@@ -133,30 +135,60 @@ pub fn fast_exp_f32(x: f32) -> f32 {
     const HI: f32 = 88.722_84;
     const LO: f32 = -87.336_54;
     let x = x.clamp(LO, HI);
-    let kf = (x * LOG2_E).round();
-    let r = (x - kf * LN2_HI) - kf * LN2_LO;
-    // exp(r) ≈ Σ rⁿ/n! through n = 6 (Horner), |r| ≤ ln2/2: truncation
+    let t = x * LOG2_E + ROUND_MAGIC;
+    let k = t - ROUND_MAGIC;
+    let r = (x - k * LN2_HI) - k * LN2_LO;
+    // e^r ≈ Σ rⁿ/n! through n = 6 (Horner), |r| ≤ ln2/2: truncation
     // ~1e-7 relative, below the f32 rounding of the evaluation itself.
-    let p = 1.0
-        + r * (1.0
-            + r * (0.5
-                + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r * (1.0 / 120.0 + r * (1.0 / 720.0))))));
-    // 2^k via the exponent field; k ∈ [-127, 128] after the clamp.
-    let bits = (((kf as i32) + 127) as u32) << 23;
-    p * f32::from_bits(bits)
+    let q = 1.0
+        + r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r * (1.0 / 120.0 + r * (1.0 / 720.0)))));
+    // 2^k via the exponent field; k ∈ [-126, 128] after the clamp, and the
+    // magic constant's low 8 bits are clear.
+    let scale = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
+    (k, r * q, scale)
+}
+
+/// `exp(x)` for `f32` from pure arithmetic (no libm call): range-reduce to
+/// `x = k·ln2 + r` with `|r| ≤ ln2/2`, evaluate a degree-6 polynomial for
+/// `exp(r)`, and scale by `2^k` through the exponent bits. Every operation
+/// has a vector equivalent, so activation loops calling this vectorize
+/// end-to-end. Relative error below 1e-6 at every `f32` argument (bounded,
+/// like the sigmoid and tanh over it, by `tests/activation_accuracy.rs`).
+/// Out-of-range inputs saturate: `+∞` above, the smallest positive normal
+/// below (the input clamp keeps `2^k` representable).
+#[inline]
+pub fn fast_exp_f32(x: f32) -> f32 {
+    let (_, rq, scale) = exp_parts_f32(x);
+    (1.0 + rq) * scale
 }
 
 /// Logistic sigmoid over [`fast_exp_f32`], single-expression form. The
-/// saturating exp makes it stable across the whole line without the f64
-/// kernel's two-branch shape — `+∞` below the clamp gives exactly 0, the
-/// smallest positive normal above gives exactly 1 — and with one exp and
-/// no branch the activation loops vectorize end-to-end.
+/// saturating exp makes it stable across the whole line — `+∞` below the
+/// clamp gives exactly 0, the smallest positive normal above gives exactly
+/// 1 — and with one exp and no branch the activation loops vectorize
+/// end-to-end.
 #[inline]
 pub fn sigmoid_f32(x: f32) -> f32 {
     1.0 / (1.0 + fast_exp_f32(-x))
 }
 
-/// The wide lane: eight-lane dot, polynomial-`exp` sigmoid.
+/// Hyperbolic tangent over the same polynomial, the `f64` lane's
+/// formulation: `m / (m + 2)` with `m = e^{2|x|} − 1`, taken from the
+/// polynomial's `r·q` where the reduction has `k = 0` (so nothing cancels
+/// near zero) and from `e − 1` above, sign restored by `copysign`. Relative
+/// error below 1e-6 (bounded by `tests/activation_accuracy.rs`).
+#[inline]
+pub fn fast_tanh_f32(x: f32) -> f32 {
+    // tanh rounds to 1 from 9.02; the clamp keeps e^{2|x|} finite. Written
+    // as a comparison so that NaN passes through.
+    let a = x.abs();
+    let a = if a > 10.0 { 10.0 } else { a };
+    let (k, rq, scale) = exp_parts_f32(a + a);
+    let m = if k == 0.0 { rq } else { (1.0 + rq) * scale - 1.0 };
+    (m / (m + 2.0)).copysign(x)
+}
+
+/// The wide lane: eight-lane dot, polynomial-`exp` sigmoid and tanh.
 impl Lane for f32 {
     const ZERO: f32 = 0.0;
     const TILE: usize = 512;
@@ -181,13 +213,9 @@ impl Lane for f32 {
         sigmoid_f32(self)
     }
 
-    /// Delegates to libm: the LSTM gate loops spend their lanes in the
-    /// affine part and the sigmoid; the two tanh evaluations per cell are
-    /// not worth a polynomial's accuracy risk near zero (where
-    /// `1 - 2/(e^{2x}+1)` cancels catastrophically).
     #[inline]
     fn tanh(self) -> f32 {
-        f32::tanh(self)
+        fast_tanh_f32(self)
     }
 
     #[inline]
@@ -250,42 +278,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn fast_exp_stays_within_relative_epsilon() {
-        let mut worst = 0.0f64;
-        let mut x = -87.0f64;
-        while x <= 88.0 {
-            let reference = x.exp();
-            let wide = f64::from(fast_exp_f32(x as f32));
-            let rel = ((wide - reference) / reference).abs();
-            worst = worst.max(rel);
-            x += 0.037;
-        }
-        assert!(worst <= 1e-5, "worst relative error {worst}");
-        // Below the clamp the result saturates at the smallest positive
-        // normal — indistinguishable from zero for every score consumer.
-        assert!(fast_exp_f32(-1000.0) <= 2.0 * f32::MIN_POSITIVE);
-        assert!(fast_exp_f32(1000.0).is_infinite());
-        assert_eq!(fast_exp_f32(0.0), 1.0);
-    }
-
-    #[test]
-    fn sigmoid_f32_is_stable_and_close() {
-        assert!((sigmoid_f32(1000.0) - 1.0).abs() < 1e-6);
-        assert!(sigmoid_f32(-1000.0).abs() < 1e-6);
-        assert!((sigmoid_f32(0.0) - 0.5).abs() < 1e-6);
-        let mut x = -30.0f64;
-        while x <= 30.0 {
-            let reference = crate::activation::sigmoid(x);
-            let wide = f64::from(sigmoid_f32(x as f32));
-            assert!(
-                (wide - reference).abs() <= 1e-5 * reference.max(1e-12) + 1e-10,
-                "sigmoid({x}): {wide} vs {reference}"
-            );
-            x += 0.043;
         }
     }
 

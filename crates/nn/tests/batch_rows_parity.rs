@@ -101,7 +101,8 @@ fn flat<L: Lane>(m: &Mat<L>, out: &mut Vec<f64>) {
 }
 
 /// The naive reference for one dense layer: the textbook triple loop
-/// (ascending `k` from `0.0`), then the bias, then the libm activation.
+/// (ascending `k` from `0.0`), then the bias, then the crate's scalar
+/// activation (pinned on its own by `activation_accuracy.rs`).
 fn naive_dense(x: &Matrix, w: &Matrix, bias: &Matrix, act: Activation) -> Vec<f64> {
     let mut out = Vec::new();
     for i in 0..x.rows() {
@@ -110,14 +111,7 @@ fn naive_dense(x: &Matrix, w: &Matrix, bias: &Matrix, act: Activation) -> Vec<f6
             for k in 0..w.rows() {
                 acc += x.get(i, k) * w.get(k, j);
             }
-            let z = acc + bias.get(0, j);
-            out.push(match act {
-                Activation::Sigmoid if z >= 0.0 => 1.0 / (1.0 + (-z).exp()),
-                Activation::Sigmoid => z.exp() / (1.0 + z.exp()),
-                Activation::Relu => z.max(0.0),
-                Activation::Tanh => z.tanh(),
-                _ => z,
-            });
+            out.push(act.eval(acc + bias.get(0, j)));
         }
     }
     out

@@ -9,9 +9,15 @@
 //! must be equal **bit for bit**: the replacement is allowed to be faster,
 //! not different.
 //!
+//! What is pinned is the kernels' *structure* — which products are formed,
+//! in which order they are summed. The scalar `sigmoid`/`tanh` underneath
+//! are the crate's own (`idsbench_nn::activation`), shared by both sides;
+//! their values are pinned separately, by `activation_accuracy.rs`.
+//!
 //! The chains are opt-level-sensitive (the release profile vectorizes what
 //! the debug profile runs scalar), so CI runs this file in both.
 
+use idsbench_nn::activation::{sigmoid, tanh};
 use idsbench_nn::{
     Activation, Adam, Autoencoder, AutoencoderConfig, Dense, Loss, LstmRegressor,
     LstmRegressorConfig, Matrix, MlpBuilder, Optimizer, Sgd,
@@ -60,20 +66,11 @@ fn column_sums(m: &Matrix) -> Matrix {
     out
 }
 
-fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 fn activate(act: Activation, x: f64) -> f64 {
     match act {
         Activation::Sigmoid => sigmoid(x),
         Activation::Relu => x.max(0.0),
-        Activation::Tanh => x.tanh(),
+        Activation::Tanh => tanh(x),
         _ => x,
     }
 }
@@ -197,10 +194,10 @@ impl RefLstmRegressor {
         };
         let i = slice(0, sigmoid);
         let f = slice(1, sigmoid);
-        let g = slice(2, f64::tanh);
+        let g = slice(2, tanh);
         let o = slice(3, sigmoid);
         let c = add(&hadamard(&f, c_prev), &hadamard(&i, &g));
-        let tanh_c = map(&c, f64::tanh);
+        let tanh_c = map(&c, tanh);
         let h_new = hadamard(&o, &tanh_c);
         let cache = StepCache {
             x: x.clone(),

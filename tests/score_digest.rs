@@ -3,24 +3,34 @@
 //! The scoring hot path is under continuous optimisation — blocked matmul
 //! kernels, packed weight layouts, fused activation passes, fast-hash state
 //! maps — and every one of those rewrites promises *bitwise identical*
-//! scores. This test makes that promise enforceable: the digests below were
-//! produced by the straightforward pre-optimisation implementations, and
-//! any kernel change that silently perturbs a single bit of a single score
-//! fails here.
+//! scores. This test makes that promise enforceable: any kernel change
+//! that silently perturbs a single bit of a single score fails here.
 //!
 //! If a change is *supposed* to alter scores (a detector fix, a scenario
 //! change, a different default), re-pin by running
 //! `cargo run --release --example score_digest` and updating the constants
 //! — deliberately, in the same commit, with the reason in its message.
 //!
-//! The pinned bits are a function of the platform's libm (`tanh`/`exp`
-//! resolve to the system math library, and implementations differ by
-//! ULPs) *and* of the optimisation level (pre-existing opt-sensitive ops
-//! like `powi` fold differently under `-O`), so the pinning test only runs
-//! in release mode on `linux-gnu` — the environment the constants were
+//! What the pinned bits depend on. The neural activations — every
+//! `sigmoid`/`tanh`/`exp` in Kitsune, HELAD and the DNN — are the in-crate
+//! kernels of `idsbench_nn::activation`: a function of the code alone, the
+//! same in every profile, on every host and at every vector width (pinned
+//! on their own, on all targets, by `crates/nn/tests/activation_accuracy.rs`).
+//! Two things outside the networks still resolve to the platform's libm,
+//! whose implementations differ by ULPs: AfterImage's `2f64.powf(−λ·Δt)`
+//! decay (`crates/flow/src/damped.rs`, upstream of Kitsune and HELAD) and
+//! the `ln`/`powf` inter-arrival and size sampling of
+//! `crates/datasets/src/session.rs` (upstream of all four). And a few
+//! pre-existing `powi` calls (Adam's bias correction, the damped
+//! statistics) fold differently under `-O`. So the pinning test still only
+//! runs in release mode on `linux-gnu` — the environment the constants were
 //! produced under; CI runs it explicitly via
 //! `cargo test --release --test score_digest`. Every other configuration
 //! still verifies self-consistency (two replays agree bit-for-bit).
+//!
+//! Slips has no activation, so its digest is the control: it did not move
+//! when the activations were brought in-crate, and a change that moves it
+//! changed something other than a network.
 
 use idsbench::core::preprocess::Pipeline;
 use idsbench::core::runner::{replay, EvalConfig};
@@ -37,9 +47,9 @@ use idsbench::telemetry::{Stage, Telemetry, TelemetryConfig};
 /// run `examples/score_digest.rs` prints under `--release`.
 #[cfg(all(target_os = "linux", target_env = "gnu", not(debug_assertions)))]
 const PINNED: [(&str, usize, u64); 4] = [
-    ("Kitsune", 3843, 0xbee0_d72c_99be_4018),
-    ("HELAD", 3843, 0x5316_207f_2b23_b7b4),
-    ("DNN", 240, 0x7368_c0ba_5647_599b),
+    ("Kitsune", 3843, 0xbf7e_f8ed_57fa_0215),
+    ("HELAD", 3843, 0x8139_a324_cea0_6e6f),
+    ("DNN", 240, 0xb7f9_4f1c_3a8e_299e),
     ("Slips", 240, 0x1f30_458e_5d0a_79fa),
 ];
 
