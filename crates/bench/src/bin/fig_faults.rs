@@ -160,7 +160,7 @@ fn fabric_run(
         }
     };
     let endpoint = listener.local_endpoint().expect("listener endpoint");
-    let total = fabric.workers + fabric.recovery.map_or(0, |r| r.standby_workers);
+    let total = fabric.workers + fabric.recovery.standby_workers;
     let mut children = spawn_workers(&endpoint, total, faults);
     let source = BoundedSource::spawn(VecSource::new("bursty-tcp", packets.to_vec()), 256);
     let run = run_fabric("Slips", warmup, source, config, fabric, listener, Some(telemetry));
@@ -310,7 +310,7 @@ fn main() {
             autoscale: Some(policy),
             ..Default::default()
         },
-        &FabricConfig { workers: 2, recovery: Some(recovery), ..Default::default() },
+        &FabricConfig { workers: 2, recovery, ..Default::default() },
         &format!("seed={seed},kill-at-seq={kill_at}"),
         &kill_telemetry,
         &mut failures,
@@ -335,7 +335,7 @@ fn main() {
         eval,
         warmup,
         &StreamConfig { shards: 2, window_secs: 1.0, ..Default::default() },
-        &FabricConfig { workers: 2, recovery: Some(recovery), ..Default::default() },
+        &FabricConfig { workers: 2, recovery, ..Default::default() },
         &format!("seed={seed},corrupt-send=3"),
         &corrupt_telemetry,
         &mut failures,

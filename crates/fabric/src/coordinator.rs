@@ -1,65 +1,61 @@
-//! The fabric coordinator: the feeder half of the sharded executor, driving
-//! remote shard pools over sockets instead of threads over channels.
+//! The fabric coordinator: the socket-backed [`ShardPool`], driving remote
+//! shard pools over sockets instead of threads over channels.
 //!
 //! [`run_fabric`] accepts `workers` connections (plus any configured
 //! standbys), handshakes each peer, streams the warmup slice to all of them
 //! (every worker assembles the same shared train view, like the in-process
 //! executor's single `TrainView::assemble`), spawns the initial shards
-//! across peers, and then runs the *same* feed loop as
-//! [`run_stream`](idsbench_stream::run_stream): parse once for routing,
-//! observe the [`Autoscaler`], route by canonical flow key over the
-//! [`HashRing`], batch per shard, and enact scale decisions behind the
-//! drain-then-migrate barrier — here a socket round-trip per affected
-//! shard, whose per-peer latency lands in the `rebalance` stage histogram
-//! when telemetry is attached.
+//! across peers, and then hands the pool to the one feed loop in
+//! [`idsbench_stream::feeder`] — the very loop [`run_stream`] drives.
 //!
-//! Ordering gives the same correctness argument as the channel executor:
-//! per-socket FIFO means a `Rebalance` provably trails every batch routed
-//! under the old ring (the worker's `Migrations` reply is the drain
-//! proof), and a `Migrate` provably precedes every batch routed under the
-//! new ring. Cross-peer migrations ride through the coordinator, which
-//! counts them into `fabric_cross_peer_migrations_total`.
+//! What is the coordinator's own: each pool primitive is a frame (or a
+//! request/reply exchange) on the hosting peer's socket, whose FIFO is the
+//! ordered lane the feeder's drain-then-migrate barrier relies on; the
+//! barrier is sequential, one round-trip per affected shard, each timed
+//! into that peer's `rebalance` stage histogram. Cross-peer migrations ride
+//! through the coordinator, which counts them into
+//! `fabric_cross_peer_migrations_total`. Scale decisions use traffic-time
+//! rates only — channel depth and shard p99 are process-local signals with
+//! no remote analog, and their absence keeps multi-node scale decisions
+//! deterministic.
 //!
 //! # Crash recovery
 //!
-//! With [`FabricConfig::recovery`] set (the default), the coordinator keeps
-//! every shard re-creatable: each shard has a committed **epoch checkpoint**
-//! (flow state + traffic clock + drained score fragment, refreshed at every
-//! rebalance barrier and every `checkpoint_frames` batches) and a bounded
-//! `ReplayLog` of the state-bearing frames sent since that checkpoint,
-//! appended *before* each send. Any socket error, decode failure, or
-//! io-timeout expiry on a peer classifies it dead: its socket is shut down,
-//! its shards are re-homed one by one onto the least-loaded survivor
-//! (standbys first) via `Spawn` (deterministic re-fit from the shared train
-//! view) + `Restore` (checkpoint state and clock) + an in-order replay of
-//! the log, and the interrupted operation is retried against the new host.
-//! Because a restored replica makes byte-identical scoring decisions on the
-//! replayed frames, fragments dedup by `(shard, epoch)` and the merged
-//! scores stay exactly those of a crash-free run — `fig_faults` in
-//! `idsbench-bench` pins that with seeded kill/corrupt fault plans.
+//! The coordinator keeps every shard re-creatable: each shard has a
+//! committed **epoch checkpoint** (flow state + traffic clock + drained
+//! score fragment, refreshed after every scale action or planned drain and
+//! every `checkpoint_frames` batches) and a bounded `ReplayLog` of the
+//! state-bearing frames sent since that checkpoint, appended *before* each
+//! send. Any socket error, decode failure, or io-timeout expiry on a peer
+//! classifies it dead: its socket is shut down, its shards are re-homed one
+//! by one onto the least-loaded survivor (standbys first) via `Spawn`
+//! (deterministic re-fit from the shared train view) + `Restore`
+//! (checkpoint state and clock) + an in-order replay of the log, and the
+//! interrupted operation is retried against the new host. Because a
+//! restored replica makes byte-identical scoring decisions on the replayed
+//! frames, fragments dedup by `(shard, epoch)` and the merged scores stay
+//! exactly those of a crash-free run — `fig_faults` in `idsbench-bench`
+//! pins that with seeded kill/corrupt fault plans.
 //!
 //! A [`DrainPlan`] retires an entire worker mid-stream — every shard it
 //! hosts is drained and its flow state (detector per-flow blobs included)
 //! migrated to survivors — after which the peer receives no new shards.
+//!
+//! [`run_stream`]: idsbench_stream::run_stream
 
 use std::io;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use idsbench_core::{FlowMigration, ScaleEvent};
-use idsbench_stream::{
-    merge_outcomes, Autoscaler, HashRing, LiveSignals, PacketSource, ScaleDirection, ShardOutcome,
-    StreamConfig, StreamRun, DEFAULT_VNODES,
-};
+use idsbench_core::{FlowMigration, LabeledPacket};
+use idsbench_stream::feeder::{Feeder, ShardPool};
+use idsbench_stream::{HashRing, PacketSource, ShardOutcome, StreamConfig, StreamItem, StreamRun};
 use idsbench_telemetry::{JournalEvent, Stage, StageHistogram, Telemetry};
 
 use crate::checkpoint::{EntryKind, FragmentSet, RecoveryConfig, ReplayLog};
 use crate::transport::FabricListener;
 use crate::wire::{CoordMsg, HelloConfig, RingSnapshot, WireItem, WirePacket};
 use crate::{FabricCounters, FabricError, ShardTransport, WorkerMsg};
-
-use idsbench_core::LabeledPacket;
-use idsbench_core::ParsedView;
-use std::sync::Arc;
 
 /// Warmup packets per `Train` frame: large enough to amortize framing,
 /// small enough to keep peak frame size well under [`crate::FRAME_MAX`].
@@ -85,33 +81,32 @@ pub struct FabricConfig {
     /// How long to wait for each worker to dial in.
     pub accept_timeout: std::time::Duration,
     /// Per-peer socket send/receive timeout; `None` blocks forever. A peer
-    /// that stalls longer than this is classified dead (recovered when
-    /// recovery is on, failing the run otherwise).
+    /// that stalls longer than this is classified dead and recovered.
     pub io_timeout: Option<std::time::Duration>,
     /// Optional mid-stream worker decommission.
     pub drain: Option<DrainPlan>,
-    /// Epoch checkpointing + crash recovery; `None` restores the fail-fast
-    /// behavior where any peer error aborts the run.
-    pub recovery: Option<RecoveryConfig>,
+    /// Epoch checkpointing + crash recovery tuning.
+    pub recovery: RecoveryConfig,
 }
 
 impl Default for FabricConfig {
     /// Two workers, 30 s accept window, 60 s per-peer I/O timeout, no
-    /// drain, recovery on with [`RecoveryConfig::default`].
+    /// drain, [`RecoveryConfig::default`].
     fn default() -> Self {
         FabricConfig {
             workers: 2,
             accept_timeout: std::time::Duration::from_secs(30),
             io_timeout: Some(std::time::Duration::from_secs(60)),
             drain: None,
-            recovery: Some(RecoveryConfig::default()),
+            recovery: RecoveryConfig::default(),
         }
     }
 }
 
 /// One connected worker process.
-struct Peer {
+struct Peer<'a> {
     transport: ShardTransport,
+    counters: Option<&'a FabricCounters>,
     /// Shard ids currently hosted here.
     shards: Vec<usize>,
     /// A drained peer keeps its socket (for `Finish`/`Bye`) but receives
@@ -126,17 +121,6 @@ struct Peer {
     rtt: Option<Arc<StageHistogram>>,
 }
 
-impl std::fmt::Debug for Peer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Peer")
-            .field("shards", &self.shards)
-            .field("drained", &self.drained)
-            .field("dead", &self.dead)
-            .field("standby", &self.standby)
-            .finish_non_exhaustive()
-    }
-}
-
 /// The committed state a dead shard is rebuilt from.
 struct StoredCheckpoint {
     last_ts_micros: u64,
@@ -144,30 +128,15 @@ struct StoredCheckpoint {
     flows: Vec<FlowMigration>,
 }
 
-/// Feeder-side handle to one remote shard: which peer hosts it, the partial
-/// batch accumulating for it, and its recovery state. Kept sorted by shard
-/// id.
+/// Feeder-side handle to one remote shard: which peer hosts it and its
+/// recovery state. Kept sorted by shard id.
 struct CoordSlot {
     shard: usize,
     peer: usize,
-    batch: Vec<WireItem>,
     /// Committed checkpoint epochs so far (0 = never checkpointed).
     epoch: u64,
     checkpoint: Option<StoredCheckpoint>,
     log: ReplayLog,
-}
-
-impl CoordSlot {
-    fn new(shard: usize, peer: usize) -> Self {
-        CoordSlot {
-            shard,
-            peer,
-            batch: Vec::new(),
-            epoch: 0,
-            checkpoint: None,
-            log: ReplayLog::default(),
-        }
-    }
 }
 
 fn wire_packet(lp: &LabeledPacket) -> WirePacket {
@@ -178,207 +147,196 @@ fn wire_packet(lp: &LabeledPacket) -> WirePacket {
     }
 }
 
-/// An error that classifies the peer dead (vs. a semantic protocol bug on
-/// a healthy socket, which still fails the run).
-fn is_death(err: &FabricError) -> bool {
-    matches!(err, FabricError::Io(_) | FabricError::Wire(_))
+fn unexpected<T>(wanted: &str, got: WorkerMsg) -> Result<T, FabricError> {
+    Err(FabricError::Protocol(format!("expected {wanted}, got {got:?}")))
 }
 
-fn send_raw(
-    peer: &mut Peer,
-    body: &[u8],
-    counters: Option<&FabricCounters>,
-) -> Result<(), FabricError> {
-    peer.transport.send_frame(body, counters).map_err(FabricError::Io)
-}
+impl Peer<'_> {
+    fn send_raw(&mut self, body: &[u8]) -> Result<(), FabricError> {
+        self.transport.send_frame(body, self.counters).map_err(FabricError::Io)
+    }
 
-fn send_to(
-    peer: &mut Peer,
-    msg: &CoordMsg,
-    counters: Option<&FabricCounters>,
-) -> Result<(), FabricError> {
-    send_raw(peer, &msg.encode(), counters)
-}
+    fn send(&mut self, msg: &CoordMsg) -> Result<(), FabricError> {
+        self.send_raw(&msg.encode())
+    }
 
-/// Receives one message; a clean close mid-conversation is an I/O death
-/// (a crashed process closes its socket), not a protocol nit.
-fn recv_from(peer: &mut Peer, counters: Option<&FabricCounters>) -> Result<WorkerMsg, FabricError> {
-    let body = peer.transport.recv_frame(counters).map_err(FabricError::Io)?.ok_or_else(|| {
-        FabricError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "peer closed mid conversation",
-        ))
-    })?;
-    Ok(WorkerMsg::decode(&body)?)
-}
+    /// Receives one message; a clean close mid-conversation is an I/O death
+    /// (a crashed process closes its socket), not a protocol nit.
+    fn recv(&mut self) -> Result<WorkerMsg, FabricError> {
+        let body = self.transport.recv_frame(self.counters).map_err(FabricError::Io)?;
+        let body = body.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid conversation")
+        })?;
+        Ok(WorkerMsg::decode(&body)?)
+    }
 
-fn spawn_exchange(
-    peer: &mut Peer,
-    id: usize,
-    counters: Option<&FabricCounters>,
-) -> Result<(), FabricError> {
-    send_to(peer, &CoordMsg::Spawn { shard: id as u32 }, counters)?;
-    match recv_from(peer, counters)? {
-        WorkerMsg::Ready { shard, .. } if shard as usize == id => Ok(()),
-        other => {
-            Err(FabricError::Protocol(format!("expected Ready for shard {id}, got {other:?}")))
+    fn spawn(&mut self, id: usize) -> Result<(), FabricError> {
+        self.send(&CoordMsg::Spawn { shard: id as u32 })?;
+        match self.recv()? {
+            WorkerMsg::Ready { shard, .. } if shard as usize == id => Ok(()),
+            other => unexpected(&format!("Ready for shard {id}"), other),
         }
     }
-}
 
-fn retire_exchange(
-    peer: &mut Peer,
-    victim: usize,
-    counters: Option<&FabricCounters>,
-) -> Result<ShardOutcome, FabricError> {
-    send_to(peer, &CoordMsg::Retire { shard: victim as u32 }, counters)?;
-    match recv_from(peer, counters)? {
-        WorkerMsg::Outcome(outcome) if outcome.shard == victim => Ok(outcome),
-        other => Err(FabricError::Protocol(format!(
-            "expected Outcome for retired shard {victim}, got {other:?}"
-        ))),
-    }
-}
-
-fn checkpoint_exchange(
-    peer: &mut Peer,
-    shard: usize,
-    epoch: u64,
-    counters: Option<&FabricCounters>,
-) -> Result<(StoredCheckpoint, ShardOutcome), FabricError> {
-    send_to(peer, &CoordMsg::Checkpoint { shard: shard as u32, epoch }, counters)?;
-    match recv_from(peer, counters)? {
-        WorkerMsg::Checkpoint {
-            shard: echoed,
-            epoch: committed,
-            last_ts_micros,
-            sweep_micros,
-            flows,
-            fragment,
-        } if echoed as usize == shard && committed == epoch => {
-            Ok((StoredCheckpoint { last_ts_micros, sweep_micros, flows }, fragment))
+    /// `Retire` makes the worker flush the shard's flow table and answer
+    /// with its final fragment.
+    fn retire(&mut self, victim: usize) -> Result<ShardOutcome, FabricError> {
+        self.send(&CoordMsg::Retire { shard: victim as u32 })?;
+        match self.recv()? {
+            WorkerMsg::Outcome(outcome) if outcome.shard == victim => Ok(outcome),
+            other => unexpected(&format!("Outcome for retired shard {victim}"), other),
         }
-        other => Err(FabricError::Protocol(format!(
-            "expected Checkpoint for shard {shard} epoch {epoch}, got {other:?}"
-        ))),
     }
-}
 
-fn ping_exchange(
-    peer: &mut Peer,
-    nonce: u64,
-    timeout: Duration,
-    restore: Option<Duration>,
-    counters: Option<&FabricCounters>,
-) -> Result<(), FabricError> {
-    peer.transport.set_io_timeout(Some(timeout)).map_err(FabricError::Io)?;
-    let result = (|| {
-        send_to(peer, &CoordMsg::Ping { nonce }, counters)?;
-        match recv_from(peer, counters)? {
+    fn checkpoint(
+        &mut self,
+        shard: usize,
+        epoch: u64,
+    ) -> Result<(StoredCheckpoint, ShardOutcome), FabricError> {
+        self.send(&CoordMsg::Checkpoint { shard: shard as u32, epoch })?;
+        match self.recv()? {
+            WorkerMsg::Checkpoint {
+                shard: echoed,
+                epoch: committed,
+                last_ts_micros,
+                sweep_micros,
+                flows,
+                fragment,
+            } if echoed as usize == shard && committed == epoch => {
+                Ok((StoredCheckpoint { last_ts_micros, sweep_micros, flows }, fragment))
+            }
+            other => unexpected(&format!("Checkpoint for shard {shard} epoch {epoch}"), other),
+        }
+    }
+
+    fn ping(
+        &mut self,
+        nonce: u64,
+        timeout: Duration,
+        restore: Option<Duration>,
+    ) -> Result<(), FabricError> {
+        self.transport.set_io_timeout(Some(timeout)).map_err(FabricError::Io)?;
+        let result = self.send(&CoordMsg::Ping { nonce }).and_then(|()| match self.recv()? {
             WorkerMsg::Pong { nonce: echoed } if echoed == nonce => Ok(()),
-            other => Err(FabricError::Protocol(format!("expected Pong({nonce}), got {other:?}"))),
-        }
-    })();
-    let _ = peer.transport.set_io_timeout(restore);
-    result
-}
+            other => unexpected(&format!("Pong({nonce})"), other),
+        });
+        let _ = self.transport.set_io_timeout(restore);
+        result
+    }
 
-/// Rebuilds one shard on `peer`: fresh `Spawn` (re-fit from the shared
-/// train view), `Restore` of the committed checkpoint (when one exists),
-/// then an in-order replay of every logged frame. Replies to *replied*
-/// rebalances are consumed and discarded (the replica re-extracts the same
-/// flows the original already handed over); the reply to an un-replied
-/// trailing rebalance is left for the interrupted barrier to pick up.
-fn try_place(
-    peer: &mut Peer,
-    slot: &CoordSlot,
-    counters: Option<&FabricCounters>,
-) -> Result<(), FabricError> {
-    spawn_exchange(peer, slot.shard, counters)?;
-    if let Some(cp) = &slot.checkpoint {
-        send_to(
-            peer,
-            &CoordMsg::Restore {
+    /// Rebuilds one shard here: fresh `Spawn` (re-fit from the shared
+    /// train view), `Restore` of the committed checkpoint (when one
+    /// exists), then an in-order replay of every logged frame. Replies to
+    /// *replied* rebalances are consumed and discarded (the replica
+    /// re-extracts the same flows the original already handed over); the
+    /// reply to an un-replied trailing rebalance is left for the
+    /// interrupted barrier to pick up.
+    fn place(&mut self, slot: &CoordSlot) -> Result<(), FabricError> {
+        self.spawn(slot.shard)?;
+        if let Some(cp) = &slot.checkpoint {
+            self.send(&CoordMsg::Restore {
                 shard: slot.shard as u32,
                 epoch: slot.epoch,
                 last_ts_micros: cp.last_ts_micros,
                 sweep_micros: cp.sweep_micros,
                 flows: cp.flows.clone(),
-            },
-            counters,
-        )?;
-    }
-    for entry in slot.log.entries() {
-        send_raw(peer, &entry.body, counters)?;
-        if let EntryKind::Rebalance { replied: true } = entry.kind {
-            match recv_from(peer, counters)? {
-                WorkerMsg::Migrations { .. } => {}
-                other => {
-                    return Err(FabricError::Protocol(format!(
-                        "expected replayed Migrations for shard {}, got {other:?}",
-                        slot.shard
-                    )))
+            })?;
+        }
+        for entry in slot.log.entries() {
+            self.send_raw(&entry.body)?;
+            if let EntryKind::Rebalance { replied: true } = entry.kind {
+                let reply = self.recv()?;
+                if !matches!(reply, WorkerMsg::Migrations { .. }) {
+                    let wanted = format!("replayed Migrations for shard {}", slot.shard);
+                    return unexpected(&wanted, reply);
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 /// The coordinator's live state: peers, shard slots, and the fragment
 /// accumulator, with every peer interaction routed through the recovery
 /// machinery.
 struct Pool<'a> {
-    peers: Vec<Peer>,
+    peers: Vec<Peer<'a>>,
     slots: Vec<CoordSlot>,
     fragments: FragmentSet,
-    recovery: Option<RecoveryConfig>,
-    io_timeout: Option<Duration>,
+    /// Shard ids handed out so far: every one must end the run with at
+    /// least one outcome fragment.
+    spawned: usize,
+    /// The run's parameters; `drain` is cleared once the plan has fired.
+    fabric: FabricConfig,
     counters: Option<&'a FabricCounters>,
     telemetry: Option<&'a Telemetry>,
     recover_span: Option<Arc<StageHistogram>>,
     ping_nonce: u64,
 }
 
-impl Pool<'_> {
+impl<'a> Pool<'a> {
     fn slot_index(&self, shard: usize) -> Result<usize, FabricError> {
         self.slots
             .binary_search_by_key(&shard, |slot| slot.shard)
             .map_err(|_| FabricError::StaleRing { shard })
     }
 
-    /// Where a scale-up spawns: least-loaded live peer, regulars before
-    /// standbys (ties to the lowest accept index).
-    fn spawn_target(&self) -> Result<usize, FabricError> {
+    /// The least-loaded live peer (ties to the lowest accept index). A
+    /// scale-up places on regulars before standbys; a recovery re-homes
+    /// onto standbys *first* — that is what they are held back for.
+    fn host_for(&self, standbys_first: bool) -> Result<usize, FabricError> {
         self.peers
             .iter()
             .enumerate()
             .filter(|(_, peer)| !peer.dead && !peer.drained)
-            .min_by_key(|(index, peer)| (peer.standby, peer.shards.len(), *index))
+            .min_by_key(|(index, peer)| (peer.standby != standbys_first, peer.shards.len(), *index))
             .map(|(index, _)| index)
             .ok_or_else(|| FabricError::Protocol("no live peers to host a shard".to_string()))
     }
 
-    /// Where a recovery re-homes: same rule but standbys *first* — that is
-    /// what they are held back for.
-    fn recovery_target(&self) -> Result<usize, FabricError> {
-        self.peers
-            .iter()
-            .enumerate()
-            .filter(|(_, peer)| !peer.dead && !peer.drained)
-            .min_by_key(|(index, peer)| (!peer.standby, peer.shards.len(), *index))
-            .map(|(index, _)| index)
-            .ok_or_else(|| FabricError::Protocol("no live peers to host a shard".to_string()))
-    }
-
-    /// Routes a failed peer interaction: with recovery on and a
-    /// death-classifying error, recovers the peer and returns `Ok` so the
-    /// caller retries; otherwise the error propagates and fails the run.
+    /// Routes a failed peer interaction: a socket or decode failure
+    /// classifies the peer dead, recovers it and returns `Ok` so the caller
+    /// retries; a semantic protocol bug on a healthy socket propagates and
+    /// fails the run.
     fn handle_death(&mut self, peer: usize, err: FabricError) -> Result<(), FabricError> {
-        if self.recovery.is_none() || !is_death(&err) {
-            return Err(err);
+        match err {
+            FabricError::Io(_) | FabricError::Wire(_) => self.recover_peer(peer),
+            other => Err(other),
         }
-        self.recover_peer(peer)
+    }
+
+    /// Runs `exchange` against every live peer, recovering the ones that
+    /// die in it.
+    fn each_live_peer(
+        &mut self,
+        mut exchange: impl FnMut(&mut Peer<'a>) -> Result<(), FabricError>,
+    ) -> Result<(), FabricError> {
+        for index in 0..self.peers.len() {
+            if !self.peers[index].dead {
+                if let Err(err) = exchange(&mut self.peers[index]) {
+                    self.handle_death(index, err)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `exchange` against the peer hosting the shard at `at`; when
+    /// that peer dies in it, the shard is re-homed and the exchange
+    /// retried against its new host (a replica answers exactly as the
+    /// original would have).
+    fn with_host<T>(
+        &mut self,
+        at: usize,
+        exchange: impl Fn(&mut Peer<'a>) -> Result<T, FabricError>,
+    ) -> Result<T, FabricError> {
+        loop {
+            let peer = self.slots[at].peer;
+            match exchange(&mut self.peers[peer]) {
+                Ok(value) => return Ok(value),
+                Err(err) => self.handle_death(peer, err)?,
+            }
+        }
     }
 
     /// Classifies `dead` as failed and re-homes every shard it hosted from
@@ -407,10 +365,11 @@ impl Pool<'_> {
             self.place_shard(at)?;
         }
         let latency = started.elapsed();
+        let latency_micros = latency.as_micros().min(u128::from(u64::MAX)) as u64;
         if let Some(counters) = self.counters {
             counters.flows_rehomed.add(flows as u64);
             counters.replayed_batches.add(replayed);
-            counters.recovery_micros.add(latency.as_micros().min(u128::from(u64::MAX)) as u64);
+            counters.recovery_micros.add(latency_micros);
         }
         if let Some(span) = &self.recover_span {
             span.record(latency.as_nanos().min(u128::from(u64::MAX)) as u64);
@@ -421,7 +380,7 @@ impl Pool<'_> {
                 shards: orphans.len(),
                 flows,
                 replayed_batches: replayed,
-                latency_micros: latency.as_micros().min(u128::from(u64::MAX)) as u64,
+                latency_micros,
             });
         }
         Ok(())
@@ -431,124 +390,43 @@ impl Pool<'_> {
     /// through secondary deaths until a placement sticks.
     fn place_shard(&mut self, at: usize) -> Result<(), FabricError> {
         loop {
-            let target = self.recovery_target()?;
-            match try_place(&mut self.peers[target], &self.slots[at], self.counters) {
+            let target = self.host_for(true)?;
+            match self.peers[target].place(&self.slots[at]) {
                 Ok(()) => {
                     let shard = self.slots[at].shard;
                     self.slots[at].peer = target;
                     self.peers[target].shards.push(shard);
                     return Ok(());
                 }
-                Err(err) if is_death(&err) => self.recover_peer(target)?,
-                Err(err) => return Err(err),
-            }
-        }
-    }
-
-    /// Spawns brand-new shard `id` (scale-up path) and returns its host.
-    fn spawn_new_shard(&mut self, id: usize) -> Result<usize, FabricError> {
-        loop {
-            let target = self.spawn_target()?;
-            match spawn_exchange(&mut self.peers[target], id, self.counters) {
-                Ok(()) => {
-                    self.peers[target].shards.push(id);
-                    return Ok(target);
-                }
                 Err(err) => self.handle_death(target, err)?,
             }
         }
     }
 
-    /// Ships the slot's partial batch (log-then-send), then checkpoints if
-    /// the replay log crossed its frame or byte budget.
-    fn send_batch(&mut self, at: usize) -> Result<(), FabricError> {
-        if self.slots[at].batch.is_empty() {
-            return Ok(());
-        }
-        let shard = self.slots[at].shard as u32;
-        let items = std::mem::take(&mut self.slots[at].batch);
-        let count = items.len();
-        let body = CoordMsg::Batch { shard, items }.encode();
-        if self.recovery.is_some() {
-            self.slots[at].log.push(EntryKind::Batch { count }, body.clone());
-        }
-        let peer = self.slots[at].peer;
-        if let Err(err) = send_raw(&mut self.peers[peer], &body, self.counters) {
-            // The batch is already logged: recovery replays it, so the
-            // delivery is complete either way.
-            self.handle_death(peer, err)?;
-        }
-        if let Some(recovery) = self.recovery {
-            if self.slots[at].log.batches() >= recovery.checkpoint_frames
-                || self.slots[at].log.bytes() >= recovery.max_log_bytes
-            {
-                self.checkpoint_shard(at)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flushes every partial batch so all packets routed under the current
-    /// ring are on their sockets before any control frame follows them.
-    fn flush_batches(&mut self) -> Result<(), FabricError> {
-        for at in 0..self.slots.len() {
-            self.send_batch(at)?;
-        }
-        Ok(())
-    }
-
-    /// Commits a new checkpoint epoch for one shard, retrying through peer
-    /// deaths (a re-homed replica regenerates the exact same fragment from
-    /// the previous checkpoint + replay).
+    /// Commits a new checkpoint epoch for one shard (a re-homed replica
+    /// regenerates the exact same fragment from the previous checkpoint +
+    /// replay).
     fn checkpoint_shard(&mut self, at: usize) -> Result<(), FabricError> {
-        loop {
-            let peer = self.slots[at].peer;
-            let shard = self.slots[at].shard;
-            let epoch = self.slots[at].epoch + 1;
-            match checkpoint_exchange(&mut self.peers[peer], shard, epoch, self.counters) {
-                Ok((checkpoint, fragment)) => {
-                    self.slots[at].checkpoint = Some(checkpoint);
-                    self.slots[at].epoch = epoch;
-                    self.slots[at].log.clear();
-                    self.absorb(epoch, fragment)?;
-                    return Ok(());
-                }
-                Err(err) => self.handle_death(peer, err)?,
-            }
-        }
-    }
-
-    /// The recovery-epoch barrier: checkpoint every live shard and probe
-    /// idle peers (standbys) for liveness. Runs after every scale event
-    /// and planned drain; a no-op with recovery off.
-    fn checkpoint_epoch(&mut self) -> Result<(), FabricError> {
-        if self.recovery.is_none() {
-            return Ok(());
-        }
-        for at in 0..self.slots.len() {
-            self.checkpoint_shard(at)?;
-        }
-        self.ping_idle_peers()
+        let (shard, epoch) = (self.slots[at].shard, self.slots[at].epoch + 1);
+        let (checkpoint, fragment) = self.with_host(at, |peer| peer.checkpoint(shard, epoch))?;
+        self.slots[at].checkpoint = Some(checkpoint);
+        self.slots[at].epoch = epoch;
+        self.slots[at].log.clear();
+        self.fragments.absorb(epoch, fragment).map_err(FabricError::Protocol)
     }
 
     /// Liveness probe for live peers hosting no shards — a dead standby
     /// must be discovered *before* a recovery tries to lean on it.
     fn ping_idle_peers(&mut self) -> Result<(), FabricError> {
-        let Some(recovery) = self.recovery else { return Ok(()) };
         for index in 0..self.peers.len() {
-            let peer = &self.peers[index];
+            let peer = &mut self.peers[index];
             if peer.dead || peer.drained || !peer.shards.is_empty() {
                 continue;
             }
             self.ping_nonce += 1;
-            let nonce = self.ping_nonce;
-            if let Err(err) = ping_exchange(
-                &mut self.peers[index],
-                nonce,
-                recovery.ping_timeout,
-                self.io_timeout,
-                self.counters,
-            ) {
+            let recovery = self.fabric.recovery;
+            let probe = peer.ping(self.ping_nonce, recovery.ping_timeout, self.fabric.io_timeout);
+            if let Err(err) = probe {
                 // Zero shards hosted: classification only, nothing to
                 // re-home.
                 self.handle_death(index, err)?;
@@ -557,142 +435,207 @@ impl Pool<'_> {
         Ok(())
     }
 
-    fn absorb(&mut self, epoch: u64, fragment: ShardOutcome) -> Result<(), FabricError> {
-        self.fragments.absorb(epoch, fragment).map_err(FabricError::Protocol)
-    }
-
     /// Runs the drain barrier for the shard at `at` against the new ring:
     /// `Rebalance` (logged), await `Migrations`, record the round-trip, and
-    /// return the extracted flows tagged with their source peer.
+    /// return the extracted flows.
     fn rebalance_shard(
         &mut self,
         at: usize,
         snapshot: &RingSnapshot,
-    ) -> Result<Vec<(usize, FlowMigration)>, FabricError> {
+    ) -> Result<Vec<FlowMigration>, FabricError> {
         let shard = self.slots[at].shard;
         let body = CoordMsg::Rebalance { shard: shard as u32, ring: snapshot.clone() }.encode();
-        if self.recovery.is_some() {
-            self.slots[at].log.push(EntryKind::Rebalance { replied: false }, body.clone());
-        }
+        self.slots[at].log.push(EntryKind::Rebalance { replied: false }, body.clone());
         let started = Instant::now();
-        let mut sent = false;
-        loop {
-            let peer = self.slots[at].peer;
-            if !sent {
-                match send_raw(&mut self.peers[peer], &body, self.counters) {
-                    Ok(()) => sent = true,
-                    Err(err) => {
-                        // Recovery replays the logged rebalance onto the
-                        // new host; only the reply remains outstanding.
-                        self.handle_death(peer, err)?;
-                        sent = true;
-                        continue;
-                    }
-                }
-            }
-            let peer = self.slots[at].peer;
-            match recv_from(&mut self.peers[peer], self.counters) {
-                Ok(WorkerMsg::Migrations { shard: echoed, migrations })
-                    if echoed as usize == shard =>
-                {
-                    if self.recovery.is_some() {
-                        self.slots[at].log.mark_replied();
-                    }
-                    if let Some(rtt) = &self.peers[peer].rtt {
-                        rtt.record(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-                    }
-                    return Ok(migrations.into_iter().map(|m| (peer, m)).collect());
-                }
-                Ok(other) => {
-                    return Err(FabricError::Protocol(format!(
-                        "expected Migrations for shard {shard}, got {other:?}"
-                    )))
-                }
-                Err(err) => self.handle_death(peer, err)?,
-            }
+        let peer = self.slots[at].peer;
+        if let Err(err) = self.peers[peer].send_raw(&body) {
+            // Recovery replays the logged rebalance onto the new host;
+            // only the reply remains outstanding.
+            self.handle_death(peer, err)?;
         }
+        let migrations = self.with_host(at, |peer| match peer.recv()? {
+            WorkerMsg::Migrations { shard: echoed, migrations } if echoed as usize == shard => {
+                Ok(migrations)
+            }
+            other => unexpected(&format!("Migrations for shard {shard}"), other),
+        })?;
+        self.slots[at].log.mark_replied();
+        let peer = self.slots[at].peer;
+        if let Some(rtt) = &self.peers[peer].rtt {
+            rtt.record(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+        }
+        Ok(migrations)
     }
+}
 
-    /// Delivers extracted flows to their new owners (logged per destination
-    /// shard), counting the ones that crossed a process boundary.
-    fn deliver_migrations(
+impl ShardPool for Pool<'_> {
+    type Error = FabricError;
+
+    /// Copies each packet's bytes into a wire batch — raw bytes are what
+    /// travel, the worker re-parses on arrival — returns the packet to the
+    /// source, and ships the frame log-then-send; then checkpoints if the
+    /// replay log crossed its frame or byte budget.
+    fn ship(
         &mut self,
-        ring: &HashRing,
-        moved: Vec<(usize, FlowMigration)>,
-    ) -> Result<usize, FabricError> {
-        let count = moved.len();
-        let mut groups: Vec<(usize, Vec<(usize, FlowMigration)>)> = Vec::new();
-        for (source_peer, migration) in moved {
-            let owner = ring.owner_of(&migration.key);
-            match groups.iter_mut().find(|(shard, _)| *shard == owner) {
-                Some((_, flows)) => flows.push((source_peer, migration)),
-                None => groups.push((owner, vec![(source_peer, migration)])),
-            }
+        shard: usize,
+        batch: &mut Vec<StreamItem>,
+        source: &mut impl PacketSource,
+    ) -> Result<(), FabricError> {
+        let at = self.slot_index(shard)?;
+        let count = batch.len();
+        let items = batch.drain(..).map(|item| {
+            let labeled = item.view.packet;
+            let wire = WireItem {
+                seq: item.seq,
+                ts_micros: labeled.packet.ts.as_micros(),
+                label: labeled.label,
+                data: labeled.packet.data.to_vec(),
+            };
+            source.recycle_packet(labeled.packet);
+            wire
+        });
+        let body = CoordMsg::Batch { shard: shard as u32, items: items.collect() }.encode();
+        self.slots[at].log.push(EntryKind::Batch { count }, body.clone());
+        let peer = self.slots[at].peer;
+        if let Err(err) = self.peers[peer].send_raw(&body) {
+            // The batch is already logged: recovery replays it, so the
+            // delivery is complete either way.
+            self.handle_death(peer, err)?;
         }
-        for (owner, tagged) in groups {
-            let at = self.slot_index(owner)?;
-            let dest_peer = self.slots[at].peer;
-            if let Some(counters) = self.counters {
-                let crossed =
-                    tagged.iter().filter(|(source_peer, _)| *source_peer != dest_peer).count();
-                counters.cross_peer_migrations.add(crossed as u64);
-            }
-            let migrations: Vec<FlowMigration> =
-                tagged.into_iter().map(|(_, migration)| migration).collect();
-            let body = CoordMsg::Migrate { shard: owner as u32, migrations }.encode();
-            if self.recovery.is_some() {
-                self.slots[at].log.push(EntryKind::Migrate, body.clone());
-            }
-            if let Err(err) = send_raw(&mut self.peers[dest_peer], &body, self.counters) {
-                self.handle_death(dest_peer, err)?;
-            }
-        }
-        Ok(count)
-    }
-
-    /// Retires one shard behind the drain barrier: rebalance → migrations
-    /// → `Retire` → final fragment absorbed → state handed to survivors.
-    /// The ring must already have the shard removed.
-    fn retire_shard(&mut self, ring: &HashRing, victim: usize) -> Result<usize, FabricError> {
-        let at = self.slot_index(victim)?;
-        debug_assert!(self.slots[at].batch.is_empty(), "retire without flushing first");
-        let snapshot = RingSnapshot::from_ring(ring);
-        let moved = self.rebalance_shard(at, &snapshot)?;
-        let outcome = loop {
-            let peer = self.slots[at].peer;
-            match retire_exchange(&mut self.peers[peer], victim, self.counters) {
-                Ok(outcome) => break outcome,
-                Err(err) => self.handle_death(peer, err)?,
-            }
-        };
-        self.remove_slot(at, outcome)?;
-        self.deliver_migrations(ring, moved)
-    }
-
-    /// End-of-stream retire for the shard at `at`: no rebalance — the
-    /// worker's `Retire` handler flushes the flow table itself, exactly as
-    /// the old broadcast `Finish` did per shard, but recoverably.
-    fn final_retire(&mut self, at: usize) -> Result<(), FabricError> {
-        let victim = self.slots[at].shard;
-        let outcome = loop {
-            let peer = self.slots[at].peer;
-            match retire_exchange(&mut self.peers[peer], victim, self.counters) {
-                Ok(outcome) => break outcome,
-                Err(err) => self.handle_death(peer, err)?,
-            }
-        };
-        self.remove_slot(at, outcome)
-    }
-
-    /// Absorbs a retired shard's final fragment and drops its slot.
-    fn remove_slot(&mut self, at: usize, outcome: ShardOutcome) -> Result<(), FabricError> {
-        let epoch = self.slots[at].epoch + 1;
-        self.absorb(epoch, outcome)?;
-        let slot = self.slots.remove(at);
-        if let Some(index) = self.peers[slot.peer].shards.iter().position(|&s| s == slot.shard) {
-            self.peers[slot.peer].shards.remove(index);
+        let (log, budget) = (&self.slots[at].log, self.fabric.recovery);
+        if log.batches() >= budget.checkpoint_frames || log.bytes() >= budget.max_log_bytes {
+            self.checkpoint_shard(at)?;
         }
         Ok(())
+    }
+
+    /// Places the shard on the least-loaded live peer. Its slot exists
+    /// before the drain barrier that follows a scale-up, so a mid-barrier
+    /// recovery can re-home it too.
+    fn spawn(&mut self, id: usize) -> Result<(), FabricError> {
+        let peer = loop {
+            let target = self.host_for(false)?;
+            match self.peers[target].spawn(id) {
+                Ok(()) => break target,
+                Err(err) => self.handle_death(target, err)?,
+            }
+        };
+        self.peers[peer].shards.push(id);
+        let at = self.slots.partition_point(|slot| slot.shard < id);
+        let slot =
+            CoordSlot { shard: id, peer, epoch: 0, checkpoint: None, log: ReplayLog::default() };
+        self.slots.insert(at, slot);
+        self.spawned = self.spawned.max(id + 1);
+        Ok(())
+    }
+
+    /// Sequential round-trips keep per-socket ordering trivially correct.
+    fn drain(
+        &mut self,
+        from: &[usize],
+        ring: &HashRing,
+    ) -> Result<Vec<FlowMigration>, FabricError> {
+        let snapshot = RingSnapshot::from_ring(ring);
+        let mut moved = Vec::new();
+        for &shard in from {
+            let at = self.slot_index(shard)?;
+            let flows = self.rebalance_shard(at, &snapshot)?;
+            if let Some(counters) = self.counters {
+                // Flows whose new owner lives on another peer cross a
+                // process boundary on their way through the coordinator.
+                let host = self.slots[at].peer;
+                let crosses = |m: &&FlowMigration| {
+                    let to = self.slot_index(ring.owner_of(&m.key));
+                    !to.is_ok_and(|to| self.slots[to].peer == host)
+                };
+                let crossed = flows.iter().filter(crosses).count();
+                counters.cross_peer_migrations.add(crossed as u64);
+            }
+            moved.extend(flows);
+        }
+        Ok(moved)
+    }
+
+    fn migrate(&mut self, shard: usize, migrations: Vec<FlowMigration>) -> Result<(), FabricError> {
+        let at = self.slot_index(shard)?;
+        let peer = self.slots[at].peer;
+        let body = CoordMsg::Migrate { shard: shard as u32, migrations }.encode();
+        self.slots[at].log.push(EntryKind::Migrate, body.clone());
+        if let Err(err) = self.peers[peer].send_raw(&body) {
+            // Already logged: recovery replays the delivery.
+            self.handle_death(peer, err)?;
+        }
+        Ok(())
+    }
+
+    /// Absorbs the shard's final fragment and drops its slot.
+    fn retire(&mut self, shard: usize) -> Result<(), FabricError> {
+        let at = self.slot_index(shard)?;
+        let outcome = self.with_host(at, |peer| peer.retire(shard))?;
+        let slot = self.slots.remove(at);
+        self.peers[slot.peer].shards.retain(|&hosted| hosted != shard);
+        self.fragments.absorb(slot.epoch + 1, outcome).map_err(FabricError::Protocol)
+    }
+
+    /// The [`DrainPlan`]: once the feeder reaches `at_seq` the peer stops
+    /// receiving shards and everything it hosts is retired.
+    fn planned_drain(&mut self, seq: u64) -> Vec<usize> {
+        match self.fabric.drain {
+            Some(plan) if seq >= plan.at_seq => {
+                self.fabric.drain = None;
+                self.peers[plan.peer].drained = true;
+                self.peers[plan.peer].shards.clone()
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// The recovery-epoch barrier: checkpoint every live shard and probe
+    /// idle peers (standbys) for liveness.
+    fn settled(&mut self) -> Result<(), FabricError> {
+        for at in 0..self.slots.len() {
+            self.checkpoint_shard(at)?;
+        }
+        self.ping_idle_peers()
+    }
+
+    /// End of stream: retire every remaining shard in ascending id order
+    /// (each retire is individually recoverable — a peer crash here costs
+    /// nothing), then `Finish` tells the now-shardless workers to exit;
+    /// each answers a bare `Bye`. Every score is merged by then, so a peer
+    /// that dies saying goodbye costs nothing either.
+    fn finish(
+        mut self,
+        fed: Result<(), FabricError>,
+    ) -> Result<(Vec<ShardOutcome>, Vec<usize>), FabricError> {
+        fed?;
+        while let Some(slot) = self.slots.first() {
+            self.retire(slot.shard)?;
+        }
+        self.each_live_peer(|peer| {
+            peer.send(&CoordMsg::Finish)?;
+            match peer.recv()? {
+                WorkerMsg::Bye => Ok(()),
+                other => unexpected("Bye", other),
+            }
+        })?;
+        drop(self.peers); // closes every socket; workers unblock from their final read
+
+        if let Some(counters) = self.counters {
+            counters
+                .duplicate_fragments
+                .add(self.fragments.duplicate_fragments() + self.fragments.duplicate_events());
+        }
+        let missing = self.fragments.missing(self.spawned);
+        if !missing.is_empty() {
+            return Err(FabricError::Protocol(format!(
+                "no outcome fragment for shards {missing:?} of {}",
+                self.spawned
+            )));
+        }
+        // Remote shards report no feeder-side stalls — TCP backpressure
+        // plays that role on the fabric.
+        Ok((self.fragments.into_outcomes(), Vec::new()))
     }
 }
 
@@ -703,53 +646,47 @@ impl Pool<'_> {
 ///
 /// `detector` is resolved *by the workers* (their
 /// [`DetectorResolver`](crate::worker::DetectorResolver)); the coordinator
-/// never instantiates it. Telemetry attaches the fabric counters, per-peer
-/// rebalance RTT histograms, the `recover` stage histogram, peer-death /
-/// recovery journal events, and the `live_shards` gauge.
+/// never instantiates it. Telemetry attaches everything [`Feeder::new`]
+/// lists, plus the fabric counters, per-peer rebalance RTT histograms, the
+/// `recover` stage histogram and peer-death / recovery journal events.
 ///
 /// # Errors
 ///
-/// [`FabricError`] when a worker fails to connect in time, a handshake or
-/// protocol step goes wrong, the packet source errors, or — with recovery
-/// off, or after every peer has died — a socket fails (or times out under
-/// [`FabricConfig::io_timeout`]).
-#[allow(clippy::too_many_arguments)]
+/// [`FabricError`] — before any connection is awaited — for a
+/// [`StreamConfig`] the in-process executor would reject, zero workers, or
+/// a drain plan naming a peer that does not exist; then when a worker fails
+/// to connect in time, a handshake or protocol step goes wrong, the packet
+/// source errors, or no live peer is left to take over a failed socket.
 pub fn run_fabric(
     detector: &str,
     warmup: &[LabeledPacket],
-    mut source: impl PacketSource,
+    source: impl PacketSource,
     config: &StreamConfig,
     fabric: &FabricConfig,
     listener: FabricListener,
     telemetry: Option<&Telemetry>,
 ) -> Result<StreamRun, FabricError> {
+    let feeder = Feeder::new(config, telemetry)?;
     if fabric.workers == 0 {
         return Err(FabricError::Protocol("fabric needs at least one worker".to_string()));
     }
-    if config.shards == 0 || config.batch_size == 0 {
-        return Err(FabricError::Protocol("shards and batch_size must be >= 1".to_string()));
+    if let Some(plan) = fabric.drain.filter(|plan| plan.peer >= fabric.workers) {
+        return Err(FabricError::Protocol(format!(
+            "drain plan names peer {} of {}",
+            plan.peer, fabric.workers
+        )));
     }
-    if let Some(plan) = &fabric.drain {
-        if plan.peer >= fabric.workers {
-            return Err(FabricError::Protocol(format!(
-                "drain plan names peer {} of {}",
-                plan.peer, fabric.workers
-            )));
-        }
-    }
-    let source_name = source.name().to_string();
     let counters = telemetry.map(FabricCounters::register);
     let counters = counters.as_ref();
-    let hello = HelloConfig::from_stream(detector, config);
-    let standbys = fabric.recovery.map_or(0, |recovery| recovery.standby_workers);
+    let standbys = fabric.recovery.standby_workers;
 
     // ---- Accept + handshake every peer (standbys last). ----
     let mut pool = Pool {
         peers: Vec::with_capacity(fabric.workers + standbys),
         slots: Vec::with_capacity(config.shards),
         fragments: FragmentSet::default(),
-        recovery: fabric.recovery,
-        io_timeout: fabric.io_timeout,
+        spawned: 0,
+        fabric: *fabric,
         counters,
         telemetry,
         recover_span: telemetry.map(|t| t.stage(Stage::Recover, None)),
@@ -760,6 +697,7 @@ pub fn run_fabric(
         transport.set_io_timeout(fabric.io_timeout)?;
         pool.peers.push(Peer {
             transport,
+            counters,
             shards: Vec::new(),
             drained: false,
             dead: false,
@@ -767,239 +705,30 @@ pub fn run_fabric(
             rtt: telemetry.map(|t| t.stage(Stage::Rebalance, Some(index))),
         });
     }
+    let hello = CoordMsg::Hello(HelloConfig::from_stream(detector, config));
     let mut detector_name = detector.to_string();
-    for index in 0..pool.peers.len() {
-        let result = (|peer: &mut Peer| -> Result<String, FabricError> {
-            send_to(peer, &CoordMsg::Hello(hello.clone()), counters)?;
-            match recv_from(peer, counters)? {
-                WorkerMsg::HelloOk { detector: resolved, .. } => Ok(resolved),
-                other => Err(FabricError::Protocol(format!("expected HelloOk, got {other:?}"))),
-            }
-        })(&mut pool.peers[index]);
-        match result {
-            Ok(resolved) => detector_name = resolved,
-            Err(err) => pool.handle_death(index, err)?,
+    pool.each_live_peer(|peer| {
+        peer.send(&hello)?;
+        match peer.recv()? {
+            WorkerMsg::HelloOk { detector: resolved, .. } => detector_name = resolved,
+            other => return unexpected("HelloOk", other),
         }
-    }
+        Ok(())
+    })?;
 
     // ---- Train phase: stream warmup to every live peer, then the initial
     // spawn barrier. `assembly_seconds` covers the whole phase (shipping +
     // remote assembly + initial fits happen before the throughput clock).
     let train_started = Instant::now();
-    for index in 0..pool.peers.len() {
-        if pool.peers[index].dead {
-            continue;
+    pool.each_live_peer(|peer| {
+        for chunk in warmup.chunks(TRAIN_CHUNK) {
+            peer.send(&CoordMsg::Train(chunk.iter().map(wire_packet).collect()))?;
         }
-        let result = (|peer: &mut Peer| -> Result<(), FabricError> {
-            for chunk in warmup.chunks(TRAIN_CHUNK) {
-                let packets = chunk.iter().map(wire_packet).collect();
-                send_to(peer, &CoordMsg::Train(packets), counters)?;
-            }
-            send_to(peer, &CoordMsg::TrainDone, counters)
-        })(&mut pool.peers[index]);
-        if let Err(err) = result {
-            pool.handle_death(index, err)?;
-        }
-    }
-    let vnodes = config.autoscale.map_or(DEFAULT_VNODES, |policy| policy.vnodes);
-    let mut ring = HashRing::with_shards(vnodes, config.shards);
+        peer.send(&CoordMsg::TrainDone)
+    })?;
     for id in 0..config.shards {
-        let peer_index = pool.spawn_new_shard(id)?;
-        pool.slots.push(CoordSlot::new(id, peer_index));
+        pool.spawn(id)?;
     }
     let assembly_seconds = train_started.elapsed().as_secs_f64();
-    let live_shards = telemetry.map(|t| t.gauge("live_shards"));
-    if let Some(gauge) = &live_shards {
-        gauge.set(pool.slots.len() as u64);
-    }
-
-    // ---- Feed loop: the socket-backed mirror of the executor's feeder.
-    // The coordinator's autoscaler runs on traffic-time rates only
-    // (`LiveSignals::default()`) — channel depth and shard p99 are
-    // process-local signals with no remote analog here, and their absence
-    // keeps multi-node scale decisions deterministic.
-    let clock = Instant::now();
-    let mut scaler = config.autoscale.map(|policy| Autoscaler::new(policy, config.window_secs));
-    let mut scale_events: Vec<ScaleEvent> = Vec::new();
-    let mut next_id = config.shards;
-    let mut drain = fabric.drain;
-    let mut seq = 0u64;
-    loop {
-        let packet = match source.next_packet() {
-            Ok(Some(packet)) => packet,
-            Ok(None) => break,
-            Err(err) => return Err(FabricError::Protocol(format!("packet source failed: {err}"))),
-        };
-        // Parse for routing; the worker re-parses on arrival (one parse
-        // per process — raw bytes are what travel the wire).
-        let view = ParsedView::from_packet(packet);
-        let ts_micros = view.packet.packet.ts.as_micros();
-
-        // A planned drain fires like a scale decision: before this packet
-        // is routed, so it already travels under the post-drain ring.
-        if let Some(plan) = drain {
-            if seq >= plan.at_seq {
-                drain = None;
-                pool.flush_batches()?;
-                pool.peers[plan.peer].drained = true;
-                let victims = pool.peers[plan.peer].shards.clone();
-                for victim in victims {
-                    let from_shards = pool.slots.len();
-                    let barrier = Instant::now();
-                    ring.remove_shard(victim);
-                    let moved = pool.retire_shard(&ring, victim)?;
-                    scale_events.push(ScaleEvent {
-                        seq,
-                        at_secs: ts_micros as f64 / 1e6,
-                        window: (ts_micros as f64 / 1e6 / config.window_secs) as u64,
-                        from_shards,
-                        to_shards: pool.slots.len(),
-                        // A drain is an operator action, not a rate
-                        // trigger.
-                        trigger_pps: 0.0,
-                        migrated_flows: moved,
-                        rebalance_micros: barrier.elapsed().as_micros() as u64,
-                    });
-                }
-                pool.checkpoint_epoch()?;
-                if let Some(gauge) = &live_shards {
-                    gauge.set(pool.slots.len() as u64);
-                }
-            }
-        }
-
-        if let Some(scaler) = &mut scaler {
-            scaler.observe_packet(ts_micros);
-            while scaler.has_pending() {
-                let Some(decision) = scaler.poll(pool.slots.len(), LiveSignals::default()) else {
-                    break;
-                };
-                pool.flush_batches()?;
-                let from_shards = pool.slots.len();
-                let barrier = Instant::now();
-                let moved = match decision.direction {
-                    ScaleDirection::Up => {
-                        let id = next_id;
-                        next_id += 1;
-                        let peer_index = pool.spawn_new_shard(id)?;
-                        ring.add_shard(id);
-                        let snapshot = RingSnapshot::from_ring(&ring);
-                        // Drain barrier across every pre-existing shard;
-                        // sequential round-trips keep per-socket ordering
-                        // trivially correct. The new slot is inserted
-                        // before the barrier so a mid-barrier recovery can
-                        // re-home it too.
-                        let existing: Vec<usize> =
-                            pool.slots.iter().map(|slot| slot.shard).collect();
-                        let insert_at = pool.slots.partition_point(|slot| slot.shard < id);
-                        pool.slots.insert(insert_at, CoordSlot::new(id, peer_index));
-                        let mut moved = Vec::new();
-                        for shard in existing {
-                            let at = pool.slot_index(shard)?;
-                            moved.extend(pool.rebalance_shard(at, &snapshot)?);
-                        }
-                        pool.deliver_migrations(&ring, moved)?
-                    }
-                    ScaleDirection::Down => {
-                        let victim = pool.slots.last().map(|slot| slot.shard).ok_or_else(|| {
-                            FabricError::Protocol("scale-down on an empty pool".to_string())
-                        })?;
-                        ring.remove_shard(victim);
-                        pool.retire_shard(&ring, victim)?
-                    }
-                };
-                scale_events.push(ScaleEvent {
-                    seq,
-                    at_secs: ts_micros as f64 / 1e6,
-                    window: decision.window,
-                    from_shards,
-                    to_shards: pool.slots.len(),
-                    trigger_pps: decision.trigger_pps,
-                    migrated_flows: moved,
-                    rebalance_micros: barrier.elapsed().as_micros() as u64,
-                });
-                pool.checkpoint_epoch()?;
-                if let Some(gauge) = &live_shards {
-                    gauge.set(pool.slots.len() as u64);
-                }
-            }
-        }
-
-        let owner = match &view.flow_key {
-            None => ring.first_shard(),
-            Some(key) => ring.owner_of(key),
-        };
-        let at = pool.slot_index(owner)?;
-        pool.slots[at].batch.push(WireItem {
-            seq,
-            ts_micros,
-            label: view.packet.label,
-            data: view.packet.packet.data.to_vec(),
-        });
-        seq += 1;
-        if pool.slots[at].batch.len() >= config.batch_size {
-            pool.send_batch(at)?;
-        }
-    }
-
-    // ---- End of stream: flush, then retire every remaining shard in
-    // ascending id order (each retire is individually recoverable — a peer
-    // crash here costs nothing), then `Finish` tells the now-shardless
-    // workers to exit; each answers a bare `Bye`.
-    pool.flush_batches()?;
-    let final_shards = pool.slots.len();
-    while !pool.slots.is_empty() {
-        pool.final_retire(0)?;
-    }
-    for index in 0..pool.peers.len() {
-        if pool.peers[index].dead {
-            continue;
-        }
-        let result = (|peer: &mut Peer, counters| -> Result<(), FabricError> {
-            send_to(peer, &CoordMsg::Finish, counters)?;
-            match recv_from(peer, counters)? {
-                WorkerMsg::Bye => Ok(()),
-                other => Err(FabricError::Protocol(format!("expected Bye, got {other:?}"))),
-            }
-        })(&mut pool.peers[index], counters);
-        if let Err(err) = result {
-            // Every score is already merged; a peer that dies saying
-            // goodbye costs nothing.
-            pool.handle_death(index, err)?;
-        }
-    }
-    let wall_seconds = clock.elapsed().as_secs_f64();
-    drop(pool.peers); // closes every socket; workers unblock from their final read
-
-    if let Some(counters) = counters {
-        counters
-            .duplicate_fragments
-            .add(pool.fragments.duplicate_fragments() + pool.fragments.duplicate_events());
-    }
-    let missing = pool.fragments.missing(next_id);
-    if !missing.is_empty() {
-        return Err(FabricError::Protocol(format!(
-            "no outcome fragment for shards {missing:?} of {next_id}"
-        )));
-    }
-    let outcomes = pool.fragments.into_outcomes();
-    // Remote shards report no feeder-side stalls — TCP backpressure plays
-    // that role on the fabric; the report keeps the per-shard slots so the
-    // shapes match the in-process run.
-    let shard_stalls = (0..next_id).map(|shard| (shard, 0)).collect();
-    let dropped = source.dropped_packets();
-    Ok(merge_outcomes(
-        detector_name,
-        source_name,
-        warmup.len(),
-        seq,
-        wall_seconds,
-        assembly_seconds,
-        outcomes,
-        scale_events,
-        final_shards,
-        shard_stalls,
-        dropped,
-        config,
-    ))
+    feeder.run(pool, source, detector_name, warmup.len(), assembly_seconds)
 }

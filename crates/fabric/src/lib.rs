@@ -21,14 +21,13 @@
 //!   shard, scores batches, answers rebalance barriers with extracted flow
 //!   state, and streams back outcome fragments.
 //! * [`coordinator`] — [`run_fabric`]: accepts N workers, streams warmup,
-//!   then drives the same parse-once/route-by-ring feed loop as the local
-//!   executor with the same [`Autoscaler`](idsbench_stream::Autoscaler) —
-//!   scale-ups place shards on the least-loaded live peer, scale-downs and
-//!   planned drains retire shards behind a drain-then-migrate barrier that
-//!   runs *across the sockets*, and the merged
-//!   [`StreamRun`](idsbench_stream::StreamRun) comes from the same
-//!   [`merge_outcomes`](idsbench_stream::merge_outcomes) the local executor
-//!   uses.
+//!   then hands a socket-backed
+//!   [`ShardPool`](idsbench_stream::feeder::ShardPool) to the one feed loop
+//!   in [`idsbench_stream::feeder`] — the loop `run_stream` drives, so
+//!   validation, autoscaling, routing, the rebalance ordering and the
+//!   merge are shared code. Scale-ups place shards on the least-loaded
+//!   live peer; scale-downs and planned drains retire shards behind a
+//!   drain-then-migrate barrier that runs *across the sockets*.
 //!
 //! The protocol is strictly request-driven on the coordinator side: a worker
 //! only writes when answering `Spawn`, `Rebalance`, `Retire`, or `Finish`,
@@ -111,6 +110,14 @@ impl std::error::Error for FabricError {
 impl From<std::io::Error> for FabricError {
     fn from(err: std::io::Error) -> Self {
         FabricError::Io(err)
+    }
+}
+
+/// Feeder-side failures — a rejected [`StreamConfig`](idsbench_stream::StreamConfig),
+/// a failing packet source — surface as protocol errors of the run.
+impl From<idsbench_core::CoreError> for FabricError {
+    fn from(err: idsbench_core::CoreError) -> Self {
+        FabricError::Protocol(err.to_string())
     }
 }
 

@@ -5,7 +5,7 @@
 //! [`TrainView`] (assembled exactly once, like the in-process executor's
 //! feeder), every `Spawn` fits a fresh detector instance for its shard,
 //! batches drive the very same [`ShardLoop`] the local executor uses, and
-//! rebalance/retire/finish stream
+//! rebalance/checkpoint/retire stream migrations and
 //! [`ShardOutcome`](idsbench_stream::ShardOutcome) fragments back. The
 //! worker never initiates a message — it only answers — which is what makes
 //! the protocol deadlock-free (see the crate docs).
@@ -235,16 +235,18 @@ pub fn run_worker_with_faults(
                 send_msg(&mut transport, &WorkerMsg::Outcome(outcome).encode(), counters)?;
             }
             CoordMsg::Finish => {
-                // BTreeMap iteration gives ascending shard ids — the order
-                // the coordinator collects outcomes in.
-                for (_, mut hosted) in std::mem::take(&mut shards) {
-                    hosted.event_loop.finish();
-                    let outcome = hosted.event_loop.into_outcome(hosted.fit_seconds);
-                    send_msg(&mut transport, &WorkerMsg::Outcome(outcome).encode(), counters)?;
+                // The coordinator retires every shard before `Finish` and
+                // accepts only `Bye` in reply; scores still held here would
+                // be lost silently.
+                if !shards.is_empty() {
+                    let hosted: Vec<&usize> = shards.keys().collect();
+                    return Err(FabricError::Protocol(format!(
+                        "Finish with shards {hosted:?} still hosted"
+                    )));
                 }
                 send_msg(&mut transport, &WorkerMsg::Bye.encode(), counters)?;
                 // Wait for the coordinator to close; exiting first could
-                // reset unread outcome bytes on some stacks.
+                // reset unread reply bytes on some stacks.
                 let _ = read_frame(&mut transport, counters);
                 return Ok(());
             }

@@ -6,19 +6,25 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use idsbench_core::{
-    AttackKind, Event, EventDetector, InputFormat, Label, LabeledPacket, TrainView,
+    AttackKind, CoreError, Event, EventDetector, InputFormat, Label, LabeledPacket, TrainView,
 };
 use idsbench_fabric::coordinator::DrainPlan;
 use idsbench_fabric::{
-    run_fabric, run_worker, run_worker_with_faults, Endpoint, FabricConfig, FabricListener,
-    FaultPlan, RecoveryConfig,
+    run_fabric, run_worker, run_worker_with_faults, CoordMsg, Endpoint, FabricConfig, FabricError,
+    FabricListener, FaultPlan, HelloConfig, RecoveryConfig, WorkerMsg,
 };
 use idsbench_flow::FlowKey;
-use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
-use idsbench_stream::{run_stream, AutoscalePolicy, StreamConfig, StreamRun, VecSource};
-use idsbench_telemetry::{Telemetry, TelemetryConfig};
+use idsbench_net::{MacAddr, Packet, PacketBuilder, TcpFlags, Timestamp};
+use idsbench_stream::metrics::window_index;
+use idsbench_stream::{
+    run_stream, AutoscalePolicy, PacketSource, StreamConfig, StreamRun, ThresholdMode, VecSource,
+};
+use idsbench_telemetry::{JournalEvent, Stage, Telemetry, TelemetryConfig};
 
 /// Scores each evicted flow by its packet count — the flow-format detector
 /// whose score multiset is partition-invariant.
@@ -135,12 +141,25 @@ fn autoscaled_config() -> StreamConfig {
     }
 }
 
-/// Binds a listener, launches `workers` worker threads against it, runs the
-/// coordinator, and joins the workers.
+/// [`fabric_run_from`] over an in-memory copy of `packets`.
 fn fabric_run(
     bind: &Endpoint,
     detector: &str,
     packets: &[LabeledPacket],
+    config: &StreamConfig,
+    fabric: FabricConfig,
+    telemetry: Option<&Telemetry>,
+) -> StreamRun {
+    let source = VecSource::new("bursty", packets.to_vec());
+    fabric_run_from(bind, detector, source, config, fabric, telemetry)
+}
+
+/// Binds a listener, launches `workers` worker threads against it, runs the
+/// coordinator over `source`, and joins the workers.
+fn fabric_run_from(
+    bind: &Endpoint,
+    detector: &str,
+    source: impl PacketSource,
     config: &StreamConfig,
     fabric: FabricConfig,
     telemetry: Option<&Telemetry>,
@@ -153,16 +172,8 @@ fn fabric_run(
             std::thread::spawn(move || run_worker(&endpoint, &resolve, None))
         })
         .collect();
-    let run = run_fabric(
-        detector,
-        &[],
-        VecSource::new("bursty", packets.to_vec()),
-        config,
-        &fabric,
-        listener,
-        telemetry,
-    )
-    .expect("fabric run");
+    let run = run_fabric(detector, &[], source, config, &fabric, listener, telemetry)
+        .expect("fabric run");
     for worker in workers {
         worker.join().expect("worker thread").expect("worker protocol");
     }
@@ -214,6 +225,25 @@ fn fabric_run_with_faults(
     run
 }
 
+/// Counts how many packets come back through `recycle_packet`.
+#[derive(Debug)]
+struct CountingSource {
+    inner: VecSource,
+    recycled: Arc<AtomicUsize>,
+}
+
+impl PacketSource for CountingSource {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn next_packet(&mut self) -> Result<Option<LabeledPacket>, CoreError> {
+        self.inner.next_packet()
+    }
+    fn recycle_packet(&mut self, _packet: Packet) {
+        self.recycled.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 fn sorted(mut scores: Vec<f64>) -> Vec<f64> {
     scores.sort_by(f64::total_cmp);
     scores
@@ -249,6 +279,40 @@ fn tcp_fabric_matches_single_process_multiset_under_autoscale() {
         telemetry.counter("fabric_cross_peer_migrations_total").get() > 0,
         "two workers with spread shards must migrate across the process boundary"
     );
+
+    // The fabric drives the one feeder, so it reports the feeder's telemetry.
+    assert_eq!(telemetry.counter("packets_total").get(), fabric.report.eval_packets as u64);
+    assert!(telemetry.counter("batches_total").get() > 0);
+    assert_eq!(telemetry.gauge("live_shards").get(), fabric.report.final_shards as u64);
+    let journal = telemetry.journal().snapshot();
+    let scales = journal.events.iter().filter(|e| matches!(e, JournalEvent::Scale(_))).count();
+    assert_eq!(scales, fabric.report.scale_events.len());
+    let sampled = |stage: Stage| -> u64 {
+        let stages = telemetry.stages();
+        stages.iter().filter(|s| s.stage() == stage).map(|s| s.histogram().len()).sum()
+    };
+    assert!(sampled(Stage::Parse) > 0, "no parse span sampled");
+    assert!(sampled(Stage::Route) > 0, "no route span sampled");
+
+    // ... and telemetry still steers nothing: the same run without it
+    // produces the same scores in the same order, and returns every fed
+    // packet to its source once the bytes are copied into the wire item.
+    let recycled = Arc::new(AtomicUsize::new(0));
+    let counting = CountingSource {
+        inner: VecSource::new("bursty", packets.clone()),
+        recycled: Arc::clone(&recycled),
+    };
+    let plain = fabric_run_from(
+        &Endpoint::parse("tcp://127.0.0.1:0").unwrap(),
+        "flow-counter",
+        counting,
+        &autoscaled_config(),
+        FabricConfig { workers: 2, ..Default::default() },
+        None,
+    );
+    assert_eq!(plain.scores, fabric.scores, "telemetry must not steer the run");
+    assert_eq!(plain.report.scale_events.len(), fabric.report.scale_events.len());
+    assert_eq!(recycled.load(Ordering::Relaxed), packets.len(), "a fed packet was not recycled");
 
     // The acceptance invariant: identical sorted score multiset.
     assert_eq!(sorted(single.scores), sorted(fabric.scores), "fabric changed flow scores");
@@ -329,6 +393,160 @@ fn drained_worker_loses_no_flow_state() {
 }
 
 #[test]
+fn drain_scale_events_join_the_metrics_window_axis() {
+    // One packet per millisecond, so the drain at seq 300 lands exactly on
+    // ts = 300 000 µs — the boundary of 0.1 s window 3, where a float
+    // `ts / 1e6 / window_secs` truncates to 2.
+    let packets: Vec<LabeledPacket> = (0..600u64)
+        .map(|i| flow_packet((i % 7) as u8 + 1, 1000 + (i % 13) as u16, i * 1000, false))
+        .collect();
+    let window_secs = 0.1;
+    let fabric = fabric_run(
+        &Endpoint::parse("tcp://127.0.0.1:0").unwrap(),
+        "flow-seq",
+        &packets,
+        &StreamConfig { shards: 2, batch_size: 16, window_secs, ..Default::default() },
+        FabricConfig {
+            workers: 2,
+            drain: Some(DrainPlan { peer: 1, at_seq: 300 }),
+            ..Default::default()
+        },
+        None,
+    );
+    let events = &fabric.report.scale_events;
+    assert!(!events.is_empty(), "drain plan produced no retirement");
+    for event in events {
+        assert_eq!(event.trigger_pps, 0.0, "only the drain may reshape this pool");
+        assert_eq!((event.seq, event.at_secs), (300, 0.3));
+        let at_micros = (event.at_secs * 1e6).round() as u64;
+        assert_eq!(event.window, window_index(at_micros, window_secs));
+        assert_eq!(event.window, 3);
+    }
+    // The report's windows are indexed on the same axis.
+    assert!(fabric.report.windows.iter().any(|w| w.index == events[0].window));
+}
+
+#[test]
+fn both_drivers_reject_the_same_configs_before_any_worker_is_awaited() {
+    let policy = |policy: AutoscalePolicy| Some(policy);
+    let cases = [
+        ("shards must be", StreamConfig { shards: 0, ..Default::default() }),
+        ("batch_size must be", StreamConfig { batch_size: 0, ..Default::default() }),
+        ("channel_capacity must be", StreamConfig { channel_capacity: 0, ..Default::default() }),
+        ("window_secs must be", StreamConfig { window_secs: 0.0, ..Default::default() }),
+        ("window_secs must be", StreamConfig { window_secs: -1.0, ..Default::default() }),
+        ("window_secs must be", StreamConfig { window_secs: f64::NAN, ..Default::default() }),
+        (
+            "fixed threshold must not be NaN",
+            StreamConfig { threshold: ThresholdMode::Fixed(f64::NAN), ..Default::default() },
+        ),
+        (
+            "min_shards must be",
+            StreamConfig {
+                autoscale: policy(AutoscalePolicy { min_shards: 0, ..Default::default() }),
+                ..Default::default()
+            },
+        ),
+        (
+            "max_shards must be",
+            StreamConfig {
+                shards: 3,
+                autoscale: policy(AutoscalePolicy {
+                    min_shards: 3,
+                    max_shards: 2,
+                    ..Default::default()
+                }),
+                ..Default::default()
+            },
+        ),
+        (
+            "outside autoscale bounds",
+            StreamConfig {
+                shards: 1,
+                autoscale: policy(AutoscalePolicy { min_shards: 2, ..Default::default() }),
+                ..Default::default()
+            },
+        ),
+        (
+            "outside autoscale bounds",
+            StreamConfig {
+                shards: 9,
+                autoscale: policy(AutoscalePolicy::default()),
+                ..Default::default()
+            },
+        ),
+        (
+            "would flap",
+            StreamConfig {
+                autoscale: policy(AutoscalePolicy {
+                    scale_up_pps: 10.0,
+                    scale_down_pps: 20.0,
+                    ..Default::default()
+                }),
+                ..Default::default()
+            },
+        ),
+    ];
+    // No worker ever dials in: a fabric run that got as far as `accept`
+    // would sit out the 30 s accept window and fail with an I/O timeout.
+    let fabric_err = |config: &StreamConfig, fabric: &FabricConfig| {
+        let listener =
+            FabricListener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
+        let started = Instant::now();
+        let source = VecSource::new("x", Vec::new());
+        let err = run_fabric("flow-counter", &[], source, config, fabric, listener, None)
+            .expect_err("an invalid config must not run");
+        assert!(started.elapsed() < Duration::from_secs(10), "rejected only after accept: {err}");
+        err
+    };
+    for (why, config) in &cases {
+        let local = run_stream(
+            &|| Box::new(FlowCounter) as Box<dyn EventDetector>,
+            &[],
+            VecSource::new("x", Vec::new()),
+            config,
+        )
+        .expect_err("an invalid config must not run");
+        assert!(matches!(local, CoreError::Stream { .. }), "{why}: {local}");
+        assert!(local.to_string().contains(why), "{why}: {local}");
+        let remote = fabric_err(config, &FabricConfig::default());
+        assert!(matches!(remote, FabricError::Protocol(_)), "{why}: {remote}");
+        assert!(remote.to_string().contains(why), "{why}: {remote}");
+    }
+
+    // The fabric's own checks stay, equally early.
+    let valid = StreamConfig::default();
+    let err = fabric_err(&valid, &FabricConfig { workers: 0, ..Default::default() });
+    assert!(err.to_string().contains("at least one worker"), "{err}");
+    let drain = Some(DrainPlan { peer: 2, at_seq: 0 });
+    let err = fabric_err(&valid, &FabricConfig { workers: 2, drain, ..Default::default() });
+    assert!(err.to_string().contains("drain plan names peer 2 of 2"), "{err}");
+}
+
+#[test]
+fn worker_refuses_finish_while_it_still_hosts_shards() {
+    let listener = FabricListener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
+    let endpoint = listener.local_endpoint().unwrap();
+    let worker = std::thread::spawn(move || run_worker(&endpoint, &resolve, None));
+    let mut peer = listener.accept_timeout(Duration::from_secs(30)).unwrap();
+    let mut exchange = |msg: CoordMsg, reply: bool| {
+        peer.send_frame(&msg.encode(), None).unwrap();
+        reply.then(|| WorkerMsg::decode(&peer.recv_frame(None).unwrap().unwrap()).unwrap())
+    };
+    let hello = HelloConfig::from_stream("flow-counter", &StreamConfig::default());
+    assert!(matches!(exchange(CoordMsg::Hello(hello), true), Some(WorkerMsg::HelloOk { .. })));
+    exchange(CoordMsg::TrainDone, false);
+    assert!(matches!(exchange(CoordMsg::Spawn { shard: 0 }, true), Some(WorkerMsg::Ready { .. })));
+    // A coordinator retires every shard before `Finish`; one that does not
+    // would lose the shard's scores, so the worker fails loudly instead of
+    // answering with frames the coordinator never reads.
+    exchange(CoordMsg::Finish, false);
+    let err = worker.join().unwrap().expect_err("Finish with a hosted shard must fail");
+    assert!(matches!(err, FabricError::Protocol(_)), "{err}");
+    assert!(err.to_string().contains("still hosted"), "{err}");
+}
+
+#[test]
 fn killed_worker_recovers_with_identical_scores() {
     let packets = bursty_workload(6);
     let kill_at = packets.len() as u64 * 3 / 5;
@@ -352,7 +570,7 @@ fn killed_worker_recovers_with_identical_scores() {
             workers: 2,
             // Tight epochs so the kill lands well past a committed
             // checkpoint: recovery must restore flows AND replay batches.
-            recovery: Some(RecoveryConfig { checkpoint_frames: 8, ..Default::default() }),
+            recovery: RecoveryConfig { checkpoint_frames: 8, ..Default::default() },
             ..Default::default()
         },
         vec![Some(Box::leak(format!("kill-at-seq={kill_at}").into_boxed_str())), None],
@@ -398,11 +616,11 @@ fn standby_absorbs_every_shard_after_both_regulars_die() {
         &StreamConfig { shards: 2, batch_size: 16, window_secs: 1.0, ..Default::default() },
         FabricConfig {
             workers: 2,
-            recovery: Some(RecoveryConfig {
+            recovery: RecoveryConfig {
                 checkpoint_frames: 8,
                 standby_workers: 1,
                 ..Default::default()
-            }),
+            },
             ..Default::default()
         },
         // Both regular workers die mid-stream; the third (standby, last to
@@ -439,7 +657,7 @@ fn corrupted_frame_triggers_recovery_under_autoscale() {
         &autoscaled_config(),
         FabricConfig {
             workers: 2,
-            recovery: Some(RecoveryConfig { checkpoint_frames: 8, ..Default::default() }),
+            recovery: RecoveryConfig { checkpoint_frames: 8, ..Default::default() },
             ..Default::default()
         },
         // One worker corrupts its 5th reply frame: the coordinator's

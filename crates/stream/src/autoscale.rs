@@ -121,18 +121,18 @@ impl AutoscalePolicy {
 
 /// Which way a scale decision points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleDirection {
+pub(crate) enum ScaleDirection {
     /// Add one shard.
     Up,
     /// Remove one shard.
     Down,
 }
 
-/// One decision produced by [`Autoscaler::poll`]; the executor enacts it
+/// One decision produced by [`Autoscaler::poll`]; the feeder enacts it
 /// (spawn/retire a shard, rebalance the ring) and records the outcome as a
 /// [`ScaleEvent`](idsbench_core::ScaleEvent).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScaleDecision {
+pub(crate) struct ScaleDecision {
     /// Direction of the action.
     pub direction: ScaleDirection,
     /// Index of the completed window whose rate fired the policy.
@@ -146,7 +146,7 @@ pub struct ScaleDecision {
 /// recorded when [`Autoscaler::log_crossings`] is enabled (the telemetry
 /// journal's feed); the default path keeps zero bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThresholdCrossing {
+pub(crate) struct ThresholdCrossing {
     /// Index of the completed window that crossed.
     pub window: u64,
     /// That window's event rate (events/sec of traffic time).
@@ -157,7 +157,7 @@ pub struct ThresholdCrossing {
 
 /// Live signals sampled by the feeder at poll time — the wall-clock half
 /// of the policy inputs (the traffic-window rate is carried per window
-/// inside the [`Autoscaler`]).
+/// inside the autoscaler).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LiveSignals {
     /// Deepest feeder→shard channel, in batches.
@@ -169,12 +169,12 @@ pub struct LiveSignals {
 /// The feeder-side control loop: folds packet arrivals into per-window
 /// counts and evaluates the policy once per completed window.
 ///
-/// Usage from the executor: [`Autoscaler::observe_packet`] for every fed
+/// Usage from the feeder: [`Autoscaler::observe_packet`] for every fed
 /// packet, then drain [`Autoscaler::poll`] until `None` before routing it —
 /// so the packet that reveals a window boundary is already routed under the
 /// rebalanced ring.
 #[derive(Debug)]
-pub struct Autoscaler {
+pub(crate) struct Autoscaler {
     policy: AutoscalePolicy,
     window_secs: f64,
     /// Currently accumulating window: `(index, events so far)`.
@@ -201,11 +201,6 @@ impl Autoscaler {
             log_crossings: false,
             crossings: Vec::new(),
         }
-    }
-
-    /// The policy this loop runs.
-    pub fn policy(&self) -> &AutoscalePolicy {
-        &self.policy
     }
 
     /// Enables (or disables) collection of suppressed threshold crossings.

@@ -9,30 +9,27 @@
 //!            once, hash by flow key, bounded channels, batches)
 //! ```
 //!
-//! Invariants the design pins down:
+//! The feed loop itself — parse, autoscale, route, the rebalance ordering,
+//! the merge — is [`crate::feeder`], shared with the multi-node fabric.
+//! This module is the in-process [`ShardPool`]: one thread per shard behind
+//! a bounded channel. Data-plane invariants the design pins down:
 //!
-//! * **Parse once.** The feeder decodes each packet into a
-//!   [`ParsedView`] — the pipeline's single `ParsedPacket::parse` site —
-//!   routes on the view's precomputed canonical flow key, and ships the
-//!   view to the shard. Detectors and per-shard flow tables all consume
-//!   that same view; nothing downstream re-parses.
+//! * **Parse once.** The feeder decodes each packet into a `ParsedView` —
+//!   the pipeline's single `ParsedPacket::parse` site — routes on the
+//!   view's precomputed canonical flow key, and the pool ships the view to
+//!   the shard. Detectors and per-shard flow tables all consume that same
+//!   view; nothing downstream re-parses.
 //! * **Per-flow locality.** Packets are routed by the canonical 5-tuple
 //!   over a consistent-hash ring ([`HashRing`]), so both directions of a
 //!   conversation always reach the flow's owning shard and each shard's
 //!   detector (and flow table) sees every flow it owns in arrival order.
 //!   Flow-eviction events therefore fire on the shard that owns the flow.
-//! * **Elastic sharding.** With an [`AutoscalePolicy`] configured, the
-//!   feeder runs an [`Autoscaler`] control loop over the live windowed
-//!   event rate (plus optional channel-depth / p99 signals) and grows or
-//!   shrinks the pool mid-stream. Ownership moves are a drain-then-migrate
-//!   barrier: every packet routed under the old ring is flushed, departing
-//!   shards extract the affected flow-table entries, label folds, and
-//!   detector per-flow state as [`FlowMigration`]s, and the new owner
-//!   absorbs them *before* the first packet routed under the new ring — so
-//!   per-flow event order survives every scale action, and a flow-format
-//!   detector's per-flow score multiset is invariant to when (or whether)
-//!   scaling happens. Each action is recorded as a [`ScaleEvent`] in the
-//!   report.
+//! * **Elastic sharding.** With an [`AutoscalePolicy`] configured the pool
+//!   grows and shrinks mid-stream. Control messages ride the same ordered
+//!   channel as the data — the FIFO lane the feeder's drain-then-migrate
+//!   barrier needs — and the barrier here is concurrent: the drain request
+//!   is broadcast to every affected shard before the first reply is
+//!   awaited, so its latency is the slowest shard's backlog, not the sum.
 //! * **One contract, two drivers.** Shards deliver the same event stream
 //!   the batch runner replays — packet events in order, flow evictions at
 //!   flow-table eviction time, flush at end of stream — to the same
@@ -54,23 +51,23 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 use crossbeam::channel;
 use idsbench_core::threshold::ThresholdPolicy;
 use idsbench_core::{
     CoreError, EventDetector, FlowEventAssembler, FlowMigration, InputFormat, LabeledPacket,
-    ParsedView, Result, ScaleEvent, TrainView,
+    ParsedView, Result, TrainView,
 };
 use idsbench_flow::FlowTableConfig;
-use idsbench_telemetry::{
-    Counter, Gauge, JournalEvent, SpanTimer, Stage, StageHistogram, Telemetry,
-};
+use idsbench_telemetry::{Counter, JournalEvent, Telemetry};
 
-use crate::autoscale::{AutoscalePolicy, Autoscaler, LiveSignals, ScaleDirection};
+use crate::autoscale::{AutoscalePolicy, LiveSignals};
+use crate::feeder::{Feeder, ShardPool};
 use crate::report::StreamReport;
-use crate::ring::{HashRing, DEFAULT_VNODES};
-use crate::shard::{merge_outcomes, Recorder, ShardLoop, ShardOutcome, ShardSpans, StreamItem};
+use crate::ring::HashRing;
+use crate::shard::{Recorder, ShardLoop, ShardOutcome, ShardSpans, StreamItem};
 use crate::source::PacketSource;
 
 /// How the alert threshold is resolved at the end of a run.
@@ -136,7 +133,8 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    fn validate(&self) -> Result<()> {
+    /// The one configuration check, reached only through [`Feeder::new`].
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.shards == 0 {
             return Err(CoreError::stream("shards must be >= 1"));
         }
@@ -180,10 +178,8 @@ pub struct StreamRun {
 }
 
 /// Everything that travels the feeder→shard channel. Control messages ride
-/// the same ordered channel as the data, which is what makes the rebalance
-/// protocol correct: a `Rebalance` is provably behind every packet routed
-/// under the old ring, and a `Migrate` provably ahead of every packet
-/// routed under the new one.
+/// the same ordered channel as the data — the FIFO lane the feeder's
+/// rebalance ordering relies on.
 enum ShardMsg {
     /// A batch of routed packets.
     Batch(Vec<StreamItem>),
@@ -198,300 +194,271 @@ enum ShardMsg {
 
 /// Everything a shard worker needs from the run environment; cloned per
 /// spawn so mid-stream scale-ups reuse the exact setup of the initial pool.
+#[derive(Clone)]
 struct ShardContext<'scope> {
     factory: &'scope (dyn Fn() -> Box<dyn EventDetector> + Sync),
     train: &'scope TrainView,
     start_line: &'scope Barrier,
     recycle: channel::Sender<Vec<StreamItem>>,
-    threshold: ThresholdMode,
-    flow: FlowTableConfig,
-    window_secs: f64,
+    config: StreamConfig,
     format: InputFormat,
-    /// Whether shards publish a live per-batch scoring p99 — only when the
-    /// policy's `scale_up_p99_us` trigger is finite, so runs that don't
-    /// use the signal don't pay for it.
-    live_p99: bool,
     /// Runtime telemetry shared by every thread of the run; `None` (the
     /// [`run_stream`] default) keeps the hot path exactly as before.
     telemetry: Option<&'scope Telemetry>,
-}
-
-impl Clone for ShardContext<'_> {
-    fn clone(&self) -> Self {
-        ShardContext { recycle: self.recycle.clone(), ..*self }
-    }
 }
 
 /// Feeder-side handle to one live shard.
 struct ShardSlot {
     id: usize,
     tx: channel::Sender<ShardMsg>,
-    /// The partial batch accumulating for this shard.
-    batch: Vec<StreamItem>,
     /// Latest scoring p99 (nanoseconds) published by the worker — the
     /// autoscaler's live latency signal. Absent without autoscaling.
     p99_nanos: Option<Arc<AtomicU64>>,
-    /// How often a full channel forced the feeder to block behind this
-    /// shard (the backpressure design working as intended, but visible).
-    stalls: usize,
 }
 
-/// Feeder-side telemetry handles, resolved once before the stream starts so
-/// the per-packet path touches only relaxed atomics and sampled clocks.
-struct FeederTelemetry<'run> {
-    telemetry: &'run Telemetry,
-    parse: SpanTimer,
-    route: SpanTimer,
-    rebalance: Arc<StageHistogram>,
-    packets: Arc<Counter>,
-    batches: Arc<Counter>,
-    stalls: Arc<Counter>,
-    live_shards: Arc<Gauge>,
+fn died(shard: usize) -> CoreError {
+    CoreError::stream(format!("shard {shard} died"))
 }
 
-impl<'run> FeederTelemetry<'run> {
-    fn new(telemetry: &'run Telemetry) -> Self {
-        FeederTelemetry {
-            telemetry,
-            parse: telemetry.span(Stage::Parse, None),
-            route: telemetry.span(Stage::Route, None),
-            rebalance: telemetry.stage(Stage::Rebalance, None),
-            packets: telemetry.counter("packets_total"),
-            batches: telemetry.counter("batches_total"),
-            stalls: telemetry.counter("feeder_stalls_total"),
-            live_shards: telemetry.gauge("live_shards"),
-        }
-    }
-}
-
-/// Runs `body` under a sampled stage span when one is attached.
-#[inline]
-fn with_span<T>(span: Option<&SpanTimer>, body: impl FnOnce() -> T) -> T {
-    match span {
-        Some(span) => match span.begin() {
-            Some(started) => {
-                let out = body();
-                span.end(started);
-                out
-            }
-            None => body(),
-        },
-        None => body(),
-    }
-}
-
-/// Ships one full batch to its shard, accounting the stall when the channel
-/// is full: a non-blocking attempt first, then the blocking send the
-/// backpressure design requires. Returns `Err` when the shard is gone.
-fn dispatch_batch(
-    slot: &mut ShardSlot,
-    batch: Vec<StreamItem>,
-    seq: u64,
-    feeder: Option<&FeederTelemetry<'_>>,
-) -> std::result::Result<(), ()> {
-    if let Some(feeder) = feeder {
-        feeder.batches.inc();
-    }
-    match slot.tx.try_send(ShardMsg::Batch(batch)) {
-        Ok(()) => Ok(()),
-        Err(channel::TrySendError::Disconnected(_)) => Err(()),
-        Err(channel::TrySendError::Full(msg)) => {
-            slot.stalls += 1;
-            if let Some(feeder) = feeder {
-                feeder.stalls.inc();
-                feeder.telemetry.journal().push(JournalEvent::FeederStall {
-                    seq,
-                    shard: slot.id,
-                    depth: slot.tx.len(),
-                });
-            }
-            slot.tx.send(msg).map_err(|_| ())
-        }
-    }
-}
-
-/// Spawns one scoring worker. Initial-pool shards pass the start barrier
-/// after fitting so the throughput clock excludes training; shards added
-/// mid-stream (`use_barrier = false`) fit on the clock — elastic capacity
-/// is not free, and the run measures that honestly.
-fn spawn_shard<'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
+/// The in-process [`ShardPool`]: shard threads inside one
+/// [`std::thread::scope`], each behind a bounded channel.
+struct LocalPool<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
     ctx: ShardContext<'scope>,
-    id: usize,
-    rx: channel::Receiver<ShardMsg>,
-    use_barrier: bool,
-    p99_nanos: Option<Arc<AtomicU64>>,
-) -> std::thread::ScopedJoinHandle<'scope, Option<ShardOutcome>> {
-    scope.spawn(move || -> Option<ShardOutcome> {
-        // A fit panic must not strand the barrier (the feeder would
-        // deadlock behind it): catch it, pass the start line, and
-        // disconnect so the feeder sees the shard as dead.
-        let fit_started = Instant::now();
-        let fitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut detector = (ctx.factory)();
-            detector.fit(ctx.train);
-            detector
-        }));
-        let fit_seconds = fit_started.elapsed().as_secs_f64();
-        if use_barrier {
-            ctx.start_line.wait();
-        }
-        let detector = match fitted {
-            Ok(detector) => detector,
-            Err(_) => {
-                drop(rx);
-                return None;
-            }
-        };
-
-        let mut state = ShardLoop::new(
-            id,
-            detector,
-            Recorder::for_mode(ctx.threshold),
-            matches!(ctx.format, InputFormat::Flows).then(|| FlowEventAssembler::new(ctx.flow)),
-            ctx.window_secs,
-            p99_nanos.is_some(),
-            ctx.telemetry.map(|telemetry| ShardSpans::new(telemetry, id)),
-        );
-        for msg in rx.iter() {
-            match msg {
-                ShardMsg::Batch(batch) => {
-                    state.on_batch(&batch);
-                    // Publish this batch's p99, then reset: the signal must
-                    // track *current* latency — a cumulative histogram would
-                    // let one early slow burst pin `overloaded` for the rest
-                    // of the run.
-                    if let Some(out) = &p99_nanos {
-                        if let Some(p99) = state.batch_p99() {
-                            out.store(p99, Ordering::Relaxed);
-                        }
-                    }
-                    // The batch goes back *full*: the feeder recycles each
-                    // view's payload buffer into its source's arena before
-                    // reusing the vector.
-                    let _ = ctx.recycle.try_send(batch);
-                }
-                ShardMsg::Rebalance { ring, reply } => {
-                    let _ = reply.send(state.on_rebalance(&ring));
-                }
-                ShardMsg::Migrate(migrations) => state.on_migrate(migrations),
-            }
-        }
-        state.finish();
-        Some(state.into_outcome(fit_seconds))
-    })
+    /// Live shards, sorted by id (the feeder only ever spawns a fresh
+    /// highest id), so the per-batch lookup is a binary search.
+    slots: Vec<ShardSlot>,
+    workers: Vec<ScopedJoinHandle<'scope, Option<ShardOutcome>>>,
+    /// Indexed by shard id (ids are dense), retired shards included: how
+    /// often a full channel forced the feeder to block behind the shard —
+    /// the backpressure design working as intended, but visible.
+    stalls: Vec<usize>,
+    /// Consumed batches flow back to the feeder through this lane: `ship`
+    /// hands each view's payload buffer to the source's arena
+    /// (`PacketSource::recycle_packet`) and reuses the vector, so the
+    /// steady-state fan-out allocates neither a `Vec` per batch nor a
+    /// payload per packet. Both ends use the non-blocking ops: recycling is
+    /// an optimisation, never a stall (a full return lane just drops the
+    /// buffer).
+    recycle_rx: channel::Receiver<Vec<StreamItem>>,
+    stall_counter: Option<Arc<Counter>>,
 }
 
-/// Enacts one scale decision: flushes every old-ring batch, reshapes the
-/// pool, runs the drain + migrate barrier, and returns how many flow-state
-/// entries moved.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Stream`] when a shard dies mid-protocol (the join
-/// path surfaces the underlying panic as the root cause).
-#[allow(clippy::too_many_arguments)]
-fn apply_scale<'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    ctx: &ShardContext<'scope>,
-    direction: ScaleDirection,
-    channel_capacity: usize,
-    ring: &mut HashRing,
-    slots: &mut Vec<ShardSlot>,
-    workers: &mut Vec<std::thread::ScopedJoinHandle<'scope, Option<ShardOutcome>>>,
-    next_id: &mut usize,
-    retired_stalls: &mut Vec<(usize, usize)>,
-) -> Result<usize> {
-    // Every packet routed under the old ring must be in its shard's channel
-    // before any control message follows it: flush the partial batches.
-    for slot in slots.iter_mut() {
-        if !slot.batch.is_empty() {
-            let batch = std::mem::take(&mut slot.batch);
-            if slot.tx.send(ShardMsg::Batch(batch)).is_err() {
-                return Err(CoreError::stream(format!("shard {} died", slot.id)));
+impl<'scope, 'env> LocalPool<'scope, 'env> {
+    /// Spawns the initial pool and returns once every shard has fitted —
+    /// everyone meets at the start line, so the feeder's throughput clock
+    /// starts only when scoring can actually proceed.
+    fn open(
+        scope: &'scope Scope<'scope, 'env>,
+        ctx: ShardContext<'scope>,
+        recycle_rx: channel::Receiver<Vec<StreamItem>>,
+    ) -> Self {
+        let mut pool = LocalPool {
+            scope,
+            stall_counter: ctx.telemetry.map(|t| t.counter("feeder_stalls_total")),
+            ctx,
+            slots: Vec::new(),
+            workers: Vec::new(),
+            stalls: Vec::new(),
+            recycle_rx,
+        };
+        for id in 0..pool.ctx.config.shards {
+            pool.spawn_slot(id, true);
+        }
+        pool.ctx.start_line.wait();
+        pool
+    }
+
+    /// Spawns one scoring worker behind a fresh channel. Initial-pool
+    /// shards pass the start barrier after fitting so the throughput clock
+    /// excludes training; shards added mid-stream (`use_barrier = false`)
+    /// fit on the clock — elastic capacity is not free, and the run
+    /// measures that honestly.
+    fn spawn_slot(&mut self, id: usize, use_barrier: bool) {
+        let (tx, rx) = channel::bounded::<ShardMsg>(self.ctx.config.channel_capacity);
+        // Shards publish a live per-batch scoring p99 only when the policy's
+        // `scale_up_p99_us` trigger is finite, so runs that don't use the
+        // signal don't pay for it.
+        let live_p99 = self.ctx.config.autoscale.is_some_and(|p| p.scale_up_p99_us.is_finite());
+        let p99_nanos = live_p99.then(|| Arc::new(AtomicU64::new(0)));
+        self.slots.push(ShardSlot { id, tx, p99_nanos: p99_nanos.clone() });
+        self.stalls.push(0);
+        let ctx = self.ctx.clone();
+        let worker = self.scope.spawn(move || -> Option<ShardOutcome> {
+            // A fit panic must not strand the barrier (the feeder would
+            // deadlock behind it): catch it, pass the start line, and
+            // disconnect so the feeder sees the shard as dead.
+            let fit_started = Instant::now();
+            let fitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut detector = (ctx.factory)();
+                detector.fit(ctx.train);
+                detector
+            }));
+            let fit_seconds = fit_started.elapsed().as_secs_f64();
+            if use_barrier {
+                ctx.start_line.wait();
+            }
+            let detector = match fitted {
+                Ok(detector) => detector,
+                Err(_) => {
+                    drop(rx);
+                    return None;
+                }
+            };
+
+            let mut state = ShardLoop::new(
+                id,
+                detector,
+                Recorder::for_mode(ctx.config.threshold),
+                matches!(ctx.format, InputFormat::Flows)
+                    .then(|| FlowEventAssembler::new(ctx.config.flow)),
+                ctx.config.window_secs,
+                p99_nanos.is_some(),
+                ctx.telemetry.map(|telemetry| ShardSpans::new(telemetry, id)),
+            );
+            for msg in rx.iter() {
+                match msg {
+                    ShardMsg::Batch(batch) => {
+                        state.on_batch(&batch);
+                        // Publish this batch's p99, then reset: the signal must
+                        // track *current* latency — a cumulative histogram would
+                        // let one early slow burst pin `overloaded` for the rest
+                        // of the run.
+                        if let Some(out) = &p99_nanos {
+                            if let Some(p99) = state.batch_p99() {
+                                out.store(p99, Ordering::Relaxed);
+                            }
+                        }
+                        // The batch goes back *full*: the feeder recycles each
+                        // view's payload buffer into its source's arena before
+                        // reusing the vector.
+                        let _ = ctx.recycle.try_send(batch);
+                    }
+                    ShardMsg::Rebalance { ring, reply } => {
+                        let _ = reply.send(state.on_rebalance(&ring));
+                    }
+                    ShardMsg::Migrate(migrations) => state.on_migrate(migrations),
+                }
+            }
+            state.finish();
+            Some(state.into_outcome(fit_seconds))
+        });
+        self.workers.push(worker);
+    }
+
+    fn index_of(&self, shard: usize) -> usize {
+        self.slots.binary_search_by_key(&shard, |slot| slot.id).expect("ring owner is live")
+    }
+}
+
+impl ShardPool for LocalPool<'_, '_> {
+    type Error = CoreError;
+
+    /// Swaps a recycled buffer (or an empty placeholder that first pushes
+    /// grow) into the lane and sends the full one: a non-blocking attempt
+    /// first, then — accounting the stall — the blocking send the
+    /// backpressure design requires.
+    fn ship(
+        &mut self,
+        shard: usize,
+        batch: &mut Vec<StreamItem>,
+        source: &mut impl PacketSource,
+    ) -> Result<()> {
+        let next_seq = batch.last().map_or(0, |item| item.seq + 1);
+        let mut replacement = self.recycle_rx.try_recv().unwrap_or_default();
+        // Consumed views give their payload buffers back to the source.
+        for item in replacement.drain(..) {
+            source.recycle_packet(item.view.packet.packet);
+        }
+        let batch = std::mem::replace(batch, replacement);
+        let at = self.index_of(shard);
+        let slot = &mut self.slots[at];
+        match slot.tx.try_send(ShardMsg::Batch(batch)) {
+            Ok(()) => Ok(()),
+            Err(channel::TrySendError::Disconnected(_)) => Err(died(shard)),
+            Err(channel::TrySendError::Full(msg)) => {
+                self.stalls[shard] += 1;
+                if let (Some(telemetry), Some(counter)) = (self.ctx.telemetry, &self.stall_counter)
+                {
+                    counter.inc();
+                    let depth = slot.tx.len();
+                    telemetry.journal().push(JournalEvent::FeederStall {
+                        seq: next_seq,
+                        shard,
+                        depth,
+                    });
+                }
+                slot.tx.send(msg).map_err(|_| died(shard))
             }
         }
     }
-    let migrations = match direction {
-        ScaleDirection::Up => {
-            let id = *next_id;
-            *next_id += 1;
-            let (tx, rx) = channel::bounded(channel_capacity);
-            let p99 = ctx.live_p99.then(|| Arc::new(AtomicU64::new(0)));
-            workers.push(spawn_shard(scope, ctx.clone(), id, rx, false, p99.clone()));
-            ring.add_shard(id);
-            let snapshot = Arc::new(ring.clone());
-            // Ask every pre-existing shard for the flows it just lost; the
-            // replies double as the drain barrier.
-            let (reply_tx, reply_rx) = channel::bounded(slots.len().max(1));
-            for slot in slots.iter() {
-                let message =
-                    ShardMsg::Rebalance { ring: snapshot.clone(), reply: reply_tx.clone() };
-                if slot.tx.send(message).is_err() {
-                    return Err(CoreError::stream(format!("shard {} died", slot.id)));
-                }
-            }
-            drop(reply_tx);
-            let mut moved = Vec::new();
-            for _ in 0..slots.len() {
-                match reply_rx.recv() {
-                    Ok(mut flows) => moved.append(&mut flows),
-                    Err(_) => return Err(CoreError::stream("a shard died during rebalance")),
-                }
-            }
-            slots.push(ShardSlot { id, tx, batch: Vec::new(), p99_nanos: p99, stalls: 0 });
-            moved
+
+    fn spawn(&mut self, id: usize) -> Result<()> {
+        self.spawn_slot(id, false);
+        Ok(())
+    }
+
+    /// Concurrent: the request is broadcast before the first reply is
+    /// awaited, so every affected shard drains its backlog in parallel.
+    fn drain(&mut self, from: &[usize], ring: &HashRing) -> Result<Vec<FlowMigration>> {
+        let snapshot = Arc::new(ring.clone());
+        let (reply_tx, reply_rx) = channel::bounded(from.len().max(1));
+        for &shard in from {
+            let message = ShardMsg::Rebalance { ring: snapshot.clone(), reply: reply_tx.clone() };
+            self.slots[self.index_of(shard)].tx.send(message).map_err(|_| died(shard))?;
         }
-        ScaleDirection::Down => {
-            // Retire the youngest shard: consistent hashing moves only its
-            // own key ranges, and ids stay a compact history.
-            let victim_at = slots
+        drop(reply_tx);
+        let mut moved = Vec::new();
+        for _ in from {
+            let mut flows =
+                reply_rx.recv().map_err(|_| CoreError::stream("a shard died during rebalance"))?;
+            moved.append(&mut flows);
+        }
+        Ok(moved)
+    }
+
+    fn migrate(&mut self, shard: usize, flows: Vec<FlowMigration>) -> Result<()> {
+        self.slots[self.index_of(shard)].tx.send(ShardMsg::Migrate(flows)).map_err(|_| died(shard))
+    }
+
+    /// Dropping the sender ends the victim's message stream; it flushes
+    /// its now-empty state and reports at join time.
+    fn retire(&mut self, shard: usize) -> Result<()> {
+        self.slots.remove(self.index_of(shard));
+        Ok(())
+    }
+
+    fn live_signals(&self) -> LiveSignals {
+        LiveSignals {
+            max_channel_depth: self.slots.iter().map(|slot| slot.tx.len()).max().unwrap_or(0),
+            max_p99_us: self
+                .slots
                 .iter()
-                .enumerate()
-                .max_by_key(|(_, slot)| slot.id)
-                .map(|(at, _)| at)
-                .expect("scale-down on an empty pool");
-            let victim = slots.remove(victim_at);
-            ring.remove_shard(victim.id);
-            let snapshot = Arc::new(ring.clone());
-            let (reply_tx, reply_rx) = channel::bounded(1);
-            if victim.tx.send(ShardMsg::Rebalance { ring: snapshot, reply: reply_tx }).is_err() {
-                return Err(CoreError::stream(format!("shard {} died", victim.id)));
+                .filter_map(|slot| slot.p99_nanos.as_ref())
+                .map(|p99| p99.load(Ordering::Relaxed) as f64 / 1_000.0)
+                .fold(0.0, f64::max),
+        }
+    }
+
+    /// Closes every channel and joins every worker, after a failed feed
+    /// too: a dead worker is the root cause of whatever the feeder saw (it
+    /// sees only a closed channel), so it is the error reported first.
+    fn finish(mut self, fed: Result<()>) -> Result<(Vec<ShardOutcome>, Vec<usize>)> {
+        self.slots.clear(); // drops every sender
+        let mut outcomes = Vec::new();
+        let mut failure = None;
+        for worker in self.workers {
+            match worker.join() {
+                Ok(Some(outcome)) => outcomes.push(outcome),
+                Ok(None) => failure = Some(CoreError::stream("shard worker panicked in fit")),
+                Err(_) => failure = Some(CoreError::stream("shard worker panicked")),
             }
-            let moved = reply_rx
-                .recv()
-                .map_err(|_| CoreError::stream("departing shard died during rebalance"))?;
-            // Dropping the sender ends the victim's message stream; it
-            // flushes its now-empty state and reports at join time. Its
-            // stall count survives retirement so the report stays complete.
-            retired_stalls.push((victim.id, victim.stalls));
-            drop(victim);
-            moved
         }
-    };
-    let count = migrations.len();
-    // Deliver each migration to its new owner ahead of any packet routed
-    // under the new ring.
-    let mut groups: Vec<(usize, Vec<FlowMigration>)> = Vec::new();
-    for migration in migrations {
-        let owner = ring.owner_of(&migration.key);
-        match groups.iter_mut().find(|(id, _)| *id == owner) {
-            Some((_, flows)) => flows.push(migration),
-            None => groups.push((owner, vec![migration])),
+        match failure {
+            Some(failure) => Err(failure),
+            None => fed.map(|()| (outcomes, self.stalls)),
         }
     }
-    for (owner, flows) in groups {
-        if let Some(telemetry) = ctx.telemetry {
-            telemetry
-                .journal()
-                .push(JournalEvent::Migration { to_shard: owner, flows: flows.len() });
-        }
-        let slot = slots.iter().find(|slot| slot.id == owner).expect("ring owner is live");
-        if slot.tx.send(ShardMsg::Migrate(flows)).is_err() {
-            return Err(CoreError::stream(format!("shard {owner} died")));
-        }
-    }
-    Ok(count)
 }
 
 /// Runs one streaming evaluation: assembles the shared [`TrainView`] from
@@ -517,18 +484,13 @@ pub fn run_stream(
 
 /// [`run_stream`] with runtime telemetry attached.
 ///
-/// When `telemetry` is `Some`, the run additionally:
-///
-/// * counts packets, batches, feeder stalls, and source-side drops into the
-///   registry's [`Counter`]s and tracks the live pool size in a
-///   [`Gauge`] named `live_shards`;
-/// * records sampled `parse`/`route` spans on the feeder and full-coverage
-///   `score`/`evict`/`migrate`/`rebalance` stage latencies (the scoring
-///   stages reuse latencies the recorder already measures, so no clock
-///   reads are added to the per-event path);
-/// * journals structured [`JournalEvent`]s — scale actions, flow
-///   migrations, feeder stalls, dropped packets, and the autoscaler's
-///   suppressed threshold crossings.
+/// When `telemetry` is `Some`, the run additionally emits the feeder
+/// telemetry [`Feeder::new`] lists, plus what only this pool can observe:
+/// `feeder_stalls_total` and a `FeederStall` journal event whenever a full
+/// channel blocks the feeder, and full-coverage per-shard
+/// `score`/`evict`/`migrate` stage latencies (the scoring stages reuse
+/// latencies the recorder already measures, so no clock reads are added to
+/// the per-event path).
 ///
 /// `None` is byte-for-byte the plain [`run_stream`] behaviour: scores,
 /// thresholds, and reports are unaffected either way — telemetry observes
@@ -540,16 +502,13 @@ pub fn run_stream(
 pub fn run_stream_with_telemetry(
     factory: &(dyn Fn() -> Box<dyn EventDetector> + Sync),
     warmup: &[LabeledPacket],
-    mut source: impl PacketSource,
+    source: impl PacketSource,
     config: &StreamConfig,
     telemetry: Option<&Telemetry>,
 ) -> Result<StreamRun> {
-    config.validate()?;
-    let shards = config.shards;
-    let vnodes = config.autoscale.map_or(DEFAULT_VNODES, |policy| policy.vnodes);
-    let max_pool = config.autoscale.map_or(shards, |policy| policy.max_shards.max(shards));
-    let source_name = source.name().to_string();
-    let (detector_name, format) = {
+    let feeder = Feeder::new(config, telemetry)?;
+    let max_pool = config.autoscale.map_or(config.shards, |policy| policy.max_shards);
+    let (detector, format) = {
         let probe = factory();
         (probe.name().to_string(), probe.input_format())
     };
@@ -562,270 +521,35 @@ pub fn run_stream_with_telemetry(
         config.flow,
     );
     let assembly_seconds = assembly_started.elapsed().as_secs_f64();
-    let train = &train;
 
-    // Everyone (initial shards + feeder) meets here after fit, so the
-    // throughput clock starts only when scoring can actually proceed.
-    let start_line = Barrier::new(shards + 1);
-
-    // Consumed batches flow back to the feeder through this channel: the
-    // feeder hands each view's payload buffer to the source's arena
-    // (`PacketSource::recycle_packet`) and reuses the vector, so the
-    // steady-state fan-out allocates neither a `Vec` per batch nor a
-    // payload per packet. Both ends use the non-blocking ops: recycling is
-    // an optimisation, never a stall (a full return lane just drops the
-    // buffer). Sized for the autoscaler's ceiling, not the initial pool.
-    let (recycle_tx, recycle_rx) =
+    let start_line = Barrier::new(config.shards + 1);
+    // Sized for the autoscaler's ceiling, not the initial pool.
+    let (recycle, recycle_rx) =
         channel::bounded::<Vec<StreamItem>>(max_pool * config.channel_capacity + max_pool);
-
-    let feeder_telemetry = telemetry.map(FeederTelemetry::new);
-    if let Some(feeder) = &feeder_telemetry {
-        feeder.live_shards.set(shards as u64);
-    }
-
-    type RunOutput = (Vec<ShardOutcome>, u64, f64, Vec<ScaleEvent>, usize, Vec<(usize, usize)>);
-    let run = std::thread::scope(|scope| -> Result<RunOutput> {
-        let feeder = feeder_telemetry.as_ref();
-        let ctx = ShardContext {
-            factory,
-            train,
-            start_line: &start_line,
-            recycle: recycle_tx.clone(),
-            threshold: config.threshold,
-            flow: config.flow,
-            window_secs: config.window_secs,
-            format,
-            live_p99: config.autoscale.is_some_and(|policy| policy.scale_up_p99_us.is_finite()),
-            telemetry,
-        };
-        let mut ring = HashRing::with_shards(vnodes, shards);
-        let mut workers = Vec::new();
-        let mut slots: Vec<ShardSlot> = Vec::with_capacity(shards);
-        for id in 0..shards {
-            let (tx, rx) = channel::bounded(config.channel_capacity);
-            let p99 = ctx.live_p99.then(|| Arc::new(AtomicU64::new(0)));
-            workers.push(spawn_shard(scope, ctx.clone(), id, rx, true, p99.clone()));
-            slots.push(ShardSlot { id, tx, batch: Vec::new(), p99_nanos: p99, stalls: 0 });
-        }
-        let mut next_id = shards;
-        let mut scaler = config.autoscale.map(|policy| Autoscaler::new(policy, config.window_secs));
-        if telemetry.is_some() {
-            if let Some(scaler) = &mut scaler {
-                // The journal wants the near-misses too: windows that
-                // crossed a threshold but produced no decision.
-                scaler.log_crossings(true);
-            }
-        }
-        let mut scale_events: Vec<ScaleEvent> = Vec::new();
-        let mut retired_stalls: Vec<(usize, usize)> = Vec::new();
-
-        // ---- Feeder (this thread): parse once, autoscale at window
-        // boundaries, route over the ring, batch, apply backpressure. ----
-        start_line.wait();
-        let clock = Instant::now();
-        let mut seq = 0u64;
-        let mut source_error: Option<CoreError> = None;
-        'feed: loop {
-            match source.next_packet() {
-                Ok(Some(packet)) => {
-                    // The eval stream's single parse per packet.
-                    let view =
-                        with_span(feeder.map(|f| &f.parse), || ParsedView::from_packet(packet));
-                    if let Some(feeder) = feeder {
-                        feeder.packets.inc();
-                    }
-                    let ts_micros = view.packet.packet.ts.as_micros();
-                    if let Some(scaler) = &mut scaler {
-                        scaler.observe_packet(ts_micros);
-                        // Drain every due decision before routing, so this
-                        // packet already travels under the rebalanced ring.
-                        // The `has_pending` pre-check keeps the per-packet
-                        // fast path free of signal sampling (channel-depth
-                        // reads take the channel lock).
-                        while scaler.has_pending() {
-                            let live = LiveSignals {
-                                max_channel_depth: slots
-                                    .iter()
-                                    .map(|slot| slot.tx.len())
-                                    .max()
-                                    .unwrap_or(0),
-                                max_p99_us: slots
-                                    .iter()
-                                    .filter_map(|slot| slot.p99_nanos.as_ref())
-                                    .map(|p99| p99.load(Ordering::Relaxed) as f64 / 1_000.0)
-                                    .fold(0.0, f64::max),
-                            };
-                            let Some(decision) = scaler.poll(slots.len(), live) else {
-                                break;
-                            };
-                            let rebalance_clock = Instant::now();
-                            let from_shards = slots.len();
-                            match apply_scale(
-                                scope,
-                                &ctx,
-                                decision.direction,
-                                config.channel_capacity,
-                                &mut ring,
-                                &mut slots,
-                                &mut workers,
-                                &mut next_id,
-                                &mut retired_stalls,
-                            ) {
-                                Ok(migrated_flows) => {
-                                    let rebalance_elapsed = rebalance_clock.elapsed();
-                                    let event = ScaleEvent {
-                                        seq,
-                                        at_secs: ts_micros as f64 / 1e6,
-                                        window: decision.window,
-                                        from_shards,
-                                        to_shards: slots.len(),
-                                        trigger_pps: decision.trigger_pps,
-                                        migrated_flows,
-                                        rebalance_micros: rebalance_elapsed.as_micros() as u64,
-                                    };
-                                    if let Some(feeder) = feeder {
-                                        let nanos =
-                                            rebalance_elapsed.as_nanos().min(u128::from(u64::MAX))
-                                                as u64;
-                                        feeder.rebalance.record(nanos);
-                                        feeder.live_shards.set(slots.len() as u64);
-                                        feeder
-                                            .telemetry
-                                            .journal()
-                                            .push(JournalEvent::Scale(event.clone()));
-                                    }
-                                    scale_events.push(event);
-                                }
-                                Err(e) => {
-                                    source_error = Some(e);
-                                    break 'feed;
-                                }
-                            }
-                        }
-                        if let Some(feeder) = feeder {
-                            if scaler.has_crossings() {
-                                for crossing in scaler.take_crossings() {
-                                    feeder.telemetry.journal().push(
-                                        JournalEvent::ThresholdCrossing {
-                                            window: crossing.window,
-                                            pps: crossing.pps,
-                                            up: crossing.up,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    let (owner, at) = with_span(feeder.map(|f| &f.route), || {
-                        let owner = match &view.flow_key {
-                            // Keyless (non-IP/malformed) packets carry no
-                            // flow state; they ride on the lowest live shard.
-                            None => ring.first_shard(),
-                            Some(key) => ring.owner_of(key),
-                        };
-                        // Slots stay sorted by id (scale-up appends the next
-                        // fresh id, scale-down removes one), so the
-                        // per-packet lookup is a binary search, not a scan.
-                        let at = slots
-                            .binary_search_by_key(&owner, |slot| slot.id)
-                            .expect("ring owner is live");
-                        (owner, at)
-                    });
-                    let slot = &mut slots[at];
-                    slot.batch.push(StreamItem { seq, view });
-                    seq += 1;
-                    if slot.batch.len() >= config.batch_size {
-                        // Swap in a recycled buffer (or an empty placeholder
-                        // that first pushes grow) before shipping the full
-                        // one; consumed views give their payload buffers
-                        // back to the source on the way.
-                        let mut replacement = recycle_rx.try_recv().unwrap_or_default();
-                        for item in replacement.drain(..) {
-                            source.recycle_packet(item.view.packet.packet);
-                        }
-                        let batch = std::mem::replace(&mut slot.batch, replacement);
-                        if dispatch_batch(slot, batch, seq, feeder).is_err() {
-                            source_error = Some(CoreError::stream(format!("shard {owner} died")));
-                            break;
-                        }
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    source_error = Some(e);
-                    break;
-                }
-            }
-        }
-        // Flush partial batches and close the channels so shards drain out.
-        for slot in &mut slots {
-            let batch = std::mem::take(&mut slot.batch);
-            if !batch.is_empty() {
-                let _ = slot.tx.send(ShardMsg::Batch(batch));
-            }
-        }
-        let final_shards = slots.len();
-        let mut shard_stalls = retired_stalls;
-        shard_stalls.extend(slots.iter().map(|slot| (slot.id, slot.stalls)));
-        slots.clear(); // drops every sender
-
-        let mut outcomes = Vec::new();
-        let mut worker_failure = None;
-        for worker in workers {
-            match worker.join() {
-                Ok(Some(outcome)) => outcomes.push(outcome),
-                Ok(None) => {
-                    worker_failure = Some(CoreError::stream("shard worker panicked in fit"))
-                }
-                Err(_) => worker_failure = Some(CoreError::stream("shard worker panicked")),
-            }
-        }
-        let wall_seconds = clock.elapsed().as_secs_f64();
-        // A dead worker is the root cause when both fired (the feeder sees
-        // it only as a closed channel), so report it first.
-        if let Some(e) = worker_failure {
-            return Err(e);
-        }
-        if let Some(e) = source_error {
-            return Err(e);
-        }
-        Ok((outcomes, seq, wall_seconds, scale_events, final_shards, shard_stalls))
-    });
-    let (mut outcomes, fed, wall_seconds, scale_events, final_shards, shard_stalls) = run?;
-    outcomes.sort_by_key(|o| o.shard);
-
-    let dropped_packets = source.dropped_packets();
-    if let Some(telemetry) = telemetry {
-        if dropped_packets > 0 {
-            telemetry.counter("dropped_packets_total").add(dropped_packets);
-            telemetry.journal().push(JournalEvent::PacketDrops { dropped: dropped_packets });
-        }
-    }
-
-    Ok(merge_outcomes(
-        detector_name,
-        source_name,
-        warmup.len(),
-        fed,
-        wall_seconds,
-        assembly_seconds,
-        outcomes,
-        scale_events,
-        final_shards,
-        shard_stalls,
-        dropped_packets,
-        config,
-    ))
+    let ctx = ShardContext {
+        factory,
+        train: &train,
+        start_line: &start_line,
+        recycle,
+        config: *config,
+        format,
+        telemetry,
+    };
+    std::thread::scope(|scope| {
+        let pool = LocalPool::open(scope, ctx, recycle_rx);
+        feeder.run(pool, source, detector, warmup.len(), assembly_seconds)
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::source::VecSource;
     use idsbench_core::metrics::ConfusionMatrix;
     use idsbench_core::{AttackKind, Event, Label};
     use idsbench_flow::FlowKey;
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
+    use idsbench_telemetry::Stage;
     use std::collections::HashSet;
     use std::net::Ipv4Addr;
 
@@ -1079,37 +803,10 @@ mod tests {
         assert_eq!(fixed.report.metrics, cm.metrics());
     }
 
-    #[test]
-    fn invalid_configs_are_rejected() {
-        let bad = |c: StreamConfig| {
-            run_stream(&factory, &[], VecSource::new("x", Vec::new()), &c).unwrap_err()
-        };
-        assert!(matches!(
-            bad(StreamConfig { shards: 0, ..Default::default() }),
-            CoreError::Stream { .. }
-        ));
-        assert!(matches!(
-            bad(StreamConfig { batch_size: 0, ..Default::default() }),
-            CoreError::Stream { .. }
-        ));
-        assert!(matches!(
-            bad(StreamConfig { window_secs: 0.0, ..Default::default() }),
-            CoreError::Stream { .. }
-        ));
-        assert!(matches!(
-            bad(StreamConfig { window_secs: f64::NAN, ..Default::default() }),
-            CoreError::Stream { .. }
-        ));
-        assert!(matches!(
-            bad(StreamConfig { threshold: ThresholdMode::Fixed(f64::NAN), ..Default::default() }),
-            CoreError::Stream { .. }
-        ));
-    }
-
     /// Alternating quiet/burst phases on a fixed flow population, one
     /// traffic-second per phase: quiet phases run ~20 events/sec, bursts
     /// ~600 — enough contrast to drive any sane autoscale policy.
-    fn bursty_workload(phases: u64) -> Vec<LabeledPacket> {
+    pub(crate) fn bursty_workload(phases: u64) -> Vec<LabeledPacket> {
         let mut packets = Vec::new();
         for phase in 0..phases {
             let (count, attack) = if phase % 2 == 1 { (600u64, true) } else { (20u64, false) };
@@ -1331,27 +1028,6 @@ mod tests {
         // Per-flow order is preserved and the counters moved with their
         // flows, so even the seq-ordered score stream is identical.
         assert_eq!(single.scores, auto.scores, "a per-flow counter reset across a rebalance");
-    }
-
-    #[test]
-    fn autoscale_rejects_invalid_policies() {
-        let bad = |config: StreamConfig| {
-            run_stream(&factory, &[], VecSource::new("x", Vec::new()), &config).unwrap_err()
-        };
-        let policy = crate::autoscale::AutoscalePolicy { min_shards: 2, ..Default::default() };
-        assert!(matches!(
-            bad(StreamConfig { shards: 1, autoscale: Some(policy), ..Default::default() }),
-            CoreError::Stream { .. }
-        ));
-        let flappy = crate::autoscale::AutoscalePolicy {
-            scale_up_pps: 10.0,
-            scale_down_pps: 20.0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            bad(StreamConfig { autoscale: Some(flappy), ..Default::default() }),
-            CoreError::Stream { .. }
-        ));
     }
 
     #[test]

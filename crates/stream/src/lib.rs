@@ -12,8 +12,14 @@
 //!   captures, and in-memory traces behind one pull iterator;
 //!   [`BoundedSource`] adds bounded-channel backpressure between producer
 //!   and scorer.
-//! * [`executor`] — [`run_stream`] parses each packet exactly once in the
-//!   feeder, routes the resulting view by canonical flow key over a
+//! * [`feeder`] — the one feed loop: validates the [`StreamConfig`], parses
+//!   each packet exactly once, runs the autoscaler, routes over the ring,
+//!   batches, enacts the drain-then-migrate rebalance ordering and merges
+//!   the outcomes — generic over a [`feeder::ShardPool`] of per-shard
+//!   primitives, so this crate's thread pool and `idsbench-fabric`'s socket
+//!   pool are driven by the same code.
+//! * [`executor`] — [`run_stream`], the in-process pool under that loop:
+//!   the feeder routes each parsed view by canonical flow key over a
 //!   consistent-hash ring onto N shard workers — each owning an independent
 //!   detector instance *and flow table* — and delivers the same event
 //!   stream batch evaluation replays: packet events in order, flow-eviction
@@ -81,21 +87,18 @@
 
 pub mod autoscale;
 pub mod executor;
+pub mod feeder;
 pub mod metrics;
 pub mod report;
 pub mod ring;
 pub mod shard;
 pub mod source;
 
-pub use autoscale::{
-    AutoscalePolicy, Autoscaler, LiveSignals, ScaleDecision, ScaleDirection, ThresholdCrossing,
-};
+pub use autoscale::{AutoscalePolicy, LiveSignals};
 pub use executor::{run_stream, run_stream_with_telemetry, StreamConfig, StreamRun, ThresholdMode};
 pub use idsbench_core::ScaleEvent;
 pub use metrics::{LatencyHistogram, OnlineStats, ScoredEvent, Throughput, WindowMetrics};
 pub use report::{ShardStats, StreamReport};
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use shard::{
-    merge_outcomes, Recorder, ShardCheckpoint, ShardLoop, ShardOutcome, ShardSpans, StreamItem,
-};
+pub use shard::{Recorder, ShardCheckpoint, ShardLoop, ShardOutcome, ShardSpans, StreamItem};
 pub use source::{BoundedSource, PacketSource, PcapLabeler, PcapSource, ScenarioSource, VecSource};

@@ -105,7 +105,7 @@ impl Recorder {
 }
 
 /// What a shard hands back when its stream drains — the associatively
-/// mergeable fragment [`merge_outcomes`] folds into the final report. The
+/// mergeable fragment the feeder's merge folds into the final report. The
 /// fabric worker ships exactly this (the recorder wholesale) back over the
 /// wire, so remote shards merge the same way local ones do.
 #[derive(Debug, Clone, PartialEq)]
@@ -486,15 +486,15 @@ impl ShardLoop {
 }
 
 /// Merges shard outcomes, resolves the threshold, and assembles the final
-/// [`StreamRun`] — the single merge point shared by the in-process executor
-/// and the fabric coordinator (whose outcomes arrived over sockets).
+/// [`StreamRun`] — the single merge point, called once, by the feeder,
+/// whichever pool (threads or fabric sockets) the outcomes came from.
 ///
 /// `fed` is the total packets the feeder routed, `shard_stalls` the
-/// per-shard backpressure counts (including retired shards), and
+/// backpressure counts indexed by shard id (including retired shards), and
 /// `assembly_seconds` the shared train-view assembly time that joins the
 /// slowest shard's fit in `train_seconds`.
 #[allow(clippy::too_many_arguments)]
-pub fn merge_outcomes(
+pub(crate) fn merge_outcomes(
     detector: String,
     source: String,
     warmup_packets: usize,
@@ -504,7 +504,7 @@ pub fn merge_outcomes(
     outcomes: Vec<ShardOutcome>,
     scale_events: Vec<ScaleEvent>,
     final_shards: usize,
-    shard_stalls: Vec<(usize, usize)>,
+    shard_stalls: Vec<usize>,
     dropped_packets: u64,
     config: &StreamConfig,
 ) -> StreamRun {
@@ -521,10 +521,7 @@ pub fn merge_outcomes(
             items: outcome.recorder.items(),
             flows: outcome.flows,
             score_seconds: outcome.score_seconds,
-            stalls: shard_stalls
-                .iter()
-                .find(|(id, _)| *id == outcome.shard)
-                .map_or(0, |(_, stalls)| *stalls),
+            stalls: shard_stalls.get(outcome.shard).copied().unwrap_or(0),
         });
         score_seconds += outcome.score_seconds;
         fit_seconds = fit_seconds.max(outcome.fit_seconds);
