@@ -32,6 +32,16 @@ pub enum CoreError {
         /// Parse error message.
         detail: String,
     },
+    /// A grid cell panicked — in its detector, or in the realisation of its
+    /// dataset — and was abandoned; the grid's other cells still ran.
+    CellPanicked {
+        /// Registered name of the cell's detector.
+        detector: String,
+        /// Name of the cell's dataset.
+        dataset: String,
+        /// The panic message.
+        detail: String,
+    },
     /// A streaming run failed (packet source error or dead shard worker).
     Stream {
         /// Description of the failure.
@@ -53,6 +63,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::MalformedPacket { index, detail } => {
                 write!(f, "malformed packet at index {index}: {detail}")
+            }
+            CoreError::CellPanicked { detector, dataset, detail } => {
+                write!(f, "detector {detector:?} on dataset {dataset:?} panicked: {detail}")
             }
             CoreError::Stream { detail } => write!(f, "streaming run failed: {detail}"),
         }

@@ -271,90 +271,188 @@ pub struct CurvePoint {
     pub y: f64,
 }
 
-/// Computes the ROC curve (FPR, TPR) over all distinct score thresholds.
+/// A scored population ranked **once**: every distinct score value in
+/// descending order, each with the running true/false-positive counts of
+/// alerting at it. Threshold calibration, the confusion matrix at the
+/// chosen threshold and the ROC/PR curves all read this one ranking, so
+/// they cannot disagree about the same cell — and a whole candidate sweep
+/// costs one `O(n log n)` sort instead of one `O(n)` scan per candidate.
 ///
-/// Points are ordered by increasing FPR. Degenerate inputs (no positives or
-/// no negatives) yield an empty curve.
+/// The alert rule everywhere is `score >= threshold`, which settles the
+/// non-finite scores: `NaN` never alerts (it is counted in the totals and
+/// ranked nowhere), `−∞` ranks last and alerts only at a `−∞` threshold,
+/// `+∞` ranks first and alerts at every threshold up to and including the
+/// "never alert" `+∞`. Values are ordered by [`f64::total_cmp`]; `0.0` and
+/// `-0.0` alert together and form one step, reported as `0.0`.
+#[derive(Debug, Clone)]
+pub struct Ranking {
+    steps: Vec<RankStep>,
+    positives: u64,
+    negatives: u64,
+}
+
+/// One distinct score value of a [`Ranking`] with the counts of alerting
+/// at it (`score >= value`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RankStep {
+    pub(crate) score: f64,
+    pub(crate) true_positives: u64,
+    pub(crate) false_positives: u64,
+}
+
+impl RankStep {
+    /// Items scoring at or above this step's value.
+    pub(crate) fn alerts(&self) -> u64 {
+        self.true_positives + self.false_positives
+    }
+}
+
+impl Ranking {
+    /// Ranks `scores` against their ground truth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
+    pub fn new(scores: &[f64], labels: &[bool]) -> Self {
+        assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
+        let positives = labels.iter().filter(|&&l| l).count() as u64;
+        let mut ranked: Vec<(f64, bool)> = scores
+            .iter()
+            .copied()
+            .zip(labels.iter().copied())
+            .filter(|(s, _)| !s.is_nan())
+            .collect();
+        ranked.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+        let mut steps: Vec<RankStep> = Vec::new();
+        let (mut true_positives, mut false_positives) = (0u64, 0u64);
+        for (score, label) in ranked {
+            if label {
+                true_positives += 1;
+            } else {
+                false_positives += 1;
+            }
+            match steps.last_mut() {
+                // `==`, not bit equality: `-0.0` joins the `0.0` step.
+                Some(last) if last.score == score => {
+                    (last.true_positives, last.false_positives) = (true_positives, false_positives);
+                }
+                _ => steps.push(RankStep { score, true_positives, false_positives }),
+            }
+        }
+        Ranking { steps, positives, negatives: labels.len() as u64 - positives }
+    }
+
+    /// Number of ranked items, `NaN`-scored ones included.
+    pub fn total(&self) -> u64 {
+        self.positives + self.negatives
+    }
+
+    /// The distinct score values, descending, `+∞` first and `−∞` last
+    /// when present.
+    pub(crate) fn steps(&self) -> &[RankStep] {
+        &self.steps
+    }
+
+    /// The confusion matrix of alerting on exactly `step` and everything
+    /// ranked above it; `None` is the matrix of alerting on nothing.
+    pub(crate) fn confusion_of(&self, step: Option<&RankStep>) -> ConfusionMatrix {
+        let (true_positives, false_positives) =
+            step.map_or((0, 0), |s| (s.true_positives, s.false_positives));
+        ConfusionMatrix {
+            true_positives,
+            false_positives,
+            true_negatives: self.negatives - false_positives,
+            false_negatives: self.positives - true_positives,
+        }
+    }
+
+    /// The confusion matrix at `threshold` (`score >= threshold` ⇒ alert):
+    /// [`ConfusionMatrix::from_scores`] by binary search instead of a scan.
+    pub fn confusion_at(&self, threshold: f64) -> ConfusionMatrix {
+        let alerting = self.steps.partition_point(|s| s.score >= threshold);
+        self.confusion_of(alerting.checked_sub(1).map(|last| &self.steps[last]))
+    }
+
+    /// The ROC curve (FPR, TPR), one point per distinct score value,
+    /// ordered by increasing FPR. Degenerate populations (no positives or
+    /// no negatives) yield an empty curve.
+    pub fn roc_curve(&self) -> Vec<CurvePoint> {
+        self.roc_points().collect()
+    }
+
+    fn roc_points(&self) -> impl Iterator<Item = CurvePoint> + '_ {
+        let (positives, negatives) = (self.positives as f64, self.negatives as f64);
+        let steps = if self.positives == 0 || self.negatives == 0 { &[][..] } else { &self.steps };
+        steps.iter().map(move |s| CurvePoint {
+            threshold: s.score,
+            x: s.false_positives as f64 / negatives,
+            y: s.true_positives as f64 / positives,
+        })
+    }
+
+    /// Area under [`Ranking::roc_curve`] (see [`auc`]), without
+    /// materialising the curve.
+    pub fn auc(&self) -> f64 {
+        area_under(self.roc_points())
+    }
+
+    /// The precision-recall curve, one point per distinct score value,
+    /// ordered by increasing recall (empty without positives).
+    pub fn pr_curve(&self) -> Vec<CurvePoint> {
+        let positives = self.positives as f64;
+        let steps = if self.positives == 0 { &[][..] } else { &self.steps };
+        steps
+            .iter()
+            .map(|s| CurvePoint {
+                threshold: s.score,
+                x: s.true_positives as f64 / positives,
+                y: s.true_positives as f64 / s.alerts() as f64,
+            })
+            .collect()
+    }
+}
+
+/// Computes the ROC curve (FPR, TPR) over all distinct score thresholds
+/// (see [`Ranking::roc_curve`], which this wraps, for the ordering and the
+/// treatment of non-finite scores).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn roc_curve(scores: &[f64], labels: &[bool]) -> Vec<CurvePoint> {
-    assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
-    let positives = labels.iter().filter(|&&l| l).count() as f64;
-    let negatives = labels.len() as f64 - positives;
-    if positives == 0.0 || negatives == 0.0 {
-        return Vec::new();
-    }
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal));
-    let mut points = Vec::new();
-    let mut tp = 0.0;
-    let mut fp = 0.0;
-    let mut i = 0;
-    while i < order.len() {
-        let threshold = scores[order[i]];
-        // Consume all items tied at this score.
-        while i < order.len() && scores[order[i]] == threshold {
-            if labels[order[i]] {
-                tp += 1.0;
-            } else {
-                fp += 1.0;
-            }
-            i += 1;
-        }
-        points.push(CurvePoint { threshold, x: fp / negatives, y: tp / positives });
-    }
-    points
+    Ranking::new(scores, labels).roc_curve()
 }
 
 /// Area under the ROC curve via trapezoidal integration (0.5 for random
 /// scores, 0 for an empty curve).
 pub fn auc(points: &[CurvePoint]) -> f64 {
-    if points.is_empty() {
-        return 0.0;
-    }
+    area_under(points.iter().copied())
+}
+
+fn area_under(points: impl Iterator<Item = CurvePoint>) -> f64 {
     let mut area = 0.0;
     let mut prev = CurvePoint { threshold: f64::INFINITY, x: 0.0, y: 0.0 };
+    let mut empty = true;
     for point in points {
         area += (point.x - prev.x) * (point.y + prev.y) / 2.0;
-        prev = *point;
+        prev = point;
+        empty = false;
+    }
+    if empty {
+        return 0.0;
     }
     // Close the curve to (1, 1).
-    area += (1.0 - prev.x) * (1.0 + prev.y) / 2.0;
-    area
+    area + (1.0 - prev.x) * (1.0 + prev.y) / 2.0
 }
 
 /// Computes the precision-recall curve over all distinct score thresholds,
-/// ordered by increasing recall.
+/// ordered by increasing recall (see [`Ranking::pr_curve`]).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn pr_curve(scores: &[f64], labels: &[bool]) -> Vec<CurvePoint> {
-    assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
-    let positives = labels.iter().filter(|&&l| l).count() as f64;
-    if positives == 0.0 {
-        return Vec::new();
-    }
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal));
-    let mut points = Vec::new();
-    let mut tp = 0.0;
-    let mut predicted = 0.0;
-    let mut i = 0;
-    while i < order.len() {
-        let threshold = scores[order[i]];
-        while i < order.len() && scores[order[i]] == threshold {
-            if labels[order[i]] {
-                tp += 1.0;
-            }
-            predicted += 1.0;
-            i += 1;
-        }
-        points.push(CurvePoint { threshold, x: tp / positives, y: tp / predicted });
-    }
-    points
+    Ranking::new(scores, labels).pr_curve()
 }
 
 #[cfg(test)]
@@ -448,6 +546,92 @@ mod tests {
         assert_eq!(curve.len(), 1);
         assert_eq!(curve[0].x, 1.0);
         assert_eq!(curve[0].y, 1.0);
+    }
+
+    /// Separable scores (attacks ≥ 0.8, benign ≤ 0.2) with the non-finite
+    /// values mixed in on both sides.
+    fn separable_with_non_finite() -> (Vec<f64>, Vec<bool>) {
+        let scores = vec![
+            f64::NAN,
+            0.9,
+            0.1,
+            f64::NEG_INFINITY,
+            0.8,
+            f64::INFINITY,
+            0.2,
+            f64::NAN,
+            f64::NEG_INFINITY,
+            0.85,
+            -f64::NAN,
+        ];
+        let labels = vec![true, true, false, true, true, true, false, false, false, true, false];
+        (scores, labels)
+    }
+
+    #[test]
+    fn non_finite_scores_have_one_defined_rank() {
+        let (scores, labels) = separable_with_non_finite();
+        let ranking = Ranking::new(&scores, &labels);
+        assert_eq!(ranking.total(), 11);
+        // +∞ first, the finite values descending, −∞ last; NaN nowhere.
+        let order: Vec<f64> = ranking.steps().iter().map(|s| s.score).collect();
+        assert_eq!(order, vec![f64::INFINITY, 0.9, 0.85, 0.8, 0.2, 0.1, f64::NEG_INFINITY]);
+        // The ranking answers every threshold as a full scan does.
+        for threshold in
+            [f64::INFINITY, 1.0, 0.85, 0.5, 0.1, -3.0, f64::NEG_INFINITY, f64::NAN, 0.0, -0.0]
+        {
+            assert_eq!(
+                ranking.confusion_at(threshold),
+                ConfusionMatrix::from_scores(&scores, &labels, threshold),
+                "threshold {threshold}"
+            );
+        }
+        // +∞ alerts even at "never alert"; NaN and −∞ at no finite one.
+        let never = ranking.confusion_at(f64::INFINITY);
+        assert_eq!((never.true_positives, never.false_positives), (1, 0));
+        let lowest = ranking.confusion_at(0.1);
+        assert_eq!((lowest.true_positives, lowest.false_positives), (4, 2));
+        assert_eq!((lowest.false_negatives, lowest.true_negatives), (2, 3));
+    }
+
+    #[test]
+    fn auc_ranks_non_finite_scores_last() {
+        let (scores, labels) = separable_with_non_finite();
+        // −∞ is a threshold like any other (it alerts on everything but
+        // NaN), so −∞ scores rank below every finite one and NaN scores,
+        // which nothing alerts on, tie below that: the curve is the one of
+        // the same population with −∞ → −1 and NaN → −2.
+        let floored: Vec<f64> = scores
+            .iter()
+            .map(|&s| match s {
+                s if s.is_nan() => -2.0,
+                s if s == f64::NEG_INFINITY => -1.0,
+                s => s,
+            })
+            .collect();
+        let expected = auc(&roc_curve(&floored, &labels));
+        // 4 of 6 attacks outrank all 5 benign; the −∞ one outranks the two
+        // NaN benign and ties one; the NaN one ties two.
+        assert!((expected - (4.0 * 5.0 + 2.0 + 0.5 + 2.0 * 0.5) / 30.0).abs() < 1e-12);
+        // −∞ still forms its own (last) point; NaN only closes the curve.
+        let curve = roc_curve(&scores, &labels);
+        assert_eq!(curve.len(), 7);
+        assert_eq!(curve[0].threshold, f64::INFINITY);
+        assert!((auc(&curve) - expected).abs() < 1e-12);
+        assert_eq!(Ranking::new(&scores, &labels).auc(), auc(&curve));
+        // The PR curve reads the same ranking.
+        let pr = pr_curve(&scores, &labels);
+        assert_eq!(pr.len(), 7);
+        assert_eq!((pr[3].x, pr[3].y), (4.0 / 6.0, 1.0));
+    }
+
+    #[test]
+    fn signed_zeros_share_a_step() {
+        let ranking = Ranking::new(&[-0.0, 0.0, -0.0, 1.0], &[true, false, false, true]);
+        let order: Vec<u64> = ranking.steps().iter().map(|s| s.score.to_bits()).collect();
+        assert_eq!(order, vec![1.0f64.to_bits(), 0.0f64.to_bits()]);
+        assert_eq!(ranking.confusion_at(-0.0), ranking.confusion_at(0.0));
+        assert_eq!(ranking.confusion_at(0.0).false_positives, 2);
     }
 
     #[test]

@@ -7,9 +7,25 @@
 //! `idsbench-stream` drives the *same* contract over the same events, which
 //! is why a single-shard streaming run reproduces these results bitwise.
 //!
-//! Each grid cell is independent (fresh detector instance, fresh dataset
-//! realisation from the configured seed), so cells run in parallel on
-//! crossbeam scoped threads.
+//! The pipeline has two halves. *Preparing a row* — `generate` →
+//! [`Pipeline::prepare_events`] — depends on the dataset and the seed
+//! only; *evaluating a cell* — a fresh detector fitted and replayed on a
+//! prepared [`EventInput`], its scores ranked once for the threshold, the
+//! confusion matrix and the AUC — reads that input without changing it.
+//! [`run_grid`] therefore realises each dataset **once per row**, not once
+//! per cell: cells are handed to the worker threads dataset-major, the
+//! first worker to reach a row prepares it, the row's detectors share the
+//! prepared input read-only, and the worker that finishes the row's last
+//! cell drops it. Because cells are claimed in row order, a row that is
+//! still alive has a cell in flight, so no more prepared rows are ever
+//! resident than there are workers — the grid's peak memory does not grow
+//! with the number of datasets. Every cell still gets a fresh detector
+//! instance, and its result is what a standalone [`evaluate`] of the same
+//! pair returns.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -17,9 +33,7 @@ use serde::{Deserialize, Serialize};
 use crate::dataset::Dataset;
 use crate::detector::InputFormat;
 use crate::event::{Event, EventDetector, EventFactory, FlowEventAssembler};
-use crate::metrics::{
-    auc, family_outcomes, roc_curve, ConfusionMatrix, FamilyCounts, FamilyOutcome, Metrics,
-};
+use crate::metrics::{family_outcomes, FamilyCounts, FamilyOutcome, Metrics, Ranking};
 use crate::preprocess::{EventInput, Pipeline, PipelineConfig};
 use crate::threshold::ThresholdPolicy;
 use crate::{AttackKind, CoreError, Result};
@@ -184,14 +198,33 @@ pub fn evaluate(
     dataset: &dyn Dataset,
     config: &EvalConfig,
 ) -> Result<Experiment> {
-    let packets = dataset.generate(config.dataset_seed);
-    let pipeline = Pipeline::new(config.pipeline)?;
-    let input = pipeline.prepare_events(&dataset.info().name, packets)?;
-    let replayed = replay(detector, &input)?;
+    let input = prepare_row(dataset, config)?;
+    evaluate_prepared(detector, &dataset.info().name, &input, config.policy)
+}
 
-    let threshold = config.policy.calibrate(&replayed.scores, &replayed.labels);
-    let cm = ConfusionMatrix::from_scores(&replayed.scores, &replayed.labels, threshold);
-    let attacks = replayed.labels.iter().filter(|&&l| l).count();
+/// The detector-independent half of [`evaluate`]: one realisation of
+/// `dataset` from the configured seed, parsed once, split, with the
+/// training slice's flow view assembled.
+fn prepare_row(dataset: &dyn Dataset, config: &EvalConfig) -> Result<EventInput> {
+    let packets = dataset.generate(config.dataset_seed);
+    Pipeline::new(config.pipeline)?.prepare_events(&dataset.info().name, packets)
+}
+
+/// The per-cell half of [`evaluate`]: fit and replay `detector` on a
+/// prepared row, then rank the scores once and read the calibrated
+/// threshold, the confusion matrix and the AUC off that ranking.
+fn evaluate_prepared(
+    detector: &mut dyn EventDetector,
+    dataset: &str,
+    input: &EventInput,
+    policy: ThresholdPolicy,
+) -> Result<Experiment> {
+    let replayed = replay(detector, input)?;
+
+    let ranking = Ranking::new(&replayed.scores, &replayed.labels);
+    let threshold = policy.calibrate_ranked(&ranking);
+    let cm = ranking.confusion_at(threshold);
+    let attacks = cm.true_positives + cm.false_negatives;
 
     // Per-family outcomes at the calibrated threshold. Every scored event
     // shares the detector's declared input shape: packet-format detectors
@@ -209,12 +242,12 @@ pub fn evaluate(
     let eval_items = replayed.labels.len();
     Ok(Experiment {
         detector: detector.name().to_string(),
-        dataset: dataset.info().name.clone(),
+        dataset: dataset.to_string(),
         metrics: cm.metrics(),
         threshold,
         eval_items,
         attack_share: if eval_items == 0 { 0.0 } else { attacks as f64 / eval_items as f64 },
-        auc: auc(&roc_curve(&replayed.scores, &replayed.labels)),
+        auc: ranking.auc(),
         false_positive_rate: cm.false_positive_rate(),
         train_seconds: replayed.train_seconds,
         score_seconds: replayed.score_seconds,
@@ -226,52 +259,119 @@ pub fn evaluate(
 /// no state leaks between datasets (the paper's out-of-the-box rule).
 pub type DetectorFactory<'a> = EventFactory<'a>;
 
+/// One dataset row of a running grid: the prepared input its cells share.
+struct Row {
+    /// Filled by the first cell to arrive (the lock is held while it
+    /// prepares, so the row's other cells wait instead of preparing it
+    /// again), emptied by the last cell to leave. A preparation that fails
+    /// stores nothing: each of the row's cells repeats it and reports the
+    /// same error.
+    input: Mutex<Option<Arc<EventInput>>>,
+    /// Cells of this row that have not finished yet.
+    unfinished: AtomicUsize,
+}
+
+impl Row {
+    fn share(&self, dataset: &dyn Dataset, config: &EvalConfig) -> Result<Arc<EventInput>> {
+        let mut slot = self.input.lock();
+        if let Some(input) = &*slot {
+            return Ok(Arc::clone(input));
+        }
+        let input = Arc::new(prepare_row(dataset, config)?);
+        *slot = Some(Arc::clone(&input));
+        Ok(input)
+    }
+}
+
+/// One cell's claim on its row, released on drop — so a cell that fails or
+/// panics still counts as finished and the last one out still frees the
+/// prepared input.
+struct RowShare<'a>(&'a Row);
+
+impl Drop for RowShare<'_> {
+    fn drop(&mut self) {
+        if self.0.unfinished.fetch_sub(1, Ordering::SeqCst) == 1 {
+            *self.0.input.lock() = None;
+        }
+    }
+}
+
+/// The message of a caught panic (`panic!` payloads are a `&str` or a
+/// `String`; anything else is a custom `panic_any` value).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|message| message.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Evaluates every detector on every dataset, in parallel.
 ///
 /// Results are ordered detector-major (all datasets for the first detector,
 /// then the second, …) regardless of completion order, matching Table IV's
 /// layout. Each experiment's `detector` field is set to the *registered*
 /// factory name, so the same implementation can appear under several
-/// configurations (as the ablation benches do).
+/// configurations (as the ablation benches do). Each dataset is realised
+/// and preprocessed once and shared by its row of cells (see the module
+/// docs); a cell equals a standalone [`evaluate`] of the same pair.
 ///
 /// # Errors
 ///
-/// Returns the first error any cell produced.
+/// Returns the first error any cell produced, in result order. A detector
+/// (or dataset) that panics fails its own cell with
+/// [`CoreError::CellPanicked`]; the other cells still run.
 pub fn run_grid(
     detectors: &[(String, DetectorFactory<'_>)],
     datasets: &[&dyn Dataset],
     config: &EvalConfig,
 ) -> Result<Vec<Experiment>> {
-    let cells: Vec<(usize, usize)> =
-        (0..detectors.len()).flat_map(|d| (0..datasets.len()).map(move |s| (d, s))).collect();
-    let results: Mutex<Vec<(usize, Result<Experiment>)>> = Mutex::new(Vec::new());
-    let next: Mutex<usize> = Mutex::new(0);
+    let rows: Vec<Row> = datasets
+        .iter()
+        .map(|_| Row { input: Mutex::new(None), unfinished: AtomicUsize::new(detectors.len()) })
+        .collect();
+    let cells = detectors.len() * datasets.len();
+    let results: Mutex<Vec<(usize, Result<Experiment>)>> = Mutex::new(Vec::with_capacity(cells));
+    // Cells are claimed dataset-major: claim `c` is detector `c % D` on
+    // dataset `c / D`.
+    let next = AtomicUsize::new(0);
 
-    let workers =
-        std::thread::available_parallelism().map_or(4, |n| n.get()).min(cells.len().max(1));
+    let run_cell = |d: usize, s: usize| -> Result<Experiment> {
+        let (name, factory) = &detectors[d];
+        let dataset = datasets[s];
+        catch_unwind(AssertUnwindSafe(|| {
+            let _share = RowShare(&rows[s]);
+            let input = rows[s].share(dataset, config)?;
+            let mut detector = factory();
+            let mut cell =
+                evaluate_prepared(detector.as_mut(), &dataset.info().name, &input, config.policy)?;
+            cell.detector = name.clone();
+            Ok(cell)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(CoreError::CellPanicked {
+                detector: name.clone(),
+                dataset: dataset.info().name.clone(),
+                detail: panic_message(payload.as_ref()),
+            })
+        })
+    };
+
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(cells.max(1));
     crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|_| loop {
-                let index = {
-                    let mut guard = next.lock();
-                    let i = *guard;
-                    if i >= cells.len() {
-                        return;
-                    }
-                    *guard += 1;
-                    i
-                };
-                let (d, s) = cells[index];
-                let mut detector = (detectors[d].1)();
-                let outcome = evaluate(detector.as_mut(), datasets[s], config).map(|mut e| {
-                    e.detector = detectors[d].0.clone();
-                    e
-                });
-                results.lock().push((index, outcome));
+                let claim = next.fetch_add(1, Ordering::SeqCst);
+                if claim >= cells {
+                    return;
+                }
+                let (s, d) = (claim / detectors.len(), claim % detectors.len());
+                let outcome = run_cell(d, s);
+                results.lock().push((d * datasets.len() + s, outcome));
             });
         }
     })
-    .expect("evaluation worker panicked");
+    .expect("cell panics are caught inside the cell");
 
     let mut collected = results.into_inner();
     collected.sort_by_key(|(index, _)| *index);
@@ -292,11 +392,16 @@ mod tests {
     #[derive(Debug)]
     struct ToyDataset {
         info: DatasetInfo,
+        packets: u64,
     }
 
     impl ToyDataset {
         fn new(name: &str) -> Self {
-            ToyDataset { info: DatasetInfo::new(name, "toy", "unit test", 2024) }
+            Self::sized(name, 200)
+        }
+
+        fn sized(name: &str, packets: u64) -> Self {
+            ToyDataset { info: DatasetInfo::new(name, "toy", "unit test", 2024), packets }
         }
     }
 
@@ -306,7 +411,7 @@ mod tests {
         }
 
         fn generate(&self, seed: u64) -> Vec<LabeledPacket> {
-            (0..200)
+            (0..self.packets)
                 .map(|i| {
                     let attack = i % 10 == 0;
                     let payload = if attack { 900 } else { 40 + (seed % 10) as usize };
@@ -479,6 +584,127 @@ mod tests {
             Box::new(|| Box::new(BrokenDetector { seen: 0 }) as Box<dyn EventDetector>),
         )];
         assert!(run_grid(&detectors, &datasets, &EvalConfig::default()).is_err());
+    }
+
+    /// A [`LengthDetector`] that panics in `fit` when handed a training
+    /// slice of exactly `fatal_len` packets — i.e. on one dataset only.
+    #[derive(Debug)]
+    struct PanicsInFit {
+        fatal_len: usize,
+    }
+
+    impl EventDetector for PanicsInFit {
+        fn name(&self) -> &str {
+            "panics-in-fit"
+        }
+
+        fn input_format(&self) -> InputFormat {
+            InputFormat::Packets
+        }
+
+        fn fit(&mut self, train: &TrainView) {
+            assert!(train.packets.len() != self.fatal_len, "cannot fit {} packets", self.fatal_len);
+        }
+
+        fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
+            LengthDetector.on_event(event)
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_alone_and_names_itself() {
+        let a = ToyDataset::new("alpha");
+        let b = ToyDataset::sized("beta", 100); // 30 training packets
+        let datasets: Vec<&dyn Dataset> = vec![&a, &b];
+        let detectors: Vec<(String, DetectorFactory)> = vec![
+            ("length".into(), Box::new(|| Box::new(LengthDetector) as Box<dyn EventDetector>)),
+            (
+                "fragile".into(),
+                Box::new(|| Box::new(PanicsInFit { fatal_len: 30 }) as Box<dyn EventDetector>),
+            ),
+            ("flows".into(), Box::new(|| Box::new(FlowCounter) as Box<dyn EventDetector>)),
+        ];
+        let config = EvalConfig::default();
+        match run_grid(&detectors, &datasets, &config).unwrap_err() {
+            CoreError::CellPanicked { detector, dataset, detail } => {
+                assert_eq!((detector.as_str(), dataset.as_str()), ("fragile", "beta"));
+                assert!(detail.contains("cannot fit 30 packets"), "detail = {detail}");
+            }
+            other => panic!("expected CellPanicked, got {other}"),
+        }
+
+        // The panic neither leaked the row it shared nor took the lock with
+        // it: the same rows, walked again around the failed cell, still
+        // serve the detectors that come after it.
+        let survivors: Vec<(String, DetectorFactory)> = detectors.into_iter().step_by(2).collect();
+        let cells = run_grid(&survivors, &datasets, &config).unwrap();
+        assert_eq!(cells.len(), 4);
+    }
+
+    #[test]
+    fn a_panicking_cell_releases_its_row() {
+        // Drive the row bookkeeping by hand: three cells share a row, the
+        // second panics after taking its share.
+        let dataset = ToyDataset::new("toy");
+        let config = EvalConfig::default();
+        let row = Row { input: Mutex::new(None), unfinished: AtomicUsize::new(3) };
+        let first = RowShare(&row);
+        let shared = row.share(&dataset, &config).unwrap();
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            let _share = RowShare(&row);
+            let _input = row.share(&dataset, &config).unwrap();
+            panic!("cell failed");
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(row.unfinished.load(Ordering::SeqCst), 2);
+        // Still prepared, still the same realisation, lock still usable.
+        let last = RowShare(&row);
+        assert!(Arc::ptr_eq(&shared, &row.share(&dataset, &config).unwrap()));
+        drop(first);
+        assert!(row.input.lock().is_some(), "a cell is still unfinished");
+        drop(last);
+        assert!(row.input.lock().is_none(), "the last cell out frees the row");
+        assert_eq!(Arc::strong_count(&shared), 1);
+    }
+
+    #[test]
+    fn a_row_that_cannot_be_prepared_fails_each_of_its_cells() {
+        let a = ToyDataset::new("alpha");
+        let empty = ToyDataset::sized("empty", 0);
+        let datasets: Vec<&dyn Dataset> = vec![&a, &empty];
+        let detectors: Vec<(String, DetectorFactory)> = vec![
+            ("length".into(), Box::new(|| Box::new(LengthDetector) as Box<dyn EventDetector>)),
+            ("length2".into(), Box::new(|| Box::new(LengthDetector) as Box<dyn EventDetector>)),
+        ];
+        let config = EvalConfig::default();
+        // Nothing is cached for a failed row: every cell that asks gets the
+        // error, not a stale or half-built input.
+        let row = Row { input: Mutex::new(None), unfinished: AtomicUsize::new(2) };
+        for _cell in 0..2 {
+            let err = row.share(&empty, &config).unwrap_err();
+            assert!(matches!(err, CoreError::EmptyDataset { ref dataset } if dataset == "empty"));
+        }
+        let err = run_grid(&detectors, &datasets, &config).unwrap_err();
+        assert!(matches!(err, CoreError::EmptyDataset { .. }), "got {err}");
+    }
+
+    #[test]
+    fn grid_cells_equal_standalone_evaluations() {
+        let a = ToyDataset::new("alpha");
+        let b = ToyDataset::sized("beta", 120);
+        let datasets: Vec<&dyn Dataset> = vec![&a, &b];
+        let detectors: Vec<(String, DetectorFactory)> = vec![
+            ("length".into(), Box::new(|| Box::new(LengthDetector) as Box<dyn EventDetector>)),
+            ("flow-counter".into(), Box::new(|| Box::new(FlowCounter) as Box<dyn EventDetector>)),
+        ];
+        let config = EvalConfig { policy: ThresholdPolicy::MaxF1, ..Default::default() };
+        let cells = run_grid(&detectors, &datasets, &config).unwrap();
+        for (at, cell) in cells.iter().enumerate() {
+            let mut detector = (detectors[at / 2].1)();
+            let mut alone = evaluate(detector.as_mut(), datasets[at % 2], &config).unwrap();
+            (alone.train_seconds, alone.score_seconds) = (cell.train_seconds, cell.score_seconds);
+            assert_eq!(cell, &alone);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! DetectionFirst`]) plus the common alternatives used in the ablation
 //! benches.
 
-use crate::metrics::ConfusionMatrix;
+use crate::metrics::{ConfusionMatrix, RankStep, Ranking};
 
 /// A rule for choosing the alert threshold from scored evaluation output.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,27 +44,38 @@ impl Default for ThresholdPolicy {
 }
 
 impl ThresholdPolicy {
-    /// Calibrates a threshold from evaluation scores and ground truth.
-    ///
-    /// Candidate thresholds are the distinct scores present (plus +∞ for
-    /// "never alert"). Returns +∞ for empty input, which yields an
-    /// all-benign verdict downstream.
+    /// Calibrates a threshold from evaluation scores and ground truth:
+    /// [`ThresholdPolicy::calibrate_ranked`] on a fresh [`Ranking`].
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     pub fn calibrate(&self, scores: &[f64], labels: &[bool]) -> f64 {
-        assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
-        if scores.is_empty() {
+        self.calibrate_ranked(&Ranking::new(scores, labels))
+    }
+
+    /// Calibrates a threshold from an already ranked population — for a
+    /// caller that also wants the confusion matrix and the AUC of the same
+    /// scores and should pay for one sort, not three.
+    ///
+    /// Candidate thresholds are the distinct finite scores present (plus
+    /// +∞ for "never alert"). Returns +∞ for an empty population, which
+    /// yields an all-benign verdict downstream.
+    ///
+    /// **Cost.** Ranking is one `O(n log n)` sort; after it every candidate
+    /// reads its confusion counts off the ranking in `O(1)`, so a sweep is
+    /// `O(candidates)` — at most 514 of them — whatever `n` is.
+    pub fn calibrate_ranked(&self, ranking: &Ranking) -> f64 {
+        if ranking.total() == 0 {
             return f64::INFINITY;
         }
         match *self {
             ThresholdPolicy::Fixed(threshold) => threshold,
-            ThresholdPolicy::TrainQuantile { quantile } => quantile_of(scores, quantile),
+            ThresholdPolicy::TrainQuantile { quantile } => quantile_of(ranking, quantile),
             ThresholdPolicy::MaxF1 => {
                 let mut best = (f64::INFINITY, -1.0);
-                for &candidate in candidates(scores).iter() {
-                    let f1 = ConfusionMatrix::from_scores(scores, labels, candidate).f1();
+                for (candidate, cm) in candidates(ranking) {
+                    let f1 = cm.f1();
                     if f1 > best.1 {
                         best = (candidate, f1);
                     }
@@ -74,8 +85,7 @@ impl ThresholdPolicy {
             ThresholdPolicy::DetectionFirst { max_fpr } => {
                 let mut best: Option<(f64, f64, f64)> = None; // (threshold, recall, fpr)
                 let mut fallback: Option<(f64, f64)> = None; // (threshold, fpr)
-                for &candidate in candidates(scores).iter() {
-                    let cm = ConfusionMatrix::from_scores(scores, labels, candidate);
+                for (candidate, cm) in candidates(ranking) {
                     let recall = cm.recall();
                     let fpr = cm.false_positive_rate();
                     if fpr <= max_fpr {
@@ -101,41 +111,64 @@ impl ThresholdPolicy {
     }
 }
 
-/// Distinct finite score values, descending, capped to a manageable count by
-/// quantile subsampling (calibration cost stays O(n log n) regardless of
-/// score cardinality).
-fn candidates(scores: &[f64]) -> Vec<f64> {
-    let mut sorted: Vec<f64> = scores.iter().copied().filter(|s| s.is_finite()).collect();
-    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    sorted.dedup();
-    const MAX_CANDIDATES: usize = 512;
-    let mut kept = if sorted.len() > MAX_CANDIDATES {
-        let step = sorted.len() as f64 / MAX_CANDIDATES as f64;
-        let mut sampled: Vec<f64> =
-            (0..MAX_CANDIDATES).map(|i| sorted[(i as f64 * step) as usize]).collect();
+/// Most distinct finite scores a sweep visits; a population with more is
+/// subsampled at evenly spaced ranks (plus the lowest value).
+const MAX_CANDIDATES: usize = 512;
+
+/// The ranking's finite steps (descending) and the step of the `+∞`
+/// scores ranked above them, if any.
+fn finite_steps(ranking: &Ranking) -> (Option<&RankStep>, &[RankStep]) {
+    let steps = ranking.steps();
+    let (above, steps) = match steps.split_first() {
+        Some((first, rest)) if first.score == f64::INFINITY => (Some(first), rest),
+        _ => (None, steps),
+    };
+    let steps = match steps.split_last() {
+        Some((last, rest)) if last.score == f64::NEG_INFINITY => rest,
+        _ => steps,
+    };
+    (above, steps)
+}
+
+/// The candidate thresholds in visiting order, each with the confusion
+/// matrix of alerting at it. "Never alert" (+∞) comes first and is always
+/// present: a detector that produces one constant score (e.g. a rule-based
+/// system that found nothing) must be able to stay silent rather than
+/// alert on everything. (A score of +∞ alerts even there — `+∞ >= +∞`.)
+/// Then the distinct finite scores, descending, capped to a manageable
+/// count by rank subsampling.
+fn candidates(ranking: &Ranking) -> impl Iterator<Item = (f64, ConfusionMatrix)> + '_ {
+    let (above, finite) = finite_steps(ranking);
+    let picks: Vec<usize> = if finite.len() > MAX_CANDIDATES {
+        let step = finite.len() as f64 / MAX_CANDIDATES as f64;
+        let mut sampled: Vec<usize> =
+            (0..MAX_CANDIDATES).map(|i| (i as f64 * step) as usize).collect();
         // Always keep the extremes.
-        sampled.push(*sorted.last().expect("non-empty"));
+        sampled.push(finite.len() - 1);
         sampled.dedup();
         sampled
     } else {
-        sorted
+        (0..finite.len()).collect()
     };
-    // "Never alert" must always be a candidate: a detector that produces one
-    // constant score (e.g. a rule-based system that found nothing) must be
-    // able to stay silent rather than alert on everything.
-    kept.insert(0, f64::INFINITY);
-    kept
+    std::iter::once((f64::INFINITY, ranking.confusion_of(above))).chain(
+        picks.into_iter().map(move |i| (finite[i].score, ranking.confusion_of(Some(&finite[i])))),
+    )
 }
 
-fn quantile_of(scores: &[f64], quantile: f64) -> f64 {
-    let mut sorted: Vec<f64> = scores.iter().copied().filter(|s| s.is_finite()).collect();
-    if sorted.is_empty() {
+/// The finite score at `quantile` of the finite scores in ascending order
+/// (+∞ when there is none).
+fn quantile_of(ranking: &Ranking, quantile: f64) -> f64 {
+    let (above, finite) = finite_steps(ranking);
+    let Some(lowest) = finite.last() else {
         return f64::INFINITY;
-    }
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let q = quantile.clamp(0.0, 1.0);
-    let index = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[index]
+    };
+    let above = above.map_or(0, RankStep::alerts);
+    let count = lowest.alerts() - above;
+    let index = ((count - 1) as f64 * quantile.clamp(0.0, 1.0)).round() as u64;
+    // Ascending index → descending rank among everything ranked; the item
+    // at rank `r` sits in the first step whose running count exceeds `r`.
+    let rank = above + (count - 1 - index);
+    finite[finite.partition_point(|s| s.alerts() <= rank)].score
 }
 
 #[cfg(test)]
@@ -231,11 +264,17 @@ mod tests {
     #[test]
     fn candidate_subsampling_keeps_extremes() {
         let scores: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-        let c = candidates(&scores);
-        assert!(c.len() <= 600);
-        assert!(c[0].is_infinite());
-        assert_eq!(c[1], 9999.0);
-        assert_eq!(*c.last().unwrap(), 0.0);
+        let labels: Vec<bool> = (0..10_000).map(|i| i % 2 == 0).collect();
+        let ranking = Ranking::new(&scores, &labels);
+        let c: Vec<(f64, ConfusionMatrix)> = candidates(&ranking).collect();
+        assert_eq!(c.len(), 1 + MAX_CANDIDATES + 1);
+        assert!(c[0].0.is_infinite());
+        assert_eq!(c[1].0, 9999.0);
+        assert_eq!(c.last().unwrap().0, 0.0);
+        // Each candidate carries the matrix a full scan would build.
+        for (threshold, cm) in c {
+            assert_eq!(cm, ConfusionMatrix::from_scores(&scores, &labels, threshold));
+        }
     }
 
     #[test]

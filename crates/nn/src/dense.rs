@@ -38,12 +38,18 @@ const PACK_ROWS: usize = 4;
 /// a batch of `PACK_ROWS` (4) rows or more copies `Wᵀ` into scratch once,
 /// because only then do the scalar dot chains of the transpose-free
 /// kernel cost more than the copy plus a vectorized product. Either way
-/// the elements are the same chains. Every accumulation
-/// chain is pinned: forward elements ascend `k` from zero, `grad_W`
-/// ascends the batch rows with its first term `0 + a·b`, `grad_b` ascends
-/// the rows from zero, `grad_X` ascends the output columns from zero —
-/// the chains of the allocating `transpose`/`matmul` formulation kept as
-/// the reference in `tests/training_reference.rs`, bit for bit.
+/// the elements are the same chains. A one-row step under an optimizer
+/// that reports a [`Optimizer::stateless_rate`] (plain SGD — every
+/// [`crate::Autoencoder`] step) never writes `grad_W` or `grad_b` at all:
+/// each parameter is updated straight from `x[i]` and `δ[j]` by the
+/// operations the materialised step would apply to it, in their order;
+/// batched or stateful steps materialise both. Which of the two runs
+/// follows from the batch shape and the optimizer, nothing else. Every
+/// accumulation chain is pinned: forward elements ascend `k` from zero,
+/// `grad_W` ascends the batch rows with its first term `0 + a·b`, `grad_b`
+/// ascends the rows from zero, `grad_X` ascends the output columns from
+/// zero — the chains of the allocating `transpose`/`matmul` formulation
+/// kept as the reference in `tests/training_reference.rs`, bit for bit.
 #[derive(Debug, Clone)]
 pub struct Dense {
     weights: Matrix,
@@ -63,6 +69,7 @@ struct TrainScratch {
     output: Matrix,
     /// `δ = dL/d(pre-activation)`.
     delta: Matrix,
+    /// Both parameter gradients, filled only by batched or stateful steps.
     grad_weights: Matrix,
     grad_bias: Matrix,
     /// `Wᵀ`, filled only by batched steps that propagate an input gradient.
@@ -283,8 +290,6 @@ impl Dense {
         {
             *d = g * activation.derivative_from_output(y);
         }
-        train.input.transposed_matmul_into(&train.delta, &mut train.grad_weights);
-        train.delta.column_sums_into(&mut train.grad_bias);
         if let Some(grad_input) = grad_input {
             if rows < PACK_ROWS {
                 train.delta.matmul_transposed_into(&self.weights, grad_input);
@@ -293,8 +298,22 @@ impl Dense {
                 train.delta.matmul_into(&train.weights_t, grad_input);
             }
         }
-        opt.step(self.base_id, &mut self.weights, &train.grad_weights);
-        opt.step(self.base_id + 1, &mut self.bias, &train.grad_bias);
+        match opt.stateless_rate() {
+            // One row under a stateless optimizer: `grad_W` is the outer
+            // product `xᵀ·δ` and the step only subtracts a multiple of it,
+            // so each weight is updated straight from `x[i]` and `δ[j]`.
+            Some(rate) if rows == 1 => {
+                let delta = train.delta.as_slice();
+                self.weights.sub_scaled_outer(rate, train.input.as_slice(), delta);
+                self.bias.sub_scaled_outer(rate, &[1.0], delta);
+            }
+            _ => {
+                train.input.transposed_matmul_into(&train.delta, &mut train.grad_weights);
+                train.delta.column_sums_into(&mut train.grad_bias);
+                opt.step(self.base_id, &mut self.weights, &train.grad_weights);
+                opt.step(self.base_id + 1, &mut self.bias, &train.grad_bias);
+            }
+        }
         // The weights moved: every lane's snapshot is stale.
         self.snapshot.clear();
     }

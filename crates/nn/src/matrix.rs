@@ -299,6 +299,30 @@ impl Matrix {
         }
     }
 
+    /// The fused one-row SGD step: `self[i][j] -= rate · (0 + x[i]·δ[j])`,
+    /// vectorized across each row. Per element this is
+    /// [`Matrix::transposed_matmul_into`] on a one-row batch (`grad = 0 +
+    /// x[i]·δ[j]`, the zero-init chain spelled out — it turns a `-0.0`
+    /// product into `+0.0`) followed by the stateless `p -= rate·grad`, bit
+    /// for bit, without the round trip of `grad` through memory. A bias row
+    /// takes the same step with `x = [1.0]`, since `1.0·δ[j]` is `δ[j]`
+    /// exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self` is `x.len() × delta.len()`.
+    pub(crate) fn sub_scaled_outer(&mut self, rate: f64, x: &[f64], delta: &[f64]) {
+        assert_eq!((self.rows, self.cols), (x.len(), delta.len()), "shape mismatch");
+        if delta.is_empty() {
+            return;
+        }
+        for (row, &a) in self.data.chunks_exact_mut(delta.len()).zip(x) {
+            for (w, &d) in row.iter_mut().zip(delta) {
+                *w -= rate * (0.0 + a * d);
+            }
+        }
+    }
+
     /// The input-gradient kernel: `out = self · wᵀ` without forming the
     /// transpose — `out[r][i]` is the dot product of row `r` of `self` with
     /// the *contiguous* row `i` of `w`, ascending `j` from zero (the chain
@@ -587,6 +611,36 @@ mod tests {
             assert_eq!(bits(&out), bits(&delta.matmul(&transpose(&w))), "delta·wT {rows}x{k}x{n}");
             w.transpose_into(&mut out);
             assert_eq!(out, transpose(&w));
+        }
+    }
+
+    #[test]
+    fn fused_one_row_step_is_the_materialised_step_bitwise() {
+        use crate::optimizer::{Optimizer, Sgd};
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Parameters, inputs and δ all carry both zeros: a `-0.0` parameter
+        // is the one value on which `p - r·(-0.0)` and `p - r·(0 + -0.0)`
+        // differ, so this is what pins the `0 +` in the kernel.
+        let pool = [0.0, -0.0, 0.75, -0.5, -0.0, 3.0];
+        for (k, n) in [(1, 1), (1, 6), (6, 1), (7, 5)] {
+            let x: Vec<f64> = (0..k).map(|i| pool[(i + 1) % 6]).collect();
+            let delta = Matrix::from_fn(1, n, |_, j| pool[(j * 5 + 2) % 6]);
+            let mut fused = Matrix::from_fn(k, n, |i, j| pool[(i * 7 + j) % 6]);
+            let mut fused_bias = Matrix::from_fn(1, n, |_, j| pool[(j + 4) % 6]);
+            let (mut stepped, mut stepped_bias) = (fused.clone(), fused_bias.clone());
+
+            let mut opt = Sgd::new(0.1);
+            let rate = opt.stateless_rate().expect("plain SGD is stateless");
+            fused.sub_scaled_outer(rate, &x, delta.as_slice());
+            fused_bias.sub_scaled_outer(rate, &[1.0], delta.as_slice());
+
+            let (mut grad, mut grad_bias) = (Matrix::default(), Matrix::default());
+            Matrix::row_vector(&x).transposed_matmul_into(&delta, &mut grad);
+            delta.column_sums_into(&mut grad_bias);
+            opt.step(0, &mut stepped, &grad);
+            opt.step(1, &mut stepped_bias, &grad_bias);
+            assert_eq!(bits(&fused), bits(&stepped), "weights {k}x{n}");
+            assert_eq!(bits(&fused_bias), bits(&stepped_bias), "bias {k}x{n}");
         }
     }
 

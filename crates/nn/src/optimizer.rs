@@ -14,6 +14,17 @@ pub trait Optimizer: std::fmt::Debug {
     /// Implementations may panic if `grad` and `param` shapes differ.
     fn step(&mut self, param_id: usize, param: &mut Matrix, grad: &Matrix);
 
+    /// The rate `r`, when [`Optimizer::step`] is exactly `param[k] -= r·grad[k]`
+    /// for every element and reads or writes nothing else — no
+    /// per-parameter state. A caller that knows its gradient in factored
+    /// form (a one-row layer step: `grad_W = xᵀ·δ`) may then apply that
+    /// update itself, element by element, without materialising `grad`.
+    /// `None` — the default — means every step must go through
+    /// [`Optimizer::step`].
+    fn stateless_rate(&self) -> Option<f64> {
+        None
+    }
+
     /// Current learning rate.
     fn learning_rate(&self) -> f64;
 
@@ -81,6 +92,10 @@ impl Optimizer for Sgd {
             *v = self.momentum * *v - self.lr * g;
             *p += *v;
         }
+    }
+
+    fn stateless_rate(&self) -> Option<f64> {
+        (self.momentum == 0.0).then_some(self.lr)
     }
 
     fn learning_rate(&self) -> f64 {
@@ -204,6 +219,13 @@ mod tests {
         opt.step(1, &mut b, &gb);
         assert!(a.get(0, 0) < 0.0);
         assert!(b.get(0, 0) < 0.0 && b.get(0, 1) > 0.0);
+    }
+
+    #[test]
+    fn only_momentum_free_sgd_is_stateless() {
+        assert_eq!(Sgd::new(0.5).stateless_rate(), Some(0.5));
+        assert_eq!(Sgd::with_momentum(0.5, 0.9).stateless_rate(), None);
+        assert_eq!(Adam::new(0.5).stateless_rate(), None);
     }
 
     #[test]

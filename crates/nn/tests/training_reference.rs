@@ -321,6 +321,82 @@ fn noise(seed: u64, i: usize) -> f64 {
 
 const STEPS: usize = 50;
 
+/// One-row steps the noise pools do not reach, per layer shape: inputs and
+/// output gradients holding `0.0` and `-0.0` (so `x[i]·δ[j]` is a signed
+/// zero the `0 +` must normalise before the rate multiplies it), and a
+/// pre-activation large enough to saturate a sigmoid to exactly `1.0`
+/// (`δ = 0` whatever the gradient).
+fn one_row_cases(input: usize, output: usize) -> Vec<(Matrix, Matrix)> {
+    let signed_zero = |i: usize| [0.0, -0.0, 0.75, -0.5][i % 4];
+    vec![
+        (
+            Matrix::from_fn(1, input, |_, c| signed_zero(c)),
+            Matrix::from_fn(1, output, |_, c| signed_zero(c + 1)),
+        ),
+        (
+            Matrix::from_fn(1, input, |_, c| -signed_zero(c + 2)),
+            Matrix::from_fn(1, output, |_, c| -signed_zero(c)),
+        ),
+        (Matrix::from_fn(1, input, |_, _| 1e6), Matrix::from_fn(1, output, |_, _| 0.25)),
+        (Matrix::from_fn(1, input, |_, _| -1e6), Matrix::from_fn(1, output, |_, _| -0.25)),
+    ]
+}
+
+/// The fused one-row step is taken for plain SGD only; `Sgd::with_momentum`
+/// and `Adam` see the same one-row inputs through the materialised
+/// gradient. All three must track the reference layer bit for bit, on
+/// shapes down to width 1. (A `-0.0` *parameter* — the one value on which
+/// the kernel's `0 +` is observable — cannot be built through the public
+/// API; `matrix.rs`'s unit tests pin that case on the kernel itself.)
+#[test]
+fn one_row_steps_match_the_reference_on_signed_zeros_and_saturation() {
+    for (input, output) in [(1, 1), (1, 3), (4, 1), (5, 7)] {
+        for activation in [Activation::Sigmoid, Activation::Linear, Activation::Relu] {
+            for opt_kind in 0..3 {
+                let mut layer = Dense::new(input, output, activation, 0, 17);
+                let mut reference = RefDense::like(&layer, 0);
+                let [mut opt, mut ref_opt] = optimizer_pair(opt_kind);
+                let mut grad_input = Matrix::default();
+                let what = format!("{input}x{output} {activation:?} optimizer {opt_kind}");
+                for round in 0..3 {
+                    for (case, (x, grad)) in one_row_cases(input, output).iter().enumerate() {
+                        let ref_out = reference.forward_training(x.clone());
+                        assert_eq!(bits(layer.forward_training(x)), bits(&ref_out), "{what}");
+                        let ref_grad_input = reference.backward(grad, ref_opt.as_mut());
+                        layer.backward(grad, opt.as_mut(), Some(&mut grad_input));
+                        let at = format!("{what}, round {round} case {case}");
+                        assert_eq!(bits(&grad_input), bits(&ref_grad_input), "{at}: grad_input");
+                        assert_eq!(
+                            bits(layer.weights()),
+                            bits(&reference.weights),
+                            "{at}: weights"
+                        );
+                        assert_eq!(bits(layer.bias()), bits(&reference.bias), "{at}: bias");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The cases above must actually produce what they are named for: a
+/// saturated sigmoid (`δ = 0` from a non-zero gradient) and `-0.0` outer
+/// products — otherwise a later change to the pools would quietly stop
+/// exercising them.
+#[test]
+fn one_row_cases_reach_saturation_and_negative_zero() {
+    let mut layer = Dense::new(4, 1, Activation::Sigmoid, 0, 17);
+    let cases = one_row_cases(4, 1);
+    let saturated = layer.forward_training(&cases[2].0).get(0, 0);
+    assert!(saturated == 1.0 || saturated == 0.0, "sigmoid did not saturate: {saturated}");
+    layer.backward(&cases[2].1, &mut Sgd::new(0.05), None);
+    let (x, grad) = &cases[0];
+    let products: Vec<f64> =
+        x.as_slice().iter().flat_map(|a| grad.as_slice().iter().map(move |d| a * d)).collect();
+    assert!(products.iter().any(|p| p.to_bits() == (-0.0f64).to_bits()));
+    assert!(products.iter().any(|p| p.to_bits() == 0.0f64.to_bits()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -12,7 +12,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use idsbench_core::metrics::{auc, roc_curve, ConfusionMatrix};
+use idsbench_core::metrics::Ranking;
 use idsbench_core::{
     Event, EventDetector, FlowEventAssembler, FlowMigration, ParsedView, ScaleEvent,
 };
@@ -586,12 +586,15 @@ pub(crate) fn merge_outcomes(
 
     let scores: Vec<f64> = records.iter().map(|r| r.score).collect();
     let labels: Vec<bool> = records.iter().map(|r| r.label).collect();
+    // One ranking serves the threshold, the confusion matrix and the AUC,
+    // exactly as in the batch runner.
+    let ranking = Ranking::new(&scores, &labels);
     let threshold = match config.threshold {
         ThresholdMode::Fixed(t) => t,
-        ThresholdMode::Calibrated(policy) => policy.calibrate(&scores, &labels),
+        ThresholdMode::Calibrated(policy) => policy.calibrate_ranked(&ranking),
     };
 
-    let cm = ConfusionMatrix::from_scores(&scores, &labels, threshold);
+    let cm = ranking.confusion_at(threshold);
     let attacks = labels.iter().filter(|&&l| l).count();
     let report = StreamReport {
         detector,
@@ -606,7 +609,7 @@ pub(crate) fn merge_outcomes(
         threshold,
         metrics: cm.metrics(),
         false_positive_rate: cm.false_positive_rate(),
-        auc: auc(&roc_curve(&scores, &labels)),
+        auc: ranking.auc(),
         family_recall: family_recall(&records, threshold),
         windows: window_metrics(&records, config.window_secs, threshold),
         throughput: Throughput::from_run(
