@@ -64,8 +64,9 @@ fn wire_item_to_stream(item: WireItem) -> StreamItem {
 /// # Errors
 ///
 /// [`FabricError`] on socket failure, a frame that fails to decode, an
-/// unknown detector name, or a coordinator that closes the connection
-/// before `Finish`.
+/// unknown detector name, a coordinator that closes the connection before
+/// `Finish`, or a hosted detector that does not return one score per event
+/// of its input format (the worker stops instead of mislabelling scores).
 pub fn run_worker(
     endpoint: &Endpoint,
     resolve: &DetectorResolver<'_>,
@@ -180,7 +181,7 @@ pub fn run_worker_with_faults(
                 let hosted = hosted(&mut shards, shard)?;
                 staged.clear();
                 staged.extend(items.into_iter().map(wire_item_to_stream));
-                hosted.event_loop.on_batch(&staged);
+                hosted.event_loop.on_batch(&staged)?;
             }
             CoordMsg::Rebalance { shard, ring } => {
                 let ring = ring.to_ring();
@@ -230,7 +231,7 @@ pub fn run_worker_with_faults(
                 let mut hosted = shards.remove(&(shard as usize)).ok_or_else(|| {
                     FabricError::Protocol(format!("Retire for unhosted shard {shard}"))
                 })?;
-                hosted.event_loop.finish();
+                hosted.event_loop.finish()?;
                 let outcome = hosted.event_loop.into_outcome(hosted.fit_seconds);
                 send_msg(&mut transport, &WorkerMsg::Outcome(outcome).encode(), counters)?;
             }

@@ -228,7 +228,7 @@ struct LocalPool<'scope, 'env> {
     /// Live shards, sorted by id (the feeder only ever spawns a fresh
     /// highest id), so the per-batch lookup is a binary search.
     slots: Vec<ShardSlot>,
-    workers: Vec<ScopedJoinHandle<'scope, Option<ShardOutcome>>>,
+    workers: Vec<ScopedJoinHandle<'scope, Result<ShardOutcome>>>,
     /// Indexed by shard id (ids are dense), retired shards included: how
     /// often a full channel forced the feeder to block behind the shard —
     /// the backpressure design working as intended, but visible.
@@ -284,7 +284,7 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
         self.slots.push(ShardSlot { id, tx, p99_nanos: p99_nanos.clone() });
         self.stalls.push(0);
         let ctx = self.ctx.clone();
-        let worker = self.scope.spawn(move || -> Option<ShardOutcome> {
+        let worker = self.scope.spawn(move || -> Result<ShardOutcome> {
             // A fit panic must not strand the barrier (the feeder would
             // deadlock behind it): catch it, pass the start line, and
             // disconnect so the feeder sees the shard as dead.
@@ -298,12 +298,9 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
             if use_barrier {
                 ctx.start_line.wait();
             }
-            let detector = match fitted {
-                Ok(detector) => detector,
-                Err(_) => {
-                    drop(rx);
-                    return None;
-                }
+            let Ok(detector) = fitted else {
+                drop(rx);
+                return Err(CoreError::stream("shard worker panicked in fit"));
             };
 
             let mut state = ShardLoop::new(
@@ -316,10 +313,17 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
                 p99_nanos.is_some(),
                 ctx.telemetry.map(|telemetry| ShardSpans::new(telemetry, id)),
             );
+            // A shard whose detector broke the score contract stops scoring
+            // but keeps serving its channel until the feeder closes it: a
+            // rebalance already queued behind the bad batch still gets its
+            // reply, so the feeder cannot block on a dead shard.
+            let mut scored = Ok(());
             for msg in rx.iter() {
                 match msg {
                     ShardMsg::Batch(batch) => {
-                        state.on_batch(&batch);
+                        if scored.is_ok() {
+                            scored = state.on_batch(&batch);
+                        }
                         // Publish this batch's p99, then reset: the signal must
                         // track *current* latency — a cumulative histogram would
                         // let one early slow burst pin `overloaded` for the rest
@@ -340,8 +344,9 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
                     ShardMsg::Migrate(migrations) => state.on_migrate(migrations),
                 }
             }
-            state.finish();
-            Some(state.into_outcome(fit_seconds))
+            scored?;
+            state.finish()?;
+            Ok(state.into_outcome(fit_seconds))
         });
         self.workers.push(worker);
     }
@@ -441,16 +446,16 @@ impl ShardPool for LocalPool<'_, '_> {
     }
 
     /// Closes every channel and joins every worker, after a failed feed
-    /// too: a dead worker is the root cause of whatever the feeder saw (it
-    /// sees only a closed channel), so it is the error reported first.
+    /// too: a failed worker is the root cause of whatever the feeder saw
+    /// (it sees only a closed channel), so it is the error reported first.
     fn finish(mut self, fed: Result<()>) -> Result<(Vec<ShardOutcome>, Vec<usize>)> {
         self.slots.clear(); // drops every sender
         let mut outcomes = Vec::new();
         let mut failure = None;
         for worker in self.workers {
             match worker.join() {
-                Ok(Some(outcome)) => outcomes.push(outcome),
-                Ok(None) => failure = Some(CoreError::stream("shard worker panicked in fit")),
+                Ok(Ok(outcome)) => outcomes.push(outcome),
+                Ok(Err(err)) => failure = Some(err),
                 Err(_) => failure = Some(CoreError::stream("shard worker panicked")),
             }
         }
@@ -472,7 +477,9 @@ impl ShardPool for LocalPool<'_, '_> {
 /// # Errors
 ///
 /// Returns [`CoreError::Stream`] for invalid configuration, a failing packet
-/// source, or a panicked shard worker.
+/// source, or a panicked shard worker, and
+/// [`CoreError::ScoreCountMismatch`] when a shard's detector does not
+/// return exactly one score per event of its input format.
 pub fn run_stream(
     factory: &(dyn Fn() -> Box<dyn EventDetector> + Sync),
     warmup: &[LabeledPacket],

@@ -45,7 +45,9 @@ pub struct ScoredEvent {
     pub window: u64,
     /// Anomaly score emitted by the shard's detector.
     pub score: f64,
-    /// Nanoseconds spent inside the detector for this event.
+    /// This event's share of its burst's wall time: the nanoseconds the
+    /// shard spent on the burst that scored it (flow assembly included),
+    /// divided by the events that burst scored.
     pub latency_nanos: u64,
     /// Ground truth.
     pub label: bool,

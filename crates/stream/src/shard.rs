@@ -14,9 +14,11 @@ use std::time::Instant;
 
 use idsbench_core::metrics::Ranking;
 use idsbench_core::{
-    Event, EventDetector, FlowEventAssembler, FlowMigration, ParsedView, ScaleEvent,
+    CoreError, Event, EventDetector, FlowEventAssembler, FlowMigration, Label, LabeledFlow,
+    ParsedView, Result, ScaleEvent,
 };
 use idsbench_flow::FlowKey;
+use idsbench_net::fasthash::FxBuildHasher;
 use idsbench_telemetry::{Stage, StageHistogram, Telemetry};
 
 use crate::executor::{StreamConfig, StreamRun, ThresholdMode};
@@ -68,7 +70,6 @@ impl Recorder {
     }
 
     /// Records one scored event.
-    #[allow(clippy::too_many_arguments)]
     pub fn push(
         &mut self,
         seq: u64,
@@ -76,7 +77,7 @@ impl Recorder {
         window: u64,
         score: f64,
         latency_nanos: u64,
-        label: idsbench_core::Label,
+        label: Label,
     ) {
         match self {
             Recorder::Full(records) => records.push(ScoredEvent {
@@ -94,13 +95,50 @@ impl Recorder {
                 *threshold,
                 label.is_attack(),
                 label.attack_kind(),
-                // Flow evictions carry `sub > 0` (triggered by a later
-                // packet) or the flush sentinel; packet events carry
-                // neither. Same rule the replay path applies to records.
-                sub > 0 || seq == u64::MAX,
+                is_eviction(seq, sub),
                 latency_nanos,
             ),
         }
+    }
+}
+
+/// Whether the event at `(seq, sub)` is a flow eviction: evictions carry
+/// `sub > 0` (triggered by a packet) or the flush sentinel `seq`; packet
+/// events carry neither. Same rule the replay merge applies to records.
+fn is_eviction(seq: u64, sub: u32) -> bool {
+    sub > 0 || seq == u64::MAX
+}
+
+/// One event the detector scored inside the current burst, held until the
+/// burst's clock stops and its latency share is known.
+#[derive(Debug, Clone, Copy)]
+struct Staged {
+    seq: u64,
+    sub: u32,
+    ts_micros: u64,
+    score: f64,
+    label: Label,
+}
+
+impl Staged {
+    fn packet(item: &StreamItem, score: f64) -> Self {
+        let ts_micros = item.view.packet.packet.ts.as_micros();
+        Staged { seq: item.seq, sub: 0, ts_micros, score, label: item.view.label() }
+    }
+}
+
+/// Delivers one eviction event, staging its score (if any) as event
+/// `(seq, sub)` in the flow's last-seen window.
+fn stage_eviction(
+    detector: &mut dyn EventDetector,
+    staged: &mut Vec<Staged>,
+    seq: u64,
+    sub: u32,
+    flow: &LabeledFlow,
+) {
+    if let Some(score) = detector.on_event(&Event::FlowEvicted(flow)) {
+        let ts_micros = flow.record.last_seen.as_micros();
+        staged.push(Staged { seq, sub, ts_micros, score, label: flow.label });
     }
 }
 
@@ -114,7 +152,10 @@ pub struct ShardOutcome {
     pub shard: usize,
     /// Everything the shard scored.
     pub recorder: Recorder,
-    /// Busy seconds inside `on_event` calls.
+    /// Shard busy seconds, summed per burst: each [`ShardLoop::on_batch`]
+    /// (and the end-of-stream flush) is timed as a whole — detector calls
+    /// plus, on flow-format shards, the flow assembly that triggered the
+    /// evictions.
     pub score_seconds: f64,
     /// Seconds this shard's detector instance spent in `fit`.
     pub fit_seconds: f64,
@@ -145,8 +186,9 @@ pub struct ShardCheckpoint {
 }
 
 /// Per-shard stage histograms; present only when the run carries telemetry.
-/// Score and evict reuse the latencies the recorder already measures, so
-/// attaching them adds no clock reads to the scoring path.
+/// Score (packet events) and evict (flow evictions) record the same
+/// per-event burst share the recorder does, so attaching them adds no clock
+/// reads to the scoring path.
 #[derive(Debug)]
 pub struct ShardSpans {
     score: Arc<StageHistogram>,
@@ -166,17 +208,22 @@ impl ShardSpans {
     }
 }
 
-/// The per-shard event loop: scores the packet event, feeds the shard's
+/// The per-shard event loop: scores the packet events, feeds the shard's
 /// flow table (flow-format detectors only), and scores the evictions — the
 /// exact event order the batch driver replays.
+///
+/// Scoring is per *burst*: [`ShardLoop::on_batch`] runs a routed batch and
+/// the evictions it triggers under one clock pair, and each scored event's
+/// latency is the burst's wall time divided by the events it scored.
 pub struct ShardLoop {
     /// Stable shard id — the identity the ring routes to.
     id: usize,
     detector: Box<dyn EventDetector>,
     recorder: Recorder,
     assembler: Option<FlowEventAssembler>,
-    evicted: Vec<idsbench_core::LabeledFlow>,
-    flows: HashSet<FlowKey>,
+    /// Distinct canonical flows routed here (the owned-flow inventory);
+    /// Fx-hashed like the data plane's other per-packet maps.
+    flows: HashSet<FlowKey, FxBuildHasher>,
     window_secs: f64,
     score_nanos: u128,
     packets: usize,
@@ -185,8 +232,10 @@ pub struct ShardLoop {
     live_latency: Option<LatencyHistogram>,
     /// Per-stage telemetry histograms; absent without telemetry.
     spans: Option<ShardSpans>,
-    /// Reused score buffer for the batch scoring path.
+    // Burst staging, reused so steady-state bursts allocate nothing.
+    evicted: Vec<LabeledFlow>,
     batch_scores: Vec<f64>,
+    staged: Vec<Staged>,
 }
 
 impl std::fmt::Debug for ShardLoop {
@@ -220,115 +269,102 @@ impl ShardLoop {
             detector,
             recorder,
             assembler,
-            evicted: Vec::new(),
-            flows: HashSet::new(),
+            flows: HashSet::default(),
             window_secs,
             score_nanos: 0,
             packets: 0,
             live_latency: live_latency.then(LatencyHistogram::default),
             spans,
+            evicted: Vec::new(),
             batch_scores: Vec::new(),
+            staged: Vec::new(),
         }
     }
 
-    /// Scores a routed burst of packets. Packet-format shards (no flow
-    /// table) deliver the whole burst through the detector's
-    /// [`EventDetector::on_packet_batch`] entry point, letting NN-backed
-    /// detectors amortize weight traffic across the burst — with scores
-    /// bitwise identical to per-packet delivery in the default f64
-    /// precision (the batch contract). Flow-format shards fall back to
-    /// per-packet delivery, which interleaves eviction events correctly.
+    /// Scores one routed burst — the shard's only scoring entry, for both
+    /// input formats and both pools.
     ///
-    /// Per-event latency is the batch wall time divided by the burst
-    /// length: the whole burst occupies the shard for that span, so each
-    /// packet's share of it is the honest per-event cost (scores, not
-    /// latencies, are digest-pinned).
-    pub fn on_batch(&mut self, items: &[StreamItem]) {
-        if self.assembler.is_some() || items.len() <= 1 {
-            for item in items {
-                self.on_packet(item);
-            }
-            return;
-        }
+    /// Packet-format shards (no flow table) deliver the whole burst through
+    /// [`EventDetector::on_packet_batch`], letting NN-backed detectors
+    /// amortize weight traffic across it, with scores bitwise identical to
+    /// per-packet delivery in the default f64 precision (the batch
+    /// contract). Flow-format shards deliver each packet event, feed the
+    /// packet to the flow table and deliver the evictions it triggers
+    /// before the next packet — the batch driver's exact event order.
+    ///
+    /// The burst runs under one clock pair, flow assembly included, and
+    /// each scored event's latency is the burst's wall time divided by the
+    /// events it scored: the burst occupies the shard for that span, so an
+    /// equal share is the honest per-event cost (scores, not latencies, are
+    /// digest-pinned).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ScoreCountMismatch`] when the detector does not return
+    /// exactly one score per event of its input format — per packet, or per
+    /// eviction. Nothing of the burst is recorded: a missing score fails the
+    /// run instead of shifting later scores onto the wrong labels.
+    pub fn on_batch(&mut self, items: &[StreamItem]) -> Result<()> {
         self.packets += items.len();
-        for item in items {
-            if let Some(key) = item.view.flow_key {
-                self.flows.insert(key);
-            }
-        }
-        self.batch_scores.clear();
-        let started = Instant::now();
-        self.detector
-            .on_packet_batch(&mut items.iter().map(|item| &item.view), &mut self.batch_scores);
-        let total = started.elapsed().as_nanos();
-        self.score_nanos += total;
-        let per_event = (total / items.len() as u128).min(u128::from(u64::MAX)) as u64;
-        debug_assert_eq!(self.batch_scores.len(), items.len(), "one score per packet view");
-        let scores = std::mem::take(&mut self.batch_scores);
-        for (item, &score) in items.iter().zip(&scores) {
-            if let Some(spans) = &self.spans {
-                spans.score.record(per_event);
-            }
-            let window = window_of_micros(item.view.packet.packet.ts.as_micros(), self.window_secs);
-            if let Some(hist) = &mut self.live_latency {
-                hist.record(per_event);
-            }
-            self.recorder.push(item.seq, 0, window, score, per_event, item.view.label());
-        }
-        self.batch_scores = scores;
-    }
-
-    /// Scores one routed packet and any flow evictions it triggers.
-    pub fn on_packet(&mut self, item: &StreamItem) {
-        self.packets += 1;
-        if let Some(key) = item.view.flow_key {
+        for key in items.iter().filter_map(|item| item.view.flow_key) {
             self.flows.insert(key);
         }
         let started = Instant::now();
-        let score = self.detector.on_event(&Event::Packet(&item.view));
-        let latency = started.elapsed();
-        self.score_nanos += latency.as_nanos();
-        if let Some(spans) = &self.spans {
-            spans.score.record(latency.as_nanos().min(u128::from(u64::MAX)) as u64);
-        }
-        if let Some(score) = score {
-            let window = window_of_micros(item.view.packet.packet.ts.as_micros(), self.window_secs);
-            let latency_nanos = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-            if let Some(hist) = &mut self.live_latency {
-                hist.record(latency_nanos);
+        let (expected, got) = match &mut self.assembler {
+            None => {
+                let views = &mut items.iter().map(|item| &item.view);
+                self.detector.on_packet_batch(views, &mut self.batch_scores);
+                let got = self.batch_scores.len();
+                let scored = items.iter().zip(self.batch_scores.drain(..));
+                self.staged.extend(scored.map(|(item, score)| Staged::packet(item, score)));
+                (items.len(), got)
             }
-            self.recorder.push(item.seq, 0, window, score, latency_nanos, item.view.label());
-        }
-        if let Some(assembler) = &mut self.assembler {
-            let evicted = &mut self.evicted;
-            assembler.observe(&item.view, |flow| evicted.push(flow));
-            // Take/restore so the buffer's capacity survives eviction
-            // bursts (on_flow needs &mut self, so draining in place would
-            // alias the borrow).
-            let mut evicted = std::mem::take(&mut self.evicted);
-            for (index, flow) in evicted.drain(..).enumerate() {
-                self.on_flow(item.seq, index as u32 + 1, flow);
+            Some(assembler) => {
+                let mut evictions = 0;
+                for item in items {
+                    if let Some(score) = self.detector.on_event(&Event::Packet(&item.view)) {
+                        self.staged.push(Staged::packet(item, score));
+                    }
+                    let evicted = &mut self.evicted;
+                    assembler.observe(&item.view, |flow| evicted.push(flow));
+                    evictions += self.evicted.len();
+                    for (index, flow) in self.evicted.drain(..).enumerate() {
+                        let sub = index as u32 + 1;
+                        let detector = self.detector.as_mut();
+                        stage_eviction(detector, &mut self.staged, item.seq, sub, &flow);
+                    }
+                }
+                (evictions, self.staged.len())
             }
-            self.evicted = evicted;
-        }
+        };
+        self.settle(started, expected, got)
     }
 
-    fn on_flow(&mut self, seq: u64, sub: u32, flow: idsbench_core::LabeledFlow) {
-        let started = Instant::now();
-        let score = self.detector.on_event(&Event::FlowEvicted(&flow));
-        let latency = started.elapsed();
-        self.score_nanos += latency.as_nanos();
-        if let Some(spans) = &self.spans {
-            spans.evict.record(latency.as_nanos().min(u128::from(u64::MAX)) as u64);
+    /// Closes the burst opened at `started`: books its wall time, checks
+    /// that the detector returned `expected` scores, and records every
+    /// staged event at an equal share of the burst.
+    fn settle(&mut self, started: Instant, expected: usize, got: usize) -> Result<()> {
+        let nanos = started.elapsed().as_nanos();
+        self.score_nanos += nanos;
+        if got != expected {
+            self.staged.clear();
+            let detector = self.detector.name().to_string();
+            return Err(CoreError::ScoreCountMismatch { detector, expected, got });
         }
-        if let Some(score) = score {
-            let window = window_of_micros(flow.record.last_seen.as_micros(), self.window_secs);
-            let latency_nanos = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-            if let Some(hist) = &mut self.live_latency {
-                hist.record(latency_nanos);
+        let per_event = (nanos / got.max(1) as u128).min(u128::from(u64::MAX)) as u64;
+        for event in self.staged.drain(..) {
+            if let Some(spans) = &self.spans {
+                let stage =
+                    if is_eviction(event.seq, event.sub) { &spans.evict } else { &spans.score };
+                stage.record(per_event);
             }
-            self.recorder.push(seq, sub, window, score, latency_nanos, flow.label);
+            if let Some(hist) = &mut self.live_latency {
+                hist.record(per_event);
+            }
+            let window = window_of_micros(event.ts_micros, self.window_secs);
+            self.recorder.push(event.seq, event.sub, window, event.score, per_event, event.label);
         }
+        Ok(())
     }
 
     /// Ring membership changed: extract every flow this shard no longer
@@ -449,13 +485,24 @@ impl ShardLoop {
         }
     }
 
-    /// End of stream: flush the flow table (same as the batch driver).
-    pub fn finish(&mut self) {
-        if let Some(mut assembler) = self.assembler.take() {
-            for (index, flow) in assembler.flush().into_iter().enumerate() {
-                self.on_flow(u64::MAX, index as u32, flow);
-            }
+    /// End of stream: flush the flow table (same as the batch driver) and
+    /// score the flushed flows as one last burst.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ScoreCountMismatch`] when the detector does not score
+    /// every flushed flow exactly once.
+    pub fn finish(&mut self) -> Result<()> {
+        let Some(mut assembler) = self.assembler.take() else {
+            return Ok(());
+        };
+        let started = Instant::now();
+        let flushed = assembler.flush();
+        for (index, flow) in flushed.iter().enumerate() {
+            let detector = self.detector.as_mut();
+            stage_eviction(detector, &mut self.staged, u64::MAX, index as u32, flow);
         }
+        self.settle(started, flushed.len(), self.staged.len())
     }
 
     /// The scoring p99 of the batch just processed, in nanoseconds,

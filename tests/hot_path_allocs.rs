@@ -18,14 +18,19 @@
 //! window, and the budget stays zero — observability must be free on the
 //! hot path.
 //!
+//! The **shard loop** around the detectors is pinned too: a warmed
+//! `ShardLoop` — Kitsune for packet format, Slips and DNN for flow format —
+//! scores steady-state 32-packet bursts through `on_batch` with zero
+//! allocations, so its burst staging must reuse its buffers.
+//!
 //! Steady-state **training** is pinned the same way: after one warm-up step
 //! has sized a model's scratch and its optimizer state, further steps of
 //! the autoencoder, the LSTM regressor and the MLP allocate nothing.
 
 use idsbench::core::allocwatch::{allocation_snapshot, CountingAllocator};
 use idsbench::core::{
-    Event, EventDetector, FlowEventAssembler, Label, LabeledFlow, LabeledPacket, ParsedView,
-    TrainView,
+    Event, EventDetector, FlowEventAssembler, InputFormat, Label, LabeledFlow, LabeledPacket,
+    ParsedView, TrainView,
 };
 use idsbench::dnn::Dnn;
 use idsbench::flow::FlowTableConfig;
@@ -37,6 +42,7 @@ use idsbench::nn::{
     Matrix, MlpBuilder,
 };
 use idsbench::slips::Slips;
+use idsbench::stream::{Recorder, ShardLoop, StreamItem, ThresholdMode};
 use idsbench::telemetry::{Counter, Stage, Telemetry, TelemetryConfig};
 use std::net::Ipv4Addr;
 
@@ -121,7 +127,7 @@ fn steady_state_scoring_allocates_nothing() {
     let train = TrainView { packets: train.to_vec(), flows: Vec::new() };
 
     let mut kitsune = Kitsune::default();
-    kitsune.fit(&train);
+    EventDetector::fit(&mut kitsune, &train);
     let (allocs, bytes) = measured_allocations(&mut kitsune, warm, measure);
     assert_eq!(
         allocs,
@@ -132,7 +138,7 @@ fn steady_state_scoring_allocates_nothing() {
     );
 
     let mut helad = Helad::default();
-    helad.fit(&train);
+    EventDetector::fit(&mut helad, &train);
     let (allocs, bytes) = measured_allocations(&mut helad, warm, measure);
     assert_eq!(
         allocs,
@@ -147,7 +153,7 @@ fn steady_state_scoring_allocates_nothing() {
     let packets = telemetry.counter("packets_total");
 
     let mut kitsune = Kitsune::default();
-    kitsune.fit(&train);
+    EventDetector::fit(&mut kitsune, &train);
     kitsune.attach_inference_probe(telemetry.span(Stage::Infer, Some(0)));
     let (allocs, bytes) = measured_allocations_instrumented(&mut kitsune, warm, measure, &packets);
     assert_eq!(
@@ -156,7 +162,7 @@ fn steady_state_scoring_allocates_nothing() {
     );
 
     let mut helad = Helad::default();
-    helad.fit(&train);
+    EventDetector::fit(&mut helad, &train);
     helad.attach_inference_probe(telemetry.span(Stage::Infer, Some(1)));
     let (allocs, bytes) = measured_allocations_instrumented(&mut helad, warm, measure, &packets);
     assert_eq!(
@@ -177,8 +183,68 @@ fn steady_state_scoring_allocates_nothing() {
     // ---- Flow-format detectors: the eviction path must be clean too ----
     flow_detectors_evict_without_allocating();
 
+    // ---- The shard loop around them: burst staging reuses its buffers ----
+    let mut kitsune: Box<dyn EventDetector> = Box::new(Kitsune::default());
+    kitsune.fit(&train);
+    shard_loop_bursts_allocate_nothing(kitsune, warm, measure);
+    let sessions: Vec<ParsedView> = (0..1_000).flat_map(session_at).collect();
+    let train = TrainView::assemble(sessions[..500].to_vec(), FlowTableConfig::default());
+    for mut detector in
+        [Box::new(Slips::default()) as Box<dyn EventDetector>, Box::new(Dnn::default())]
+    {
+        detector.fit(&train);
+        shard_loop_bursts_allocate_nothing(detector, &sessions[500..3_500], &sessions[3_500..]);
+    }
+
     // ---- Training: scratch is sized by the first step, then reused ----
     training_steps_allocate_nothing();
+}
+
+/// Drives a fitted detector through a [`ShardLoop`] (Online recorder, as a
+/// fixed-threshold deployment runs) in the feeder's 32-packet bursts: after
+/// `warm`, the `on_batch` calls over `measure` must allocate nothing.
+fn shard_loop_bursts_allocate_nothing(
+    detector: Box<dyn EventDetector>,
+    warm: &[ParsedView],
+    measure: &[ParsedView],
+) {
+    let name = detector.name().to_string();
+    let flows = detector.input_format() == InputFormat::Flows;
+    // Every burst is built before the measured window opens.
+    let bursts = |views: &[ParsedView], first_seq: usize| -> Vec<Vec<StreamItem>> {
+        let item = |(at, view): (usize, &ParsedView)| StreamItem {
+            seq: (first_seq + at) as u64,
+            view: view.clone(),
+        };
+        let items: Vec<(usize, &ParsedView)> = views.iter().enumerate().collect();
+        items.chunks(32).map(|burst| burst.iter().copied().map(item).collect()).collect()
+    };
+    let (warm, measure) = (bursts(warm, 0), bursts(measure, warm.len()));
+    let mut shard = ShardLoop::new(
+        0,
+        detector,
+        Recorder::for_mode(ThresholdMode::Fixed(0.5)),
+        flows.then(|| FlowEventAssembler::new(FlowTableConfig::default())),
+        10.0,
+        false,
+        None,
+    );
+    for burst in &warm {
+        shard.on_batch(burst).expect("one score per event");
+    }
+    let before = allocation_snapshot();
+    for burst in &measure {
+        shard.on_batch(burst).expect("one score per event");
+    }
+    let after = allocation_snapshot();
+    let (allocs, bytes) = (after.allocations_since(&before), after.bytes_since(&before));
+    let packets: usize = measure.iter().map(Vec::len).sum();
+    assert_eq!(
+        allocs, 0,
+        "{name}: steady-state ShardLoop::on_batch must not allocate ({allocs} allocations, \
+         {bytes} bytes over {packets} packets)"
+    );
+    assert!(shard.into_outcome(0.0).recorder.items() > 0, "{name}: the bursts must score events");
 }
 
 /// Allocator traffic of `steps` calls of `step`, after one warm-up call.

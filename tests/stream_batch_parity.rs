@@ -16,7 +16,9 @@ use std::collections::HashSet;
 
 use idsbench::core::preprocess::Pipeline;
 use idsbench::core::runner::{evaluate, replay, EvalConfig};
-use idsbench::core::{Dataset, EventDetector, LabeledPacket};
+use idsbench::core::{
+    CoreError, Dataset, Event, EventDetector, InputFormat, LabeledPacket, TrainView,
+};
 use idsbench::datasets::{scenarios, ScenarioScale};
 use idsbench::dnn::{Dnn, DnnConfig};
 use idsbench::flow::FlowKey;
@@ -104,6 +106,61 @@ fn flow_event_detectors_score_flows_not_packets() {
         run.report.eval_items,
         run.report.eval_packets
     );
+}
+
+/// A packet detector that breaks the one-score-per-packet contract: it
+/// scores by wire length but returns `None` on every fifth packet.
+#[derive(Debug, Default)]
+struct SkipsEveryFifth {
+    seen: usize,
+}
+
+impl EventDetector for SkipsEveryFifth {
+    fn name(&self) -> &str {
+        "skips-every-fifth"
+    }
+
+    fn input_format(&self) -> InputFormat {
+        InputFormat::Packets
+    }
+
+    fn fit(&mut self, _train: &TrainView) {}
+
+    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
+        match event {
+            Event::Packet(view) => {
+                self.seen += 1;
+                (self.seen % 5 != 0).then(|| view.packet.packet.wire_len() as f64)
+            }
+            Event::FlowEvicted(_) => None,
+        }
+    }
+}
+
+/// A missing score is an error in both drivers, never a label shift: the
+/// first 32-packet burst comes back six scores short, and that burst fails
+/// the run, naming the detector and the counts.
+#[test]
+fn a_missing_packet_score_fails_both_drivers() {
+    let scenario = scenarios::stratosphere_iot(ScenarioScale::Tiny);
+    let config = EvalConfig::default();
+    let batch = evaluate(&mut SkipsEveryFifth::default(), &scenario, &config)
+        .expect_err("the batch driver must refuse a short burst");
+    let (warmup, source) = ScenarioSource::new(&scenario, config.dataset_seed).split_warmup(0.3);
+    let factory = || Box::new(SkipsEveryFifth::default()) as Box<dyn EventDetector>;
+    let stream = run_stream(&factory, &warmup, source, &StreamConfig::default())
+        .expect_err("the stream driver must refuse a short burst");
+    for err in [batch, stream] {
+        assert!(
+            matches!(
+                &err,
+                CoreError::ScoreCountMismatch { detector, expected: 32, got: 26 }
+                    if detector == "skips-every-fifth"
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("\"skips-every-fifth\" returned 26 scores for 32"));
+    }
 }
 
 #[test]
