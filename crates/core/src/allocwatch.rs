@@ -7,8 +7,8 @@
 //! test or bench binary can install it as its `#[global_allocator]` and
 //! assert that a scoring loop performs *zero* heap allocations after
 //! warmup — the invariant the `hot_path_allocs` integration test pins for
-//! Kitsune and HELAD, and the `fig_hotpath` bench reports as
-//! bytes-per-packet.
+//! Kitsune and HELAD, and the repository benchmark reports as
+//! `stream.allocs_per_packet`.
 //!
 //! # Examples
 //!

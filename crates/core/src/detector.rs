@@ -1,14 +1,12 @@
-//! Shared detector vocabulary: input formats, labeled flows, verdicts, and
-//! the legacy materialized [`DetectorInput`] view.
+//! Shared detector vocabulary: input formats, labeled flows, and verdicts.
 //!
 //! The detector *contract* itself lives in [`crate::event`]: every system
 //! implements [`EventDetector`](crate::event::EventDetector) over the
-//! parse-once event stream. This module keeps the pieces both the event
-//! path and the offline analysis tools share.
+//! parse-once event stream.
 
 use idsbench_flow::{FlowFeatures, FlowRecord};
 
-use crate::label::{Label, LabeledPacket};
+use crate::label::Label;
 
 /// The input shape a detector consumes — the packets-vs-flows compatibility
 /// axis the paper highlights as a major practical obstacle (Section I).
@@ -43,59 +41,6 @@ impl LabeledFlow {
     }
 }
 
-/// Fully materialized preprocessed data: a leading *training* slice and the
-/// *evaluation* slice, in both shapes.
-///
-/// This is the offline analysis view produced by
-/// [`Pipeline::prepare`](crate::preprocess::Pipeline::prepare) — useful for
-/// feature inspection and ablations that want all flows in hand at once.
-/// Evaluation runs do **not** use it: the event drivers replay
-/// [`ParsedView`](crate::event::ParsedView)s and deliver flows at eviction
-/// time instead of materializing them up front.
-#[derive(Debug, Clone)]
-pub struct DetectorInput {
-    /// Training packets (timestamp order).
-    pub train_packets: Vec<LabeledPacket>,
-    /// Evaluation packets (timestamp order).
-    pub eval_packets: Vec<LabeledPacket>,
-    /// Training flows (first-seen order).
-    pub train_flows: Vec<LabeledFlow>,
-    /// Evaluation flows (first-seen order).
-    pub eval_flows: Vec<LabeledFlow>,
-}
-
-impl DetectorInput {
-    /// Number of evaluation items of the given format.
-    pub fn eval_len(&self, format: InputFormat) -> usize {
-        match format {
-            InputFormat::Packets => self.eval_packets.len(),
-            InputFormat::Flows => self.eval_flows.len(),
-        }
-    }
-
-    /// Ground-truth labels of the evaluation items for the given format.
-    pub fn eval_labels(&self, format: InputFormat) -> Vec<bool> {
-        match format {
-            InputFormat::Packets => {
-                self.eval_packets.iter().map(LabeledPacket::is_attack).collect()
-            }
-            InputFormat::Flows => self.eval_flows.iter().map(LabeledFlow::is_attack).collect(),
-        }
-    }
-
-    /// Attack kinds of the evaluation items (`None` for benign), aligned
-    /// with [`DetectorInput::eval_labels`]. Used for per-family recall
-    /// breakdowns.
-    pub fn eval_kinds(&self, format: InputFormat) -> Vec<Option<crate::AttackKind>> {
-        match format {
-            InputFormat::Packets => {
-                self.eval_packets.iter().map(|p| p.label.attack_kind()).collect()
-            }
-            InputFormat::Flows => self.eval_flows.iter().map(|f| f.label.attack_kind()).collect(),
-        }
-    }
-}
-
 /// A binary verdict produced by applying a calibrated threshold to a score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
@@ -103,40 +48,4 @@ pub enum Verdict {
     Benign,
     /// Scored at or above the threshold.
     Alert,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use idsbench_net::{Packet, Timestamp};
-
-    fn input_with_eval_packets(n: usize) -> DetectorInput {
-        DetectorInput {
-            train_packets: Vec::new(),
-            eval_packets: (0..n)
-                .map(|i| {
-                    LabeledPacket::new(
-                        Packet::new(Timestamp::from_micros(i as u64), vec![0u8; 60 + i]),
-                        Label::Benign,
-                    )
-                })
-                .collect(),
-            train_flows: Vec::new(),
-            eval_flows: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn eval_len_matches_format() {
-        let input = input_with_eval_packets(3);
-        assert_eq!(input.eval_len(InputFormat::Packets), 3);
-        assert_eq!(input.eval_len(InputFormat::Flows), 0);
-    }
-
-    #[test]
-    fn eval_labels_match_format() {
-        let input = input_with_eval_packets(2);
-        assert_eq!(input.eval_labels(InputFormat::Packets), vec![false, false]);
-        assert_eq!(input.eval_labels(InputFormat::Flows), Vec::<bool>::new());
-    }
 }

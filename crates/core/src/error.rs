@@ -25,13 +25,6 @@ pub enum CoreError {
         /// Description of the violation.
         detail: String,
     },
-    /// A packet in the dataset failed to parse.
-    MalformedPacket {
-        /// Index of the packet within the dataset.
-        index: usize,
-        /// Parse error message.
-        detail: String,
-    },
     /// A grid cell panicked — in its detector, or in the realisation of its
     /// dataset — and was abandoned; the grid's other cells still ran.
     CellPanicked {
@@ -60,9 +53,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::InvalidConfig { what, detail } => {
                 write!(f, "invalid {what}: {detail}")
-            }
-            CoreError::MalformedPacket { index, detail } => {
-                write!(f, "malformed packet at index {index}: {detail}")
             }
             CoreError::CellPanicked { detector, dataset, detail } => {
                 write!(f, "detector {detector:?} on dataset {dataset:?} panicked: {detail}")

@@ -52,7 +52,7 @@ pub mod traffic;
 
 pub use arena::PayloadArena;
 pub use dataset::{Dataset, DatasetInfo};
-pub use detector::{DetectorInput, InputFormat, LabeledFlow, Verdict};
+pub use detector::{InputFormat, LabeledFlow, Verdict};
 pub use error::CoreError;
 pub use event::{
     Event, EventDetector, EventFactory, FlowEventAssembler, FlowMigration, ParsedView, TrainView,

@@ -17,42 +17,13 @@
 
 use std::collections::HashMap;
 
-use idsbench_flow::{FlowFeatures, FlowKey, FlowTable, FlowTableConfig};
-use idsbench_net::ParsedPacket;
+use idsbench_flow::{FlowKey, FlowTableConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::detector::{DetectorInput, LabeledFlow};
 use crate::event::{ParsedView, TrainView};
-use crate::label::{Label, LabeledPacket};
+use crate::label::LabeledPacket;
 use crate::{CoreError, Result};
-
-/// How assembled flows are divided into training and evaluation sets — in
-/// the *materialized* [`Pipeline::prepare`] view only.
-///
-/// Packet-input IDSs always receive a *temporal* split (they train on
-/// leading traffic, as their published protocols dictate). Flow-input IDSs
-/// were originally evaluated on record-level splits of labelled CSVs —
-/// k-fold style, not temporal — so the materialized view reproduces that by
-/// default.
-///
-/// The event drivers ([`Pipeline::prepare_events`], `runner::evaluate`, the
-/// streaming executor) deliberately ignore this knob: a stream has no
-/// second pass to shuffle flows through, so training flows are always the
-/// ones assembled from the leading packet slice and evaluation flows arrive
-/// at flow-table eviction time. That temporal discipline *is* the
-/// deployment reality the redesign models (it also removes the
-/// future-into-training leak this option's own docs acknowledge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowSplit {
-    /// First `train_fraction` of flows by start time.
-    Temporal,
-    /// Seeded random split, stratified by label so both sides keep the
-    /// dataset's class balance (the evaluation convention of the original
-    /// flow-based IDS studies; note it leaks future records into training,
-    /// a known criticism the paper echoes).
-    RandomStratified,
-}
 
 /// Configuration for the preprocessing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,10 +33,6 @@ pub struct PipelineConfig {
     /// Fraction of the trace (by packet count, after sorting) available for
     /// training/calibration.
     pub train_fraction: f64,
-    /// How flows are split into train/eval sets in the materialized
-    /// [`Pipeline::prepare`] view. Ignored by the event drivers, which are
-    /// always temporal (see [`FlowSplit`]).
-    pub flow_split: FlowSplit,
     /// Seed for the sampling RNG.
     pub seed: u64,
     /// Flow-table parameters used for flow assembly.
@@ -74,12 +41,11 @@ pub struct PipelineConfig {
 
 impl Default for PipelineConfig {
     /// Keep every flow, train on the leading 30% (the split the evaluated
-    /// anomaly detectors assume), stratified-random flow split, seed 0.
+    /// anomaly detectors assume), seed 0.
     fn default() -> Self {
         PipelineConfig {
             sampling_rate: 1.0,
             train_fraction: 0.3,
-            flow_split: FlowSplit::RandomStratified,
             seed: 0,
             flow_config: FlowTableConfig::default(),
         }
@@ -146,8 +112,7 @@ impl Pipeline {
     ///
     /// This is the preparation step behind [`crate::runner::evaluate`] and
     /// the entry point for replaying externally captured traffic (pcap)
-    /// through the event drivers. Unlike the materialized
-    /// [`Pipeline::prepare`], malformed frames are *not* an error here:
+    /// through the event drivers. Malformed frames are *not* an error here:
     /// they ride through as keyless [`ParsedView`]s that packet detectors
     /// score neutrally, exactly as a deployed IDS passes them through.
     ///
@@ -169,13 +134,12 @@ impl Pipeline {
         Ok(EventInput { train, eval, flow_config: self.config.flow_config })
     }
 
-    /// Step 1 for the event path: random flow sampling on the precomputed
-    /// canonical keys. Packets without flow identity — non-IP *and*
-    /// malformed frames — are always retained, honouring the event
-    /// pipeline's pass-through promise (the legacy [`Pipeline::prepare`]
-    /// instead drops unparseable packets when sampling). Keep/drop
-    /// decisions for parseable traffic are identical to the legacy path:
-    /// the RNG is consumed once per newly seen flow, in the same order.
+    /// Step 1: random flow sampling on the precomputed canonical keys. The
+    /// RNG is drawn once per newly seen flow, in arrival order, and every
+    /// packet of a flow shares that one keep/drop decision, so the kept
+    /// set is a pure function of the seed. Packets without flow identity —
+    /// non-IP *and* malformed frames — are always retained, honouring the
+    /// event pipeline's pass-through promise.
     fn sample_flow_views(&self, views: Vec<ParsedView>) -> Vec<ParsedView> {
         if self.config.sampling_rate >= 1.0 {
             return views;
@@ -192,134 +156,6 @@ impl Pipeline {
             })
             .collect()
     }
-
-    /// Runs the full pipeline on a labeled packet stream, materializing
-    /// both train/eval shapes up front — the offline analysis view (the
-    /// event drivers use [`Pipeline::prepare_events`] instead).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyDataset`] if nothing survives sampling and
-    /// [`CoreError::MalformedPacket`] if a packet fails to parse (synthetic
-    /// datasets never produce these; pcap replays might).
-    pub fn prepare(&self, name: &str, packets: Vec<LabeledPacket>) -> Result<DetectorInput> {
-        let sampled = self.sample_flows(packets);
-        if sampled.is_empty() {
-            return Err(CoreError::EmptyDataset { dataset: name.to_string() });
-        }
-        let sorted = sort_by_timestamp(sampled);
-
-        // Flows are assembled over the whole (sampled, sorted) trace so flow
-        // boundaries do not depend on where the packet split lands, then
-        // divided per the configured flow-split discipline.
-        let flows = self.assemble_flows(&sorted)?;
-        let (train_flows, eval_flows) = self.split_flows(flows);
-
-        let (train_packets, eval_packets) = split_at_fraction(sorted, self.config.train_fraction);
-        Ok(DetectorInput { train_packets, eval_packets, train_flows, eval_flows })
-    }
-
-    fn split_flows(&self, flows: Vec<LabeledFlow>) -> (Vec<LabeledFlow>, Vec<LabeledFlow>) {
-        match self.config.flow_split {
-            FlowSplit::Temporal => {
-                let split = ((flows.len() as f64) * self.config.train_fraction) as usize;
-                let mut flows = flows;
-                let eval = flows.split_off(split);
-                (flows, eval)
-            }
-            FlowSplit::RandomStratified => {
-                let mut rng = SmallRng::seed_from_u64(self.config.seed ^ 0xf10f_5b17);
-                let (mut attack, mut benign): (Vec<LabeledFlow>, Vec<LabeledFlow>) =
-                    flows.into_iter().partition(|f| f.is_attack());
-                shuffle(&mut attack, &mut rng);
-                shuffle(&mut benign, &mut rng);
-                let mut train = Vec::new();
-                let mut eval = Vec::new();
-                for class in [attack, benign] {
-                    let split = ((class.len() as f64) * self.config.train_fraction) as usize;
-                    let mut class = class;
-                    let class_eval = class.split_off(split);
-                    train.extend(class);
-                    eval.extend(class_eval);
-                }
-                // Restore chronological order within each side (detectors
-                // like Slips interpret flow order).
-                train.sort_by_key(|f| (f.record.first_seen, f.record.key));
-                eval.sort_by_key(|f| (f.record.first_seen, f.record.key));
-                (train, eval)
-            }
-        }
-    }
-
-    /// Step 1: random flow sampling. Flow identity is the canonical 5-tuple;
-    /// non-IP packets are always retained (they carry no flow identity).
-    fn sample_flows(&self, packets: Vec<LabeledPacket>) -> Vec<LabeledPacket> {
-        if self.config.sampling_rate >= 1.0 {
-            return packets;
-        }
-        let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        let mut keep: HashMap<FlowKey, bool> = HashMap::new();
-        packets
-            .into_iter()
-            .filter(|lp| {
-                let Ok(parsed) = ParsedPacket::parse(&lp.packet) else {
-                    return false;
-                };
-                match FlowKey::from_packet(&parsed) {
-                    None => true,
-                    Some(key) => {
-                        let (canonical, _) = key.canonical();
-                        *keep.entry(canonical).or_insert_with(|| {
-                            rng.random_range(0.0..1.0) < self.config.sampling_rate
-                        })
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Step 4: assembles labeled flows from a packet slice.
-    ///
-    /// A flow inherits the attack label (and kind) of its constituent
-    /// packets via the canonical 5-tuple; mixed tuples (benign and attack
-    /// traffic sharing an exact 5-tuple) label the flow as attack, matching
-    /// the labelling practice of the real datasets.
-    fn assemble_flows(&self, packets: &[LabeledPacket]) -> Result<Vec<LabeledFlow>> {
-        let mut labels: HashMap<FlowKey, Label> = HashMap::new();
-        let mut table = FlowTable::new(self.config.flow_config);
-        let mut records = Vec::new();
-        for (index, lp) in packets.iter().enumerate() {
-            let parsed = ParsedPacket::parse(&lp.packet)
-                .map_err(|e| CoreError::MalformedPacket { index, detail: e.to_string() })?;
-            if let Some(key) = FlowKey::from_packet(&parsed) {
-                let (canonical, _) = key.canonical();
-                labels
-                    .entry(canonical)
-                    .and_modify(|existing| {
-                        if !existing.is_attack() && lp.label.is_attack() {
-                            *existing = lp.label;
-                        }
-                    })
-                    .or_insert(lp.label);
-            }
-            records.extend(table.observe(&parsed));
-        }
-        records.extend(table.flush());
-        Ok(records
-            .into_iter()
-            .map(|record| {
-                let label = labels.get(&record.key).copied().unwrap_or(Label::Benign);
-                let features = FlowFeatures::from_record(&record);
-                LabeledFlow { record, features, label }
-            })
-            .collect())
-    }
-}
-
-/// Step 2: stable sort by capture timestamp.
-fn sort_by_timestamp(mut packets: Vec<LabeledPacket>) -> Vec<LabeledPacket> {
-    packets.sort_by_key(|lp| lp.packet.ts);
-    packets
 }
 
 /// Step 3: splits a timestamp-sorted trace at the leading `fraction` of
@@ -334,15 +170,13 @@ pub fn split_at_fraction<T>(mut items: Vec<T>, fraction: f64) -> (Vec<T>, Vec<T>
     (items, rest)
 }
 
-fn shuffle(flows: &mut [LabeledFlow], rng: &mut SmallRng) {
-    use rand::seq::SliceRandom;
-    flows.shuffle(rng);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::LabeledFlow;
+    use crate::label::Label;
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
+    use std::collections::BTreeSet;
     use std::net::Ipv4Addr;
 
     fn tcp_packet(src: (u8, u16), dst: (u8, u16), t: f64, label: Label) -> LabeledPacket {
@@ -370,16 +204,26 @@ mod tests {
         out
     }
 
+    /// Every packet of a prepared input, train slice first.
+    fn all_views(input: &EventInput) -> impl Iterator<Item = &ParsedView> {
+        input.train.packets.iter().chain(&input.eval)
+    }
+
+    /// The flows that survived sampling.
+    fn kept_flows(input: &EventInput) -> BTreeSet<FlowKey> {
+        all_views(input).filter_map(|view| view.flow_key).collect()
+    }
+
     #[test]
     fn sorting_orders_by_timestamp() {
         let pipeline = Pipeline::new(PipelineConfig::default()).unwrap();
         let mut packets = many_flows(5, 3);
         packets.reverse();
-        let input = pipeline.prepare("t", packets).unwrap();
-        let all: Vec<&LabeledPacket> =
-            input.train_packets.iter().chain(&input.eval_packets).collect();
+        let input = pipeline.prepare_events("t", packets).unwrap();
+        let all: Vec<&ParsedView> = all_views(&input).collect();
+        assert_eq!(all.len(), 15);
         for pair in all.windows(2) {
-            assert!(pair[0].packet.ts <= pair[1].packet.ts);
+            assert!(pair[0].packet.packet.ts <= pair[1].packet.packet.ts);
         }
     }
 
@@ -388,67 +232,68 @@ mod tests {
         let config =
             PipelineConfig { sampling_rate: 0.5, train_fraction: 0.0, ..Default::default() };
         let pipeline = Pipeline::new(config).unwrap();
-        let input = pipeline.prepare("t", many_flows(100, 4)).unwrap();
+        let input = pipeline.prepare_events("t", many_flows(100, 4)).unwrap();
         // Every surviving flow must have all 4 packets.
-        let mut counts: HashMap<u16, usize> = HashMap::new();
-        for lp in &input.eval_packets {
-            let parsed = ParsedPacket::parse(&lp.packet).unwrap();
-            *counts.entry(parsed.src_port().unwrap()).or_default() += 1;
+        let mut counts: HashMap<FlowKey, usize> = HashMap::new();
+        for view in &input.eval {
+            *counts.entry(view.flow_key.unwrap()).or_default() += 1;
         }
         assert!(!counts.is_empty());
         assert!(counts.len() < 100, "some flows must be dropped");
-        for (port, count) in counts {
-            assert_eq!(count, 4, "flow with src port {port} was sampled partially");
+        for (key, count) in counts {
+            assert_eq!(count, 4, "flow {key:?} was sampled partially");
         }
     }
 
     #[test]
     fn sampling_is_deterministic_in_seed() {
-        let config = PipelineConfig { sampling_rate: 0.3, ..Default::default() };
-        let pipeline = Pipeline::new(config).unwrap();
-        let a = pipeline.prepare("t", many_flows(50, 2)).unwrap();
-        let b = pipeline.prepare("t", many_flows(50, 2)).unwrap();
-        assert_eq!(a.eval_packets.len(), b.eval_packets.len());
-        let config2 = PipelineConfig { sampling_rate: 0.3, seed: 99, ..Default::default() };
-        let c = Pipeline::new(config2).unwrap().prepare("t", many_flows(50, 2)).unwrap();
-        // Different seed virtually always keeps a different subset.
-        assert_ne!(a.eval_packets.len() + a.train_packets.len(), 0, "sanity: non-empty");
-        let _ = c;
+        let sample = |seed| {
+            let config = PipelineConfig { sampling_rate: 0.3, seed, ..Default::default() };
+            kept_flows(
+                &Pipeline::new(config).unwrap().prepare_events("t", many_flows(50, 2)).unwrap(),
+            )
+        };
+        let a = sample(0);
+        assert!(!a.is_empty() && a.len() < 50, "kept {} of 50 flows", a.len());
+        assert_eq!(a, sample(0), "the same seed must keep the identical flow set");
+        assert_ne!(a, sample(99), "another seed must keep a different flow set");
     }
 
     #[test]
     fn split_fraction_is_respected() {
         let config = PipelineConfig { train_fraction: 0.25, ..Default::default() };
         let pipeline = Pipeline::new(config).unwrap();
-        let input = pipeline.prepare("t", many_flows(10, 4)).unwrap();
-        assert_eq!(input.train_packets.len(), 10);
-        assert_eq!(input.eval_packets.len(), 30);
+        let input = pipeline.prepare_events("t", many_flows(10, 4)).unwrap();
+        assert_eq!(input.train.packets.len(), 10);
+        assert_eq!(input.eval.len(), 30);
     }
 
     #[test]
     fn flows_inherit_attack_labels() {
         let pipeline =
-            Pipeline::new(PipelineConfig { train_fraction: 0.0, ..Default::default() }).unwrap();
+            Pipeline::new(PipelineConfig { train_fraction: 0.9, ..Default::default() }).unwrap();
         let mut packets = many_flows(3, 2);
         packets.push(tcp_packet(
             (9, 6666),
             (20, 80),
-            100.0,
+            0.5,
             Label::Attack(crate::AttackKind::PortScan),
         ));
-        let input = pipeline.prepare("t", packets).unwrap();
+        // Six of the seven packets train: flows 0 and 1, the attack, and
+        // the first packet of flow 2.
+        let input = pipeline.prepare_events("t", packets).unwrap();
         let attacks: Vec<&LabeledFlow> =
-            input.eval_flows.iter().filter(|f| f.is_attack()).collect();
+            input.train.flows.iter().filter(|f| f.is_attack()).collect();
         assert_eq!(attacks.len(), 1);
         assert_eq!(attacks[0].label.attack_kind(), Some(crate::AttackKind::PortScan));
-        assert_eq!(input.eval_flows.len(), 4);
+        assert_eq!(input.train.flows.len(), 4);
     }
 
     #[test]
     fn empty_dataset_is_an_error() {
         let pipeline = Pipeline::new(PipelineConfig::default()).unwrap();
         assert!(matches!(
-            pipeline.prepare("empty", Vec::new()),
+            pipeline.prepare_events("empty", Vec::new()),
             Err(CoreError::EmptyDataset { .. })
         ));
     }
@@ -460,15 +305,5 @@ mod tests {
         assert!(
             Pipeline::new(PipelineConfig { train_fraction: 1.0, ..Default::default() }).is_err()
         );
-    }
-
-    #[test]
-    fn eval_labels_align_with_flows() {
-        let pipeline =
-            Pipeline::new(PipelineConfig { train_fraction: 0.0, ..Default::default() }).unwrap();
-        let input = pipeline.prepare("t", many_flows(4, 2)).unwrap();
-        let labels = input.eval_labels(crate::InputFormat::Flows);
-        assert_eq!(labels.len(), input.eval_flows.len());
-        assert!(labels.iter().all(|&l| !l));
     }
 }

@@ -39,7 +39,7 @@ pub struct ScaleEvent {
     /// ring ownership moved in the rebalance.
     pub migrated_flows: usize,
     /// Wall-clock microseconds the drain + migrate barrier took — the
-    /// rebalance latency the `fig_autoscale` bench gates on.
+    /// rebalance latency.
     pub rebalance_micros: u64,
 }
 

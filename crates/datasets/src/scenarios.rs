@@ -230,7 +230,7 @@ pub fn ton_iot(scale: ScenarioScale) -> Scenario {
 /// The benign-baseline ablation variant of [`stratosphere_iot`]: the same
 /// site and botnet, but the infection runs from `t = 0` — there is no clean
 /// benign prefix, so leading-slice training is contaminated (the Section V
-/// factor-6 experiment behind `fig_baseline`).
+/// factor-6 experiment behind `idsbench baseline`).
 pub fn stratosphere_iot_contaminated(scale: ScenarioScale) -> Scenario {
     let devices = HostPool::subnet(4, scaled_devices(24, scale));
     let infected_periodic = HostPool::subnet(4, scaled_devices(8, scale));

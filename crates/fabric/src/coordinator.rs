@@ -34,8 +34,8 @@
 //! interrupted operation is retried against the new host. Because a
 //! restored replica makes byte-identical scoring decisions on the replayed
 //! frames, fragments dedup by `(shard, epoch)` and the merged scores stay
-//! exactly those of a crash-free run — `fig_faults` in `idsbench-bench`
-//! pins that with seeded kill/corrupt fault plans.
+//! exactly those of a crash-free run — `idsbench check` in
+//! `idsbench-bench` pins that with seeded kill/corrupt fault plans.
 //!
 //! A [`DrainPlan`] retires an entire worker mid-stream — every shard it
 //! hosts is drained and its flow state (detector per-flow blobs included)

@@ -6,7 +6,7 @@
 //! before one is written — indexed by the transport's own monotonic frame
 //! counters. Nothing consults wall time or a global RNG: the same plan on
 //! the same protocol run fires at the same frames, which is what lets the
-//! chaos tests and `fig_faults` pin score parity under crashes.
+//! chaos tests and `idsbench check` pin score parity under crashes.
 //!
 //! Kill faults model an abrupt worker death: the socket is shut down (so
 //! the peer observes a reset, exactly as if the process had been SIGKILLed
@@ -72,7 +72,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Parses a comma-separated plan spec, the CLI encoding shared by
-    /// `fig_faults` and the chaos tests:
+    /// `idsbench worker --faults` and the chaos tests:
     ///
     /// ```text
     /// seed=7,kill-at-seq=1234

@@ -36,7 +36,7 @@
 //! barrier: a worker necessarily scores its backlog before it sees (and
 //! answers) the rebalance that follows it.
 //!
-//! `fig_multinode` in `idsbench-bench` pins the guarantee end to end: N
+//! `idsbench check` (in `idsbench-bench`) pins the guarantee end to end:
 //! worker *processes*, bursty autoscaling traffic, a mid-stream worker
 //! drain, and sorted-multiset score parity against the single-process run.
 

@@ -76,7 +76,7 @@ pub fn run_worker(
 }
 
 /// [`run_worker`] with an optional deterministic [`FaultPlan`] armed on the
-/// transport — the entry point the chaos harness (`fig_faults`) uses to
+/// transport — the entry point `idsbench worker --faults` uses to
 /// crash, corrupt, or stall a worker at an exact frame or packet seq.
 ///
 /// # Errors

@@ -2,7 +2,7 @@
 //! coordinator, real sockets in between — the full protocol (handshake,
 //! warmup streaming, autoscale barriers, cross-peer migration, drain,
 //! outcome merge) without process-spawn overhead. The process-level version
-//! of the same contract is the `fig_multinode` bench.
+//! of the same contract is `idsbench check`'s fabric gates.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;

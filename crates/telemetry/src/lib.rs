@@ -20,8 +20,8 @@
 //!   text (`/metrics`) and a JSON snapshot (any other path).
 //!
 //! The [`Telemetry`] hub ties them together; the stream engine takes an
-//! optional `Arc<Telemetry>` (see `run_stream_with_telemetry`) and the
-//! `fig_*` binaries expose it behind `--telemetry`.
+//! optional `Arc<Telemetry>` (see `run_stream_with_telemetry`), and
+//! `idsbench check` serves and self-scrapes it.
 //!
 //! ```
 //! use idsbench_telemetry::{Stage, Telemetry, TelemetryConfig};

@@ -19,7 +19,7 @@
 //! never materialised and memory stays bounded by concurrency. Every attack
 //! packet carries its stable family label
 //! ([`AttackKind::name`](idsbench_core::AttackKind::name)), which is what
-//! the per-family recall matrices in `fig_scenarios` decompose.
+//! the per-family recall matrices of `idsbench scenarios` decompose.
 //!
 //! The [`registry`] maps stable names to builders; the stream executor's
 //! `ScenarioSource` consumes any entry directly.

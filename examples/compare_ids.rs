@@ -32,6 +32,6 @@ fn main() -> Result<(), CoreError> {
     let experiments = run_grid(&detectors, &datasets, &EvalConfig::default())?;
 
     println!("{}", report::render_console(&experiments));
-    println!("(run the idsbench-bench `table4` binary at --scale full for the paper-scale grid)");
+    println!("(run `idsbench table4 --scale full` for the paper-scale grid)");
     Ok(())
 }

@@ -76,9 +76,9 @@
 //! ```
 //!
 //! The full Table IV grid is regenerated by
-//! `cargo run --release -p idsbench-bench --bin table4 -- --scale full`;
-//! the streaming scaling figure by
-//! `cargo run --release -p idsbench-bench --bin fig_streaming`.
+//! `cargo run --release -p idsbench-bench --bin idsbench -- table4 --scale full`;
+//! throughput is measured by the repository benchmark (`benchmark/`), and
+//! `idsbench check` runs the streaming and fabric correctness gates.
 
 #![deny(missing_docs)]
 

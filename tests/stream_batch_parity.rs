@@ -240,8 +240,8 @@ fn multi_shard_runs_are_deterministic_and_flow_consistent() {
 
 /// Bursty operational traffic, StealthCup-style: quiet benign phases
 /// alternate with attack bursts, one traffic-second per phase — the same
-/// generator the `fig_autoscale` CI bench replays, so the pinned invariant
-/// and the bench figure exercise identical traffic.
+/// generator `idsbench check`'s autoscale and fabric gates replay, so the
+/// pinned invariant and the gates exercise identical traffic.
 fn bursty_sessions(phases: u64) -> Vec<LabeledPacket> {
     idsbench_bench::workload::bursty_trace(phases, 8, 120, 0, |phase| phase % 2 == 1)
 }
