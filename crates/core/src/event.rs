@@ -63,7 +63,7 @@
 //! ```
 
 use idsbench_flow::{FlowFeatures, FlowKey, FlowRecord, FlowTable, FlowTableConfig};
-use idsbench_net::fasthash::FastMap;
+use idsbench_net::fasthash::FxHashMap;
 use idsbench_net::{Duration, ParsedPacket, Timestamp};
 
 use crate::detector::{InputFormat, LabeledFlow};
@@ -389,7 +389,7 @@ const LABEL_PURGE_MIN: usize = 1024;
 #[derive(Debug)]
 pub struct FlowEventAssembler {
     table: FlowTable,
-    labels: FastMap<FlowKey, LabelEntry>,
+    labels: FxHashMap<FlowKey, LabelEntry>,
     /// Dead-tuple expiry horizon, clamped to at least `label_floor`.
     label_horizon: Duration,
     /// `idle_timeout + time_wait`: the longest a tuple can sit in the flow
@@ -407,7 +407,7 @@ impl FlowEventAssembler {
         let floor = config.idle_timeout + config.time_wait;
         FlowEventAssembler {
             table: FlowTable::new(config),
-            labels: FastMap::new(),
+            labels: FxHashMap::default(),
             label_horizon: DEFAULT_LABEL_HORIZON.max(floor),
             label_floor: floor,
             last_ts: Timestamp::ZERO,
@@ -611,7 +611,7 @@ impl FlowEventAssembler {
         self.purge_at = (self.labels.len() * 2).max(LABEL_PURGE_MIN);
     }
 
-    fn labeled(labels: &FastMap<FlowKey, LabelEntry>, record: FlowRecord) -> LabeledFlow {
+    fn labeled(labels: &FxHashMap<FlowKey, LabelEntry>, record: FlowRecord) -> LabeledFlow {
         let label = labels.get(&record.key).map(|entry| entry.label).unwrap_or(Label::Benign);
         let features = FlowFeatures::from_record(&record);
         LabeledFlow { record, features, label }

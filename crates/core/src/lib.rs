@@ -35,7 +35,7 @@ pub mod fasthash {
     //! Fast hashing for per-packet state maps — re-exported from
     //! [`idsbench_net::fasthash`], which lives at the bottom of the crate
     //! stack so the flow layer can share it.
-    pub use idsbench_net::fasthash::{fx_hash, FastMap, FxBuildHasher, FxHasher};
+    pub use idsbench_net::fasthash::{fx_hash, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 }
 mod detector;
 mod error;

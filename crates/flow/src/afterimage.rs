@@ -17,7 +17,7 @@
 
 use std::net::IpAddr;
 
-use idsbench_net::fasthash::FastMap;
+use idsbench_net::fasthash::FxHashMap;
 use idsbench_net::{MacAddr, ParsedPacket};
 
 use crate::damped::{DampedPairStat, DampedStat};
@@ -114,13 +114,10 @@ struct BandwidthEntry {
 #[derive(Debug)]
 pub struct AfterImage {
     config: AfterImageConfig,
-    // FxHash open-addressing maps: four lookups per packet is the fixed
-    // overhead of this extractor, so SipHash here is pure tax (entity
-    // counts are bounded by `max_entities`, not by an attacker).
-    mac_ip: FastMap<(MacAddr, IpAddr), BandwidthEntry>,
-    channels: FastMap<ChannelKey, PairEntry>,
-    channel_jitter: FastMap<ChannelKey, JitterEntry>,
-    sockets: FastMap<SocketKey, PairEntry>,
+    mac_ip: FxHashMap<(MacAddr, IpAddr), BandwidthEntry>,
+    channels: FxHashMap<ChannelKey, PairEntry>,
+    channel_jitter: FxHashMap<ChannelKey, JitterEntry>,
+    sockets: FxHashMap<SocketKey, PairEntry>,
     packets_seen: u64,
 }
 
@@ -136,10 +133,10 @@ impl AfterImage {
         assert!(config.max_entities > 0, "max_entities must be at least 1");
         AfterImage {
             config,
-            mac_ip: FastMap::new(),
-            channels: FastMap::new(),
-            channel_jitter: FastMap::new(),
-            sockets: FastMap::new(),
+            mac_ip: FxHashMap::default(),
+            channels: FxHashMap::default(),
+            channel_jitter: FxHashMap::default(),
+            sockets: FxHashMap::default(),
             packets_seen: 0,
         }
     }
@@ -178,7 +175,7 @@ impl AfterImage {
         // --- MI: source MAC+IP bandwidth -------------------------------
         if let Some(src_ip) = packet.src_ip() {
             let entry =
-                self.mac_ip.entry_or_insert_with((packet.src_mac(), src_ip), || BandwidthEntry {
+                self.mac_ip.entry((packet.src_mac(), src_ip)).or_insert_with(|| BandwidthEntry {
                     stats: lambdas.iter().map(|&l| DampedStat::new(l)).collect(),
                     last_seen: t,
                 });
@@ -200,7 +197,7 @@ impl AfterImage {
 
         // --- HH: channel bandwidth (with cross-direction covariance) ----
         let (channel_key, is_a) = canonical_channel(src_ip, dst_ip);
-        let entry = self.channels.entry_or_insert_with(channel_key, || PairEntry {
+        let entry = self.channels.entry(channel_key).or_insert_with(|| PairEntry {
             stats: lambdas.iter().map(|&l| DampedPairStat::new(l)).collect(),
             last_seen: t,
         });
@@ -225,7 +222,7 @@ impl AfterImage {
         }
 
         // --- HHjit: channel jitter --------------------------------------
-        let jitter = self.channel_jitter.entry_or_insert_with(channel_key, || JitterEntry {
+        let jitter = self.channel_jitter.entry(channel_key).or_insert_with(|| JitterEntry {
             stats: lambdas.iter().map(|&l| DampedStat::new(l)).collect(),
             last_seen: f64::NAN, // NAN marks "no previous packet"
         });
@@ -240,7 +237,7 @@ impl AfterImage {
         let sp = packet.src_port().unwrap_or(0);
         let dp = packet.dst_port().unwrap_or(0);
         let (socket_key, sock_is_a) = canonical_socket(src_ip, sp, dst_ip, dp);
-        let entry = self.sockets.entry_or_insert_with(socket_key, || PairEntry {
+        let entry = self.sockets.entry(socket_key).or_insert_with(|| PairEntry {
             stats: lambdas.iter().map(|&l| DampedPairStat::new(l)).collect(),
             last_seen: t,
         });
@@ -283,8 +280,8 @@ impl AfterImage {
     }
 }
 
-fn purge_map<K: Clone + std::hash::Hash + Eq, V>(
-    map: &mut FastMap<K, V>,
+fn purge_map<K: std::hash::Hash + Eq, V>(
+    map: &mut FxHashMap<K, V>,
     cap: usize,
     last_seen: impl Fn(&V) -> f64,
 ) {

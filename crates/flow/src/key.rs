@@ -137,6 +137,32 @@ mod tests {
         assert_ne!(c1, c2);
     }
 
+    /// `HashMap` picks a bucket from the low bits of the hash, so the
+    /// hasher must spread them over keys that differ only in a host octet:
+    /// the key shapes of AfterImage's and HELAD's maps, Slips' sets, the
+    /// flow table and the label fold.
+    #[test]
+    fn fx_hash_spreads_the_low_byte_over_one_subnet() {
+        use idsbench_net::fasthash::FxBuildHasher;
+        use std::collections::HashSet;
+        use std::hash::{BuildHasher, Hash};
+
+        fn distinct_low_bytes<K: Hash>(keys: impl Iterator<Item = K>) -> usize {
+            keys.map(|k| FxBuildHasher.hash_one(k) & 0xff).collect::<HashSet<u64>>().len()
+        }
+        let host = |h: u8| IpAddr::V4(Ipv4Addr::new(10, 0, 0, h));
+        let server = host(200);
+        let spreads = [
+            ("IpAddr", distinct_low_bytes((0..=255).map(host))),
+            ("(IpAddr, u16)", distinct_low_bytes((0..=255).map(|h| (host(h), 443u16)))),
+            ("socket", distinct_low_bytes((0..=255).map(|h| (host(h), 40_000u16, server, 80u16)))),
+            ("FlowKey", distinct_low_bytes((0..=255).map(|h| key(h, 40_000, 200, 80)))),
+        ];
+        for (shape, distinct) in spreads {
+            assert!(distinct > 128, "{shape}: only {distinct} distinct low bytes over 256 hosts");
+        }
+    }
+
     #[test]
     fn display_is_informative() {
         let s = key(1, 1000, 2, 80).to_string();

@@ -1,7 +1,7 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use idsbench_net::fasthash::FastMap;
+use idsbench_net::fasthash::FxHashMap;
 use idsbench_net::{Duration, ParsedPacket, Timestamp};
 
 use crate::key::FlowKey;
@@ -121,10 +121,7 @@ struct IndexEntry {
 #[derive(Debug)]
 pub struct FlowTable {
     config: FlowTableConfig,
-    /// FxHash open-addressing map: the flow lookup runs once per packet, so
-    /// SipHash here is pure tax (`max_flows` bounds the table, not an
-    /// attacker).
-    flows: FastMap<FlowKey, u32>,
+    flows: FxHashMap<FlowKey, u32>,
     slab: Vec<Cell>,
     free: Vec<u32>,
     next_serial: u64,
@@ -146,7 +143,7 @@ impl FlowTable {
         assert!(config.max_flows > 0, "max_flows must be at least 1");
         FlowTable {
             config,
-            flows: FastMap::new(),
+            flows: FxHashMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             next_serial: 0,
@@ -343,7 +340,7 @@ impl FlowTable {
                 record
             })
             .collect();
-        self.flows = FastMap::new();
+        self.flows = FxHashMap::default();
         self.free.clear();
         self.index.iter_mut().for_each(BinaryHeap::clear);
         records.sort_by_key(|r| (r.first_seen, r.key));

@@ -29,6 +29,9 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+use std::collections::VecDeque;
+
+use idsbench_core::fasthash::FxHashMap;
 use idsbench_core::{Event, EventDetector, InputFormat, ParsedView, TrainView};
 use idsbench_flow::{AfterImage, AfterImageConfig};
 use idsbench_nn::{
@@ -38,47 +41,6 @@ use idsbench_nn::{
 
 /// A src↔dst channel key (ordered so both directions share one history).
 type ChannelKey = (std::net::IpAddr, std::net::IpAddr);
-
-/// A fixed-capacity ring of the most recent reconstruction errors — the
-/// LSTM's input window, kept allocation-free (the old implementation
-/// rebuilt a `Vec<Vec<f64>>` sequence per packet).
-#[derive(Debug, Clone)]
-struct ScoreRing {
-    buf: Vec<f64>,
-    /// Index of the oldest element.
-    head: usize,
-    len: usize,
-}
-
-impl ScoreRing {
-    fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        ScoreRing { buf: vec![0.0; capacity], head: 0, len: 0 }
-    }
-
-    /// Appends a score, overwriting the oldest once full.
-    fn push(&mut self, value: f64) {
-        let capacity = self.buf.len();
-        if self.len < capacity {
-            self.buf[(self.head + self.len) % capacity] = value;
-            self.len += 1;
-        } else {
-            self.buf[self.head] = value;
-            self.head = (self.head + 1) % capacity;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Oldest-to-newest iteration (the chronological order the LSTM
-    /// expects).
-    fn iter(&self) -> impl Iterator<Item = &f64> + '_ {
-        let capacity = self.buf.len();
-        (0..self.len).map(move |i| &self.buf[(self.head + i) % capacity])
-    }
-}
 
 /// Configuration for [`Helad`] (out-of-the-box defaults).
 #[derive(Debug, Clone, PartialEq)]
@@ -232,10 +194,8 @@ impl Helad {
             }
         }
 
-        let mut recent = ScoreRing::new(window);
-        for &score in history.iter().rev().take(window).rev() {
-            recent.push(score);
-        }
+        let mut recent = VecDeque::with_capacity(window);
+        recent.extend(&history[history.len().saturating_sub(window)..]);
         // Training is done: snapshot both models' weights into the
         // configured lane for the scoring phase.
         autoencoder.freeze(self.config.precision);
@@ -246,7 +206,7 @@ impl Helad {
             autoencoder,
             lstm,
             recent,
-            channel_history: idsbench_core::fasthash::FastMap::new(),
+            channel_history: FxHashMap::default(),
             window,
             smooth: self.config.smooth_window.max(1),
             weight_ae: self.config.weight_ae,
@@ -273,14 +233,11 @@ pub struct HeladEngine {
     norm: MinMaxNormalizer,
     autoencoder: Autoencoder,
     lstm: LstmRegressor,
-    /// Rolling window of recent reconstruction errors fed to the LSTM.
-    recent: ScoreRing,
-    /// Recent errors per src↔dst channel for the smoothing term (FxHash:
-    /// one lookup per packet, channel count bounded by the traffic).
-    channel_history: idsbench_core::fasthash::FastMap<
-        (std::net::IpAddr, std::net::IpAddr),
-        std::collections::VecDeque<f64>,
-    >,
+    /// The last `window` reconstruction errors, oldest first: the LSTM's
+    /// input window (never past its initial capacity).
+    recent: VecDeque<f64>,
+    /// Recent errors per src↔dst channel for the smoothing term.
+    channel_history: FxHashMap<ChannelKey, VecDeque<f64>>,
     window: usize,
     smooth: usize,
     weight_ae: f64,
@@ -323,7 +280,7 @@ impl HeladEngine {
     /// alignment.
     ///
     /// Steady-state allocation-free: extraction, normalization, both model
-    /// forward passes, and the score ring all reuse engine-owned buffers
+    /// forward passes, and the score window all reuse engine-owned buffers
     /// (pinned by the `hot_path_allocs` integration test).
     pub fn score_view(&mut self, view: &ParsedView) -> f64 {
         let mut single = std::mem::take(&mut self.single);
@@ -335,7 +292,7 @@ impl HeladEngine {
     }
 
     /// Scores a burst of views, pushing one score per view in order.
-    /// Stateful stages (AfterImage extraction, the score ring, per-channel
+    /// Stateful stages (AfterImage extraction, the score window, per-channel
     /// smoothing) run sequentially in arrival order; the pure model
     /// forwards run batched — all autoencoder RMSEs in one batch forward,
     /// then the LSTM in lockstep over every row's history window — so both
@@ -395,8 +352,8 @@ impl HeladEngine {
         self.batch_rmses.clear();
         self.autoencoder.score_rows_with(&lane.feat_rows, &mut self.batch_rmses, &mut lane.ws);
 
-        // Pass 3 (sequential ring, then lockstep LSTM): snapshot each row's
-        // history window in arrival order — row `i` sees the ring after the
+        // Pass 3 (sequential window, then lockstep LSTM): snapshot each row's
+        // history window in arrival order — row `i` sees the window after the
         // pushes of rows `0..i` — then predict every full window in one
         // lockstep batch. The first `missing` rows have incomplete windows
         // (no surprise term): the warm-up of a freshly fitted engine.
@@ -405,8 +362,9 @@ impl HeladEngine {
         for &rmse in &self.batch_rmses {
             if self.recent.len() == self.window {
                 lane.windows.push_row(self.recent.iter().copied());
+                self.recent.pop_front();
             }
-            self.recent.push(rmse);
+            self.recent.push_back(rmse);
         }
         debug_assert_eq!(lane.windows.rows(), self.batch_rmses.len().saturating_sub(missing));
         self.batch_preds.clear();
@@ -427,7 +385,7 @@ impl HeladEngine {
                 if i >= missing { (rmse - self.batch_preds[i - missing]).abs() } else { 0.0 };
             let smoothed = match channel {
                 Some(key) => {
-                    let history = self.channel_history.entry_or_insert_with(*key, Default::default);
+                    let history = self.channel_history.entry(*key).or_default();
                     history.push_back(rmse);
                     if history.len() > self.smooth {
                         history.pop_front();
@@ -647,7 +605,7 @@ mod tests {
     /// boundaries, so a score must not depend on where a batch was cut: one
     /// packet per call, the whole trace in one call, and an uneven random
     /// split all give the same bits — in both precisions, from a trained
-    /// engine and from an unfitted one (whose empty score ring makes the
+    /// engine and from an unfitted one (whose empty score window makes the
     /// first bursts straddle the LSTM warm-up of partial windows).
     #[test]
     fn scores_do_not_depend_on_batch_boundaries() {

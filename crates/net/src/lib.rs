@@ -12,7 +12,8 @@
 //! * classic libpcap file I/O ([`pcap::PcapReader`], [`pcap::PcapWriter`])
 //!   supporting both byte orders and microsecond/nanosecond resolution,
 //! * fast hashing for the per-packet state maps of the layers above
-//!   ([`fasthash::FastMap`], [`fasthash::FxHasher`]).
+//!   ([`fasthash::FxHashMap`], [`fasthash::FxHashSet`] over
+//!   [`fasthash::FxHasher`]).
 //!
 //! # Examples
 //!

@@ -34,16 +34,10 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-use std::collections::HashSet;
 use std::net::IpAddr;
 
-use idsbench_core::fasthash::{FastMap, FxBuildHasher};
+use idsbench_core::fasthash::{FxHashMap, FxHashSet};
 use idsbench_core::{Event, EventDetector, InputFormat, LabeledFlow, TrainView};
-
-/// A `HashSet` hashed with Fx instead of SipHash (window counters sit on
-/// the flow-eviction path; their sizes are bounded by the windowing, not by
-/// an attacker).
-type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// Evidence weights per module (relative importance, as in Slips'
 /// `evidence` severity levels).
@@ -158,13 +152,13 @@ const MAX_GROUP_HISTORY: usize = 256;
 struct BehaviourState {
     /// (profile, dst, dport) → most recent first-seen times of the group's
     /// flows, kept sorted for the gap statistics.
-    groups: FastMap<(IpAddr, IpAddr, u16), Vec<f64>>,
+    groups: FxHashMap<(IpAddr, IpAddr, u16), Vec<f64>>,
     /// (profile, window, dst) → distinct unanswered destination ports.
-    vertical: FastMap<(IpAddr, u64, IpAddr), FxHashSet<u16>>,
+    vertical: FxHashMap<(IpAddr, u64, IpAddr), FxHashSet<u16>>,
     /// (profile, window, dport) → distinct unanswered destinations.
-    horizontal: FastMap<(IpAddr, u64, u16), FxHashSet<IpAddr>>,
+    horizontal: FxHashMap<(IpAddr, u64, u16), FxHashSet<IpAddr>>,
     /// (profile, window, dst, auth port) → sessions so far.
-    auth: FastMap<(IpAddr, u64, IpAddr, u16), usize>,
+    auth: FxHashMap<(IpAddr, u64, IpAddr, u16), usize>,
 }
 
 /// The Slips-style behavioural NIDS (see crate docs).
@@ -250,10 +244,7 @@ impl Slips {
         if self.is_external(key.dst_ip)
             && !self.config.periodic_port_whitelist.contains(&key.dst_port)
         {
-            let members = self
-                .state
-                .groups
-                .entry_or_insert_with((profile, key.dst_ip, key.dst_port), Vec::new);
+            let members = self.state.groups.entry((profile, key.dst_ip, key.dst_port)).or_default();
             let at = members.partition_point(|&t| t <= start);
             members.insert(at, start);
             if members.len() > MAX_GROUP_HISTORY {
@@ -277,19 +268,13 @@ impl Slips {
         // Scan modules: evidence lands on the probe flows from the moment
         // the per-window counters cross their thresholds.
         if is_unanswered(flow) {
-            let ports = self
-                .state
-                .vertical
-                .entry_or_insert_with((profile, window, key.dst_ip), Default::default);
+            let ports = self.state.vertical.entry((profile, window, key.dst_ip)).or_default();
             ports.insert(key.dst_port);
             if ports.len() >= self.config.scan_port_threshold {
                 evidence += weights.port_scan
                     * (ports.len() as f64 / self.config.scan_port_threshold as f64);
             }
-            let hosts = self
-                .state
-                .horizontal
-                .entry_or_insert_with((profile, window, key.dst_port), Default::default);
+            let hosts = self.state.horizontal.entry((profile, window, key.dst_port)).or_default();
             hosts.insert(key.dst_ip);
             if hosts.len() >= self.config.sweep_host_threshold {
                 evidence +=
@@ -299,10 +284,8 @@ impl Slips {
 
         // Brute force: repeated sessions to one authentication service.
         if self.config.auth_ports.contains(&key.dst_port) {
-            let count = self
-                .state
-                .auth
-                .entry_or_insert_with((profile, window, key.dst_ip, key.dst_port), || 0);
+            let count =
+                self.state.auth.entry((profile, window, key.dst_ip, key.dst_port)).or_default();
             *count += 1;
             if *count >= self.config.brute_force_threshold {
                 evidence += weights.brute_force;

@@ -9,7 +9,6 @@
 //! by construction rather than by parallel maintenance. The executor owns
 //! the threads and channels; this module owns the event semantics.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use idsbench_core::metrics::Ranking;
@@ -18,7 +17,7 @@ use idsbench_core::{
     ParsedView, Result, ScaleEvent,
 };
 use idsbench_flow::FlowKey;
-use idsbench_net::fasthash::FxBuildHasher;
+use idsbench_net::fasthash::FxHashSet;
 use idsbench_telemetry::{Stage, StageHistogram, Telemetry};
 
 use crate::executor::{StreamConfig, StreamRun, ThresholdMode};
@@ -221,9 +220,8 @@ pub struct ShardLoop {
     detector: Box<dyn EventDetector>,
     recorder: Recorder,
     assembler: Option<FlowEventAssembler>,
-    /// Distinct canonical flows routed here (the owned-flow inventory);
-    /// Fx-hashed like the data plane's other per-packet maps.
-    flows: HashSet<FlowKey, FxBuildHasher>,
+    /// Distinct canonical flows routed here (the owned-flow inventory).
+    flows: FxHashSet<FlowKey>,
     window_secs: f64,
     score_nanos: u128,
     packets: usize,
@@ -269,7 +267,7 @@ impl ShardLoop {
             detector,
             recorder,
             assembler,
-            flows: HashSet::default(),
+            flows: FxHashSet::default(),
             window_secs,
             score_nanos: 0,
             packets: 0,

@@ -23,6 +23,11 @@
 //! scores steady-state 32-packet bursts through `on_batch` with zero
 //! allocations, so its burst staging must reuse its buffers.
 //!
+//! The **flow table under key churn** is pinned too: at a fixed flow
+//! capacity, a stream of never-repeating 5-tuples (each packet opens one
+//! flow and evicts the stalest) leaves the table's memory where warm-up put
+//! it — the flow map reuses its deleted slots instead of growing.
+//!
 //! Steady-state **training** is pinned the same way: after one warm-up step
 //! has sized a model's scratch and its optimizer state, further steps of
 //! the autoencoder, the LSTM regressor and the MLP allocate nothing.
@@ -33,10 +38,10 @@ use idsbench::core::{
     ParsedView, TrainView,
 };
 use idsbench::dnn::Dnn;
-use idsbench::flow::FlowTableConfig;
+use idsbench::flow::{FlowTable, FlowTableConfig};
 use idsbench::helad::Helad;
 use idsbench::kitsune::Kitsune;
-use idsbench::net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
+use idsbench::net::{MacAddr, PacketBuilder, ParsedPacket, TcpFlags, Timestamp};
 use idsbench::nn::{
     Activation, Adam, Autoencoder, AutoencoderConfig, Loss, LstmRegressor, LstmRegressorConfig,
     Matrix, MlpBuilder,
@@ -196,8 +201,56 @@ fn steady_state_scoring_allocates_nothing() {
         shard_loop_bursts_allocate_nothing(detector, &sessions[500..3_500], &sessions[3_500..]);
     }
 
+    // ---- Flow table under key churn: one fresh flow in, one evicted ----
+    flow_table_churn_allocates_nothing();
+
     // ---- Training: scratch is sized by the first step, then reused ----
     training_steps_allocate_nothing();
+}
+
+/// A UDP packet on a 5-tuple no other index shares (source address
+/// `10.0.0.0 + i`), 50 µs after its predecessor.
+fn fresh_flow_packet(i: u32) -> ParsedPacket {
+    let p = PacketBuilder::new()
+        .ethernet(MacAddr::from_host_id(1), MacAddr::from_host_id(2))
+        .ipv4(Ipv4Addr::from(0x0a00_0000 | i), Ipv4Addr::new(192, 0, 2, 1))
+        .udp(40_000, 53)
+        .build(Timestamp::from_micros(u64::from(i) * 50));
+    ParsedPacket::parse(&p).expect("built packet parses")
+}
+
+/// A `FlowTable` held at 1 000 flows is fed one fresh 5-tuple per packet,
+/// so every packet past the first thousand evicts the stalest flow. The
+/// flow map's deleted slots pile up until it rehashes; the one growth that
+/// takes it to its steady size lands at about ten times the capacity, well
+/// inside the warm-up. The next 10⁵ packets must allocate nothing.
+fn flow_table_churn_allocates_nothing() {
+    const CAPACITY: u32 = 1_000;
+    const WARMUP: u32 = 100_000;
+    const MEASURED: u32 = 100_000;
+    let mut table =
+        FlowTable::new(FlowTableConfig { max_flows: CAPACITY as usize, ..Default::default() });
+    let mut evicted = 0u32;
+    for i in 0..WARMUP {
+        table.observe_with(&fresh_flow_packet(i), |_| evicted += 1);
+    }
+    let (mut allocs, mut bytes) = (0, 0);
+    for i in WARMUP..WARMUP + MEASURED {
+        // Built outside the counted window: only the table is on the budget.
+        let packet = fresh_flow_packet(i);
+        let before = allocation_snapshot();
+        table.observe_with(&packet, |_| evicted += 1);
+        let after = allocation_snapshot();
+        allocs += after.allocations_since(&before);
+        bytes += after.bytes_since(&before);
+    }
+    assert_eq!(evicted, WARMUP + MEASURED - CAPACITY, "one eviction per packet past capacity");
+    assert_eq!(table.active_flows(), CAPACITY as usize);
+    assert_eq!(
+        allocs, 0,
+        "FlowTable churn at constant load must not allocate ({allocs} allocations, {bytes} \
+         bytes over {MEASURED} packets)"
+    );
 }
 
 /// Drives a fitted detector through a [`ShardLoop`] (Online recorder, as a
