@@ -203,7 +203,6 @@ pub mod workload {
                 scale_down_pps: (self.quiet_sessions * 6) as f64 * 2.0,
                 cooldown_windows: 0,
                 vnodes: 32,
-                ..Default::default()
             }
         }
 

@@ -14,10 +14,9 @@
 //! barrier is sequential, one round-trip per affected shard, each timed
 //! into that peer's `rebalance` stage histogram. Cross-peer migrations ride
 //! through the coordinator, which counts them into
-//! `fabric_cross_peer_migrations_total`. Scale decisions use traffic-time
-//! rates only — channel depth and shard p99 are process-local signals with
-//! no remote analog, and their absence keeps multi-node scale decisions
-//! deterministic.
+//! `fabric_cross_peer_migrations_total`. Scale decisions are a function of
+//! the trace alone (traffic-time window rates), as in the in-process pool,
+//! so multi-node scale decisions are deterministic.
 //!
 //! # Crash recovery
 //!

@@ -135,7 +135,6 @@ fn autoscaled_config() -> StreamConfig {
             scale_down_pps: 100.0,
             cooldown_windows: 0,
             vnodes: 16,
-            ..Default::default()
         }),
         ..Default::default()
     }

@@ -4,19 +4,16 @@
 //! The paper's deployment gap is exactly this: lab evaluations run with a
 //! fixed, comfortable harness, while operational traffic is bursty and the
 //! harness itself becomes the bottleneck. The autoscaler closes the loop —
-//! the executor's own live metrics (windowed event rate on the traffic
-//! timeline, per-shard scoring p99, feeder→shard channel depth) feed an
-//! [`AutoscalePolicy`], and the executor grows or shrinks the shard pool
+//! the windowed event rate on the traffic timeline feeds an
+//! [`AutoscalePolicy`], and the feeder grows or shrinks the shard pool
 //! mid-stream, rebalancing flow ownership over the consistent-hash
 //! [`HashRing`](crate::ring::HashRing) without breaking per-flow event
 //! order.
 //!
-//! Decisions fire only at metrics-window boundaries of the *traffic*
-//! timeline, so a replayed trace makes identical decisions on every run —
-//! determinism the parity tests rely on. The wall-clock signals (p99,
-//! channel depth) are disabled by default for the same reason; enabling
-//! them trades reproducibility for responsiveness, which is a deployment
-//! choice, not a harness default.
+//! Decisions are a function of the trace alone: they fire only at
+//! metrics-window boundaries of the *traffic* timeline and read no
+//! wall-clock signal, so a replayed trace makes identical decisions on
+//! every run and over every pool — determinism the parity tests rely on.
 
 use std::collections::VecDeque;
 
@@ -48,18 +45,6 @@ pub struct AutoscalePolicy {
     /// A completed window strictly below this event rate removes a shard
     /// (`0.0` disables — no rate is below zero).
     pub scale_down_pps: f64,
-    /// Live backpressure override: a feeder→shard channel at or beyond
-    /// this depth (in batches) forces a scale-up regardless of window rate
-    /// (`usize::MAX` disables; wall-clock-dependent, hence nondeterministic
-    /// across runs).
-    pub scale_up_depth: usize,
-    /// Live latency override: a shard whose scoring p99 *over its most
-    /// recent batch* is at or beyond this many microseconds forces a
-    /// scale-up (`f64::INFINITY` disables; wall-clock-dependent). The
-    /// per-shard histogram resets after every publish, so the signal
-    /// tracks current latency, not run history — and the shards only pay
-    /// for it when this threshold is finite.
-    pub scale_up_p99_us: f64,
     /// Completed windows that must pass after a scale action before the
     /// next one — the anti-flap damping.
     pub cooldown_windows: u64,
@@ -76,8 +61,6 @@ impl Default for AutoscalePolicy {
             max_shards: 8,
             scale_up_pps: f64::INFINITY,
             scale_down_pps: 0.0,
-            scale_up_depth: usize::MAX,
-            scale_up_p99_us: f64::INFINITY,
             cooldown_windows: 1,
             vnodes: DEFAULT_VNODES,
         }
@@ -155,17 +138,6 @@ pub(crate) struct ThresholdCrossing {
     pub up: bool,
 }
 
-/// Live signals sampled by the feeder at poll time — the wall-clock half
-/// of the policy inputs (the traffic-window rate is carried per window
-/// inside the autoscaler).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LiveSignals {
-    /// Deepest feeder→shard channel, in batches.
-    pub max_channel_depth: usize,
-    /// Worst per-shard scoring p99, microseconds.
-    pub max_p99_us: f64,
-}
-
 /// The feeder-side control loop: folds packet arrivals into per-window
 /// counts and evaluates the policy once per completed window.
 ///
@@ -224,14 +196,6 @@ impl Autoscaler {
         std::mem::take(&mut self.crossings)
     }
 
-    /// Whether any completed window awaits evaluation — the feeder's cheap
-    /// pre-check, so the live signals (channel depths, p99 atomics) are
-    /// sampled only when [`Autoscaler::poll`] could actually act, never on
-    /// the per-packet fast path.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Folds one fed packet into the window accounting. Crossing a window
     /// boundary queues the completed window (plus a bounded number of empty
     /// ones for silent gaps) for [`Autoscaler::poll`].
@@ -257,14 +221,12 @@ impl Autoscaler {
     /// any. Call repeatedly until `None`; each `Some` consumes the windows
     /// up to and including the one that fired, so consecutive decisions
     /// respect the cooldown.
-    pub fn poll(&mut self, live_shards: usize, live: LiveSignals) -> Option<ScaleDecision> {
+    pub fn poll(&mut self, live_shards: usize) -> Option<ScaleDecision> {
         while let Some((window, count)) = self.pending.pop_front() {
             self.windows_since_scale = self.windows_since_scale.saturating_add(1);
             let in_cooldown = self.windows_since_scale <= self.policy.cooldown_windows;
             let pps = count as f64 / self.window_secs;
-            let overloaded = pps >= self.policy.scale_up_pps
-                || live.max_channel_depth >= self.policy.scale_up_depth
-                || live.max_p99_us >= self.policy.scale_up_p99_us;
+            let overloaded = pps >= self.policy.scale_up_pps;
             let underloaded = !overloaded && pps < self.policy.scale_down_pps;
             let decision = if in_cooldown {
                 None
@@ -316,14 +278,14 @@ mod tests {
         let mut scaler = Autoscaler::new(bursty_policy(), 1.0);
         feed_window(&mut scaler, 0, 2000); // burst
         feed_window(&mut scaler, 1, 50); // quiet — completes window 0
-        let up = scaler.poll(1, LiveSignals::default()).expect("burst window fires");
+        let up = scaler.poll(1).expect("burst window fires");
         assert_eq!(up.direction, ScaleDirection::Up);
         assert_eq!(up.window, 0);
         assert_eq!(up.trigger_pps, 2000.0);
-        assert!(scaler.poll(2, LiveSignals::default()).is_none(), "window 1 still accumulating");
+        assert!(scaler.poll(2).is_none(), "window 1 still accumulating");
 
         feed_window(&mut scaler, 2, 50); // completes window 1
-        let down = scaler.poll(2, LiveSignals::default()).expect("quiet window fires");
+        let down = scaler.poll(2).expect("quiet window fires");
         assert_eq!(down.direction, ScaleDirection::Down);
         assert_eq!(down.window, 1);
     }
@@ -338,11 +300,11 @@ mod tests {
         feed_window(&mut scaler, 4, 1);
         // Windows 0..=3 completed: 0 fires (cooldown starts satisfied),
         // 1 is swallowed by the cooldown, 2 fires, 3 is swallowed.
-        let first = scaler.poll(1, LiveSignals::default()).expect("first burst fires");
+        let first = scaler.poll(1).expect("first burst fires");
         assert_eq!(first.window, 0);
-        let second = scaler.poll(2, LiveSignals::default()).expect("post-cooldown burst fires");
+        let second = scaler.poll(2).expect("post-cooldown burst fires");
         assert_eq!(second.window, 2);
-        assert!(scaler.poll(3, LiveSignals::default()).is_none());
+        assert!(scaler.poll(3).is_none());
     }
 
     #[test]
@@ -350,11 +312,11 @@ mod tests {
         let mut scaler = Autoscaler::new(bursty_policy(), 1.0);
         feed_window(&mut scaler, 0, 5000);
         feed_window(&mut scaler, 1, 1);
-        assert!(scaler.poll(4, LiveSignals::default()).is_none(), "already at max_shards");
+        assert!(scaler.poll(4).is_none(), "already at max_shards");
         let mut scaler = Autoscaler::new(bursty_policy(), 1.0);
         feed_window(&mut scaler, 0, 10);
         feed_window(&mut scaler, 1, 1);
-        assert!(scaler.poll(1, LiveSignals::default()).is_none(), "already at min_shards");
+        assert!(scaler.poll(1).is_none(), "already at min_shards");
     }
 
     #[test]
@@ -364,23 +326,11 @@ mod tests {
         // A packet far in the future: the gap is compressed, not iterated.
         scaler.observe_packet(1_000_000_000_000);
         let mut shards = 4usize;
-        while let Some(decision) = scaler.poll(shards, LiveSignals::default()) {
+        while let Some(decision) = scaler.poll(shards) {
             assert_eq!(decision.direction, ScaleDirection::Down);
             shards -= 1;
         }
         assert_eq!(shards, 1, "a long quiet gap steps all the way to the floor");
-    }
-
-    #[test]
-    fn live_depth_signal_forces_scale_up() {
-        let policy = AutoscalePolicy { scale_up_depth: 8, ..bursty_policy() };
-        let mut scaler = Autoscaler::new(policy, 1.0);
-        feed_window(&mut scaler, 0, 500); // mid-band rate: neither threshold fires
-        feed_window(&mut scaler, 1, 1);
-        let decision = scaler
-            .poll(1, LiveSignals { max_channel_depth: 9, max_p99_us: 0.0 })
-            .expect("deep channel forces scale-up");
-        assert_eq!(decision.direction, ScaleDirection::Up);
     }
 
     #[test]
@@ -390,14 +340,14 @@ mod tests {
         let mut scaler = Autoscaler::new(bursty_policy(), 1.0);
         feed_window(&mut scaler, 0, 5000);
         feed_window(&mut scaler, 1, 1);
-        assert!(scaler.poll(4, LiveSignals::default()).is_none());
+        assert!(scaler.poll(4).is_none());
         assert!(!scaler.has_crossings(), "logging is off by default");
 
         let mut scaler = Autoscaler::new(bursty_policy(), 1.0);
         scaler.log_crossings(true);
         feed_window(&mut scaler, 0, 5000);
         feed_window(&mut scaler, 1, 1);
-        assert!(scaler.poll(4, LiveSignals::default()).is_none(), "clamped at max");
+        assert!(scaler.poll(4).is_none(), "clamped at max");
         let crossings = scaler.take_crossings();
         assert_eq!(crossings, vec![ThresholdCrossing { window: 0, pps: 5000.0, up: true }]);
         assert!(!scaler.has_crossings(), "drained");

@@ -49,7 +49,6 @@
 //!
 //! [`BoundedSource`]: crate::source::BoundedSource
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
@@ -63,7 +62,7 @@ use idsbench_core::{
 use idsbench_flow::FlowTableConfig;
 use idsbench_telemetry::{Counter, JournalEvent, Telemetry};
 
-use crate::autoscale::{AutoscalePolicy, LiveSignals};
+use crate::autoscale::AutoscalePolicy;
 use crate::feeder::{Feeder, ShardPool};
 use crate::report::StreamReport;
 use crate::ring::HashRing;
@@ -211,9 +210,6 @@ struct ShardContext<'scope> {
 struct ShardSlot {
     id: usize,
     tx: channel::Sender<ShardMsg>,
-    /// Latest scoring p99 (nanoseconds) published by the worker — the
-    /// autoscaler's live latency signal. Absent without autoscaling.
-    p99_nanos: Option<Arc<AtomicU64>>,
 }
 
 fn died(shard: usize) -> CoreError {
@@ -276,12 +272,7 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
     /// measures that honestly.
     fn spawn_slot(&mut self, id: usize, use_barrier: bool) {
         let (tx, rx) = channel::bounded::<ShardMsg>(self.ctx.config.channel_capacity);
-        // Shards publish a live per-batch scoring p99 only when the policy's
-        // `scale_up_p99_us` trigger is finite, so runs that don't use the
-        // signal don't pay for it.
-        let live_p99 = self.ctx.config.autoscale.is_some_and(|p| p.scale_up_p99_us.is_finite());
-        let p99_nanos = live_p99.then(|| Arc::new(AtomicU64::new(0)));
-        self.slots.push(ShardSlot { id, tx, p99_nanos: p99_nanos.clone() });
+        self.slots.push(ShardSlot { id, tx });
         self.stalls.push(0);
         let ctx = self.ctx.clone();
         let worker = self.scope.spawn(move || -> Result<ShardOutcome> {
@@ -310,7 +301,7 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
                 matches!(ctx.format, InputFormat::Flows)
                     .then(|| FlowEventAssembler::new(ctx.config.flow)),
                 ctx.config.window_secs,
-                p99_nanos.is_some(),
+                false,
                 ctx.telemetry.map(|telemetry| ShardSpans::new(telemetry, id)),
             );
             // A shard whose detector broke the score contract stops scoring
@@ -323,15 +314,6 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
                     ShardMsg::Batch(batch) => {
                         if scored.is_ok() {
                             scored = state.on_batch(&batch);
-                        }
-                        // Publish this batch's p99, then reset: the signal must
-                        // track *current* latency — a cumulative histogram would
-                        // let one early slow burst pin `overloaded` for the rest
-                        // of the run.
-                        if let Some(out) = &p99_nanos {
-                            if let Some(p99) = state.batch_p99() {
-                                out.store(p99, Ordering::Relaxed);
-                            }
                         }
                         // The batch goes back *full*: the feeder recycles each
                         // view's payload buffer into its source's arena before
@@ -431,18 +413,6 @@ impl ShardPool for LocalPool<'_, '_> {
     fn retire(&mut self, shard: usize) -> Result<()> {
         self.slots.remove(self.index_of(shard));
         Ok(())
-    }
-
-    fn live_signals(&self) -> LiveSignals {
-        LiveSignals {
-            max_channel_depth: self.slots.iter().map(|slot| slot.tx.len()).max().unwrap_or(0),
-            max_p99_us: self
-                .slots
-                .iter()
-                .filter_map(|slot| slot.p99_nanos.as_ref())
-                .map(|p99| p99.load(Ordering::Relaxed) as f64 / 1_000.0)
-                .fold(0.0, f64::max),
-        }
     }
 
     /// Closes every channel and joins every worker, after a failed feed
@@ -837,7 +807,6 @@ pub(crate) mod tests {
             scale_down_pps: 100.0,
             cooldown_windows: 0,
             vnodes: 16,
-            ..Default::default()
         }
     }
 

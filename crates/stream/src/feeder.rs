@@ -49,7 +49,7 @@ use idsbench_telemetry::{
     Counter, Gauge, JournalEvent, SpanTimer, Stage, StageHistogram, Telemetry,
 };
 
-use crate::autoscale::{Autoscaler, LiveSignals, ScaleDirection};
+use crate::autoscale::{Autoscaler, ScaleDirection};
 use crate::executor::{StreamConfig, StreamRun};
 use crate::metrics::window_index;
 use crate::ring::{HashRing, DEFAULT_VNODES};
@@ -94,13 +94,6 @@ pub trait ShardPool: Sized {
     /// Ends `shard`'s stream; its [`ShardOutcome`] joins the ones
     /// [`ShardPool::finish`] returns.
     fn retire(&mut self, shard: usize) -> Result<(), Self::Error>;
-
-    /// The wall-clock signals the autoscaler may act on, sampled only when
-    /// a completed window awaits a decision. A pool without any reports
-    /// none, which keeps its scale decisions a function of the trace alone.
-    fn live_signals(&self) -> LiveSignals {
-        LiveSignals::default()
-    }
 
     /// Shards an operator-planned drain retires before packet `seq` is
     /// routed; empty on every packet but the one such a plan names.
@@ -297,14 +290,8 @@ impl<'run> Feeder<'run> {
             }
             if let Some(scaler) = &mut scaler {
                 scaler.observe_packet(ts_micros);
-                // Drain every due decision before routing. The
-                // `has_pending` pre-check keeps signal sampling (channel
-                // depth reads take the channel lock) off the per-packet
-                // path.
-                while scaler.has_pending() {
-                    let Some(decision) = scaler.poll(self.ring.len(), pool.live_signals()) else {
-                        break;
-                    };
+                // Drain every due decision before routing.
+                while let Some(decision) = scaler.poll(self.ring.len()) {
                     let victim = match decision.direction {
                         ScaleDirection::Up => None,
                         // The youngest shard: consistent hashing moves only
@@ -593,7 +580,6 @@ mod tests {
                 scale_down_pps: 100.0,
                 cooldown_windows: 0,
                 vnodes: 16,
-                ..Default::default()
             }),
             ..Default::default()
         };

@@ -29,14 +29,15 @@
 //! * [`ring`] + [`autoscale`] — elastic sharding: a vnode consistent-hash
 //!   [`HashRing`] bounds ownership movement to the minimum when the pool
 //!   changes, and an [`AutoscalePolicy`]-driven control loop grows/shrinks
-//!   the pool mid-stream from the run's own windowed event rate (plus
-//!   optional live channel-depth / p99 signals), migrating the affected
-//!   flow state shard-to-shard without breaking per-flow event order.
+//!   the pool mid-stream from the trace's own windowed event rate alone,
+//!   migrating the affected flow state shard-to-shard without breaking
+//!   per-flow event order.
 //!   Every action lands in the report as a [`ScaleEvent`].
 //! * [`metrics`] — windowed precision/recall/FPR over the traffic timeline
-//!   plus per-event scoring latency and packets/sec; with a fixed
-//!   deployment threshold the engine runs *zero-buffer* ([`OnlineStats`]):
-//!   pure online aggregation, no per-event score recording.
+//!   plus per-event scoring latency and packets/sec, all summarised by one
+//!   fold, [`OnlineStats`]; with a fixed deployment threshold the engine
+//!   runs *zero-buffer*: shards fold as they score and no per-event score
+//!   is recorded.
 //! * [`report`] — [`StreamReport`] merges the shards and reconciles with
 //!   the batch `Experiment` shape ([`StreamReport::to_experiment`]), so
 //!   streaming and batch numbers are directly comparable; the
@@ -94,7 +95,7 @@ pub mod ring;
 pub mod shard;
 pub mod source;
 
-pub use autoscale::{AutoscalePolicy, LiveSignals};
+pub use autoscale::AutoscalePolicy;
 pub use executor::{run_stream, run_stream_with_telemetry, StreamConfig, StreamRun, ThresholdMode};
 pub use idsbench_core::ScaleEvent;
 pub use metrics::{LatencyHistogram, OnlineStats, ScoredEvent, Throughput, WindowMetrics};

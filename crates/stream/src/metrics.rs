@@ -1,21 +1,17 @@
 //! Live stream metrics: windowed detection quality and latency/throughput
 //! accounting, merged across shards.
 //!
-//! Two recording modes exist, matching the executor's
-//! [`ThresholdMode`](crate::executor::ThresholdMode):
-//!
-//! * **Replay mode** (calibrated threshold): each shard records one
-//!   lightweight [`ScoredEvent`] per scored event; at finalisation the
-//!   executor merges the per-shard streams, resolves the threshold, and
-//!   folds the records into overall and per-window confusion metrics.
-//!   Latency percentiles are exact.
-//! * **Zero-buffer mode** (fixed threshold): decisions are final the moment
-//!   an event is scored, so each shard folds them straight into an
-//!   [`OnlineStats`] — confusion counts, per-window counts, per-family
-//!   counts, and a logarithmic [`LatencyHistogram`] — and no per-event
-//!   record is ever stored. Memory stays O(windows + families), not
-//!   O(events); percentiles are approximate to within one histogram bucket
-//!   (≤ 12.5% relative error).
+//! Every report is summarised by one fold, [`OnlineStats`]: confusion
+//! counts, per-window counts, per-family counts and a logarithmic
+//! [`LatencyHistogram`] at one threshold. With a fixed threshold
+//! ([`ThresholdMode::Fixed`](crate::executor::ThresholdMode)) each shard
+//! folds its events as they are scored and no per-event record is stored —
+//! memory stays O(windows + families), not O(events). A calibrated run
+//! records one lightweight [`ScoredEvent`] per event instead, resolves the
+//! threshold over the merged scores at finalisation, and then folds the
+//! records through the same [`OnlineStats::record`]. Latency percentiles
+//! are approximate to within one histogram bucket (≤ 12.5% relative error)
+//! in both modes.
 
 use std::collections::BTreeMap;
 
@@ -31,7 +27,8 @@ pub fn window_index(ts_micros: u64, window_secs: f64) -> u64 {
     ts_micros / window_micros.max(1)
 }
 
-/// One scored evaluation event, as recorded inside a shard in replay mode.
+/// One scored evaluation event, as recorded inside a shard of a calibrated
+/// run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredEvent {
     /// Arrival index of the packet that triggered this event (assigned by
@@ -76,74 +73,15 @@ pub struct WindowMetrics {
     pub false_positive_rate: f64,
 }
 
-fn windows_from_parts(
-    by_window: BTreeMap<u64, (ConfusionMatrix, usize)>,
-    window_secs: f64,
-) -> Vec<WindowMetrics> {
-    by_window
-        .into_iter()
-        .map(|(index, (cm, packets))| WindowMetrics {
-            index,
-            start_secs: index as f64 * window_secs,
-            packets,
-            attacks: (cm.true_positives + cm.false_negatives) as usize,
-            alerts: (cm.true_positives + cm.false_positives) as usize,
-            precision: cm.precision(),
-            recall: cm.recall(),
-            false_positive_rate: cm.false_positive_rate(),
-        })
-        .collect()
-}
-
-/// Whether a scored event was a flow eviction rather than a packet event.
-/// Packet events carry `sub == 0` and a real feeder sequence; evictions are
-/// either triggered by a later packet (`sub > 0`) or the end-of-stream flush
-/// (`seq == u64::MAX`).
-fn is_flow_event(r: &ScoredEvent) -> bool {
-    r.sub > 0 || r.seq == u64::MAX
-}
-
-/// Folds scored events into per-window metrics at a resolved threshold.
-/// Windows with no events are omitted (sparse traffic timelines).
-pub fn window_metrics(
-    records: &[ScoredEvent],
-    window_secs: f64,
-    threshold: f64,
-) -> Vec<WindowMetrics> {
-    let mut by_window: BTreeMap<u64, (ConfusionMatrix, usize)> = BTreeMap::new();
-    for r in records {
-        let (cm, packets) = by_window.entry(r.window).or_default();
-        cm.record(r.score >= threshold, r.label);
-        *packets += 1;
-    }
-    windows_from_parts(by_window, window_secs)
-}
-
-/// Per-family detection outcomes at a resolved threshold, sorted by family
-/// name — the same [`FamilyOutcome`] shape the batch runner reports. Packet
-/// events count toward `packets`, flow evictions toward `flows`.
-pub fn family_recall(records: &[ScoredEvent], threshold: f64) -> Vec<FamilyOutcome> {
-    let mut per_family: BTreeMap<&'static str, FamilyCounts> = BTreeMap::new();
-    for r in records {
-        if let Some(kind) = r.kind {
-            per_family
-                .entry(kind.name())
-                .or_default()
-                .record(r.score >= threshold, is_flow_event(r));
-        }
-    }
-    family_outcomes(&per_family)
-}
-
-/// Pure online aggregation of scored events against a fixed threshold —
-/// the zero-buffer recording mode. Everything the final [`StreamReport`]
-/// (except AUC, which fundamentally needs the score set) is folded in as
-/// events arrive; nothing is replayed afterwards.
+/// Online aggregation of scored events at one threshold — the single
+/// summary behind every [`StreamReport`]. Everything the report carries
+/// except the threshold and the AUC (which need the score set) is read
+/// from this fold.
 ///
 /// [`StreamReport`]: crate::report::StreamReport
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStats {
-    /// Overall confusion counts at the fixed threshold.
+    /// Overall confusion counts at the threshold.
     pub cm: ConfusionMatrix,
     /// Per-window confusion counts and event totals.
     pub windows: BTreeMap<u64, (ConfusionMatrix, usize)>,
@@ -200,12 +138,26 @@ impl OnlineStats {
         self.attacks += other.attacks;
     }
 
-    /// Renders the per-window metrics (same shape as replay mode).
+    /// Renders the per-window metrics, one per window that saw an event
+    /// (sparse traffic timelines leave gaps).
     pub fn window_metrics(&self, window_secs: f64) -> Vec<WindowMetrics> {
-        windows_from_parts(self.windows.clone(), window_secs)
+        self.windows
+            .iter()
+            .map(|(&index, (cm, packets))| WindowMetrics {
+                index,
+                start_secs: index as f64 * window_secs,
+                packets: *packets,
+                attacks: (cm.true_positives + cm.false_negatives) as usize,
+                alerts: (cm.true_positives + cm.false_positives) as usize,
+                precision: cm.precision(),
+                recall: cm.recall(),
+                false_positive_rate: cm.false_positive_rate(),
+            })
+            .collect()
     }
 
-    /// Renders the per-family outcomes (same shape as replay mode).
+    /// Renders the per-family outcomes, sorted by family name — the same
+    /// [`FamilyOutcome`] shape the batch runner reports.
     pub fn family_recall(&self) -> Vec<FamilyOutcome> {
         family_outcomes(&self.families)
     }
@@ -216,16 +168,6 @@ impl OnlineStats {
 /// the telemetry stage-span unit are one type, so merges and percentile
 /// semantics cannot drift apart.
 pub use idsbench_telemetry::LatencyHistogram;
-
-/// Exact percentile over per-event scoring latencies (nanoseconds).
-/// `q` in `[0, 1]`; returns 0 for an empty set.
-pub fn latency_percentile(sorted_nanos: &[u64], q: f64) -> u64 {
-    if sorted_nanos.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted_nanos.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    sorted_nanos[rank]
-}
 
 /// Wall-clock throughput and latency summary of one streaming run.
 #[derive(Debug, Clone, PartialEq)]
@@ -239,8 +181,10 @@ pub struct Throughput {
     pub p50_latency_us: f64,
     /// 99th-percentile per-event scoring latency, microseconds.
     pub p99_latency_us: f64,
-    /// Summed busy time inside `on_event` across all shards, seconds — the
-    /// recurring per-event cost of the detector.
+    /// Summed burst wall time across all shards, seconds — each scoring
+    /// burst timed as a whole, flow assembly included (see
+    /// [`ShardOutcome::score_seconds`](crate::shard::ShardOutcome)): the
+    /// recurring per-event cost of the shard.
     pub score_seconds: f64,
     /// One-time training cost: shared train-view assembly plus the slowest
     /// shard's `fit`, seconds.
@@ -248,27 +192,8 @@ pub struct Throughput {
 }
 
 impl Throughput {
-    /// Builds the summary from run totals and the merged latency set.
-    pub fn from_run(
-        packets: usize,
-        wall_seconds: f64,
-        mut latencies_nanos: Vec<u64>,
-        score_seconds: f64,
-        train_seconds: f64,
-    ) -> Self {
-        latencies_nanos.sort_unstable();
-        Throughput {
-            wall_seconds,
-            packets_per_sec: if wall_seconds > 0.0 { packets as f64 / wall_seconds } else { 0.0 },
-            p50_latency_us: latency_percentile(&latencies_nanos, 0.50) as f64 / 1_000.0,
-            p99_latency_us: latency_percentile(&latencies_nanos, 0.99) as f64 / 1_000.0,
-            score_seconds,
-            train_seconds,
-        }
-    }
-
-    /// Builds the summary from a zero-buffer histogram instead of a full
-    /// latency set (percentiles approximate, see [`LatencyHistogram`]).
+    /// Builds the summary from run totals and the merged latency histogram
+    /// (percentiles approximate, see [`LatencyHistogram`]).
     pub fn from_histogram(
         packets: usize,
         wall_seconds: f64,
@@ -290,9 +215,21 @@ impl Throughput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::is_eviction;
 
     fn record(seq: u64, window: u64, score: f64, label: bool) -> ScoredEvent {
         ScoredEvent { seq, sub: 0, window, score, latency_nanos: 100, label, kind: None }
+    }
+
+    /// Folds `records` at `threshold`, routing each through the shard's
+    /// eviction rule as the report merge does.
+    fn fold(records: &[ScoredEvent], threshold: f64) -> OnlineStats {
+        let mut stats = OnlineStats::default();
+        for r in records {
+            let is_flow = is_eviction(r.seq, r.sub);
+            stats.record(r.window, r.score, threshold, r.label, r.kind, is_flow, r.latency_nanos);
+        }
+        stats
     }
 
     #[test]
@@ -303,13 +240,18 @@ mod tests {
             record(2, 1, 0.8, false),
             record(3, 3, 0.2, true),
         ];
-        let windows = window_metrics(&records, 10.0, 0.5);
+        let stats = fold(&records, 0.5);
+        assert_eq!(stats.events, 4);
+        assert_eq!(stats.attacks, 2);
+        let windows = stats.window_metrics(10.0);
         assert_eq!(windows.len(), 3, "empty window 2 omitted");
         assert_eq!(windows[0].packets, 2);
         assert_eq!(windows[0].recall, 1.0);
         assert_eq!(windows[0].precision, 1.0);
         assert_eq!(windows[1].start_secs, 10.0);
         assert_eq!(windows[1].false_positive_rate, 1.0);
+        assert_eq!(windows[2].index, 3);
+        assert_eq!(windows[2].start_secs, 30.0);
         assert_eq!(windows[2].recall, 0.0);
         assert_eq!(windows[2].alerts, 0);
     }
@@ -319,7 +261,7 @@ mod tests {
         let mut records = vec![record(0, 0, 0.9, true), record(1, 0, 0.2, true)];
         records[0].kind = Some(AttackKind::SynFlood);
         records[1].kind = Some(AttackKind::SynFlood);
-        let families = family_recall(&records, 0.5);
+        let families = fold(&records, 0.5).family_recall();
         assert_eq!(families.len(), 1);
         assert_eq!(families[0].family, "syn-flood");
         assert_eq!(families[0].recall, 0.5);
@@ -335,32 +277,14 @@ mod tests {
         let mut eviction = record(5, 0, 0.9, true);
         eviction.sub = 1;
         eviction.kind = Some(AttackKind::PortScan);
+        // The end-of-stream flush: `sub = 0`, told apart by its sentinel seq.
         let mut flush = record(u64::MAX, 0, 0.1, true);
         flush.kind = Some(AttackKind::PortScan);
-        let families = family_recall(&[packet_event, eviction, flush], 0.5);
+        let families = fold(&[packet_event, eviction, flush], 0.5).family_recall();
         assert_eq!(families[0].packets, 1);
         assert_eq!(families[0].flows, 2);
         assert_eq!(families[0].alerts, 2);
         assert_eq!(families[0].items(), 3);
-    }
-
-    #[test]
-    fn online_stats_match_replayed_records() {
-        let records = vec![
-            record(0, 0, 0.9, true),
-            record(1, 0, 0.1, false),
-            record(2, 1, 0.8, false),
-            record(3, 3, 0.2, true),
-        ];
-        let threshold = 0.5;
-        let mut online = OnlineStats::default();
-        for r in &records {
-            online.record(r.window, r.score, threshold, r.label, r.kind, false, r.latency_nanos);
-        }
-        assert_eq!(online.events, 4);
-        assert_eq!(online.attacks, 2);
-        assert_eq!(online.window_metrics(10.0), window_metrics(&records, 10.0, threshold));
-        assert_eq!(online.family_recall(), family_recall(&records, threshold));
     }
 
     #[test]
@@ -381,20 +305,16 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_are_exact() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(latency_percentile(&sorted, 0.0), 1);
-        assert_eq!(latency_percentile(&sorted, 0.50), 51);
-        assert_eq!(latency_percentile(&sorted, 0.99), 99);
-        assert_eq!(latency_percentile(&sorted, 1.0), 100);
-        assert_eq!(latency_percentile(&[], 0.5), 0);
-    }
-
-    #[test]
     fn throughput_divides_by_wall_time() {
-        let t = Throughput::from_run(1000, 2.0, vec![1_000, 2_000, 3_000], 1.5, 0.25);
+        let mut latency = LatencyHistogram::default();
+        for nanos in [1_000, 2_000, 3_000] {
+            latency.record(nanos);
+        }
+        let t = Throughput::from_histogram(1000, 2.0, &latency, 1.5, 0.25);
         assert_eq!(t.packets_per_sec, 500.0);
-        assert_eq!(t.p50_latency_us, 2.0);
         assert_eq!(t.train_seconds, 0.25);
+        let p50_nanos = latency.percentile(0.50) as f64;
+        assert_eq!(t.p50_latency_us, p50_nanos / 1_000.0);
+        assert!((p50_nanos - 2_000.0).abs() <= 2_000.0 * 0.125, "p50 within one bucket");
     }
 }

@@ -19,7 +19,8 @@ pub struct ShardStats {
     pub items: usize,
     /// Distinct canonical flows this shard owned.
     pub flows: usize,
-    /// Busy seconds inside this shard's `on_event` calls.
+    /// Busy seconds of this shard's scoring bursts, flow assembly included
+    /// (see [`ShardOutcome::score_seconds`](crate::shard::ShardOutcome)).
     pub score_seconds: f64,
     /// Times the feeder found this shard's channel full and had to block —
     /// the backpressure count. Zero means the shard kept up.

@@ -22,9 +22,7 @@ use idsbench_telemetry::{Stage, StageHistogram, Telemetry};
 
 use crate::executor::{StreamConfig, StreamRun, ThresholdMode};
 use crate::metrics::window_index as window_of_micros;
-use crate::metrics::{
-    family_recall, window_metrics, LatencyHistogram, OnlineStats, ScoredEvent, Throughput,
-};
+use crate::metrics::{LatencyHistogram, OnlineStats, ScoredEvent, Throughput};
 use crate::report::{ShardStats, StreamReport};
 use crate::ring::HashRing;
 
@@ -43,7 +41,7 @@ pub struct StreamItem {
 /// Per-shard recording state, chosen by threshold mode.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Recorder {
-    /// Replay mode: keep every scored event for post-hoc calibration.
+    /// Calibrated mode: keep every scored event for post-hoc calibration.
     Full(Vec<ScoredEvent>),
     /// Zero-buffer mode: fold into online aggregates at a fixed threshold.
     Online(Box<OnlineStats>, f64),
@@ -103,8 +101,9 @@ impl Recorder {
 
 /// Whether the event at `(seq, sub)` is a flow eviction: evictions carry
 /// `sub > 0` (triggered by a packet) or the flush sentinel `seq`; packet
-/// events carry neither. Same rule the replay merge applies to records.
-fn is_eviction(seq: u64, sub: u32) -> bool {
+/// events carry neither. Applied at scoring time by the online recorder and
+/// at merge time to a calibrated run's records.
+pub(crate) fn is_eviction(seq: u64, sub: u32) -> bool {
     sub > 0 || seq == u64::MAX
 }
 
@@ -139,6 +138,26 @@ fn stage_eviction(
         let ts_micros = flow.record.last_seen.as_micros();
         staged.push(Staged { seq, sub, ts_micros, score, label: flow.label });
     }
+}
+
+/// The migration payload of a packet-format shard, which keeps no flow
+/// table: one record-less, label-less entry per owned key `select` picks,
+/// in key order.
+fn keyless_migrations(
+    flows: &FxHashSet<FlowKey>,
+    select: impl Fn(&FlowKey) -> bool,
+) -> Vec<FlowMigration> {
+    let mut keys: Vec<FlowKey> = flows.iter().filter(|key| select(key)).copied().collect();
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|key| FlowMigration {
+            key,
+            record: None,
+            label: Label::Benign,
+            label_seen: idsbench_net::Timestamp::ZERO,
+            detector: None,
+        })
+        .collect()
 }
 
 /// What a shard hands back when its stream drains — the associatively
@@ -225,8 +244,8 @@ pub struct ShardLoop {
     window_secs: f64,
     score_nanos: u128,
     packets: usize,
-    /// Live latency histogram feeding the autoscaler's p99 signal; absent
-    /// (zero overhead) when the run is not autoscaling.
+    /// Per-burst latency histogram read by [`ShardLoop::batch_p99`]; absent
+    /// (zero overhead) unless the constructor asked for it.
     live_latency: Option<LatencyHistogram>,
     /// Per-stage telemetry histograms; absent without telemetry.
     spans: Option<ShardSpans>,
@@ -252,7 +271,9 @@ impl ShardLoop {
     ///
     /// `assembler` is `Some` for flow-format detectors (the shard then owns
     /// a flow table and emits eviction events); `live_latency` attaches the
-    /// per-batch p99 histogram the autoscaler samples ([`ShardLoop::batch_p99`]).
+    /// per-batch p99 histogram behind [`ShardLoop::batch_p99`]. Neither
+    /// in-tree pool reads it (autoscaling is trace-driven); both pass
+    /// `false`.
     pub fn new(
         id: usize,
         detector: Box<dyn EventDetector>,
@@ -372,25 +393,7 @@ impl ShardLoop {
     pub fn on_rebalance(&mut self, ring: &HashRing) -> Vec<FlowMigration> {
         let mut migrations = match &mut self.assembler {
             Some(assembler) => assembler.extract_departing(|key| ring.owner_of(key) == self.id),
-            None => {
-                let mut departing: Vec<FlowKey> = self
-                    .flows
-                    .iter()
-                    .filter(|key| ring.owner_of(key) != self.id)
-                    .copied()
-                    .collect();
-                departing.sort_unstable();
-                departing
-                    .into_iter()
-                    .map(|key| FlowMigration {
-                        key,
-                        record: None,
-                        label: idsbench_core::Label::Benign,
-                        label_seen: idsbench_net::Timestamp::ZERO,
-                        detector: None,
-                    })
-                    .collect()
-            }
+            None => keyless_migrations(&self.flows, |key| ring.owner_of(key) != self.id),
         };
         for migration in &mut migrations {
             migration.detector = self.detector.extract_flow_state(&migration.key);
@@ -429,19 +432,7 @@ impl ShardLoop {
     pub fn on_checkpoint(&mut self, fit_seconds: f64) -> ShardCheckpoint {
         let mut flows = match &self.assembler {
             Some(assembler) => assembler.snapshot_all(),
-            None => {
-                let mut keys: Vec<FlowKey> = self.flows.iter().copied().collect();
-                keys.sort_unstable();
-                keys.into_iter()
-                    .map(|key| FlowMigration {
-                        key,
-                        record: None,
-                        label: idsbench_core::Label::Benign,
-                        label_seen: idsbench_net::Timestamp::ZERO,
-                        detector: None,
-                    })
-                    .collect()
-            }
+            None => keyless_migrations(&self.flows, |_| true),
         };
         for migration in &mut flows {
             migration.detector = self.detector.snapshot_flow_state(&migration.key);
@@ -503,10 +494,10 @@ impl ShardLoop {
         self.settle(started, flushed.len(), self.staged.len())
     }
 
-    /// The scoring p99 of the batch just processed, in nanoseconds,
-    /// resetting the live histogram — the signal must track *current*
-    /// latency, not a cumulative distribution. `None` when the live
-    /// latency histogram is not attached.
+    /// The scoring p99 since the previous call, in nanoseconds, resetting
+    /// the live histogram so the figure tracks *current* latency, not a
+    /// cumulative distribution. `None` when the live latency histogram is
+    /// not attached.
     pub fn batch_p99(&mut self) -> Option<u64> {
         self.live_latency.as_mut().map(|hist| {
             let p99 = hist.percentile(0.99);
@@ -534,6 +525,12 @@ impl ShardLoop {
 /// [`StreamRun`] — the single merge point, called once, by the feeder,
 /// whichever pool (threads or fabric sockets) the outcomes came from.
 ///
+/// Both threshold modes settle into one [`OnlineStats`]: a fixed-threshold
+/// run's shards folded their events as they scored them, and a calibrated
+/// run's records are folded here, at the threshold resolved over the merged
+/// scores. Every report figure but the threshold and the AUC comes from
+/// that fold.
+///
 /// `fed` is the total packets the feeder routed, `shard_stalls` the
 /// backpressure counts indexed by shard id (including retired shards), and
 /// `assembly_seconds` the shared train-view assembly time that joins the
@@ -556,9 +553,8 @@ pub(crate) fn merge_outcomes(
     let mut shard_stats = Vec::with_capacity(outcomes.len());
     let mut score_seconds = 0.0;
     let mut fit_seconds: f64 = 0.0;
-    let mut full: Vec<(usize, ScoredEvent)> = Vec::new();
-    let mut online: Option<OnlineStats> = None;
-    let mut fixed_threshold = None;
+    let mut records: Vec<(usize, ScoredEvent)> = Vec::new();
+    let mut stats = OnlineStats::default();
     for outcome in outcomes {
         shard_stats.push(ShardStats {
             shard: outcome.shard,
@@ -571,76 +567,42 @@ pub(crate) fn merge_outcomes(
         score_seconds += outcome.score_seconds;
         fit_seconds = fit_seconds.max(outcome.fit_seconds);
         match outcome.recorder {
-            Recorder::Full(records) => {
-                full.extend(records.into_iter().map(|r| (outcome.shard, r)));
+            Recorder::Full(shard_records) => {
+                records.extend(shard_records.into_iter().map(|r| (outcome.shard, r)));
             }
-            Recorder::Online(stats, threshold) => {
-                fixed_threshold = Some(threshold);
-                match &mut online {
-                    Some(merged) => merged.merge(&stats),
-                    None => online = Some(*stats),
-                }
-            }
+            Recorder::Online(online, _) => stats.merge(&online),
         }
     }
-    let train_seconds = assembly_seconds + fit_seconds;
 
-    if let Some(stats) = online {
-        // Zero-buffer path: everything was aggregated online; no scores
-        // exist to calibrate or rank, so AUC is undefined.
-        let threshold = fixed_threshold.unwrap_or(f64::INFINITY);
-        let report = StreamReport {
-            detector,
-            source,
-            shards: config.shards,
-            batch_size: config.batch_size,
-            warmup_packets,
-            eval_packets: fed as usize,
-            eval_items: stats.events,
-            dropped_packets,
-            attack_share: if stats.events == 0 {
-                0.0
-            } else {
-                stats.attacks as f64 / stats.events as f64
-            },
-            threshold,
-            metrics: stats.cm.metrics(),
-            false_positive_rate: stats.cm.false_positive_rate(),
-            auc: f64::NAN,
-            family_recall: stats.family_recall(),
-            windows: stats.window_metrics(config.window_secs),
-            throughput: Throughput::from_histogram(
-                fed as usize,
-                wall_seconds,
-                &stats.latency,
-                score_seconds,
-                train_seconds,
-            ),
-            shard_stats,
-            scale_events,
-            final_shards,
-        };
-        return StreamRun { report, scores: Vec::new(), labels: Vec::new() };
-    }
-
-    // Replay path: restore the batch driver's event order — packet seq,
-    // then the evictions it triggered; flush events (seq = MAX) ordered by
-    // shard then flush index.
-    full.sort_by_key(|(shard, r)| (r.seq, *shard, r.sub));
-    let records: Vec<ScoredEvent> = full.into_iter().map(|(_, r)| r).collect();
-
-    let scores: Vec<f64> = records.iter().map(|r| r.score).collect();
-    let labels: Vec<bool> = records.iter().map(|r| r.label).collect();
-    // One ranking serves the threshold, the confusion matrix and the AUC,
-    // exactly as in the batch runner.
-    let ranking = Ranking::new(&scores, &labels);
-    let threshold = match config.threshold {
-        ThresholdMode::Fixed(t) => t,
-        ThresholdMode::Calibrated(policy) => policy.calibrate_ranked(&ranking),
+    // Each shard's recorder follows `config.threshold` (`Recorder::for_mode`),
+    // so a fixed run brought only online folds and a calibrated one only
+    // records.
+    let (threshold, auc, scores, labels) = match config.threshold {
+        // Zero-buffer run: everything was folded online; no scores exist to
+        // rank, so AUC is undefined.
+        ThresholdMode::Fixed(threshold) => (threshold, f64::NAN, Vec::new(), Vec::new()),
+        ThresholdMode::Calibrated(policy) => {
+            // Restore the batch driver's event order — packet seq, then the
+            // evictions it triggered; flush events (seq = MAX) ordered by
+            // shard then flush index — and rank once, as the batch runner
+            // does, for the threshold and the AUC.
+            records.sort_by_key(|(shard, r)| (r.seq, *shard, r.sub));
+            let scores: Vec<f64> = records.iter().map(|(_, r)| r.score).collect();
+            let labels: Vec<bool> = records.iter().map(|(_, r)| r.label).collect();
+            let ranking = Ranking::new(&scores, &labels);
+            let threshold = policy.calibrate_ranked(&ranking);
+            // `Ranking` alerts on `score >= threshold` with NaN never
+            // alerting — `OnlineStats::record`'s rule — so this fold's
+            // confusion matrix is `ranking.confusion_at(threshold)`.
+            for &(_, event) in &records {
+                let ScoredEvent { seq, sub, window, score, latency_nanos, label, kind } = event;
+                let is_flow = is_eviction(seq, sub);
+                stats.record(window, score, threshold, label, kind, is_flow, latency_nanos);
+            }
+            (threshold, ranking.auc(), scores, labels)
+        }
     };
 
-    let cm = ranking.confusion_at(threshold);
-    let attacks = labels.iter().filter(|&&l| l).count();
     let report = StreamReport {
         detector,
         source,
@@ -648,21 +610,25 @@ pub(crate) fn merge_outcomes(
         batch_size: config.batch_size,
         warmup_packets,
         eval_packets: fed as usize,
-        eval_items: records.len(),
+        eval_items: stats.events,
         dropped_packets,
-        attack_share: if labels.is_empty() { 0.0 } else { attacks as f64 / labels.len() as f64 },
+        attack_share: if stats.events == 0 {
+            0.0
+        } else {
+            stats.attacks as f64 / stats.events as f64
+        },
         threshold,
-        metrics: cm.metrics(),
-        false_positive_rate: cm.false_positive_rate(),
-        auc: ranking.auc(),
-        family_recall: family_recall(&records, threshold),
-        windows: window_metrics(&records, config.window_secs, threshold),
-        throughput: Throughput::from_run(
+        metrics: stats.cm.metrics(),
+        false_positive_rate: stats.cm.false_positive_rate(),
+        auc,
+        family_recall: stats.family_recall(),
+        windows: stats.window_metrics(config.window_secs),
+        throughput: Throughput::from_histogram(
             fed as usize,
             wall_seconds,
-            records.iter().map(|r| r.latency_nanos).collect(),
+            &stats.latency,
             score_seconds,
-            train_seconds,
+            assembly_seconds + fit_seconds,
         ),
         shard_stats,
         scale_events,

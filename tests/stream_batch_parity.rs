@@ -28,7 +28,7 @@ use idsbench::net::{ParsedPacket, Timestamp};
 use idsbench::slips::Slips;
 use idsbench::stream::{
     run_stream, AutoscalePolicy, BoundedSource, PacketSource, ScenarioSource, StreamConfig,
-    StreamRun, VecSource,
+    StreamRun, ThresholdMode, VecSource,
 };
 
 fn kitsune() -> Box<dyn EventDetector> {
@@ -209,6 +209,51 @@ fn slips_report_matches_batch_experiment_within_1e9() {
     assert_eq!(streamed.family_recall, batch.family_recall, "per-family recall");
 }
 
+/// Calibrated and fixed-threshold runs summarise their events through the
+/// same fold, so a fixed run at the threshold a calibrated run resolved
+/// reports the same detection figures — for packet-event (Kitsune) and
+/// flow-event (Slips) detectors, on one shard and on two. Only the AUC
+/// tells the modes apart: it needs the recorded score set.
+#[test]
+fn calibrated_and_fixed_reports_agree_at_the_same_threshold() {
+    let factories: Vec<(&str, Factory)> = vec![
+        ("Kitsune", Box::new(|| Box::new(Kitsune::default()) as Box<dyn EventDetector>)),
+        ("Slips", Box::new(|| Box::new(Slips::default()) as Box<dyn EventDetector>)),
+    ];
+    let scenario = scenarios::stratosphere_iot(ScenarioScale::Tiny);
+    for (name, factory) in &factories {
+        for shards in [1, 2] {
+            let report = |threshold| {
+                let (warmup, source) = ScenarioSource::new(&scenario, 42).split_warmup(0.3);
+                let config = StreamConfig { shards, threshold, ..Default::default() };
+                run_stream(factory.as_ref(), &warmup, source, &config)
+                    .expect("streaming run")
+                    .report
+            };
+            let calibrated = report(ThresholdMode::default());
+            let fixed = report(ThresholdMode::Fixed(calibrated.threshold));
+            let run = format!("{name} on {shards} shard(s)");
+            assert!(calibrated.eval_items > 0, "{run}: nothing scored");
+            assert_eq!(fixed.metrics, calibrated.metrics, "{run}: metrics");
+            assert_eq!(
+                fixed.false_positive_rate.to_bits(),
+                calibrated.false_positive_rate.to_bits(),
+                "{run}: false-positive rate"
+            );
+            assert_eq!(fixed.eval_items, calibrated.eval_items, "{run}: eval items");
+            assert_eq!(
+                fixed.attack_share.to_bits(),
+                calibrated.attack_share.to_bits(),
+                "{run}: attack share"
+            );
+            assert_eq!(fixed.windows, calibrated.windows, "{run}: windows");
+            assert_eq!(fixed.family_recall, calibrated.family_recall, "{run}: families");
+            assert!(calibrated.auc.is_finite(), "{run}: calibrated AUC {}", calibrated.auc);
+            assert!(fixed.auc.is_nan(), "{run}: fixed AUC {}", fixed.auc);
+        }
+    }
+}
+
 #[test]
 fn multi_shard_runs_are_deterministic_and_flow_consistent() {
     let first = stream_run(&kitsune, 0, 4);
@@ -266,7 +311,6 @@ fn autoscale_fixture() -> (impl Fn() -> Box<dyn EventDetector> + Sync, StreamCon
             scale_down_pps: 150.0,
             cooldown_windows: 0,
             vnodes: 16,
-            ..Default::default()
         }),
         ..Default::default()
     };
