@@ -1,4 +1,4 @@
-//! Shared detector vocabulary: input formats, labeled flows, and verdicts.
+//! Shared detector vocabulary: input formats and labeled flows.
 //!
 //! The detector *contract* itself lives in [`crate::event`]: every system
 //! implements [`EventDetector`](crate::event::EventDetector) over the
@@ -39,13 +39,4 @@ impl LabeledFlow {
     pub fn is_attack(&self) -> bool {
         self.label.is_attack()
     }
-}
-
-/// A binary verdict produced by applying a calibrated threshold to a score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Verdict {
-    /// Scored below the threshold.
-    Benign,
-    /// Scored at or above the threshold.
-    Alert,
 }

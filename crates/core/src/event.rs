@@ -19,10 +19,10 @@
 //! * **One contract.** [`EventDetector`] replaces the old
 //!   `Detector`/`StreamingDetector` split: `fit` consumes the training
 //!   slice once, then `on_event` must score each event of the detector's
-//!   [`InputFormat`] immediately, with no second pass. The batch runner
-//!   (`runner::evaluate`) and the sharded streaming executor
-//!   (`idsbench-stream`) are two drivers of this same contract, and a
-//!   single-shard streaming run reproduces batch evaluation bitwise.
+//!   [`InputFormat`] immediately, with no second pass.
+//! * **One scoring loop.** The batch runner and every streaming shard
+//!   score through one [`Burst`], so a single-shard streaming run
+//!   reproduces batch evaluation bitwise by construction.
 //!
 //! # Examples
 //!
@@ -62,12 +62,15 @@
 //! assert_eq!(detector.on_event(&Event::Packet(&view)), Some(60.0));
 //! ```
 
+use std::time::Instant;
+
 use idsbench_flow::{FlowFeatures, FlowKey, FlowRecord, FlowTable, FlowTableConfig};
 use idsbench_net::fasthash::FxHashMap;
 use idsbench_net::{Duration, ParsedPacket, Timestamp};
 
 use crate::detector::{InputFormat, LabeledFlow};
 use crate::label::{Label, LabeledPacket};
+use crate::{CoreError, Result};
 
 /// A labeled packet paired with its one-and-only parsed view.
 ///
@@ -415,6 +418,13 @@ impl FlowEventAssembler {
         }
     }
 
+    /// The assembler a driver needs for a detector of `format`: one for
+    /// flow-format detectors, none for packet-format ones, which skip flow
+    /// assembly entirely.
+    pub fn for_format(format: InputFormat, config: FlowTableConfig) -> Option<Self> {
+        (format == InputFormat::Flows).then(|| Self::new(config))
+    }
+
     /// Sets the dead-tuple label horizon (see the type docs). Clamped up to
     /// `idle_timeout + time_wait`: anything shorter could expire the label
     /// of a flow that is still sitting in the table, which would let the
@@ -615,6 +625,147 @@ impl FlowEventAssembler {
         let label = labels.get(&record.key).map(|entry| entry.label).unwrap_or(Label::Benign);
         let features = FlowFeatures::from_record(&record);
         LabeledFlow { record, features, label }
+    }
+}
+
+/// Packets per [`Burst`] in the batch runner and, by default, per stream
+/// batch: equal, so both drivers time and batch alike.
+pub const BURST_PACKETS: usize = 32;
+
+/// One event a [`Burst`] scored.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BurstEvent {
+    /// The view that was scored or triggered the eviction; `None` in a flush.
+    pub packet: Option<usize>,
+    /// `0` for a packet, `n` for its `n`-th eviction, the index in a flush.
+    pub sub: u32,
+    /// The detector's score.
+    pub score: f64,
+    /// Ground truth of the packet or flow.
+    pub label: Label,
+    /// Traffic time: the packet's timestamp, or the flow's last-seen time.
+    pub ts: Timestamp,
+}
+
+impl BurstEvent {
+    fn packet(at: usize, view: &ParsedView, score: f64) -> Self {
+        let ts = view.packet.packet.ts;
+        BurstEvent { packet: Some(at), sub: 0, score, label: view.label(), ts }
+    }
+
+    /// Delivers `flow` as an [`Event::FlowEvicted`]; the event, if scored.
+    fn eviction(
+        detector: &mut dyn EventDetector,
+        packet: Option<usize>,
+        sub: u32,
+        flow: &LabeledFlow,
+    ) -> Option<Self> {
+        let score = detector.on_event(&Event::FlowEvicted(flow))?;
+        Some(BurstEvent { packet, sub, score, label: flow.label, ts: flow.record.last_seen })
+    }
+}
+
+/// The one scoring loop of both drivers, and the only driver code that
+/// hands events to a detector. Without a flow assembler (packet format) a
+/// burst goes to [`EventDetector::on_packet_batch`] in one call; with one,
+/// each [`Event::Packet`] is followed by the evictions it triggered, and
+/// [`Burst::flush`] scores the end-of-stream flush as a last burst. Each
+/// call is timed by one clock pair, flow assembly included, and fails with
+/// [`CoreError::ScoreCountMismatch`], keeping nothing, unless the detector
+/// returned one score per event of its input format — a missing score
+/// fails the run instead of shifting later scores onto the wrong labels.
+/// [`Burst::events`] holds what the last call scored; the buffers are
+/// reused, so steady-state bursts allocate nothing.
+#[derive(Debug, Default)]
+pub struct Burst {
+    events: Vec<BurstEvent>,
+    scores: Vec<f64>,
+    evicted: Vec<LabeledFlow>,
+}
+
+impl Burst {
+    /// Scores `views`, feeding `assembler` if any; returns the wall-clock
+    /// nanoseconds.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ScoreCountMismatch`] on a wrong score count.
+    pub fn score<'v>(
+        &mut self,
+        detector: &mut dyn EventDetector,
+        assembler: Option<&mut FlowEventAssembler>,
+        views: impl ExactSizeIterator<Item = &'v ParsedView> + Clone,
+    ) -> Result<u128> {
+        self.events.clear();
+        let started = Instant::now();
+        let (expected, got) = match assembler {
+            None => {
+                let expected = views.len();
+                detector.on_packet_batch(&mut views.clone(), &mut self.scores);
+                let got = self.scores.len();
+                let scored = views.enumerate().zip(self.scores.drain(..));
+                self.events
+                    .extend(scored.map(|((at, view), score)| BurstEvent::packet(at, view, score)));
+                (expected, got)
+            }
+            Some(assembler) => {
+                let mut evictions = 0;
+                for (at, view) in views.enumerate() {
+                    let score = detector.on_event(&Event::Packet(view));
+                    self.events.extend(score.map(|score| BurstEvent::packet(at, view, score)));
+                    let evicted = &mut self.evicted;
+                    assembler.observe(view, |flow| evicted.push(flow));
+                    evictions += self.evicted.len();
+                    for (index, flow) in self.evicted.drain(..).enumerate() {
+                        let sub = index as u32 + 1;
+                        self.events.extend(BurstEvent::eviction(detector, Some(at), sub, &flow));
+                    }
+                }
+                (evictions, self.events.len())
+            }
+        };
+        self.settle(detector, started, expected, got)
+    }
+
+    /// Scores the end-of-stream flush of `assembler`; returns the
+    /// wall-clock nanoseconds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Burst::score`].
+    pub fn flush(
+        &mut self,
+        detector: &mut dyn EventDetector,
+        assembler: &mut FlowEventAssembler,
+    ) -> Result<u128> {
+        self.events.clear();
+        let started = Instant::now();
+        let flushed = assembler.flush();
+        for (index, flow) in flushed.iter().enumerate() {
+            self.events.extend(BurstEvent::eviction(detector, None, index as u32, flow));
+        }
+        self.settle(detector, started, flushed.len(), self.events.len())
+    }
+
+    /// The events the last burst scored, in delivery order.
+    pub fn events(&self) -> &[BurstEvent] {
+        &self.events
+    }
+
+    fn settle(
+        &mut self,
+        detector: &dyn EventDetector,
+        started: Instant,
+        expected: usize,
+        got: usize,
+    ) -> Result<u128> {
+        let nanos = started.elapsed().as_nanos();
+        if got != expected {
+            self.events.clear();
+            let detector = detector.name().to_string();
+            return Err(CoreError::ScoreCountMismatch { detector, expected, got });
+        }
+        Ok(nanos)
     }
 }
 

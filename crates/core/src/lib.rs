@@ -52,10 +52,11 @@ pub mod traffic;
 
 pub use arena::PayloadArena;
 pub use dataset::{Dataset, DatasetInfo};
-pub use detector::{InputFormat, LabeledFlow, Verdict};
+pub use detector::{InputFormat, LabeledFlow};
 pub use error::CoreError;
 pub use event::{
-    Event, EventDetector, EventFactory, FlowEventAssembler, FlowMigration, ParsedView, TrainView,
+    Burst, BurstEvent, Event, EventDetector, EventFactory, FlowEventAssembler, FlowMigration,
+    ParsedView, TrainView, BURST_PACKETS,
 };
 pub use label::{AttackKind, Label, LabeledPacket};
 pub use metrics::{FamilyCounts, FamilyOutcome};

@@ -3,9 +3,9 @@
 //! [`evaluate`] runs the full paper pipeline — generate → parse-once
 //! preprocess → `fit` → event replay → calibrate threshold → confusion
 //! metrics — by replaying the evaluation slice as an event stream through
-//! an [`EventDetector`]. The sharded streaming executor in
-//! `idsbench-stream` drives the *same* contract over the same events, which
-//! is why a single-shard streaming run reproduces these results bitwise.
+//! an [`EventDetector`]. The replay is one [`Burst`] loop, the one every
+//! streaming shard in `idsbench-stream` runs too, so a single-shard
+//! streaming run reproduces these results bitwise by construction.
 //!
 //! The pipeline has two halves. *Preparing a row* — `generate` →
 //! [`Pipeline::prepare_events`] — depends on the dataset and the seed
@@ -32,9 +32,10 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
-use crate::detector::{InputFormat, LabeledFlow};
-use crate::event::{Event, EventDetector, EventFactory, FlowEventAssembler, ParsedView};
-use crate::label::Label;
+use crate::detector::InputFormat;
+use crate::event::{
+    Burst, BurstEvent, EventDetector, EventFactory, FlowEventAssembler, BURST_PACKETS,
+};
 use crate::metrics::{family_outcomes, FamilyCounts, FamilyOutcome, Metrics, Ranking};
 use crate::preprocess::{EventInput, Pipeline, PipelineConfig};
 use crate::threshold::ThresholdPolicy;
@@ -100,8 +101,7 @@ pub struct ScoredReplay {
     pub train_seconds: f64,
     /// Wall-clock seconds of the scoring bursts: detector calls plus, for
     /// flow-format detectors, the flow assembly that produced the
-    /// evictions (one clock pair per 32-packet burst and one for the
-    /// flush).
+    /// evictions (one clock pair per [`Burst`], the flush included).
     pub score_seconds: f64,
     /// Packet events delivered.
     pub eval_packets: usize,
@@ -110,52 +110,22 @@ pub struct ScoredReplay {
     pub eval_flows: usize,
 }
 
-/// Packets per scoring burst of [`replay`] — the streaming executor's
-/// default batch size, so both drivers time and batch alike.
-const BURST: usize = 32;
-
 impl ScoredReplay {
-    /// Appends the score of one delivered event, if the detector gave one.
-    fn push(&mut self, score: Option<f64>, label: Label) {
-        if let Some(score) = score {
-            self.scores.push(score);
-            self.labels.push(label.is_attack());
-            self.kinds.push(label.attack_kind());
+    /// Appends a burst's scored events.
+    fn extend(&mut self, events: &[BurstEvent]) {
+        for event in events {
+            self.scores.push(event.score);
+            self.labels.push(event.label.is_attack());
+            self.kinds.push(event.label.attack_kind());
         }
     }
-
-    /// Delivers each flow as an [`Event::FlowEvicted`], counting it.
-    fn score_flows(&mut self, detector: &mut dyn EventDetector, flows: &[LabeledFlow]) {
-        self.eval_flows += flows.len();
-        for flow in flows {
-            self.push(detector.on_event(&Event::FlowEvicted(flow)), flow.label);
-        }
-    }
-}
-
-/// The per-burst score-count check: a burst whose detector returned the
-/// wrong number of scores fails the replay instead of shifting every later
-/// score onto the wrong label.
-fn check_burst(detector: &dyn EventDetector, expected: usize, got: usize) -> Result<()> {
-    if got == expected {
-        return Ok(());
-    }
-    Err(CoreError::ScoreCountMismatch { detector: detector.name().to_string(), expected, got })
 }
 
 /// Fits a detector on the prepared training slice, then replays the
-/// evaluation slice as an event stream: one [`Event::Packet`] per parsed
-/// view in order and — for flow-format detectors — one
-/// [`Event::FlowEvicted`] at each flow-table eviction, with an end-of-
-/// stream flush. No packet is parsed here; the views were decoded once in
-/// [`Pipeline::prepare_events`].
-///
-/// The slice is scored in bursts of 32 packets, one clock pair each — the
-/// rule the streaming shards follow. Packet-format detectors get each
-/// burst through [`EventDetector::on_packet_batch`] (bitwise equal to
-/// per-event delivery under the batch contract); flow-format detectors get
-/// each packet event and, right after it, the evictions it triggered, with
-/// the end-of-stream flush as one last burst.
+/// evaluation slice as an event stream through one [`Burst`] — over
+/// [`BURST_PACKETS`]-packet chunks, then the end-of-stream flush for
+/// flow-format detectors. No packet is parsed here; the views were decoded
+/// once in [`Pipeline::prepare_events`].
 ///
 /// # Errors
 ///
@@ -176,43 +146,18 @@ pub fn replay(detector: &mut dyn EventDetector, input: &EventInput) -> Result<Sc
         eval_packets: input.eval.len(),
         eval_flows: 0,
     };
+    let mut assembler = FlowEventAssembler::for_format(detector.input_format(), input.flow_config);
+    let mut burst = Burst::default();
     let mut score_nanos = 0u128;
-    match detector.input_format() {
-        InputFormat::Packets => {
-            for burst in input.eval.chunks(BURST) {
-                let before = out.scores.len();
-                let started = Instant::now();
-                detector.on_packet_batch(&mut burst.iter(), &mut out.scores);
-                score_nanos += started.elapsed().as_nanos();
-                check_burst(detector, burst.len(), out.scores.len() - before)?;
-                out.labels.extend(burst.iter().map(ParsedView::is_attack));
-                out.kinds.extend(burst.iter().map(|view| view.label().attack_kind()));
-            }
-        }
-        // Flow assembly runs only when the detector consumes flows — and on
-        // the clock, as part of what a flow detector costs per packet.
-        InputFormat::Flows => {
-            let mut assembler = FlowEventAssembler::new(input.flow_config);
-            let mut evicted = Vec::new();
-            for burst in input.eval.chunks(BURST) {
-                let (before, flows_before) = (out.scores.len(), out.eval_flows);
-                let started = Instant::now();
-                for view in burst {
-                    out.push(detector.on_event(&Event::Packet(view)), view.label());
-                    assembler.observe(view, |flow| evicted.push(flow));
-                    out.score_flows(detector, &evicted);
-                    evicted.clear();
-                }
-                score_nanos += started.elapsed().as_nanos();
-                check_burst(detector, out.eval_flows - flows_before, out.scores.len() - before)?;
-            }
-            let before = out.scores.len();
-            let started = Instant::now();
-            let flushed = assembler.flush();
-            out.score_flows(detector, &flushed);
-            score_nanos += started.elapsed().as_nanos();
-            check_burst(detector, flushed.len(), out.scores.len() - before)?;
-        }
+    for views in input.eval.chunks(BURST_PACKETS) {
+        score_nanos += burst.score(detector, assembler.as_mut(), views.iter())?;
+        out.extend(burst.events());
+    }
+    if let Some(assembler) = &mut assembler {
+        score_nanos += burst.flush(detector, assembler)?;
+        out.extend(burst.events());
+        // Every burst passed its count check: one score per eviction.
+        out.eval_flows = out.scores.len();
     }
     out.score_seconds = score_nanos as f64 / 1e9;
     Ok(out)
@@ -417,7 +362,7 @@ pub fn run_grid(
 mod tests {
     use super::*;
     use crate::dataset::DatasetInfo;
-    use crate::event::TrainView;
+    use crate::event::{Event, TrainView};
     use crate::label::{AttackKind, Label, LabeledPacket};
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
     use std::net::Ipv4Addr;

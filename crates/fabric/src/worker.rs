@@ -109,12 +109,13 @@ pub fn run_worker_with_faults(
     };
     let probe = resolve(&config.detector)
         .ok_or_else(|| FabricError::Protocol(format!("unknown detector {:?}", config.detector)))?;
-    let flows = probe.input_format() == InputFormat::Flows;
+    let format = probe.input_format();
     let detector_name = probe.name().to_string();
     drop(probe);
     send_msg(
         &mut transport,
-        &WorkerMsg::HelloOk { detector: detector_name, flows }.encode(),
+        &WorkerMsg::HelloOk { detector: detector_name, flows: format == InputFormat::Flows }
+            .encode(),
         counters,
     )?;
 
@@ -165,7 +166,7 @@ pub fn run_worker_with_faults(
                     shard,
                     detector,
                     config.recorder(),
-                    flows.then(|| FlowEventAssembler::new(config.flow)),
+                    FlowEventAssembler::for_format(format, config.flow),
                     config.window_secs,
                     false,
                     None,

@@ -30,11 +30,12 @@
 //!   barrier needs — and the barrier here is concurrent: the drain request
 //!   is broadcast to every affected shard before the first reply is
 //!   awaited, so its latency is the slowest shard's backlog, not the sum.
-//! * **One contract, two drivers.** Shards deliver the same event stream
-//!   the batch runner replays — packet events in order, flow evictions at
-//!   flow-table eviction time, flush at end of stream — to the same
-//!   [`EventDetector`] contract. A single-shard run reproduces batch
-//!   `evaluate()` bitwise, for packet *and* flow detectors.
+//! * **One scoring loop, two drivers.** Every shard scores through the
+//!   core [`Burst`](idsbench_core::Burst) the batch runner replays through
+//!   — packet events in order, flow evictions at flow-table eviction time,
+//!   flush at end of stream, one score per event. A single-shard run
+//!   reproduces batch `evaluate()` bitwise, for packet *and* flow
+//!   detectors.
 //! * **Backpressure, not buffering.** Feeder→shard channels are bounded; a
 //!   slow shard stalls the feeder (and, through [`BoundedSource`], the
 //!   producer) instead of ballooning memory.
@@ -57,7 +58,7 @@ use crossbeam::channel;
 use idsbench_core::threshold::ThresholdPolicy;
 use idsbench_core::{
     CoreError, EventDetector, FlowEventAssembler, FlowMigration, InputFormat, LabeledPacket,
-    ParsedView, Result, TrainView,
+    ParsedView, Result, TrainView, BURST_PACKETS,
 };
 use idsbench_flow::FlowTableConfig;
 use idsbench_telemetry::{Counter, JournalEvent, Telemetry};
@@ -115,13 +116,13 @@ pub struct StreamConfig {
 }
 
 impl Default for StreamConfig {
-    /// One shard, 32-packet batches, 64 batches of backpressure headroom,
-    /// 10-second metric windows, batch-compatible calibration, default
-    /// flow table.
+    /// One shard, [`BURST_PACKETS`]-packet batches, 64 batches of
+    /// backpressure headroom, 10-second metric windows, batch-compatible
+    /// calibration, default flow table.
     fn default() -> Self {
         StreamConfig {
             shards: 1,
-            batch_size: 32,
+            batch_size: BURST_PACKETS,
             channel_capacity: 64,
             window_secs: 10.0,
             threshold: ThresholdMode::default(),
@@ -298,8 +299,7 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
                 id,
                 detector,
                 Recorder::for_mode(ctx.config.threshold),
-                matches!(ctx.format, InputFormat::Flows)
-                    .then(|| FlowEventAssembler::new(ctx.config.flow)),
+                FlowEventAssembler::for_format(ctx.format, ctx.config.flow),
                 ctx.config.window_secs,
                 false,
                 ctx.telemetry.map(|telemetry| ShardSpans::new(telemetry, id)),

@@ -6,15 +6,15 @@
 //! thread inside [`run_stream`](crate::executor::run_stream) or inside a
 //! remote `idsbench-fabric` worker process fed over a socket — that shared
 //! body is what makes single-process and multi-node runs score-identical
-//! by construction rather than by parallel maintenance. The executor owns
-//! the threads and channels; this module owns the event semantics.
+//! by construction rather than by parallel maintenance; its scoring loop is
+//! core's [`Burst`], the batch runner's too. The executor owns the threads
+//! and channels; this module owns what a shard adds to that loop.
 
 use std::time::Instant;
 
 use idsbench_core::metrics::Ranking;
 use idsbench_core::{
-    CoreError, Event, EventDetector, FlowEventAssembler, FlowMigration, Label, LabeledFlow,
-    ParsedView, Result, ScaleEvent,
+    Burst, EventDetector, FlowEventAssembler, FlowMigration, Label, ParsedView, Result, ScaleEvent,
 };
 use idsbench_flow::FlowKey;
 use idsbench_net::fasthash::FxHashSet;
@@ -22,7 +22,7 @@ use idsbench_telemetry::{Stage, StageHistogram, Telemetry};
 
 use crate::executor::{StreamConfig, StreamRun, ThresholdMode};
 use crate::metrics::window_index as window_of_micros;
-use crate::metrics::{LatencyHistogram, OnlineStats, ScoredEvent, Throughput};
+use crate::metrics::{OnlineStats, ScoredEvent, Throughput};
 use crate::report::{ShardStats, StreamReport};
 use crate::ring::HashRing;
 
@@ -105,39 +105,6 @@ impl Recorder {
 /// at merge time to a calibrated run's records.
 pub(crate) fn is_eviction(seq: u64, sub: u32) -> bool {
     sub > 0 || seq == u64::MAX
-}
-
-/// One event the detector scored inside the current burst, held until the
-/// burst's clock stops and its latency share is known.
-#[derive(Debug, Clone, Copy)]
-struct Staged {
-    seq: u64,
-    sub: u32,
-    ts_micros: u64,
-    score: f64,
-    label: Label,
-}
-
-impl Staged {
-    fn packet(item: &StreamItem, score: f64) -> Self {
-        let ts_micros = item.view.packet.packet.ts.as_micros();
-        Staged { seq: item.seq, sub: 0, ts_micros, score, label: item.view.label() }
-    }
-}
-
-/// Delivers one eviction event, staging its score (if any) as event
-/// `(seq, sub)` in the flow's last-seen window.
-fn stage_eviction(
-    detector: &mut dyn EventDetector,
-    staged: &mut Vec<Staged>,
-    seq: u64,
-    sub: u32,
-    flow: &LabeledFlow,
-) {
-    if let Some(score) = detector.on_event(&Event::FlowEvicted(flow)) {
-        let ts_micros = flow.record.last_seen.as_micros();
-        staged.push(Staged { seq, sub, ts_micros, score, label: flow.label });
-    }
 }
 
 /// The migration payload of a packet-format shard, which keeps no flow
@@ -226,13 +193,8 @@ impl ShardSpans {
     }
 }
 
-/// The per-shard event loop: scores the packet events, feeds the shard's
-/// flow table (flow-format detectors only), and scores the evictions — the
-/// exact event order the batch driver replays.
-///
-/// Scoring is per *burst*: [`ShardLoop::on_batch`] runs a routed batch and
-/// the evictions it triggers under one clock pair, and each scored event's
-/// latency is the burst's wall time divided by the events it scored.
+/// The per-shard event loop: scores every routed batch as one core
+/// [`Burst`] and records what it scored.
 pub struct ShardLoop {
     /// Stable shard id — the identity the ring routes to.
     id: usize,
@@ -244,15 +206,9 @@ pub struct ShardLoop {
     window_secs: f64,
     score_nanos: u128,
     packets: usize,
-    /// Per-burst latency histogram read by [`ShardLoop::batch_p99`]; absent
-    /// (zero overhead) unless the constructor asked for it.
-    live_latency: Option<LatencyHistogram>,
     /// Per-stage telemetry histograms; absent without telemetry.
     spans: Option<ShardSpans>,
-    // Burst staging, reused so steady-state bursts allocate nothing.
-    evicted: Vec<LabeledFlow>,
-    batch_scores: Vec<f64>,
-    staged: Vec<Staged>,
+    burst: Burst,
 }
 
 impl std::fmt::Debug for ShardLoop {
@@ -270,17 +226,16 @@ impl ShardLoop {
     /// Builds one shard's event loop around an already-fitted detector.
     ///
     /// `assembler` is `Some` for flow-format detectors (the shard then owns
-    /// a flow table and emits eviction events); `live_latency` attaches the
-    /// per-batch p99 histogram behind [`ShardLoop::batch_p99`]. Neither
-    /// in-tree pool reads it (autoscaling is trace-driven); both pass
-    /// `false`.
+    /// a flow table and emits eviction events); see
+    /// [`FlowEventAssembler::for_format`]. `_live_latency` is ignored: it
+    /// stays only so existing seven-argument callers still build.
     pub fn new(
         id: usize,
         detector: Box<dyn EventDetector>,
         recorder: Recorder,
         assembler: Option<FlowEventAssembler>,
         window_secs: f64,
-        live_latency: bool,
+        _live_latency: bool,
         spans: Option<ShardSpans>,
     ) -> Self {
         ShardLoop {
@@ -292,98 +247,43 @@ impl ShardLoop {
             window_secs,
             score_nanos: 0,
             packets: 0,
-            live_latency: live_latency.then(LatencyHistogram::default),
             spans,
-            evicted: Vec::new(),
-            batch_scores: Vec::new(),
-            staged: Vec::new(),
+            burst: Burst::default(),
         }
     }
 
-    /// Scores one routed burst — the shard's only scoring entry, for both
-    /// input formats and both pools.
-    ///
-    /// Packet-format shards (no flow table) deliver the whole burst through
-    /// [`EventDetector::on_packet_batch`], letting NN-backed detectors
-    /// amortize weight traffic across it, with scores bitwise identical to
-    /// per-packet delivery in the default f64 precision (the batch
-    /// contract). Flow-format shards deliver each packet event, feed the
-    /// packet to the flow table and deliver the evictions it triggers
-    /// before the next packet — the batch driver's exact event order.
-    ///
-    /// The burst runs under one clock pair, flow assembly included, and
-    /// each scored event's latency is the burst's wall time divided by the
-    /// events it scored: the burst occupies the shard for that span, so an
-    /// equal share is the honest per-event cost (scores, not latencies, are
-    /// digest-pinned).
+    /// Scores one routed batch as a [`Burst`] — the shard's only scoring
+    /// entry, for both input formats and both pools — and records it.
     ///
     /// # Errors
     ///
-    /// [`CoreError::ScoreCountMismatch`] when the detector does not return
-    /// exactly one score per event of its input format — per packet, or per
-    /// eviction. Nothing of the burst is recorded: a missing score fails the
-    /// run instead of shifting later scores onto the wrong labels.
+    /// The burst's score-count error; nothing of the batch is recorded.
     pub fn on_batch(&mut self, items: &[StreamItem]) -> Result<()> {
         self.packets += items.len();
         for key in items.iter().filter_map(|item| item.view.flow_key) {
             self.flows.insert(key);
         }
-        let started = Instant::now();
-        let (expected, got) = match &mut self.assembler {
-            None => {
-                let views = &mut items.iter().map(|item| &item.view);
-                self.detector.on_packet_batch(views, &mut self.batch_scores);
-                let got = self.batch_scores.len();
-                let scored = items.iter().zip(self.batch_scores.drain(..));
-                self.staged.extend(scored.map(|(item, score)| Staged::packet(item, score)));
-                (items.len(), got)
-            }
-            Some(assembler) => {
-                let mut evictions = 0;
-                for item in items {
-                    if let Some(score) = self.detector.on_event(&Event::Packet(&item.view)) {
-                        self.staged.push(Staged::packet(item, score));
-                    }
-                    let evicted = &mut self.evicted;
-                    assembler.observe(&item.view, |flow| evicted.push(flow));
-                    evictions += self.evicted.len();
-                    for (index, flow) in self.evicted.drain(..).enumerate() {
-                        let sub = index as u32 + 1;
-                        let detector = self.detector.as_mut();
-                        stage_eviction(detector, &mut self.staged, item.seq, sub, &flow);
-                    }
-                }
-                (evictions, self.staged.len())
-            }
-        };
-        self.settle(started, expected, got)
+        let views = items.iter().map(|item| &item.view);
+        let nanos = self.burst.score(self.detector.as_mut(), self.assembler.as_mut(), views)?;
+        self.settle(nanos, items);
+        Ok(())
     }
 
-    /// Closes the burst opened at `started`: books its wall time, checks
-    /// that the detector returned `expected` scores, and records every
-    /// staged event at an equal share of the burst.
-    fn settle(&mut self, started: Instant, expected: usize, got: usize) -> Result<()> {
-        let nanos = started.elapsed().as_nanos();
+    /// Books the burst that scored `items`, each event at an equal share of
+    /// its wall time (the span it held the shard); a flush gets `seq` MAX.
+    fn settle(&mut self, nanos: u128, items: &[StreamItem]) {
         self.score_nanos += nanos;
-        if got != expected {
-            self.staged.clear();
-            let detector = self.detector.name().to_string();
-            return Err(CoreError::ScoreCountMismatch { detector, expected, got });
-        }
-        let per_event = (nanos / got.max(1) as u128).min(u128::from(u64::MAX)) as u64;
-        for event in self.staged.drain(..) {
+        let events = self.burst.events();
+        let per_event = (nanos / events.len().max(1) as u128).min(u128::from(u64::MAX)) as u64;
+        for event in events {
+            let seq = event.packet.map_or(u64::MAX, |at| items[at].seq);
             if let Some(spans) = &self.spans {
-                let stage =
-                    if is_eviction(event.seq, event.sub) { &spans.evict } else { &spans.score };
+                let stage = if is_eviction(seq, event.sub) { &spans.evict } else { &spans.score };
                 stage.record(per_event);
             }
-            if let Some(hist) = &mut self.live_latency {
-                hist.record(per_event);
-            }
-            let window = window_of_micros(event.ts_micros, self.window_secs);
-            self.recorder.push(event.seq, event.sub, window, event.score, per_event, event.label);
+            let window = window_of_micros(event.ts.as_micros(), self.window_secs);
+            self.recorder.push(seq, event.sub, window, event.score, per_event, event.label);
         }
-        Ok(())
     }
 
     /// Ring membership changed: extract every flow this shard no longer
@@ -474,36 +374,18 @@ impl ShardLoop {
         }
     }
 
-    /// End of stream: flush the flow table (same as the batch driver) and
-    /// score the flushed flows as one last burst.
+    /// End of stream: scores and records the flow table's flush.
     ///
     /// # Errors
     ///
-    /// [`CoreError::ScoreCountMismatch`] when the detector does not score
-    /// every flushed flow exactly once.
+    /// As [`ShardLoop::on_batch`].
     pub fn finish(&mut self) -> Result<()> {
         let Some(mut assembler) = self.assembler.take() else {
             return Ok(());
         };
-        let started = Instant::now();
-        let flushed = assembler.flush();
-        for (index, flow) in flushed.iter().enumerate() {
-            let detector = self.detector.as_mut();
-            stage_eviction(detector, &mut self.staged, u64::MAX, index as u32, flow);
-        }
-        self.settle(started, flushed.len(), self.staged.len())
-    }
-
-    /// The scoring p99 since the previous call, in nanoseconds, resetting
-    /// the live histogram so the figure tracks *current* latency, not a
-    /// cumulative distribution. `None` when the live latency histogram is
-    /// not attached.
-    pub fn batch_p99(&mut self) -> Option<u64> {
-        self.live_latency.as_mut().map(|hist| {
-            let p99 = hist.percentile(0.99);
-            hist.clear();
-            p99
-        })
+        let nanos = self.burst.flush(self.detector.as_mut(), &mut assembler)?;
+        self.settle(nanos, &[]);
+        Ok(())
     }
 
     /// Consumes the loop into its mergeable outcome fragment. Call

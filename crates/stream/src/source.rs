@@ -123,7 +123,7 @@ impl ScenarioSource {
     /// Splits off the leading `fraction` of packets as a warmup slice,
     /// leaving this source holding the remainder.
     ///
-    /// Delegates to [`idsbench_datasets::split_at_fraction`], the batch
+    /// Delegates to [`idsbench_core::preprocess::split_at_fraction`], the batch
     /// pipeline's train/eval split rule, so a streaming run over the
     /// remainder scores exactly the packets the batch runner scores. The
     /// fraction rule needs the total count, so this call drains the stream —
@@ -132,7 +132,7 @@ impl ScenarioSource {
     pub fn split_warmup(self, fraction: f64) -> (Vec<LabeledPacket>, Self) {
         let name = self.name.clone();
         let packets: Vec<LabeledPacket> = self.pending.into_iter().chain(self.stream).collect();
-        let (warmup, rest) = idsbench_datasets::split_at_fraction(packets, fraction);
+        let (warmup, rest) = idsbench_core::preprocess::split_at_fraction(packets, fraction);
         (warmup, ScenarioSource { name, stream: Box::new(rest.into_iter()), pending: None })
     }
 

@@ -137,9 +137,67 @@ impl EventDetector for SkipsEveryFifth {
     }
 }
 
+/// How [`MiscountsFlows`] breaks the one-score-per-eviction contract.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FlowFault {
+    /// Also scores every packet event.
+    ScoresPackets,
+    /// Withholds the score of the eviction with this index (in delivery
+    /// order); an index past the last eviction keeps the contract.
+    DropsEviction(usize),
+}
+
+/// A flow detector that scores evictions by packet count, broken by `fault`.
+#[derive(Debug)]
+struct MiscountsFlows {
+    fault: FlowFault,
+    evictions: usize,
+}
+
+impl EventDetector for MiscountsFlows {
+    fn name(&self) -> &str {
+        "miscounts-flows"
+    }
+
+    fn input_format(&self) -> InputFormat {
+        InputFormat::Flows
+    }
+
+    fn fit(&mut self, _train: &TrainView) {}
+
+    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
+        match event {
+            Event::Packet(_) => (self.fault == FlowFault::ScoresPackets).then_some(0.0),
+            Event::FlowEvicted(flow) => {
+                let index = self.evictions;
+                self.evictions += 1;
+                (self.fault != FlowFault::DropsEviction(index))
+                    .then(|| flow.record.total_packets() as f64)
+            }
+        }
+    }
+}
+
+/// Runs `fault`'s detector through both drivers on Stratosphere Tiny at
+/// the default configs; both must fail. Returns (batch, stream) errors.
+fn both_drivers_fail(fault: FlowFault) -> [CoreError; 2] {
+    let scenario = scenarios::stratosphere_iot(ScenarioScale::Tiny);
+    let config = EvalConfig::default();
+    let factory =
+        move || Box::new(MiscountsFlows { fault, evictions: 0 }) as Box<dyn EventDetector>;
+    let batch = evaluate(factory().as_mut(), &scenario, &config)
+        .expect_err("the batch driver must refuse a miscounted burst");
+    let (warmup, source) = ScenarioSource::new(&scenario, config.dataset_seed).split_warmup(0.3);
+    let stream = run_stream(&factory, &warmup, source, &StreamConfig::default())
+        .expect_err("the stream driver must refuse a miscounted burst");
+    [batch, stream]
+}
+
 /// A missing score is an error in both drivers, never a label shift: the
 /// first 32-packet burst comes back six scores short, and that burst fails
-/// the run, naming the detector and the counts.
+/// the run, naming the detector and the counts. The flow path fails the
+/// same way in both drivers: packet scores from a flow detector, a dropped
+/// eviction score, and a dropped score in the end-of-stream flush.
 #[test]
 fn a_missing_packet_score_fails_both_drivers() {
     let scenario = scenarios::stratosphere_iot(ScenarioScale::Tiny);
@@ -160,6 +218,27 @@ fn a_missing_packet_score_fails_both_drivers() {
             "{err}"
         );
         assert!(err.to_string().contains("\"skips-every-fifth\" returned 26 scores for 32"));
+    }
+
+    // The last eviction of the clean run falls in the flush.
+    let pipeline = Pipeline::new(config.pipeline).expect("valid default pipeline");
+    let input = pipeline
+        .prepare_events(&scenario.info().name, scenario.generate(config.dataset_seed))
+        .expect("preprocess");
+    let mut clean = MiscountsFlows { fault: FlowFault::DropsEviction(usize::MAX), evictions: 0 };
+    let evictions = replay(&mut clean, &input).expect("the clean detector keeps the contract");
+    let last = evictions.eval_flows - 1;
+    for (fault, want) in [
+        (FlowFault::ScoresPackets, (0, 32)),
+        (FlowFault::DropsEviction(0), (1, 0)),
+        (FlowFault::DropsEviction(last), (9, 8)),
+    ] {
+        let counts = both_drivers_fail(fault).map(|err| match err {
+            CoreError::ScoreCountMismatch { detector, expected, got } => (detector, expected, got),
+            other => panic!("{fault:?}: expected ScoreCountMismatch, got {other}"),
+        });
+        assert_eq!(counts[0], counts[1], "{fault:?}: the drivers disagree");
+        assert_eq!(counts[0], ("miscounts-flows".to_string(), want.0, want.1), "{fault:?}");
     }
 }
 
