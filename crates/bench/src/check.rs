@@ -97,8 +97,7 @@ fn autoscale(plan: &BurstyPlan, warmup: &[LabeledPacket], eval: &[LabeledPacket]
     }
     match TelemetrySink::serve(Arc::clone(&telemetry), "127.0.0.1:0") {
         Ok(sink) => {
-            let missing = || vec!["exposition endpoint has no address".to_string()];
-            let scraped = sink.local_addr().map_or_else(missing, scrape);
+            let scraped = scrape(sink.local_addr());
             if scraped.is_empty() {
                 sink.stop();
             } else {

@@ -3,12 +3,16 @@
 //! Fault tolerance in the fabric is coordinator-driven: every shard has a
 //! monotonically increasing **epoch**, advanced when the coordinator asks
 //! its host for a [`CoordMsg::Checkpoint`](crate::CoordMsg::Checkpoint).
-//! The reply carries a consistent snapshot (flow state + traffic clock)
-//! plus the score fragment accumulated since the previous epoch, and
-//! committing it clears the shard's `ReplayLog` — the bounded buffer of
-//! state-bearing frames sent since that epoch. On a peer death the
-//! coordinator replays exactly `checkpoint + log` onto a surviving worker,
-//! which reproduces the dead shard's scoring byte-for-byte.
+//! The reply carries the shard's
+//! [`ShardCheckpoint`](idsbench_stream::ShardCheckpoint) (per-flow state +
+//! traffic clock) plus the score fragment accumulated since the previous
+//! epoch, and committing it clears the shard's `ReplayLog` — the bounded
+//! buffer of state-bearing frames sent since that epoch. On a peer death
+//! the coordinator replays exactly `checkpoint + log` onto a surviving
+//! worker, which reproduces the dead shard's scoring byte-for-byte as long
+//! as the detector's state is all per-flow: entity-keyed state (per-host
+//! profiles, per-channel statistics) is not checkpointed, and a replica's
+//! starts again from `fit`.
 //!
 //! Score integrity falls out of two invariants this module enforces:
 //!
@@ -25,37 +29,33 @@ use std::time::Duration;
 
 use idsbench_stream::{Recorder, ShardOutcome};
 
-/// Tuning knobs for epoch checkpointing and crash recovery. Recovery is on
-/// by default in [`FabricConfig`](crate::FabricConfig) — checkpoints are
-/// score-transparent (fragments concatenate to the crash-free outcome), so
-/// there is no correctness reason to disable it.
+/// Replay-log bytes that force a checkpoint, as
+/// [`RecoveryConfig::checkpoint_frames`] frames do.
+pub(crate) const MAX_LOG_BYTES: usize = 16 << 20;
+
+/// How long an idle peer may stay silent on a liveness ping.
+pub(crate) const PING_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The deployment settings of epoch checkpointing and crash recovery.
+/// Recovery is on by default in [`FabricConfig`](crate::FabricConfig) —
+/// checkpoints are score-transparent (fragments concatenate to the
+/// crash-free outcome), so there is no correctness reason to disable it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Batch frames a shard may receive before the coordinator forces a
-    /// new checkpoint epoch (bounds replay work after a crash).
+    /// new checkpoint epoch (bounds replay work after a crash). A replay
+    /// log past 16 MiB forces one too.
     pub checkpoint_frames: usize,
-    /// Byte ceiling on one shard's replay log; exceeding it also forces a
-    /// checkpoint (bounds coordinator memory under large frames).
-    pub max_log_bytes: usize,
     /// Extra worker connections to accept beyond `workers`: standbys
     /// handshake and take the warmup stream but host no shards until a
     /// recovery re-homes a dead peer's shards onto them.
     pub standby_workers: usize,
-    /// How long a peer socket may stay silent mid-recovery probe before
-    /// the liveness ping declares it dead.
-    pub ping_timeout: Duration,
 }
 
 impl Default for RecoveryConfig {
-    /// Checkpoint every 64 batch frames or 16 MiB of buffered replay,
-    /// no standbys, 2 s liveness-probe timeout.
+    /// Checkpoint every 64 batch frames, no standbys.
     fn default() -> Self {
-        RecoveryConfig {
-            checkpoint_frames: 64,
-            max_log_bytes: 16 << 20,
-            standby_workers: 0,
-            ping_timeout: Duration::from_secs(2),
-        }
+        RecoveryConfig { checkpoint_frames: 64, standby_workers: 0 }
     }
 }
 

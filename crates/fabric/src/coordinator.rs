@@ -21,7 +21,8 @@
 //! # Crash recovery
 //!
 //! The coordinator keeps every shard re-creatable: each shard has a
-//! committed **epoch checkpoint** (flow state + traffic clock + drained
+//! committed **epoch checkpoint** (a
+//! [`ShardCheckpoint`] — per-flow state + traffic clock — and the drained
 //! score fragment, refreshed after every scale action or planned drain and
 //! every `checkpoint_frames` batches) and a bounded `ReplayLog` of the
 //! state-bearing frames sent since that checkpoint, appended *before* each
@@ -30,11 +31,13 @@
 //! by one onto the least-loaded survivor (standbys first) via `Spawn`
 //! (deterministic re-fit from the shared train view) + `Restore`
 //! (checkpoint state and clock) + an in-order replay of the log, and the
-//! interrupted operation is retried against the new host. Because a
-//! restored replica makes byte-identical scoring decisions on the replayed
-//! frames, fragments dedup by `(shard, epoch)` and the merged scores stay
-//! exactly those of a crash-free run — `idsbench check` in
-//! `idsbench-bench` pins that with seeded kill/corrupt fault plans.
+//! interrupted operation is retried against the new host. Fragments dedup
+//! by `(shard, epoch)`; and because a restored replica of a detector whose
+//! state is all per-flow makes byte-identical scoring decisions on the
+//! replayed frames, its merged scores stay exactly those of a crash-free
+//! run — `idsbench check` in `idsbench-bench` pins that with seeded
+//! kill/corrupt fault plans. Entity-keyed detector state is not
+//! checkpointed and restarts from `fit` on the replica.
 //!
 //! A [`DrainPlan`] retires an entire worker mid-stream — every shard it
 //! hosts is drained and its flow state (detector per-flow blobs included)
@@ -48,12 +51,15 @@ use std::time::{Duration, Instant};
 
 use idsbench_core::{FlowMigration, LabeledPacket};
 use idsbench_stream::feeder::{Feeder, ShardPool};
-use idsbench_stream::{HashRing, PacketSource, ShardOutcome, StreamConfig, StreamItem, StreamRun};
+use idsbench_stream::{
+    HashRing, PacketSource, ShardCheckpoint, ShardOutcome, StreamConfig, StreamItem, StreamRun,
+};
 use idsbench_telemetry::{JournalEvent, Stage, StageHistogram, Telemetry};
 
 use crate::checkpoint::{EntryKind, FragmentSet, RecoveryConfig, ReplayLog};
+use crate::checkpoint::{MAX_LOG_BYTES, PING_TIMEOUT};
 use crate::transport::FabricListener;
-use crate::wire::{CoordMsg, HelloConfig, RingSnapshot, WireItem, WirePacket};
+use crate::wire::{CoordMsg, HelloConfig, WireItem, WirePacket, MAX_VNODES};
 use crate::{FabricCounters, FabricError, ShardTransport, WorkerMsg};
 
 /// Warmup packets per `Train` frame: large enough to amortize framing,
@@ -120,13 +126,6 @@ struct Peer<'a> {
     rtt: Option<Arc<StageHistogram>>,
 }
 
-/// The committed state a dead shard is rebuilt from.
-struct StoredCheckpoint {
-    last_ts_micros: u64,
-    sweep_micros: u64,
-    flows: Vec<FlowMigration>,
-}
-
 /// Feeder-side handle to one remote shard: which peer hosts it and its
 /// recovery state. Kept sorted by shard id.
 struct CoordSlot {
@@ -134,7 +133,8 @@ struct CoordSlot {
     peer: usize,
     /// Committed checkpoint epochs so far (0 = never checkpointed).
     epoch: u64,
-    checkpoint: Option<StoredCheckpoint>,
+    /// The committed state a dead shard is rebuilt from.
+    checkpoint: Option<ShardCheckpoint>,
     log: ReplayLog,
 }
 
@@ -191,18 +191,13 @@ impl Peer<'_> {
         &mut self,
         shard: usize,
         epoch: u64,
-    ) -> Result<(StoredCheckpoint, ShardOutcome), FabricError> {
+    ) -> Result<(ShardCheckpoint, ShardOutcome), FabricError> {
         self.send(&CoordMsg::Checkpoint { shard: shard as u32, epoch })?;
         match self.recv()? {
-            WorkerMsg::Checkpoint {
-                shard: echoed,
-                epoch: committed,
-                last_ts_micros,
-                sweep_micros,
-                flows,
-                fragment,
-            } if echoed as usize == shard && committed == epoch => {
-                Ok((StoredCheckpoint { last_ts_micros, sweep_micros, flows }, fragment))
+            WorkerMsg::Checkpoint { shard: echoed, epoch: committed, checkpoint, fragment }
+                if echoed as usize == shard && committed == epoch =>
+            {
+                Ok((checkpoint, fragment))
             }
             other => unexpected(&format!("Checkpoint for shard {shard} epoch {epoch}"), other),
         }
@@ -232,14 +227,9 @@ impl Peer<'_> {
     /// interrupted barrier to pick up.
     fn place(&mut self, slot: &CoordSlot) -> Result<(), FabricError> {
         self.spawn(slot.shard)?;
-        if let Some(cp) = &slot.checkpoint {
-            self.send(&CoordMsg::Restore {
-                shard: slot.shard as u32,
-                epoch: slot.epoch,
-                last_ts_micros: cp.last_ts_micros,
-                sweep_micros: cp.sweep_micros,
-                flows: cp.flows.clone(),
-            })?;
+        if let Some(checkpoint) = &slot.checkpoint {
+            let (shard, epoch, checkpoint) = (slot.shard as u32, slot.epoch, checkpoint.clone());
+            self.send(&CoordMsg::Restore { shard, epoch, checkpoint })?;
         }
         for entry in slot.log.entries() {
             self.send_raw(&entry.body)?;
@@ -423,8 +413,7 @@ impl<'a> Pool<'a> {
                 continue;
             }
             self.ping_nonce += 1;
-            let recovery = self.fabric.recovery;
-            let probe = peer.ping(self.ping_nonce, recovery.ping_timeout, self.fabric.io_timeout);
+            let probe = peer.ping(self.ping_nonce, PING_TIMEOUT, self.fabric.io_timeout);
             if let Err(err) = probe {
                 // Zero shards hosted: classification only, nothing to
                 // re-home.
@@ -440,10 +429,10 @@ impl<'a> Pool<'a> {
     fn rebalance_shard(
         &mut self,
         at: usize,
-        snapshot: &RingSnapshot,
+        ring: &HashRing,
     ) -> Result<Vec<FlowMigration>, FabricError> {
         let shard = self.slots[at].shard;
-        let body = CoordMsg::Rebalance { shard: shard as u32, ring: snapshot.clone() }.encode();
+        let body = CoordMsg::Rebalance { shard: shard as u32, ring: ring.clone() }.encode();
         self.slots[at].log.push(EntryKind::Rebalance { replied: false }, body.clone());
         let started = Instant::now();
         let peer = self.slots[at].peer;
@@ -501,8 +490,8 @@ impl ShardPool for Pool<'_> {
             // delivery is complete either way.
             self.handle_death(peer, err)?;
         }
-        let (log, budget) = (&self.slots[at].log, self.fabric.recovery);
-        if log.batches() >= budget.checkpoint_frames || log.bytes() >= budget.max_log_bytes {
+        let log = &self.slots[at].log;
+        if log.batches() >= self.fabric.recovery.checkpoint_frames || log.bytes() >= MAX_LOG_BYTES {
             self.checkpoint_shard(at)?;
         }
         Ok(())
@@ -534,11 +523,10 @@ impl ShardPool for Pool<'_> {
         from: &[usize],
         ring: &HashRing,
     ) -> Result<Vec<FlowMigration>, FabricError> {
-        let snapshot = RingSnapshot::from_ring(ring);
         let mut moved = Vec::new();
         for &shard in from {
             let at = self.slot_index(shard)?;
-            let flows = self.rebalance_shard(at, &snapshot)?;
+            let flows = self.rebalance_shard(at, ring)?;
             if let Some(counters) = self.counters {
                 // Flows whose new owner lives on another peer cross a
                 // process boundary on their way through the coordinator.
@@ -652,8 +640,9 @@ impl ShardPool for Pool<'_> {
 /// # Errors
 ///
 /// [`FabricError`] — before any connection is awaited — for a
-/// [`StreamConfig`] the in-process executor would reject, zero workers, or
-/// a drain plan naming a peer that does not exist; then when a worker fails
+/// [`StreamConfig`] the in-process executor would reject, zero workers, a
+/// ring finer than [`MAX_VNODES`] (a worker would refuse its `Rebalance`),
+/// or a drain plan naming a peer that does not exist; then when a worker fails
 /// to connect in time, a handshake or protocol step goes wrong, the packet
 /// source errors, or no live peer is left to take over a failed socket.
 pub fn run_fabric(
@@ -668,6 +657,12 @@ pub fn run_fabric(
     let feeder = Feeder::new(config, telemetry)?;
     if fabric.workers == 0 {
         return Err(FabricError::Protocol("fabric needs at least one worker".to_string()));
+    }
+    if let Some(policy) = config.autoscale.filter(|policy| policy.vnodes > MAX_VNODES) {
+        return Err(FabricError::Protocol(format!(
+            "autoscale vnodes {} exceed the wire's {MAX_VNODES}",
+            policy.vnodes
+        )));
     }
     if let Some(plan) = fabric.drain.filter(|plan| plan.peer >= fabric.workers) {
         return Err(FabricError::Protocol(format!(

@@ -18,6 +18,8 @@
 
 use std::time::Duration;
 
+use crate::wire::batch_first_seq;
+
 /// Where in the frame stream a fault triggers and what it does.
 ///
 /// Frame indices are 0-based and count *all* frames on the transport in
@@ -265,20 +267,6 @@ fn corrupt(seed: u64, frame: u64, body: &mut [u8]) {
     body[index] ^= mask;
 }
 
-/// If `body` is a `Batch` frame with at least one item, its first item's
-/// sequence number. Layout (see the wire module): tag `0x05`, shard `u32`,
-/// count `u32`, then the first item's `seq: u64` — all little-endian.
-fn batch_first_seq(body: &[u8]) -> Option<u64> {
-    if body.len() < 1 + 4 + 4 + 8 || body[0] != 0x05 {
-        return None;
-    }
-    let count = u32::from_le_bytes(body[5..9].try_into().ok()?);
-    if count == 0 {
-        return None;
-    }
-    Some(u64::from_le_bytes(body[9..17].try_into().ok()?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,9 +313,6 @@ mod tests {
             }
             .encode()
         };
-        assert_eq!(batch_first_seq(&batch(77)), Some(77));
-        assert_eq!(batch_first_seq(&CoordMsg::Finish.encode()), None);
-
         let mut injector = FaultInjector::new(FaultPlan::parse("kill-at-seq=100").unwrap());
         assert_eq!(injector.on_recv(&mut batch(99)), RecvAction::Deliver);
         assert!(!injector.killed());

@@ -8,9 +8,13 @@
 //! path and produces the identical per-flow score multiset:
 //!
 //! * [`wire`] — the framed binary codec: [`CoordMsg`]/[`WorkerMsg`] cover
-//!   handshake, warmup streaming, shard spawn/retire, routed batches, ring
-//!   snapshots, cross-process [`FlowMigration`](idsbench_core::FlowMigration)
-//!   (detector per-flow state included), and mergeable
+//!   handshake, warmup streaming, shard spawn/retire, routed batches, and
+//!   the stream crate's own types as they are — the
+//!   [`HashRing`](idsbench_stream::HashRing) of a rebalance, cross-process
+//!   [`FlowMigration`](idsbench_core::FlowMigration)s (detector per-flow
+//!   state included), the
+//!   [`ShardCheckpoint`](idsbench_stream::ShardCheckpoint) a recovery epoch
+//!   commits and restores, and mergeable
 //!   [`ShardOutcome`](idsbench_stream::ShardOutcome) fragments.
 //! * [`transport`] — [`ShardTransport`] over TCP (`TCP_NODELAY`) or Unix
 //!   domain sockets; workers dial in to the coordinator's
@@ -30,9 +34,9 @@
 //!   drain-then-migrate barrier that runs *across the sockets*.
 //!
 //! The protocol is strictly request-driven on the coordinator side: a worker
-//! only writes when answering `Spawn`, `Rebalance`, `Retire`, or `Finish`,
-//! and the coordinator always follows those with reads — there is no state
-//! where both sides block on writes. Per-socket FIFO ordering is the drain
+//! only writes when answering `Spawn`, `Rebalance`, `Checkpoint`, `Ping`,
+//! `Retire`, or `Finish`, and the coordinator always follows those with
+//! reads — there is no state where both sides block on writes. Per-socket FIFO ordering is the drain
 //! barrier: a worker necessarily scores its backlog before it sees (and
 //! answers) the rebalance that follows it.
 //!
@@ -62,7 +66,7 @@ pub use faults::{Fault, FaultInjector, FaultPlan};
 pub use transport::{
     read_frame, write_frame, Endpoint, FabricListener, RetryPolicy, ShardTransport,
 };
-pub use wire::{CoordMsg, HelloConfig, RingSnapshot, WireItem, WirePacket, WorkerMsg, FRAME_MAX};
+pub use wire::{CoordMsg, HelloConfig, WireItem, WirePacket, WorkerMsg, FRAME_MAX};
 pub use worker::{run_worker, run_worker_with_faults, DetectorResolver};
 
 /// Everything that can go wrong on a fabric socket.

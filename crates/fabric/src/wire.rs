@@ -17,12 +17,11 @@
 use idsbench_core::{AttackKind, FlowMigration, Label};
 use idsbench_flow::{FlowKey, FlowRecord, FlowTableConfig};
 use idsbench_net::wire::{
-    put_bool, put_bytes, put_f64, put_ip, put_str, put_u16, put_u32, put_u64, put_u8, WireError,
+    put_bool, put_bytes, put_f64, put_list, put_str, put_u16, put_u32, put_u64, put_u8, WireError,
     WireReader, WireResult,
 };
-use idsbench_net::IpProtocol;
 use idsbench_net::{Duration, Timestamp};
-use idsbench_stream::{HashRing, StreamConfig, ThresholdMode};
+use idsbench_stream::{HashRing, ShardCheckpoint, StreamConfig, ThresholdMode};
 use idsbench_stream::{LatencyHistogram, OnlineStats, Recorder, ScoredEvent, ShardOutcome};
 
 /// Hard ceiling on one frame body, bytes. Large enough for a full-recorder
@@ -44,6 +43,14 @@ const MAX_MIGRATIONS: usize = 1 << 20;
 const MAX_SHARDS: usize = 4096;
 const MAX_EVENTS: usize = 1 << 22;
 const MAX_WINDOWS: usize = 1 << 20;
+
+/// Most vnodes per shard a `Rebalance` ring may carry (a ring holds
+/// `vnodes × shards` points); [`run_fabric`](crate::run_fabric) refuses a
+/// finer ring before it awaits a worker.
+pub const MAX_VNODES: usize = 1024;
+
+/// The `Batch` tag, shared with [`batch_first_seq`].
+const BATCH: u8 = 0x05;
 
 /// The run parameters a worker needs before it can host shards: which
 /// detector to instantiate, the metrics-window length, the recording mode,
@@ -79,10 +86,9 @@ impl HelloConfig {
 
     /// The recorder a hosted shard starts with under this config.
     pub fn recorder(&self) -> Recorder {
-        match self.fixed_threshold {
-            Some(threshold) => Recorder::Online(Box::default(), threshold),
-            None => Recorder::Full(Vec::new()),
-        }
+        Recorder::for_mode(
+            self.fixed_threshold.map_or(ThresholdMode::default(), ThresholdMode::Fixed),
+        )
     }
 }
 
@@ -114,34 +120,6 @@ pub struct WirePacket {
     pub data: Vec<u8>,
 }
 
-/// A consistent-hash ring snapshot: vnode resolution plus the live shard
-/// ids. The receiver rebuilds the ring with [`RingSnapshot::to_ring`];
-/// vnode placement is a pure function of `(shard, vnodes)`, so both sides
-/// always agree on ownership.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RingSnapshot {
-    /// Virtual nodes per shard.
-    pub vnodes: usize,
-    /// Live shard ids.
-    pub shards: Vec<usize>,
-}
-
-impl RingSnapshot {
-    /// Captures a ring's membership.
-    pub fn from_ring(ring: &HashRing) -> Self {
-        RingSnapshot { vnodes: ring.vnodes_per_shard(), shards: ring.shards().to_vec() }
-    }
-
-    /// Rebuilds the ring (identical vnode placement) from the snapshot.
-    pub fn to_ring(&self) -> HashRing {
-        let mut ring = HashRing::new(self.vnodes);
-        for &shard in &self.shards {
-            ring.add_shard(shard);
-        }
-        ring
-    }
-}
-
 /// Coordinator→worker messages, in protocol order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoordMsg {
@@ -170,8 +148,9 @@ pub enum CoordMsg {
     Rebalance {
         /// Target shard id.
         shard: u32,
-        /// The new ring membership.
-        ring: RingSnapshot,
+        /// The new ring; only its vnode count and shard ids travel, since
+        /// vnode placement is a pure function of the two.
+        ring: HashRing,
     },
     /// Flows whose ownership moved to this shard; absorb before scoring
     /// anything routed under the new ring (socket order guarantees this).
@@ -200,20 +179,17 @@ pub enum CoordMsg {
         /// Monotonic epoch the snapshot commits.
         epoch: u64,
     },
-    /// Re-homes a crashed shard onto this worker: absorb the checkpointed
-    /// flow state and restore the traffic clock before any replayed frame
-    /// (always preceded by a fresh `Spawn` for the same shard).
+    /// Re-homes a crashed shard onto this worker:
+    /// [`ShardLoop::restore`](idsbench_stream::ShardLoop::restore) the
+    /// checkpoint before any replayed frame (always preceded by a fresh
+    /// `Spawn` for the same shard).
     Restore {
         /// Target shard id.
         shard: u32,
         /// The epoch the state was checkpointed at.
         epoch: u64,
-        /// Donor assembler clock: latest packet timestamp, microseconds.
-        last_ts_micros: u64,
-        /// Donor flow-table idle-sweep phase, microseconds.
-        sweep_micros: u64,
-        /// The checkpointed per-flow state.
-        flows: Vec<FlowMigration>,
+        /// The donor's committed checkpoint.
+        checkpoint: ShardCheckpoint,
     },
     /// Liveness probe for peers hosting no shards (standbys, drained
     /// workers); the worker echoes the nonce as [`WorkerMsg::Pong`].
@@ -252,20 +228,18 @@ pub enum WorkerMsg {
     Outcome(ShardOutcome),
     /// All outcomes sent; the worker is exiting cleanly.
     Bye,
-    /// Reply to [`CoordMsg::Checkpoint`]: the shard's cloned flow state,
-    /// traffic clock, and the score fragment drained since its previous
-    /// checkpoint (fragments concatenate to the crash-free outcome).
+    /// Reply to [`CoordMsg::Checkpoint`]: what
+    /// [`ShardLoop::on_checkpoint`](idsbench_stream::ShardLoop::on_checkpoint)
+    /// returned — the shard's restorable state and the score fragment
+    /// drained since its previous checkpoint (fragments concatenate to the
+    /// crash-free outcome).
     Checkpoint {
         /// The shard that snapshotted.
         shard: u32,
         /// Echo of the epoch being committed.
         epoch: u64,
-        /// Assembler clock: latest packet timestamp, microseconds.
-        last_ts_micros: u64,
-        /// Flow-table idle-sweep phase, microseconds.
-        sweep_micros: u64,
-        /// Every live flow's state, cloned (the shard keeps scoring).
-        flows: Vec<FlowMigration>,
+        /// Flow state and traffic clock, cloned (the shard keeps scoring).
+        checkpoint: ShardCheckpoint,
         /// Scores and counters accumulated since the previous checkpoint.
         fragment: ShardOutcome,
     },
@@ -316,26 +290,8 @@ fn read_duration(r: &mut WireReader<'_>) -> WireResult<Duration> {
     Ok(Duration::from_micros(r.u64()?))
 }
 
-fn put_flow_key(out: &mut Vec<u8>, key: &FlowKey) {
-    put_ip(out, key.src_ip);
-    put_ip(out, key.dst_ip);
-    put_u16(out, key.src_port);
-    put_u16(out, key.dst_port);
-    put_u8(out, key.protocol.as_u8());
-}
-
-fn read_flow_key(r: &mut WireReader<'_>) -> WireResult<FlowKey> {
-    Ok(FlowKey {
-        src_ip: r.ip()?,
-        dst_ip: r.ip()?,
-        src_port: r.u16()?,
-        dst_port: r.u16()?,
-        protocol: IpProtocol::from(r.u8()?),
-    })
-}
-
 fn put_migration(out: &mut Vec<u8>, migration: &FlowMigration) {
-    put_flow_key(out, &migration.key);
+    migration.key.encode_wire(out);
     put_bool(out, migration.record.is_some());
     if let Some(record) = &migration.record {
         record.encode_wire(out);
@@ -349,7 +305,7 @@ fn put_migration(out: &mut Vec<u8>, migration: &FlowMigration) {
 }
 
 fn read_migration(r: &mut WireReader<'_>) -> WireResult<FlowMigration> {
-    let key = read_flow_key(r)?;
+    let key = FlowKey::decode_wire(r)?;
     let record = if r.bool()? { Some(FlowRecord::decode_wire(r)?) } else { None };
     let label = read_label(r)?;
     let label_seen = Timestamp::from_micros(r.u64()?);
@@ -357,38 +313,48 @@ fn read_migration(r: &mut WireReader<'_>) -> WireResult<FlowMigration> {
     Ok(FlowMigration { key, record, label, label_seen, detector })
 }
 
-fn put_migrations(out: &mut Vec<u8>, migrations: &[FlowMigration]) {
-    put_u32(out, migrations.len() as u32);
-    for migration in migrations {
-        put_migration(out, migration);
-    }
+fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &ShardCheckpoint) {
+    put_u64(out, checkpoint.last_ts.as_micros());
+    put_u64(out, checkpoint.sweep.as_micros());
+    put_list(out, &checkpoint.flows, put_migration);
 }
 
-fn read_migrations(r: &mut WireReader<'_>) -> WireResult<Vec<FlowMigration>> {
-    let count = r.count(MAX_MIGRATIONS)?;
-    let mut migrations = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        migrations.push(read_migration(r)?);
-    }
-    Ok(migrations)
+fn read_checkpoint(r: &mut WireReader<'_>) -> WireResult<ShardCheckpoint> {
+    Ok(ShardCheckpoint {
+        last_ts: Timestamp::from_micros(r.u64()?),
+        sweep: Timestamp::from_micros(r.u64()?),
+        flows: r.list(MAX_MIGRATIONS, read_migration)?,
+    })
 }
 
-fn put_ring(out: &mut Vec<u8>, ring: &RingSnapshot) {
-    put_u32(out, ring.vnodes as u32);
-    put_u32(out, ring.shards.len() as u32);
-    for &shard in &ring.shards {
-        put_u32(out, shard as u32);
-    }
+fn put_ring(out: &mut Vec<u8>, ring: &HashRing) {
+    put_u32(out, ring.vnodes_per_shard() as u32);
+    put_list(out, ring.shards(), |out, &shard| put_u32(out, shard as u32));
 }
 
-fn read_ring(r: &mut WireReader<'_>) -> WireResult<RingSnapshot> {
+/// Rebuilds a ring written by [`put_ring`], refusing every membership
+/// [`HashRing`] would panic on — or route nothing with — rather than
+/// handing it to a worker.
+fn read_ring(r: &mut WireReader<'_>) -> WireResult<HashRing> {
     let vnodes = r.u32()? as usize;
-    let count = r.count(MAX_SHARDS)?;
-    let mut shards = Vec::with_capacity(count);
-    for _ in 0..count {
-        shards.push(r.u32()? as usize);
+    if !(1..=MAX_VNODES).contains(&vnodes) {
+        return Err(WireError::Invalid("ring vnodes outside 1..=MAX_VNODES"));
     }
-    Ok(RingSnapshot { vnodes, shards })
+    let shards = r.list(MAX_SHARDS, |r| Ok(r.u32()? as usize))?;
+    if shards.is_empty() || shards.windows(2).any(|pair| pair[0] >= pair[1]) {
+        return Err(WireError::Invalid("ring shard ids empty or not strictly ascending"));
+    }
+    let mut ring = HashRing::new(vnodes);
+    shards.into_iter().for_each(|shard| ring.add_shard(shard));
+    Ok(ring)
+}
+
+/// The sequence number of a `Batch` body's first item, read without
+/// decoding the batch; `None` for any other frame or an empty batch.
+pub(crate) fn batch_first_seq(body: &[u8]) -> Option<u64> {
+    let mut r = WireReader::new(body);
+    let (tag, _shard, count) = (r.u8().ok()?, r.u32().ok()?, r.u32().ok()?);
+    (tag == BATCH && count > 0).then(|| r.u64().ok())?
 }
 
 fn put_cm(out: &mut Vec<u8>, cm: &idsbench_core::metrics::ConfusionMatrix) {
@@ -498,10 +464,7 @@ fn put_outcome(out: &mut Vec<u8>, outcome: &ShardOutcome) {
     match &outcome.recorder {
         Recorder::Full(records) => {
             put_u8(out, 0);
-            put_u32(out, records.len() as u32);
-            for record in records {
-                put_event(out, record);
-            }
+            put_list(out, records, put_event);
         }
         Recorder::Online(stats, threshold) => {
             put_u8(out, 1);
@@ -518,14 +481,7 @@ fn read_outcome(r: &mut WireReader<'_>) -> WireResult<ShardOutcome> {
     let score_seconds = r.f64()?;
     let fit_seconds = r.f64()?;
     let recorder = match r.u8()? {
-        0 => {
-            let count = r.count(MAX_EVENTS)?;
-            let mut records = Vec::with_capacity(count.min(65_536));
-            for _ in 0..count {
-                records.push(read_event(r)?);
-            }
-            Recorder::Full(records)
-        }
+        0 => Recorder::Full(r.list(MAX_EVENTS, read_event)?),
         1 => {
             let threshold = r.f64()?;
             Recorder::Online(Box::new(read_online(r)?), threshold)
@@ -539,6 +495,10 @@ fn put_packet_body(out: &mut Vec<u8>, ts_micros: u64, label: Label, data: &[u8])
     put_u64(out, ts_micros);
     put_label(out, label);
     put_bytes(out, data);
+}
+
+fn read_packet(r: &mut WireReader<'_>) -> WireResult<WirePacket> {
+    Ok(WirePacket { ts_micros: r.u64()?, label: read_label(r)?, data: r.bytes()?.to_vec() })
 }
 
 /// Demands the reader is fully consumed — a decoded message must account
@@ -571,10 +531,9 @@ impl CoordMsg {
             }
             CoordMsg::Train(packets) => {
                 put_u8(&mut out, 0x02);
-                put_u32(&mut out, packets.len() as u32);
-                for packet in packets {
-                    put_packet_body(&mut out, packet.ts_micros, packet.label, &packet.data);
-                }
+                put_list(&mut out, packets, |out, packet| {
+                    put_packet_body(out, packet.ts_micros, packet.label, &packet.data);
+                });
             }
             CoordMsg::TrainDone => put_u8(&mut out, 0x03),
             CoordMsg::Spawn { shard } => {
@@ -582,13 +541,12 @@ impl CoordMsg {
                 put_u32(&mut out, *shard);
             }
             CoordMsg::Batch { shard, items } => {
-                put_u8(&mut out, 0x05);
+                put_u8(&mut out, BATCH);
                 put_u32(&mut out, *shard);
-                put_u32(&mut out, items.len() as u32);
-                for item in items {
-                    put_u64(&mut out, item.seq);
-                    put_packet_body(&mut out, item.ts_micros, item.label, &item.data);
-                }
+                put_list(&mut out, items, |out, item| {
+                    put_u64(out, item.seq);
+                    put_packet_body(out, item.ts_micros, item.label, &item.data);
+                });
             }
             CoordMsg::Rebalance { shard, ring } => {
                 put_u8(&mut out, 0x06);
@@ -598,7 +556,7 @@ impl CoordMsg {
             CoordMsg::Migrate { shard, migrations } => {
                 put_u8(&mut out, 0x07);
                 put_u32(&mut out, *shard);
-                put_migrations(&mut out, migrations);
+                put_list(&mut out, migrations, put_migration);
             }
             CoordMsg::Retire { shard } => {
                 put_u8(&mut out, 0x08);
@@ -610,13 +568,11 @@ impl CoordMsg {
                 put_u32(&mut out, *shard);
                 put_u64(&mut out, *epoch);
             }
-            CoordMsg::Restore { shard, epoch, last_ts_micros, sweep_micros, flows } => {
+            CoordMsg::Restore { shard, epoch, checkpoint } => {
                 put_u8(&mut out, 0x0B);
                 put_u32(&mut out, *shard);
                 put_u64(&mut out, *epoch);
-                put_u64(&mut out, *last_ts_micros);
-                put_u64(&mut out, *sweep_micros);
-                put_migrations(&mut out, flows);
+                put_checkpoint(&mut out, checkpoint);
             }
             CoordMsg::Ping { nonce } => {
                 put_u8(&mut out, 0x0C);
@@ -660,30 +616,19 @@ impl CoordMsg {
                     flow,
                 })
             }
-            0x02 => {
-                let count = r.count(MAX_ITEMS)?;
-                let mut packets = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let ts_micros = r.u64()?;
-                    let label = read_label(&mut r)?;
-                    let data = r.bytes()?.to_vec();
-                    packets.push(WirePacket { ts_micros, label, data });
-                }
-                CoordMsg::Train(packets)
-            }
+            0x02 => CoordMsg::Train(r.list(MAX_ITEMS, read_packet)?),
             0x03 => CoordMsg::TrainDone,
             0x04 => CoordMsg::Spawn { shard: r.u32()? },
-            0x05 => {
+            BATCH => {
                 let shard = r.u32()?;
-                let count = r.count(MAX_ITEMS)?;
-                let mut items = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let seq = r.u64()?;
-                    let ts_micros = r.u64()?;
-                    let label = read_label(&mut r)?;
-                    let data = r.bytes()?.to_vec();
-                    items.push(WireItem { seq, ts_micros, label, data });
-                }
+                let items = r.list(MAX_ITEMS, |r| {
+                    Ok(WireItem {
+                        seq: r.u64()?,
+                        ts_micros: r.u64()?,
+                        label: read_label(r)?,
+                        data: r.bytes()?.to_vec(),
+                    })
+                })?;
                 CoordMsg::Batch { shard, items }
             }
             0x06 => {
@@ -693,7 +638,7 @@ impl CoordMsg {
             }
             0x07 => {
                 let shard = r.u32()?;
-                let migrations = read_migrations(&mut r)?;
+                let migrations = r.list(MAX_MIGRATIONS, read_migration)?;
                 CoordMsg::Migrate { shard, migrations }
             }
             0x08 => CoordMsg::Retire { shard: r.u32()? },
@@ -706,10 +651,8 @@ impl CoordMsg {
             0x0B => {
                 let shard = r.u32()?;
                 let epoch = r.u64()?;
-                let last_ts_micros = r.u64()?;
-                let sweep_micros = r.u64()?;
-                let flows = read_migrations(&mut r)?;
-                CoordMsg::Restore { shard, epoch, last_ts_micros, sweep_micros, flows }
+                let checkpoint = read_checkpoint(&mut r)?;
+                CoordMsg::Restore { shard, epoch, checkpoint }
             }
             0x0C => CoordMsg::Ping { nonce: r.u64()? },
             tag => return Err(WireError::BadTag(tag)),
@@ -736,27 +679,18 @@ impl WorkerMsg {
             WorkerMsg::Migrations { shard, migrations } => {
                 put_u8(&mut out, 0x42);
                 put_u32(&mut out, *shard);
-                put_migrations(&mut out, migrations);
+                put_list(&mut out, migrations, put_migration);
             }
             WorkerMsg::Outcome(outcome) => {
                 put_u8(&mut out, 0x43);
                 put_outcome(&mut out, outcome);
             }
             WorkerMsg::Bye => put_u8(&mut out, 0x44),
-            WorkerMsg::Checkpoint {
-                shard,
-                epoch,
-                last_ts_micros,
-                sweep_micros,
-                flows,
-                fragment,
-            } => {
+            WorkerMsg::Checkpoint { shard, epoch, checkpoint, fragment } => {
                 put_u8(&mut out, 0x45);
                 put_u32(&mut out, *shard);
                 put_u64(&mut out, *epoch);
-                put_u64(&mut out, *last_ts_micros);
-                put_u64(&mut out, *sweep_micros);
-                put_migrations(&mut out, flows);
+                put_checkpoint(&mut out, checkpoint);
                 put_outcome(&mut out, fragment);
             }
             WorkerMsg::Pong { nonce } => {
@@ -788,7 +722,7 @@ impl WorkerMsg {
             }
             0x42 => {
                 let shard = r.u32()?;
-                let migrations = read_migrations(&mut r)?;
+                let migrations = r.list(MAX_MIGRATIONS, read_migration)?;
                 WorkerMsg::Migrations { shard, migrations }
             }
             0x43 => WorkerMsg::Outcome(read_outcome(&mut r)?),
@@ -796,18 +730,9 @@ impl WorkerMsg {
             0x45 => {
                 let shard = r.u32()?;
                 let epoch = r.u64()?;
-                let last_ts_micros = r.u64()?;
-                let sweep_micros = r.u64()?;
-                let flows = read_migrations(&mut r)?;
+                let checkpoint = read_checkpoint(&mut r)?;
                 let fragment = read_outcome(&mut r)?;
-                WorkerMsg::Checkpoint {
-                    shard,
-                    epoch,
-                    last_ts_micros,
-                    sweep_micros,
-                    flows,
-                    fragment,
-                }
+                WorkerMsg::Checkpoint { shard, epoch, checkpoint, fragment }
             }
             0x46 => WorkerMsg::Pong { nonce: r.u64()? },
             tag => return Err(WireError::BadTag(tag)),
@@ -837,11 +762,14 @@ mod tests {
     }
 
     #[test]
-    fn ring_snapshot_rebuilds_identical_ownership() {
+    fn rebalance_rebuilds_identical_ownership() {
         let mut ring = HashRing::with_shards(16, 3);
         ring.add_shard(7);
         ring.remove_shard(1);
-        let rebuilt = RingSnapshot::from_ring(&ring).to_ring();
+        let body = CoordMsg::Rebalance { shard: 2, ring: ring.clone() }.encode();
+        let Ok(CoordMsg::Rebalance { shard: 2, ring: rebuilt }) = CoordMsg::decode(&body) else {
+            panic!("a rebalance must decode as itself");
+        };
         assert_eq!(rebuilt.shards(), ring.shards());
         // Ownership is a pure function of membership: probe a key spread.
         for port in 0..200u16 {
@@ -850,10 +778,68 @@ mod tests {
                 dst_ip: std::net::IpAddr::V4(std::net::Ipv4Addr::new(10, 0, 0, 2)),
                 src_port: port,
                 dst_port: 80,
-                protocol: IpProtocol::Tcp,
+                protocol: idsbench_net::IpProtocol::Tcp,
             };
             assert_eq!(ring.owner_of(&key), rebuilt.owner_of(&key));
         }
+    }
+
+    /// A `Rebalance` body for shard 1 with a hand-written ring.
+    fn rebalance_body(vnodes: u32, shards: &[u32]) -> Vec<u8> {
+        let mut body = vec![0x06];
+        put_u32(&mut body, 1);
+        put_u32(&mut body, vnodes);
+        put_u32(&mut body, shards.len() as u32);
+        for &shard in shards {
+            put_u32(&mut body, shard);
+        }
+        body
+    }
+
+    fn refused(vnodes: u32, shards: &[u32]) -> bool {
+        matches!(
+            CoordMsg::decode(&rebalance_body(vnodes, shards)),
+            Err(WireError::Invalid(_) | WireError::Oversize(_))
+        )
+    }
+
+    #[test]
+    fn ring_with_zero_vnodes_is_refused() {
+        assert!(refused(0, &[0, 1]));
+        assert!(!refused(1, &[0, 1]));
+    }
+
+    #[test]
+    fn ring_with_vnodes_above_the_cap_is_refused() {
+        assert!(refused(MAX_VNODES as u32 + 1, &[0, 1]));
+        assert!(refused(u32::MAX, &[0]));
+        assert!(!refused(MAX_VNODES as u32, &[0, 1]));
+    }
+
+    #[test]
+    fn ring_with_a_repeated_shard_is_refused() {
+        assert!(refused(4, &[0, 2, 2]));
+    }
+
+    #[test]
+    fn ring_with_descending_shards_is_refused() {
+        assert!(refused(4, &[3, 1]));
+        assert!(!refused(4, &[1, 3]));
+    }
+
+    #[test]
+    fn ring_with_no_shards_is_refused() {
+        assert!(refused(4, &[]));
+    }
+
+    #[test]
+    fn batch_first_seq_reads_only_nonempty_batches() {
+        let item = |seq| WireItem { seq, ts_micros: 0, label: Label::Benign, data: vec![0; 24] };
+        let batch = |items| CoordMsg::Batch { shard: 3, items }.encode();
+        assert_eq!(batch_first_seq(&batch(vec![item(77), item(78)])), Some(77));
+        assert_eq!(batch_first_seq(&batch(Vec::new())), None);
+        assert_eq!(batch_first_seq(&CoordMsg::Finish.encode()), None);
+        assert_eq!(batch_first_seq(&CoordMsg::Spawn { shard: BATCH as u32 }.encode()), None);
     }
 
     #[test]

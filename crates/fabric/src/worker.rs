@@ -185,7 +185,6 @@ pub fn run_worker_with_faults(
                 hosted.event_loop.on_batch(&staged)?;
             }
             CoordMsg::Rebalance { shard, ring } => {
-                let ring = ring.to_ring();
                 let hosted = hosted(&mut shards, shard)?;
                 let migrations = hosted.event_loop.on_rebalance(&ring);
                 send_msg(
@@ -199,31 +198,12 @@ pub fn run_worker_with_faults(
             }
             CoordMsg::Checkpoint { shard, epoch } => {
                 let hosted = hosted(&mut shards, shard)?;
-                let fit_seconds = hosted.fit_seconds;
-                let cp = hosted.event_loop.on_checkpoint(fit_seconds);
-                send_msg(
-                    &mut transport,
-                    &WorkerMsg::Checkpoint {
-                        shard,
-                        epoch,
-                        last_ts_micros: cp.last_ts.as_micros(),
-                        sweep_micros: cp.sweep.as_micros(),
-                        flows: cp.flows,
-                        fragment: cp.fragment,
-                    }
-                    .encode(),
-                    counters,
-                )?;
+                let (checkpoint, fragment) = hosted.event_loop.on_checkpoint(hosted.fit_seconds);
+                let reply = WorkerMsg::Checkpoint { shard, epoch, checkpoint, fragment };
+                send_msg(&mut transport, &reply.encode(), counters)?;
             }
-            CoordMsg::Restore { shard, epoch: _, last_ts_micros, sweep_micros, flows } => {
-                let hosted = hosted(&mut shards, shard)?;
-                hosted.event_loop.on_migrate(flows);
-                // Clock restore comes after the state absorb so a replica
-                // sweeps its restored flows at exactly the donor's phase.
-                hosted.event_loop.restore_clock(
-                    Timestamp::from_micros(last_ts_micros),
-                    Timestamp::from_micros(sweep_micros),
-                );
+            CoordMsg::Restore { shard, epoch: _, checkpoint } => {
+                hosted(&mut shards, shard)?.event_loop.restore(checkpoint);
             }
             CoordMsg::Ping { nonce } => {
                 send_msg(&mut transport, &WorkerMsg::Pong { nonce }.encode(), counters)?;

@@ -14,6 +14,7 @@ use idsbench_core::{
     AttackKind, CoreError, Event, EventDetector, InputFormat, Label, LabeledPacket, TrainView,
 };
 use idsbench_fabric::coordinator::DrainPlan;
+use idsbench_fabric::wire::MAX_VNODES;
 use idsbench_fabric::{
     run_fabric, run_worker, run_worker_with_faults, CoordMsg, Endpoint, FabricConfig, FabricError,
     FabricListener, FaultPlan, HelloConfig, RecoveryConfig, WorkerMsg,
@@ -522,6 +523,29 @@ fn both_drivers_reject_the_same_configs_before_any_worker_is_awaited() {
     assert!(err.to_string().contains("drain plan names peer 2 of 2"), "{err}");
 }
 
+/// A ring finer than a `Rebalance` frame may carry is refused up front,
+/// not by the first worker it reaches mid-stream; one at the cap goes on
+/// to await its workers.
+#[test]
+fn fabric_refuses_vnodes_above_the_wire_cap_before_any_worker_is_awaited() {
+    let run = |vnodes: usize| {
+        let listener =
+            FabricListener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
+        let autoscale = Some(AutoscalePolicy { vnodes, ..Default::default() });
+        let config = StreamConfig { autoscale, ..Default::default() };
+        let fabric =
+            FabricConfig { accept_timeout: Duration::from_millis(200), ..Default::default() };
+        let source = VecSource::new("x", Vec::new());
+        run_fabric("flow-counter", &[], source, &config, &fabric, listener, None)
+            .expect_err("no worker ever dials in")
+    };
+    let err = run(MAX_VNODES + 1);
+    assert!(matches!(err, FabricError::Protocol(_)), "{err}");
+    assert!(err.to_string().contains("vnodes"), "{err}");
+    let err = run(MAX_VNODES);
+    assert!(matches!(err, FabricError::Io(_)), "the cap itself is a valid ring: {err}");
+}
+
 #[test]
 fn worker_refuses_finish_while_it_still_hosts_shards() {
     let listener = FabricListener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
@@ -615,11 +639,7 @@ fn standby_absorbs_every_shard_after_both_regulars_die() {
         &StreamConfig { shards: 2, batch_size: 16, window_secs: 1.0, ..Default::default() },
         FabricConfig {
             workers: 2,
-            recovery: RecoveryConfig {
-                checkpoint_frames: 8,
-                standby_workers: 1,
-                ..Default::default()
-            },
+            recovery: RecoveryConfig { checkpoint_frames: 8, standby_workers: 1 },
             ..Default::default()
         },
         // Both regular workers die mid-stream; the third (standby, last to

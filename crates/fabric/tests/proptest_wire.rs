@@ -7,12 +7,14 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use idsbench_core::{AttackKind, FlowMigration, Label};
-use idsbench_fabric::{CoordMsg, HelloConfig, RingSnapshot, WireItem, WirePacket, WorkerMsg};
+use idsbench_fabric::{CoordMsg, HelloConfig, WireItem, WirePacket, WorkerMsg};
 use idsbench_flow::{FlowKey, FlowTable, FlowTableConfig};
 use idsbench_net::{
     Duration, IpProtocol, MacAddr, PacketBuilder, ParsedPacket, TcpFlags, Timestamp,
 };
-use idsbench_stream::{OnlineStats, Recorder, ScoredEvent, ShardOutcome};
+use idsbench_stream::{
+    HashRing, OnlineStats, Recorder, ScoredEvent, ShardCheckpoint, ShardOutcome,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -87,9 +89,30 @@ fn arb_wire_item() -> impl Strategy<Value = WireItem> {
     })
 }
 
-fn arb_ring() -> impl Strategy<Value = RingSnapshot> {
-    (1usize..64, vec(0usize..4096, 0..32))
-        .prop_map(|(vnodes, shards)| RingSnapshot { vnodes, shards })
+/// A ring over the drawn ids (repeats drawn are added once): the wire only
+/// carries rings a [`HashRing`] can be, with at least one shard.
+fn arb_ring() -> impl Strategy<Value = HashRing> {
+    (1usize..64, vec(0usize..4096, 1..32)).prop_map(|(vnodes, shards)| {
+        let mut ring = HashRing::new(vnodes);
+        for shard in shards {
+            if !ring.contains(shard) {
+                ring.add_shard(shard);
+            }
+        }
+        ring
+    })
+}
+
+fn checkpoint(
+    last_ts_micros: u64,
+    sweep_micros: u64,
+    flows: Vec<FlowMigration>,
+) -> ShardCheckpoint {
+    ShardCheckpoint {
+        flows,
+        last_ts: Timestamp::from_micros(last_ts_micros),
+        sweep: Timestamp::from_micros(sweep_micros),
+    }
 }
 
 fn arb_hello() -> impl Strategy<Value = HelloConfig> {
@@ -330,13 +353,8 @@ proptest! {
         sweep_micros in any::<u64>(),
         flows in vec(arb_migration(), 0..8),
     ) {
-        assert_coord_roundtrip(&CoordMsg::Restore {
-            shard,
-            epoch,
-            last_ts_micros,
-            sweep_micros,
-            flows,
-        })?;
+        let checkpoint = checkpoint(last_ts_micros, sweep_micros, flows);
+        assert_coord_roundtrip(&CoordMsg::Restore { shard, epoch, checkpoint })?;
     }
 
     /// A worker checkpoint reply is a flow snapshot plus an incremental
@@ -351,14 +369,8 @@ proptest! {
         flows in vec(arb_migration(), 0..6),
         fragment in arb_outcome(),
     ) {
-        assert_worker_roundtrip(&WorkerMsg::Checkpoint {
-            shard,
-            epoch,
-            last_ts_micros,
-            sweep_micros,
-            flows,
-            fragment,
-        })?;
+        let checkpoint = checkpoint(last_ts_micros, sweep_micros, flows);
+        assert_worker_roundtrip(&WorkerMsg::Checkpoint { shard, epoch, checkpoint, fragment })?;
     }
 
     /// Arbitrary garbage never panics either decoder.

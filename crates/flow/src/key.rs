@@ -88,6 +88,36 @@ impl FlowKey {
             (self.reversed(), FlowDirection::Backward)
         }
     }
+
+    /// Serializes the key for the fabric wire — the one key layout, shared
+    /// by [`FlowRecord::encode_wire`](crate::FlowRecord::encode_wire) and
+    /// flow migrations.
+    pub fn encode_wire(&self, out: &mut Vec<u8>) {
+        use idsbench_net::wire::{put_ip, put_u16, put_u8};
+        put_ip(out, self.src_ip);
+        put_ip(out, self.dst_ip);
+        put_u16(out, self.src_port);
+        put_u16(out, self.dst_port);
+        put_u8(out, self.protocol.as_u8());
+    }
+
+    /// Decodes a key written by [`FlowKey::encode_wire`].
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`](idsbench_net::wire::WireError) on a truncated buffer
+    /// or an unknown address family tag.
+    pub fn decode_wire(
+        reader: &mut idsbench_net::wire::WireReader<'_>,
+    ) -> idsbench_net::wire::WireResult<Self> {
+        Ok(FlowKey {
+            src_ip: reader.ip()?,
+            dst_ip: reader.ip()?,
+            src_port: reader.u16()?,
+            dst_port: reader.u16()?,
+            protocol: IpProtocol::from(reader.u8()?),
+        })
+    }
 }
 
 impl fmt::Display for FlowKey {
@@ -160,6 +190,22 @@ mod tests {
         ];
         for (shape, distinct) in spreads {
             assert!(distinct > 128, "{shape}: only {distinct} distinct low bytes over 256 hosts");
+        }
+    }
+
+    #[test]
+    fn wire_roundtrip_keeps_both_families_and_rejects_truncation() {
+        let v6 = IpAddr::V6(std::net::Ipv6Addr::LOCALHOST);
+        for k in [key(1, 1000, 2, 80), FlowKey { dst_ip: v6, ..key(1, 0, 2, 0) }] {
+            let mut buf = Vec::new();
+            k.encode_wire(&mut buf);
+            let mut reader = idsbench_net::wire::WireReader::new(&buf);
+            assert_eq!(FlowKey::decode_wire(&mut reader).unwrap(), k);
+            assert!(reader.is_empty());
+            for cut in 0..buf.len() {
+                let mut reader = idsbench_net::wire::WireReader::new(&buf[..cut]);
+                assert!(FlowKey::decode_wire(&mut reader).is_err(), "cut at {cut}");
+            }
         }
     }
 

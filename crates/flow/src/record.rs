@@ -1,4 +1,4 @@
-use idsbench_net::{Duration, IpProtocol, ParsedPacket, TcpFlags, Timestamp, TransportLayer};
+use idsbench_net::{Duration, ParsedPacket, TcpFlags, Timestamp, TransportLayer};
 
 use crate::key::{FlowDirection, FlowKey};
 use crate::running::RunningStats;
@@ -230,13 +230,8 @@ impl FlowRecord {
     /// record, so a migrated flow keeps accumulating IATs and teardown state
     /// exactly as if it had never moved.
     pub fn encode_wire(&self, out: &mut Vec<u8>) {
-        use idsbench_net::wire::{put_bool, put_f64, put_ip, put_u16, put_u64, put_u8};
-        let key = &self.key;
-        put_ip(out, key.src_ip);
-        put_ip(out, key.dst_ip);
-        put_u16(out, key.src_port);
-        put_u16(out, key.dst_port);
-        put_u8(out, key.protocol.as_u8());
+        use idsbench_net::wire::{put_bool, put_f64, put_u64, put_u8};
+        self.key.encode_wire(out);
         put_u8(out, matches!(self.initiator_direction, FlowDirection::Backward) as u8);
         put_u64(out, self.first_seen.as_micros());
         put_u64(out, self.last_seen.as_micros());
@@ -288,12 +283,7 @@ impl FlowRecord {
         reader: &mut idsbench_net::wire::WireReader<'_>,
     ) -> idsbench_net::wire::WireResult<Self> {
         use idsbench_net::wire::WireError;
-        let src_ip = reader.ip()?;
-        let dst_ip = reader.ip()?;
-        let src_port = reader.u16()?;
-        let dst_port = reader.u16()?;
-        let protocol = IpProtocol::from(reader.u8()?);
-        let key = FlowKey { src_ip, dst_ip, src_port, dst_port, protocol };
+        let key = FlowKey::decode_wire(reader)?;
         let initiator_direction = match reader.u8()? {
             0 => FlowDirection::Forward,
             1 => FlowDirection::Backward,

@@ -20,6 +20,9 @@ pub enum WireError {
     Oversize(u64),
     /// A string field is not valid UTF-8.
     BadUtf8,
+    /// The bytes decode, but into a value the type they build refuses
+    /// (the payload names the broken invariant).
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -29,6 +32,7 @@ impl std::fmt::Display for WireError {
             WireError::BadTag(tag) => write!(f, "unknown wire tag {tag:#04x}"),
             WireError::Oversize(n) => write!(f, "wire length {n} exceeds sanity bound"),
             WireError::BadUtf8 => write!(f, "wire string is not valid UTF-8"),
+            WireError::Invalid(what) => write!(f, "invalid wire value: {what}"),
         }
     }
 }
@@ -101,6 +105,20 @@ pub fn put_ip(out: &mut Vec<u8>, ip: IpAddr) {
         }
     }
 }
+
+/// Appends a `u32` element count, then every item through `put` — the one
+/// list layout, read back by [`WireReader::list`].
+#[inline]
+pub fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(out, items.len() as u32);
+    for item in items {
+        put(out, item);
+    }
+}
+
+/// Elements a [`WireReader::list`] reserves up front at most: a corrupt
+/// count fails on the bytes it lacks, not on a huge allocation.
+const LIST_RESERVE: usize = 1024;
 
 /// A checked cursor over an encoded buffer. Every read either returns the
 /// decoded value or a [`WireError`]; nothing panics and nothing reads past
@@ -210,6 +228,23 @@ impl<'a> WireReader<'a> {
         }
         Ok(n)
     }
+
+    /// Reads a list written by [`put_list`]: a count validated against
+    /// `max` (see [`WireReader::count`]), then that many items through
+    /// `read`.
+    #[inline]
+    pub fn list<T>(
+        &mut self,
+        max: usize,
+        mut read: impl FnMut(&mut Self) -> WireResult<T>,
+    ) -> WireResult<Vec<T>> {
+        let count = self.count(max)?;
+        let mut items = Vec::with_capacity(count.min(LIST_RESERVE));
+        for _ in 0..count {
+            items.push(read(self)?);
+        }
+        Ok(items)
+    }
 }
 
 #[cfg(test)]
@@ -269,5 +304,19 @@ mod tests {
         put_u32(&mut buf, 1_000_000);
         let mut r = WireReader::new(&buf);
         assert_eq!(r.count(100).unwrap_err(), WireError::Oversize(1_000_000));
+    }
+
+    #[test]
+    fn lists_roundtrip_and_enforce_the_bound() {
+        let mut buf = Vec::new();
+        put_list(&mut buf, &[3u16, 1, 4], |out, &v| put_u16(out, v));
+        assert_eq!(buf, [3, 0, 0, 0, 3, 0, 1, 0, 4, 0]);
+        let mut r = WireReader::new(&buf);
+        assert_eq!(r.list(3, |r| r.u16()).unwrap(), [3, 1, 4]);
+        assert!(r.is_empty());
+        assert_eq!(WireReader::new(&buf).list(2, |r| r.u16()).unwrap_err(), WireError::Oversize(3));
+        for cut in 0..buf.len() {
+            assert!(WireReader::new(&buf[..cut]).list(3, |r| r.u16()).is_err(), "cut at {cut}");
+        }
     }
 }

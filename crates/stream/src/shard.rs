@@ -150,12 +150,13 @@ pub struct ShardOutcome {
     pub flows: usize,
 }
 
-/// A consistent point-in-time image of a live shard, taken by
-/// [`ShardLoop::on_checkpoint`]: the cloned per-flow state plus traffic
-/// clock a fresh replica needs to resume scoring deterministically, and the
-/// score fragment accumulated since the previous checkpoint (the recorder
-/// is drained into the fragment, so fragments concatenate to exactly the
-/// crash-free outcome).
+/// The restorable state of a live shard, taken by
+/// [`ShardLoop::on_checkpoint`] and rebuilt by [`ShardLoop::restore`]: every
+/// live flow plus the traffic clock. Only per-flow state travels — open
+/// records, label folds, [`EventDetector::snapshot_flow_state`] — so a
+/// replica reproduces the donor's scores exactly only for detectors whose
+/// state is all per-flow; entity-keyed state (per-host profiles,
+/// per-channel statistics) restarts from `fit`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCheckpoint {
     /// Every live flow (open record, label fold, detector per-flow state),
@@ -166,8 +167,6 @@ pub struct ShardCheckpoint {
     /// The flow table's idle-sweep phase, so a replica sweeps at exactly
     /// the packets the original would have.
     pub sweep: idsbench_net::Timestamp,
-    /// Scores, packet counts, and busy time since the previous checkpoint.
-    pub fragment: ShardOutcome,
 }
 
 /// Per-shard stage histograms; present only when the run carries telemetry.
@@ -322,14 +321,12 @@ impl ShardLoop {
         }
     }
 
-    /// Takes a consistent checkpoint without disturbing the live loop:
-    /// clones every flow's state (open record, label fold, detector
-    /// per-flow bytes), captures the traffic clock, and *drains* the
-    /// recorder into an incremental [`ShardOutcome`] fragment — packet and
-    /// busy-time counters reset with it, so fragments from successive
-    /// checkpoints sum to exactly the crash-free totals. `fit_seconds` is
+    /// Snapshots the shard without disturbing it — every flow's state
+    /// cloned, the traffic clock captured — and drains what it recorded
+    /// since the previous checkpoint into an outcome fragment, so successive
+    /// fragments sum to exactly the crash-free totals. `fit_seconds` is
     /// repeated on every fragment (a combiner takes the max).
-    pub fn on_checkpoint(&mut self, fit_seconds: f64) -> ShardCheckpoint {
+    pub fn on_checkpoint(&mut self, fit_seconds: f64) -> (ShardCheckpoint, ShardOutcome) {
         let mut flows = match &self.assembler {
             Some(assembler) => assembler.snapshot_all(),
             None => keyless_migrations(&self.flows, |_| true),
@@ -337,40 +334,19 @@ impl ShardLoop {
         for migration in &mut flows {
             migration.detector = self.detector.snapshot_flow_state(&migration.key);
         }
-        let (last_ts, sweep) = self
-            .assembler
-            .as_ref()
-            .map(|a| a.clock())
-            .unwrap_or((idsbench_net::Timestamp::ZERO, idsbench_net::Timestamp::ZERO));
-        let recorder = match &mut self.recorder {
-            Recorder::Full(records) => Recorder::Full(std::mem::take(records)),
-            Recorder::Online(stats, threshold) => {
-                Recorder::Online(Box::new(std::mem::take(stats.as_mut())), *threshold)
-            }
-        };
-        let fragment = ShardOutcome {
-            shard: self.id,
-            recorder,
-            score_seconds: self.score_nanos as f64 / 1e9,
-            fit_seconds,
-            packets: self.packets,
-            flows: self.flows.len(),
-        };
-        self.score_nanos = 0;
-        self.packets = 0;
-        ShardCheckpoint { flows, last_ts, sweep, fragment }
+        let (last_ts, sweep) =
+            self.assembler.as_ref().map(FlowEventAssembler::clock).unwrap_or_default();
+        (ShardCheckpoint { flows, last_ts, sweep }, self.drain(fit_seconds))
     }
 
-    /// Restores a donor's traffic clock onto a freshly spawned replica
-    /// (no-op for packet-format shards, which keep no flow table). Must run
-    /// before any replayed traffic.
-    pub fn restore_clock(
-        &mut self,
-        last_ts: idsbench_net::Timestamp,
-        sweep: idsbench_net::Timestamp,
-    ) {
+    /// Rebuilds a donor's [`ShardCheckpoint`] on this freshly fitted loop,
+    /// before any traffic: the flows are absorbed first (as
+    /// [`ShardLoop::on_migrate`] does), then the clock is restored, so the
+    /// replica sweeps its restored flows at exactly the donor's phase.
+    pub fn restore(&mut self, checkpoint: ShardCheckpoint) {
+        self.on_migrate(checkpoint.flows);
         if let Some(assembler) = &mut self.assembler {
-            assembler.restore_clock(last_ts, sweep);
+            assembler.restore_clock(checkpoint.last_ts, checkpoint.sweep);
         }
     }
 
@@ -391,13 +367,25 @@ impl ShardLoop {
     /// Consumes the loop into its mergeable outcome fragment. Call
     /// [`ShardLoop::finish`] first; `fit_seconds` is supplied by the
     /// spawner, which timed the detector's `fit`.
-    pub fn into_outcome(self, fit_seconds: f64) -> ShardOutcome {
+    pub fn into_outcome(mut self, fit_seconds: f64) -> ShardOutcome {
+        self.drain(fit_seconds)
+    }
+
+    /// Moves everything recorded so far into an outcome fragment and resets
+    /// the packet and busy-time counters it reports.
+    fn drain(&mut self, fit_seconds: f64) -> ShardOutcome {
+        let recorder = match &mut self.recorder {
+            Recorder::Full(records) => Recorder::Full(std::mem::take(records)),
+            Recorder::Online(stats, threshold) => {
+                Recorder::Online(Box::new(std::mem::take(stats.as_mut())), *threshold)
+            }
+        };
         ShardOutcome {
             shard: self.id,
-            recorder: self.recorder,
-            score_seconds: self.score_nanos as f64 / 1e9,
+            recorder,
+            score_seconds: std::mem::take(&mut self.score_nanos) as f64 / 1e9,
             fit_seconds,
-            packets: self.packets,
+            packets: std::mem::take(&mut self.packets),
             flows: self.flows.len(),
         }
     }
@@ -517,4 +505,179 @@ pub(crate) fn merge_outcomes(
         final_shards,
     };
     StreamRun { report, scores, labels }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use idsbench_core::{AttackKind, Event, InputFormat, LabeledPacket, TrainView};
+    use idsbench_flow::FlowTableConfig;
+    use idsbench_net::{Duration, MacAddr, PacketBuilder, TcpFlags, Timestamp};
+    use std::collections::HashMap;
+    use std::net::Ipv4Addr;
+
+    /// Scores each evicted flow by its packet, byte and duration totals.
+    struct EvictionScorer;
+
+    impl EventDetector for EvictionScorer {
+        fn name(&self) -> &str {
+            "eviction-scorer"
+        }
+        fn input_format(&self) -> InputFormat {
+            InputFormat::Flows
+        }
+        fn fit(&mut self, _train: &TrainView) {}
+        fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
+            let Event::FlowEvicted(flow) = event else {
+                return None;
+            };
+            let record = &flow.record;
+            let totals = record.total_packets() as f64 * 1e4 + record.total_bytes() as f64;
+            Some(totals + record.duration().as_secs_f64())
+        }
+    }
+
+    /// Scores each packet by its 1-based position within its flow: state
+    /// that is all per-flow, and migrates as such.
+    #[derive(Default)]
+    struct FlowPosition(HashMap<FlowKey, u64>);
+
+    impl EventDetector for FlowPosition {
+        fn name(&self) -> &str {
+            "flow-position"
+        }
+        fn input_format(&self) -> InputFormat {
+            InputFormat::Packets
+        }
+        fn fit(&mut self, _train: &TrainView) {}
+        fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
+            let Event::Packet(view) = event else {
+                return None;
+            };
+            let key = view.flow_key?;
+            let count = self.0.entry(key).or_insert(0);
+            *count += 1;
+            Some(*count as f64)
+        }
+        fn extract_flow_state(&mut self, key: &FlowKey) -> Option<Vec<u8>> {
+            self.0.remove(key).map(|count| count.to_le_bytes().to_vec())
+        }
+        fn absorb_flow_state(&mut self, key: &FlowKey, state: Vec<u8>) {
+            let bytes = <[u8; 8]>::try_from(state.as_slice()).expect("a count is 8 bytes");
+            self.0.insert(*key, u64::from_le_bytes(bytes));
+        }
+    }
+
+    const CONFIG: FlowTableConfig = FlowTableConfig {
+        idle_timeout: Duration::from_secs(2),
+        active_timeout: Duration::from_secs(60),
+        time_wait: Duration::from_secs(1),
+        max_flows: 4096,
+    };
+
+    /// Four batches of three packets against server 10.0.0.2:80, from
+    /// client host `h` on port `40_000 + h`; the checkpoint falls between
+    /// the second and the third. At it, tuple 4 has been idle-evicted with
+    /// an attack label fold (and reopens benign after it), tuple 1 lingers
+    /// in TIME_WAIT (a trailing ACK joins it after), and tuple 3 is open.
+    /// The donor swept at 2.5 s, so a replica without the donor's clock
+    /// would sweep tuple 1 out at 3.0 s instead of taking its ACK.
+    fn batches() -> Vec<Vec<StreamItem>> {
+        let attack = Label::Attack(AttackKind::SynFlood);
+        let trace = [
+            (4, TcpFlags::ACK, 0.0, attack),
+            (3, TcpFlags::ACK, 0.5, Label::Benign),
+            (3, TcpFlags::ACK, 1.0, Label::Benign),
+            (1, TcpFlags::SYN, 1.8, Label::Benign),
+            (1, TcpFlags::RST, 1.9, Label::Benign),
+            (3, TcpFlags::ACK, 2.5, Label::Benign),
+            (1, TcpFlags::ACK, 3.0, Label::Benign),
+            (4, TcpFlags::ACK, 3.1, Label::Benign),
+            (3, TcpFlags::ACK, 3.2, Label::Benign),
+            (5, TcpFlags::ACK, 3.6, Label::Benign),
+            (5, TcpFlags::ACK, 5.8, Label::Benign),
+            (3, TcpFlags::ACK, 5.9, Label::Benign),
+        ];
+        let items = trace.into_iter().enumerate().map(|(seq, (host, flags, t, label))| {
+            let packet = PacketBuilder::new()
+                .ethernet(MacAddr::from_host_id(host.into()), MacAddr::from_host_id(2))
+                .ipv4(Ipv4Addr::new(10, 0, 0, host), Ipv4Addr::new(10, 0, 0, 2))
+                .tcp(40_000 + u16::from(host), 80, flags)
+                .payload_len(100 + seq)
+                .build(Timestamp::from_secs_f64(t));
+            StreamItem {
+                seq: seq as u64,
+                view: ParsedView::from_packet(LabeledPacket::new(packet, label)),
+            }
+        });
+        let items: Vec<StreamItem> = items.collect();
+        let mut items = items.into_iter();
+        (0..4).map(|_| items.by_ref().take(3).collect()).collect()
+    }
+
+    fn shard(detector: Box<dyn EventDetector>) -> ShardLoop {
+        let assembler = FlowEventAssembler::for_format(detector.input_format(), CONFIG);
+        ShardLoop::new(0, detector, Recorder::Full(Vec::new()), assembler, 1.0, false, None)
+    }
+
+    /// `(seq, sub, score bits, label)` per recorded event.
+    type Recorded = Vec<(u64, u32, u64, bool)>;
+
+    /// Everything `shard` recorded since its last checkpoint, after the
+    /// end-of-stream flush.
+    fn recorded(mut shard: ShardLoop) -> Recorded {
+        shard.finish().unwrap();
+        let Recorder::Full(records) = shard.into_outcome(0.0).recorder else {
+            panic!("a full recorder stays full");
+        };
+        records.iter().map(|r| (r.seq, r.sub, r.score.to_bits(), r.label)).collect()
+    }
+
+    /// Scores half the trace on a donor, checkpoints it, restores the
+    /// checkpoint on a fresh replica, and feeds both the rest; returns the
+    /// checkpoint and both post-checkpoint event lists.
+    fn donor_and_replica(
+        fresh: impl Fn() -> Box<dyn EventDetector>,
+    ) -> (ShardCheckpoint, Recorded, Recorded) {
+        let batches = batches();
+        let (before, after) = batches.split_at(2);
+        let mut donor = shard(fresh());
+        for batch in before {
+            donor.on_batch(batch).unwrap();
+        }
+        let (checkpoint, fragment) = donor.on_checkpoint(0.0);
+        assert_eq!(fragment.packets, 6, "the fragment drains the first half");
+        let mut replica = shard(fresh());
+        replica.restore(checkpoint.clone());
+        for batch in after {
+            donor.on_batch(batch).unwrap();
+            replica.on_batch(batch).unwrap();
+        }
+        (checkpoint, recorded(donor), recorded(replica))
+    }
+
+    #[test]
+    fn a_restored_flow_shard_scores_what_the_donor_scores() {
+        let (checkpoint, donor, replica) = donor_and_replica(|| Box::new(EvictionScorer));
+        let dead: Vec<&FlowMigration> =
+            checkpoint.flows.iter().filter(|flow| flow.record.is_none()).collect();
+        assert_eq!(checkpoint.flows.len(), 3, "tuples 1 (TIME_WAIT), 3 (open) and 4 (fold only)");
+        assert_eq!(dead.len(), 1);
+        assert!(dead[0].label.is_attack(), "the evicted tuple's attack fold is checkpointed");
+        assert_eq!(checkpoint.sweep, Timestamp::from_secs_f64(2.5));
+        // Four evictions at the last packet's sweep, then a two-flow flush;
+        // the reopened tuple 4 carries its attack fold into one of them.
+        assert_eq!(donor.len(), 6);
+        assert_eq!(donor.iter().filter(|event| event.3).count(), 1, "the fold was lost");
+        assert_eq!(replica, donor);
+    }
+
+    #[test]
+    fn a_restored_packet_shard_scores_what_the_donor_scores() {
+        let (checkpoint, donor, replica) = donor_and_replica(|| Box::new(FlowPosition::default()));
+        assert_eq!(checkpoint.flows.len(), 3);
+        assert!(checkpoint.flows.iter().all(|flow| flow.detector.is_some()));
+        assert_eq!(donor.len(), 6, "one score per post-checkpoint packet");
+        assert_eq!(replica, donor);
+    }
 }

@@ -15,9 +15,9 @@
 //!   decisions, feeder stalls, packet drops, migrations, threshold
 //!   crossings) that keeps the newest events on overflow and counts what it
 //!   dropped;
-//! * [`TelemetrySink`] — a periodic snapshot thread (file or stderr) and a
-//!   tiny `std::net::TcpListener` exposition server speaking Prometheus
-//!   text (`/metrics`) and a JSON snapshot (any other path).
+//! * [`TelemetrySink`] — a tiny `std::net::TcpListener` exposition server
+//!   speaking Prometheus text (`/metrics`) and a JSON snapshot (any other
+//!   path).
 //!
 //! The [`Telemetry`] hub ties them together; the stream engine takes an
 //! optional `Arc<Telemetry>` (see `run_stream_with_telemetry`), and
@@ -53,7 +53,7 @@ pub mod spans;
 pub use hist::{AtomicHistogram, LatencyHistogram};
 pub use journal::{Journal, JournalEvent, JournalSnapshot};
 pub use registry::{Counter, Gauge, Registry};
-pub use sink::{SnapshotTarget, TelemetrySink};
+pub use sink::TelemetrySink;
 pub use spans::{SpanTimer, Stage, StageHistogram};
 
 use std::sync::Arc;

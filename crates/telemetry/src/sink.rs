@@ -1,6 +1,6 @@
 //! Telemetry sinks: rendering a [`Telemetry`] hub to Prometheus text or a
-//! JSON snapshot, periodically (to a file or stderr) or on demand over a
-//! tiny `std::net::TcpListener` exposition endpoint.
+//! JSON snapshot, on demand or over a tiny `std::net::TcpListener`
+//! exposition endpoint.
 //!
 //! The exposition server is deliberately minimal — one nonblocking accept
 //! loop on a background thread, HTTP/1.0, two routes: `GET /metrics`
@@ -11,7 +11,6 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -117,57 +116,15 @@ impl Telemetry {
     }
 }
 
-/// Where a periodic snapshot sink writes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotTarget {
-    /// One JSON snapshot line to stderr per period.
-    Stderr,
-    /// Overwrite this file with the latest JSON snapshot each period.
-    File(PathBuf),
-}
-
-/// A running telemetry sink — either a periodic snapshot writer or the
-/// exposition server. Stops (and joins its thread) on drop.
+/// The running exposition server. Stops (and joins its thread) on drop.
 #[derive(Debug)]
 pub struct TelemetrySink {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
-    addr: Option<SocketAddr>,
+    addr: SocketAddr,
 }
 
 impl TelemetrySink {
-    /// Spawns a thread writing a JSON snapshot to `target` every
-    /// `interval`, plus once on shutdown. Write errors are swallowed —
-    /// telemetry must never take the pipeline down.
-    pub fn periodic(
-        telemetry: Arc<Telemetry>,
-        interval: Duration,
-        target: SnapshotTarget,
-    ) -> TelemetrySink {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let write = |snapshot: &str| match &target {
-                SnapshotTarget::Stderr => eprintln!("TELEMETRY {snapshot}"),
-                SnapshotTarget::File(path) => {
-                    let _ = std::fs::write(path, snapshot);
-                }
-            };
-            let tick = Duration::from_millis(25).min(interval);
-            let mut elapsed = Duration::ZERO;
-            while !stop_flag.load(Ordering::Relaxed) {
-                std::thread::sleep(tick);
-                elapsed += tick;
-                if elapsed >= interval {
-                    elapsed = Duration::ZERO;
-                    write(&telemetry.json_snapshot());
-                }
-            }
-            write(&telemetry.json_snapshot());
-        });
-        TelemetrySink { stop, handle: Some(handle), addr: None }
-    }
-
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and serves the exposition
     /// endpoint on a background thread: `GET /metrics` → Prometheus text,
     /// any other path → JSON snapshot.
@@ -196,12 +153,12 @@ impl TelemetrySink {
                 }
             }
         });
-        Ok(TelemetrySink { stop, handle: Some(handle), addr: Some(local) })
+        Ok(TelemetrySink { stop, handle: Some(handle), addr: local })
     }
 
-    /// The bound address of the exposition server (`None` for periodic
-    /// sinks). With port 0, this is where the OS actually put it.
-    pub fn local_addr(&self) -> Option<SocketAddr> {
+    /// The bound address of the exposition server. With port 0, this is
+    /// where the OS actually put it.
+    pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -314,7 +271,7 @@ mod tests {
     fn exposition_server_serves_both_routes() {
         let telemetry = hub();
         let sink = TelemetrySink::serve(telemetry, "127.0.0.1:0").expect("bind loopback");
-        let addr = sink.local_addr().expect("server sink has an address");
+        let addr = sink.local_addr();
 
         let scrape = |path: &str| {
             let mut stream = TcpStream::connect(addr).expect("connect");
@@ -333,23 +290,6 @@ mod tests {
         assert!(snapshot.contains("application/json"), "{snapshot}");
         assert!(snapshot.contains("\"packets_total\":42"), "{snapshot}");
         sink.stop();
-    }
-
-    #[test]
-    fn periodic_sink_writes_snapshots() {
-        let telemetry = hub();
-        let path = std::env::temp_dir()
-            .join(format!("idsbench_telemetry_test_{}.json", std::process::id()));
-        let sink = TelemetrySink::periodic(
-            Arc::clone(&telemetry),
-            Duration::from_millis(10),
-            SnapshotTarget::File(path.clone()),
-        );
-        std::thread::sleep(Duration::from_millis(60));
-        sink.stop();
-        let written = std::fs::read_to_string(&path).expect("snapshot file written");
-        assert!(written.contains("\"packets_total\":42"), "{written}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
