@@ -1,9 +1,12 @@
 //! Shared harness code for the `idsbench` binary.
 //!
-//! Provides the standard detector roster (the four systems of Table IV with
-//! their out-of-the-box configurations), the paper's published Table IV
-//! numbers for side-by-side comparison, the bursty workload behind the
-//! elastic-sharding gates, and the binary's one argument parser.
+//! Provides the standard detector roster (the four systems of Table IV,
+//! each built by `Default`: out-of-the-box defaults are constants next to
+//! the code that uses them, and only Kitsune's and HELAD's `precision` and
+//! `seed` and the DNN's ablation knobs stay settable), the paper's
+//! published Table IV numbers for side-by-side comparison, the bursty
+//! workload behind the elastic-sharding gates, and the binary's one
+//! argument parser.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]

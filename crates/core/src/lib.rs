@@ -16,7 +16,10 @@
 //!    random flow sampling, timestamp re-sorting, train/eval splitting, and
 //!    label-preserving flow assembly.
 //! 3. **Deployment** (step 3) — detectors run with their out-of-the-box
-//!    configurations captured as `Default` impls.
+//!    configurations: each default is a constant placed next to the code
+//!    that uses it, and `Default` builds the detector. What stays settable
+//!    is what an experiment varies: Kitsune and HELAD take `precision` and
+//!    `seed`, Slips takes nothing, and the DNN keeps its ablation knobs.
 //! 4. **Threshold calibration** (step 4) — [`threshold::ThresholdPolicy`]:
 //!    a standardized rule applied uniformly to every IDS.
 //! 5. **Metrics & reporting** — [`metrics`] (accuracy/precision/recall/F1,

@@ -389,6 +389,8 @@ mod tests {
         let a = run(&mut Dnn::default(), &input).scores;
         let b = run(&mut Dnn::default(), &input).scores;
         assert_eq!(a, b);
+        let other = run(&mut Dnn::new(DnnConfig { seed: 1, ..Default::default() }), &input).scores;
+        assert_ne!(other, a, "a different seed must change at least one score");
     }
 
     #[test]

@@ -42,63 +42,44 @@ use idsbench_nn::{
 /// A src↔dst channel key (ordered so both directions share one history).
 type ChannelKey = (std::net::IpAddr, std::net::IpAddr);
 
-/// Configuration for [`Helad`] (out-of-the-box defaults).
-#[derive(Debug, Clone, PartialEq)]
+/// Autoencoder hidden width as a fraction of the feature width.
+const HIDDEN_RATIO: f64 = 0.5;
+/// Autoencoder learning rate.
+const LEARNING_RATE: f64 = 0.05;
+/// Autoencoder training epochs over the training slice (HELAD trains
+/// offline, unlike Kitsune's single online pass).
+const EPOCHS: usize = 5;
+/// Length of the score history window fed to the LSTM.
+const LSTM_WINDOW: usize = 12;
+/// LSTM hidden width.
+const LSTM_HIDDEN: usize = 12;
+/// LSTM learning rate.
+const LSTM_LEARNING_RATE: f64 = 0.01;
+/// The LSTM trains on every `LSTM_STRIDE`-th window (keeps training linear
+/// in trace length).
+const LSTM_STRIDE: usize = 4;
+/// Reconstruction errors are averaged over this many recent packets of the
+/// *same channel* (src↔dst pair).
+const SMOOTH_WINDOW: usize = 6;
+/// Weight of the autoencoder reconstruction error in the blend.
+const WEIGHT_AE: f64 = 0.7;
+/// Weight of the LSTM surprise in the blend.
+const WEIGHT_LSTM: f64 = 0.3;
+
+/// Configuration for [`Helad`]. Every other hyper-parameter is an
+/// out-of-the-box default, fixed as a constant next to the code that reads
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HeladConfig {
-    /// AfterImage damped-window configuration.
-    pub afterimage: AfterImageConfig,
-    /// Autoencoder hidden ratio.
-    pub hidden_ratio: f64,
-    /// Autoencoder learning rate.
-    pub learning_rate: f64,
-    /// Length of the score history window fed to the LSTM.
-    pub lstm_window: usize,
-    /// LSTM hidden width.
-    pub lstm_hidden: usize,
-    /// LSTM learning rate.
-    pub lstm_learning_rate: f64,
-    /// Train the LSTM on every `lstm_stride`-th window (keeps training
-    /// linear in trace length).
-    pub lstm_stride: usize,
-    /// Autoencoder training epochs over the training slice (HELAD trains
-    /// offline, unlike Kitsune's single online pass).
-    pub epochs: usize,
-    /// Reconstruction errors are averaged over this many recent packets of
-    /// the *same channel* (src↔dst pair).
-    pub smooth_window: usize,
-    /// Weight of the autoencoder reconstruction error in the blend.
-    pub weight_ae: f64,
-    /// Weight of the LSTM surprise in the blend.
-    pub weight_lstm: f64,
     /// Weight-initialization seed.
     pub seed: u64,
     /// Numeric lane of the inference kernels: bitwise `f64` (default) or
-    /// `f32` under the epsilon-parity contract — measured ~1.7× faster than
-    /// `f64` on HELAD at every call shape, since its time goes to the
-    /// activation polynomials and the autoencoder's matmuls, both of which
-    /// scale with lane width. Training always runs in `f64`; this selects
-    /// how the frozen ensemble scores.
+    /// `f32` under the epsilon-parity contract, which pays on HELAD at
+    /// every call shape, since its time goes to the activation polynomials
+    /// and the autoencoder's matmuls, both of which scale with lane width
+    /// (measured in the README's "Wide lanes" section). Training always
+    /// runs in `f64`; this selects how the frozen ensemble scores.
     pub precision: Precision,
-}
-
-impl Default for HeladConfig {
-    fn default() -> Self {
-        HeladConfig {
-            afterimage: AfterImageConfig::default(),
-            hidden_ratio: 0.5,
-            learning_rate: 0.05,
-            lstm_window: 12,
-            lstm_hidden: 12,
-            lstm_learning_rate: 0.01,
-            lstm_stride: 4,
-            epochs: 5,
-            smooth_window: 6,
-            weight_ae: 0.7,
-            weight_lstm: 0.3,
-            seed: 0,
-            precision: Precision::F64Bitwise,
-        }
-    }
 }
 
 /// The HELAD NIDS (see crate docs).
@@ -115,25 +96,19 @@ pub struct Helad {
     engine: Option<HeladEngine>,
     /// Optional sampled timer around the inference kernel.
     probe: Option<idsbench_telemetry::SpanTimer>,
+    /// The one-score output of a one-packet [`Event::Packet`] burst.
+    single: Vec<f64>,
 }
 
 impl Helad {
     /// Creates a HELAD instance with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the LSTM window is zero or the blend weights are both zero.
     pub fn new(config: HeladConfig) -> Self {
-        assert!(config.lstm_window > 0, "lstm window must be positive");
-        assert!(
-            config.weight_ae + config.weight_lstm > 0.0,
-            "at least one ensemble weight must be positive"
-        );
-        Helad { config, engine: None, probe: None }
+        Helad { config, engine: None, probe: None, single: Vec::with_capacity(1) }
     }
 
     /// Attaches a sampled [`SpanTimer`](idsbench_telemetry::SpanTimer)
-    /// around the per-packet inference kernel ([`HeladEngine::score_view`]).
+    /// around the inference kernel ([`HeladEngine::score_batch`], once per
+    /// burst; an [`Event::Packet`] is a burst of one).
     /// Purely observational — scores are bit-identical with or without it —
     /// and allocation-free on the scoring path.
     pub fn attach_inference_probe(&mut self, probe: idsbench_telemetry::SpanTimer) {
@@ -145,22 +120,23 @@ impl Helad {
     /// training path behind both drivers of the event contract.
     pub fn fit(&self, train: &TrainView) -> HeladEngine {
         let train = &train.packets;
-        let mut extractor = AfterImage::new(self.config.afterimage.clone());
+        // The reference λ bank, shared with Kitsune.
+        let mut extractor = AfterImage::new(AfterImageConfig::default());
         let width = extractor.feature_count();
         let mut norm = MinMaxNormalizer::new(width);
         let mut autoencoder = Autoencoder::new(
             width,
             AutoencoderConfig {
-                hidden_ratio: self.config.hidden_ratio,
-                learning_rate: self.config.learning_rate,
+                hidden_ratio: HIDDEN_RATIO,
+                learning_rate: LEARNING_RATE,
                 seed: self.config.seed,
             },
         );
         let mut lstm = LstmRegressor::new(
             1,
             LstmRegressorConfig {
-                hidden_size: self.config.lstm_hidden,
-                learning_rate: self.config.lstm_learning_rate,
+                hidden_size: LSTM_HIDDEN,
+                learning_rate: LSTM_LEARNING_RATE,
                 seed: self.config.seed ^ 0x4a17,
             },
         );
@@ -176,7 +152,7 @@ impl Helad {
             }
         }
         let mut history: Vec<f64> = Vec::with_capacity(buffered.len());
-        for _ in 0..self.config.epochs.max(1) {
+        for _ in 0..EPOCHS {
             history.clear();
             for features in &buffered {
                 let rmse = autoencoder.train_sample(&norm.transform(features));
@@ -185,17 +161,18 @@ impl Helad {
         }
 
         // Phase 2 — train the LSTM to predict the next reconstruction error
-        // from the previous `lstm_window` errors.
-        let window = self.config.lstm_window;
-        if history.len() > window {
-            let stride = self.config.lstm_stride.max(1);
-            for start in (0..history.len() - window).step_by(stride) {
-                lstm.train_window(&history[start..start + window], history[start + window]);
+        // from the previous `LSTM_WINDOW` errors.
+        if history.len() > LSTM_WINDOW {
+            for start in (0..history.len() - LSTM_WINDOW).step_by(LSTM_STRIDE) {
+                lstm.train_window(
+                    &history[start..start + LSTM_WINDOW],
+                    history[start + LSTM_WINDOW],
+                );
             }
         }
 
-        let mut recent = VecDeque::with_capacity(window);
-        recent.extend(&history[history.len().saturating_sub(window)..]);
+        let mut recent = VecDeque::with_capacity(LSTM_WINDOW);
+        recent.extend(&history[history.len().saturating_sub(LSTM_WINDOW)..]);
         // Training is done: snapshot both models' weights into the
         // configured lane for the scoring phase.
         autoencoder.freeze(self.config.precision);
@@ -207,24 +184,19 @@ impl Helad {
             lstm,
             recent,
             channel_history: FxHashMap::default(),
-            window,
-            smooth: self.config.smooth_window.max(1),
-            weight_ae: self.config.weight_ae,
-            weight_lstm: self.config.weight_lstm,
             precision: self.config.precision,
             feat_buf: Vec::with_capacity(width),
             norm_buf: Vec::with_capacity(width),
             batch_rmses: Vec::new(),
             batch_preds: Vec::new(),
             batch_keys: Vec::new(),
-            single: Vec::with_capacity(1),
             lane64: LaneScratch::default(),
             lane32: LaneScratch::default(),
         }
     }
 }
 
-/// A fitted HELAD ensemble scoring packets one at a time (phase 3): damped
+/// A fitted HELAD ensemble scoring packets in arrival order (phase 3): damped
 /// feature extraction, offline-fitted normalizer, trained autoencoder and
 /// LSTM, plus the rolling score and per-channel smoothing state.
 #[derive(Debug)]
@@ -233,15 +205,11 @@ pub struct HeladEngine {
     norm: MinMaxNormalizer,
     autoencoder: Autoencoder,
     lstm: LstmRegressor,
-    /// The last `window` reconstruction errors, oldest first: the LSTM's
-    /// input window (never past its initial capacity).
+    /// The last `LSTM_WINDOW` reconstruction errors, oldest first: the
+    /// LSTM's input window (never past its initial capacity).
     recent: VecDeque<f64>,
     /// Recent errors per src↔dst channel for the smoothing term.
     channel_history: FxHashMap<ChannelKey, VecDeque<f64>>,
-    window: usize,
-    smooth: usize,
-    weight_ae: f64,
-    weight_lstm: f64,
     precision: Precision,
     /// Reused per-packet feature buffer.
     feat_buf: Vec<f64>,
@@ -255,8 +223,6 @@ pub struct HeladEngine {
     /// 0), `Some(None)` = valid but channel-less, `Some(Some(key))` = valid
     /// with a smoothing channel.
     batch_keys: Vec<Option<Option<ChannelKey>>>,
-    /// The one-score output of [`HeladEngine::score_view`].
-    single: Vec<f64>,
     /// Lane-typed scratch; only the configured precision's is ever filled.
     lane64: LaneScratch<f64>,
     lane32: LaneScratch<f32>,
@@ -274,23 +240,6 @@ struct LaneScratch<L: Lane> {
 }
 
 impl HeladEngine {
-    /// Scores one packet from its parsed view: blended reconstruction error
-    /// and LSTM surprise — a one-row call into the batch path. Malformed
-    /// packets (no parsed view) score 0 (pass-through), keeping stream
-    /// alignment.
-    ///
-    /// Steady-state allocation-free: extraction, normalization, both model
-    /// forward passes, and the score window all reuse engine-owned buffers
-    /// (pinned by the `hot_path_allocs` integration test).
-    pub fn score_view(&mut self, view: &ParsedView) -> f64 {
-        let mut single = std::mem::take(&mut self.single);
-        single.clear();
-        self.score_batch(&mut std::iter::once(view), &mut single);
-        let score = single[0];
-        self.single = single;
-        score
-    }
-
     /// Scores a burst of views, pushing one score per view in order.
     /// Stateful stages (AfterImage extraction, the score window, per-channel
     /// smoothing) run sequentially in arrival order; the pure model
@@ -298,7 +247,12 @@ impl HeladEngine {
     /// then the LSTM in lockstep over every row's history window — so both
     /// models stream their weights through cache once per *burst* instead
     /// of once per *packet*. Scores do not depend on how the packet stream
-    /// was cut into bursts.
+    /// was cut into bursts, down to bursts of one packet; malformed packets
+    /// (no parsed view) score 0 (pass-through), keeping stream alignment.
+    ///
+    /// Steady-state allocation-free: extraction, normalization, both model
+    /// forward passes, and the score window all reuse engine-owned buffers
+    /// (pinned by the `hot_path_allocs` integration test).
     pub fn score_batch(
         &mut self,
         views: &mut dyn Iterator<Item = &ParsedView>,
@@ -357,10 +311,10 @@ impl HeladEngine {
         // pushes of rows `0..i` — then predict every full window in one
         // lockstep batch. The first `missing` rows have incomplete windows
         // (no surprise term): the warm-up of a freshly fitted engine.
-        let missing = self.window - self.recent.len().min(self.window);
-        lane.windows.start_rows(self.window);
+        let missing = LSTM_WINDOW - self.recent.len().min(LSTM_WINDOW);
+        lane.windows.start_rows(LSTM_WINDOW);
         for &rmse in &self.batch_rmses {
-            if self.recent.len() == self.window {
+            if self.recent.len() == LSTM_WINDOW {
                 lane.windows.push_row(self.recent.iter().copied());
                 self.recent.pop_front();
             }
@@ -387,14 +341,14 @@ impl HeladEngine {
                 Some(key) => {
                     let history = self.channel_history.entry(*key).or_default();
                     history.push_back(rmse);
-                    if history.len() > self.smooth {
+                    if history.len() > SMOOTH_WINDOW {
                         history.pop_front();
                     }
                     history.iter().sum::<f64>() / history.len() as f64
                 }
                 None => rmse,
             };
-            out.push(self.weight_ae * smoothed + self.weight_lstm * surprise);
+            out.push(WEIGHT_AE * smoothed + WEIGHT_LSTM * surprise);
             i += 1;
         }
     }
@@ -426,18 +380,11 @@ impl EventDetector for Helad {
     fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
         match event {
             Event::Packet(view) => {
-                // Scoring without fit degrades to an untrained engine rather
-                // than panicking — the stream keeps flowing, as a deployed
-                // IDS must.
-                if self.engine.is_none() {
-                    self.engine = Some(Helad::fit(self, &TrainView::default()));
-                }
-                let engine = self.engine.as_mut().expect("engine fitted above");
-                let started = self.probe.as_ref().and_then(|probe| probe.begin());
-                let score = engine.score_view(view);
-                if let (Some(probe), Some(started)) = (&self.probe, started) {
-                    probe.end(started);
-                }
+                let mut single = std::mem::take(&mut self.single);
+                single.clear();
+                self.on_packet_batch(&mut std::iter::once(*view), &mut single);
+                let score = single[0];
+                self.single = single;
                 Some(score)
             }
             Event::FlowEvicted(_) => None,
@@ -449,6 +396,8 @@ impl EventDetector for Helad {
         views: &mut dyn Iterator<Item = &ParsedView>,
         scores: &mut Vec<f64>,
     ) {
+        // Scoring without fit degrades to an untrained engine rather than
+        // panicking — the stream keeps flowing, as a deployed IDS must.
         if self.engine.is_none() {
             self.engine = Some(Helad::fit(self, &TrainView::default()));
         }
@@ -593,12 +542,6 @@ mod tests {
         let (_, eval) = clean_baseline_input();
         let mut helad = Helad::default();
         assert!(helad.on_event(&Event::Packet(&eval[0])).expect("scored").is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "lstm window must be positive")]
-    fn zero_window_panics() {
-        let _ = Helad::new(HeladConfig { lstm_window: 0, ..Default::default() });
     }
 
     /// Stream batching, autoscaling and fabric re-homing all re-cut batch

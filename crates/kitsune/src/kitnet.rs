@@ -10,31 +10,23 @@ use idsbench_nn::{
     Autoencoder, AutoencoderConfig, Lane, Mat, Matrix, MinMaxNormalizer, Precision, Workspace,
 };
 
-/// Configuration for [`KitNet`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Hidden width of every autoencoder as a fraction of its input width (the
+/// reference β).
+const HIDDEN_RATIO: f64 = 0.75;
+
+/// SGD learning rate of every autoencoder (the reference default).
+const LEARNING_RATE: f64 = 0.1;
+
+/// Configuration for [`KitNet`]; the architecture and learning rate are the
+/// reference constants.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KitNetConfig {
-    /// Hidden width as a fraction of each autoencoder's input width.
-    pub hidden_ratio: f64,
-    /// SGD learning rate.
-    pub learning_rate: f64,
     /// Weight-initialization seed.
     pub seed: u64,
     /// Numeric lane of the inference kernels. Training always runs in
     /// `f64`; under [`Precision::F32Wide`] the execution phase scores in
     /// `f32` instead (epsilon contract).
     pub precision: Precision,
-}
-
-impl Default for KitNetConfig {
-    /// The reference defaults: β = 0.75, learning rate 0.1, bitwise f64.
-    fn default() -> Self {
-        KitNetConfig {
-            hidden_ratio: 0.75,
-            learning_rate: 0.1,
-            seed: 0,
-            precision: Precision::F64Bitwise,
-        }
-    }
 }
 
 /// The KitNET ensemble (see module docs).
@@ -106,8 +98,8 @@ impl KitNet {
                 Autoencoder::new(
                     cluster.len(),
                     AutoencoderConfig {
-                        hidden_ratio: config.hidden_ratio,
-                        learning_rate: config.learning_rate,
+                        hidden_ratio: HIDDEN_RATIO,
+                        learning_rate: LEARNING_RATE,
                         seed: config.seed.wrapping_add(i as u64 * 7877),
                     },
                 )
@@ -116,8 +108,8 @@ impl KitNet {
         let output = Autoencoder::new(
             clusters.len(),
             AutoencoderConfig {
-                hidden_ratio: config.hidden_ratio,
-                learning_rate: config.learning_rate,
+                hidden_ratio: HIDDEN_RATIO,
+                learning_rate: LEARNING_RATE,
                 seed: config.seed ^ 0x00ff_00ff,
             },
         );

@@ -18,8 +18,8 @@
 //! [`Event::Packet`] is scored from its already-parsed view — Kitsune never
 //! touches raw bytes, so the pipeline's parse-once guarantee holds through
 //! the detector. Batch evaluation and a single-shard streaming replay of
-//! the same packets produce bit-identical scores (one `fit`/`score_view`
-//! code path).
+//! the same packets produce bit-identical scores (one `fit`/`score_batch`
+//! code path; an [`Event::Packet`] is a burst of one).
 //!
 //! # Examples
 //!
@@ -44,36 +44,24 @@ use idsbench_nn::{Matrix, Precision};
 use feature_mapper::CorrelationTracker;
 use kitnet::{KitNet, KitNetConfig};
 
-/// Configuration for [`Kitsune`] (the reference defaults out of the box,
-/// per the paper's step 3: no per-dataset tuning).
-#[derive(Debug, Clone, PartialEq)]
+/// Maximum features per ensemble autoencoder (`m` in the paper).
+const MAX_AUTOENCODER_SIZE: usize = 10;
+
+/// Fraction of the training slice spent on feature mapping.
+const FM_GRACE_FRACTION: f64 = 0.10;
+
+/// Configuration for [`Kitsune`]. Every other hyper-parameter is the
+/// reference default, fixed as a constant next to the code that reads it
+/// (the paper's step 3: out of the box, no per-dataset tuning).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KitsuneConfig {
-    /// Maximum features per ensemble autoencoder (`m` in the paper).
-    pub max_autoencoder_size: usize,
-    /// Fraction of the training slice spent on feature mapping.
-    pub fm_grace_fraction: f64,
-    /// AfterImage damped-window configuration.
-    pub afterimage: AfterImageConfig,
-    /// Ensemble training configuration.
-    pub kitnet: KitNetConfig,
+    /// Weight-initialization seed of the KitNET ensemble.
+    pub seed: u64,
     /// Numeric lane of the inference kernels: bitwise `f64` (default, the
     /// score-digest contract) or `f32` (the epsilon-parity contract, which
     /// pays once packets arrive in stream-sized batches). Training always
     /// runs in `f64`; this selects how the frozen ensemble scores.
     pub precision: Precision,
-}
-
-impl Default for KitsuneConfig {
-    /// Reference defaults: m = 10, 10% FM grace, standard λ bank.
-    fn default() -> Self {
-        KitsuneConfig {
-            max_autoencoder_size: 10,
-            fm_grace_fraction: 0.10,
-            afterimage: AfterImageConfig::default(),
-            kitnet: KitNetConfig::default(),
-            precision: Precision::F64Bitwise,
-        }
-    }
 }
 
 /// The Kitsune NIDS (see crate docs).
@@ -84,16 +72,19 @@ pub struct Kitsune {
     engine: Option<KitsuneEngine>,
     /// Optional sampled timer around the inference kernel.
     probe: Option<idsbench_telemetry::SpanTimer>,
+    /// The one-score output of a one-packet [`Event::Packet`] burst.
+    single: Vec<f64>,
 }
 
 impl Kitsune {
     /// Creates a Kitsune instance with the given configuration.
     pub fn new(config: KitsuneConfig) -> Self {
-        Kitsune { config, engine: None, probe: None }
+        Kitsune { config, engine: None, probe: None, single: Vec::with_capacity(1) }
     }
 
     /// Attaches a sampled [`SpanTimer`](idsbench_telemetry::SpanTimer)
-    /// around the per-packet inference kernel ([`KitsuneEngine::score_view`]).
+    /// around the inference kernel ([`KitsuneEngine::score_batch`], once
+    /// per burst; an [`Event::Packet`] is a burst of one).
     /// Purely observational — scores are bit-identical with or without it —
     /// and allocation-free on the scoring path.
     pub fn attach_inference_probe(&mut self, probe: idsbench_telemetry::SpanTimer) {
@@ -107,15 +98,16 @@ impl Kitsune {
     /// contract. An empty training slice yields a degenerate (but
     /// functional) engine: one feature cluster per block, untrained weights.
     pub fn fit(&self, train: &TrainView) -> KitsuneEngine {
-        let mut extractor = AfterImage::new(self.config.afterimage.clone());
+        // The reference λ bank.
+        let mut extractor = AfterImage::new(AfterImageConfig::default());
         let width = extractor.feature_count();
         let train = &train.packets;
 
         // Phase 1 — feature mapping over the leading slice of the training
         // data. Feature vectors are buffered so the ensemble can train on
         // them afterwards without re-extracting.
-        let fm_len = ((train.len() as f64 * self.config.fm_grace_fraction) as usize)
-            .clamp(1.min(train.len()), 5_000);
+        let fm_len =
+            ((train.len() as f64 * FM_GRACE_FRACTION) as usize).clamp(1.min(train.len()), 5_000);
         let mut tracker = CorrelationTracker::new(width);
         let mut buffered: Vec<Option<Vec<f64>>> = Vec::with_capacity(fm_len);
         for view in &train[..fm_len.min(train.len())] {
@@ -126,20 +118,19 @@ impl Kitsune {
             buffered.push(features);
         }
         let clusters = if tracker.count() >= 2 {
-            tracker.cluster(self.config.max_autoencoder_size)
+            tracker.cluster(MAX_AUTOENCODER_SIZE)
         } else {
             // Degenerate trace: one cluster per feature block.
             (0..width)
                 .collect::<Vec<_>>()
-                .chunks(self.config.max_autoencoder_size)
+                .chunks(MAX_AUTOENCODER_SIZE)
                 .map(<[usize]>::to_vec)
                 .collect()
         };
 
         // Phase 2 — online ensemble training over the whole training slice.
-        // The top-level precision knob is authoritative for the ensemble.
-        let kitnet_config = KitNetConfig { precision: self.config.precision, ..self.config.kitnet };
-        let mut net = KitNet::new(clusters, width, kitnet_config);
+        let KitsuneConfig { seed, precision } = self.config;
+        let mut net = KitNet::new(clusters, width, KitNetConfig { seed, precision });
         for features in buffered.iter().flatten() {
             net.train(features);
         }
@@ -167,7 +158,7 @@ impl Kitsune {
 }
 
 /// A fitted Kitsune: damped-statistics extractor plus trained KitNET
-/// ensemble, scoring packets one at a time (phase 3 of the crate docs).
+/// ensemble, scoring packets in arrival order (phase 3 of the crate docs).
 ///
 /// The engine is deliberately *stateful*: AfterImage statistics keep
 /// evolving as evaluation packets arrive, exactly as in the reference
@@ -188,27 +179,17 @@ pub struct KitsuneEngine {
 }
 
 impl KitsuneEngine {
-    /// Scores one packet from its parsed view — a one-row call into the
-    /// batch path. Malformed packets (no parsed view) score 0
-    /// (pass-through), keeping stream alignment.
-    ///
-    /// Steady-state allocation-free: feature extraction, normalization,
-    /// cluster partitioning, and every autoencoder forward pass write into
-    /// buffers owned by the engine (pinned by the `hot_path_allocs`
-    /// integration test).
-    pub fn score_view(&mut self, view: &ParsedView) -> f64 {
-        if !features_into(&mut self.extractor, view, &mut self.feat_buf) {
-            return 0.0;
-        }
-        self.net.execute(&self.feat_buf)
-    }
-
     /// Scores a burst of views, pushing one score per view in order.
     /// Feature extraction (stateful AfterImage updates) runs sequentially
     /// per packet; the ensemble forwards then run batched through
     /// [`KitNet::execute_batch`], amortizing every autoencoder's weight
     /// traffic across the burst. Scores do not depend on how the packet
-    /// stream was cut into bursts.
+    /// stream was cut into bursts, down to bursts of one packet.
+    ///
+    /// Steady-state allocation-free: feature extraction, normalization,
+    /// cluster partitioning, and every autoencoder forward pass write into
+    /// buffers owned by the engine (pinned by the `hot_path_allocs`
+    /// integration test).
     pub fn score_batch(
         &mut self,
         views: &mut dyn Iterator<Item = &ParsedView>,
@@ -277,18 +258,11 @@ impl EventDetector for Kitsune {
     fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
         match event {
             Event::Packet(view) => {
-                // Scoring without fit degrades to an untrained engine rather
-                // than panicking — the stream keeps flowing, as a deployed
-                // IDS must.
-                if self.engine.is_none() {
-                    self.engine = Some(Kitsune::fit(self, &TrainView::default()));
-                }
-                let engine = self.engine.as_mut().expect("engine fitted above");
-                let started = self.probe.as_ref().and_then(|probe| probe.begin());
-                let score = engine.score_view(view);
-                if let (Some(probe), Some(started)) = (&self.probe, started) {
-                    probe.end(started);
-                }
+                let mut single = std::mem::take(&mut self.single);
+                single.clear();
+                self.on_packet_batch(&mut std::iter::once(*view), &mut single);
+                let score = single[0];
+                self.single = single;
                 Some(score)
             }
             Event::FlowEvicted(_) => None,
@@ -300,6 +274,8 @@ impl EventDetector for Kitsune {
         views: &mut dyn Iterator<Item = &ParsedView>,
         scores: &mut Vec<f64>,
     ) {
+        // Scoring without fit degrades to an untrained engine rather than
+        // panicking — the stream keeps flowing, as a deployed IDS must.
         if self.engine.is_none() {
             self.engine = Some(Kitsune::fit(self, &TrainView::default()));
         }

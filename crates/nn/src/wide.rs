@@ -43,9 +43,10 @@ pub enum Precision {
     /// `f32` kernels: twice the lane width and a shorter activation
     /// polynomial, under the epsilon-parity contract (per-detector relative
     /// error bound + identical threshold decisions, pinned by
-    /// `tests/epsilon_parity.rs`). Pays ~1.7× on HELAD at any call shape
-    /// and ~1.25× on Kitsune at stream batch sizes; on Kitsune's one-row
-    /// calls it is within a few percent of `f64`.
+    /// `tests/epsilon_parity.rs`). Pays on HELAD at any call shape and on
+    /// Kitsune at stream batch sizes; on Kitsune's one-row calls it is
+    /// within a few percent of `f64` (measured in the README's "Wide
+    /// lanes" section).
     F32Wide,
 }
 

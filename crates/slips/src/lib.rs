@@ -34,113 +34,70 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 
 use idsbench_core::fasthash::{FxHashMap, FxHashSet};
 use idsbench_core::{Event, EventDetector, InputFormat, LabeledFlow, TrainView};
 
+/// Profile time-window length in seconds (Slips' default is 1 hour; the
+/// evaluated traces are minutes long, so the out-of-the-box idsbench
+/// profile uses one minute).
+const WINDOW_SECS: f64 = 60.0;
+/// Minimum flows in a (src, dst, port) group before periodicity is
+/// assessed.
+const C2_MIN_FLOWS: usize = 4;
+/// Maximum coefficient of variation of inter-flow gaps to call a group
+/// periodic.
+const C2_MAX_CV: f64 = 0.15;
+/// Distinct unanswered destination ports (one destination, one window)
+/// that constitute a vertical scan.
+const SCAN_PORT_THRESHOLD: usize = 20;
+/// Distinct unanswered destinations (one port, one window) that constitute
+/// a horizontal sweep.
+const SWEEP_HOST_THRESHOLD: usize = 20;
+/// Connections to one authentication service in one window that constitute
+/// brute force.
+const BRUTE_FORCE_THRESHOLD: usize = 10;
+/// Authentication ports watched by the brute-force module.
+const AUTH_PORTS: [u16; 5] = [21, 22, 23, 2323, 3389];
+/// Duration (seconds) beyond which a connection is "long".
+const LONG_CONNECTION_SECS: f64 = 1200.0;
+/// Outbound payload bytes to an external host that count as a large upload.
+const UPLOAD_BYTES: u64 = 1_000_000;
+/// Threat-intelligence feed: blacklisted IPv4 prefixes `(addr, len)`. It
+/// lists the block this workspace's scenario C2 controllers live in, the
+/// way a real TI feed lists known botnet infrastructure.
+const BLACKLIST: [(Ipv4Addr, u8); 1] = [(Ipv4Addr::new(203, 0, 1, 240), 28)];
+/// Ports exempt from the periodicity module (benign periodic services).
+const PERIODIC_PORT_WHITELIST: [u16; 2] = [53, 123];
+/// The site's internal IPv4 prefix (destinations outside it are
+/// "external").
+const INTERNAL_PREFIX: (Ipv4Addr, u8) = (Ipv4Addr::new(10, 0, 0, 0), 8);
+
 /// Evidence weights per module (relative importance, as in Slips'
 /// `evidence` severity levels).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EvidenceWeights {
+mod weight {
     /// Destination on a threat-intelligence blacklist.
-    pub threat_intel: f64,
+    pub const THREAT_INTEL: f64 = 1.0;
     /// Periodic beaconing to an external service.
-    pub periodicity: f64,
+    pub const PERIODICITY: f64 = 0.8;
     /// Vertical port scan.
-    pub port_scan: f64,
+    pub const PORT_SCAN: f64 = 0.6;
     /// Horizontal address sweep.
-    pub sweep: f64,
+    pub const SWEEP: f64 = 0.6;
     /// Authentication brute force.
-    pub brute_force: f64,
+    pub const BRUTE_FORCE: f64 = 0.7;
     /// Unusually long connection.
-    pub long_connection: f64,
+    pub const LONG_CONNECTION: f64 = 0.25;
     /// Large upload to an external host.
-    pub upload: f64,
-}
-
-impl Default for EvidenceWeights {
-    fn default() -> Self {
-        EvidenceWeights {
-            threat_intel: 1.0,
-            periodicity: 0.8,
-            port_scan: 0.6,
-            sweep: 0.6,
-            brute_force: 0.7,
-            long_connection: 0.25,
-            upload: 0.5,
-        }
-    }
-}
-
-/// Configuration for [`Slips`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlipsConfig {
-    /// Profile time-window length in seconds (Slips' default is 1 hour; the
-    /// evaluated traces are minutes long, so the out-of-the-box idsbench
-    /// profile uses one minute).
-    pub window_secs: f64,
-    /// Minimum flows in a (src, dst, port) group before periodicity is
-    /// assessed.
-    pub c2_min_flows: usize,
-    /// Maximum coefficient of variation of inter-flow gaps to call a group
-    /// periodic.
-    pub c2_max_cv: f64,
-    /// Distinct unanswered destination ports (one destination, one window)
-    /// that constitute a vertical scan.
-    pub scan_port_threshold: usize,
-    /// Distinct unanswered destinations (one port, one window) that
-    /// constitute a horizontal sweep.
-    pub sweep_host_threshold: usize,
-    /// Connections to one authentication service in one window that
-    /// constitute brute force.
-    pub brute_force_threshold: usize,
-    /// Authentication ports watched by the brute-force module.
-    pub auth_ports: Vec<u16>,
-    /// Duration (seconds) beyond which a connection is "long".
-    pub long_connection_secs: f64,
-    /// Outbound payload bytes to an external host that count as a large
-    /// upload.
-    pub upload_bytes: u64,
-    /// Threat-intelligence feed: blacklisted IPv4 prefixes `(addr, len)`.
-    pub blacklist: Vec<(std::net::Ipv4Addr, u8)>,
-    /// Ports exempt from the periodicity module (benign periodic services).
-    pub periodic_port_whitelist: Vec<u16>,
-    /// The site's internal IPv4 prefix (destinations outside it are
-    /// "external").
-    pub internal_prefix: (std::net::Ipv4Addr, u8),
-    /// Module weights.
-    pub weights: EvidenceWeights,
-}
-
-impl Default for SlipsConfig {
-    fn default() -> Self {
-        SlipsConfig {
-            window_secs: 60.0,
-            c2_min_flows: 4,
-            c2_max_cv: 0.15,
-            scan_port_threshold: 20,
-            sweep_host_threshold: 20,
-            brute_force_threshold: 10,
-            auth_ports: vec![21, 22, 23, 2323, 3389],
-            long_connection_secs: 1200.0,
-            upload_bytes: 1_000_000,
-            // The default feed blacklists the block this workspace's
-            // scenario C2 controllers live in, the way a real TI feed lists
-            // known botnet infrastructure.
-            blacklist: vec![(std::net::Ipv4Addr::new(203, 0, 1, 240), 28)],
-            periodic_port_whitelist: vec![53, 123],
-            internal_prefix: (std::net::Ipv4Addr::new(10, 0, 0, 0), 8),
-            weights: EvidenceWeights::default(),
-        }
-    }
+    pub const UPLOAD: f64 = 0.5;
 }
 
 /// How many of a group's most recent flow start-times the periodicity
 /// module keeps. Bounds both memory and per-eviction cost on long-lived
 /// groups (a persistent beacon otherwise accumulates state forever), the
 /// way Slips' real profiles are windowed; the cap is far above
-/// `c2_min_flows`, so detection behaviour only changes for groups with
+/// [`C2_MIN_FLOWS`], so detection behaviour only changes for groups with
 /// hundreds of repetitions — by then the verdict is long since stable.
 const MAX_GROUP_HISTORY: usize = 256;
 
@@ -161,26 +118,37 @@ struct BehaviourState {
     auth: FxHashMap<(IpAddr, u64, IpAddr, u16), usize>,
 }
 
-/// The Slips-style behavioural NIDS (see crate docs).
-#[derive(Debug)]
+/// The Slips-style behavioural NIDS (see crate docs), built with
+/// [`Default`]: every module threshold and weight is an out-of-the-box
+/// constant.
+#[derive(Debug, Default)]
 pub struct Slips {
-    config: SlipsConfig,
     state: BehaviourState,
     /// Optional sampled timer around the inference kernel.
     probe: Option<idsbench_telemetry::SpanTimer>,
 }
 
-impl Slips {
-    /// Creates a Slips instance with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window length is not positive.
-    pub fn new(config: SlipsConfig) -> Self {
-        assert!(config.window_secs > 0.0, "window length must be positive");
-        Slips { config, state: BehaviourState::default(), probe: None }
+fn matches_prefix(ip: IpAddr, prefix: (Ipv4Addr, u8)) -> bool {
+    let IpAddr::V4(v4) = ip else { return false };
+    let bits = u32::from_be_bytes(v4.octets());
+    let base = u32::from_be_bytes(prefix.0.octets());
+    let len = u32::from(prefix.1.min(32));
+    if len == 0 {
+        return true;
     }
+    let mask = u32::MAX << (32 - len);
+    (bits & mask) == (base & mask)
+}
 
+fn is_external(ip: IpAddr) -> bool {
+    !matches_prefix(ip, INTERNAL_PREFIX)
+}
+
+fn is_blacklisted(ip: IpAddr) -> bool {
+    BLACKLIST.iter().any(|&prefix| matches_prefix(ip, prefix))
+}
+
+impl Slips {
     /// Attaches a sampled [`SpanTimer`](idsbench_telemetry::SpanTimer)
     /// around the per-flow evidence fold. Purely observational — scores
     /// are bit-identical with or without it — and allocation-free on the
@@ -189,68 +157,39 @@ impl Slips {
         self.probe = Some(probe);
     }
 
-    fn matches_prefix(ip: IpAddr, prefix: (std::net::Ipv4Addr, u8)) -> bool {
-        let IpAddr::V4(v4) = ip else { return false };
-        let bits = u32::from_be_bytes(v4.octets());
-        let base = u32::from_be_bytes(prefix.0.octets());
-        let len = u32::from(prefix.1.min(32));
-        if len == 0 {
-            return true;
-        }
-        let mask = u32::MAX << (32 - len);
-        (bits & mask) == (base & mask)
-    }
-
-    fn is_external(&self, ip: IpAddr) -> bool {
-        !Self::matches_prefix(ip, self.config.internal_prefix)
-    }
-
-    fn is_blacklisted(&self, ip: IpAddr) -> bool {
-        self.config.blacklist.iter().any(|&prefix| Self::matches_prefix(ip, prefix))
-    }
-
-    fn window_of(&self, flow: &LabeledFlow) -> u64 {
-        (flow.record.first_seen.as_secs_f64() / self.config.window_secs) as u64
-    }
-
     /// Folds one evicted flow into the behavioural state and returns the
     /// evidence this flow carries *at this moment* — the deployment-shaped
     /// scoring rule (see crate docs). Shared by `fit` (training flows warm
     /// the state, scores discarded) and `on_event`.
     fn observe_flow(&mut self, flow: &LabeledFlow) -> f64 {
-        let weights = self.config.weights;
         let key = flow.record.initiator_key();
         let profile = key.src_ip;
-        let window = self.window_of(flow);
         let start = flow.record.first_seen.as_secs_f64();
+        let window = (start / WINDOW_SECS) as u64;
         let mut evidence = 0.0;
 
         // Per-flow modules fire immediately.
-        if self.is_blacklisted(key.dst_ip) {
-            evidence += weights.threat_intel;
+        if is_blacklisted(key.dst_ip) {
+            evidence += weight::THREAT_INTEL;
         }
-        if flow.record.duration().as_secs_f64() > self.config.long_connection_secs {
-            evidence += weights.long_connection;
+        if flow.record.duration().as_secs_f64() > LONG_CONNECTION_SECS {
+            evidence += weight::LONG_CONNECTION;
         }
-        if flow.record.forward_payload_bytes > self.config.upload_bytes
-            && self.is_external(key.dst_ip)
-        {
-            evidence += weights.upload;
+        if flow.record.forward_payload_bytes > UPLOAD_BYTES && is_external(key.dst_ip) {
+            evidence += weight::UPLOAD;
         }
 
         // Periodicity (the behavioural model): this flow joins its
         // (profile, dst, service) group; once the group has enough members
         // and their inter-start gaps are regular, the flow is beaconing.
-        if self.is_external(key.dst_ip)
-            && !self.config.periodic_port_whitelist.contains(&key.dst_port)
-        {
+        if is_external(key.dst_ip) && !PERIODIC_PORT_WHITELIST.contains(&key.dst_port) {
             let members = self.state.groups.entry((profile, key.dst_ip, key.dst_port)).or_default();
             let at = members.partition_point(|&t| t <= start);
             members.insert(at, start);
             if members.len() > MAX_GROUP_HISTORY {
                 members.remove(0); // slide the window: drop the oldest start
             }
-            if members.len() >= self.config.c2_min_flows {
+            if members.len() >= C2_MIN_FLOWS {
                 // Gap mean and variance computed streaming over adjacent
                 // pairs — no materialized gap vector on the eviction path.
                 let count = (members.len() - 1) as f64;
@@ -258,8 +197,8 @@ impl Slips {
                 if mean > 0.0 {
                     let var = members.windows(2).map(|w| (w[1] - w[0] - mean).powi(2)).sum::<f64>()
                         / count;
-                    if var.sqrt() / mean <= self.config.c2_max_cv {
-                        evidence += weights.periodicity;
+                    if var.sqrt() / mean <= C2_MAX_CV {
+                        evidence += weight::PERIODICITY;
                     }
                 }
             }
@@ -270,35 +209,27 @@ impl Slips {
         if is_unanswered(flow) {
             let ports = self.state.vertical.entry((profile, window, key.dst_ip)).or_default();
             ports.insert(key.dst_port);
-            if ports.len() >= self.config.scan_port_threshold {
-                evidence += weights.port_scan
-                    * (ports.len() as f64 / self.config.scan_port_threshold as f64);
+            if ports.len() >= SCAN_PORT_THRESHOLD {
+                evidence += weight::PORT_SCAN * (ports.len() as f64 / SCAN_PORT_THRESHOLD as f64);
             }
             let hosts = self.state.horizontal.entry((profile, window, key.dst_port)).or_default();
             hosts.insert(key.dst_ip);
-            if hosts.len() >= self.config.sweep_host_threshold {
-                evidence +=
-                    weights.sweep * (hosts.len() as f64 / self.config.sweep_host_threshold as f64);
+            if hosts.len() >= SWEEP_HOST_THRESHOLD {
+                evidence += weight::SWEEP * (hosts.len() as f64 / SWEEP_HOST_THRESHOLD as f64);
             }
         }
 
         // Brute force: repeated sessions to one authentication service.
-        if self.config.auth_ports.contains(&key.dst_port) {
+        if AUTH_PORTS.contains(&key.dst_port) {
             let count =
                 self.state.auth.entry((profile, window, key.dst_ip, key.dst_port)).or_default();
             *count += 1;
-            if *count >= self.config.brute_force_threshold {
-                evidence += weights.brute_force;
+            if *count >= BRUTE_FORCE_THRESHOLD {
+                evidence += weight::BRUTE_FORCE;
             }
         }
 
         evidence
-    }
-}
-
-impl Default for Slips {
-    fn default() -> Self {
-        Slips::new(SlipsConfig::default())
     }
 }
 
@@ -349,7 +280,6 @@ mod tests {
     use idsbench_core::runner::replay;
     use idsbench_core::{AttackKind, Label, LabeledPacket};
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
-    use std::net::Ipv4Addr;
 
     fn tcp_exchange(
         out: &mut Vec<LabeledPacket>,
@@ -431,7 +361,7 @@ mod tests {
         let flagged_beacons =
             scores.iter().filter(|(s, _, k)| *k == Some(AttackKind::BotnetC2) && *s > 0.0).count();
         assert!(
-            flagged_beacons >= 12 - SlipsConfig::default().c2_min_flows,
+            flagged_beacons >= 12 - C2_MIN_FLOWS,
             "established beacon flows must accumulate evidence ({flagged_beacons} flagged)"
         );
         for (score, _, kind) in &scores {
@@ -477,7 +407,7 @@ mod tests {
             .filter(|(_, _, k)| *k == Some(AttackKind::SynFlood))
             .map(|(s, _, _)| *s)
             .collect();
-        let threshold = SlipsConfig::default().scan_port_threshold;
+        let threshold = SCAN_PORT_THRESHOLD;
         assert!(
             scan.iter().filter(|&&s| s > 0.0).count() >= scan.len() - threshold,
             "scan flows past the threshold must be flagged"
@@ -618,23 +548,6 @@ mod tests {
         );
     }
 
-    /// A custom blacklist replaces the default feed.
-    #[test]
-    fn custom_blacklist_is_respected() {
-        let mut packets = Vec::new();
-        tcp_exchange(
-            &mut packets,
-            (Ipv4Addr::new(10, 0, 0, 6), 6, 52_000),
-            (Ipv4Addr::new(203, 0, 1, 244), 70, 443),
-            2.0,
-            Label::Benign,
-        );
-        // Empty feed: the default-blacklisted destination goes unflagged.
-        let mut slips = Slips::new(SlipsConfig { blacklist: Vec::new(), ..Default::default() });
-        let scores = flow_scores(&mut slips, packets);
-        assert!(scores.iter().all(|(s, _, _)| *s == 0.0));
-    }
-
     /// Training flows warm the behavioural state: a beacon group whose
     /// early members arrived during training is flagged from the first
     /// evaluation flow.
@@ -686,9 +599,9 @@ mod tests {
     fn prefix_matching() {
         let inside = IpAddr::V4(Ipv4Addr::new(203, 0, 1, 241));
         let outside = IpAddr::V4(Ipv4Addr::new(203, 0, 1, 200));
-        assert!(Slips::matches_prefix(inside, (Ipv4Addr::new(203, 0, 1, 240), 28)));
-        assert!(!Slips::matches_prefix(outside, (Ipv4Addr::new(203, 0, 1, 240), 28)));
-        assert!(Slips::matches_prefix(inside, (Ipv4Addr::new(0, 0, 0, 0), 0)));
+        assert!(matches_prefix(inside, (Ipv4Addr::new(203, 0, 1, 240), 28)));
+        assert!(!matches_prefix(outside, (Ipv4Addr::new(203, 0, 1, 240), 28)));
+        assert!(matches_prefix(inside, (Ipv4Addr::new(0, 0, 0, 0), 0)));
     }
 
     #[test]

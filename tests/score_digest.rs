@@ -32,13 +32,13 @@
 //! when the activations were brought in-crate, and a change that moves it
 //! changed something other than a network.
 
-use idsbench::core::preprocess::Pipeline;
+use idsbench::core::preprocess::{EventInput, Pipeline};
 use idsbench::core::runner::{replay, EvalConfig};
 use idsbench::core::{Dataset, EventDetector};
 use idsbench::datasets::{scenarios, ScenarioScale};
 use idsbench::dnn::Dnn;
-use idsbench::helad::Helad;
-use idsbench::kitsune::Kitsune;
+use idsbench::helad::{Helad, HeladConfig};
+use idsbench::kitsune::{Kitsune, KitsuneConfig};
 use idsbench::slips::Slips;
 use idsbench::telemetry::{Stage, Telemetry, TelemetryConfig};
 
@@ -63,16 +63,22 @@ fn digest_of(scores: &[f64]) -> u64 {
     digest
 }
 
+/// The canonical input: Tiny Stratosphere, prepared with the default
+/// `EvalConfig`.
+fn canonical_input() -> EventInput {
+    let scenario = scenarios::stratosphere_iot(ScenarioScale::Tiny);
+    let config = EvalConfig::default();
+    let pipeline = Pipeline::new(config.pipeline).expect("pipeline");
+    pipeline
+        .prepare_events(&scenario.info().name, scenario.generate(config.dataset_seed))
+        .expect("preprocess")
+}
+
 /// Runs the canonical replay and returns `(name, events, digest)` per
 /// system. With `telemetry` supplied, every detector carries a sampled
 /// inference probe during the replay — the digests must not notice.
 fn replay_digests(telemetry: Option<&Telemetry>) -> Vec<(String, usize, u64)> {
-    let scenario = scenarios::stratosphere_iot(ScenarioScale::Tiny);
-    let config = EvalConfig::default();
-    let pipeline = Pipeline::new(config.pipeline).expect("pipeline");
-    let input = pipeline
-        .prepare_events(&scenario.info().name, scenario.generate(config.dataset_seed))
-        .expect("preprocess");
+    let input = canonical_input();
     let mut kitsune = Kitsune::default();
     let mut helad = Helad::default();
     let mut dnn = Dnn::default();
@@ -133,5 +139,29 @@ fn telemetry_probes_do_not_perturb_scores() {
             !telemetry.stage(Stage::Infer, Some(probe)).histogram().is_empty(),
             "probe {probe} sampled no inference spans"
         );
+    }
+}
+
+/// The model-initialization seed is one of the two knobs Kitsune and HELAD
+/// keep, so it must reach the scores: equal seeds give bitwise-equal
+/// scores, a different seed changes at least one.
+#[test]
+fn model_init_seed_reaches_the_scores() {
+    let input = canonical_input();
+    let bits = |mut detector: Box<dyn EventDetector>| -> Vec<u64> {
+        let scores = replay(detector.as_mut(), &input).expect("replay").scores;
+        scores.iter().map(|s| s.to_bits()).collect()
+    };
+    type Build = fn(u64) -> Box<dyn EventDetector>;
+    let systems: [(&str, Build); 2] = [
+        ("Kitsune", |seed| Box::new(Kitsune::new(KitsuneConfig { seed, ..Default::default() }))),
+        ("HELAD", |seed| Box::new(Helad::new(HeladConfig { seed, ..Default::default() }))),
+    ];
+    for (name, build) in systems {
+        let reference = bits(build(0));
+        // `assert!` rather than `assert_eq!`: a failure names the system
+        // instead of printing thousands of score bits.
+        assert!(bits(build(0)) == reference, "{name}: equal seeds gave different scores");
+        assert!(bits(build(1)) != reference, "{name}: the seed never reached the model");
     }
 }
