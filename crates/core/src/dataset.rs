@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::label::LabeledPacket;
 
 /// Metadata describing a dataset, mirroring the columns of the paper's
 /// Tables II and III.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetInfo {
     /// Canonical short name (e.g. `"UNSW-NB15"`).
     pub name: String,

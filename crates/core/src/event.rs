@@ -252,10 +252,12 @@ pub trait EventDetector: Send {
     /// where a `Box<dyn Any>` cannot travel.
     ///
     /// Only state keyed *by this exact flow* belongs here. Entity-keyed
-    /// state (per-host profiles, per-channel statistics) is deliberately
-    /// shard-local and must not be extracted — it is shared across flows,
-    /// so multi-shard partitioning of it is an evaluation variable, not a
-    /// bug. The default (no per-flow state) returns `None`.
+    /// state (per-host profiles, per-channel statistics) is shared across
+    /// flows and stays shard-local: routing by flow key splits it across
+    /// the shards of a multi-shard run, so a detector that keeps any
+    /// (Kitsune, HELAD, Slips) scores differently than at one shard. Only
+    /// a detector whose state is all per-flow (DNN) can score the same at
+    /// every shard count. The default (no per-flow state) returns `None`.
     fn extract_flow_state(&mut self, _key: &FlowKey) -> Option<Vec<u8>> {
         None
     }
@@ -360,11 +362,11 @@ struct LabelEntry {
     last_seen: Timestamp,
 }
 
-/// Default dead-tuple horizon for the label fold: a tuple silent this long
-/// is treated as gone for good, and a later reopen starts a fresh label.
+/// Dead-tuple horizon for the label fold: a tuple silent this long is
+/// treated as gone for good, and a later reopen starts a fresh label.
 /// Chosen well above the flow-table timeouts so every shipped scenario's
 /// scores are unchanged by the bound.
-const DEFAULT_LABEL_HORIZON: Duration = Duration::from_secs(600);
+const LABEL_HORIZON: Duration = Duration::from_secs(600);
 
 /// Minimum label-fold size before the amortized physical purge first runs.
 const LABEL_PURGE_MIN: usize = 1024;
@@ -383,9 +385,9 @@ const LABEL_PURGE_MIN: usize = 1024;
 ///
 /// Labels persist beyond flow eviction so a reopened 5-tuple inherits the
 /// attack fold — but not forever. A tuple with no traffic for the *label
-/// horizon* (default 10 minutes, always at least `idle_timeout +
-/// time_wait`) is considered gone for good: a later reopen starts a fresh
-/// label, and the entry becomes purgeable. The expiry predicate is pure
+/// horizon* (10 minutes, or `idle_timeout + time_wait` if that is longer)
+/// is considered gone for good: a later reopen starts a fresh label, and
+/// the entry becomes purgeable. The expiry predicate is pure
 /// traffic time on the tuple's own packets, so every run shape — batch,
 /// single shard, autoscaled, multi-process — makes the identical label
 /// decisions no matter when the physical purge happens to run.
@@ -393,11 +395,10 @@ const LABEL_PURGE_MIN: usize = 1024;
 pub struct FlowEventAssembler {
     table: FlowTable,
     labels: FxHashMap<FlowKey, LabelEntry>,
-    /// Dead-tuple expiry horizon, clamped to at least `label_floor`.
+    /// Dead-tuple expiry horizon: [`LABEL_HORIZON`], raised to
+    /// `idle_timeout + time_wait` — the longest a tuple can sit in the flow
+    /// table between packets — so the purge schedule cannot change scores.
     label_horizon: Duration,
-    /// `idle_timeout + time_wait`: the longest a tuple can sit in the flow
-    /// table between packets, hence the shortest sound horizon.
-    label_floor: Duration,
     /// Latest packet timestamp observed (the purge/migration clock).
     last_ts: Timestamp,
     /// Next fold size at which the amortized purge fires.
@@ -407,12 +408,10 @@ pub struct FlowEventAssembler {
 impl FlowEventAssembler {
     /// Creates an assembler with an empty flow table.
     pub fn new(config: FlowTableConfig) -> Self {
-        let floor = config.idle_timeout + config.time_wait;
         FlowEventAssembler {
             table: FlowTable::new(config),
             labels: FxHashMap::default(),
-            label_horizon: DEFAULT_LABEL_HORIZON.max(floor),
-            label_floor: floor,
+            label_horizon: LABEL_HORIZON.max(config.idle_timeout + config.time_wait),
             last_ts: Timestamp::ZERO,
             purge_at: LABEL_PURGE_MIN,
         }
@@ -423,15 +422,6 @@ impl FlowEventAssembler {
     /// assembly entirely.
     pub fn for_format(format: InputFormat, config: FlowTableConfig) -> Option<Self> {
         (format == InputFormat::Flows).then(|| Self::new(config))
-    }
-
-    /// Sets the dead-tuple label horizon (see the type docs). Clamped up to
-    /// `idle_timeout + time_wait`: anything shorter could expire the label
-    /// of a flow that is still sitting in the table, which would let the
-    /// purge schedule change scores.
-    pub fn with_label_horizon(mut self, horizon: Duration) -> Self {
-        self.label_horizon = horizon.max(self.label_floor);
-        self
     }
 
     /// Feeds one parsed view; evicted flows (if any) are handed to `emit`
@@ -883,15 +873,14 @@ mod tests {
             time_wait: Duration::from_secs(1),
             max_flows: 4096,
         };
-        let mut assembler =
-            FlowEventAssembler::new(config).with_label_horizon(Duration::from_secs(4));
+        let mut assembler = FlowEventAssembler::new(config);
         // A long stream of one-packet flows: a fresh source port every
-        // packet, ten packets per traffic-second. Before the bound, the
+        // packet, one packet per traffic-second. Before the bound, the
         // fold kept every tuple ever seen and this grew without limit.
         let total = 8_000u32;
         let mut peak = 0usize;
         for i in 0..total {
-            let t = f64::from(i) * 0.1;
+            let t = f64::from(i);
             let port = 2_000 + (i % 60_000) as u16;
             let view = tcp_view((1, port), (2, 80), t, Label::Benign);
             assembler.observe(&view, |_| {});
@@ -912,16 +901,15 @@ mod tests {
             time_wait: Duration::from_secs(1),
             max_flows: 4096,
         };
-        let mut assembler =
-            FlowEventAssembler::new(config).with_label_horizon(Duration::from_secs(4));
-        // An attack-labeled flow dies, then the same 5-tuple reopens far
-        // past the horizon with benign traffic.
+        let mut assembler = FlowEventAssembler::new(config);
+        // An attack-labeled flow dies, then the same 5-tuple reopens past
+        // the horizon with benign traffic.
         let mut evicted = Vec::new();
         assembler.observe(
             &tcp_view((1, 40_000), (2, 80), 0.0, Label::Attack(AttackKind::PortScan)),
             |flow| evicted.push(flow),
         );
-        assembler.observe(&tcp_view((1, 40_000), (2, 80), 100.0, Label::Benign), |flow| {
+        assembler.observe(&tcp_view((1, 40_000), (2, 80), 700.0, Label::Benign), |flow| {
             evicted.push(flow)
         });
         // The old record idled out, swept by the reopening packet — and it
@@ -934,8 +922,7 @@ mod tests {
         assert!(!flows[0].label.is_attack(), "expired fold must not leak into the reopen");
 
         // Inside the horizon the fold still carries over (unchanged rule).
-        let mut assembler =
-            FlowEventAssembler::new(config).with_label_horizon(Duration::from_secs(400));
+        let mut assembler = FlowEventAssembler::new(config);
         let mut evicted = Vec::new();
         assembler.observe(
             &tcp_view((1, 40_000), (2, 80), 0.0, Label::Attack(AttackKind::PortScan)),
@@ -957,10 +944,10 @@ mod tests {
             time_wait: Duration::from_secs(1),
             max_flows: 4096,
         };
-        let mut donor = FlowEventAssembler::new(config).with_label_horizon(Duration::from_secs(4));
+        let mut donor = FlowEventAssembler::new(config);
         // One tuple dies early, another stays live until the handoff.
         donor.observe(&tcp_view((1, 40_000), (2, 80), 0.0, Label::Benign), |_| {});
-        donor.observe(&tcp_view((3, 41_000), (2, 80), 50.0, Label::Benign), |_| {});
+        donor.observe(&tcp_view((3, 41_000), (2, 80), 650.0, Label::Benign), |_| {});
         let migrations = donor.extract_departing(|_| false);
         assert_eq!(migrations.len(), 1, "expired dead tuple must not be shipped");
         assert_eq!(

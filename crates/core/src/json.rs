@@ -1,9 +1,9 @@
 //! The one hand-rolled JSON formatting vocabulary for the whole workspace.
 //!
-//! Every report, journal, and fig binary emits JSON by hand (the vendored
-//! `serde` is marker-only), and before this module each of them carried its
-//! own copy of the same two helpers — with subtly different escaping
-//! coverage. These are the canonical versions:
+//! Every report, journal, and fig binary emits JSON by hand (the workspace
+//! has no serialization framework), and before this module each of them
+//! carried its own copy of the same two helpers — with subtly different
+//! escaping coverage. These are the canonical versions:
 //!
 //! * strings escape quotes, backslashes, and **all** control characters
 //!   (U+0000–U+001F), so arbitrary detector/source names can't corrupt a

@@ -1,14 +1,13 @@
 use std::fmt;
 
 use idsbench_net::Packet;
-use serde::{Deserialize, Serialize};
 
 /// The attack taxonomy spanning the five evaluated datasets.
 ///
 /// Each variant maps to an attack family present in at least one of the
 /// paper's datasets (Table II); generators in `idsbench-datasets` emit
 /// traffic labeled with these kinds so per-family breakdowns are possible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum AttackKind {
     /// TCP SYN flood (BoT-IoT, CICIDS2017, Mirai).
@@ -78,20 +77,6 @@ impl AttackKind {
             AttackKind::WebAttack => "web-attack",
         }
     }
-
-    /// Whether this family is *volumetric* (loud, high packet rate) as
-    /// opposed to low-and-slow. Volumetric families are what anomaly
-    /// detectors catch most easily (Section V factor 1).
-    pub fn is_volumetric(self) -> bool {
-        matches!(
-            self,
-            AttackKind::SynFlood
-                | AttackKind::UdpFlood
-                | AttackKind::IcmpFlood
-                | AttackKind::HttpFlood
-                | AttackKind::AddressSweep
-        )
-    }
 }
 
 impl fmt::Display for AttackKind {
@@ -101,7 +86,7 @@ impl fmt::Display for AttackKind {
 }
 
 /// Ground-truth label of a packet or flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Label {
     /// Legitimate traffic.
     Benign,
@@ -165,13 +150,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), AttackKind::ALL.len());
-    }
-
-    #[test]
-    fn volumetric_classification() {
-        assert!(AttackKind::SynFlood.is_volumetric());
-        assert!(!AttackKind::Stealth.is_volumetric());
-        assert!(!AttackKind::BotnetC2.is_volumetric());
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //!    configurations: each default is a constant placed next to the code
 //!    that uses it, and `Default` builds the detector. What stays settable
 //!    is what an experiment varies: Kitsune and HELAD take `precision` and
-//!    `seed`, Slips takes nothing, and the DNN keeps its ablation knobs.
+//!    `seed`, Slips takes nothing, and the DNN takes `normalize` and
+//!    `rebalance` (the preprocessing ablations) plus `seed` and
+//!    `precision`.
 //! 4. **Threshold calibration** (step 4) — [`threshold::ThresholdPolicy`]:
 //!    a standardized rule applied uniformly to every IDS.
 //! 5. **Metrics & reporting** — [`metrics`] (accuracy/precision/recall/F1,
-//!    ROC/PR/AUC) and [`report`] renderers that reproduce the paper's table
+//!    ROC/AUC) and [`report`] renderers that reproduce the paper's table
 //!    layouts, plus [`registry`] holding Tables I–III as data.
 //! 6. **Execution** — [`runner`]: the IDS × dataset grid, parallelized with
 //!    crossbeam scoped threads.

@@ -1,11 +1,9 @@
-//! Confusion-matrix metrics and score-ranking curves.
+//! Confusion-matrix metrics and the score-ranking ROC curve.
 //!
 //! The paper evaluates with accuracy, precision, recall, and F1 (Section
 //! IV-B) and explicitly warns that accuracy alone misleads on imbalanced
-//! datasets (Section V). This module implements those metrics plus ROC/PR
-//! curves and AUC for the threshold-sensitivity ablations.
-
-use serde::{Deserialize, Serialize};
+//! datasets (Section V). This module implements those metrics plus the ROC
+//! curve and AUC for the threshold-sensitivity ablations.
 
 /// Binary confusion matrix.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cm.false_negatives, 1);
 /// assert!((cm.recall() - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfusionMatrix {
     /// Attack items predicted as attack.
     pub true_positives: u64,
@@ -125,7 +123,7 @@ fn ratio(numerator: u64, denominator: u64) -> f64 {
 }
 
 /// The four metrics reported per (IDS, dataset) cell of Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Metrics {
     /// Fraction of correct decisions.
     pub accuracy: f64,
@@ -165,7 +163,7 @@ impl Metrics {
 ///
 /// [`Event::Packet`]: crate::event::Event::Packet
 /// [`Event::FlowEvicted`]: crate::event::Event::FlowEvicted
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FamilyCounts {
     /// Scored items of this family at or above the alert threshold.
     pub alerts: usize,
@@ -201,7 +199,7 @@ impl FamilyCounts {
 
 /// The per-attack-family outcome row of an experiment or stream report:
 /// named fields instead of the historical `(name, recall, count)` tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FamilyOutcome {
     /// Attack family name (`AttackKind::name()`).
     pub family: String,
@@ -260,21 +258,21 @@ pub fn family_outcomes(
     families.iter().map(|(name, counts)| FamilyOutcome::from_counts(name, counts)).collect()
 }
 
-/// One point of a ROC or precision-recall curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One point of a ROC curve.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Threshold producing this point.
     pub threshold: f64,
-    /// X coordinate (FPR for ROC, recall for PR).
+    /// X coordinate: the false-positive rate.
     pub x: f64,
-    /// Y coordinate (TPR for ROC, precision for PR).
+    /// Y coordinate: the true-positive rate.
     pub y: f64,
 }
 
 /// A scored population ranked **once**: every distinct score value in
 /// descending order, each with the running true/false-positive counts of
 /// alerting at it. Threshold calibration, the confusion matrix at the
-/// chosen threshold and the ROC/PR curves all read this one ranking, so
+/// chosen threshold and the ROC curve all read this one ranking, so
 /// they cannot disagree about the same cell — and a whole candidate sweep
 /// costs one `O(n log n)` sort instead of one `O(n)` scan per candidate.
 ///
@@ -395,21 +393,6 @@ impl Ranking {
     pub fn auc(&self) -> f64 {
         area_under(self.roc_points())
     }
-
-    /// The precision-recall curve, one point per distinct score value,
-    /// ordered by increasing recall (empty without positives).
-    pub fn pr_curve(&self) -> Vec<CurvePoint> {
-        let positives = self.positives as f64;
-        let steps = if self.positives == 0 { &[][..] } else { &self.steps };
-        steps
-            .iter()
-            .map(|s| CurvePoint {
-                threshold: s.score,
-                x: s.true_positives as f64 / positives,
-                y: s.true_positives as f64 / s.alerts() as f64,
-            })
-            .collect()
-    }
 }
 
 /// Computes the ROC curve (FPR, TPR) over all distinct score thresholds
@@ -443,16 +426,6 @@ fn area_under(points: impl Iterator<Item = CurvePoint>) -> f64 {
     }
     // Close the curve to (1, 1).
     area + (1.0 - prev.x) * (1.0 + prev.y) / 2.0
-}
-
-/// Computes the precision-recall curve over all distinct score thresholds,
-/// ordered by increasing recall (see [`Ranking::pr_curve`]).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn pr_curve(scores: &[f64], labels: &[bool]) -> Vec<CurvePoint> {
-    Ranking::new(scores, labels).pr_curve()
 }
 
 #[cfg(test)]
@@ -524,7 +497,6 @@ mod tests {
     #[test]
     fn roc_handles_no_positives() {
         assert!(roc_curve(&[1.0, 2.0], &[false, false]).is_empty());
-        assert!(pr_curve(&[1.0, 2.0], &[false, false]).is_empty());
     }
 
     #[test]
@@ -619,10 +591,6 @@ mod tests {
         assert_eq!(curve[0].threshold, f64::INFINITY);
         assert!((auc(&curve) - expected).abs() < 1e-12);
         assert_eq!(Ranking::new(&scores, &labels).auc(), auc(&curve));
-        // The PR curve reads the same ranking.
-        let pr = pr_curve(&scores, &labels);
-        assert_eq!(pr.len(), 7);
-        assert_eq!((pr[3].x, pr[3].y), (4.0 / 6.0, 1.0));
     }
 
     #[test]

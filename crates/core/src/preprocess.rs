@@ -25,6 +25,9 @@ use crate::event::{ParsedView, TrainView};
 use crate::label::LabeledPacket;
 use crate::{CoreError, Result};
 
+/// Seed for the flow-sampling RNG.
+const SAMPLING_SEED: u64 = 0;
+
 /// Configuration for the preprocessing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
@@ -33,20 +36,17 @@ pub struct PipelineConfig {
     /// Fraction of the trace (by packet count, after sorting) available for
     /// training/calibration.
     pub train_fraction: f64,
-    /// Seed for the sampling RNG.
-    pub seed: u64,
     /// Flow-table parameters used for flow assembly.
     pub flow_config: FlowTableConfig,
 }
 
 impl Default for PipelineConfig {
     /// Keep every flow, train on the leading 30% (the split the evaluated
-    /// anomaly detectors assume), seed 0.
+    /// anomaly detectors assume).
     fn default() -> Self {
         PipelineConfig {
             sampling_rate: 1.0,
             train_fraction: 0.3,
-            seed: 0,
             flow_config: FlowTableConfig::default(),
         }
     }
@@ -137,14 +137,14 @@ impl Pipeline {
     /// Step 1: random flow sampling on the precomputed canonical keys. The
     /// RNG is drawn once per newly seen flow, in arrival order, and every
     /// packet of a flow shares that one keep/drop decision, so the kept
-    /// set is a pure function of the seed. Packets without flow identity —
-    /// non-IP *and* malformed frames — are always retained, honouring the
-    /// event pipeline's pass-through promise.
+    /// set is a pure function of the input and [`SAMPLING_SEED`]. Packets
+    /// without flow identity — non-IP *and* malformed frames — are always
+    /// retained, honouring the event pipeline's pass-through promise.
     fn sample_flow_views(&self, views: Vec<ParsedView>) -> Vec<ParsedView> {
         if self.config.sampling_rate >= 1.0 {
             return views;
         }
-        let mut rng = SmallRng::seed_from_u64(self.config.seed);
+        let mut rng = SmallRng::seed_from_u64(SAMPLING_SEED);
         let mut keep: HashMap<FlowKey, bool> = HashMap::new();
         views
             .into_iter()
@@ -247,16 +247,15 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_in_seed() {
-        let sample = |seed| {
-            let config = PipelineConfig { sampling_rate: 0.3, seed, ..Default::default() };
+        let sample = || {
+            let config = PipelineConfig { sampling_rate: 0.3, ..Default::default() };
             kept_flows(
                 &Pipeline::new(config).unwrap().prepare_events("t", many_flows(50, 2)).unwrap(),
             )
         };
-        let a = sample(0);
+        let a = sample();
         assert!(!a.is_empty() && a.len() < 50, "kept {} of 50 flows", a.len());
-        assert_eq!(a, sample(0), "the same seed must keep the identical flow set");
-        assert_ne!(a, sample(99), "another seed must keep a different flow set");
+        assert_eq!(a, sample(), "the same seed must keep the identical flow set");
     }
 
     #[test]

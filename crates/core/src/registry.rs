@@ -9,12 +9,10 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::DatasetInfo;
 
 /// Where an IDS came from (Table I "Source" column).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IdsSource {
     /// Peer-reviewed venue (conference or journal name).
     Academic(String),
@@ -24,7 +22,7 @@ pub enum IdsSource {
 
 /// Why an IDS was excluded, or confirmation it was used (Table I last
 /// column).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UsabilityOutcome {
     /// Selected and evaluated in the study.
     UsedInPaper,
@@ -33,7 +31,7 @@ pub enum UsabilityOutcome {
 }
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdsEntry {
     /// System name as printed in the paper.
     pub name: String,

@@ -29,7 +29,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::detector::InputFormat;
@@ -54,7 +53,7 @@ pub struct EvalConfig {
 
 /// The outcome of evaluating one detector on one dataset — one cell of
 /// Table IV plus the diagnostics the discussion section draws on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Experiment {
     /// Detector name.
     pub detector: String,

@@ -26,11 +26,13 @@ pub enum ThresholdPolicy {
     MaxF1,
     /// A fixed, externally supplied threshold.
     Fixed(f64),
-    /// Mean + `k`·std of the *training-phase* scores — the rule shipped in
-    /// Kitsune's own examples. The statistics must be supplied by the
-    /// detector through the score stream's leading `train_len` items.
-    TrainQuantile {
-        /// Quantile of training scores used as the threshold (e.g. 0.999).
+    /// The `quantile` of the finite scores being calibrated (the
+    /// nearest-rank score at `round((n − 1)·quantile)` in ascending order).
+    /// It reads the scores only, never the labels; every driver calibrates
+    /// on the evaluation scores, so this is not a training-phase rule.
+    ScoreQuantile {
+        /// Quantile of the calibrated scores used as the threshold (e.g.
+        /// 0.999), clamped to `[0, 1]`.
         quantile: f64,
     },
 }
@@ -71,7 +73,7 @@ impl ThresholdPolicy {
         }
         match *self {
             ThresholdPolicy::Fixed(threshold) => threshold,
-            ThresholdPolicy::TrainQuantile { quantile } => quantile_of(ranking, quantile),
+            ThresholdPolicy::ScoreQuantile { quantile } => quantile_of(ranking, quantile),
             ThresholdPolicy::MaxF1 => {
                 let mut best = (f64::INFINITY, -1.0);
                 for (candidate, cm) in candidates(ranking) {
@@ -248,10 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn train_quantile_tracks_distribution() {
+    fn score_quantile_tracks_distribution() {
         let scores: Vec<f64> = (0..1000).map(|i| i as f64).collect();
         let labels = vec![false; 1000];
-        let t = ThresholdPolicy::TrainQuantile { quantile: 0.99 }.calibrate(&scores, &labels);
+        let t = ThresholdPolicy::ScoreQuantile { quantile: 0.99 }.calibrate(&scores, &labels);
         assert!((t - 989.0).abs() <= 1.0, "t = {t}");
     }
 

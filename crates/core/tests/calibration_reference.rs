@@ -2,12 +2,12 @@
 //!
 //! `ThresholdPolicy::calibrate` used to build a `ConfusionMatrix` with a
 //! full pass over the scores for every candidate threshold, and
-//! `roc_curve` / `pr_curve` each sorted the scores again. All of that now
+//! `roc_curve` sorted the scores again. All of that now
 //! reads one `Ranking` (sort once, running counts per distinct value). The
 //! code it replaced lives on here, verbatim, as the test-only reference:
 //! on every population below the sweep must choose the **same threshold,
 //! bit for bit**, under every policy, and the ranking must give the same
-//! confusion matrix and the same curves as the scans did.
+//! confusion matrix and the same ROC curve as the scan did.
 //!
 //! Two deliberate differences, both outside what the old code defined:
 //!
@@ -17,14 +17,14 @@
 //!   `sort_by` may panic on such a comparator), while `candidates` filtered
 //!   them — the two disagreed about the same cell. Calibration and the
 //!   confusion matrix never did depend on the sort, so those are compared
-//!   on `NaN` inputs too; the curves are compared on `NaN`-free inputs and
-//!   their `NaN` behaviour is pinned by `metrics.rs`'s unit tests.
+//!   on `NaN` inputs too; the curve is compared on `NaN`-free inputs and
+//!   its `NaN` behaviour is pinned by `metrics.rs`'s unit tests.
 //! * `-0.0` scores. `0.0` and `-0.0` alert together and so share one
 //!   candidate; the old code reported whichever came first in the input,
 //!   the ranking always reports `0.0`. The pools below contain no `-0.0`
 //!   (a unit test in `metrics.rs` covers the shared step).
 
-use idsbench_core::metrics::{auc, pr_curve, roc_curve, ConfusionMatrix, CurvePoint, Ranking};
+use idsbench_core::metrics::{auc, roc_curve, ConfusionMatrix, CurvePoint, Ranking};
 use idsbench_core::threshold::ThresholdPolicy;
 use proptest::prelude::*;
 
@@ -37,7 +37,7 @@ fn reference_calibrate(policy: &ThresholdPolicy, scores: &[f64], labels: &[bool]
     }
     match *policy {
         ThresholdPolicy::Fixed(threshold) => threshold,
-        ThresholdPolicy::TrainQuantile { quantile } => reference_quantile_of(scores, quantile),
+        ThresholdPolicy::ScoreQuantile { quantile } => reference_quantile_of(scores, quantile),
         ThresholdPolicy::MaxF1 => {
             let mut best = (f64::INFINITY, -1.0);
             for &candidate in reference_candidates(scores).iter() {
@@ -151,31 +151,6 @@ fn reference_auc(points: &[CurvePoint]) -> f64 {
     area
 }
 
-fn reference_pr_curve(scores: &[f64], labels: &[bool]) -> Vec<CurvePoint> {
-    let positives = labels.iter().filter(|&&l| l).count() as f64;
-    if positives == 0.0 {
-        return Vec::new();
-    }
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal));
-    let mut points = Vec::new();
-    let mut tp = 0.0;
-    let mut predicted = 0.0;
-    let mut i = 0;
-    while i < order.len() {
-        let threshold = scores[order[i]];
-        while i < order.len() && scores[order[i]] == threshold {
-            if labels[order[i]] {
-                tp += 1.0;
-            }
-            predicted += 1.0;
-            i += 1;
-        }
-        points.push(CurvePoint { threshold, x: tp / positives, y: tp / predicted });
-    }
-    points
-}
-
 // ---- Populations ------------------------------------------------------------
 
 /// How one population's scores are drawn.
@@ -255,7 +230,7 @@ fn policies() -> Vec<ThresholdPolicy> {
     policies
         .extend([0.0, 0.1, 0.25, 1.0].map(|max_fpr| ThresholdPolicy::DetectionFirst { max_fpr }));
     policies
-        .extend([0.0, 0.5, 0.999, 1.0].map(|quantile| ThresholdPolicy::TrainQuantile { quantile }));
+        .extend([0.0, 0.5, 0.999, 1.0].map(|quantile| ThresholdPolicy::ScoreQuantile { quantile }));
     policies
 }
 
@@ -291,8 +266,6 @@ fn check(scores: &[f64], labels: &[bool], has_nan: bool) -> Result<(), TestCaseE
         let expected = reference_auc(&reference).to_bits();
         prop_assert_eq!(auc(&curve).to_bits(), expected);
         prop_assert_eq!(ranking.auc().to_bits(), expected);
-        let reference = reference_pr_curve(scores, labels);
-        prop_assert!(curve_bits(&pr_curve(scores, labels)) == curve_bits(&reference), "pr curve");
     }
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Property-based tests on metric and calibration identities: confusion
 //! arithmetic, ROC invariants, threshold-policy contracts.
 
-use idsbench_core::metrics::{auc, pr_curve, roc_curve, ConfusionMatrix, Metrics};
+use idsbench_core::metrics::{auc, roc_curve, ConfusionMatrix, Metrics};
 use idsbench_core::threshold::ThresholdPolicy;
 use proptest::prelude::*;
 
@@ -51,19 +51,6 @@ proptest! {
         let transformed: Vec<f64> = scores.iter().map(|s| (s * 3.0).exp()).collect();
         let a2 = auc(&roc_curve(&transformed, &labels));
         prop_assert!((a1 - a2).abs() < 1e-9, "auc must be rank-invariant: {a1} vs {a2}");
-    }
-
-    /// PR curve points are valid probabilities and recall is non-decreasing.
-    #[test]
-    fn pr_curve_invariants((scores, labels) in scored_population()) {
-        let curve = pr_curve(&scores, &labels);
-        for pair in curve.windows(2) {
-            prop_assert!(pair[1].x >= pair[0].x, "recall must be non-decreasing");
-        }
-        for point in &curve {
-            prop_assert!((0.0..=1.0).contains(&point.x));
-            prop_assert!((0.0..=1.0).contains(&point.y));
-        }
     }
 
     /// DetectionFirst always respects its FPR cap when any candidate

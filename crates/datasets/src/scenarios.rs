@@ -191,42 +191,6 @@ pub fn stratosphere_iot(scale: ScenarioScale) -> Scenario {
     .build()
 }
 
-/// ToN-IoT: the companion scenario to [`bot_iot`] (the paper's Table II
-/// lists them as one row). An edge-IoT/IIoT site with a *broad* attack mix —
-/// password attacks, injection, scanning, DDoS bursts, backdoors, data
-/// exfiltration — at a more balanced class ratio than BoT-IoT's flood wall.
-/// Not part of the Table IV grid (the paper evaluated the BoT-IoT half);
-/// provided for downstream use and the extended test suite.
-pub fn ton_iot(scale: ScenarioScale) -> Scenario {
-    let devices = HostPool::subnet(8, scaled_devices(20, scale));
-    let broker = Host::new(8, 200);
-    let resolver = Host::new(8, 250);
-    let edge_gateway = Host::new(8, 254);
-    let window = (0.0, 600.0);
-
-    Scenario::builder(DatasetInfo::new(
-        "ToN-IoT",
-        "Encompasses legitimate and emulated IoT network traffic.",
-        "Offers a balanced view of IDS performance in IoT settings, serving as a robust alternative to the Kitsune dataset.",
-        2021,
-    ))
-    .with(DeviceBoot { devices: devices.clone(), broker, resolver, ntp: Host::external(899), window: (0.0, 80.0), sessions_per_device: scaled(40, scale) })
-    .with(IotTelemetry { devices: devices.clone(), broker, window, period: 12.0, jitter: 0.03, payload: 96 })
-    .with(NtpSync { devices: devices.clone(), server: Host::external(899), window, period: 90.0 })
-    .with(DnsTraffic { clients: devices.clone(), resolver, window, queries: scaled(500, scale) })
-    .with(CctvStream { camera: Host::new(8, 101), sink: Host::new(8, 201), window, fps: 1.0, frame_size: 920 })
-    // The nine-ish ToN-IoT attack categories, spread after the boot phase.
-    .with(BruteForce { attacker: Host::external(900), server: edge_gateway, dport: 22, window: (120.0, 300.0), attempts: scaled(80, scale) })
-    .with(WebAttack { attacker: Host::external(901), server: edge_gateway, window: (150.0, 450.0), requests: scaled(60, scale) })
-    .with(PortScan { scanner: Host::external(902), target: edge_gateway, window: (200.0, 260.0), first_port: 1, ports: scaled(300, scale) as u16, rate: scaled_rate(8.0, scale) })
-    .with(AddressSweep { scanner: Host::external(903), targets: HostPool::subnet(8, 150), dport: 1883, window: (300.0, 380.0), rate: scaled_rate(6.0, scale), passes: 2, spoofed: false })
-    .with(SynFlood { bots: HostPool::external(910, 4), victim: edge_gateway, dport: 80, window: (400.0, 460.0), rate: scaled_rate(40.0, scale), spoofed: false })
-    .with(Stealth { attacker: Host::new(8, 66), server: Host::external(904), dport: 4444, window: (100.0, 590.0), sessions: scaled(30, scale) })
-    .with(Exfiltration { source: Host::new(8, 5), sink: Host::external(905), window: (250.0, 580.0), sessions: scaled(8, scale), bytes_per_session: 120_000 })
-    .with(BotnetC2 { bots: HostPool::subnet(8, scaled_devices(4, scale)), controller: Host::external(520), dport: 8080, window: (350.0, 600.0), period: 18.0, jitter: 0.04, request: 90, response: 160 })
-    .build()
-}
-
 /// The benign-baseline ablation variant of [`stratosphere_iot`]: the same
 /// site and botnet, but the infection runs from `t = 0` — there is no clean
 /// benign prefix, so leading-slice training is contaminated (the Section V
@@ -437,18 +401,6 @@ mod tests {
         let names: Vec<String> =
             table4_scenarios(ScenarioScale::Tiny).iter().map(|s| s.info().name.clone()).collect();
         assert_eq!(names, vec!["UNSW-NB15", "BoT IoT", "CICIDS2017", "Stratosphere", "Mirai"]);
-    }
-
-    #[test]
-    fn ton_iot_has_broad_attack_mix() {
-        let stats = ton_iot(ScenarioScale::Tiny).stats(1);
-        let share = stats.attack_share();
-        assert!((0.05..0.60).contains(&share), "attack share = {share}");
-        assert!(
-            stats.by_kind.len() >= 6,
-            "ToN-IoT must span many families: {:?}",
-            stats.by_kind.keys().collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! connection records and found a **three-hidden-layer** network optimal;
 //! features are min-max scaled and the output is a sigmoid attack
 //! probability. Here the connection records are `idsbench`'s flow feature
-//! vectors ([`idsbench_flow::FlowFeatures`]), and training uses the labelled
+//! vectors ([`LabeledFlow::features`]), and training uses the labelled
 //! *training* flows of the pipeline split — the only evaluated system that
 //! consumes labels (it is supervised; Kitsune/HELAD/Slips are not).
 //!
@@ -28,17 +28,20 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Configuration for [`Dnn`] (the study's out-of-the-box setup).
+/// Hidden-layer widths (the study's optimum is three hidden layers).
+const HIDDEN_LAYERS: [usize; 3] = [64, 48, 32];
+/// Adam learning rate.
+const LEARNING_RATE: f64 = 0.005;
+/// Training epochs.
+const EPOCHS: usize = 30;
+/// Mini-batch size.
+const BATCH_SIZE: usize = 64;
+
+/// Configuration for [`Dnn`]: the two preprocessing ablations, the seed
+/// and the numeric lane. The architecture and training schedule are the
+/// study's out-of-the-box constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DnnConfig {
-    /// Hidden-layer widths (the study's optimum is three hidden layers).
-    pub hidden_layers: Vec<usize>,
-    /// Adam learning rate.
-    pub learning_rate: f64,
-    /// Training epochs.
-    pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
     /// Oversample the minority class to parity in training (the study
     /// rebalances its KDD splits).
     pub rebalance: bool,
@@ -55,16 +58,7 @@ pub struct DnnConfig {
 
 impl Default for DnnConfig {
     fn default() -> Self {
-        DnnConfig {
-            hidden_layers: vec![64, 48, 32],
-            learning_rate: 0.005,
-            epochs: 30,
-            batch_size: 64,
-            rebalance: true,
-            normalize: true,
-            seed: 0,
-            precision: Precision::F64Bitwise,
-        }
+        DnnConfig { rebalance: true, normalize: true, seed: 0, precision: Precision::F64Bitwise }
     }
 }
 
@@ -127,12 +121,7 @@ pub struct Dnn {
 
 impl Dnn {
     /// Creates a DNN instance with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no hidden layers are configured.
     pub fn new(config: DnnConfig) -> Self {
-        assert!(!config.hidden_layers.is_empty(), "at least one hidden layer required");
         Dnn { config, model: None, probe: None }
     }
 
@@ -195,18 +184,17 @@ impl EventDetector for Dnn {
 
         let mut rng = SmallRng::seed_from_u64(self.config.seed ^ 0x5eed_1e55);
         let mut builder = MlpBuilder::new(width);
-        for &units in &self.config.hidden_layers {
+        for units in HIDDEN_LAYERS {
             builder = builder.layer(units, Activation::Relu);
         }
         let mut mlp: Mlp = builder.layer(1, Activation::Sigmoid).seed(self.config.seed).build();
-        let mut optimizer = Adam::new(self.config.learning_rate);
+        let mut optimizer = Adam::new(LEARNING_RATE);
 
-        let batch = self.config.batch_size.max(1);
         // Each mini-batch is staged into the same two matrices.
         let (mut x, mut y) = (Matrix::default(), Matrix::default());
-        for _ in 0..self.config.epochs {
+        for _ in 0..EPOCHS {
             rows.shuffle(&mut rng);
-            for chunk in rows.chunks(batch) {
+            for chunk in rows.chunks(BATCH_SIZE) {
                 x.start_rows(width);
                 y.start_rows(1);
                 for (features, target) in chunk {

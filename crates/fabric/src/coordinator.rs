@@ -66,6 +66,10 @@ use crate::{FabricCounters, FabricError, ShardTransport, WorkerMsg};
 /// small enough to keep peak frame size well under [`crate::FRAME_MAX`].
 const TRAIN_CHUNK: usize = 512;
 
+/// Per-peer socket send/receive timeout. A peer that stalls longer than
+/// this is classified dead and recovered.
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// Retire one worker mid-stream: when the feeder reaches `at_seq`, every
 /// shard hosted on peer `peer` is drained (rebalance barrier, state
 /// migrated to survivors) and the peer stops receiving shards. Models a
@@ -85,9 +89,6 @@ pub struct FabricConfig {
     pub workers: usize,
     /// How long to wait for each worker to dial in.
     pub accept_timeout: std::time::Duration,
-    /// Per-peer socket send/receive timeout; `None` blocks forever. A peer
-    /// that stalls longer than this is classified dead and recovered.
-    pub io_timeout: Option<std::time::Duration>,
     /// Optional mid-stream worker decommission.
     pub drain: Option<DrainPlan>,
     /// Epoch checkpointing + crash recovery tuning.
@@ -95,13 +96,12 @@ pub struct FabricConfig {
 }
 
 impl Default for FabricConfig {
-    /// Two workers, 30 s accept window, 60 s per-peer I/O timeout, no
-    /// drain, [`RecoveryConfig::default`].
+    /// Two workers, 30 s accept window, no drain,
+    /// [`RecoveryConfig::default`].
     fn default() -> Self {
         FabricConfig {
             workers: 2,
             accept_timeout: std::time::Duration::from_secs(30),
-            io_timeout: Some(std::time::Duration::from_secs(60)),
             drain: None,
             recovery: RecoveryConfig::default(),
         }
@@ -203,18 +203,13 @@ impl Peer<'_> {
         }
     }
 
-    fn ping(
-        &mut self,
-        nonce: u64,
-        timeout: Duration,
-        restore: Option<Duration>,
-    ) -> Result<(), FabricError> {
-        self.transport.set_io_timeout(Some(timeout)).map_err(FabricError::Io)?;
+    fn ping(&mut self, nonce: u64) -> Result<(), FabricError> {
+        self.transport.set_io_timeout(Some(PING_TIMEOUT)).map_err(FabricError::Io)?;
         let result = self.send(&CoordMsg::Ping { nonce }).and_then(|()| match self.recv()? {
             WorkerMsg::Pong { nonce: echoed } if echoed == nonce => Ok(()),
             other => unexpected(&format!("Pong({nonce})"), other),
         });
-        let _ = self.transport.set_io_timeout(restore);
+        let _ = self.transport.set_io_timeout(Some(IO_TIMEOUT));
         result
     }
 
@@ -413,7 +408,7 @@ impl<'a> Pool<'a> {
                 continue;
             }
             self.ping_nonce += 1;
-            let probe = peer.ping(self.ping_nonce, PING_TIMEOUT, self.fabric.io_timeout);
+            let probe = peer.ping(self.ping_nonce);
             if let Err(err) = probe {
                 // Zero shards hosted: classification only, nothing to
                 // re-home.
@@ -688,7 +683,7 @@ pub fn run_fabric(
     };
     for index in 0..fabric.workers + standbys {
         let transport = listener.accept_timeout(fabric.accept_timeout)?;
-        transport.set_io_timeout(fabric.io_timeout)?;
+        transport.set_io_timeout(Some(IO_TIMEOUT))?;
         pool.peers.push(Peer {
             transport,
             counters,

@@ -63,9 +63,7 @@ use idsbench_telemetry::{Counter, Telemetry};
 pub use checkpoint::RecoveryConfig;
 pub use coordinator::{run_fabric, DrainPlan, FabricConfig};
 pub use faults::{Fault, FaultInjector, FaultPlan};
-pub use transport::{
-    read_frame, write_frame, Endpoint, FabricListener, RetryPolicy, ShardTransport,
-};
+pub use transport::{read_frame, write_frame, Endpoint, FabricListener, ShardTransport};
 pub use wire::{CoordMsg, HelloConfig, WireItem, WirePacket, WorkerMsg, FRAME_MAX};
 pub use worker::{run_worker, run_worker_with_faults, DetectorResolver};
 

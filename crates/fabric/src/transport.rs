@@ -189,59 +189,33 @@ impl Drop for FabricListener {
     }
 }
 
-/// Backoff schedule for [`ShardTransport::connect_retry`]: exponential
-/// with a cap, multiplicative jitter, and a hard wall-clock ceiling.
+/// Connect attempts [`ShardTransport::connect_retry`] makes at most.
+const RETRY_ATTEMPTS: u32 = 40;
+/// First backoff sleep; doubles each failed attempt.
+const RETRY_BASE: Duration = Duration::from_millis(25);
+/// Ceiling on a single backoff sleep (pre-jitter).
+const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(500);
+/// Hard ceiling on total elapsed time: once past it, no further attempts
+/// are made even if some remain.
+const RETRY_MAX_ELAPSED: Duration = Duration::from_secs(10);
+
+/// The jittered sleep before connect attempt `attempt` (1-based; attempt 0
+/// never sleeps): exponential from [`RETRY_BASE`], capped at
+/// [`RETRY_MAX_BACKOFF`], scaled by a factor in `[0.5, 1.5)`.
 ///
 /// The jitter spreads simultaneous worker (re)starts across the backoff
 /// window — without it a pool of restarting workers would hammer the
-/// coordinator's listener in lockstep. Each sleep is the capped exponential
-/// backoff scaled by a factor in `[0.5, 1.5)` derived deterministically
-/// from `seed`, the process id, and the attempt index, so two workers with
-/// the same policy still dial at different times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum connect attempts (clamped to at least 1).
-    pub attempts: usize,
-    /// First backoff; doubles each failed attempt.
-    pub base: Duration,
-    /// Ceiling on a single backoff sleep (pre-jitter).
-    pub max_backoff: Duration,
-    /// Hard ceiling on total elapsed time: once past it, no further
-    /// attempts are made even if `attempts` remain.
-    pub max_elapsed: Duration,
-    /// Extra jitter entropy (mixed with the process id); zero is fine.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    /// 40 attempts, 25 ms doubling to at most 500 ms per sleep, giving up
-    /// after 10 s total — generous for a worker racing the coordinator's
-    /// bind, bounded for a coordinator that never comes up.
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 40,
-            base: Duration::from_millis(25),
-            max_backoff: Duration::from_millis(500),
-            max_elapsed: Duration::from_secs(10),
-            seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The jittered sleep before attempt `attempt` (1-based; attempt 0
-    /// never sleeps).
-    fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self.base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        let capped = exp.min(self.max_backoff);
-        let mix = crate::faults::splitmix64(
-            self.seed ^ u64::from(std::process::id()) ^ u64::from(attempt),
-        );
-        // Scale by [0.5, 1.5): keep half the backoff as a floor, spread the
-        // rest uniformly.
-        let factor = 0.5 + (mix >> 11) as f64 / (1u64 << 53) as f64;
-        capped.mul_f64(factor)
-    }
+/// coordinator's listener in lockstep. The factor derives deterministically
+/// from the process id and the attempt index, so two workers still dial at
+/// different times.
+fn backoff(attempt: u32) -> Duration {
+    let exp = RETRY_BASE.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
+    let capped = exp.min(RETRY_MAX_BACKOFF);
+    let mix = crate::faults::splitmix64(u64::from(std::process::id()) ^ u64::from(attempt));
+    // Scale by [0.5, 1.5): keep half the backoff as a floor, spread the
+    // rest uniformly.
+    let factor = 0.5 + (mix >> 11) as f64 / (1u64 << 53) as f64;
+    capped.mul_f64(factor)
 }
 
 /// The raw socket under a [`ShardTransport`].
@@ -297,30 +271,31 @@ impl ShardTransport {
         }
     }
 
-    /// Connects under a [`RetryPolicy`] — a worker process typically races
-    /// the coordinator's bind, so the first attempts may be refused. Every
-    /// attempt after the first counts as a reconnect in `counters`.
+    /// Connects with capped, jittered exponential backoff (40 attempts, 25 ms
+    /// doubling to at most 500 ms per sleep, giving up after 10 s) — a
+    /// worker process typically races the coordinator's bind, so the first
+    /// attempts may be refused. Every attempt after the first counts as a
+    /// reconnect in `counters`.
     ///
     /// # Errors
     ///
-    /// The last connect error once the policy's attempts or elapsed-time
-    /// budget is exhausted.
+    /// The last connect error once the attempts or the elapsed-time budget
+    /// is exhausted.
     pub fn connect_retry(
         endpoint: &Endpoint,
-        policy: &RetryPolicy,
         counters: Option<&FabricCounters>,
     ) -> io::Result<Self> {
         let started = Instant::now();
         let mut last = None;
-        for attempt in 0..policy.attempts.max(1) as u32 {
+        for attempt in 0..RETRY_ATTEMPTS {
             if attempt > 0 {
-                if started.elapsed() >= policy.max_elapsed {
+                if started.elapsed() >= RETRY_MAX_ELAPSED {
                     break;
                 }
                 if let Some(counters) = counters {
                     counters.reconnects.inc();
                 }
-                std::thread::sleep(policy.backoff(attempt));
+                std::thread::sleep(backoff(attempt));
             }
             match ShardTransport::connect(endpoint) {
                 Ok(transport) => return Ok(transport),
@@ -620,5 +595,17 @@ mod tests {
         let mut wire: &[u8] = &[5, 0, 0, 0, 1, 2];
         let err = read_frame(&mut wire, None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn reconnect_backoff_is_jittered_around_a_capped_doubling() {
+        for attempt in 1..=RETRY_ATTEMPTS {
+            let nominal = (RETRY_BASE * 2u32.saturating_pow(attempt - 1)).min(RETRY_MAX_BACKOFF);
+            let sleep = backoff(attempt);
+            assert!(
+                sleep >= nominal / 2 && sleep < nominal * 3 / 2,
+                "attempt {attempt}: {sleep:?} outside [0.5, 1.5) x {nominal:?}"
+            );
+        }
     }
 }

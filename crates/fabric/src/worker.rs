@@ -21,7 +21,7 @@ use idsbench_stream::{ShardLoop, StreamItem};
 use idsbench_telemetry::Telemetry;
 
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::transport::{read_frame, Endpoint, RetryPolicy, ShardTransport};
+use crate::transport::{read_frame, Endpoint, ShardTransport};
 use crate::wire::{CoordMsg, WireItem, WorkerMsg};
 use crate::{recv_body, send_msg, FabricCounters, FabricError};
 
@@ -93,7 +93,7 @@ pub fn run_worker_with_faults(
 ) -> Result<(), FabricError> {
     let counters = telemetry.map(FabricCounters::register);
     let counters = counters.as_ref();
-    let mut transport = ShardTransport::connect_retry(endpoint, &RetryPolicy::default(), counters)?;
+    let mut transport = ShardTransport::connect_retry(endpoint, counters)?;
     if let Some(plan) = faults {
         transport.inject_faults(FaultInjector::new(plan));
     }

@@ -82,16 +82,6 @@ impl RunningStats {
         self.population_variance().sqrt()
     }
 
-    /// Sample variance with Bessel's correction (0 when fewer than 2
-    /// observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Minimum observation (0 when empty).
     pub fn min(&self) -> f64 {
         if self.count == 0 {
@@ -181,16 +171,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
         assert!((stats.mean() - mean).abs() < 1e-12);
         assert!((stats.population_variance() - var).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_uses_bessel() {
-        let mut stats = RunningStats::new();
-        for x in [1.0, 2.0, 3.0] {
-            stats.push(x);
-        }
-        assert!((stats.sample_variance() - 1.0).abs() < 1e-12);
-        assert!((stats.population_variance() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

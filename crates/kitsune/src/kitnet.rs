@@ -149,11 +149,6 @@ impl KitNet {
         self.precision
     }
 
-    /// Number of ensemble autoencoders.
-    pub fn ensemble_size(&self) -> usize {
-        self.ensemble.len()
-    }
-
     /// The fitted feature clusters, one per ensemble autoencoder.
     pub fn clusters(&self) -> &[Vec<usize>] {
         &self.clusters
@@ -347,12 +342,6 @@ mod tests {
         net.freeze();
         let s = net.execute(&[1e9, -1e9, 0.0, 42.0]);
         assert!(s.is_finite() && s >= 0.0);
-    }
-
-    #[test]
-    fn ensemble_structure_matches_clusters() {
-        let net = KitNet::new(vec![vec![0], vec![1, 2], vec![3, 4, 5]], 6, KitNetConfig::default());
-        assert_eq!(net.ensemble_size(), 3);
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl MacAddr {
         self.0
     }
 
-    /// Whether this is the broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == Self::BROADCAST
-    }
-
     /// Whether the multicast (group) bit is set.
     pub const fn is_multicast(self) -> bool {
         self.0[0] & 0x01 != 0
@@ -123,7 +118,6 @@ mod tests {
 
     #[test]
     fn broadcast_and_multicast_bits() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
         assert!(MacAddr::BROADCAST.is_multicast());
         assert!(!MacAddr::new([0x02, 0, 0, 0, 0, 1]).is_multicast());
         assert!(MacAddr::new([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());

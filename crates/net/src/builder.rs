@@ -17,7 +17,7 @@ use crate::{internet_checksum, MacAddr};
 #[derive(Debug, Clone)]
 enum NetworkPlan {
     None,
-    Ipv4 { src: Ipv4Addr, dst: Ipv4Addr, ttl: u8, identification: u16 },
+    Ipv4 { src: Ipv4Addr, dst: Ipv4Addr, ttl: u8 },
     Ipv6 { src: Ipv6Addr, dst: Ipv6Addr },
     Arp(ArpPacket),
 }
@@ -88,23 +88,14 @@ impl PacketBuilder {
 
     /// Adds an IPv4 layer with default TTL 64.
     pub fn ipv4(mut self, src: Ipv4Addr, dst: Ipv4Addr) -> Self {
-        self.network = NetworkPlan::Ipv4 { src, dst, ttl: 64, identification: 0 };
+        self.network = NetworkPlan::Ipv4 { src, dst, ttl: 64 };
         self
     }
 
     /// Adds an IPv4 layer with an explicit TTL (used by scan generators that
     /// mimic OS fingerprints).
     pub fn ipv4_with_ttl(mut self, src: Ipv4Addr, dst: Ipv4Addr, ttl: u8) -> Self {
-        self.network = NetworkPlan::Ipv4 { src, dst, ttl, identification: 0 };
-        self
-    }
-
-    /// Sets the IPv4 identification field (only meaningful after
-    /// [`PacketBuilder::ipv4`]).
-    pub fn ipv4_identification(mut self, identification: u16) -> Self {
-        if let NetworkPlan::Ipv4 { identification: id, .. } = &mut self.network {
-            *id = identification;
-        }
+        self.network = NetworkPlan::Ipv4 { src, dst, ttl };
         self
     }
 
@@ -197,10 +188,9 @@ impl PacketBuilder {
         buf.put_slice(&eth.to_bytes());
 
         match &self.network {
-            NetworkPlan::Ipv4 { src, dst, ttl, identification } => {
+            NetworkPlan::Ipv4 { src, dst, ttl } => {
                 let mut header = Ipv4Header::new(*src, *dst, self.ip_protocol(), ip_payload_len);
                 header.ttl = *ttl;
-                header.identification = *identification;
                 buf.put_slice(&header.to_bytes());
                 let segment = self.checksummed_segment(&transport_bytes, Some((*src, *dst)));
                 buf.put_slice(&segment);

@@ -56,11 +56,6 @@ impl TcpFlags {
         self.0 & other.0 == other.0
     }
 
-    /// Whether any flag in `other` is set in `self`.
-    pub const fn intersects(self, other: TcpFlags) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// Whether no flags are set.
     pub const fn is_empty(self) -> bool {
         self.0 == 0
@@ -253,7 +248,6 @@ mod tests {
     fn flag_set_operations() {
         let mut flags = TcpFlags::SYN;
         flags |= TcpFlags::ECE;
-        assert!(flags.intersects(TcpFlags::SYN | TcpFlags::FIN));
         assert!(!flags.contains(TcpFlags::SYN | TcpFlags::FIN));
         assert_eq!(flags.bits(), 0x42);
     }

@@ -164,11 +164,6 @@ impl Duration {
     pub fn as_secs_f64(self) -> f64 {
         self.micros as f64 / 1e6
     }
-
-    /// Whether this duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.micros == 0
-    }
 }
 
 impl fmt::Display for Duration {

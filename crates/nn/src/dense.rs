@@ -386,10 +386,6 @@ mod tests {
         struct NoStep;
         impl Optimizer for NoStep {
             fn step(&mut self, _: usize, _: &mut Matrix, _: &Matrix) {}
-            fn learning_rate(&self) -> f64 {
-                0.0
-            }
-            fn set_learning_rate(&mut self, _: f64) {}
         }
 
         let mut layer = Dense::new(2, 1, Activation::Sigmoid, 0, 11);

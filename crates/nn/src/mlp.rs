@@ -111,11 +111,6 @@ impl Mlp {
     pub fn depth(&self) -> usize {
         self.layers.len()
     }
-
-    /// Total number of trainable scalars.
-    pub fn parameter_count(&self) -> usize {
-        self.layers.iter().map(|l| l.input_size() * l.output_size() + l.output_size()).sum()
-    }
 }
 
 /// Builder for [`Mlp`].
@@ -246,7 +241,6 @@ mod tests {
             .layer(2, Activation::Sigmoid)
             .build();
         assert_eq!(mlp.depth(), 3);
-        assert_eq!(mlp.parameter_count(), 4 * 10 + 10 + 10 * 10 + 10 + 10 * 2 + 2);
     }
 
     #[test]

@@ -99,13 +99,8 @@ impl MinMaxNormalizer {
         }));
     }
 
-    /// Convenience: observe then transform (the online-learning idiom).
-    pub fn observe_and_transform(&mut self, x: &[f64]) -> Vec<f64> {
-        self.observe(x);
-        self.transform(x)
-    }
-
-    /// Allocation-free [`MinMaxNormalizer::observe_and_transform`].
+    /// Observes `x`, then writes its transform into `out` (the
+    /// online-learning idiom), allocation-free once `out` has grown.
     ///
     /// # Panics
     ///

@@ -3,7 +3,7 @@ use crate::matrix::Matrix;
 /// A gradient-descent parameter updater with per-parameter state.
 ///
 /// Parameters are identified by a stable `param_id` assigned by the model
-/// — small consecutive integers, so the state (momentum/moment buffers)
+/// — small consecutive integers, so the state (Adam's moment buffers)
 /// lives in a dense table indexed by id. A parameter's state is allocated
 /// on its first step; every later step allocates nothing.
 pub trait Optimizer: std::fmt::Debug {
@@ -24,20 +24,12 @@ pub trait Optimizer: std::fmt::Debug {
     fn stateless_rate(&self) -> Option<f64> {
         None
     }
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f64;
-
-    /// Replaces the learning rate (used for schedules).
-    fn set_learning_rate(&mut self, lr: f64);
 }
 
-/// Stochastic gradient descent with optional momentum.
+/// Plain stochastic gradient descent: `param[k] -= lr·grad[k]`.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f64,
-    momentum: f64,
-    velocity: Vec<Option<Matrix>>,
 }
 
 /// The state slot of `param_id`, created by `init` on the parameter's
@@ -56,54 +48,25 @@ impl Sgd {
     ///
     /// Panics if `lr` is not finite and positive.
     pub fn new(lr: f64) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with classical momentum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not finite/positive or `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Sgd { lr, momentum, velocity: Vec::new() }
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, param_id: usize, param: &mut Matrix, grad: &Matrix) {
+    fn step(&mut self, _param_id: usize, param: &mut Matrix, grad: &Matrix) {
         assert_eq!(
             (param.rows(), param.cols()),
             (grad.rows(), grad.cols()),
             "gradient shape mismatch"
         );
-        if self.momentum == 0.0 {
-            for (p, g) in param.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        let velocity =
-            state_of(&mut self.velocity, param_id, || Matrix::zeros(param.rows(), param.cols()));
-        for ((v, p), g) in
-            velocity.as_mut_slice().iter_mut().zip(param.as_mut_slice()).zip(grad.as_slice())
-        {
-            *v = self.momentum * *v - self.lr * g;
-            *p += *v;
+        for (p, g) in param.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+            *p -= self.lr * g;
         }
     }
 
     fn stateless_rate(&self) -> Option<f64> {
-        (self.momentum == 0.0).then_some(self.lr)
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
+        Some(self.lr)
     }
 }
 
@@ -166,14 +129,6 @@ impl Optimizer for Adam {
             *p -= self.lr * m_hat / (v_hat.sqrt() + self.epsilon);
         }
     }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -194,12 +149,6 @@ mod tests {
     fn sgd_converges_on_quadratic() {
         let mut opt = Sgd::new(0.1);
         assert!((minimize(&mut opt, 200) - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        assert!((minimize(&mut opt, 300) - 3.0).abs() < 1e-3);
     }
 
     #[test]
@@ -224,16 +173,7 @@ mod tests {
     #[test]
     fn only_momentum_free_sgd_is_stateless() {
         assert_eq!(Sgd::new(0.5).stateless_rate(), Some(0.5));
-        assert_eq!(Sgd::with_momentum(0.5, 0.9).stateless_rate(), None);
         assert_eq!(Adam::new(0.5).stateless_rate(), None);
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Sgd::new(0.5);
-        assert_eq!(opt.learning_rate(), 0.5);
-        opt.set_learning_rate(0.25);
-        assert_eq!(opt.learning_rate(), 0.25);
     }
 
     #[test]

@@ -911,7 +911,7 @@ pub(crate) mod tests {
             &autoscaled_config(),
         )
         .unwrap();
-        let telemetry = Telemetry::new(TelemetryConfig { sample_every: 4, ..Default::default() });
+        let telemetry = Telemetry::new(TelemetryConfig { sample_every: 4 });
         let observed = run_stream_with_telemetry(
             &flow_factory,
             &[],

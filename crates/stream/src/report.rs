@@ -107,8 +107,7 @@ impl StreamReport {
 
     /// Serializes the report as a self-contained JSON object.
     ///
-    /// Hand-rolled (the offline `serde` stand-in carries no data model);
-    /// the layout is stable.
+    /// Hand-rolled through `idsbench_core::json`; the layout is stable.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push('{');

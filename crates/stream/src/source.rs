@@ -213,16 +213,6 @@ impl<R: Read> PcapSource<R> {
         PcapSource { name: name.into(), reader, labeler, arena: PayloadArena::new() }
     }
 
-    /// Payload buffers reused so far (pool hits of the transport arena).
-    pub fn payloads_recycled(&self) -> u64 {
-        self.arena.recycled()
-    }
-
-    /// Payload buffers minted so far (pool misses of the transport arena).
-    pub fn payloads_minted(&self) -> u64 {
-        self.arena.minted()
-    }
-
     /// Wraps a reader, labeling every packet benign (the common case for
     /// live-capture smoke tests without ground truth).
     pub fn benign(name: impl Into<String>, reader: PcapReader<R>) -> Self {

@@ -60,11 +60,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+/// Trace-journal capacity in events (oldest overwritten beyond this).
+const JOURNAL_CAPACITY: usize = 1024;
+
 /// Tuning knobs for a [`Telemetry`] hub.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Trace-journal capacity in events (oldest overwritten beyond this).
-    pub journal_capacity: usize,
     /// Stage-span sampling period: each [`SpanTimer`] times 1-in-this-many
     /// calls. 1 means every call.
     pub sample_every: u32,
@@ -72,7 +73,7 @@ pub struct TelemetryConfig {
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { journal_capacity: 1024, sample_every: 64 }
+        TelemetryConfig { sample_every: 64 }
     }
 }
 
@@ -113,7 +114,7 @@ impl Telemetry {
             config,
             registry: Registry::default(),
             stages: Mutex::new(Vec::new()),
-            journal: Journal::new(config.journal_capacity),
+            journal: Journal::new(JOURNAL_CAPACITY),
         }
     }
 
@@ -185,8 +186,7 @@ mod tests {
 
     #[test]
     fn span_uses_configured_sampling() {
-        let telemetry =
-            Telemetry::new(TelemetryConfig { sample_every: 2, ..TelemetryConfig::default() });
+        let telemetry = Telemetry::new(TelemetryConfig { sample_every: 2 });
         let span = telemetry.span(Stage::Parse, None);
         let sampled = (0..10).filter(|_| span.begin().is_some()).count();
         if cfg!(feature = "spans") {

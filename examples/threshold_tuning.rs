@@ -36,10 +36,7 @@ fn main() -> Result<(), CoreError> {
         ("detection-first, 10% FPR cap", ThresholdPolicy::DetectionFirst { max_fpr: 0.10 }),
         ("detection-first, 1% FPR cap", ThresholdPolicy::DetectionFirst { max_fpr: 0.01 }),
         ("max F1", ThresholdPolicy::MaxF1),
-        (
-            "99.9th train-quantile (Kitsune's own rule)",
-            ThresholdPolicy::TrainQuantile { quantile: 0.999 },
-        ),
+        ("99.9th score quantile", ThresholdPolicy::ScoreQuantile { quantile: 0.999 }),
         ("fixed 0.5", ThresholdPolicy::Fixed(0.5)),
     ];
 

@@ -154,7 +154,7 @@ fn steady_state_scoring_allocates_nothing() {
     );
 
     // ---- Same pass with telemetry attached: observability must be free ----
-    let telemetry = Telemetry::new(TelemetryConfig { sample_every: 8, ..Default::default() });
+    let telemetry = Telemetry::new(TelemetryConfig { sample_every: 8 });
     let packets = telemetry.counter("packets_total");
 
     let mut kitsune = Kitsune::default();
@@ -432,7 +432,7 @@ fn flow_detectors_evict_without_allocating() {
     let train_views: Vec<ParsedView> = sessions[..100].iter().flatten().cloned().collect();
     let train = TrainView::assemble(train_views, FlowTableConfig::default());
 
-    let telemetry = Telemetry::new(TelemetryConfig { sample_every: 8, ..Default::default() });
+    let telemetry = Telemetry::new(TelemetryConfig { sample_every: 8 });
     let mut dnn = Dnn::default();
     dnn.attach_inference_probe(telemetry.span(Stage::Infer, Some(0)));
     let mut slips = Slips::default();

@@ -8,8 +8,9 @@
 //!
 //! If a change is *supposed* to alter scores (a detector fix, a scenario
 //! change, a different default), re-pin by running
-//! `cargo run --release --example score_digest` and updating the constants
-//! — deliberately, in the same commit, with the reason in its message.
+//! `cargo test --release --test score_digest`: on a mismatch it prints the
+//! complete replacement `PINNED` block. Paste it in deliberately, in the
+//! same commit, with the reason in its message.
 //!
 //! What the pinned bits depend on. The neural activations — every
 //! `sigmoid`/`tanh`/`exp` in Kitsune, HELAD and the DNN — are the in-crate
@@ -43,8 +44,7 @@ use idsbench::slips::Slips;
 use idsbench::telemetry::{Stage, Telemetry, TelemetryConfig};
 
 /// `(detector, scored events, digest)` for the Tiny Stratosphere scenario
-/// with default `EvalConfig` on `linux-gnu`, release profile — the same
-/// run `examples/score_digest.rs` prints under `--release`.
+/// with default `EvalConfig` on `linux-gnu`, release profile.
 #[cfg(all(target_os = "linux", target_env = "gnu", not(debug_assertions)))]
 const PINNED: [(&str, usize, u64); 4] = [
     ("Kitsune", 3843, 0xbf7e_f8ed_57fa_0215),
@@ -54,7 +54,7 @@ const PINNED: [(&str, usize, u64); 4] = [
 ];
 
 /// The digest fold: rotate-xor over the raw bits of each score in replay
-/// order (must match `examples/score_digest.rs`).
+/// order.
 fn digest_of(scores: &[f64]) -> u64 {
     let mut digest = 0u64;
     for s in scores {
@@ -104,16 +104,18 @@ fn replay_digests(telemetry: Option<&Telemetry>) -> Vec<(String, usize, u64)> {
 #[test]
 fn batch_scores_are_bitwise_pinned() {
     let digests = replay_digests(None);
-    assert_eq!(digests.len(), PINNED.len());
-    for ((name, events, digest), &(want_name, want_events, pinned)) in
-        digests.into_iter().zip(PINNED.iter())
-    {
-        assert_eq!(name, want_name, "roster order changed");
-        assert_eq!(events, want_events, "{name}: scored-event count changed");
-        assert_eq!(
-            digest, pinned,
-            "{name}: score digest {digest:016x} != pinned {pinned:016x} — a kernel change \
-             altered scores bit-for-bit (see module docs for how to re-pin deliberately)"
+    let pinned: Vec<(String, usize, u64)> =
+        PINNED.iter().map(|&(name, events, digest)| (name.to_string(), events, digest)).collect();
+    if digests != pinned {
+        let mut block = format!("const PINNED: [(&str, usize, u64); {}] = [\n", digests.len());
+        for (name, events, digest) in &digests {
+            let hex = format!("{digest:016x}");
+            let groups = [&hex[..4], &hex[4..8], &hex[8..12], &hex[12..]].join("_");
+            block += &format!("    (\"{name}\", {events}, 0x{groups}),\n");
+        }
+        panic!(
+            "a change altered scores bit-for-bit. If it is deliberate (see module docs), \
+             replace PINNED with:\n{block}];"
         );
     }
 }
@@ -131,7 +133,7 @@ fn batch_scores_are_self_consistent() {
 /// never steers it.
 #[test]
 fn telemetry_probes_do_not_perturb_scores() {
-    let telemetry = Telemetry::new(TelemetryConfig { sample_every: 4, ..Default::default() });
+    let telemetry = Telemetry::new(TelemetryConfig { sample_every: 4 });
     let instrumented = replay_digests(Some(&telemetry));
     assert_eq!(instrumented, replay_digests(None), "probes perturbed a score digest");
     for probe in 0..4 {

@@ -7,10 +7,14 @@
 //! *exactly* — same per-event scores (bitwise), hence the same calibrated
 //! threshold, alert decisions, and metrics. That now includes the
 //! flow-event systems (Slips, DNN): their flow-eviction events fire at the
-//! same flow-table moments in both drivers. Multi-shard runs repartition
-//! detector and flow-table state, so their scores may legitimately differ —
-//! but flow→shard routing must be deterministic and keep every flow whole
-//! on one shard, so decisions are reproducible and per-flow consistent.
+//! same flow-table moments in both drivers. Multi-shard runs route by the
+//! canonical flow key, which keeps every flow whole on one shard, so only a
+//! detector whose state is all per-flow (DNN) can score the same at every
+//! shard count; the autoscaled bursty replay below pins that for the DNN.
+//! Kitsune, HELAD and Slips also keep per-host, per-channel or per-profile
+//! state, which a multi-shard run splits across shards, so their
+//! multi-shard scores differ from the single-shard run. Routing is still
+//! deterministic, so every multi-shard run is reproducible.
 
 use std::collections::HashSet;
 
@@ -20,7 +24,7 @@ use idsbench::core::{
     CoreError, Dataset, Event, EventDetector, InputFormat, LabeledPacket, TrainView,
 };
 use idsbench::datasets::{scenarios, ScenarioScale};
-use idsbench::dnn::{Dnn, DnnConfig};
+use idsbench::dnn::Dnn;
 use idsbench::flow::FlowKey;
 use idsbench::helad::Helad;
 use idsbench::kitsune::Kitsune;
@@ -370,16 +374,9 @@ fn bursty_sessions(phases: u64) -> Vec<LabeledPacket> {
     idsbench_bench::workload::bursty_trace(phases, 8, 120, 0, |phase| phase % 2 == 1)
 }
 
-/// A cheap DNN and a policy the bursty trace trips in both directions.
+/// The DNN and a policy the bursty trace trips in both directions.
 fn autoscale_fixture() -> (impl Fn() -> Box<dyn EventDetector> + Sync, StreamConfig) {
-    let factory = || {
-        Box::new(Dnn::new(DnnConfig {
-            hidden_layers: vec![8],
-            epochs: 4,
-            batch_size: 32,
-            ..Default::default()
-        })) as Box<dyn EventDetector>
-    };
+    let factory = || Box::new(Dnn::default()) as Box<dyn EventDetector>;
     let config = StreamConfig {
         shards: 1,
         window_secs: 1.0,
