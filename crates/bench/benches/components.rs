@@ -1,8 +1,8 @@
 //! Criterion micro/macro benchmarks for the substrates on the evaluation
 //! hot path: packet parsing, pcap I/O, flow assembly, AfterImage feature
 //! extraction, KitNET training/execution, batch-of-rows scoring, the
-//! activation kernels and the LSTM forward at both lanes, one training step
-//! of each model shape, and scenario generation.
+//! activation kernels and the LSTM forward, one training step of each model
+//! shape, and scenario generation.
 //!
 //! ```text
 //! cargo bench -p idsbench-bench
@@ -15,8 +15,8 @@ use idsbench_flow::{AfterImage, AfterImageConfig, FlowTable, FlowTableConfig};
 use idsbench_kitsune::kitnet::{KitNet, KitNetConfig};
 use idsbench_net::{pcap, MacAddr, Packet, PacketBuilder, ParsedPacket, Timestamp};
 use idsbench_nn::{
-    Activation, Adam, Autoencoder, AutoencoderConfig, Lane, Loss, LstmRegressor,
-    LstmRegressorConfig, Mat, Matrix, MlpBuilder, Precision, Workspace,
+    Activation, Adam, Autoencoder, AutoencoderConfig, Loss, LstmRegressor, LstmRegressorConfig,
+    Matrix, MlpBuilder, Workspace,
 };
 use std::net::Ipv4Addr;
 
@@ -178,32 +178,29 @@ fn bench_kitnet(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two numbers nothing else shows: what a batch of one costs against a
-/// real batch, and where the `f32` lane starts to pay. The shape is the
-/// Kitsune ensemble at its reference defaults — ten 10-feature
-/// autoencoders plus the 10-input output autoencoder — scored over `M`
-/// staged rows; throughput is rows per second.
+/// The number nothing else shows: what a batch of one costs against a real
+/// batch. The shape is the Kitsune ensemble at its reference defaults — ten
+/// 10-feature autoencoders plus the 10-input output autoencoder — scored
+/// over `M` staged rows; throughput is rows per second.
 fn bench_score_rows(c: &mut Criterion) {
     for m in [1, 64] {
-        score_rows_case::<f64>(c, m, Precision::F64Bitwise);
-        score_rows_case::<f32>(c, m, Precision::F32Wide);
+        score_rows_case(c, m);
     }
 }
 
-fn score_rows_case<L: Lane>(c: &mut Criterion, m: usize, precision: Precision) {
+fn score_rows_case(c: &mut Criterion, m: usize) {
     let ensemble: Vec<Autoencoder> = (0..11)
         .map(|seed| {
             let mut ae = Autoencoder::new(10, AutoencoderConfig { seed, ..Default::default() });
-            ae.freeze(precision);
+            ae.freeze();
             ae
         })
         .collect();
-    let rows: Mat<L> =
-        Mat::from_f64(&Matrix::from_fn(m, 10, |r, c| ((r * 10 + c) as f64 * 0.37).sin().abs()));
+    let rows = Matrix::from_fn(m, 10, |r, c| ((r * 10 + c) as f64 * 0.37).sin().abs());
     let (mut ws, mut scores) = (Workspace::new(), Vec::new());
     let mut group = c.benchmark_group("nn");
     group.throughput(Throughput::Elements(m as u64));
-    group.bench_function(&format!("score_rows/{}/m{m}", precision.label()), |b| {
+    group.bench_function(&format!("score_rows/m{m}"), |b| {
         b.iter(|| {
             scores.clear();
             for ae in &ensemble {
@@ -221,18 +218,17 @@ fn score_rows_case<L: Lane>(c: &mut Criterion, m: usize, precision: Precision) {
 /// pre-activations live.
 fn bench_activation(c: &mut Criterion) {
     for n in [12, 48, 1536] {
-        activation_case::<f64>(c, n, Precision::F64Bitwise);
-        activation_case::<f32>(c, n, Precision::F32Wide);
+        activation_case(c, n);
     }
 }
 
-fn activation_case<L: Lane>(c: &mut Criterion, n: usize, precision: Precision) {
-    let inputs: Vec<L> = (0..n).map(|i| L::from_f64((i as f64 * 0.7311).sin() * 4.0)).collect();
+fn activation_case(c: &mut Criterion, n: usize) {
+    let inputs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7311).sin() * 4.0).collect();
     let mut buffer = inputs.clone();
     let mut group = c.benchmark_group("nn/activation");
     group.throughput(Throughput::Elements(n as u64));
     for (name, activation) in [("sigmoid", Activation::Sigmoid), ("tanh", Activation::Tanh)] {
-        group.bench_function(&format!("{name}/{}/n{n}", precision.label()), |b| {
+        group.bench_function(&format!("{name}/n{n}"), |b| {
             b.iter(|| {
                 buffer.copy_from_slice(&inputs);
                 activation.apply(criterion::black_box(&mut buffer[..]));
@@ -247,21 +243,19 @@ fn activation_case<L: Lane>(c: &mut Criterion, n: usize, precision: Precision) {
 /// one window and a stream batch of 32; throughput is windows per second.
 fn bench_lstm_predict(c: &mut Criterion) {
     for m in [1, 32] {
-        lstm_predict_case::<f64>(c, m, Precision::F64Bitwise);
-        lstm_predict_case::<f32>(c, m, Precision::F32Wide);
+        lstm_predict_case(c, m);
     }
 }
 
-fn lstm_predict_case<L: Lane>(c: &mut Criterion, m: usize, precision: Precision) {
+fn lstm_predict_case(c: &mut Criterion, m: usize) {
     let mut lstm =
         LstmRegressor::new(1, LstmRegressorConfig { hidden_size: 12, ..Default::default() });
-    lstm.freeze(precision);
-    let windows: Mat<L> =
-        Mat::from_f64(&Matrix::from_fn(m, 12, |r, c| ((r * 12 + c) as f64 * 0.37).sin().abs()));
+    lstm.freeze();
+    let windows = Matrix::from_fn(m, 12, |r, c| ((r * 12 + c) as f64 * 0.37).sin().abs());
     let (mut ws, mut predictions) = (Workspace::new(), Vec::new());
     let mut group = c.benchmark_group("nn");
     group.throughput(Throughput::Elements(m as u64));
-    group.bench_function(&format!("lstm_predict/{}/m{m}", precision.label()), |b| {
+    group.bench_function(&format!("lstm_predict/m{m}"), |b| {
         b.iter(|| {
             predictions.clear();
             lstm.predict_windows_with(&windows, &mut predictions, &mut ws);

@@ -2,9 +2,8 @@
 //!
 //! Provides the standard detector roster (the four systems of Table IV,
 //! each built by `Default`: out-of-the-box defaults are constants next to
-//! the code that uses them, and only Kitsune's and HELAD's `precision` and
-//! `seed` and the DNN's `normalize`, `rebalance`, `seed` and `precision`
-//! stay settable), the paper's
+//! the code that uses them, and only Kitsune's and HELAD's `seed` and the
+//! DNN's `normalize`, `rebalance` and `seed` stay settable), the paper's
 //! published Table IV numbers for side-by-side comparison, the bursty
 //! workload behind the elastic-sharding gates, and the binary's one
 //! argument parser.

@@ -16,8 +16,7 @@
 //!   [`Event::FlowEvicted`] whenever the flow table emits a completed flow
 //!   — eviction timing included, because when a flow is scored is itself a
 //!   detection variable (Ficke et al.).
-//! * **One contract.** [`EventDetector`] replaces the old
-//!   `Detector`/`StreamingDetector` split: `fit` consumes the training
+//! * **One contract.** [`EventDetector`]: `fit` consumes the training
 //!   slice once, then `on_event` must score each event of the detector's
 //!   [`InputFormat`] immediately, with no second pass.
 //! * **One scoring loop.** The batch runner and every streaming shard
@@ -223,10 +222,9 @@ pub trait EventDetector: Send {
     /// weight traffic across the burst.
     ///
     /// The contract mirrors scoring the views one at a time in order: the
-    /// default implementation does exactly that, and overrides in the
-    /// default f64 precision must produce bitwise-identical scores (batch
-    /// delivery sits underneath the score-digest contract without its own
-    /// pin; `tests/epsilon_parity.rs` covers the f32 mode).
+    /// default implementation does exactly that, and overrides must produce
+    /// bitwise-identical scores (batch delivery sits underneath the
+    /// score-digest contract without its own pin).
     fn on_packet_batch(
         &mut self,
         views: &mut dyn Iterator<Item = &ParsedView>,

@@ -18,10 +18,9 @@
 //! 3. **Deployment** (step 3) — detectors run with their out-of-the-box
 //!    configurations: each default is a constant placed next to the code
 //!    that uses it, and `Default` builds the detector. What stays settable
-//!    is what an experiment varies: Kitsune and HELAD take `precision` and
-//!    `seed`, Slips takes nothing, and the DNN takes `normalize` and
-//!    `rebalance` (the preprocessing ablations) plus `seed` and
-//!    `precision`.
+//!    is what an experiment varies: Kitsune and HELAD take `seed`, Slips
+//!    takes nothing, and the DNN takes `normalize` and `rebalance` (the
+//!    preprocessing ablations) plus `seed`. Every model scores in `f64`.
 //! 4. **Threshold calibration** (step 4) — [`threshold::ThresholdPolicy`]:
 //!    a standardized rule applied uniformly to every IDS.
 //! 5. **Metrics & reporting** — [`metrics`] (accuracy/precision/recall/F1,

@@ -6,8 +6,7 @@
 
 use idsbench_core::{Event, EventDetector, InputFormat, LabeledFlow, TrainView};
 use idsbench_nn::{
-    Activation, Adam, Loss, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, Precision, Workspace,
-    ZScoreNormalizer,
+    Activation, Adam, Loss, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, Workspace, ZScoreNormalizer,
 };
 
 fn training_matrix(train: &TrainView) -> Option<(Vec<Vec<f64>>, Vec<f64>, MinMaxNormalizer)> {
@@ -71,7 +70,7 @@ impl EventDetector for LogisticRegression {
         for _ in 0..200 {
             model.train_batch(&matrix, &targets, Loss::BinaryCrossEntropy, &mut opt);
         }
-        model.freeze(Precision::F64Bitwise);
+        model.freeze();
         self.model = Some((model, norm));
     }
 

@@ -20,10 +20,7 @@
 pub mod baselines;
 
 use idsbench_core::{Event, EventDetector, InputFormat, LabeledFlow, TrainView};
-use idsbench_nn::{
-    Activation, Adam, Lane, Loss, Mat, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, Precision,
-    Workspace,
-};
+use idsbench_nn::{Activation, Adam, Loss, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, Workspace};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -37,9 +34,9 @@ const EPOCHS: usize = 30;
 /// Mini-batch size.
 const BATCH_SIZE: usize = 64;
 
-/// Configuration for [`Dnn`]: the two preprocessing ablations, the seed
-/// and the numeric lane. The architecture and training schedule are the
-/// study's out-of-the-box constants.
+/// Configuration for [`Dnn`]: the two preprocessing ablations and the seed.
+/// The architecture and training schedule are the study's out-of-the-box
+/// constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DnnConfig {
     /// Oversample the minority class to parity in training (the study
@@ -50,15 +47,11 @@ pub struct DnnConfig {
     pub normalize: bool,
     /// Weight-initialization and shuffling seed.
     pub seed: u64,
-    /// Numeric lane of the inference kernels: bitwise `f64` (default) or
-    /// `f32` under the epsilon-parity contract. Training always runs in
-    /// `f64`; this selects how the frozen network scores.
-    pub precision: Precision,
 }
 
 impl Default for DnnConfig {
     fn default() -> Self {
-        DnnConfig { rebalance: true, normalize: true, seed: 0, precision: Precision::F64Bitwise }
+        DnnConfig { rebalance: true, normalize: true, seed: 0 }
     }
 }
 
@@ -69,40 +62,25 @@ struct DnnModel {
     norm: MinMaxNormalizer,
     mlp: Mlp,
     normalize: bool,
-    precision: Precision,
     /// Reused normalized-feature buffer.
     feat_buf: Vec<f64>,
-    /// Lane-typed scratch; only the configured precision's is ever filled.
-    lane64: LaneScratch<f64>,
-    lane32: LaneScratch<f32>,
-}
-
-/// The input row and model workspace of one numeric lane.
-#[derive(Debug, Default)]
-struct LaneScratch<L: Lane> {
-    input: Mat<L>,
-    ws: Workspace<L>,
+    /// The one-row input batch and the network's inference scratch.
+    input: Matrix,
+    ws: Workspace,
 }
 
 impl DnnModel {
+    /// One flow through the batch-of-rows entry point: a batch of one row.
     fn score_flow(&mut self, flow: &LabeledFlow) -> f64 {
         let mut features = flow.features.as_slice();
         if self.normalize {
             self.norm.transform_into(features, &mut self.feat_buf);
             features = &self.feat_buf;
         }
-        match self.precision {
-            Precision::F64Bitwise => score_row(&self.mlp, features, &mut self.lane64),
-            Precision::F32Wide => score_row(&self.mlp, features, &mut self.lane32),
-        }
+        self.input.start_rows(features.len());
+        self.input.push_row(features.iter().copied());
+        self.mlp.predict_with(&self.input, &mut self.ws).get(0, 0)
     }
-}
-
-/// One flow through the batch-of-rows entry point: a batch of one row.
-fn score_row<L: Lane>(mlp: &Mlp, features: &[f64], lane: &mut LaneScratch<L>) -> f64 {
-    lane.input.start_rows(features.len());
-    lane.input.push_row(features.iter().copied());
-    mlp.predict_with(&lane.input, &mut lane.ws).get(0, 0).to_f64()
 }
 
 /// The supervised DNN NIDS (see crate docs).
@@ -205,17 +183,15 @@ impl EventDetector for Dnn {
             }
         }
 
-        // Training is done: snapshot the layer weights into the configured
-        // lane for scoring.
-        mlp.freeze(self.config.precision);
+        // Training is done: snapshot the layer weights for scoring.
+        mlp.freeze();
         self.model = Some(DnnModel {
             norm,
             mlp,
             normalize: self.config.normalize,
-            precision: self.config.precision,
             feat_buf: Vec::with_capacity(width),
-            lane64: LaneScratch::default(),
-            lane32: LaneScratch::default(),
+            input: Matrix::default(),
+            ws: Workspace::new(),
         });
     }
 
@@ -379,20 +355,5 @@ mod tests {
         assert_eq!(a, b);
         let other = run(&mut Dnn::new(DnnConfig { seed: 1, ..Default::default() }), &input).scores;
         assert_ne!(other, a, "a different seed must change at least one score");
-    }
-
-    #[test]
-    fn wide_precision_scores_track_f64_within_epsilon() {
-        let input = labelled_input();
-        let reference = run(&mut Dnn::default(), &input).scores;
-        let wide = run(
-            &mut Dnn::new(DnnConfig { precision: Precision::F32Wide, ..Default::default() }),
-            &input,
-        )
-        .scores;
-        assert_eq!(wide.len(), reference.len());
-        for (i, (w, r)) in wide.iter().zip(&reference).enumerate() {
-            assert!((w - r).abs() <= 1e-3 * r.abs().max(1e-6), "flow {i}: wide {w} vs f64 {r}");
-        }
     }
 }

@@ -35,8 +35,8 @@ use idsbench_core::fasthash::FxHashMap;
 use idsbench_core::{Event, EventDetector, InputFormat, ParsedView, TrainView};
 use idsbench_flow::{AfterImage, AfterImageConfig};
 use idsbench_nn::{
-    Autoencoder, AutoencoderConfig, Lane, LstmRegressor, LstmRegressorConfig, Mat,
-    MinMaxNormalizer, Precision, Workspace,
+    Autoencoder, AutoencoderConfig, LstmRegressor, LstmRegressorConfig, Matrix, MinMaxNormalizer,
+    Workspace,
 };
 
 /// A src↔dst channel key (ordered so both directions share one history).
@@ -73,13 +73,6 @@ const WEIGHT_LSTM: f64 = 0.3;
 pub struct HeladConfig {
     /// Weight-initialization seed.
     pub seed: u64,
-    /// Numeric lane of the inference kernels: bitwise `f64` (default) or
-    /// `f32` under the epsilon-parity contract, which pays on HELAD at
-    /// every call shape, since its time goes to the activation polynomials
-    /// and the autoencoder's matmuls, both of which scale with lane width
-    /// (measured in the README's "Wide lanes" section). Training always
-    /// runs in `f64`; this selects how the frozen ensemble scores.
-    pub precision: Precision,
 }
 
 /// The HELAD NIDS (see crate docs).
@@ -173,10 +166,10 @@ impl Helad {
 
         let mut recent = VecDeque::with_capacity(LSTM_WINDOW);
         recent.extend(&history[history.len().saturating_sub(LSTM_WINDOW)..]);
-        // Training is done: snapshot both models' weights into the
-        // configured lane for the scoring phase.
-        autoencoder.freeze(self.config.precision);
-        lstm.freeze(self.config.precision);
+        // Training is done: snapshot both models' weights for the scoring
+        // phase.
+        autoencoder.freeze();
+        lstm.freeze();
         HeladEngine {
             extractor,
             norm,
@@ -184,14 +177,14 @@ impl Helad {
             lstm,
             recent,
             channel_history: FxHashMap::default(),
-            precision: self.config.precision,
             feat_buf: Vec::with_capacity(width),
             norm_buf: Vec::with_capacity(width),
             batch_rmses: Vec::new(),
             batch_preds: Vec::new(),
             batch_keys: Vec::new(),
-            lane64: LaneScratch::default(),
-            lane32: LaneScratch::default(),
+            feat_rows: Matrix::default(),
+            windows: Matrix::default(),
+            ws: Workspace::new(),
         }
     }
 }
@@ -210,7 +203,6 @@ pub struct HeladEngine {
     recent: VecDeque<f64>,
     /// Recent errors per src↔dst channel for the smoothing term.
     channel_history: FxHashMap<ChannelKey, VecDeque<f64>>,
-    precision: Precision,
     /// Reused per-packet feature buffer.
     feat_buf: Vec<f64>,
     /// Reused normalized-feature buffer.
@@ -223,20 +215,12 @@ pub struct HeladEngine {
     /// 0), `Some(None)` = valid but channel-less, `Some(Some(key))` = valid
     /// with a smoothing channel.
     batch_keys: Vec<Option<Option<ChannelKey>>>,
-    /// Lane-typed scratch; only the configured precision's is ever filled.
-    lane64: LaneScratch<f64>,
-    lane32: LaneScratch<f32>,
-}
-
-/// The staging rows and model workspace of one numeric lane.
-#[derive(Debug, Default)]
-struct LaneScratch<L: Lane> {
     /// One normalized feature row per well-formed packet of the burst.
-    feat_rows: Mat<L>,
+    feat_rows: Matrix,
     /// Lockstep LSTM input: one score-history window per predicted row.
-    windows: Mat<L>,
+    windows: Matrix,
     /// Shared NN inference scratch (autoencoder and LSTM).
-    ws: Workspace<L>,
+    ws: Workspace,
 }
 
 impl HeladEngine {
@@ -258,28 +242,8 @@ impl HeladEngine {
         views: &mut dyn Iterator<Item = &ParsedView>,
         out: &mut Vec<f64>,
     ) {
-        match self.precision {
-            Precision::F64Bitwise => {
-                let mut lane = std::mem::take(&mut self.lane64);
-                self.score_batch_in(&mut lane, views, out);
-                self.lane64 = lane;
-            }
-            Precision::F32Wide => {
-                let mut lane = std::mem::take(&mut self.lane32);
-                self.score_batch_in(&mut lane, views, out);
-                self.lane32 = lane;
-            }
-        }
-    }
-
-    fn score_batch_in<L: Lane>(
-        &mut self,
-        lane: &mut LaneScratch<L>,
-        views: &mut dyn Iterator<Item = &ParsedView>,
-        out: &mut Vec<f64>,
-    ) {
         self.batch_keys.clear();
-        lane.feat_rows.start_rows(self.extractor.feature_count());
+        self.feat_rows.start_rows(self.extractor.feature_count());
         // Pass 1 (sequential): feature extraction and normalization into
         // the staging rows; channel keys are captured here because the
         // views are consumed by this pass.
@@ -293,7 +257,7 @@ impl HeladEngine {
             // out-of-range eval features clamp to the boundary (and read as
             // anomalous) rather than re-scaling the whole space.
             self.norm.transform_into(&self.feat_buf, &mut self.norm_buf);
-            lane.feat_rows.push_row(self.norm_buf.iter().copied());
+            self.feat_rows.push_row(self.norm_buf.iter().copied());
             let key = match (parsed.src_ip(), parsed.dst_ip()) {
                 (Some(a), Some(b)) => Some(if a <= b { (a, b) } else { (b, a) }),
                 _ => None,
@@ -304,7 +268,7 @@ impl HeladEngine {
         // Pass 2 (batched): every row's reconstruction error in one
         // autoencoder batch forward.
         self.batch_rmses.clear();
-        self.autoencoder.score_rows_with(&lane.feat_rows, &mut self.batch_rmses, &mut lane.ws);
+        self.autoencoder.score_rows_with(&self.feat_rows, &mut self.batch_rmses, &mut self.ws);
 
         // Pass 3 (sequential window, then lockstep LSTM): snapshot each row's
         // history window in arrival order — row `i` sees the window after the
@@ -312,17 +276,17 @@ impl HeladEngine {
         // lockstep batch. The first `missing` rows have incomplete windows
         // (no surprise term): the warm-up of a freshly fitted engine.
         let missing = LSTM_WINDOW - self.recent.len().min(LSTM_WINDOW);
-        lane.windows.start_rows(LSTM_WINDOW);
+        self.windows.start_rows(LSTM_WINDOW);
         for &rmse in &self.batch_rmses {
             if self.recent.len() == LSTM_WINDOW {
-                lane.windows.push_row(self.recent.iter().copied());
+                self.windows.push_row(self.recent.iter().copied());
                 self.recent.pop_front();
             }
             self.recent.push_back(rmse);
         }
-        debug_assert_eq!(lane.windows.rows(), self.batch_rmses.len().saturating_sub(missing));
+        debug_assert_eq!(self.windows.rows(), self.batch_rmses.len().saturating_sub(missing));
         self.batch_preds.clear();
-        self.lstm.predict_windows_with(&lane.windows, &mut self.batch_preds, &mut lane.ws);
+        self.lstm.predict_windows_with(&self.windows, &mut self.batch_preds, &mut self.ws);
 
         // Pass 4 (sequential): blend and per-channel smoothing in arrival
         // order — the channel histories are shared mutable state. A
@@ -547,19 +511,16 @@ mod tests {
     /// Stream batching, autoscaling and fabric re-homing all re-cut batch
     /// boundaries, so a score must not depend on where a batch was cut: one
     /// packet per call, the whole trace in one call, and an uneven random
-    /// split all give the same bits — in both precisions, from a trained
-    /// engine and from an unfitted one (whose empty score window makes the
-    /// first bursts straddle the LSTM warm-up of partial windows).
+    /// split all give the same bits — from a trained engine and from an
+    /// unfitted one (whose empty score window makes the first bursts
+    /// straddle the LSTM warm-up of partial windows).
     #[test]
     fn scores_do_not_depend_on_batch_boundaries() {
         let (train, eval) = clean_baseline_input();
         let untrained = TrainView::default();
-        let cases = [Precision::F64Bitwise, Precision::F32Wide]
-            .into_iter()
-            .flat_map(|precision| [(precision, &train), (precision, &untrained)]);
-        for (precision, train) in cases {
+        for (case, train) in [("trained", &train), ("untrained", &untrained)] {
             let fitted = || {
-                let mut helad = Helad::new(HeladConfig { precision, ..Default::default() });
+                let mut helad = Helad::default();
                 EventDetector::fit(&mut helad, train);
                 helad
             };
@@ -586,29 +547,10 @@ mod tests {
                     assert_eq!(
                         b.to_bits(),
                         r.to_bits(),
-                        "{precision:?} packet {i}: {name} {b} vs one-row {r}"
+                        "{case} packet {i}: {name} {b} vs one-row {r}"
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn wide_precision_scores_track_f64_within_epsilon() {
-        let (train, eval) = clean_baseline_input();
-        let mut reference = Helad::default();
-        let f64_scores = score_all(&mut reference, &train, &eval);
-
-        let mut wide =
-            Helad::new(HeladConfig { precision: Precision::F32Wide, ..Default::default() });
-        EventDetector::fit(&mut wide, &train);
-        let mut f32_scores = Vec::new();
-        for chunk in eval.chunks(64) {
-            wide.on_packet_batch(&mut chunk.iter(), &mut f32_scores);
-        }
-        assert_eq!(f32_scores.len(), f64_scores.len());
-        for (i, (w, r)) in f32_scores.iter().zip(&f64_scores).enumerate() {
-            assert!((w - r).abs() <= 1e-3 * r.abs().max(1e-6), "packet {i}: wide {w} vs f64 {r}");
         }
     }
 }

@@ -6,9 +6,7 @@
 //! is online single-sample SGD on min-max-normalized inputs, exactly as in
 //! the reference implementation.
 
-use idsbench_nn::{
-    Autoencoder, AutoencoderConfig, Lane, Mat, Matrix, MinMaxNormalizer, Precision, Workspace,
-};
+use idsbench_nn::{Autoencoder, AutoencoderConfig, Matrix, MinMaxNormalizer, Workspace};
 
 /// Hidden width of every autoencoder as a fraction of its input width (the
 /// reference β).
@@ -23,10 +21,6 @@ const LEARNING_RATE: f64 = 0.1;
 pub struct KitNetConfig {
     /// Weight-initialization seed.
     pub seed: u64,
-    /// Numeric lane of the inference kernels. Training always runs in
-    /// `f64`; under [`Precision::F32Wide`] the execution phase scores in
-    /// `f32` instead (epsilon contract).
-    pub precision: Precision,
 }
 
 /// The KitNET ensemble (see module docs).
@@ -48,7 +42,6 @@ pub struct KitNet {
     output: Autoencoder,
     input_norm: MinMaxNormalizer,
     score_norm: MinMaxNormalizer,
-    precision: Precision,
     trained: u64,
     executed: u64,
     // Scratch (reused every call, allocation-free once warm).
@@ -61,20 +54,11 @@ pub struct KitNet {
     rmse_cols: Vec<f64>,
     /// Final scores of the current batch.
     scores: Vec<f64>,
-    /// Lane-typed scratch of the execution phase; only the configured
-    /// precision's is ever filled.
-    lane64: LaneScratch<f64>,
-    lane32: LaneScratch<f32>,
-}
-
-/// The staging rows and model workspace of one numeric lane.
-#[derive(Debug, Clone, Default)]
-struct LaneScratch<L: Lane> {
     /// Ensemble member `k`'s normalized input rows for the current batch.
-    cluster_rows: Vec<Mat<L>>,
+    cluster_rows: Vec<Matrix>,
     /// The output autoencoder's input rows.
-    scaled_rows: Mat<L>,
-    ws: Workspace<L>,
+    scaled_rows: Matrix,
+    ws: Workspace,
 }
 
 impl KitNet {
@@ -131,7 +115,6 @@ impl KitNet {
             output,
             input_norm: MinMaxNormalizer::new(feature_width),
             score_norm,
-            precision: config.precision,
             trained: 0,
             executed: 0,
             norm_buf: Vec::with_capacity(feature_width),
@@ -139,14 +122,10 @@ impl KitNet {
             scaled_buf: Vec::with_capacity(cluster_count),
             rmse_cols: Vec::new(),
             scores: Vec::new(),
-            lane64: LaneScratch::default(),
-            lane32: LaneScratch::default(),
+            cluster_rows: Vec::new(),
+            scaled_rows: Matrix::default(),
+            ws: Workspace::new(),
         }
-    }
-
-    /// The numeric lane the execution phase scores in.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// The fitted feature clusters, one per ensemble autoencoder.
@@ -185,14 +164,14 @@ impl KitNet {
         self.output.train_sample(&self.scaled_buf)
     }
 
-    /// Ends the training phase: snapshots every autoencoder's weights into
-    /// the configured lane. [`KitNet::execute`] requires it; a later
-    /// [`KitNet::train`] drops the snapshots again.
+    /// Ends the training phase: snapshots every autoencoder's weights.
+    /// [`KitNet::execute`] requires it; a later [`KitNet::train`] drops the
+    /// snapshots again.
     pub fn freeze(&mut self) {
         for ae in &mut self.ensemble {
-            ae.freeze(self.precision);
+            ae.freeze();
         }
-        self.output.freeze(self.precision);
+        self.output.freeze();
     }
 
     /// Scores one sample without updating weights (execution phase): a
@@ -215,13 +194,10 @@ impl KitNet {
     /// input-normalizer updates — runs sequentially per row first; the pure
     /// autoencoder forwards then run batched per cluster, so each ensemble
     /// member streams its weights through cache once per *batch* instead of
-    /// once per *packet*. Feature extraction and normalization stay `f64`;
-    /// under [`Precision::F32Wide`] each value narrows once, as it is
-    /// staged for the ensemble.
+    /// once per *packet*.
     ///
     /// A score never depends on where the batch was cut: any split of the
-    /// same rows across calls gives bitwise the same scores, in either
-    /// precision.
+    /// same rows across calls gives bitwise the same scores.
     ///
     /// # Panics
     ///
@@ -233,61 +209,43 @@ impl KitNet {
         out.extend_from_slice(&self.scores);
     }
 
-    /// Scores the row-major `rows` into `self.scores` in the configured
-    /// lane.
+    /// Scores the row-major `rows` into `self.scores`.
     fn score_rows(&mut self, rows: &[f64]) {
-        match self.precision {
-            Precision::F64Bitwise => {
-                let mut lane = std::mem::take(&mut self.lane64);
-                self.score_rows_in(&mut lane, rows);
-                self.lane64 = lane;
-            }
-            Precision::F32Wide => {
-                let mut lane = std::mem::take(&mut self.lane32);
-                self.score_rows_in(&mut lane, rows);
-                self.lane32 = lane;
-            }
-        }
-    }
-
-    fn score_rows_in<L: Lane>(&mut self, lane: &mut LaneScratch<L>, rows: &[f64]) {
         let (clusters, width) = (self.ensemble.len(), self.input_norm.width());
         let m = rows.len() / width;
         // Sequential staging: normalizer observation order is part of the
         // scoring semantics. Each normalized row is gathered straight into
         // its clusters' input rows through the precomputed index map.
-        lane.cluster_rows.resize_with(clusters, Mat::default);
-        for (staged, members) in lane.cluster_rows.iter_mut().zip(&self.clusters) {
+        self.cluster_rows.resize_with(clusters, Matrix::default);
+        for (staged, members) in self.cluster_rows.iter_mut().zip(&self.clusters) {
             staged.reshape(m, members.len());
         }
         for (i, x) in rows.chunks_exact(width).enumerate() {
             self.input_norm.observe_and_transform_into(x, &mut self.norm_buf);
-            for (staged, members) in lane.cluster_rows.iter_mut().zip(&self.clusters) {
+            for (staged, members) in self.cluster_rows.iter_mut().zip(&self.clusters) {
                 for (slot, &index) in staged.row_mut(i).iter_mut().zip(members) {
-                    *slot = L::from_f64(self.norm_buf[index]);
+                    *slot = self.norm_buf[index];
                 }
             }
         }
         // Pure scoring: one batch forward per ensemble member.
         self.rmse_cols.clear();
-        for (ae, staged) in self.ensemble.iter().zip(&lane.cluster_rows) {
-            ae.score_rows_with(staged, &mut self.rmse_cols, &mut lane.ws);
+        for (ae, staged) in self.ensemble.iter().zip(&self.cluster_rows) {
+            ae.score_rows_with(staged, &mut self.rmse_cols, &mut self.ws);
         }
         self.executed += m as u64;
         // Score normalization per row (transform only — no observation in
         // the execution phase), then the output autoencoder over the batch.
-        lane.scaled_rows.reshape(m, clusters);
+        self.scaled_rows.reshape(m, clusters);
         for i in 0..m {
             for (k, rmse) in self.rmse_buf.iter_mut().enumerate() {
                 *rmse = self.rmse_cols[k * m + i];
             }
             self.score_norm.transform_into(&self.rmse_buf, &mut self.scaled_buf);
-            for (slot, &scaled) in lane.scaled_rows.row_mut(i).iter_mut().zip(&self.scaled_buf) {
-                *slot = L::from_f64(scaled);
-            }
+            self.scaled_rows.row_mut(i).copy_from_slice(&self.scaled_buf);
         }
         self.scores.clear();
-        self.output.score_rows_with(&lane.scaled_rows, &mut self.scores, &mut lane.ws);
+        self.output.score_rows_with(&self.scaled_rows, &mut self.scores, &mut self.ws);
     }
 }
 

@@ -39,7 +39,7 @@ pub mod kitnet;
 
 use idsbench_core::{Event, EventDetector, InputFormat, ParsedView, TrainView};
 use idsbench_flow::{AfterImage, AfterImageConfig};
-use idsbench_nn::{Matrix, Precision};
+use idsbench_nn::Matrix;
 
 use feature_mapper::CorrelationTracker;
 use kitnet::{KitNet, KitNetConfig};
@@ -57,11 +57,6 @@ const FM_GRACE_FRACTION: f64 = 0.10;
 pub struct KitsuneConfig {
     /// Weight-initialization seed of the KitNET ensemble.
     pub seed: u64,
-    /// Numeric lane of the inference kernels: bitwise `f64` (default, the
-    /// score-digest contract) or `f32` (the epsilon-parity contract, which
-    /// pays once packets arrive in stream-sized batches). Training always
-    /// runs in `f64`; this selects how the frozen ensemble scores.
-    pub precision: Precision,
 }
 
 /// The Kitsune NIDS (see crate docs).
@@ -129,8 +124,8 @@ impl Kitsune {
         };
 
         // Phase 2 — online ensemble training over the whole training slice.
-        let KitsuneConfig { seed, precision } = self.config;
-        let mut net = KitNet::new(clusters, width, KitNetConfig { seed, precision });
+        let KitsuneConfig { seed } = self.config;
+        let mut net = KitNet::new(clusters, width, KitNetConfig { seed });
         for features in buffered.iter().flatten() {
             net.train(features);
         }
@@ -143,8 +138,8 @@ impl Kitsune {
             }
         }
 
-        // Training is done: snapshot the ensemble weights into the
-        // configured lane for the execution phase.
+        // Training is done: snapshot the ensemble weights for the execution
+        // phase.
         net.freeze();
         KitsuneEngine {
             extractor,
@@ -405,14 +400,17 @@ mod tests {
     /// Stream batching, autoscaling and fabric re-homing all re-cut batch
     /// boundaries, so a score must not depend on where a batch was cut: one
     /// packet per call, the whole trace in one call, and an uneven random
-    /// split all give the same bits — in both precisions.
+    /// split all give the same bits — from a trained engine and from an
+    /// unfitted one (one cluster per feature block, an empty input
+    /// normalizer).
     #[test]
     fn scores_do_not_depend_on_batch_boundaries() {
         let (train, eval) = toy_input();
-        for precision in [Precision::F64Bitwise, Precision::F32Wide] {
+        let untrained = TrainView::default();
+        for (case, train) in [("trained", &train), ("untrained", &untrained)] {
             let fitted = || {
-                let mut kitsune = Kitsune::new(KitsuneConfig { precision, ..Default::default() });
-                EventDetector::fit(&mut kitsune, &train);
+                let mut kitsune = Kitsune::default();
+                EventDetector::fit(&mut kitsune, train);
                 kitsune
             };
             let reference: Vec<f64> = {
@@ -438,31 +436,10 @@ mod tests {
                     assert_eq!(
                         b.to_bits(),
                         r.to_bits(),
-                        "{precision:?} packet {i}: {name} {b} vs one-row {r}"
+                        "{case} packet {i}: {name} {b} vs one-row {r}"
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn wide_precision_scores_track_f64_within_epsilon() {
-        let (train, eval) = toy_input();
-        let mut reference = Kitsune::default();
-        let f64_scores = score_all(&mut reference, &train, &eval);
-
-        let mut wide = Kitsune::new(KitsuneConfig {
-            precision: Precision::F32Wide,
-            ..KitsuneConfig::default()
-        });
-        EventDetector::fit(&mut wide, &train);
-        let mut f32_scores = Vec::new();
-        for chunk in eval.chunks(64) {
-            wide.on_packet_batch(&mut chunk.iter(), &mut f32_scores);
-        }
-        assert_eq!(f32_scores.len(), f64_scores.len());
-        for (i, (w, r)) in f32_scores.iter().zip(&f64_scores).enumerate() {
-            assert!((w - r).abs() <= 1e-3 * r.abs().max(1e-6), "packet {i}: wide {w} vs f64 {r}");
         }
     }
 }

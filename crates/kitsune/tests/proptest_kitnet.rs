@@ -55,7 +55,7 @@ proptest! {
         let mut net = KitNet::new(
             vec![vec![0, 1, 2], vec![3, 4, 5]],
             6,
-            KitNetConfig { seed, ..Default::default() },
+            KitNetConfig { seed },
         );
         let split = samples.len() / 2;
         for sample in &samples[..split] {

@@ -1,4 +1,4 @@
-//! The activation functions, and the `f64` lane's own `exp` / `sigmoid` /
+//! The activation functions, and the crate's own `exp` / `sigmoid` /
 //! `tanh`.
 //!
 //! Nothing here calls the platform math library. [`exp`] is built from
@@ -11,10 +11,7 @@
 //! the same bits in debug and release, on any host, whether the compiler
 //! ran a loop scalar, four wide or eight wide (pinned by
 //! `tests/activation_accuracy.rs`, which folds a fixed grid of outputs into
-//! one constant checked in every profile). The `f32` lane's counterparts
-//! live in [`crate::wide`].
-
-use crate::lane::Lane;
+//! one constant checked in every profile).
 
 /// Element-wise activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,18 +28,17 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to one scalar of either [`Lane`] — the
-    /// per-element kernel of the fused bias+activation epilogue (see
-    /// [`crate::Dense::forward_rows_into`]) and of the training forward. In
-    /// `f64` it is this module's [`sigmoid`] / [`tanh`], which training and
-    /// inference share, so the two stay bit-identical; in `f32` it is the
-    /// shorter polynomial of [`crate::wide`], within the epsilon contract.
+    /// Applies the activation to one scalar — the per-element kernel of the
+    /// fused bias+activation epilogue (see
+    /// [`crate::Dense::forward_rows_into`]) and of the training forward:
+    /// this module's [`sigmoid`] / [`tanh`], which training and inference
+    /// share, so the two stay bit-identical.
     #[inline]
-    pub fn eval<L: Lane>(self, x: L) -> L {
+    pub fn eval(self, x: f64) -> f64 {
         match self {
-            Activation::Sigmoid => L::sigmoid(x),
-            Activation::Relu => L::relu(x),
-            Activation::Tanh => L::tanh(x),
+            Activation::Sigmoid => sigmoid(x),
+            Activation::Relu => x.max(0.0),
+            Activation::Tanh => tanh(x),
             Activation::Linear => x,
         }
     }
@@ -54,12 +50,12 @@ impl Activation {
     /// whatever the slice length (a vector body and its scalar tail perform
     /// the same IEEE operations).
     #[inline]
-    pub fn apply<L: Lane>(self, xs: &mut [L]) {
+    pub fn apply(self, xs: &mut [f64]) {
         match self {
             Activation::Linear => {}
-            Activation::Relu => xs.iter_mut().for_each(|x| *x = L::relu(*x)),
-            Activation::Sigmoid => xs.iter_mut().for_each(|x| *x = L::sigmoid(*x)),
-            Activation::Tanh => xs.iter_mut().for_each(|x| *x = L::tanh(*x)),
+            Activation::Relu => xs.iter_mut().for_each(|x| *x = x.max(0.0)),
+            Activation::Sigmoid => xs.iter_mut().for_each(|x| *x = sigmoid(*x)),
+            Activation::Tanh => xs.iter_mut().for_each(|x| *x = tanh(*x)),
         }
     }
 
@@ -136,9 +132,9 @@ fn exp_parts(x: f64) -> (f64, f64, f64) {
 /// subnormal — the smallest positive normal below `−708.39`, and `+∞` from
 /// `709.44` (where `k` reaches 1024; libm holds on until `709.78`). `NaN`
 /// stays `NaN`.
-// `#[inline]` on the three public kernels: their callers are lane-generic
-// loops instantiated in downstream crates, where a non-inline function is
-// an opaque call the vectorizer cannot see through.
+// `#[inline]` on the three public kernels: their callers include the
+// activation loops of downstream crates, where a non-inline function is an
+// opaque call the vectorizer cannot see through.
 #[inline]
 pub fn exp(x: f64) -> f64 {
     let (_, rq, scale) = exp_parts(x);

@@ -1,10 +1,8 @@
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::lane::Lane;
 use crate::loss::Loss;
-use crate::matrix::{Mat, Matrix};
+use crate::matrix::Matrix;
 use crate::optimizer::Sgd;
-use crate::wide::Precision;
 use crate::workspace::Workspace;
 
 /// Configuration for [`Autoencoder`].
@@ -35,7 +33,7 @@ impl Default for AutoencoderConfig {
 /// # Examples
 ///
 /// ```
-/// use idsbench_nn::{Autoencoder, AutoencoderConfig, Matrix, Precision, Workspace};
+/// use idsbench_nn::{Autoencoder, AutoencoderConfig, Matrix, Workspace};
 ///
 /// let mut ae = Autoencoder::new(4, AutoencoderConfig::default());
 /// // Train on a repeated "normal" pattern…
@@ -43,7 +41,7 @@ impl Default for AutoencoderConfig {
 ///     ae.train_sample(&[0.1, 0.9, 0.1, 0.9]);
 /// }
 /// // …then an unseen pattern reconstructs worse.
-/// ae.freeze(Precision::F64Bitwise);
+/// ae.freeze();
 /// let rows = Matrix::from_rows(&[&[0.9, 0.1, 0.9, 0.1], &[0.1, 0.9, 0.1, 0.9]]);
 /// let mut scores = Vec::new();
 /// ae.score_rows_with(&rows, &mut scores, &mut Workspace::new());
@@ -111,13 +109,12 @@ impl Autoencoder {
         [&self.encoder, &self.decoder]
     }
 
-    /// Snapshots both layers' parameters into the lane `precision` selects
-    /// (see [`crate::Dense::freeze`]). Call when training is finished; a
-    /// later [`Autoencoder::train_sample`] drops the snapshots
-    /// automatically.
-    pub fn freeze(&mut self, precision: Precision) {
-        self.encoder.freeze(precision);
-        self.decoder.freeze(precision);
+    /// Snapshots both layers' parameters (see [`crate::Dense::freeze`]).
+    /// Call when training is finished; a later
+    /// [`Autoencoder::train_sample`] drops the snapshots automatically.
+    pub fn freeze(&mut self) {
+        self.encoder.freeze();
+        self.decoder.freeze();
     }
 
     /// Reconstruction RMSE of every row of `xs`, without updating weights:
@@ -128,22 +125,14 @@ impl Autoencoder {
     ///
     /// Each layer's weights stream through cache once per batch, and every
     /// row's score is bitwise identical however the rows are split across
-    /// calls — batching reorders only pure computation (pinned, in both
-    /// lanes, by the `batch_rows_parity` proptests). The squared-error fold
-    /// runs in `f64` whatever the lane, so in `f32` the only epsilon
-    /// sources are the kernels themselves.
+    /// calls — batching reorders only pure computation (pinned by the
+    /// `batch_rows_parity` proptests).
     ///
     /// # Panics
     ///
-    /// Panics if `xs` has the wrong width or lane `L` has no current
-    /// snapshot (call [`Autoencoder::freeze`] after the last training
-    /// step).
-    pub fn score_rows_with<L: Lane>(
-        &self,
-        xs: &Mat<L>,
-        scores: &mut Vec<f64>,
-        ws: &mut Workspace<L>,
-    ) {
+    /// Panics if `xs` has the wrong width or there is no current snapshot
+    /// (call [`Autoencoder::freeze`] after the last training step).
+    pub fn score_rows_with(&self, xs: &Matrix, scores: &mut Vec<f64>, ws: &mut Workspace) {
         assert_eq!(xs.cols(), self.input_size, "input width mismatch");
         self.encoder.forward_rows_into(xs, &mut ws.ping);
         self.decoder.forward_rows_into(&ws.ping, &mut ws.pong);
@@ -174,15 +163,13 @@ impl Autoencoder {
     }
 }
 
-/// RMSE of a reconstruction against its input, folded in `f64` whatever
-/// the lane: the handful of squared-error terms cost nothing, and it keeps
-/// the fold from adding an epsilon source of its own in `f32`.
-fn rmse<L: Lane>(x: &[L], reconstruction: &[L]) -> f64 {
+/// RMSE of a reconstruction against its input.
+fn rmse(x: &[f64], reconstruction: &[f64]) -> f64 {
     let sum: f64 = x
         .iter()
         .zip(reconstruction)
         .map(|(&a, &b)| {
-            let d = a.to_f64() - b.to_f64();
+            let d = a - b;
             d * d
         })
         .sum();
@@ -195,10 +182,10 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// f64 score of one sample on the autoencoder's current weights.
+    /// Score of one sample on the autoencoder's current weights.
     fn score(ae: &Autoencoder, x: &[f64]) -> f64 {
         let mut frozen = ae.clone();
-        frozen.freeze(Precision::F64Bitwise);
+        frozen.freeze();
         let mut scores = Vec::new();
         frozen.score_rows_with(&Matrix::row_vector(x), &mut scores, &mut Workspace::new());
         scores[0]

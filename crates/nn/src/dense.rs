@@ -1,8 +1,6 @@
 use crate::activation::Activation;
-use crate::lane::Lane;
-use crate::matrix::{Mat, Matrix, Packed};
+use crate::matrix::{dot, Matrix, Packed};
 use crate::optimizer::Optimizer;
-use crate::wide::Precision;
 
 /// Output widths up to this use the transposed-weight dot kernel; beyond
 /// it the broadcast matmul vectorizes across the row and wins.
@@ -19,15 +17,14 @@ const PACK_ROWS: usize = 4;
 /// Parameter ids for the optimizer are `base_id` (weights) and
 /// `base_id + 1` (bias).
 ///
-/// Inference has one entry point, [`Dense::forward_rows_into`], generic
-/// over the numeric [`Lane`]. It reads a *snapshot* of the parameters taken
-/// by [`Dense::freeze`] in the requested [`Precision`]; any further
-/// [`Dense::backward`] step drops every snapshot, so stale weights can
-/// never be consulted — inference after training without a fresh freeze
-/// panics instead.
+/// Inference has one entry point, [`Dense::forward_rows_into`]. It reads a
+/// *snapshot* of the parameters taken by [`Dense::freeze`]; any further
+/// [`Dense::backward`] step drops the snapshot, so stale weights can never
+/// be consulted — inference after training without a fresh freeze panics
+/// instead.
 ///
 /// **Training contract.** A step is [`Dense::forward_training`] then
-/// [`Dense::backward`], in `f64`. The layer owns everything the step needs
+/// [`Dense::backward`]. The layer owns everything the step needs
 /// — its copy of the input, the activated output, `δ` and both parameter
 /// gradients — in scratch that is sized by the first step and reused
 /// verbatim: a steady-state step at a seen batch size performs zero heap
@@ -57,7 +54,7 @@ pub struct Dense {
     activation: Activation,
     base_id: usize,
     train: TrainScratch,
-    snapshot: Snapshot,
+    snapshot: Option<Frozen>,
 }
 
 /// One layer's training scratch (see the training contract on [`Dense`]).
@@ -79,26 +76,26 @@ struct TrainScratch {
     forwarded: bool,
 }
 
-/// One lane's frozen copy of an affine block `x·W + b`, converted once at
-/// freeze time (never per sample).
+/// The frozen copy of an affine block `x·W + b`, taken once at freeze time
+/// (never per sample): filled by `freeze`, dropped by any training step.
 #[derive(Debug, Clone)]
-pub struct Frozen<L: Lane> {
+pub(crate) struct Frozen {
     /// Row-major `input × output` weights for the broadcast kernel.
-    pub(crate) weights: Mat<L>,
+    pub(crate) weights: Matrix,
     /// Column-packed transpose for the dot kernel; built for narrow heads
     /// only — wide layers read `weights` directly, so a pack would be a
     /// dead duplicate of the weight memory.
-    packed: Option<Packed<L>>,
+    packed: Option<Packed>,
     /// Bias row (empty for a bias-free block).
-    pub(crate) bias: Vec<L>,
+    pub(crate) bias: Vec<f64>,
 }
 
-impl<L: Lane> Frozen<L> {
-    fn of(weights: &Matrix, bias: &[f64]) -> Self {
+impl Frozen {
+    pub(crate) fn of(weights: &Matrix, bias: &[f64]) -> Self {
         Frozen {
-            weights: Mat::from_f64(weights),
+            weights: weights.clone(),
             packed: (weights.cols() <= NARROW_OUTPUT).then(|| Packed::pack(weights)),
-            bias: bias.iter().map(|&b| L::from_f64(b)).collect(),
+            bias: bias.to_vec(),
         }
     }
 
@@ -107,10 +104,10 @@ impl<L: Lane> Frozen<L> {
     /// matmul (SIMD across the output row — no per-element dependency
     /// chain) followed by the fused bias+activation epilogue. Narrow heads
     /// (where a broadcast pass would serialize through one or two memory
-    /// cells `K` times) run [`Lane::dot`] over the column pack. Either way
+    /// cells `K` times) run a dot product over the column pack. Either way
     /// each output row is a function of its own input row alone, built by
     /// the same operations in the same order whatever the batch size.
-    pub(crate) fn apply(&self, x: &Mat<L>, act: Activation, out: &mut Mat<L>) {
+    pub(crate) fn apply(&self, x: &Matrix, act: Activation, out: &mut Matrix) {
         match &self.packed {
             Some(packed) => {
                 assert_eq!(x.cols(), packed.rows(), "input width mismatch");
@@ -118,7 +115,7 @@ impl<L: Lane> Frozen<L> {
                 for i in 0..x.rows() {
                     let x_row = x.row(i);
                     for (j, o) in out.row_mut(i).iter_mut().enumerate() {
-                        *o = act.eval(L::dot(x_row, packed.col(j)) + self.bias[j]);
+                        *o = act.eval(dot(x_row, packed.col(j)) + self.bias[j]);
                     }
                 }
             }
@@ -130,43 +127,18 @@ impl<L: Lane> Frozen<L> {
     }
 }
 
-/// The per-lane snapshot slots of one affine block: filled by `freeze`,
-/// emptied by any training step.
-#[derive(Debug, Clone, Default)]
-pub struct Snapshot {
-    pub(crate) f64: Option<Frozen<f64>>,
-    pub(crate) f32: Option<Frozen<f32>>,
-}
-
-impl Snapshot {
-    /// Snapshots `weights` and `bias` into the lane `precision` selects.
-    pub(crate) fn freeze(&mut self, precision: Precision, weights: &Matrix, bias: &[f64]) {
-        match precision {
-            Precision::F64Bitwise => self.f64 = Some(Frozen::of(weights, bias)),
-            Precision::F32Wide => self.f32 = Some(Frozen::of(weights, bias)),
-        }
-    }
-
-    /// Drops every lane's snapshot (the parameters moved).
-    pub(crate) fn clear(&mut self) {
-        *self = Snapshot::default();
-    }
-
-    /// The current snapshot in lane `L`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if that lane was not frozen since the last weight update —
-    /// loud, instead of silently scoring from stale weights.
-    pub(crate) fn get<L: Lane>(&self) -> &Frozen<L> {
-        L::frozen(self).unwrap_or_else(|| {
-            panic!(
-                "{} inference without a current snapshot: call freeze() after the last weight \
-                 update",
-                std::any::type_name::<L>()
-            )
-        })
-    }
+/// The current snapshot of a block.
+///
+/// # Panics
+///
+/// Panics if the block was not frozen since the last weight update — loud,
+/// instead of silently scoring from stale weights.
+pub(crate) fn frozen(snapshot: &Option<Frozen>) -> &Frozen {
+    snapshot.as_ref().unwrap_or_else(|| {
+        panic!(
+            "f64 inference without a current snapshot: call freeze() after the last weight update"
+        )
+    })
 }
 
 impl Dense {
@@ -185,17 +157,15 @@ impl Dense {
             activation,
             base_id,
             train: TrainScratch::default(),
-            snapshot: Snapshot::default(),
+            snapshot: None,
         }
     }
 
-    /// Snapshots the parameters into the lane `precision` selects — the
-    /// weights row-major for the broadcast kernel, plus a column pack for
-    /// narrow heads. Call once when a model finishes fitting; training
-    /// afterwards drops the snapshot. Freezing in both precisions keeps
-    /// both lanes servable.
-    pub fn freeze(&mut self, precision: Precision) {
-        self.snapshot.freeze(precision, &self.weights, self.bias.as_slice());
+    /// Snapshots the parameters — the weights row-major for the broadcast
+    /// kernel, plus a column pack for narrow heads. Call once when a model
+    /// finishes fitting; training afterwards drops the snapshot.
+    pub fn freeze(&mut self) {
+        self.snapshot = Some(Frozen::of(&self.weights, self.bias.as_slice()));
     }
 
     /// Input width.
@@ -230,17 +200,17 @@ impl Dense {
     ///
     /// Every output row is computed from its own input row by the same
     /// operations in the same order whatever `x.rows()` is, so a result
-    /// never depends on where a batch was cut — bitwise, in both lanes
-    /// (pinned by the `batch_rows_parity` proptests). In `f64` each element
-    /// is additionally the exact ascending-`k` chain of the naive triple
-    /// loop, which is what keeps batch scoring on the digest contract.
+    /// never depends on where a batch was cut — bitwise (pinned by the
+    /// `batch_rows_parity` proptests). Each element is the exact
+    /// ascending-`k` chain of the naive triple loop, which is what keeps
+    /// batch scoring on the digest contract.
     ///
     /// # Panics
     ///
-    /// Panics if `x` has the wrong width, or if lane `L` has no current
+    /// Panics if `x` has the wrong width, or if the layer has no current
     /// snapshot (see [`Dense::freeze`]).
-    pub fn forward_rows_into<L: Lane>(&self, x: &Mat<L>, out: &mut Mat<L>) {
-        self.snapshot.get::<L>().apply(x, self.activation, out);
+    pub fn forward_rows_into(&self, x: &Matrix, out: &mut Matrix) {
+        frozen(&self.snapshot).apply(x, self.activation, out);
     }
 
     /// Forward pass that keeps what a subsequent [`Dense::backward`] needs
@@ -314,18 +284,18 @@ impl Dense {
                 opt.step(self.base_id + 1, &mut self.bias, &train.grad_bias);
             }
         }
-        // The weights moved: every lane's snapshot is stale.
-        self.snapshot.clear();
+        // The weights moved: the snapshot is stale.
+        self.snapshot = None;
     }
 }
 
 /// Fused epilogue: `out[i][j] = f(out[i][j] + b[j])`. The bias add runs
 /// per row; the activation then runs as one flat elementwise pass over the
 /// whole matrix ([`Activation::apply`]), `m·n` long, so the polynomial exp
-/// of either lane vectorizes at full width even for the narrow layers (`n`
-/// of 7–10) the ensemble autoencoders use. Same per-element arithmetic
-/// either way, same bits.
-fn bias_activate<L: Lane>(out: &mut Mat<L>, bias: &[L], act: Activation) {
+/// vectorizes at full width even for the narrow layers (`n` of 7–10) the
+/// ensemble autoencoders use. Same per-element arithmetic either way, same
+/// bits.
+fn bias_activate(out: &mut Matrix, bias: &[f64], act: Activation) {
     if !bias.is_empty() {
         for row in out.as_mut_slice().chunks_exact_mut(bias.len()) {
             for (o, &b) in row.iter_mut().zip(bias) {
@@ -342,10 +312,10 @@ mod tests {
     use crate::loss::Loss;
     use crate::optimizer::Sgd;
 
-    /// f64 inference on the layer's current weights.
+    /// Inference on the layer's current weights.
     fn infer(layer: &Dense, x: &Matrix) -> Matrix {
         let mut frozen = layer.clone();
-        frozen.freeze(Precision::F64Bitwise);
+        frozen.freeze();
         let mut out = Matrix::default();
         frozen.forward_rows_into(x, &mut out);
         out
@@ -433,16 +403,16 @@ mod tests {
         // The broadcast kernel reads row-major weights directly; a pack
         // would only duplicate the weight memory.
         let weights = Matrix::xavier(5, 7, 23);
-        assert!(Frozen::<f64>::of(&weights, &[0.0; 7]).packed.is_none());
+        assert!(Frozen::of(&weights, &[0.0; 7]).packed.is_none());
         let head = Matrix::xavier(5, 2, 23);
-        assert!(Frozen::<f32>::of(&head, &[0.0; 2]).packed.is_some());
+        assert!(Frozen::of(&head, &[0.0; 2]).packed.is_some());
     }
 
     #[test]
     #[should_panic(expected = "call freeze()")]
     fn training_invalidates_the_snapshot() {
         let mut layer = Dense::new(2, 2, Activation::Linear, 0, 1);
-        layer.freeze(Precision::F64Bitwise);
+        layer.freeze();
         let mut opt = Sgd::new(0.1);
         let out = layer.forward_training(&Matrix::zeros(1, 2)).clone();
         layer.backward(&out, &mut opt, None);

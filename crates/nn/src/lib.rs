@@ -19,8 +19,8 @@
 //!
 //! Everything is deterministic given a seed, with no threads and no
 //! external math libraries — the activations included: `exp`, `sigmoid` and
-//! `tanh` are in-crate polynomial kernels ([`activation`] for `f64`,
-//! [`wide`] for `f32`), not calls into the host's libm.
+//! `tanh` are in-crate polynomial kernels ([`activation`]), not calls into
+//! the host's libm.
 //!
 //! **One inference shape.** Every model scores a *batch of rows* into
 //! caller-owned scratch — [`Dense::forward_rows_into`],
@@ -31,7 +31,7 @@
 //! with, so stream batching, autoscaling and fabric re-homing can cut
 //! batches anywhere without moving a score.
 //!
-//! **One training implementation.** Training is `f64`, one step at a time
+//! **One training implementation.** Training is one step at a time
 //! ([`Autoencoder::train_sample`], [`Mlp::train_batch`],
 //! [`LstmRegressor::train_window`]), over model-owned scratch that the
 //! first step sizes: no per-step heap allocation, and the weight and input
@@ -40,34 +40,23 @@
 //! chains are pinned bit for bit to the allocating `transpose`/`matmul`
 //! formulation kept as a test-side reference (`tests/training_reference.rs`).
 //!
-//! **One kernel source, two lanes.** Those entry points, the matrix type
-//! ([`Mat`]), the matmul, the bias+activation epilogue, the LSTM gate
-//! update, the frozen-weight snapshots and the scratch buffers are generic
-//! over a [`Lane`] scalar, instantiated for `f64` and `f32`. A model
-//! snapshots its weights into a lane at `freeze(precision)` time; any
-//! training step drops the snapshots, and inference without a current one
-//! panics rather than scoring from stale weights. The lane is selected per
-//! run via [`Precision`]:
-//!
-//! * **[`Precision::F64Bitwise`]** (the default): blocked `f64` kernels
-//!   with a fixed ascending accumulation order and the branch-free
-//!   activations of [`activation`] — scores are bitwise-reproducible across
-//!   runs, shard counts, batch shapes, build profiles and vector widths
-//!   (the contract the score-digest tests pin).
-//! * **[`Precision::F32Wide`]**: the same kernels at twice the lane width
-//!   (see [`wide`]), with an eight-lane dot for narrow heads and a
-//!   shorter activation polynomial, under a documented epsilon-parity
-//!   contract instead of bitwise digests. Measured, it pays
-//!   ~1.7× on HELAD (activation- and autoencoder-bound, both lane-width
-//!   work) and ~1.25× on Kitsune at stream batch sizes, and is within a few
-//!   percent of `f64` on Kitsune's one-row calls.
+//! **One numeric lane.** Training and inference are both `f64`. A model
+//! snapshots its weights at `freeze()` time; any training step drops the
+//! snapshot, and inference without a current one panics rather than scoring
+//! from stale weights. The blocked kernels keep a fixed ascending
+//! accumulation order and the branch-free activations of [`activation`], so
+//! scores are bitwise-reproducible across runs, shard counts, batch shapes,
+//! build profiles and vector widths (the contract the score-digest tests
+//! pin). The matrix type [`Mat`] and its matmul stay generic over a
+//! [`Lane`] scalar only so the repository benchmark can time the same
+//! matmul in `f32` ([`wide`]).
 //!
 //! # Examples
 //!
 //! Train a tiny network on XOR:
 //!
 //! ```
-//! use idsbench_nn::{Activation, Adam, Loss, Matrix, MlpBuilder, Precision, Workspace};
+//! use idsbench_nn::{Activation, Adam, Loss, Matrix, MlpBuilder, Workspace};
 //!
 //! let mut mlp = MlpBuilder::new(2)
 //!     .layer(8, Activation::Tanh)
@@ -80,7 +69,7 @@
 //! for _ in 0..800 {
 //!     mlp.train_batch(&x, &y, Loss::Mse, &mut opt);
 //! }
-//! mlp.freeze(Precision::F64Bitwise);
+//! mlp.freeze();
 //! let mut ws = Workspace::new();
 //! let out = mlp.predict_with(&x, &mut ws);
 //! assert!(out.get(0, 0) < 0.2 && out.get(1, 0) > 0.8);
@@ -112,5 +101,5 @@ pub use matrix::{Mat, Matrix};
 pub use mlp::{Mlp, MlpBuilder};
 pub use normalize::{MinMaxNormalizer, ZScoreNormalizer};
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use wide::{MatrixF32, Precision};
+pub use wide::MatrixF32;
 pub use workspace::Workspace;

@@ -1,9 +1,7 @@
 use crate::activation::Activation;
-use crate::dense::Snapshot;
-use crate::lane::Lane;
-use crate::matrix::{Mat, Matrix};
+use crate::dense::{frozen, Frozen};
+use crate::matrix::{dot, Matrix};
 use crate::optimizer::{Adam, Optimizer};
-use crate::wide::Precision;
 use crate::workspace::Workspace;
 
 /// A single-layer LSTM (no peepholes, forget-gate bias initialized to 1).
@@ -12,8 +10,8 @@ use crate::workspace::Workspace;
 /// output]`, each `hidden_size` wide.
 ///
 /// Inference has one entry point, [`Lstm::final_hidden_windows_with`]: a
-/// lockstep batch of sequences, generic over the numeric [`Lane`], reading
-/// the parameter snapshot taken by [`Lstm::freeze`].
+/// lockstep batch of sequences, reading the parameter snapshot taken by
+/// [`Lstm::freeze`].
 #[derive(Debug, Clone)]
 pub struct Lstm {
     /// Input→gates weights, `input_size × 4·hidden`.
@@ -26,9 +24,9 @@ pub struct Lstm {
     hidden_size: usize,
     /// Snapshot of `x·w_x + bias`; present only while in sync with the
     /// weights (any training step drops it).
-    frozen_x: Snapshot,
+    frozen_x: Option<Frozen>,
     /// Snapshot of the bias-free `h·w_h`, same lifecycle.
-    frozen_h: Snapshot,
+    frozen_h: Option<Frozen>,
 }
 
 /// Training scratch of one LSTM: the per-timestep values BPTT needs, in
@@ -88,16 +86,16 @@ impl Lstm {
             bias,
             input_size,
             hidden_size,
-            frozen_x: Snapshot::default(),
-            frozen_h: Snapshot::default(),
+            frozen_x: None,
+            frozen_h: None,
         }
     }
 
-    /// Snapshots the parameters into the lane `precision` selects. Call
-    /// when training is finished; any training step drops the snapshot.
-    pub fn freeze(&mut self, precision: Precision) {
-        self.frozen_x.freeze(precision, &self.w_x, self.bias.as_slice());
-        self.frozen_h.freeze(precision, &self.w_h, &[]);
+    /// Snapshots the parameters. Call when training is finished; any
+    /// training step drops the snapshot.
+    pub fn freeze(&mut self) {
+        self.frozen_x = Some(Frozen::of(&self.w_x, self.bias.as_slice()));
+        self.frozen_h = Some(Frozen::of(&self.w_h, &[]));
     }
 
     /// Input width.
@@ -207,18 +205,18 @@ impl Lstm {
     /// weights stream through cache once per timestep instead of once per
     /// sequence per timestep. Every row's arithmetic chain is the chain the
     /// training-time step builds for that sequence alone, so each returned
-    /// state is bitwise independent of the rows it was batched with, in
-    /// both lanes (pinned by the `batch_rows_parity` proptests).
+    /// state is bitwise independent of the rows it was batched with (pinned
+    /// by the `batch_rows_parity` proptests).
     ///
     /// # Panics
     ///
     /// Panics if the window width is not a multiple of the input width or
-    /// lane `L` has no current snapshot (see [`Lstm::freeze`]).
-    pub fn final_hidden_windows_with<'w, L: Lane>(
+    /// there is no current snapshot (see [`Lstm::freeze`]).
+    pub fn final_hidden_windows_with<'w>(
         &self,
-        windows: &Mat<L>,
-        ws: &'w mut Workspace<L>,
-    ) -> &'w Mat<L> {
+        windows: &Matrix,
+        ws: &'w mut Workspace,
+    ) -> &'w Matrix {
         self.run(windows, ws);
         &ws.hidden
     }
@@ -226,11 +224,11 @@ impl Lstm {
     /// [`Lstm::final_hidden_windows_with`], leaving the states in
     /// `ws.hidden` so crate-internal callers can keep using the rest of
     /// `ws`.
-    fn run<L: Lane>(&self, windows: &Mat<L>, ws: &mut Workspace<L>) {
+    fn run(&self, windows: &Matrix, ws: &mut Workspace) {
         let (d, h) = (self.input_size, self.hidden_size);
         assert_eq!(windows.cols() % d, 0, "window width must be a multiple of the input width");
         let (m, steps) = (windows.rows(), windows.cols() / d);
-        let (frozen_x, frozen_h) = (self.frozen_x.get::<L>(), self.frozen_h.get::<L>());
+        let (frozen_x, frozen_h) = (frozen(&self.frozen_x), frozen(&self.frozen_h));
         ws.hidden.reshape_zeroed(m, h);
         ws.cell.reshape_zeroed(m, h);
         for step in 0..steps {
@@ -248,7 +246,7 @@ impl Lstm {
                     let x0 = windows.row(i)[step];
                     let gates = ws.gates.row_mut(i).iter_mut();
                     for ((g, &w), &b) in gates.zip(wx).zip(&frozen_x.bias) {
-                        *g = (L::ZERO + x0 * w) + b;
+                        *g = (0.0 + x0 * w) + b;
                     }
                 }
             } else {
@@ -271,7 +269,7 @@ impl Lstm {
             Activation::Tanh.apply(ws.hidden.as_mut_slice());
             for i in 0..m {
                 for (t, &o) in ws.hidden.row_mut(i).iter_mut().zip(&ws.gates.row(i)[3 * h..]) {
-                    *t = o * *t;
+                    *t *= o;
                 }
             }
         }
@@ -285,7 +283,7 @@ impl Lstm {
 /// hidden unit. Then the cell update `c = f·c + i·g`, written to `cell` and
 /// to `c_out`, where the caller takes its tanh.
 #[inline]
-fn gate_update<L: Lane>(h: usize, z: &mut [L], cell: &mut [L], c_out: &mut [L]) {
+fn gate_update(h: usize, z: &mut [f64], cell: &mut [f64], c_out: &mut [f64]) {
     let (input_forget, rest) = z.split_at_mut(2 * h);
     let (candidate, output) = rest.split_at_mut(h);
     Activation::Sigmoid.apply(input_forget);
@@ -334,7 +332,7 @@ impl Default for LstmRegressorConfig {
 /// # Examples
 ///
 /// ```
-/// use idsbench_nn::{LstmRegressor, LstmRegressorConfig, Matrix, Precision, Workspace};
+/// use idsbench_nn::{LstmRegressor, LstmRegressorConfig, Matrix, Workspace};
 ///
 /// let mut model = LstmRegressor::new(1, LstmRegressorConfig::default());
 /// // Learn "output the last input".
@@ -342,7 +340,7 @@ impl Default for LstmRegressorConfig {
 ///     let v = f64::from(round % 2);
 ///     model.train_window(&[v; 5], v);
 /// }
-/// model.freeze(Precision::F64Bitwise);
+/// model.freeze();
 /// // One five-step sequence per row.
 /// let windows = Matrix::from_rows(&[&[1.0; 5], &[0.0; 5]]);
 /// let mut predictions = Vec::new();
@@ -358,7 +356,7 @@ pub struct LstmRegressor {
     trained_sequences: u64,
     /// Snapshot of the scalar head `h·head_w + head_b`; present only while
     /// in sync, like the LSTM's own snapshots.
-    frozen_head: Snapshot,
+    frozen_head: Option<Frozen>,
     /// Training scratch (see the training contract above).
     bptt: Bptt,
     grad_head_w: Matrix,
@@ -386,19 +384,19 @@ impl LstmRegressor {
             head_b: Matrix::zeros(1, 1),
             optimizer: Adam::new(config.learning_rate),
             trained_sequences: 0,
-            frozen_head: Snapshot::default(),
+            frozen_head: None,
             bptt: Bptt::default(),
             grad_head_w: Matrix::default(),
             grad_head_b: Matrix::default(),
         }
     }
 
-    /// Snapshots the LSTM and head parameters into the lane `precision`
-    /// selects. Call when training is finished; a later
-    /// [`LstmRegressor::train_window`] drops the snapshots automatically.
-    pub fn freeze(&mut self, precision: Precision) {
-        self.lstm.freeze(precision);
-        self.frozen_head.freeze(precision, &self.head_w, self.head_b.as_slice());
+    /// Snapshots the LSTM and head parameters. Call when training is
+    /// finished; a later [`LstmRegressor::train_window`] drops the
+    /// snapshots automatically.
+    pub fn freeze(&mut self) {
+        self.lstm.freeze();
+        self.frozen_head = Some(Frozen::of(&self.head_w, self.head_b.as_slice()));
     }
 
     /// Number of training sequences consumed.
@@ -425,20 +423,15 @@ impl LstmRegressor {
     /// # Panics
     ///
     /// Panics if the window width is not a multiple of the input width or
-    /// lane `L` has no current snapshot (call [`LstmRegressor::freeze`]
-    /// after the last training step).
-    pub fn predict_windows_with<L: Lane>(
-        &self,
-        windows: &Mat<L>,
-        out: &mut Vec<f64>,
-        ws: &mut Workspace<L>,
-    ) {
-        let head = self.frozen_head.get::<L>();
+    /// there is no current snapshot (call [`LstmRegressor::freeze`] after
+    /// the last training step).
+    pub fn predict_windows_with(&self, windows: &Matrix, out: &mut Vec<f64>, ws: &mut Workspace) {
+        let head = frozen(&self.frozen_head);
         self.lstm.run(windows, ws);
-        // The 1-wide head is a narrow affine block: one `Lane::dot` per
-        // row, in `f64` the ascending chain `matmul` builds.
+        // The 1-wide head is a narrow affine block: one dot product per
+        // row, the ascending chain `matmul` builds.
         head.apply(&ws.hidden, Activation::Linear, &mut ws.ping);
-        out.extend(ws.ping.as_slice().iter().map(|p| p.to_f64()));
+        out.extend_from_slice(ws.ping.as_slice());
     }
 
     /// One BPTT step on `(window, target)`, the window's timesteps laid end
@@ -453,7 +446,7 @@ impl LstmRegressor {
         let s = &mut self.bptt;
         self.lstm.forward_training(window, s);
         let head_w = self.head_w.as_slice();
-        let prediction = f64::dot(s.h.as_slice(), head_w) + self.head_b.get(0, 0);
+        let prediction = dot(s.h.as_slice(), head_w) + self.head_b.get(0, 0);
         let loss = (prediction - target).powi(2);
 
         // Head gradients, and the gradient entering the last timestep.
@@ -479,10 +472,10 @@ impl LstmRegressor {
         self.optimizer.step(PID_B, &mut self.lstm.bias, &s.grad_b);
         self.optimizer.step(PID_HEAD_W, &mut self.head_w, &self.grad_head_w);
         self.optimizer.step(PID_HEAD_B, &mut self.head_b, &self.grad_head_b);
-        // The parameters moved: every lane's snapshot is stale.
-        self.lstm.frozen_x.clear();
-        self.lstm.frozen_h.clear();
-        self.frozen_head.clear();
+        // The parameters moved: the snapshots are stale.
+        self.lstm.frozen_x = None;
+        self.lstm.frozen_h = None;
+        self.frozen_head = None;
         self.trained_sequences += 1;
         loss
     }
@@ -507,19 +500,19 @@ mod tests {
         Matrix::row_vector(&seq.concat())
     }
 
-    /// f64 prediction for one sequence on the model's current weights.
+    /// Prediction for one sequence on the model's current weights.
     fn predict(model: &LstmRegressor, seq: &[Vec<f64>]) -> f64 {
         let mut frozen = model.clone();
-        frozen.freeze(Precision::F64Bitwise);
+        frozen.freeze();
         let mut out = Vec::new();
         frozen.predict_windows_with(&window(seq), &mut out, &mut Workspace::new());
         out[0]
     }
 
-    /// f64 final hidden state for one sequence.
+    /// Final hidden state for one sequence.
     fn final_hidden(lstm: &Lstm, seq: &[Vec<f64>]) -> Matrix {
         let mut frozen = lstm.clone();
-        frozen.freeze(Precision::F64Bitwise);
+        frozen.freeze();
         frozen.final_hidden_windows_with(&window(seq), &mut Workspace::new()).clone()
     }
 

@@ -5,13 +5,13 @@ use rand::{Rng, SeedableRng};
 
 use crate::lane::Lane;
 
-/// A dense row-major matrix over one numeric [`Lane`]: [`Matrix`] is the
-/// `f64` instantiation, [`crate::MatrixF32`] the `f32` one.
+/// A dense row-major matrix over a [`Lane`] scalar. Every model uses the
+/// `f64` instantiation, [`Matrix`]; [`crate::MatrixF32`] exists only for the
+/// benchmark's kernel timing.
 ///
-/// The inference surface (shape, [`Mat::reshape`]-style scratch reuse,
-/// [`Mat::push_row`] staging, [`Mat::matmul_into`]) is generic; the
-/// constructors and the two training kernels (`Xᵀ·δ`, `δ·Wᵀ`) exist for
-/// `f64` only — training never runs in the wide lane.
+/// Shape, [`Mat::reshape`]-style scratch reuse, [`Mat::push_row`] staging
+/// and [`Mat::matmul_into`] are generic; the constructors and the training
+/// kernels (`Xᵀ·δ`, `δ·Wᵀ`) exist for `f64` only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mat<L: Lane> {
     rows: usize,
@@ -42,8 +42,7 @@ impl<L: Lane> Mat<L> {
         Mat { rows, cols, data: vec![L::ZERO; rows * cols] }
     }
 
-    /// Converts an `f64` matrix into this lane (weights, at freeze time —
-    /// never per sample).
+    /// Converts an `f64` matrix into this lane.
     pub fn from_f64(m: &Matrix) -> Self {
         Mat { rows: m.rows, cols: m.cols, data: m.data.iter().map(|&v| L::from_f64(v)).collect() }
     }
@@ -74,10 +73,9 @@ impl<L: Lane> Mat<L> {
         self.data.clear();
     }
 
-    /// Appends one row of `f64` values converted into this lane — how
-    /// callers stage feature rows for the batch-of-rows inference entry
-    /// points (the identity in `f64`, the one narrowing step in `f32`).
-    /// Allocation-free once the backing store has held this many rows.
+    /// Appends one row of `f64` values — how callers stage feature rows
+    /// for the batch-of-rows inference entry points. Allocation-free once
+    /// the backing store has held this many rows.
     ///
     /// # Panics
     ///
@@ -159,9 +157,9 @@ impl<L: Lane> Mat<L> {
     /// stored `⌈K/8⌉` times instead of `K`. Every output element still
     /// accumulates its `k` terms in ascending order from zero, so the
     /// result is bitwise identical to the naive triple loop (the invariant
-    /// the score-digest tests pin in `f64`), and each output row depends
-    /// on its own input row only — which is what makes a score independent
-    /// of where a batch was cut, in both lanes.
+    /// the score-digest tests pin), and each output row depends on its own
+    /// input row only — which is what makes a score independent of where a
+    /// batch was cut.
     ///
     /// # Panics
     ///
@@ -363,7 +361,7 @@ impl Matrix {
                 i += 4;
             }
             for (i, o) in out_row.iter_mut().enumerate().skip(i) {
-                *o = f64::dot(d, w_row(i));
+                *o = dot(d, w_row(i));
             }
         }
     }
@@ -411,6 +409,19 @@ impl<L: Lane> Default for Mat<L> {
     }
 }
 
+/// Sequential dot product of two equal-length slices: the exact addition
+/// chain one output element of the naive matmul builds (ascending `k`,
+/// starting from `0.0`).
+#[inline]
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut acc = 0.0;
+    for (&x, &y) in a.iter().zip(b) {
+        acc += x * y;
+    }
+    acc
+}
+
 /// A right-hand-side matrix packed column-major for the narrow-head
 /// inference kernel: column `j` of the original matrix is the contiguous
 /// slice [`Packed::col`]`(j)`.
@@ -418,28 +429,27 @@ impl<L: Lane> Default for Mat<L> {
 /// Row-major `x · W` inference walks the columns of `W`; for a layer with
 /// one or two outputs a broadcast pass would serialize through one or two
 /// memory cells `K` times, so those layers pack the transpose once (at
-/// freeze time) and every output element becomes one [`Lane::dot`] over two
+/// freeze time) and every output element becomes one [`dot`] over two
 /// contiguous slices. Packing permutes the *layout*, never any element's
 /// accumulation order.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Packed<L: Lane> {
+pub(crate) struct Packed {
     /// Inner dimension (rows of the original matrix).
     k: usize,
     /// Output dimension (columns of the original matrix).
     n: usize,
     /// Column-major data: column `j` lives at `data[j*k..(j+1)*k]`.
-    data: Vec<L>,
+    data: Vec<f64>,
 }
 
-impl<L: Lane> Packed<L> {
-    /// Packs `b` (the right-hand side of a product) column-major,
-    /// converting into the lane.
+impl Packed {
+    /// Packs `b` (the right-hand side of a product) column-major.
     pub(crate) fn pack(b: &Matrix) -> Self {
         let (k, n) = (b.rows, b.cols);
         let mut data = Vec::with_capacity(k * n);
         for j in 0..n {
             for i in 0..k {
-                data.push(L::from_f64(b.data[i * n + j]));
+                data.push(b.data[i * n + j]);
             }
         }
         Packed { k, n, data }
@@ -457,7 +467,7 @@ impl<L: Lane> Packed<L> {
 
     /// Column `col` of the original matrix, contiguous.
     #[inline]
-    pub(crate) fn col(&self, col: usize) -> &[L] {
+    pub(crate) fn col(&self, col: usize) -> &[f64] {
         &self.data[col * self.k..(col + 1) * self.k]
     }
 }
@@ -665,17 +675,16 @@ mod tests {
         a.matmul_into(&c, &mut out);
         assert_eq!(out, a.matmul(&c));
 
-        // Staging: rows append in order, in either lane, and a restart
-        // reuses the store.
-        let mut staged = Mat::<f32>::default();
+        // Staging: rows append in order, and a restart reuses the store.
+        let mut staged = Matrix::default();
         staged.start_rows(3);
         staged.push_row([0.5, -0.25, 8.0]);
         staged.push_row([1.0, 2.0, 3.0]);
         assert_eq!((staged.rows(), staged.cols()), (2, 3));
-        assert_eq!(staged.row(1), &[1.0f32, 2.0, 3.0]);
+        assert_eq!(staged.row(1), &[1.0, 2.0, 3.0]);
         staged.start_rows(1);
         staged.push_row([7.0]);
-        assert_eq!(staged.as_slice(), &[7.0f32]);
+        assert_eq!(staged.as_slice(), &[7.0]);
         staged.row_mut(0)[0] = 9.0;
         assert_eq!(staged.get(0, 0), 9.0);
     }
@@ -712,14 +721,11 @@ mod tests {
     #[test]
     fn packed_columns_are_original_columns() {
         let b = Matrix::xavier(5, 3, 11);
-        let packed = Packed::<f64>::pack(&b);
+        let packed = Packed::pack(&b);
         assert_eq!((packed.rows(), packed.cols()), (5, 3));
-        let narrowed = Packed::<f32>::pack(&b);
         for j in 0..3 {
             let col: Vec<f64> = (0..5).map(|i| b.get(i, j)).collect();
             assert_eq!(packed.col(j), &col[..]);
-            let col32: Vec<f32> = col.iter().map(|&v| v as f32).collect();
-            assert_eq!(narrowed.col(j), &col32[..]);
         }
     }
 

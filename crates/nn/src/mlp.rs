@@ -1,10 +1,8 @@
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::lane::Lane;
 use crate::loss::Loss;
-use crate::matrix::{Mat, Matrix};
+use crate::matrix::Matrix;
 use crate::optimizer::Optimizer;
-use crate::wide::Precision;
 use crate::workspace::Workspace;
 
 /// A feed-forward network of [`Dense`] layers.
@@ -32,9 +30,9 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `x` does not have [`Mlp::input_size`] columns, the network
-    /// has no layers, or lane `L` has no current snapshot (call
-    /// [`Mlp::freeze`] after the last training step).
-    pub fn predict_with<'w, L: Lane>(&self, x: &Mat<L>, ws: &'w mut Workspace<L>) -> &'w Mat<L> {
+    /// has no layers, or there is no current snapshot (call [`Mlp::freeze`]
+    /// after the last training step).
+    pub fn predict_with<'w>(&self, x: &Matrix, ws: &'w mut Workspace) -> &'w Matrix {
         assert!(!self.layers.is_empty(), "network needs at least one layer");
         let mut into_ping = true;
         for (i, layer) in self.layers.iter().enumerate() {
@@ -54,13 +52,12 @@ impl Mlp {
         }
     }
 
-    /// Snapshots every layer's parameters into the lane `precision`
-    /// selects (see [`crate::Dense::freeze`]). Call when training is
-    /// finished; a later [`Mlp::train_batch`] drops the snapshots
-    /// automatically.
-    pub fn freeze(&mut self, precision: Precision) {
+    /// Snapshots every layer's parameters (see [`crate::Dense::freeze`]).
+    /// Call when training is finished; a later [`Mlp::train_batch`] drops
+    /// the snapshots automatically.
+    pub fn freeze(&mut self) {
         for layer in &mut self.layers {
-            layer.freeze(precision);
+            layer.freeze();
         }
     }
 
@@ -184,10 +181,10 @@ mod tests {
     use super::*;
     use crate::optimizer::Adam;
 
-    /// f64 inference on the network's current weights.
+    /// Inference on the network's current weights.
     fn predict(mlp: &Mlp, x: &Matrix) -> Matrix {
         let mut frozen = mlp.clone();
-        frozen.freeze(Precision::F64Bitwise);
+        frozen.freeze();
         frozen.predict_with(x, &mut Workspace::new()).clone()
     }
 

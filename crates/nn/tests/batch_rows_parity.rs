@@ -5,21 +5,18 @@
 //! boundaries, so the contract every executor relies on is that a score
 //! does not depend on where a batch was cut:
 //!
-//! * **Any cut, same bits — in both lanes.** `M` rows in one call, `M`
-//!   one-row calls, and any random split of the `M` rows produce bitwise
-//!   identical results per row, in `f64` *and* in `f32` (the lane structure
-//!   is fixed by the code, never by the batch shape). This is why batching
-//!   can sit underneath the score-digest contract without its own pin.
-//! * **f64 is the naive reference.** The blocked, tiled, column-packed
-//!   `f64` kernels equal a plain triple loop (ascending `k` from `0.0`,
-//!   then bias, then the libm activation) bit for bit. The reference lives
+//! * **Any cut, same bits.** `M` rows in one call, `M` one-row calls, and
+//!   any random split of the `M` rows produce bitwise identical results per
+//!   row. This is why batching can sit underneath the score-digest contract
+//!   without its own pin.
+//! * **The naive loop is the reference.** The blocked, tiled, column-packed
+//!   kernels equal a plain triple loop (ascending `k` from `0.0`, then
+//!   bias, then the crate's activation) bit for bit. The reference lives
 //!   here, never in `src/`.
-//! * **f32 is epsilon-bounded.** The wide lane tracks the `f64` results
-//!   within a small relative error.
 
 use idsbench_nn::{
-    Activation, Autoencoder, AutoencoderConfig, Dense, Lane, Lstm, LstmRegressor,
-    LstmRegressorConfig, Mat, Matrix, MlpBuilder, Precision, Sgd, Workspace,
+    Activation, Autoencoder, AutoencoderConfig, Dense, Lstm, LstmRegressor, LstmRegressorConfig,
+    Matrix, MlpBuilder, Sgd, Workspace,
 };
 use proptest::prelude::*;
 
@@ -47,15 +44,15 @@ fn random_cut(rows: usize, mut seed: u64) -> Vec<usize> {
 
 /// Scores `x` cut into consecutive chunks of the given sizes through
 /// `score` (which appends one or more `f64` per row), concatenated.
-fn scored_in_chunks<L: Lane>(
-    x: &Mat<L>,
+fn scored_in_chunks(
+    x: &Matrix,
     cut: &[usize],
-    mut score: impl FnMut(&Mat<L>, &mut Vec<f64>),
+    mut score: impl FnMut(&Matrix, &mut Vec<f64>),
 ) -> Vec<u64> {
     let mut out = Vec::new();
     let mut start = 0;
     for &len in cut {
-        let mut chunk = Mat::<L>::zeros(len, x.cols());
+        let mut chunk = Matrix::zeros(len, x.cols());
         for i in 0..len {
             chunk.row_mut(i).copy_from_slice(x.row(start + i));
         }
@@ -68,10 +65,10 @@ fn scored_in_chunks<L: Lane>(
 
 /// The contract: one call ≡ one-row calls ≡ a random split, bitwise.
 /// Returns the (shared) results.
-fn assert_cut_invariant<L: Lane>(
-    x: &Mat<L>,
+fn assert_cut_invariant(
+    x: &Matrix,
     cut_seed: u64,
-    mut score: impl FnMut(&Mat<L>, &mut Vec<f64>),
+    mut score: impl FnMut(&Matrix, &mut Vec<f64>),
 ) -> Result<Vec<f64>, TestCaseError> {
     let rows = x.rows();
     let whole = scored_in_chunks(x, &[rows], &mut score);
@@ -82,22 +79,8 @@ fn assert_cut_invariant<L: Lane>(
     Ok(whole.into_iter().map(f64::from_bits).collect())
 }
 
-fn assert_tracks(wide: &[f64], reference: &[f64], rel: f64) -> Result<(), TestCaseError> {
-    prop_assert_eq!(wide.len(), reference.len());
-    for (i, (&w, &r)) in wide.iter().zip(reference).enumerate() {
-        prop_assert!(
-            (w - r).abs() <= rel * r.abs().max(1.0),
-            "element {}: f32 {} vs f64 {}",
-            i,
-            w,
-            r
-        );
-    }
-    Ok(())
-}
-
-fn flat<L: Lane>(m: &Mat<L>, out: &mut Vec<f64>) {
-    out.extend(m.as_slice().iter().map(|v| v.to_f64()));
+fn flat(m: &Matrix, out: &mut Vec<f64>) {
+    out.extend_from_slice(m.as_slice());
 }
 
 /// The naive reference for one dense layer: the textbook triple loop
@@ -120,9 +103,9 @@ fn naive_dense(x: &Matrix, w: &Matrix, bias: &Matrix, act: Activation) -> Vec<f6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dense: cut-invariant in both lanes (narrow outputs exercise the
-    /// column-packed dot kernel), f64 equal to the naive triple loop with a
-    /// trained (non-zero) bias, f32 within epsilon of it.
+    /// Dense: cut-invariant (narrow outputs exercise the column-packed dot
+    /// kernel) and equal to the naive triple loop with a trained (non-zero)
+    /// bias.
     #[test]
     fn dense_is_cut_invariant_and_f64_is_the_naive_loop(
         input in 1usize..24,
@@ -137,8 +120,7 @@ proptest! {
         let out = layer.forward_training(&x);
         let grad = Matrix::from_fn(out.rows(), out.cols(), |r, c| 0.05 + 0.01 * (r + c) as f64);
         layer.backward(&grad, &mut Sgd::new(0.1), None);
-        layer.freeze(Precision::F64Bitwise);
-        layer.freeze(Precision::F32Wide);
+        layer.freeze();
 
         let reference = assert_cut_invariant(&x, seed, |chunk, out| {
             let mut y = Matrix::default();
@@ -150,18 +132,11 @@ proptest! {
         prop_assert_eq!(
             reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             naive.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "f64 kernel diverged from the naive triple loop"
+            "kernel diverged from the naive triple loop"
         );
-
-        let wide = assert_cut_invariant(&Mat::<f32>::from_f64(&x), seed, |chunk, out| {
-            let mut y = Mat::<f32>::default();
-            layer.forward_rows_into(chunk, &mut y);
-            flat(&y, out);
-        })?;
-        assert_tracks(&wide, &reference, 1e-4)?;
     }
 
-    /// Autoencoder scores: cut-invariant in both lanes; f32 tracks f64.
+    /// Autoencoder scores: cut-invariant.
     #[test]
     fn autoencoder_scores_are_cut_invariant(
         input in 2usize..20,
@@ -174,26 +149,16 @@ proptest! {
         for _ in 0..train_rounds {
             ae.train_sample(&sample);
         }
-        ae.freeze(Precision::F64Bitwise);
-        ae.freeze(Precision::F32Wide);
+        ae.freeze();
         let xs = Matrix::from_fn(rows, input, |r, c| ((r + c * 3) as f64 * 0.41).sin().abs());
 
         let mut ws = Workspace::new();
         let reference =
             assert_cut_invariant(&xs, seed, |chunk, out| ae.score_rows_with(chunk, out, &mut ws))?;
         prop_assert_eq!(reference.len(), rows);
-
-        let mut ws32 = Workspace::new();
-        let wide = assert_cut_invariant(&Mat::<f32>::from_f64(&xs), seed, |chunk, out| {
-            ae.score_rows_with(chunk, out, &mut ws32)
-        })?;
-        for (r, (&w, &f)) in wide.iter().zip(&reference).enumerate() {
-            prop_assert!((w - f).abs() <= 1e-4 * f.max(1e-9), "row {}: f32 {} vs f64 {}", r, w, f);
-        }
     }
 
-    /// MLP predictions: cut-invariant in both lanes; f32 tracks f64 on
-    /// every element.
+    /// MLP predictions: cut-invariant.
     #[test]
     fn mlp_predictions_are_cut_invariant(
         input in 1usize..12,
@@ -206,8 +171,7 @@ proptest! {
             .layer(1, Activation::Sigmoid)
             .seed(seed)
             .build();
-        mlp.freeze(Precision::F64Bitwise);
-        mlp.freeze(Precision::F32Wide);
+        mlp.freeze();
         let x = Matrix::from_fn(rows, input, |r, c| ((r * 7 + c) as f64 * 0.29).sin());
 
         let mut ws = Workspace::new();
@@ -216,15 +180,11 @@ proptest! {
             assert_eq!((y.rows(), y.cols()), (chunk.rows(), 1));
             flat(y, out);
         })?;
-        let mut ws32 = Workspace::new();
-        let wide = assert_cut_invariant(&Mat::<f32>::from_f64(&x), seed, |chunk, out| {
-            flat(mlp.predict_with(chunk, &mut ws32), out);
-        })?;
-        assert_tracks(&wide, &reference, 1e-4)?;
+        prop_assert_eq!(reference.len(), rows);
     }
 
     /// LSTM regressor over score-history windows (the HELAD shape): each
-    /// prediction is cut-invariant in both lanes; f32 tracks f64.
+    /// prediction is cut-invariant.
     #[test]
     fn lstm_window_predictions_are_cut_invariant(
         timesteps in 1usize..12,
@@ -237,8 +197,7 @@ proptest! {
         for i in 0..train_rounds {
             model.train_window(&window, (i % 2) as f64);
         }
-        model.freeze(Precision::F64Bitwise);
-        model.freeze(Precision::F32Wide);
+        model.freeze();
         let windows =
             Matrix::from_fn(rows, timesteps, |r, t| ((r * 13 + t) as f64 * 0.47).sin());
 
@@ -247,15 +206,10 @@ proptest! {
             model.predict_windows_with(chunk, out, &mut ws)
         })?;
         prop_assert_eq!(reference.len(), rows);
-        let mut ws32 = Workspace::new();
-        let wide = assert_cut_invariant(&Mat::<f32>::from_f64(&windows), seed, |chunk, out| {
-            model.predict_windows_with(chunk, out, &mut ws32)
-        })?;
-        assert_tracks(&wide, &reference, 2e-4)?;
     }
 
     /// Bare LSTM over multi-feature timesteps: every final hidden state is
-    /// cut-invariant in both lanes; f32 tracks f64.
+    /// cut-invariant.
     #[test]
     fn lstm_final_states_are_cut_invariant(
         input in 1usize..4,
@@ -265,8 +219,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut lstm = Lstm::new(input, hidden, seed);
-        lstm.freeze(Precision::F64Bitwise);
-        lstm.freeze(Precision::F32Wide);
+        lstm.freeze();
         let windows =
             Matrix::from_fn(rows, timesteps * input, |r, c| ((r * 11 + c) as f64 * 0.31).cos());
 
@@ -275,10 +228,5 @@ proptest! {
             flat(lstm.final_hidden_windows_with(chunk, &mut ws), out)
         })?;
         prop_assert_eq!(reference.len(), rows * hidden);
-        let mut ws32 = Workspace::new();
-        let wide = assert_cut_invariant(&Mat::<f32>::from_f64(&windows), seed, |chunk, out| {
-            flat(lstm.final_hidden_windows_with(chunk, &mut ws32), out)
-        })?;
-        assert_tracks(&wide, &reference, 2e-4)?;
     }
 }

@@ -4,7 +4,7 @@
 
 use idsbench_nn::{
     Activation, Adam, Autoencoder, AutoencoderConfig, Loss, Matrix, MinMaxNormalizer, MlpBuilder,
-    Precision, Sgd, Workspace, ZScoreNormalizer,
+    Sgd, Workspace, ZScoreNormalizer,
 };
 use proptest::prelude::*;
 
@@ -36,7 +36,7 @@ proptest! {
             let loss = mlp.train_batch(&x, &y, Loss::BinaryCrossEntropy, &mut opt);
             prop_assert!(loss.is_finite(), "loss went non-finite");
         }
-        mlp.freeze(Precision::F64Bitwise);
+        mlp.freeze();
         for v in mlp.predict_with(&x, &mut Workspace::new()).as_slice() {
             prop_assert!(v.is_finite());
             prop_assert!((0.0..=1.0).contains(v), "sigmoid output out of range: {v}");
@@ -78,7 +78,7 @@ proptest! {
             }
         }
         let probe: Vec<f64> = (0..width).map(|i| (i % 2) as f64).collect();
-        ae.freeze(Precision::F64Bitwise);
+        ae.freeze();
         let mut scores = Vec::new();
         ae.score_rows_with(&Matrix::row_vector(&probe), &mut scores, &mut Workspace::new());
         prop_assert!(scores[0].is_finite() && scores[0] >= 0.0);

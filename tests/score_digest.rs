@@ -156,8 +156,8 @@ fn model_init_seed_reaches_the_scores() {
     };
     type Build = fn(u64) -> Box<dyn EventDetector>;
     let systems: [(&str, Build); 2] = [
-        ("Kitsune", |seed| Box::new(Kitsune::new(KitsuneConfig { seed, ..Default::default() }))),
-        ("HELAD", |seed| Box::new(Helad::new(HeladConfig { seed, ..Default::default() }))),
+        ("Kitsune", |seed| Box::new(Kitsune::new(KitsuneConfig { seed }))),
+        ("HELAD", |seed| Box::new(Helad::new(HeladConfig { seed }))),
     ];
     for (name, build) in systems {
         let reference = bits(build(0));
