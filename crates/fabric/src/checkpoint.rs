@@ -29,6 +29,8 @@ use std::time::Duration;
 
 use idsbench_stream::{Recorder, ShardOutcome};
 
+use crate::transport::Frame;
+
 /// Replay-log bytes that force a checkpoint, as
 /// [`RecoveryConfig::checkpoint_frames`] frames do.
 pub(crate) const MAX_LOG_BYTES: usize = 16 << 20;
@@ -81,11 +83,11 @@ pub(crate) enum EntryKind {
     },
 }
 
-/// One buffered frame: the kind plus the exact encoded body that was sent.
+/// One buffered frame: the kind plus the exact frame that was sent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LogEntry {
     pub(crate) kind: EntryKind,
-    pub(crate) body: Vec<u8>,
+    pub(crate) frame: Frame,
 }
 
 /// A shard's bounded replay buffer: every state-bearing frame sent to the
@@ -98,14 +100,16 @@ pub(crate) struct ReplayLog {
 }
 
 impl ReplayLog {
-    /// Appends a frame (call *before* the send: a frame the peer may have
-    /// processed must be in the log even if the send errors).
-    pub(crate) fn push(&mut self, kind: EntryKind, body: Vec<u8>) {
-        self.bytes += body.len();
+    /// Appends a frame and returns it to send from (log *before* the send:
+    /// a frame the peer may have processed must be in the log even if the
+    /// send errors).
+    pub(crate) fn push(&mut self, kind: EntryKind, frame: Frame) -> &Frame {
+        self.bytes += frame.body().len();
         if matches!(kind, EntryKind::Batch { .. }) {
             self.batches += 1;
         }
-        self.entries.push(LogEntry { kind, body });
+        self.entries.push(LogEntry { kind, frame });
+        &self.entries.last().expect("just pushed").frame
     }
 
     /// Marks the trailing `Rebalance` entry's reply as consumed.
@@ -117,9 +121,10 @@ impl ReplayLog {
         }
     }
 
-    /// Commits a checkpoint: everything buffered is now covered by it.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
+    /// Commits a checkpoint: everything buffered is now covered by it, and
+    /// its frames go back to `spare` for reuse.
+    pub(crate) fn clear(&mut self, spare: &mut Vec<Frame>) {
+        spare.extend(self.entries.drain(..).map(|entry| entry.frame));
         self.bytes = 0;
         self.batches = 0;
     }
@@ -341,10 +346,11 @@ mod tests {
 
     #[test]
     fn replay_log_tracks_bytes_batches_and_reply_state() {
+        let frame = |len: usize| Frame::of(|out| out.resize(out.len() + len, 0));
         let mut log = ReplayLog::default();
-        log.push(EntryKind::Batch { count: 4 }, vec![0u8; 10]);
-        log.push(EntryKind::Migrate, vec![0u8; 5]);
-        log.push(EntryKind::Rebalance { replied: false }, vec![0u8; 3]);
+        assert_eq!(log.push(EntryKind::Batch { count: 4 }, frame(10)).body().len(), 10);
+        log.push(EntryKind::Migrate, frame(5));
+        log.push(EntryKind::Rebalance { replied: false }, frame(3));
         assert_eq!(log.bytes(), 18);
         assert_eq!(log.batches(), 1);
         assert_eq!(log.entries().len(), 3);
@@ -353,9 +359,12 @@ mod tests {
             log.entries().last().map(|e| e.kind),
             Some(EntryKind::Rebalance { replied: true })
         ));
-        log.clear();
+        let mut spare = Vec::new();
+        log.clear(&mut spare);
         assert_eq!(log.bytes(), 0);
         assert_eq!(log.batches(), 0);
         assert!(log.entries().is_empty());
+        let lens: Vec<usize> = spare.iter().map(|frame| frame.body().len()).collect();
+        assert_eq!(lens, [10, 5, 3], "cleared frames are kept for reuse");
     }
 }

@@ -58,8 +58,8 @@ use idsbench_telemetry::{JournalEvent, Stage, StageHistogram, Telemetry};
 
 use crate::checkpoint::{EntryKind, FragmentSet, RecoveryConfig, ReplayLog};
 use crate::checkpoint::{MAX_LOG_BYTES, PING_TIMEOUT};
-use crate::transport::FabricListener;
-use crate::wire::{CoordMsg, HelloConfig, WireItem, WirePacket, MAX_VNODES};
+use crate::transport::{FabricListener, Frame};
+use crate::wire::{put_batch, BatchItem, CoordMsg, HelloConfig, WirePacket, MAX_VNODES};
 use crate::{FabricCounters, FabricError, ShardTransport, WorkerMsg};
 
 /// Warmup packets per `Train` frame: large enough to amortize framing,
@@ -151,12 +151,12 @@ fn unexpected<T>(wanted: &str, got: WorkerMsg) -> Result<T, FabricError> {
 }
 
 impl Peer<'_> {
-    fn send_raw(&mut self, body: &[u8]) -> Result<(), FabricError> {
-        self.transport.send_frame(body, self.counters).map_err(FabricError::Io)
+    fn send_frame(&mut self, frame: &Frame) -> Result<(), FabricError> {
+        self.transport.send_frame(frame, self.counters).map_err(FabricError::Io)
     }
 
     fn send(&mut self, msg: &CoordMsg) -> Result<(), FabricError> {
-        self.send_raw(&msg.encode())
+        self.send_frame(&Frame::of(|out| msg.encode_into(out)))
     }
 
     /// Receives one message; a clean close mid-conversation is an I/O death
@@ -227,7 +227,7 @@ impl Peer<'_> {
             self.send(&CoordMsg::Restore { shard, epoch, checkpoint })?;
         }
         for entry in slot.log.entries() {
-            self.send_raw(&entry.body)?;
+            self.send_frame(&entry.frame)?;
             if let EntryKind::Rebalance { replied: true } = entry.kind {
                 let reply = self.recv()?;
                 if !matches!(reply, WorkerMsg::Migrations { .. }) {
@@ -256,9 +256,38 @@ struct Pool<'a> {
     telemetry: Option<&'a Telemetry>,
     recover_span: Option<Arc<StageHistogram>>,
     ping_nonce: u64,
+    /// Frames the replay logs gave back at their checkpoints, reused by
+    /// the next logged sends.
+    spare: Vec<Frame>,
 }
 
 impl<'a> Pool<'a> {
+    /// A spare frame (a fresh one when none is left) holding what `body`
+    /// appends.
+    fn frame(&mut self, body: impl FnOnce(&mut Vec<u8>)) -> Frame {
+        let mut frame = self.spare.pop().unwrap_or_default();
+        frame.encode(body);
+        frame
+    }
+
+    /// Logs a state-bearing frame for the shard at `at`, then sends it from
+    /// the log. A peer that dies in the send is recovered, and the recovery
+    /// replays the logged frame, so the delivery is complete either way.
+    fn log_and_send(
+        &mut self,
+        at: usize,
+        kind: EntryKind,
+        frame: Frame,
+    ) -> Result<(), FabricError> {
+        let peer = self.slots[at].peer;
+        let frame = self.slots[at].log.push(kind, frame);
+        let sent = self.peers[peer].send_frame(frame);
+        if let Err(err) = sent {
+            self.handle_death(peer, err)?;
+        }
+        Ok(())
+    }
+
     fn slot_index(&self, shard: usize) -> Result<usize, FabricError> {
         self.slots
             .binary_search_by_key(&shard, |slot| slot.shard)
@@ -395,7 +424,7 @@ impl<'a> Pool<'a> {
         let (checkpoint, fragment) = self.with_host(at, |peer| peer.checkpoint(shard, epoch))?;
         self.slots[at].checkpoint = Some(checkpoint);
         self.slots[at].epoch = epoch;
-        self.slots[at].log.clear();
+        self.slots[at].log.clear(&mut self.spare);
         self.fragments.absorb(epoch, fragment).map_err(FabricError::Protocol)
     }
 
@@ -427,15 +456,12 @@ impl<'a> Pool<'a> {
         ring: &HashRing,
     ) -> Result<Vec<FlowMigration>, FabricError> {
         let shard = self.slots[at].shard;
-        let body = CoordMsg::Rebalance { shard: shard as u32, ring: ring.clone() }.encode();
-        self.slots[at].log.push(EntryKind::Rebalance { replied: false }, body.clone());
+        let msg = CoordMsg::Rebalance { shard: shard as u32, ring: ring.clone() };
+        let frame = self.frame(|out| msg.encode_into(out));
         let started = Instant::now();
-        let peer = self.slots[at].peer;
-        if let Err(err) = self.peers[peer].send_raw(&body) {
-            // Recovery replays the logged rebalance onto the new host;
-            // only the reply remains outstanding.
-            self.handle_death(peer, err)?;
-        }
+        // A recovery in the send replays the logged rebalance onto the new
+        // host; only the reply remains outstanding.
+        self.log_and_send(at, EntryKind::Rebalance { replied: false }, frame)?;
         let migrations = self.with_host(at, |peer| match peer.recv()? {
             WorkerMsg::Migrations { shard: echoed, migrations } if echoed as usize == shard => {
                 Ok(migrations)
@@ -454,10 +480,11 @@ impl<'a> Pool<'a> {
 impl ShardPool for Pool<'_> {
     type Error = FabricError;
 
-    /// Copies each packet's bytes into a wire batch — raw bytes are what
-    /// travel, the worker re-parses on arrival — returns the packet to the
-    /// source, and ships the frame log-then-send; then checkpoints if the
-    /// replay log crossed its frame or byte budget.
+    /// Encodes the batch straight into a spare frame — raw bytes are what
+    /// travel, the worker re-parses on arrival — returns each packet to the
+    /// source once its bytes are in the frame, and ships the frame
+    /// log-then-send; then checkpoints if the replay log crossed its frame
+    /// or byte budget.
     fn ship(
         &mut self,
         shard: usize,
@@ -466,25 +493,22 @@ impl ShardPool for Pool<'_> {
     ) -> Result<(), FabricError> {
         let at = self.slot_index(shard)?;
         let count = batch.len();
-        let items = batch.drain(..).map(|item| {
-            let labeled = item.view.packet;
-            let wire = WireItem {
-                seq: item.seq,
-                ts_micros: labeled.packet.ts.as_micros(),
-                label: labeled.label,
-                data: labeled.packet.data.to_vec(),
-            };
-            source.recycle_packet(labeled.packet);
-            wire
+        let frame = self.frame(|out| {
+            let items = batch.iter().map(|item| {
+                let labeled = &item.view.packet;
+                BatchItem {
+                    seq: item.seq,
+                    ts_micros: labeled.packet.ts.as_micros(),
+                    label: labeled.label,
+                    data: &labeled.packet.data,
+                }
+            });
+            put_batch(out, shard as u32, items);
         });
-        let body = CoordMsg::Batch { shard: shard as u32, items: items.collect() }.encode();
-        self.slots[at].log.push(EntryKind::Batch { count }, body.clone());
-        let peer = self.slots[at].peer;
-        if let Err(err) = self.peers[peer].send_raw(&body) {
-            // The batch is already logged: recovery replays it, so the
-            // delivery is complete either way.
-            self.handle_death(peer, err)?;
+        for item in batch.drain(..) {
+            source.recycle_packet(item.view.packet.packet);
         }
+        self.log_and_send(at, EntryKind::Batch { count }, frame)?;
         let log = &self.slots[at].log;
         if log.batches() >= self.fabric.recovery.checkpoint_frames || log.bytes() >= MAX_LOG_BYTES {
             self.checkpoint_shard(at)?;
@@ -540,14 +564,9 @@ impl ShardPool for Pool<'_> {
 
     fn migrate(&mut self, shard: usize, migrations: Vec<FlowMigration>) -> Result<(), FabricError> {
         let at = self.slot_index(shard)?;
-        let peer = self.slots[at].peer;
-        let body = CoordMsg::Migrate { shard: shard as u32, migrations }.encode();
-        self.slots[at].log.push(EntryKind::Migrate, body.clone());
-        if let Err(err) = self.peers[peer].send_raw(&body) {
-            // Already logged: recovery replays the delivery.
-            self.handle_death(peer, err)?;
-        }
-        Ok(())
+        let msg = CoordMsg::Migrate { shard: shard as u32, migrations };
+        let frame = self.frame(|out| msg.encode_into(out));
+        self.log_and_send(at, EntryKind::Migrate, frame)
     }
 
     /// Absorbs the shard's final fragment and drops its slot.
@@ -680,6 +699,7 @@ pub fn run_fabric(
         telemetry,
         recover_span: telemetry.map(|t| t.stage(Stage::Recover, None)),
         ping_nonce: 0,
+        spare: Vec::new(),
     };
     for index in 0..fabric.workers + standbys {
         let transport = listener.accept_timeout(fabric.accept_timeout)?;

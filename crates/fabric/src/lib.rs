@@ -33,6 +33,16 @@
 //!   live peer; scale-downs and planned drains retire shards behind a
 //!   drain-then-migrate barrier that runs *across the sockets*.
 //!
+//! The frame path copies a batch once. The coordinator encodes its
+//! packets' bytes straight into a [`Frame`] from a free list
+//! ([`wire::put_batch`]); the frame holds its length prefix and body in
+//! one buffer, so it leaves in one write, and the replay log it is sent
+//! from hands it back at the next checkpoint. Every read goes through the
+//! transport's one read buffer. The worker reads a `Batch` in place
+//! ([`wire::BatchReader`]): its packets are slices of the received frame,
+//! which is refilled in place once they are dropped, so a steady stream
+//! allocates nothing per packet on either side of the socket.
+//!
 //! The protocol is strictly request-driven on the coordinator side: a worker
 //! only writes when answering `Spawn`, `Rebalance`, `Checkpoint`, `Ping`,
 //! `Retire`, or `Finish`, and the coordinator always follows those with
@@ -63,7 +73,7 @@ use idsbench_telemetry::{Counter, Telemetry};
 pub use checkpoint::RecoveryConfig;
 pub use coordinator::{run_fabric, DrainPlan, FabricConfig};
 pub use faults::{Fault, FaultInjector, FaultPlan};
-pub use transport::{read_frame, write_frame, Endpoint, FabricListener, ShardTransport};
+pub use transport::{read_frame, write_frame, Endpoint, FabricListener, Frame, ShardTransport};
 pub use wire::{CoordMsg, HelloConfig, WireItem, WirePacket, WorkerMsg, FRAME_MAX};
 pub use worker::{run_worker, run_worker_with_faults, DetectorResolver};
 
@@ -172,26 +182,4 @@ impl FabricCounters {
             recovery_micros: telemetry.counter("fabric_recovery_micros_total"),
         }
     }
-}
-
-/// Sends one message and flushes (helper shared by both endpoints' loops).
-/// Routes through the transport's fault injector when one is armed.
-pub(crate) fn send_msg(
-    transport: &mut ShardTransport,
-    body: &[u8],
-    counters: Option<&FabricCounters>,
-) -> Result<(), FabricError> {
-    transport.send_frame(body, counters).map_err(FabricError::Io)
-}
-
-/// Receives one frame body, treating clean EOF as a protocol error (callers
-/// that expect EOF use [`read_frame`] directly). Routes through the
-/// transport's fault injector when one is armed.
-pub(crate) fn recv_body(
-    transport: &mut ShardTransport,
-    counters: Option<&FabricCounters>,
-) -> Result<Vec<u8>, FabricError> {
-    transport
-        .recv_frame(counters)?
-        .ok_or_else(|| FabricError::Protocol("peer closed mid conversation".to_string()))
 }

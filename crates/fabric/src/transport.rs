@@ -2,6 +2,11 @@
 //! coordinator-side listener, the worker-side connector, and length-prefixed
 //! frame I/O with byte/frame accounting.
 //!
+//! An outbound [`Frame`] holds its length prefix and its body in one
+//! buffer, so a frame leaves in one write; every inbound byte goes through
+//! one per-transport read buffer, so a frame arrives in (usually) one read
+//! and the frame and raw-byte readers can never skip each other's bytes.
+//!
 //! Two backends share one [`ShardTransport`]: TCP (with `TCP_NODELAY`,
 //! for cross-host pools) and Unix domain sockets (for co-located worker
 //! processes, Unix only). Workers dial **in** to the coordinator's listener
@@ -18,7 +23,7 @@
 //! they are exactly [`write_frame`] / [`read_frame`].
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -132,13 +137,13 @@ impl FabricListener {
                 // listener mid `accept_timeout` on some platforms.
                 stream.set_nonblocking(false)?;
                 stream.set_nodelay(true)?;
-                Ok(ShardTransport::from_inner(TransportInner::Tcp(stream)))
+                Ok(ShardTransport::new(TransportInner::Tcp(stream)))
             }
             #[cfg(unix)]
             FabricListener::Uds(listener, _) => {
                 let (stream, _) = listener.accept()?;
                 stream.set_nonblocking(false)?;
-                Ok(ShardTransport::from_inner(TransportInner::Uds(stream)))
+                Ok(ShardTransport::new(TransportInner::Uds(stream)))
             }
         }
     }
@@ -228,11 +233,16 @@ pub(crate) enum TransportInner {
     Uds(UnixStream),
 }
 
+/// Capacity of a transport's read buffer: a few default-size `Batch`
+/// frames, so one read usually brings a whole frame in.
+const READ_BUFFER: usize = 64 << 10;
+
 /// One connected coordinator↔worker socket, with an optional fault
-/// injector evaluated at the frame layer.
+/// injector evaluated at the frame layer. Reads go through the socket's
+/// one read buffer; writes go straight to the socket.
 #[derive(Debug)]
 pub struct ShardTransport {
-    inner: TransportInner,
+    stream: BufReader<TransportInner>,
     faults: Option<FaultInjector>,
 }
 
@@ -243,8 +253,8 @@ fn killed_error() -> io::Error {
 }
 
 impl ShardTransport {
-    pub(crate) fn from_inner(inner: TransportInner) -> Self {
-        ShardTransport { inner, faults: None }
+    fn new(inner: TransportInner) -> Self {
+        ShardTransport { stream: BufReader::with_capacity(READ_BUFFER, inner), faults: None }
     }
 
     /// Connects to a coordinator endpoint.
@@ -257,11 +267,11 @@ impl ShardTransport {
             Endpoint::Tcp(addr) => {
                 let stream = TcpStream::connect(addr.as_str())?;
                 stream.set_nodelay(true)?;
-                Ok(ShardTransport::from_inner(TransportInner::Tcp(stream)))
+                Ok(ShardTransport::new(TransportInner::Tcp(stream)))
             }
             #[cfg(unix)]
             Endpoint::Uds(path) => {
-                Ok(ShardTransport::from_inner(TransportInner::Uds(UnixStream::connect(path)?)))
+                Ok(ShardTransport::new(TransportInner::Uds(UnixStream::connect(path)?)))
             }
             #[cfg(not(unix))]
             Endpoint::Uds(_) => Err(io::Error::new(
@@ -319,7 +329,7 @@ impl ShardTransport {
     ///
     /// I/O errors from the socket-option calls.
     pub fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match &self.inner {
+        match self.stream.get_ref() {
             TransportInner::Tcp(stream) => {
                 stream.set_read_timeout(timeout)?;
                 stream.set_write_timeout(timeout)
@@ -335,7 +345,7 @@ impl ShardTransport {
     /// Shuts the socket down in both directions — the peer observes a
     /// reset/EOF exactly as if this process had died.
     pub(crate) fn shutdown(&self) {
-        let _ = match &self.inner {
+        let _ = match self.stream.get_ref() {
             TransportInner::Tcp(stream) => stream.shutdown(Shutdown::Both),
             #[cfg(unix)]
             TransportInner::Uds(stream) => stream.shutdown(Shutdown::Both),
@@ -350,23 +360,28 @@ impl ShardTransport {
     /// Socket errors, [`write_frame`]'s `InvalidInput`, or a synthetic
     /// `ConnectionReset` when a kill fault fires (the socket is then really
     /// shut down, so the peer sees the crash too).
-    pub fn send_frame(&mut self, body: &[u8], counters: Option<&FabricCounters>) -> io::Result<()> {
+    pub fn send_frame(
+        &mut self,
+        frame: &Frame,
+        counters: Option<&FabricCounters>,
+    ) -> io::Result<()> {
         let Some(faults) = &mut self.faults else {
-            return write_frame(&mut self.inner, body, counters);
+            return write_frame(self.stream.get_mut(), frame, counters);
         };
         if faults.killed() {
             return Err(killed_error());
         }
-        let mut owned = body.to_vec();
-        match faults.on_send(&mut owned) {
-            SendAction::Deliver => write_frame(&mut self.inner, &owned, counters),
+        // A fault may corrupt what it sends; the caller's frame (perhaps
+        // held in a replay log) stays intact.
+        let mut owned = frame.clone();
+        match faults.on_send(&mut owned.buf[PREFIX..]) {
+            SendAction::Deliver => write_frame(self.stream.get_mut(), &owned, counters),
             SendAction::Drop => Ok(()),
             SendAction::Truncate(keep) => {
                 // Claim the full length, deliver only a prefix, die: the
                 // peer reads an unexpected EOF mid-frame.
-                let _ = self.inner.write_all(&(owned.len() as u32).to_le_bytes());
-                let _ = self.inner.write_all(&owned[..keep]);
-                let _ = self.inner.flush();
+                let _ = self.stream.get_mut().write_all(&owned.buf[..PREFIX + keep]);
+                let _ = self.stream.get_mut().flush();
                 self.shutdown();
                 Err(killed_error())
             }
@@ -382,17 +397,32 @@ impl ShardTransport {
     /// `ConnectionReset` on a kill fault, or `TimedOut` when a stall fault
     /// expires.
     pub fn recv_frame(&mut self, counters: Option<&FabricCounters>) -> io::Result<Option<Vec<u8>>> {
-        if self.faults.is_none() {
-            return read_frame(&mut self.inner, counters);
-        }
+        let mut body = Vec::new();
+        Ok(self.recv_frame_into(&mut body, counters)?.then_some(body))
+    }
+
+    /// [`ShardTransport::recv_frame`] into `body` (cleared first, capacity
+    /// kept); `Ok(false)` on a clean EOF between frames.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardTransport::recv_frame`].
+    pub(crate) fn recv_frame_into(
+        &mut self,
+        body: &mut Vec<u8>,
+        counters: Option<&FabricCounters>,
+    ) -> io::Result<bool> {
         if self.faults.as_ref().is_some_and(FaultInjector::killed) {
             return Err(killed_error());
         }
-        let Some(mut body) = read_frame(&mut self.inner, counters)? else {
-            return Ok(None);
+        if !read_frame_into(&mut self.stream, body, counters)? {
+            return Ok(false);
+        }
+        let Some(faults) = &mut self.faults else {
+            return Ok(true);
         };
-        match self.faults.as_mut().expect("checked above").on_recv(&mut body) {
-            RecvAction::Deliver => Ok(Some(body)),
+        match faults.on_recv(body) {
+            RecvAction::Deliver => Ok(true),
             RecvAction::Kill => {
                 self.shutdown();
                 Err(killed_error())
@@ -433,25 +463,82 @@ impl Write for TransportInner {
     }
 }
 
-/// Raw byte access bypasses the fault injector (faults are frame-level).
+/// Raw byte access bypasses the fault injector (faults are frame-level)
+/// but not the read buffer, so it never skips a buffered byte.
 impl Read for ShardTransport {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.inner.read(buf)
+        self.stream.read(buf)
+    }
+}
+
+/// The transport's read buffer, for [`read_frame`].
+impl BufRead for ShardTransport {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        self.stream.fill_buf()
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.stream.consume(amt);
     }
 }
 
 /// Raw byte access bypasses the fault injector (faults are frame-level).
 impl Write for ShardTransport {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.inner.write(buf)
+        self.stream.get_mut().write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
+        self.stream.get_mut().flush()
     }
 }
 
-/// Writes one `[u32 LE length][body]` frame.
+/// Bytes of the `[u32 LE body length]` prefix heading every frame.
+const PREFIX: usize = 4;
+
+/// One outbound frame in one buffer: the length prefix, then the body
+/// (tag byte first), so [`write_frame`] sends it in a single write.
+/// [`Frame::encode`] rewrites it in place, so a recycled frame encodes
+/// without allocating once it has grown to its steady size.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    buf: Vec<u8>,
+}
+
+/// A frame with an empty body.
+impl Default for Frame {
+    fn default() -> Self {
+        Frame::of(|_| {})
+    }
+}
+
+impl Frame {
+    /// A new frame holding the body `body` appends.
+    pub fn of(body: impl FnOnce(&mut Vec<u8>)) -> Frame {
+        let mut frame = Frame { buf: Vec::new() };
+        frame.encode(body);
+        frame
+    }
+
+    /// Replaces the body with what `body` appends (keeping the buffer) and
+    /// writes its length into the prefix.
+    pub fn encode(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; PREFIX]);
+        body(&mut self.buf);
+        // A body past `FRAME_MAX` never reaches the wire: `write_frame`
+        // refuses it, so the cast cannot send a wrong length.
+        let len = (self.buf.len() - PREFIX) as u32;
+        self.buf[..PREFIX].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// The body, without the prefix.
+    pub(crate) fn body(&self) -> &[u8] {
+        &self.buf[PREFIX..]
+    }
+}
+
+/// Writes one `[u32 LE length][body]` frame in a single write.
 ///
 /// # Errors
 ///
@@ -459,21 +546,21 @@ impl Write for ShardTransport {
 /// errors.
 pub fn write_frame(
     w: &mut impl Write,
-    body: &[u8],
+    frame: &Frame,
     counters: Option<&FabricCounters>,
 ) -> io::Result<()> {
-    if body.len() > FRAME_MAX {
+    let body_len = frame.body().len();
+    if body_len > FRAME_MAX {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame body of {} bytes exceeds FRAME_MAX", body.len()),
+            format!("frame body of {body_len} bytes exceeds FRAME_MAX"),
         ));
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    w.write_all(&frame.buf)?;
     w.flush()?;
     if let Some(counters) = counters {
         counters.frames.inc();
-        counters.bytes.add(4 + body.len() as u64);
+        counters.bytes.add(frame.buf.len() as u64);
     }
     Ok(())
 }
@@ -487,44 +574,76 @@ pub fn write_frame(
 /// `InvalidData` when the length prefix exceeds [`FRAME_MAX`], otherwise
 /// socket errors.
 pub fn read_frame(
-    r: &mut impl Read,
+    r: &mut impl BufRead,
     counters: Option<&FabricCounters>,
 ) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    let mut filled = 0;
-    while filled < len.len() {
-        match r.read(&mut len[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid frame header",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => return Err(err),
+    let mut body = Vec::new();
+    Ok(read_frame_into(r, &mut body, counters)?.then_some(body))
+}
+
+/// [`read_frame`] into `body` (cleared first, capacity kept), copying
+/// straight out of `r`'s buffer; `Ok(false)` on a clean EOF.
+fn read_frame_into(
+    r: &mut impl BufRead,
+    body: &mut Vec<u8>,
+    counters: Option<&FabricCounters>,
+) -> io::Result<bool> {
+    body.clear();
+    match take_buffered(r, body, PREFIX)? {
+        0 => return Ok(false),
+        PREFIX => {}
+        _ => {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "peer closed mid frame header",
+            ))
         }
     }
-    let body_len = u32::from_le_bytes(len) as usize;
+    let body_len = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
+    body.clear();
     if body_len > FRAME_MAX {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame length {body_len} exceeds FRAME_MAX"),
         ));
     }
-    let mut body = vec![0u8; body_len];
-    r.read_exact(&mut body)?;
+    body.reserve(body_len);
+    if take_buffered(r, body, body_len)? < body_len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid frame"));
+    }
     if let Some(counters) = counters {
         counters.frames.inc();
-        counters.bytes.add(4 + body_len as u64);
+        counters.bytes.add((PREFIX + body_len) as u64);
     }
-    Ok(Some(body))
+    Ok(true)
+}
+
+/// Appends up to `want` bytes of `r` to `out`, refilling `r`'s buffer as
+/// needed; fewer only at EOF. Returns the count appended.
+fn take_buffered(r: &mut impl BufRead, out: &mut Vec<u8>, want: usize) -> io::Result<usize> {
+    let mut taken = 0;
+    while taken < want {
+        let available = match r.fill_buf() {
+            Ok([]) => break,
+            Ok(available) => available,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+            Err(err) => return Err(err),
+        };
+        let n = available.len().min(want - taken);
+        out.extend_from_slice(&available[..n]);
+        r.consume(n);
+        taken += n;
+    }
+    Ok(taken)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn frame(body: &[u8]) -> Frame {
+        Frame::of(|out| out.extend_from_slice(body))
+    }
 
     #[test]
     fn endpoint_parse_and_display_roundtrip() {
@@ -543,7 +662,7 @@ mod tests {
         let endpoint = listener.local_endpoint().unwrap();
         let client = std::thread::spawn(move || {
             let mut transport = ShardTransport::connect(&endpoint).expect("connect");
-            write_frame(&mut transport, b"ping", None).unwrap();
+            write_frame(&mut transport, &frame(b"ping"), None).unwrap();
             let body = read_frame(&mut transport, None).unwrap().expect("reply");
             assert_eq!(body, b"pong");
             assert!(read_frame(&mut transport, None).unwrap().is_none(), "clean EOF");
@@ -551,7 +670,7 @@ mod tests {
         let mut server = listener.accept().expect("accept");
         let body = read_frame(&mut server, None).unwrap().expect("request");
         assert_eq!(body, b"ping");
-        write_frame(&mut server, b"pong", None).unwrap();
+        write_frame(&mut server, &frame(b"pong"), None).unwrap();
         drop(server);
         client.join().unwrap();
     }
@@ -565,7 +684,7 @@ mod tests {
         let endpoint = listener.local_endpoint().unwrap();
         let client = std::thread::spawn(move || {
             let mut transport = ShardTransport::connect(&endpoint).expect("connect uds");
-            write_frame(&mut transport, &[7u8; 100_000], None).unwrap();
+            write_frame(&mut transport, &frame(&[7u8; 100_000]), None).unwrap();
         });
         let mut server = listener.accept().expect("accept uds");
         let body = read_frame(&mut server, None).unwrap().expect("frame");
@@ -578,13 +697,34 @@ mod tests {
     #[test]
     fn oversize_frames_are_rejected_both_ways() {
         let mut sink = Vec::new();
-        let huge = vec![0u8; FRAME_MAX + 1];
+        let huge = Frame::of(|out| out.resize(PREFIX + FRAME_MAX + 1, 0));
         assert!(write_frame(&mut sink, &huge, None).is_err());
 
         let mut wire = Vec::new();
         wire.extend_from_slice(&((FRAME_MAX as u32) + 1).to_le_bytes());
         let err = read_frame(&mut wire.as_slice(), None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn raw_reads_see_the_bytes_the_frame_reader_buffered() {
+        let listener = FabricListener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap())
+            .expect("bind ephemeral");
+        let endpoint = listener.local_endpoint().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut transport = ShardTransport::connect(&endpoint).expect("connect");
+            // Both frames in one write: the first read buffers the second.
+            let mut wire = frame(b"first").buf;
+            wire.extend_from_slice(&frame(b"second").buf);
+            transport.write_all(&wire).unwrap();
+        });
+        let mut server = listener.accept().expect("accept");
+        client.join().unwrap();
+        assert_eq!(server.recv_frame(None).unwrap().expect("frame"), b"first");
+        let mut raw = [0u8; PREFIX + 6];
+        server.read_exact(&mut raw).unwrap();
+        assert_eq!(raw[..], frame(b"second").buf[..]);
+        assert!(read_frame(&mut server, None).unwrap().is_none(), "clean EOF");
     }
 
     #[test]

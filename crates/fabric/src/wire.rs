@@ -18,7 +18,7 @@ use idsbench_core::{AttackKind, FlowMigration, Label};
 use idsbench_flow::{FlowKey, FlowRecord, FlowTableConfig};
 use idsbench_net::wire::{
     put_bool, put_bytes, put_f64, put_list, put_str, put_u16, put_u32, put_u64, put_u8, WireError,
-    WireReader, WireResult,
+    WireReader, WireResult, LIST_RESERVE,
 };
 use idsbench_net::{Duration, Timestamp};
 use idsbench_stream::{HashRing, ShardCheckpoint, StreamConfig, ThresholdMode};
@@ -49,7 +49,7 @@ const MAX_WINDOWS: usize = 1 << 20;
 /// finer ring before it awaits a worker.
 pub const MAX_VNODES: usize = 1024;
 
-/// The `Batch` tag, shared with [`batch_first_seq`].
+/// The `Batch` tag, written by [`put_batch`] and checked by [`BatchReader`].
 const BATCH: u8 = 0x05;
 
 /// The run parameters a worker needs before it can host shards: which
@@ -106,6 +106,134 @@ pub struct WireItem {
     pub label: Label,
     /// Raw frame bytes starting at the Ethernet header.
     pub data: Vec<u8>,
+}
+
+impl From<BatchItem<'_>> for WireItem {
+    fn from(item: BatchItem<'_>) -> Self {
+        WireItem {
+            seq: item.seq,
+            ts_micros: item.ts_micros,
+            label: item.label,
+            data: item.data.to_vec(),
+        }
+    }
+}
+
+/// One routed packet of a `Batch` body, borrowed: what [`put_batch`]
+/// encodes straight from the caller's packets and what a [`BatchReader`]
+/// yields as a view into the received body — no payload is copied either
+/// way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchItem<'a> {
+    /// Global feed order assigned by the coordinator.
+    pub seq: u64,
+    /// Capture timestamp, microseconds.
+    pub ts_micros: u64,
+    /// Ground-truth label.
+    pub label: Label,
+    /// Raw frame bytes starting at the Ethernet header.
+    pub data: &'a [u8],
+}
+
+impl<'a> From<&'a WireItem> for BatchItem<'a> {
+    fn from(item: &'a WireItem) -> Self {
+        BatchItem { seq: item.seq, ts_micros: item.ts_micros, label: item.label, data: &item.data }
+    }
+}
+
+/// Appends a `Batch` body for `shard` — the one `Batch` encoder, behind
+/// [`CoordMsg::encode`] and the coordinator's recycled frames alike.
+pub fn put_batch<'a>(
+    out: &mut Vec<u8>,
+    shard: u32,
+    items: impl ExactSizeIterator<Item = BatchItem<'a>>,
+) {
+    put_u8(out, BATCH);
+    put_u32(out, shard);
+    put_u32(out, items.len() as u32);
+    for item in items {
+        put_u64(out, item.seq);
+        put_packet_body(out, item.ts_micros, item.label, item.data);
+    }
+}
+
+/// The one `Batch` reader: yields a body's items in order, each payload
+/// borrowed from the body, and after the last item demands the body is
+/// fully consumed (the final `next` is then an `Err` carrying
+/// [`WireError::Oversize`]). [`CoordMsg::decode`] collects it into
+/// [`WireItem`]s; the worker slices its packets out of the received frame
+/// at [`BatchReader::consumed`].
+#[derive(Debug, Clone)]
+pub struct BatchReader<'a> {
+    r: WireReader<'a>,
+    body_len: usize,
+    shard: u32,
+    left: usize,
+}
+
+impl<'a> BatchReader<'a> {
+    /// Opens `body` when its tag is `Batch` — `Ok(None)` for any other
+    /// tag — reading the target shard and the item count.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] on a body too short for the header,
+    /// [`WireError::Oversize`] on an item count past the sanity bound.
+    pub fn open(body: &'a [u8]) -> WireResult<Option<Self>> {
+        let mut r = WireReader::new(body);
+        if r.u8()? != BATCH {
+            return Ok(None);
+        }
+        BatchReader::after_tag(r, body.len()).map(Some)
+    }
+
+    fn after_tag(mut r: WireReader<'a>, body_len: usize) -> WireResult<Self> {
+        let shard = r.u32()?;
+        let left = r.count(MAX_ITEMS)?;
+        Ok(BatchReader { r, body_len, shard, left })
+    }
+
+    /// The shard the batch is routed to.
+    pub fn shard(&self) -> u32 {
+        self.shard
+    }
+
+    /// Body bytes read so far: right after an item, the end offset of its
+    /// payload within the body.
+    pub fn consumed(&self) -> usize {
+        self.body_len - self.r.remaining()
+    }
+
+    fn item(&mut self) -> WireResult<BatchItem<'a>> {
+        let r = &mut self.r;
+        Ok(BatchItem {
+            seq: r.u64()?,
+            ts_micros: r.u64()?,
+            label: read_label(r)?,
+            data: r.bytes()?,
+        })
+    }
+}
+
+impl<'a> Iterator for BatchReader<'a> {
+    type Item = WireResult<BatchItem<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let item = if self.left > 0 {
+            self.left -= 1;
+            self.item()
+        } else if self.r.is_empty() {
+            return None;
+        } else {
+            Err(WireError::Oversize(self.r.remaining() as u64))
+        };
+        if item.is_err() {
+            // Fused after the first error.
+            self.left = 0;
+            self.r = WireReader::new(&[]);
+        }
+        Some(item)
+    }
 }
 
 /// One training packet (same shape as [`WireItem`] minus the sequence
@@ -350,11 +478,11 @@ fn read_ring(r: &mut WireReader<'_>) -> WireResult<HashRing> {
 }
 
 /// The sequence number of a `Batch` body's first item, read without
-/// decoding the batch; `None` for any other frame or an empty batch.
+/// decoding the rest of the batch; `None` for any other frame, an empty
+/// batch, or a first item that fails to decode.
 pub(crate) fn batch_first_seq(body: &[u8]) -> Option<u64> {
-    let mut r = WireReader::new(body);
-    let (tag, _shard, count) = (r.u8().ok()?, r.u32().ok()?, r.u32().ok()?);
-    (tag == BATCH && count > 0).then(|| r.u64().ok())?
+    let first = BatchReader::open(body).ok()??.next()?;
+    first.ok().map(|item| item.seq)
 }
 
 fn put_cm(out: &mut Vec<u8>, cm: &idsbench_core::metrics::ConfusionMatrix) {
@@ -515,71 +643,72 @@ impl CoordMsg {
     /// Encodes the message body (tag byte first) for framing.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the message body (tag byte first) to `out` — into a
+    /// [`Frame`](crate::Frame), say.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             CoordMsg::Hello(config) => {
-                put_u8(&mut out, 0x01);
-                put_u32(&mut out, PROTOCOL_MAGIC);
-                put_u16(&mut out, PROTOCOL_VERSION);
-                put_str(&mut out, &config.detector);
-                put_f64(&mut out, config.window_secs);
-                put_bool(&mut out, config.fixed_threshold.is_some());
-                put_f64(&mut out, config.fixed_threshold.unwrap_or(0.0));
-                put_duration(&mut out, config.flow.idle_timeout);
-                put_duration(&mut out, config.flow.active_timeout);
-                put_duration(&mut out, config.flow.time_wait);
-                put_u64(&mut out, config.flow.max_flows as u64);
+                put_u8(out, 0x01);
+                put_u32(out, PROTOCOL_MAGIC);
+                put_u16(out, PROTOCOL_VERSION);
+                put_str(out, &config.detector);
+                put_f64(out, config.window_secs);
+                put_bool(out, config.fixed_threshold.is_some());
+                put_f64(out, config.fixed_threshold.unwrap_or(0.0));
+                put_duration(out, config.flow.idle_timeout);
+                put_duration(out, config.flow.active_timeout);
+                put_duration(out, config.flow.time_wait);
+                put_u64(out, config.flow.max_flows as u64);
             }
             CoordMsg::Train(packets) => {
-                put_u8(&mut out, 0x02);
-                put_list(&mut out, packets, |out, packet| {
+                put_u8(out, 0x02);
+                put_list(out, packets, |out, packet| {
                     put_packet_body(out, packet.ts_micros, packet.label, &packet.data);
                 });
             }
-            CoordMsg::TrainDone => put_u8(&mut out, 0x03),
+            CoordMsg::TrainDone => put_u8(out, 0x03),
             CoordMsg::Spawn { shard } => {
-                put_u8(&mut out, 0x04);
-                put_u32(&mut out, *shard);
+                put_u8(out, 0x04);
+                put_u32(out, *shard);
             }
             CoordMsg::Batch { shard, items } => {
-                put_u8(&mut out, BATCH);
-                put_u32(&mut out, *shard);
-                put_list(&mut out, items, |out, item| {
-                    put_u64(out, item.seq);
-                    put_packet_body(out, item.ts_micros, item.label, &item.data);
-                });
+                put_batch(out, *shard, items.iter().map(BatchItem::from));
             }
             CoordMsg::Rebalance { shard, ring } => {
-                put_u8(&mut out, 0x06);
-                put_u32(&mut out, *shard);
-                put_ring(&mut out, ring);
+                put_u8(out, 0x06);
+                put_u32(out, *shard);
+                put_ring(out, ring);
             }
             CoordMsg::Migrate { shard, migrations } => {
-                put_u8(&mut out, 0x07);
-                put_u32(&mut out, *shard);
-                put_list(&mut out, migrations, put_migration);
+                put_u8(out, 0x07);
+                put_u32(out, *shard);
+                put_list(out, migrations, put_migration);
             }
             CoordMsg::Retire { shard } => {
-                put_u8(&mut out, 0x08);
-                put_u32(&mut out, *shard);
+                put_u8(out, 0x08);
+                put_u32(out, *shard);
             }
-            CoordMsg::Finish => put_u8(&mut out, 0x09),
+            CoordMsg::Finish => put_u8(out, 0x09),
             CoordMsg::Checkpoint { shard, epoch } => {
-                put_u8(&mut out, 0x0A);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *epoch);
+                put_u8(out, 0x0A);
+                put_u32(out, *shard);
+                put_u64(out, *epoch);
             }
             CoordMsg::Restore { shard, epoch, checkpoint } => {
-                put_u8(&mut out, 0x0B);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *epoch);
-                put_checkpoint(&mut out, checkpoint);
+                put_u8(out, 0x0B);
+                put_u32(out, *shard);
+                put_u64(out, *epoch);
+                put_checkpoint(out, checkpoint);
             }
             CoordMsg::Ping { nonce } => {
-                put_u8(&mut out, 0x0C);
-                put_u64(&mut out, *nonce);
+                put_u8(out, 0x0C);
+                put_u64(out, *nonce);
             }
         }
-        out
     }
 
     /// Decodes one framed body.
@@ -620,16 +749,14 @@ impl CoordMsg {
             0x03 => CoordMsg::TrainDone,
             0x04 => CoordMsg::Spawn { shard: r.u32()? },
             BATCH => {
-                let shard = r.u32()?;
-                let items = r.list(MAX_ITEMS, |r| {
-                    Ok(WireItem {
-                        seq: r.u64()?,
-                        ts_micros: r.u64()?,
-                        label: read_label(r)?,
-                        data: r.bytes()?.to_vec(),
-                    })
-                })?;
-                CoordMsg::Batch { shard, items }
+                // The reader checks the trailing bytes itself.
+                let batch = BatchReader::after_tag(r, body.len())?;
+                let shard = batch.shard;
+                let mut items = Vec::with_capacity(batch.left.min(LIST_RESERVE));
+                for item in batch {
+                    items.push(WireItem::from(item?));
+                }
+                return Ok(CoordMsg::Batch { shard, items });
             }
             0x06 => {
                 let shard = r.u32()?;
@@ -665,40 +792,46 @@ impl WorkerMsg {
     /// Encodes the message body (tag byte first) for framing.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the message body (tag byte first) to `out` — into a
+    /// [`Frame`](crate::Frame), say.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WorkerMsg::HelloOk { detector, flows } => {
-                put_u8(&mut out, 0x40);
-                put_str(&mut out, detector);
-                put_bool(&mut out, *flows);
+                put_u8(out, 0x40);
+                put_str(out, detector);
+                put_bool(out, *flows);
             }
             WorkerMsg::Ready { shard, fit_seconds } => {
-                put_u8(&mut out, 0x41);
-                put_u32(&mut out, *shard);
-                put_f64(&mut out, *fit_seconds);
+                put_u8(out, 0x41);
+                put_u32(out, *shard);
+                put_f64(out, *fit_seconds);
             }
             WorkerMsg::Migrations { shard, migrations } => {
-                put_u8(&mut out, 0x42);
-                put_u32(&mut out, *shard);
-                put_list(&mut out, migrations, put_migration);
+                put_u8(out, 0x42);
+                put_u32(out, *shard);
+                put_list(out, migrations, put_migration);
             }
             WorkerMsg::Outcome(outcome) => {
-                put_u8(&mut out, 0x43);
-                put_outcome(&mut out, outcome);
+                put_u8(out, 0x43);
+                put_outcome(out, outcome);
             }
-            WorkerMsg::Bye => put_u8(&mut out, 0x44),
+            WorkerMsg::Bye => put_u8(out, 0x44),
             WorkerMsg::Checkpoint { shard, epoch, checkpoint, fragment } => {
-                put_u8(&mut out, 0x45);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *epoch);
-                put_checkpoint(&mut out, checkpoint);
-                put_outcome(&mut out, fragment);
+                put_u8(out, 0x45);
+                put_u32(out, *shard);
+                put_u64(out, *epoch);
+                put_checkpoint(out, checkpoint);
+                put_outcome(out, fragment);
             }
             WorkerMsg::Pong { nonce } => {
-                put_u8(&mut out, 0x46);
-                put_u64(&mut out, *nonce);
+                put_u8(out, 0x46);
+                put_u64(out, *nonce);
             }
         }
-        out
     }
 
     /// Decodes one framed body.

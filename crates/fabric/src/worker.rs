@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use bytes::Bytes;
 use idsbench_core::{
     EventDetector, FlowEventAssembler, InputFormat, LabeledPacket, ParsedView, TrainView,
 };
@@ -21,9 +22,9 @@ use idsbench_stream::{ShardLoop, StreamItem};
 use idsbench_telemetry::Telemetry;
 
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::transport::{read_frame, Endpoint, ShardTransport};
-use crate::wire::{CoordMsg, WireItem, WorkerMsg};
-use crate::{recv_body, send_msg, FabricCounters, FabricError};
+use crate::transport::{read_frame, Endpoint, Frame, ShardTransport};
+use crate::wire::{BatchReader, CoordMsg, WorkerMsg};
+use crate::{FabricCounters, FabricError};
 
 /// Maps a detector registry name to a fresh (unfitted) instance; `None`
 /// means the name is unknown and the handshake is refused. Called once per
@@ -44,15 +45,60 @@ impl std::fmt::Debug for HostedShard {
     }
 }
 
-fn wire_item_to_stream(item: WireItem) -> StreamItem {
-    let packet = LabeledPacket::new(
-        Packet::new(Timestamp::from_micros(item.ts_micros), item.data),
-        item.label,
-    );
-    // The worker's single parse site — the remote analog of the local
-    // feeder's parse-once rule, shared by routing (already done upstream)
-    // and scoring.
-    StreamItem { seq: item.seq, view: ParsedView::from_packet(packet) }
+/// The worker's end of the socket: the transport and the last received
+/// frame, which a batch's packets slice.
+struct Link<'a> {
+    transport: ShardTransport,
+    counters: Option<&'a FabricCounters>,
+    frame: Bytes,
+}
+
+impl Link<'_> {
+    /// Receives the next frame into `frame`: in place once no packet of the
+    /// previous batch holds it any more, into a fresh buffer otherwise.
+    fn recv(&mut self) -> Result<(), FabricError> {
+        if !self.frame.is_unique() {
+            self.frame = Bytes::from(Vec::new());
+        }
+        let (transport, counters) = (&mut self.transport, self.counters);
+        let received = self
+            .frame
+            .refill(|body| transport.recv_frame_into(body, counters))
+            .expect("a frame with one handle refills");
+        if received? {
+            Ok(())
+        } else {
+            Err(FabricError::Protocol("peer closed mid conversation".to_string()))
+        }
+    }
+
+    /// Replies are rare and some are large (a checkpoint), so each gets a
+    /// frame of its own instead of one kept at the largest size.
+    fn send(&mut self, msg: &WorkerMsg) -> Result<(), FabricError> {
+        let frame = Frame::of(|out| msg.encode_into(out));
+        self.transport.send_frame(&frame, self.counters).map_err(FabricError::Io)
+    }
+}
+
+/// Stages a batch's packets as slices of the received `frame` — no payload
+/// is copied — each parsed once: the worker's single parse site, the
+/// remote analog of the local feeder's parse-once rule, shared by routing
+/// (already done upstream) and scoring.
+fn stage(
+    staged: &mut Vec<StreamItem>,
+    frame: &Bytes,
+    mut batch: BatchReader<'_>,
+) -> Result<(), FabricError> {
+    staged.clear();
+    while let Some(item) = batch.next() {
+        let item = item?;
+        let end = batch.consumed();
+        let data = frame.slice(end - item.data.len()..end);
+        let packet = Packet::new(Timestamp::from_micros(item.ts_micros), data);
+        let view = ParsedView::from_packet(LabeledPacket::new(packet, item.label));
+        staged.push(StreamItem { seq: item.seq, view });
+    }
+    Ok(())
 }
 
 /// Runs the worker protocol loop to completion: connect, handshake, host
@@ -97,11 +143,12 @@ pub fn run_worker_with_faults(
     if let Some(plan) = faults {
         transport.inject_faults(FaultInjector::new(plan));
     }
+    let mut link = Link { transport, counters, frame: Bytes::new() };
 
     // Handshake: the first frame must be Hello; resolve the detector once
     // to validate the name and learn its input format.
-    let body = recv_body(&mut transport, counters)?;
-    let config = match CoordMsg::decode(&body)? {
+    link.recv()?;
+    let config = match CoordMsg::decode(&link.frame)? {
         CoordMsg::Hello(config) => config,
         other => {
             return Err(FabricError::Protocol(format!("expected Hello, got {other:?}")));
@@ -112,12 +159,10 @@ pub fn run_worker_with_faults(
     let format = probe.input_format();
     let detector_name = probe.name().to_string();
     drop(probe);
-    send_msg(
-        &mut transport,
-        &WorkerMsg::HelloOk { detector: detector_name, flows: format == InputFormat::Flows }
-            .encode(),
-        counters,
-    )?;
+    link.send(&WorkerMsg::HelloOk {
+        detector: detector_name,
+        flows: format == InputFormat::Flows,
+    })?;
 
     let mut warmup: Vec<ParsedView> = Vec::new();
     let mut train: Option<TrainView> = None;
@@ -127,8 +172,22 @@ pub fn run_worker_with_faults(
     let mut staged: Vec<StreamItem> = Vec::new();
 
     loop {
-        let body = recv_body(&mut transport, counters)?;
-        match CoordMsg::decode(&body)? {
+        link.recv()?;
+        if let Some(batch) = BatchReader::open(&link.frame)? {
+            let hosted = hosted(&mut shards, batch.shard())?;
+            stage(&mut staged, &link.frame, batch)?;
+            hosted.event_loop.on_batch(&staged)?;
+            // The packets hold the frame: drop them so the next receive
+            // refills it in place.
+            staged.clear();
+            continue;
+        }
+        let message = CoordMsg::decode(&link.frame)?;
+        // The decoded message owns its data. Control frames are rare and
+        // some are large (a `Train` chunk, a `Restore`): let this one go
+        // rather than keep a batch buffer at its size.
+        link.frame = Bytes::new();
+        match message {
             CoordMsg::Hello(_) => {
                 return Err(FabricError::Protocol("duplicate Hello".to_string()));
             }
@@ -172,26 +231,13 @@ pub fn run_worker_with_faults(
                     None,
                 );
                 shards.insert(shard, HostedShard { event_loop, fit_seconds });
-                send_msg(
-                    &mut transport,
-                    &WorkerMsg::Ready { shard: shard as u32, fit_seconds }.encode(),
-                    counters,
-                )?;
+                link.send(&WorkerMsg::Ready { shard: shard as u32, fit_seconds })?;
             }
-            CoordMsg::Batch { shard, items } => {
-                let hosted = hosted(&mut shards, shard)?;
-                staged.clear();
-                staged.extend(items.into_iter().map(wire_item_to_stream));
-                hosted.event_loop.on_batch(&staged)?;
-            }
+            CoordMsg::Batch { .. } => unreachable!("batch frames are staged in place above"),
             CoordMsg::Rebalance { shard, ring } => {
                 let hosted = hosted(&mut shards, shard)?;
                 let migrations = hosted.event_loop.on_rebalance(&ring);
-                send_msg(
-                    &mut transport,
-                    &WorkerMsg::Migrations { shard, migrations }.encode(),
-                    counters,
-                )?;
+                link.send(&WorkerMsg::Migrations { shard, migrations })?;
             }
             CoordMsg::Migrate { shard, migrations } => {
                 hosted(&mut shards, shard)?.event_loop.on_migrate(migrations);
@@ -199,14 +245,13 @@ pub fn run_worker_with_faults(
             CoordMsg::Checkpoint { shard, epoch } => {
                 let hosted = hosted(&mut shards, shard)?;
                 let (checkpoint, fragment) = hosted.event_loop.on_checkpoint(hosted.fit_seconds);
-                let reply = WorkerMsg::Checkpoint { shard, epoch, checkpoint, fragment };
-                send_msg(&mut transport, &reply.encode(), counters)?;
+                link.send(&WorkerMsg::Checkpoint { shard, epoch, checkpoint, fragment })?;
             }
             CoordMsg::Restore { shard, epoch: _, checkpoint } => {
                 hosted(&mut shards, shard)?.event_loop.restore(checkpoint);
             }
             CoordMsg::Ping { nonce } => {
-                send_msg(&mut transport, &WorkerMsg::Pong { nonce }.encode(), counters)?;
+                link.send(&WorkerMsg::Pong { nonce })?;
             }
             CoordMsg::Retire { shard } => {
                 let mut hosted = shards.remove(&(shard as usize)).ok_or_else(|| {
@@ -214,7 +259,7 @@ pub fn run_worker_with_faults(
                 })?;
                 hosted.event_loop.finish()?;
                 let outcome = hosted.event_loop.into_outcome(hosted.fit_seconds);
-                send_msg(&mut transport, &WorkerMsg::Outcome(outcome).encode(), counters)?;
+                link.send(&WorkerMsg::Outcome(outcome))?;
             }
             CoordMsg::Finish => {
                 // The coordinator retires every shard before `Finish` and
@@ -226,10 +271,10 @@ pub fn run_worker_with_faults(
                         "Finish with shards {hosted:?} still hosted"
                     )));
                 }
-                send_msg(&mut transport, &WorkerMsg::Bye.encode(), counters)?;
+                link.send(&WorkerMsg::Bye)?;
                 // Wait for the coordinator to close; exiting first could
                 // reset unread reply bytes on some stacks.
-                let _ = read_frame(&mut transport, counters);
+                let _ = read_frame(&mut link.transport, counters);
                 return Ok(());
             }
         }

@@ -17,7 +17,7 @@ use idsbench_fabric::coordinator::DrainPlan;
 use idsbench_fabric::wire::MAX_VNODES;
 use idsbench_fabric::{
     run_fabric, run_worker, run_worker_with_faults, CoordMsg, Endpoint, FabricConfig, FabricError,
-    FabricListener, FaultPlan, HelloConfig, RecoveryConfig, WorkerMsg,
+    FabricListener, FaultPlan, Frame, HelloConfig, RecoveryConfig, WorkerMsg,
 };
 use idsbench_flow::FlowKey;
 use idsbench_net::{MacAddr, Packet, PacketBuilder, TcpFlags, Timestamp};
@@ -553,7 +553,7 @@ fn worker_refuses_finish_while_it_still_hosts_shards() {
     let worker = std::thread::spawn(move || run_worker(&endpoint, &resolve, None));
     let mut peer = listener.accept_timeout(Duration::from_secs(30)).unwrap();
     let mut exchange = |msg: CoordMsg, reply: bool| {
-        peer.send_frame(&msg.encode(), None).unwrap();
+        peer.send_frame(&Frame::of(|out| msg.encode_into(out)), None).unwrap();
         reply.then(|| WorkerMsg::decode(&peer.recv_frame(None).unwrap().unwrap()).unwrap())
     };
     let hello = HelloConfig::from_stream("flow-counter", &StreamConfig::default());

@@ -2,13 +2,17 @@
 //! can construct must survive `decode ∘ encode` with every field intact and
 //! re-encode to the identical byte string, while any truncated or
 //! tag-corrupted body must be rejected with a structured error — never a
-//! panic, never a silent partial decode.
+//! panic, never a silent partial decode. The borrowed `Batch` codec (the
+//! coordinator's and the worker's) must be the message codec, byte for
+//! byte and error for error.
 
 use std::net::{IpAddr, Ipv4Addr};
 
 use idsbench_core::{AttackKind, FlowMigration, Label};
+use idsbench_fabric::wire::{put_batch, BatchItem, BatchReader};
 use idsbench_fabric::{CoordMsg, HelloConfig, WireItem, WirePacket, WorkerMsg};
 use idsbench_flow::{FlowKey, FlowTable, FlowTableConfig};
+use idsbench_net::wire::WireError;
 use idsbench_net::{
     Duration, IpProtocol, MacAddr, PacketBuilder, ParsedPacket, TcpFlags, Timestamp,
 };
@@ -87,6 +91,26 @@ fn arb_wire_item() -> impl Strategy<Value = WireItem> {
         label: p.label,
         data: p.data,
     })
+}
+
+/// A batch item whose payload is empty, short, or a full 1500-byte frame.
+fn arb_batch_item() -> impl Strategy<Value = WireItem> {
+    let payload =
+        (0u8..3, vec(any::<u8>(), 1..48), any::<u8>()).prop_map(|(size, short, fill)| match size {
+            0 => Vec::new(),
+            1 => short,
+            _ => vec![fill; 1500],
+        });
+    (any::<u64>(), any::<u64>(), arb_label(), payload)
+        .prop_map(|(seq, ts_micros, label, data)| WireItem { seq, ts_micros, label, data })
+}
+
+/// A `Batch` body read through the borrowed reader, collected.
+fn read_borrowed(body: &[u8]) -> Result<(u32, Vec<WireItem>), WireError> {
+    let batch = BatchReader::open(body)?.expect("a Batch body");
+    let shard = batch.shard();
+    let items = batch.map(|item| item.map(WireItem::from)).collect::<Result<_, _>>()?;
+    Ok((shard, items))
 }
 
 /// A ring over the drawn ids (repeats drawn are added once): the wire only
@@ -281,6 +305,33 @@ proptest! {
     #[test]
     fn batch_roundtrips(shard in any::<u32>(), items in vec(arb_wire_item(), 0..12)) {
         assert_coord_roundtrip(&CoordMsg::Batch { shard, items })?;
+    }
+
+    #[test]
+    fn borrowed_batch_codec_is_the_message_codec(
+        shard in any::<u32>(),
+        items in vec(arb_batch_item(), 0..12),
+    ) {
+        let body = CoordMsg::Batch { shard, items: items.clone() }.encode();
+        let mut borrowed = Vec::new();
+        put_batch(&mut borrowed, shard, items.iter().map(BatchItem::from));
+        prop_assert_eq!(&borrowed, &body);
+        prop_assert_eq!(read_borrowed(&body), Ok((shard, items)));
+
+        // Each payload ends where the reader says: the worker slices there.
+        let mut batch = BatchReader::open(&body).unwrap().expect("a Batch body");
+        while let Some(item) = batch.next() {
+            let data = item.unwrap().data;
+            let end = batch.consumed();
+            prop_assert_eq!(body[end - data.len()..end].as_ptr(), data.as_ptr());
+        }
+
+        let mut trailing = body.clone();
+        trailing.push(0);
+        for bad in (0..body.len()).map(|cut| &body[..cut]).chain([&trailing[..]]) {
+            let message = CoordMsg::decode(bad).map(|_| ()).unwrap_err();
+            prop_assert_eq!(read_borrowed(bad).unwrap_err(), message);
+        }
     }
 
     #[test]

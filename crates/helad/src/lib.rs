@@ -136,7 +136,8 @@ impl Helad {
 
         // Phase 1 — train the autoencoder over the (assumed benign)
         // training slice. The first pass extracts features and widens the
-        // normalizer; subsequent epochs retrain on the buffered vectors.
+        // normalizer; the normalizer is then fixed, so each buffered vector
+        // is normalized once, in place, and every epoch retrains on them.
         let mut buffered: Vec<Vec<f64>> = Vec::with_capacity(train.len());
         for view in train.iter() {
             if let Some(features) = features_of(&mut extractor, view) {
@@ -144,12 +145,16 @@ impl Helad {
                 buffered.push(features);
             }
         }
+        let mut normalized = Vec::with_capacity(width);
+        for features in &mut buffered {
+            norm.transform_into(features, &mut normalized);
+            std::mem::swap(features, &mut normalized);
+        }
         let mut history: Vec<f64> = Vec::with_capacity(buffered.len());
         for _ in 0..EPOCHS {
             history.clear();
             for features in &buffered {
-                let rmse = autoencoder.train_sample(&norm.transform(features));
-                history.push(rmse);
+                history.push(autoencoder.train_sample(features));
             }
         }
 

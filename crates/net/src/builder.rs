@@ -1,17 +1,17 @@
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use bytes::{BufMut, BytesMut};
+use bytes::Bytes;
 
 use crate::arp::ArpPacket;
 use crate::checksum::pseudo_header_checksum;
 use crate::ethernet::{EtherType, EthernetHeader};
-use crate::icmp::IcmpHeader;
+use crate::icmp::{IcmpHeader, ICMP_HEADER_LEN};
 use crate::ipv4::{IpProtocol, Ipv4Header};
 use crate::ipv6::Ipv6Header;
 use crate::packet::Packet;
-use crate::tcp::{TcpFlags, TcpHeader};
+use crate::tcp::{TcpFlags, TcpHeader, TCP_MIN_HEADER_LEN};
 use crate::time::Timestamp;
-use crate::udp::UdpHeader;
+use crate::udp::{UdpHeader, UDP_HEADER_LEN};
 use crate::{internet_checksum, MacAddr};
 
 #[derive(Debug, Clone)]
@@ -159,15 +159,15 @@ impl PacketBuilder {
         self
     }
 
-    /// Assembles the frame.
+    /// Assembles the frame into one buffer, patching the transport
+    /// checksum in place.
     ///
     /// # Panics
     ///
     /// Panics if a transport layer was requested without a network layer, or
     /// if the resulting datagram would exceed the 16-bit IP length field.
     pub fn build(&self, ts: Timestamp) -> Packet {
-        let transport_bytes = self.transport_bytes();
-        let ip_payload_len = transport_bytes.len() + self.payload.len();
+        let ip_payload_len = self.transport_len() + self.payload.len();
         assert!(ip_payload_len <= usize::from(u16::MAX) - 40, "datagram too large");
 
         let ethertype = match &self.network {
@@ -183,36 +183,34 @@ impl PacketBuilder {
             }
         };
 
-        let mut buf = BytesMut::with_capacity(14 + 40 + ip_payload_len);
+        let mut buf = Vec::with_capacity(14 + 40 + ip_payload_len);
         let eth = EthernetHeader { dst: self.dst_mac, src: self.src_mac, ethertype };
-        buf.put_slice(&eth.to_bytes());
+        buf.extend_from_slice(&eth.to_bytes());
 
         match &self.network {
             NetworkPlan::Ipv4 { src, dst, ttl } => {
                 let mut header = Ipv4Header::new(*src, *dst, self.ip_protocol(), ip_payload_len);
                 header.ttl = *ttl;
-                buf.put_slice(&header.to_bytes());
-                let segment = self.checksummed_segment(&transport_bytes, Some((*src, *dst)));
-                buf.put_slice(&segment);
+                buf.extend_from_slice(&header.to_bytes());
+                self.put_segment(&mut buf, Some((*src, *dst)));
             }
             NetworkPlan::Ipv6 { src, dst } => {
                 let header = Ipv6Header::new(*src, *dst, self.ip_protocol(), ip_payload_len);
-                buf.put_slice(&header.to_bytes());
+                buf.extend_from_slice(&header.to_bytes());
                 // IPv6 checksums use a v6 pseudo-header; the evaluation
                 // pipeline never verifies transport checksums over IPv6, so
                 // emit the segment with a zero checksum.
-                let segment = self.checksummed_segment(&transport_bytes, None);
-                buf.put_slice(&segment);
+                self.put_segment(&mut buf, None);
             }
             NetworkPlan::Arp(arp) => {
-                buf.put_slice(&arp.to_bytes());
+                buf.extend_from_slice(&arp.to_bytes());
             }
             NetworkPlan::None => {
-                buf.put_slice(&self.payload);
+                buf.extend_from_slice(&self.payload);
             }
         }
 
-        Packet { ts, data: buf.freeze() }
+        Packet { ts, data: Bytes::from(buf) }
     }
 
     fn ip_protocol(&self) -> IpProtocol {
@@ -225,37 +223,42 @@ impl PacketBuilder {
         }
     }
 
-    fn transport_bytes(&self) -> Vec<u8> {
+    /// Length of the transport header [`PacketBuilder::put_segment`]
+    /// writes.
+    fn transport_len(&self) -> usize {
         match &self.transport {
-            TransportPlan::Tcp(h) => h.to_bytes().to_vec(),
-            TransportPlan::Udp { src_port, dst_port } => {
-                UdpHeader::new(*src_port, *dst_port, self.payload.len()).to_bytes().to_vec()
-            }
-            TransportPlan::Icmp(h) => h.to_bytes().to_vec(),
-            TransportPlan::Raw(_) | TransportPlan::None => Vec::new(),
+            TransportPlan::Tcp(_) => TCP_MIN_HEADER_LEN,
+            TransportPlan::Udp { .. } => UDP_HEADER_LEN,
+            TransportPlan::Icmp(_) => ICMP_HEADER_LEN,
+            TransportPlan::Raw(_) | TransportPlan::None => 0,
         }
     }
 
-    /// Concatenates transport header + payload and patches in the checksum.
-    fn checksummed_segment(
-        &self,
-        transport_bytes: &[u8],
-        v4_addrs: Option<(Ipv4Addr, Ipv4Addr)>,
-    ) -> Vec<u8> {
-        let mut segment = Vec::with_capacity(transport_bytes.len() + self.payload.len());
-        segment.extend_from_slice(transport_bytes);
-        segment.extend_from_slice(&self.payload);
+    /// Appends transport header + payload to `buf` and patches the
+    /// checksum into the appended segment.
+    fn put_segment(&self, buf: &mut Vec<u8>, v4_addrs: Option<(Ipv4Addr, Ipv4Addr)>) {
+        let start = buf.len();
+        match &self.transport {
+            TransportPlan::Tcp(h) => buf.extend_from_slice(&h.to_bytes()),
+            TransportPlan::Udp { src_port, dst_port } => buf.extend_from_slice(
+                &UdpHeader::new(*src_port, *dst_port, self.payload.len()).to_bytes(),
+            ),
+            TransportPlan::Icmp(h) => buf.extend_from_slice(&h.to_bytes()),
+            TransportPlan::Raw(_) | TransportPlan::None => {}
+        }
+        buf.extend_from_slice(&self.payload);
+        let segment = &mut buf[start..];
         match (&self.transport, v4_addrs) {
             (TransportPlan::Tcp(_), Some((src, dst))) => {
                 segment[16] = 0;
                 segment[17] = 0;
-                let sum = pseudo_header_checksum(src, dst, 6, &segment);
+                let sum = pseudo_header_checksum(src, dst, 6, segment);
                 segment[16..18].copy_from_slice(&sum.to_be_bytes());
             }
             (TransportPlan::Udp { .. }, Some((src, dst))) => {
                 segment[6] = 0;
                 segment[7] = 0;
-                let sum = pseudo_header_checksum(src, dst, 17, &segment);
+                let sum = pseudo_header_checksum(src, dst, 17, segment);
                 // Per RFC 768 a computed zero is transmitted as 0xffff.
                 let sum = if sum == 0 { 0xffff } else { sum };
                 segment[6..8].copy_from_slice(&sum.to_be_bytes());
@@ -263,12 +266,11 @@ impl PacketBuilder {
             (TransportPlan::Icmp(_), _) => {
                 segment[2] = 0;
                 segment[3] = 0;
-                let sum = internet_checksum(&segment);
+                let sum = internet_checksum(segment);
                 segment[2..4].copy_from_slice(&sum.to_be_bytes());
             }
             _ => {}
         }
-        segment
     }
 }
 

@@ -116,9 +116,10 @@ pub fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<
     }
 }
 
-/// Elements a [`WireReader::list`] reserves up front at most: a corrupt
-/// count fails on the bytes it lacks, not on a huge allocation.
-const LIST_RESERVE: usize = 1024;
+/// Elements a [`WireReader::list`] (or any list decoder) reserves up front
+/// at most: a corrupt count fails on the bytes it lacks, not on a huge
+/// allocation.
+pub const LIST_RESERVE: usize = 1024;
 
 /// A checked cursor over an encoded buffer. Every read either returns the
 /// decoded value or a [`WireError`]; nothing panics and nothing reads past

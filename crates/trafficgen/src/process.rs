@@ -9,6 +9,7 @@
 //! length — the property the `TrafficModel` contract demands.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use idsbench_core::{DatasetInfo, LabeledPacket, PacketStream, TrafficModel};
@@ -80,10 +81,43 @@ impl Ord for Pending {
     }
 }
 
+/// A live process keyed by its `next_at`, ordered by `(next_at, index)` so
+/// equal times go to the lowest index.
+#[derive(Debug, Clone, Copy)]
+struct Due {
+    at: f64,
+    index: usize,
+}
+
+impl PartialEq for Due {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Due {}
+
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // `+ 0.0` folds -0.0 into 0.0, which `<` treats as equal times.
+        (self.at + 0.0).total_cmp(&(other.at + 0.0)).then(self.index.cmp(&other.index))
+    }
+}
+
 /// The k-way merge over a campaign's processes — the iterator behind every
 /// [`CampaignModel`] stream.
 pub struct CampaignStream {
     processes: Vec<(Box<dyn Process>, SmallRng)>,
+    /// Every live process, once, at its current `next_at`: only an `emit`
+    /// moves a process's `next_at`, so only the one that emitted is
+    /// re-keyed.
+    due: BinaryHeap<Reverse<Due>>,
     heap: BinaryHeap<Reverse<Pending>>,
     order: u64,
     scratch: Vec<LabeledPacket>,
@@ -101,20 +135,12 @@ impl std::fmt::Debug for CampaignStream {
 impl CampaignStream {
     /// Builds the merge over already-seeded processes.
     pub fn new(processes: Vec<(Box<dyn Process>, SmallRng)>) -> Self {
-        CampaignStream { processes, heap: BinaryHeap::new(), order: 0, scratch: Vec::new() }
-    }
-
-    /// Index and time of the live process with the earliest `next_at`.
-    fn frontier(&self) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, (p, _)) in self.processes.iter().enumerate() {
-            if let Some(at) = p.next_at() {
-                if best.map_or(true, |(_, t)| at < t) {
-                    best = Some((i, at));
-                }
-            }
-        }
-        best
+        let due = processes
+            .iter()
+            .enumerate()
+            .filter_map(|(index, (p, _))| p.next_at().map(|at| Reverse(Due { at, index })))
+            .collect();
+        CampaignStream { processes, due, heap: BinaryHeap::new(), order: 0, scratch: Vec::new() }
     }
 }
 
@@ -123,40 +149,46 @@ impl Iterator for CampaignStream {
 
     fn next(&mut self) -> Option<LabeledPacket> {
         loop {
-            match self.frontier() {
-                None => return self.heap.pop().map(|Reverse(p)| p.packet),
-                Some((index, at)) => {
-                    // Release the buffered minimum once no live process can
-                    // still emit an earlier packet (future packets all have
-                    // ts >= the frontier).
-                    let frontier_micros = idsbench_net::Timestamp::from_secs_f64(at).as_micros();
-                    if let Some(Reverse(min)) = self.heap.peek() {
-                        if min.ts_micros <= frontier_micros {
-                            return self.heap.pop().map(|Reverse(p)| p.packet);
-                        }
-                    }
-                    let (process, rng) = &mut self.processes[index];
-                    debug_assert!(self.scratch.is_empty());
-                    process.emit(rng, &mut self.scratch);
-                    let advanced = process.next_at() != Some(at);
-                    debug_assert!(
-                        advanced || !self.scratch.is_empty(),
-                        "process {} made no progress at t={at}",
-                        process.name()
-                    );
-                    for packet in self.scratch.drain(..) {
-                        debug_assert!(
-                            packet.packet.ts.as_micros() >= frontier_micros,
-                            "packet before the process's own next_at"
-                        );
-                        self.heap.push(Reverse(Pending {
-                            ts_micros: packet.packet.ts.as_micros(),
-                            order: self.order,
-                            packet,
-                        }));
-                        self.order += 1;
-                    }
+            // The live process with the earliest `next_at`.
+            let Some(mut frontier) = self.due.peek_mut() else {
+                return self.heap.pop().map(|Reverse(p)| p.packet);
+            };
+            let Due { at, index } = frontier.0;
+            // Release the buffered minimum once no live process can still
+            // emit an earlier packet (future packets all have ts >= the
+            // frontier).
+            let frontier_micros = idsbench_net::Timestamp::from_secs_f64(at).as_micros();
+            if let Some(Reverse(min)) = self.heap.peek() {
+                if min.ts_micros <= frontier_micros {
+                    return self.heap.pop().map(|Reverse(p)| p.packet);
                 }
+            }
+            let (process, rng) = &mut self.processes[index];
+            debug_assert!(self.scratch.is_empty());
+            process.emit(rng, &mut self.scratch);
+            let next_at = process.next_at();
+            debug_assert!(
+                next_at != Some(at) || !self.scratch.is_empty(),
+                "process {} made no progress at t={at}",
+                process.name()
+            );
+            match next_at {
+                Some(next_at) => frontier.0.at = next_at,
+                None => {
+                    PeekMut::pop(frontier);
+                }
+            }
+            for packet in self.scratch.drain(..) {
+                debug_assert!(
+                    packet.packet.ts.as_micros() >= frontier_micros,
+                    "packet before the process's own next_at"
+                );
+                self.heap.push(Reverse(Pending {
+                    ts_micros: packet.packet.ts.as_micros(),
+                    order: self.order,
+                    packet,
+                }));
+                self.order += 1;
             }
         }
     }
