@@ -27,7 +27,7 @@
 //!    ROC/AUC) and [`report`] renderers that reproduce the paper's table
 //!    layouts, plus [`registry`] holding Tables I–III as data.
 //! 6. **Execution** — [`runner`]: the IDS × dataset grid, parallelized with
-//!    crossbeam scoped threads.
+//!    `std::thread::scope` workers.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]

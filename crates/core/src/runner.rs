@@ -25,10 +25,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::dataset::Dataset;
 use crate::detector::InputFormat;
@@ -244,7 +242,8 @@ struct Row {
     /// prepares, so the row's other cells wait instead of preparing it
     /// again), emptied by the last cell to leave. A preparation that fails
     /// stores nothing: each of the row's cells repeats it and reports the
-    /// same error.
+    /// same error. One that panics stores nothing either, so a poisoned
+    /// lock still guards a valid slot and is taken as if it were not.
     input: Mutex<Option<Arc<EventInput>>>,
     /// Cells of this row that have not finished yet.
     unfinished: AtomicUsize,
@@ -252,7 +251,7 @@ struct Row {
 
 impl Row {
     fn share(&self, dataset: &dyn Dataset, config: &EvalConfig) -> Result<Arc<EventInput>> {
-        let mut slot = self.input.lock();
+        let mut slot = self.input.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(input) = &*slot {
             return Ok(Arc::clone(input));
         }
@@ -270,7 +269,7 @@ struct RowShare<'a>(&'a Row);
 impl Drop for RowShare<'_> {
     fn drop(&mut self) {
         if self.0.unfinished.fetch_sub(1, Ordering::SeqCst) == 1 {
-            *self.0.input.lock() = None;
+            *self.0.input.lock().unwrap_or_else(PoisonError::into_inner) = None;
         }
     }
 }
@@ -305,6 +304,15 @@ pub fn run_grid(
     datasets: &[&dyn Dataset],
     config: &EvalConfig,
 ) -> Result<Vec<Experiment>> {
+    grid_cells(detectors, datasets, config).into_iter().collect()
+}
+
+/// Every cell's own outcome, in [`run_grid`]'s order.
+fn grid_cells(
+    detectors: &[(String, DetectorFactory<'_>)],
+    datasets: &[&dyn Dataset],
+    config: &EvalConfig,
+) -> Vec<Result<Experiment>> {
     let rows: Vec<Row> = datasets
         .iter()
         .map(|_| Row { input: Mutex::new(None), unfinished: AtomicUsize::new(detectors.len()) })
@@ -337,22 +345,24 @@ pub fn run_grid(
     };
 
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(cells.max(1));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let claim = next.fetch_add(1, Ordering::SeqCst);
                 if claim >= cells {
                     return;
                 }
                 let (s, d) = (claim / detectors.len(), claim % detectors.len());
                 let outcome = run_cell(d, s);
-                results.lock().push((d * datasets.len() + s, outcome));
+                results
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((d * datasets.len() + s, outcome));
             });
         }
-    })
-    .expect("cell panics are caught inside the cell");
+    });
 
-    let mut collected = results.into_inner();
+    let mut collected = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     collected.sort_by_key(|(index, _)| *index);
     collected.into_iter().map(|(_, outcome)| outcome).collect()
 }
@@ -640,10 +650,59 @@ mod tests {
         let last = RowShare(&row);
         assert!(Arc::ptr_eq(&shared, &row.share(&dataset, &config).unwrap()));
         drop(first);
-        assert!(row.input.lock().is_some(), "a cell is still unfinished");
+        assert!(row.input.lock().unwrap().is_some(), "a cell is still unfinished");
         drop(last);
-        assert!(row.input.lock().is_none(), "the last cell out frees the row");
+        assert!(row.input.lock().unwrap().is_none(), "the last cell out frees the row");
         assert_eq!(Arc::strong_count(&shared), 1);
+    }
+
+    /// A dataset whose realisation panics: inside `Row::share`, with the
+    /// row lock held.
+    #[derive(Debug)]
+    struct PanicsInGenerate {
+        info: DatasetInfo,
+    }
+
+    impl Dataset for PanicsInGenerate {
+        fn info(&self) -> &DatasetInfo {
+            &self.info
+        }
+
+        fn generate(&self, _seed: u64) -> Vec<LabeledPacket> {
+            panic!("cannot realise {}", self.info.name)
+        }
+    }
+
+    #[test]
+    fn a_row_that_panics_under_its_lock_fails_each_cell_with_the_original_panic() {
+        let a = ToyDataset::new("alpha");
+        let broken =
+            PanicsInGenerate { info: DatasetInfo::new("broken", "panics", "unit test", 2024) };
+        let b = ToyDataset::sized("beta", 120);
+        let datasets: Vec<&dyn Dataset> = vec![&a, &broken, &b];
+        let detectors: Vec<(String, DetectorFactory)> = vec![
+            ("length".into(), Box::new(|| Box::new(LengthDetector) as Box<dyn EventDetector>)),
+            ("flows".into(), Box::new(|| Box::new(FlowCounter) as Box<dyn EventDetector>)),
+            ("length2".into(), Box::new(|| Box::new(LengthDetector) as Box<dyn EventDetector>)),
+        ];
+        // The first cell of the broken row poisons the row lock; the ones
+        // after it must still lock it, panic the same way, and say so.
+        let cells = grid_cells(&detectors, &datasets, &EvalConfig::default());
+        assert_eq!(cells.len(), 9);
+        for (index, cell) in cells.iter().enumerate() {
+            let (d, s) = (index / datasets.len(), index % datasets.len());
+            if s != 1 {
+                assert!(cell.is_ok(), "cell {index}: {cell:?}");
+                continue;
+            }
+            match cell {
+                Err(CoreError::CellPanicked { detector, dataset, detail }) => {
+                    assert_eq!((detector, dataset.as_str()), (&detectors[d].0, "broken"));
+                    assert!(detail.contains("cannot realise broken"), "detail = {detail}");
+                }
+                other => panic!("cell {index}: expected CellPanicked, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -50,11 +50,11 @@
 //!
 //! [`BoundedSource`]: crate::source::BoundedSource
 
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Barrier};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
-use crossbeam::channel;
 use idsbench_core::threshold::ThresholdPolicy;
 use idsbench_core::{
     CoreError, EventDetector, FlowEventAssembler, FlowMigration, InputFormat, LabeledPacket,
@@ -186,7 +186,7 @@ enum ShardMsg {
     /// The ring changed: extract every flow you no longer own and reply
     /// with the migrations. Receipt doubles as the drain barrier — by the
     /// time a shard answers, it has processed its entire old-ring backlog.
-    Rebalance { ring: Arc<HashRing>, reply: channel::Sender<Vec<FlowMigration>> },
+    Rebalance { ring: Arc<HashRing>, reply: SyncSender<Vec<FlowMigration>> },
     /// Flows whose ownership moved here: absorb their records, label
     /// folds, and detector per-flow state before scoring anything newer.
     Migrate(Vec<FlowMigration>),
@@ -199,7 +199,7 @@ struct ShardContext<'scope> {
     factory: &'scope (dyn Fn() -> Box<dyn EventDetector> + Sync),
     train: &'scope TrainView,
     start_line: &'scope Barrier,
-    recycle: channel::Sender<Vec<StreamItem>>,
+    recycle: SyncSender<Vec<StreamItem>>,
     config: StreamConfig,
     format: InputFormat,
     /// Runtime telemetry shared by every thread of the run; `None` (the
@@ -210,7 +210,7 @@ struct ShardContext<'scope> {
 /// Feeder-side handle to one live shard.
 struct ShardSlot {
     id: usize,
-    tx: channel::Sender<ShardMsg>,
+    tx: SyncSender<ShardMsg>,
 }
 
 fn died(shard: usize) -> CoreError {
@@ -237,7 +237,7 @@ struct LocalPool<'scope, 'env> {
     /// payload per packet. Both ends use the non-blocking ops: recycling is
     /// an optimisation, never a stall (a full return lane just drops the
     /// buffer).
-    recycle_rx: channel::Receiver<Vec<StreamItem>>,
+    recycle_rx: Receiver<Vec<StreamItem>>,
     stall_counter: Option<Arc<Counter>>,
 }
 
@@ -248,7 +248,7 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
     fn open(
         scope: &'scope Scope<'scope, 'env>,
         ctx: ShardContext<'scope>,
-        recycle_rx: channel::Receiver<Vec<StreamItem>>,
+        recycle_rx: Receiver<Vec<StreamItem>>,
     ) -> Self {
         let mut pool = LocalPool {
             scope,
@@ -272,7 +272,7 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
     /// fit on the clock — elastic capacity is not free, and the run
     /// measures that honestly.
     fn spawn_slot(&mut self, id: usize, use_barrier: bool) {
-        let (tx, rx) = channel::bounded::<ShardMsg>(self.ctx.config.channel_capacity);
+        let (tx, rx) = sync_channel::<ShardMsg>(self.ctx.config.channel_capacity);
         self.slots.push(ShardSlot { id, tx });
         self.stalls.push(0);
         let ctx = self.ctx.clone();
@@ -362,17 +362,16 @@ impl ShardPool for LocalPool<'_, '_> {
         let slot = &mut self.slots[at];
         match slot.tx.try_send(ShardMsg::Batch(batch)) {
             Ok(()) => Ok(()),
-            Err(channel::TrySendError::Disconnected(_)) => Err(died(shard)),
-            Err(channel::TrySendError::Full(msg)) => {
+            Err(TrySendError::Disconnected(_)) => Err(died(shard)),
+            Err(TrySendError::Full(msg)) => {
                 self.stalls[shard] += 1;
                 if let (Some(telemetry), Some(counter)) = (self.ctx.telemetry, &self.stall_counter)
                 {
                     counter.inc();
-                    let depth = slot.tx.len();
                     telemetry.journal().push(JournalEvent::FeederStall {
                         seq: next_seq,
                         shard,
-                        depth,
+                        depth: self.ctx.config.channel_capacity,
                     });
                 }
                 slot.tx.send(msg).map_err(|_| died(shard))
@@ -389,7 +388,7 @@ impl ShardPool for LocalPool<'_, '_> {
     /// awaited, so every affected shard drains its backlog in parallel.
     fn drain(&mut self, from: &[usize], ring: &HashRing) -> Result<Vec<FlowMigration>> {
         let snapshot = Arc::new(ring.clone());
-        let (reply_tx, reply_rx) = channel::bounded(from.len().max(1));
+        let (reply_tx, reply_rx) = sync_channel(from.len().max(1));
         for &shard in from {
             let message = ShardMsg::Rebalance { ring: snapshot.clone(), reply: reply_tx.clone() };
             self.slots[self.index_of(shard)].tx.send(message).map_err(|_| died(shard))?;
@@ -502,7 +501,7 @@ pub fn run_stream_with_telemetry(
     let start_line = Barrier::new(config.shards + 1);
     // Sized for the autoscaler's ceiling, not the initial pool.
     let (recycle, recycle_rx) =
-        channel::bounded::<Vec<StreamItem>>(max_pool * config.channel_capacity + max_pool);
+        sync_channel::<Vec<StreamItem>>(max_pool * config.channel_capacity + max_pool);
     let ctx = ShardContext {
         factory,
         train: &train,
@@ -943,6 +942,54 @@ pub(crate) mod tests {
             .map(|s| s.histogram().len())
             .sum();
         assert!(evictions > 0, "per-shard stage histograms must record");
+    }
+
+    #[test]
+    fn feeder_stalls_journal_the_channel_capacity() {
+        /// Scores nothing until the feeder has stalled behind it, so a
+        /// 1-slot channel stalls at least once whatever the timing.
+        #[derive(Debug)]
+        struct WaitsForAStall(Arc<Counter>);
+
+        impl EventDetector for WaitsForAStall {
+            fn name(&self) -> &str {
+                "waits-for-a-stall"
+            }
+            fn input_format(&self) -> InputFormat {
+                InputFormat::Packets
+            }
+            fn fit(&mut self, _train: &TrainView) {}
+            fn on_event(&mut self, _event: &Event<'_>) -> Option<f64> {
+                while self.0.get() == 0 {
+                    std::thread::yield_now();
+                }
+                Some(0.0)
+            }
+        }
+
+        let telemetry = Telemetry::default();
+        let stalls = telemetry.counter("feeder_stalls_total");
+        run_stream_with_telemetry(
+            &|| Box::new(WaitsForAStall(Arc::clone(&stalls))) as Box<dyn EventDetector>,
+            &[],
+            VecSource::new("toy", workload(400)),
+            &StreamConfig { batch_size: 8, channel_capacity: 1, ..Default::default() },
+            Some(&telemetry),
+        )
+        .unwrap();
+        let journal = telemetry.journal().snapshot();
+        let depths: Vec<usize> = journal
+            .events
+            .iter()
+            .filter_map(|event| match event {
+                JournalEvent::FeederStall { depth, .. } => Some(*depth),
+                _ => None,
+            })
+            .collect();
+        assert!(!depths.is_empty(), "the shard waited for a stall");
+        assert!(depths.iter().all(|&depth| depth == 1), "depths = {depths:?}");
+        assert_eq!(journal.dropped, 0);
+        assert_eq!(depths.len() as u64, stalls.get());
     }
 
     #[test]

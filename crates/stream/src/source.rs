@@ -10,8 +10,8 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
-use crossbeam::channel;
 use idsbench_core::{
     CoreError, Label, LabeledPacket, PacketStream, PayloadArena, Result, TrafficModel,
 };
@@ -268,8 +268,8 @@ impl<R: Read> PacketSource for PcapSource<R> {
 #[derive(Debug)]
 pub struct BoundedSource {
     name: String,
-    receiver: channel::Receiver<Result<LabeledPacket>>,
-    recycle: channel::Sender<Packet>,
+    receiver: Receiver<Result<LabeledPacket>>,
+    recycle: SyncSender<Packet>,
     producer: Option<std::thread::JoinHandle<()>>,
     dropped: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
@@ -308,11 +308,14 @@ impl BoundedSource {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
 
+        // `sync_channel(0)` would be a rendezvous channel, on which the
+        // recycle lane's `try_send` would drop every packet.
+        assert!(capacity > 0, "BoundedSource capacity must be at least 1");
         let name = source.name().to_string();
-        let (tx, rx) = channel::bounded(capacity);
+        let (tx, rx) = sync_channel(capacity);
         // Consumed packets flow back on this lane so the inner source's
         // arena (if any) gets its payload buffers returned.
-        let (recycle_tx, recycle_rx) = channel::bounded::<Packet>(capacity);
+        let (recycle_tx, recycle_rx) = sync_channel::<Packet>(capacity);
         let dropped = Arc::new(AtomicU64::new(0));
         let drop_count = Arc::clone(&dropped);
         let producer = std::thread::spawn(move || loop {
@@ -324,7 +327,7 @@ impl BoundedSource {
                     if lossy {
                         match tx.try_send(Ok(packet)) {
                             Ok(()) => {}
-                            Err(channel::TrySendError::Full(overflow)) => {
+                            Err(TrySendError::Full(overflow)) => {
                                 // Consumer behind: count the loss and hand
                                 // the payload straight back to the source.
                                 drop_count.fetch_add(1, Ordering::Relaxed);
@@ -332,7 +335,7 @@ impl BoundedSource {
                                     source.recycle_packet(packet.packet);
                                 }
                             }
-                            Err(channel::TrySendError::Disconnected(_)) => return,
+                            Err(TrySendError::Disconnected(_)) => return,
                         }
                     } else if tx.send(Ok(packet)).is_err() {
                         return; // consumer gone
@@ -375,7 +378,7 @@ impl PacketSource for BoundedSource {
 impl Drop for BoundedSource {
     fn drop(&mut self) {
         // Disconnect first so a blocked producer wakes, then reap it.
-        self.receiver = channel::bounded(1).1;
+        self.receiver = sync_channel(1).1;
         if let Some(handle) = self.producer.take() {
             let _ = handle.join();
         }
@@ -498,6 +501,18 @@ mod tests {
         let bounded = BoundedSource::spawn(VecSource::new("v", original.clone()), 8);
         assert_eq!(bounded.name(), "v");
         assert_eq!(drain(bounded), original);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be at least 1")]
+    fn bounded_source_refuses_zero_capacity() {
+        let _ = BoundedSource::spawn(VecSource::new("v", packets(1)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be at least 1")]
+    fn lossy_source_refuses_zero_capacity() {
+        let _ = BoundedSource::spawn_lossy(VecSource::new("v", packets(1)), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! rate (scale events, stalls), never per packet.
 
 use idsbench_core::ScaleEvent;
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// One structured runtime event. Variants are scalar-only (plus the `Copy`
 /// fields of [`ScaleEvent`]) so pushing never chases pointers.
@@ -139,7 +139,7 @@ pub struct Journal {
 
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         f.debug_struct("Journal")
             .field("capacity", &self.capacity)
             .field("pushed", &inner.pushed)
@@ -164,7 +164,7 @@ impl Journal {
 
     /// Appends an event, overwriting the oldest once the ring is full.
     pub fn push(&self, event: JournalEvent) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.pushed += 1;
         if inner.ring.len() < self.capacity {
             inner.ring.push(event);
@@ -183,7 +183,7 @@ impl Journal {
     /// A point-in-time copy: retained events oldest-first, plus push/drop
     /// accounting.
     pub fn snapshot(&self) -> JournalSnapshot {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut events = Vec::with_capacity(inner.ring.len());
         events.extend_from_slice(&inner.ring[inner.head..]);
         events.extend_from_slice(&inner.ring[..inner.head]);

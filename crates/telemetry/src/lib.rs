@@ -56,9 +56,7 @@ pub use registry::{Counter, Gauge, Registry};
 pub use sink::TelemetrySink;
 pub use spans::{SpanTimer, Stage, StageHistogram};
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Trace-journal capacity in events (oldest overwritten beyond this).
 const JOURNAL_CAPACITY: usize = 1024;
@@ -95,7 +93,7 @@ impl std::fmt::Debug for Telemetry {
         f.debug_struct("Telemetry")
             .field("config", &self.config)
             .field("registry", &self.registry)
-            .field("stages", &self.stages.lock().len())
+            .field("stages", &self.stages.lock().unwrap_or_else(PoisonError::into_inner).len())
             .field("journal", &self.journal)
             .finish()
     }
@@ -141,7 +139,7 @@ impl Telemetry {
     /// Get-or-register the histogram for `(stage, shard)`; `shard: None`
     /// labels the feeder.
     pub fn stage(&self, stage: Stage, shard: Option<usize>) -> Arc<StageHistogram> {
-        let mut stages = self.stages.lock();
+        let mut stages = self.stages.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(found) = stages.iter().find(|s| s.stage() == stage && s.shard() == shard) {
             return Arc::clone(found);
         }
@@ -152,7 +150,7 @@ impl Telemetry {
 
     /// A point-in-time copy of the registered stage histograms.
     pub fn stages(&self) -> Vec<Arc<StageHistogram>> {
-        self.stages.lock().clone()
+        self.stages.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// A [`SpanTimer`] over the `(stage, shard)` histogram, sampling at the

@@ -9,9 +9,7 @@
 //! updated from different threads never false-share.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One atomic `u64` on its own cache line, so adjacent metrics updated from
 /// different threads do not false-share.
@@ -84,8 +82,8 @@ pub struct Registry {
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
-            .field("counters", &self.counters.lock().len())
-            .field("gauges", &self.gauges.lock().len())
+            .field("counters", &self.counters.lock().unwrap_or_else(PoisonError::into_inner).len())
+            .field("gauges", &self.gauges.lock().unwrap_or_else(PoisonError::into_inner).len())
             .finish()
     }
 }
@@ -95,7 +93,7 @@ impl Registry {
     /// Registration takes the list lock — call at startup (or at a scale
     /// event), hold the returned `Arc` on the hot path.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut counters = self.counters.lock();
+        let mut counters = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(found) = counters.iter().find(|c| c.name == name) {
             return Arc::clone(found);
         }
@@ -107,7 +105,7 @@ impl Registry {
     /// Returns the gauge named `name`, registering it on first use. Same
     /// locking discipline as [`Registry::counter`].
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut gauges = self.gauges.lock();
+        let mut gauges = self.gauges.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(found) = gauges.iter().find(|g| g.name == name) {
             return Arc::clone(found);
         }
@@ -119,12 +117,12 @@ impl Registry {
     /// A point-in-time copy of the registered counters (registration
     /// order).
     pub fn counters(&self) -> Vec<Arc<Counter>> {
-        self.counters.lock().clone()
+        self.counters.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// A point-in-time copy of the registered gauges (registration order).
     pub fn gauges(&self) -> Vec<Arc<Gauge>> {
-        self.gauges.lock().clone()
+        self.gauges.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 

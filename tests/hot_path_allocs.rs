@@ -31,6 +31,12 @@
 //! Steady-state **training** is pinned the same way: after one warm-up step
 //! has sized a model's scratch and its optimizer state, further steps of
 //! the autoencoder, the LSTM regressor and the MLP allocate nothing.
+//!
+//! The **in-process stream path** is pinned per packet: a whole
+//! `run_stream` of Slips at 2 shards (feeder, feeder→shard channels, shard
+//! loops, batch recycle lane) costs at most 0.1 allocations per extra
+//! packet, measured as the difference between two stream lengths so the
+//! fixed setup and merge cancel out.
 
 use idsbench::core::allocwatch::{allocation_snapshot, CountingAllocator};
 use idsbench::core::{
@@ -47,7 +53,9 @@ use idsbench::nn::{
     Matrix, MlpBuilder,
 };
 use idsbench::slips::Slips;
-use idsbench::stream::{Recorder, ShardLoop, StreamItem, ThresholdMode};
+use idsbench::stream::{
+    run_stream, Recorder, ShardLoop, StreamConfig, StreamItem, ThresholdMode, VecSource,
+};
 use idsbench::telemetry::{Counter, Stage, Telemetry, TelemetryConfig};
 use std::net::Ipv4Addr;
 
@@ -206,6 +214,51 @@ fn steady_state_scoring_allocates_nothing() {
 
     // ---- Training: scratch is sized by the first step, then reused ----
     training_steps_allocate_nothing();
+
+    // ---- The in-process stream path: feeder, channels, shards, recycle ----
+    stream_path_allocates_at_most_a_tenth_per_packet();
+}
+
+/// 128 long-lived flows (16 devices × 8 source ports) to one broker,
+/// 1 ms apart, with payloads of 64–127 bytes.
+fn broker_packet(i: u64) -> LabeledPacket {
+    let device = (i % 16) as u8 + 1;
+    let port = 40_000 + (i / 16 % 8) as u16;
+    let p = PacketBuilder::new()
+        .ethernet(MacAddr::from_host_id(u32::from(device)), MacAddr::from_host_id(100))
+        .ipv4(Ipv4Addr::new(10, 0, 0, device), Ipv4Addr::new(10, 0, 0, 100))
+        .tcp(port, 1883, TcpFlags::PSH | TcpFlags::ACK)
+        .payload_len(64 + (i % 64) as usize)
+        .build(Timestamp::from_micros(1_000 * i));
+    LabeledPacket::new(p, Label::Benign)
+}
+
+/// Allocations of one `run_stream` of Slips at 2 shards over `packets`
+/// packets, built before the window opens.
+fn stream_run_allocations(packets: u64) -> u64 {
+    let warmup: Vec<LabeledPacket> = (0..512).map(broker_packet).collect();
+    let source = VecSource::new("stream-path", (512..512 + packets).map(broker_packet).collect());
+    let factory = || Box::new(Slips::default()) as Box<dyn EventDetector>;
+    let config = StreamConfig { shards: 2, ..Default::default() };
+    let before = allocation_snapshot();
+    let run = run_stream(&factory, &warmup, source, &config).expect("stream run");
+    let after = allocation_snapshot();
+    assert_eq!(run.report.eval_packets as u64, packets, "every packet fed");
+    after.allocations_since(&before)
+}
+
+fn stream_path_allocates_at_most_a_tenth_per_packet() {
+    let (short, long) = (4_096u64, 16_384u64);
+    let at_short = stream_run_allocations(short);
+    let at_long = stream_run_allocations(long);
+    // Setup, warmup and the final merge cost the same in both runs; the
+    // difference is what the extra packets cost.
+    let marginal = at_long.saturating_sub(at_short) as f64 / (long - short) as f64;
+    assert!(
+        marginal <= 0.1,
+        "run_stream: {marginal:.3} allocations per packet ({at_short} at {short} packets, \
+         {at_long} at {long})"
+    );
 }
 
 /// A UDP packet on a 5-tuple no other index shares (source address
