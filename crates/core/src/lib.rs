@@ -11,7 +11,8 @@
 //!    every detector implements one [`EventDetector`] contract over
 //!    [`Event::Packet`] and [`Event::FlowEvicted`] events ([`InputFormat`]
 //!    names the two shapes — the format-compatibility problem Section I
-//!    discusses at length).
+//!    discusses at length). Every shipped system is one [`Model`] inside
+//!    the [`shell`]'s [`Detector`], the contract's single implementation.
 //! 2. **Preprocessing** (Section IV-A steps 1–2) — [`preprocess::Pipeline`]:
 //!    random flow sampling, timestamp re-sorting, train/eval splitting, and
 //!    label-preserving flow assembly.
@@ -51,6 +52,7 @@ pub mod preprocess;
 pub mod registry;
 pub mod report;
 pub mod runner;
+pub mod shell;
 pub mod threshold;
 pub mod traffic;
 
@@ -65,6 +67,7 @@ pub use event::{
 pub use label::{AttackKind, Label, LabeledPacket};
 pub use metrics::{FamilyCounts, FamilyOutcome};
 pub use report::ScaleEvent;
+pub use shell::{Detector, InferenceProbe, Model, Scoring};
 pub use traffic::{PacketStream, ScenarioScale, TrafficModel};
 
 /// Result alias used throughout this crate.

@@ -1,10 +1,10 @@
 //! The classical-ML baselines from the DNN study (logistic regression,
-//! Gaussian naive Bayes, decision tree, k-nearest-neighbours), each exposed
-//! as an [`EventDetector`] so the ablation bench can run them through the
-//! same event pipeline as the headline systems: train once in `fit`, then
-//! score each flow the moment the flow table evicts it.
+//! Gaussian naive Bayes, decision tree, k-nearest-neighbours), each a flow
+//! [`Model`] in the detector shell so the ablation bench can run them
+//! through the same event pipeline as the headline systems: train once in
+//! `fit`, then score each flow the moment the flow table evicts it.
 
-use idsbench_core::{Event, EventDetector, InputFormat, LabeledFlow, TrainView};
+use idsbench_core::{Detector, LabeledFlow, Model, Scoring, TrainView};
 use idsbench_nn::{
     Activation, Adam, Loss, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, Workspace, ZScoreNormalizer,
 };
@@ -29,14 +29,16 @@ fn training_matrix(train: &TrainView) -> Option<(Vec<Vec<f64>>, Vec<f64>, MinMax
 const NEUTRAL: f64 = 0.5;
 
 /// Logistic regression: a single sigmoid unit trained with Adam.
-#[derive(Debug, Default)]
-pub struct LogisticRegression {
-    model: Option<(Mlp, MinMaxNormalizer)>,
-}
+pub type LogisticRegression = Detector<LogRegModel>;
 
-impl LogisticRegression {
+/// The fitted unit and its scaler for [`LogisticRegression`]; none when
+/// the training slice held no flows.
+#[derive(Debug)]
+pub struct LogRegModel(Option<(Mlp, MinMaxNormalizer)>);
+
+impl LogRegModel {
     fn score_flow(&mut self, flow: &LabeledFlow) -> f64 {
-        match &mut self.model {
+        match &mut self.0 {
             Some((model, norm)) => model
                 .predict_with(
                     &Matrix::row_vector(&norm.transform(flow.features.as_slice())),
@@ -48,19 +50,14 @@ impl LogisticRegression {
     }
 }
 
-impl EventDetector for LogisticRegression {
-    fn name(&self) -> &str {
-        "LogReg"
-    }
+impl Model for LogRegModel {
+    const NAME: &'static str = "LogReg";
+    const SCORING: Scoring<Self> = Scoring::Flows(LogRegModel::score_flow);
+    type Config = ();
 
-    fn input_format(&self) -> InputFormat {
-        InputFormat::Flows
-    }
-
-    fn fit(&mut self, train: &TrainView) {
+    fn fit(_config: &(), train: &TrainView) -> Self {
         let Some((x, y, norm)) = training_matrix(train) else {
-            self.model = None;
-            return;
+            return LogRegModel(None);
         };
         let width = x[0].len();
         let mut model = MlpBuilder::new(width).layer(1, Activation::Sigmoid).seed(11).build();
@@ -71,20 +68,13 @@ impl EventDetector for LogisticRegression {
             model.train_batch(&matrix, &targets, Loss::BinaryCrossEntropy, &mut opt);
         }
         model.freeze();
-        self.model = Some((model, norm));
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
-        match event {
-            Event::Packet(_) => None,
-            Event::FlowEvicted(flow) => Some(self.score_flow(flow)),
-        }
+        LogRegModel(Some((model, norm)))
     }
 }
 
 /// Fitted per-class Gaussian statistics for [`NaiveBayes`].
 #[derive(Debug)]
-struct NbModel {
+struct NbStats {
     scaler: ZScoreNormalizer,
     /// (sum, sumsq, n) per feature per class.
     stats: [[(f64, f64, u64); 64]; 2],
@@ -92,14 +82,16 @@ struct NbModel {
 }
 
 /// Gaussian naive Bayes over z-scored features.
-#[derive(Debug, Default)]
-pub struct NaiveBayes {
-    model: Option<NbModel>,
-}
+pub type NaiveBayes = Detector<NaiveBayesModel>;
 
-impl NaiveBayes {
-    fn score_flow(&self, flow: &LabeledFlow) -> f64 {
-        let Some(model) = &self.model else {
+/// The fitted statistics for [`NaiveBayes`]; none when the training slice
+/// held no flows.
+#[derive(Debug)]
+pub struct NaiveBayesModel(Option<NbStats>);
+
+impl NaiveBayesModel {
+    fn score_flow(&mut self, flow: &LabeledFlow) -> f64 {
+        let Some(model) = &self.0 else {
             return NEUTRAL;
         };
         let log_likelihood = |class: usize, z: &[f64]| -> f64 {
@@ -126,19 +118,14 @@ impl NaiveBayes {
     }
 }
 
-impl EventDetector for NaiveBayes {
-    fn name(&self) -> &str {
-        "NaiveBayes"
-    }
+impl Model for NaiveBayesModel {
+    const NAME: &'static str = "NaiveBayes";
+    const SCORING: Scoring<Self> = Scoring::Flows(NaiveBayesModel::score_flow);
+    type Config = ();
 
-    fn input_format(&self) -> InputFormat {
-        InputFormat::Flows
-    }
-
-    fn fit(&mut self, train: &TrainView) {
+    fn fit(_config: &(), train: &TrainView) -> Self {
         if train.flows.is_empty() {
-            self.model = None;
-            return;
+            return NaiveBayesModel(None);
         }
         let rows: Vec<Vec<f64>> = train.flows.iter().map(|f| f.features.to_vec()).collect();
         let scaler = ZScoreNormalizer::fit(&rows);
@@ -157,32 +144,22 @@ impl EventDetector for NaiveBayes {
         }
         let attack_count = train.flows.iter().filter(|f| f.is_attack()).count();
         let prior_attack = (attack_count as f64 / train.flows.len() as f64).clamp(1e-6, 1.0 - 1e-6);
-        self.model = Some(NbModel { scaler, stats, prior_attack });
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
-        match event {
-            Event::Packet(_) => None,
-            Event::FlowEvicted(flow) => Some(self.score_flow(flow)),
-        }
+        NaiveBayesModel(Some(NbStats { scaler, stats, prior_attack }))
     }
 }
 
 /// A depth-limited CART-style decision tree on raw flow features.
-#[derive(Debug)]
-pub struct DecisionTree {
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Minimum samples to attempt a split.
-    pub min_samples: usize,
-    root: Option<Node>,
-}
+pub type DecisionTree = Detector<TreeModel>;
 
-impl Default for DecisionTree {
-    fn default() -> Self {
-        DecisionTree { max_depth: 6, min_samples: 10, root: None }
-    }
-}
+/// Maximum tree depth.
+const MAX_DEPTH: usize = 6;
+/// Minimum samples to attempt a split.
+const MIN_SAMPLES: usize = 10;
+
+/// The fitted tree for [`DecisionTree`]; none when the training slice held
+/// no flows.
+#[derive(Debug)]
+pub struct TreeModel(Option<Node>);
 
 #[derive(Debug)]
 enum Node {
@@ -198,17 +175,11 @@ fn gini(positives: usize, total: usize) -> f64 {
     2.0 * p * (1.0 - p)
 }
 
-fn build_tree(
-    rows: &[(Vec<f64>, bool)],
-    indices: &[usize],
-    depth: usize,
-    max_depth: usize,
-    min_samples: usize,
-) -> Node {
+fn build_tree(rows: &[(Vec<f64>, bool)], indices: &[usize], depth: usize) -> Node {
     let total = indices.len();
     let positives = indices.iter().filter(|&&i| rows[i].1).count();
     let ratio = if total == 0 { 0.0 } else { positives as f64 / total as f64 };
-    if depth >= max_depth || total < min_samples || positives == 0 || positives == total {
+    if depth >= MAX_DEPTH || total < MIN_SAMPLES || positives == 0 || positives == total {
         return Node::Leaf(ratio);
     }
     let width = rows[0].0.len();
@@ -250,8 +221,8 @@ fn build_tree(
     Node::Split {
         feature,
         threshold,
-        left: Box::new(build_tree(rows, &left_idx, depth + 1, max_depth, min_samples)),
-        right: Box::new(build_tree(rows, &right_idx, depth + 1, max_depth, min_samples)),
+        left: Box::new(build_tree(rows, &left_idx, depth + 1)),
+        right: Box::new(build_tree(rows, &right_idx, depth + 1)),
     }
 }
 
@@ -268,40 +239,39 @@ fn tree_score(node: &Node, x: &[f64]) -> f64 {
     }
 }
 
-impl EventDetector for DecisionTree {
-    fn name(&self) -> &str {
-        "DecisionTree"
-    }
-
-    fn input_format(&self) -> InputFormat {
-        InputFormat::Flows
-    }
-
-    fn fit(&mut self, train: &TrainView) {
-        if train.flows.is_empty() {
-            self.root = None;
-            return;
-        }
-        let rows: Vec<(Vec<f64>, bool)> =
-            train.flows.iter().map(|f| (f.features.to_vec(), f.is_attack())).collect();
-        let indices: Vec<usize> = (0..rows.len()).collect();
-        self.root = Some(build_tree(&rows, &indices, 0, self.max_depth, self.min_samples));
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
-        match event {
-            Event::Packet(_) => None,
-            Event::FlowEvicted(flow) => Some(match &self.root {
-                Some(root) => tree_score(root, flow.features.as_slice()),
-                None => NEUTRAL,
-            }),
+impl TreeModel {
+    fn score_flow(&mut self, flow: &LabeledFlow) -> f64 {
+        match &self.0 {
+            Some(root) => tree_score(root, flow.features.as_slice()),
+            None => NEUTRAL,
         }
     }
 }
 
+impl Model for TreeModel {
+    const NAME: &'static str = "DecisionTree";
+    const SCORING: Scoring<Self> = Scoring::Flows(TreeModel::score_flow);
+    type Config = ();
+
+    fn fit(_config: &(), train: &TrainView) -> Self {
+        if train.flows.is_empty() {
+            return TreeModel(None);
+        }
+        let rows: Vec<(Vec<f64>, bool)> =
+            train.flows.iter().map(|f| (f.features.to_vec(), f.is_attack())).collect();
+        let indices: Vec<usize> = (0..rows.len()).collect();
+        TreeModel(Some(build_tree(&rows, &indices, 0)))
+    }
+}
+
+/// Number of neighbours.
+const K: usize = 5;
+/// Maximum training points retained (subsampled deterministically).
+const MAX_POINTS: usize = 2_000;
+
 /// Fitted nearest-neighbour reference set for [`KNearest`].
 #[derive(Debug)]
-struct KnnModel {
+struct KnnPoints {
     points: Vec<(Vec<f64>, f64)>,
     norm: MinMaxNormalizer,
     k: usize,
@@ -309,24 +279,16 @@ struct KnnModel {
 
 /// k-nearest-neighbours on min-max-scaled features (Euclidean distance,
 /// training set subsampled for tractability).
+pub type KNearest = Detector<KnnModel>;
+
+/// The fitted reference set for [`KNearest`]; none when the training slice
+/// held no flows.
 #[derive(Debug)]
-pub struct KNearest {
-    /// Number of neighbours.
-    pub k: usize,
-    /// Maximum training points retained (subsampled deterministically).
-    pub max_points: usize,
-    model: Option<KnnModel>,
-}
+pub struct KnnModel(Option<KnnPoints>);
 
-impl Default for KNearest {
-    fn default() -> Self {
-        KNearest { k: 5, max_points: 2_000, model: None }
-    }
-}
-
-impl KNearest {
-    fn score_flow(&self, flow: &LabeledFlow) -> f64 {
-        let Some(model) = &self.model else {
+impl KnnModel {
+    fn score_flow(&mut self, flow: &LabeledFlow) -> f64 {
+        let Some(model) = &self.0 else {
             return NEUTRAL;
         };
         let q = model.norm.transform(flow.features.as_slice());
@@ -343,32 +305,20 @@ impl KNearest {
     }
 }
 
-impl EventDetector for KNearest {
-    fn name(&self) -> &str {
-        "kNN"
-    }
+impl Model for KnnModel {
+    const NAME: &'static str = "kNN";
+    const SCORING: Scoring<Self> = Scoring::Flows(KnnModel::score_flow);
+    type Config = ();
 
-    fn input_format(&self) -> InputFormat {
-        InputFormat::Flows
-    }
-
-    fn fit(&mut self, train: &TrainView) {
+    fn fit(_config: &(), train: &TrainView) -> Self {
         let Some((x, y, norm)) = training_matrix(train) else {
-            self.model = None;
-            return;
+            return KnnModel(None);
         };
         // Deterministic stride subsampling.
-        let stride = (x.len() / self.max_points.max(1)).max(1);
+        let stride = (x.len() / MAX_POINTS).max(1);
         let points: Vec<(Vec<f64>, f64)> = x.into_iter().zip(y).step_by(stride).collect();
-        let k = self.k.clamp(1, points.len());
-        self.model = Some(KnnModel { points, norm, k });
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
-        match event {
-            Event::Packet(_) => None,
-            Event::FlowEvicted(flow) => Some(self.score_flow(flow)),
-        }
+        let k = K.clamp(1, points.len());
+        KnnModel(Some(KnnPoints { points, norm, k }))
     }
 }
 
@@ -377,7 +327,7 @@ mod tests {
     use super::*;
     use idsbench_core::preprocess::{EventInput, Pipeline, PipelineConfig};
     use idsbench_core::runner::replay;
-    use idsbench_core::{AttackKind, Label, LabeledPacket};
+    use idsbench_core::{AttackKind, EventDetector, Label, LabeledPacket};
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
     use std::net::Ipv4Addr;
 

@@ -13,13 +13,18 @@
 //! [`baselines`] carries logistic regression, Gaussian naive Bayes, a
 //! depth-limited decision tree, and k-nearest-neighbours for the ablation
 //! bench comparing the DNN against the study's classical algorithms.
+//!
+//! Each system here is one flow [`Model`] in the detector shell
+//! ([`idsbench_core::shell`]), which implements the `EventDetector`
+//! contract: [`Dnn`] is [`DnnModel`] in the shell, and each baseline is its
+//! own model likewise.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 pub mod baselines;
 
-use idsbench_core::{Event, EventDetector, InputFormat, LabeledFlow, TrainView};
+use idsbench_core::{Detector, LabeledFlow, Model, Scoring, TrainView};
 use idsbench_nn::{Activation, Adam, Loss, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, Workspace};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -55,10 +60,23 @@ impl Default for DnnConfig {
     }
 }
 
-/// A trained DNN: the fitted scaler plus the network, scoring one flow at a
-/// time as the flow table evicts it.
+/// The supervised DNN NIDS (see crate docs): [`DnnModel`] in the detector
+/// shell.
+///
+/// Streaming-native under the Event API: training consumes the labelled
+/// training flows once in `fit`, then every flow event is scored the moment
+/// the flow table emits it — the model never waits for a materialized
+/// evaluation set.
+pub type Dnn = Detector<DnnModel>;
+
+/// A fitted DNN: the trained network, or none when the training slice held
+/// no flows.
 #[derive(Debug)]
-struct DnnModel {
+pub struct DnnModel(Option<Network>);
+
+/// A trained DNN: the fitted scaler plus the network.
+#[derive(Debug)]
+struct Network {
     norm: MinMaxNormalizer,
     mlp: Mlp,
     normalize: bool,
@@ -72,68 +90,31 @@ struct DnnModel {
 impl DnnModel {
     /// One flow through the batch-of-rows entry point: a batch of one row.
     fn score_flow(&mut self, flow: &LabeledFlow) -> f64 {
+        let Some(net) = &mut self.0 else {
+            return 0.5;
+        };
         let mut features = flow.features.as_slice();
-        if self.normalize {
-            self.norm.transform_into(features, &mut self.feat_buf);
-            features = &self.feat_buf;
+        if net.normalize {
+            net.norm.transform_into(features, &mut net.feat_buf);
+            features = &net.feat_buf;
         }
-        self.input.start_rows(features.len());
-        self.input.push_row(features.iter().copied());
-        self.mlp.predict_with(&self.input, &mut self.ws).get(0, 0)
+        net.input.start_rows(features.len());
+        net.input.push_row(features.iter().copied());
+        net.mlp.predict_with(&net.input, &mut net.ws).get(0, 0)
     }
 }
 
-/// The supervised DNN NIDS (see crate docs).
-///
-/// Streaming-native under the Event API: training consumes the labelled
-/// training flows once in [`EventDetector::fit`], then every
-/// [`Event::FlowEvicted`] is scored the moment the flow table emits it —
-/// the model never waits for a materialized evaluation set.
-#[derive(Debug)]
-pub struct Dnn {
-    config: DnnConfig,
-    model: Option<DnnModel>,
-    /// Optional sampled timer around the inference kernel.
-    probe: Option<idsbench_telemetry::SpanTimer>,
-}
+impl Model for DnnModel {
+    const NAME: &'static str = "DNN";
+    const SCORING: Scoring<Self> = Scoring::Flows(DnnModel::score_flow);
+    type Config = DnnConfig;
 
-impl Dnn {
-    /// Creates a DNN instance with the given configuration.
-    pub fn new(config: DnnConfig) -> Self {
-        Dnn { config, model: None, probe: None }
-    }
-
-    /// Attaches a sampled [`SpanTimer`](idsbench_telemetry::SpanTimer)
-    /// around the per-flow inference kernel. Purely observational — scores
-    /// are bit-identical with or without it — and allocation-free on the
-    /// scoring path.
-    pub fn attach_inference_probe(&mut self, probe: idsbench_telemetry::SpanTimer) {
-        self.probe = Some(probe);
-    }
-}
-
-impl Default for Dnn {
-    fn default() -> Self {
-        Dnn::new(DnnConfig::default())
-    }
-}
-
-impl EventDetector for Dnn {
-    fn name(&self) -> &str {
-        "DNN"
-    }
-
-    fn input_format(&self) -> InputFormat {
-        InputFormat::Flows
-    }
-
-    fn fit(&mut self, train: &TrainView) {
+    fn fit(config: &DnnConfig, train: &TrainView) -> Self {
         if train.flows.is_empty() {
             // No labelled training data: stay untrained and emit a neutral
             // constant score per flow. The calibration layer then chooses
             // "never alert".
-            self.model = None;
-            return;
+            return DnnModel(None);
         }
 
         // Min-max scaling fitted on the training flows only.
@@ -143,7 +124,7 @@ impl EventDetector for Dnn {
             norm.observe(flow.features.as_slice());
         }
         let scale = |features: &[f64]| -> Vec<f64> {
-            if self.config.normalize {
+            if config.normalize {
                 norm.transform(features)
             } else {
                 features.to_vec()
@@ -156,16 +137,16 @@ impl EventDetector for Dnn {
             .map(|flow| (scale(flow.features.as_slice()), f64::from(flow.is_attack())))
             .collect();
 
-        if self.config.rebalance {
-            rows = rebalance(rows, self.config.seed);
+        if config.rebalance {
+            rows = rebalance(rows, config.seed);
         }
 
-        let mut rng = SmallRng::seed_from_u64(self.config.seed ^ 0x5eed_1e55);
+        let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x5eed_1e55);
         let mut builder = MlpBuilder::new(width);
         for units in HIDDEN_LAYERS {
             builder = builder.layer(units, Activation::Relu);
         }
-        let mut mlp: Mlp = builder.layer(1, Activation::Sigmoid).seed(self.config.seed).build();
+        let mut mlp: Mlp = builder.layer(1, Activation::Sigmoid).seed(config.seed).build();
         let mut optimizer = Adam::new(LEARNING_RATE);
 
         // Each mini-batch is staged into the same two matrices.
@@ -185,31 +166,14 @@ impl EventDetector for Dnn {
 
         // Training is done: snapshot the layer weights for scoring.
         mlp.freeze();
-        self.model = Some(DnnModel {
+        DnnModel(Some(Network {
             norm,
             mlp,
-            normalize: self.config.normalize,
+            normalize: config.normalize,
             feat_buf: Vec::with_capacity(width),
             input: Matrix::default(),
             ws: Workspace::new(),
-        });
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
-        match event {
-            Event::Packet(_) => None,
-            Event::FlowEvicted(flow) => {
-                let started = self.probe.as_ref().and_then(|probe| probe.begin());
-                let score = match &mut self.model {
-                    Some(model) => model.score_flow(flow),
-                    None => 0.5,
-                };
-                if let (Some(probe), Some(started)) = (&self.probe, started) {
-                    probe.end(started);
-                }
-                Some(score)
-            }
-        }
+        }))
     }
 }
 
@@ -243,6 +207,7 @@ mod tests {
     use idsbench_core::preprocess::{EventInput, Pipeline, PipelineConfig};
     use idsbench_core::runner::{replay, ScoredReplay};
     use idsbench_core::{AttackKind, Label, LabeledPacket};
+    use idsbench_core::{EventDetector, InputFormat};
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
     use std::net::Ipv4Addr;
 

@@ -197,29 +197,7 @@ impl AfterImage {
 
         // --- HH: channel bandwidth (with cross-direction covariance) ----
         let (channel_key, is_a) = canonical_channel(src_ip, dst_ip);
-        let entry = self.channels.entry(channel_key).or_insert_with(|| PairEntry {
-            stats: lambdas.iter().map(|&l| DampedPairStat::new(l)).collect(),
-            last_seen: t,
-        });
-        entry.last_seen = t;
-        for stat in &mut entry.stats {
-            if is_a {
-                stat.insert_a(t, size);
-                features.extend_from_slice(&stat.snapshot_for_a());
-            } else {
-                stat.insert_b(t, size);
-                let [w, mean, std] = stat.b().snapshot();
-                features.extend_from_slice(&[
-                    w,
-                    mean,
-                    std,
-                    stat.magnitude(),
-                    stat.radius(),
-                    stat.covariance(),
-                    stat.correlation(),
-                ]);
-            }
-        }
+        update_pair(&mut self.channels, channel_key, is_a, lambdas, t, size, features);
 
         // --- HHjit: channel jitter --------------------------------------
         let jitter = self.channel_jitter.entry(channel_key).or_insert_with(|| JitterEntry {
@@ -237,29 +215,7 @@ impl AfterImage {
         let sp = packet.src_port().unwrap_or(0);
         let dp = packet.dst_port().unwrap_or(0);
         let (socket_key, sock_is_a) = canonical_socket(src_ip, sp, dst_ip, dp);
-        let entry = self.sockets.entry(socket_key).or_insert_with(|| PairEntry {
-            stats: lambdas.iter().map(|&l| DampedPairStat::new(l)).collect(),
-            last_seen: t,
-        });
-        entry.last_seen = t;
-        for stat in &mut entry.stats {
-            if sock_is_a {
-                stat.insert_a(t, size);
-                features.extend_from_slice(&stat.snapshot_for_a());
-            } else {
-                stat.insert_b(t, size);
-                let [w, mean, std] = stat.b().snapshot();
-                features.extend_from_slice(&[
-                    w,
-                    mean,
-                    std,
-                    stat.magnitude(),
-                    stat.radius(),
-                    stat.covariance(),
-                    stat.correlation(),
-                ]);
-            }
-        }
+        update_pair(&mut self.sockets, socket_key, sock_is_a, lambdas, t, size, features);
 
         debug_assert_eq!(features.len(), self.feature_count());
         self.maybe_purge();
@@ -277,6 +233,44 @@ impl AfterImage {
         purge_map(&mut self.channels, cap, |e| e.last_seen);
         purge_map(&mut self.channel_jitter, cap, |e| e.last_seen);
         purge_map(&mut self.sockets, cap, |e| e.last_seen);
+    }
+}
+
+/// The HH and HpHp update: folds one packet of `size` bytes at time `t`
+/// into the pair entity `key` (created on first sight) on every λ, and
+/// appends its 7 features per λ as seen from the packet's side of the pair
+/// (`is_a`: the canonical a→b direction).
+fn update_pair<K: std::hash::Hash + Eq>(
+    map: &mut FxHashMap<K, PairEntry>,
+    key: K,
+    is_a: bool,
+    lambdas: &[f64],
+    t: f64,
+    size: f64,
+    features: &mut Vec<f64>,
+) {
+    let entry = map.entry(key).or_insert_with(|| PairEntry {
+        stats: lambdas.iter().map(|&l| DampedPairStat::new(l)).collect(),
+        last_seen: t,
+    });
+    entry.last_seen = t;
+    for stat in &mut entry.stats {
+        if is_a {
+            stat.insert_a(t, size);
+            features.extend_from_slice(&stat.snapshot_for_a());
+        } else {
+            stat.insert_b(t, size);
+            let [w, mean, std] = stat.b().snapshot();
+            features.extend_from_slice(&[
+                w,
+                mean,
+                std,
+                stat.magnitude(),
+                stat.radius(),
+                stat.covariance(),
+                stat.correlation(),
+            ]);
+        }
     }
 }
 

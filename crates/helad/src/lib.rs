@@ -25,6 +25,14 @@
 //! without a clean benign prefix (UNSW-NB15) the ensemble normalizes attack
 //! traffic and collapses (Table IV), while on Stratosphere's clean IoT
 //! baseline it is the best system tested.
+//!
+//! [`HeladModel`] is the whole system; [`Helad`] is that model in the
+//! detector shell ([`idsbench_core::shell`]), which implements the
+//! `EventDetector` contract. Like Kitsune, HELAD has one training/scoring
+//! code path (`fit`, then [`HeladModel::score_batch`] once per burst; a
+//! packet event is a burst of one), so batch and single-shard streaming
+//! runs produce bit-identical scores, and every packet is read through its
+//! already-parsed view, never re-parsed.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -32,7 +40,7 @@
 use std::collections::VecDeque;
 
 use idsbench_core::fasthash::FxHashMap;
-use idsbench_core::{Event, EventDetector, InputFormat, ParsedView, TrainView};
+use idsbench_core::{Detector, Model, ParsedView, Scoring, TrainView};
 use idsbench_flow::{AfterImage, AfterImageConfig};
 use idsbench_nn::{
     Autoencoder, AutoencoderConfig, LstmRegressor, LstmRegressorConfig, Matrix, MinMaxNormalizer,
@@ -75,43 +83,18 @@ pub struct HeladConfig {
     pub seed: u64,
 }
 
-/// The HELAD NIDS (see crate docs).
-///
-/// Like [`Kitsune`](https://docs.rs/idsbench-kitsune), HELAD implements the
-/// unified [`EventDetector`] contract over one training/scoring code path
-/// ([`Helad::fit`] → [`HeladEngine`]), so batch and single-shard streaming
-/// runs produce bit-identical scores — and every packet is consumed through
-/// its already-parsed view, never re-parsed.
-#[derive(Debug)]
-pub struct Helad {
-    config: HeladConfig,
-    /// The fitted online engine, populated by [`EventDetector::fit`].
-    engine: Option<HeladEngine>,
-    /// Optional sampled timer around the inference kernel.
-    probe: Option<idsbench_telemetry::SpanTimer>,
-    /// The one-score output of a one-packet [`Event::Packet`] burst.
-    single: Vec<f64>,
-}
+/// The HELAD NIDS (see crate docs): [`HeladModel`] in the detector shell.
+pub type Helad = Detector<HeladModel>;
 
-impl Helad {
-    /// Creates a HELAD instance with the given configuration.
-    pub fn new(config: HeladConfig) -> Self {
-        Helad { config, engine: None, probe: None, single: Vec::with_capacity(1) }
-    }
-
-    /// Attaches a sampled [`SpanTimer`](idsbench_telemetry::SpanTimer)
-    /// around the inference kernel ([`HeladEngine::score_batch`], once per
-    /// burst; an [`Event::Packet`] is a burst of one).
-    /// Purely observational — scores are bit-identical with or without it —
-    /// and allocation-free on the scoring path.
-    pub fn attach_inference_probe(&mut self, probe: idsbench_telemetry::SpanTimer) {
-        self.probe = Some(probe);
-    }
+impl Model for HeladModel {
+    const NAME: &'static str = "HELAD";
+    const SCORING: Scoring<Self> = Scoring::Packets(HeladModel::score_batch);
+    type Config = HeladConfig;
 
     /// Trains the autoencoder and LSTM over the (assumed benign) training
-    /// slice and returns the fitted per-packet scoring engine — the single
+    /// slice and returns the fitted per-packet scoring model — the single
     /// training path behind both drivers of the event contract.
-    pub fn fit(&self, train: &TrainView) -> HeladEngine {
+    fn fit(config: &HeladConfig, train: &TrainView) -> Self {
         let train = &train.packets;
         // The reference λ bank, shared with Kitsune.
         let mut extractor = AfterImage::new(AfterImageConfig::default());
@@ -122,7 +105,7 @@ impl Helad {
             AutoencoderConfig {
                 hidden_ratio: HIDDEN_RATIO,
                 learning_rate: LEARNING_RATE,
-                seed: self.config.seed,
+                seed: config.seed,
             },
         );
         let mut lstm = LstmRegressor::new(
@@ -130,7 +113,7 @@ impl Helad {
             LstmRegressorConfig {
                 hidden_size: LSTM_HIDDEN,
                 learning_rate: LSTM_LEARNING_RATE,
-                seed: self.config.seed ^ 0x4a17,
+                seed: config.seed ^ 0x4a17,
             },
         );
 
@@ -175,7 +158,7 @@ impl Helad {
         // phase.
         autoencoder.freeze();
         lstm.freeze();
-        HeladEngine {
+        HeladModel {
             extractor,
             norm,
             autoencoder,
@@ -198,7 +181,7 @@ impl Helad {
 /// feature extraction, offline-fitted normalizer, trained autoencoder and
 /// LSTM, plus the rolling score and per-channel smoothing state.
 #[derive(Debug)]
-pub struct HeladEngine {
+pub struct HeladModel {
     extractor: AfterImage,
     norm: MinMaxNormalizer,
     autoencoder: Autoencoder,
@@ -228,7 +211,7 @@ pub struct HeladEngine {
     ws: Workspace,
 }
 
-impl HeladEngine {
+impl HeladModel {
     /// Scores a burst of views, pushing one score per view in order.
     /// Stateful stages (AfterImage extraction, the score window, per-channel
     /// smoothing) run sequentially in arrival order; the pure model
@@ -240,7 +223,7 @@ impl HeladEngine {
     /// (no parsed view) score 0 (pass-through), keeping stream alignment.
     ///
     /// Steady-state allocation-free: extraction, normalization, both model
-    /// forward passes, and the score window all reuse engine-owned buffers
+    /// forward passes, and the score window all reuse model-owned buffers
     /// (pinned by the `hot_path_allocs` integration test).
     pub fn score_batch(
         &mut self,
@@ -279,7 +262,7 @@ impl HeladEngine {
         // history window in arrival order — row `i` sees the window after the
         // pushes of rows `0..i` — then predict every full window in one
         // lockstep batch. The first `missing` rows have incomplete windows
-        // (no surprise term): the warm-up of a freshly fitted engine.
+        // (no surprise term): the warm-up of a freshly fitted model.
         let missing = LSTM_WINDOW - self.recent.len().min(LSTM_WINDOW);
         self.windows.start_rows(LSTM_WINDOW);
         for &rmse in &self.batch_rmses {
@@ -323,66 +306,14 @@ impl HeladEngine {
     }
 }
 
-impl Default for Helad {
-    fn default() -> Self {
-        Helad::new(HeladConfig::default())
-    }
-}
-
 fn features_of(extractor: &mut AfterImage, view: &ParsedView) -> Option<Vec<f64>> {
     view.parsed.as_ref().map(|parsed| extractor.update(parsed))
-}
-
-impl EventDetector for Helad {
-    fn name(&self) -> &str {
-        "HELAD"
-    }
-
-    fn input_format(&self) -> InputFormat {
-        InputFormat::Packets
-    }
-
-    fn fit(&mut self, train: &TrainView) {
-        self.engine = Some(Helad::fit(self, train));
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
-        match event {
-            Event::Packet(view) => {
-                let mut single = std::mem::take(&mut self.single);
-                single.clear();
-                self.on_packet_batch(&mut std::iter::once(*view), &mut single);
-                let score = single[0];
-                self.single = single;
-                Some(score)
-            }
-            Event::FlowEvicted(_) => None,
-        }
-    }
-
-    fn on_packet_batch(
-        &mut self,
-        views: &mut dyn Iterator<Item = &ParsedView>,
-        scores: &mut Vec<f64>,
-    ) {
-        // Scoring without fit degrades to an untrained engine rather than
-        // panicking — the stream keeps flowing, as a deployed IDS must.
-        if self.engine.is_none() {
-            self.engine = Some(Helad::fit(self, &TrainView::default()));
-        }
-        let engine = self.engine.as_mut().expect("engine fitted above");
-        let started = self.probe.as_ref().and_then(|probe| probe.begin());
-        engine.score_batch(views, scores);
-        if let (Some(probe), Some(started)) = (&self.probe, started) {
-            probe.end(started);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idsbench_core::{AttackKind, Label, LabeledPacket};
+    use idsbench_core::{AttackKind, Event, EventDetector, InputFormat, Label, LabeledPacket};
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
     use std::net::Ipv4Addr;
 
@@ -516,7 +447,7 @@ mod tests {
     /// Stream batching, autoscaling and fabric re-homing all re-cut batch
     /// boundaries, so a score must not depend on where a batch was cut: one
     /// packet per call, the whole trace in one call, and an uneven random
-    /// split all give the same bits — from a trained engine and from an
+    /// split all give the same bits — from a trained model and from an
     /// unfitted one (whose empty score window makes the first bursts
     /// straddle the LSTM warm-up of partial windows).
     #[test]

@@ -12,14 +12,15 @@
 //!    traffic; its reconstruction RMSE is the anomaly score
 //!    ([`kitnet::KitNet`]).
 //!
-//! The [`Kitsune`] type wires these into the unified
-//! [`EventDetector`] contract: [`EventDetector::fit`] spends the training
-//! slice on feature mapping and ensemble training, then every
-//! [`Event::Packet`] is scored from its already-parsed view — Kitsune never
-//! touches raw bytes, so the pipeline's parse-once guarantee holds through
-//! the detector. Batch evaluation and a single-shard streaming replay of
-//! the same packets produce bit-identical scores (one `fit`/`score_batch`
-//! code path; an [`Event::Packet`] is a burst of one).
+//! [`KitsuneModel`] is the whole system; [`Kitsune`] is that model in the
+//! detector shell ([`idsbench_core::shell`]), which implements the unified
+//! `EventDetector` contract: `fit` spends the training slice on feature
+//! mapping and ensemble training, then every packet event is scored from
+//! its already-parsed view — Kitsune never touches raw bytes, so the
+//! pipeline's parse-once guarantee holds through the detector. Batch
+//! evaluation and a single-shard streaming replay of the same packets
+//! produce bit-identical scores (one `fit`/`score_batch` code path; a
+//! packet event is a burst of one).
 //!
 //! # Examples
 //!
@@ -37,7 +38,7 @@
 pub mod feature_mapper;
 pub mod kitnet;
 
-use idsbench_core::{Event, EventDetector, InputFormat, ParsedView, TrainView};
+use idsbench_core::{Detector, Model, ParsedView, Scoring, TrainView};
 use idsbench_flow::{AfterImage, AfterImageConfig};
 use idsbench_nn::Matrix;
 
@@ -59,40 +60,21 @@ pub struct KitsuneConfig {
     pub seed: u64,
 }
 
-/// The Kitsune NIDS (see crate docs).
-#[derive(Debug)]
-pub struct Kitsune {
-    config: KitsuneConfig,
-    /// The fitted online engine, populated by [`EventDetector::fit`].
-    engine: Option<KitsuneEngine>,
-    /// Optional sampled timer around the inference kernel.
-    probe: Option<idsbench_telemetry::SpanTimer>,
-    /// The one-score output of a one-packet [`Event::Packet`] burst.
-    single: Vec<f64>,
-}
+/// The Kitsune NIDS (see crate docs): [`KitsuneModel`] in the detector shell.
+pub type Kitsune = Detector<KitsuneModel>;
 
-impl Kitsune {
-    /// Creates a Kitsune instance with the given configuration.
-    pub fn new(config: KitsuneConfig) -> Self {
-        Kitsune { config, engine: None, probe: None, single: Vec::with_capacity(1) }
-    }
-
-    /// Attaches a sampled [`SpanTimer`](idsbench_telemetry::SpanTimer)
-    /// around the inference kernel ([`KitsuneEngine::score_batch`], once
-    /// per burst; an [`Event::Packet`] is a burst of one).
-    /// Purely observational — scores are bit-identical with or without it —
-    /// and allocation-free on the scoring path.
-    pub fn attach_inference_probe(&mut self, probe: idsbench_telemetry::SpanTimer) {
-        self.probe = Some(probe);
-    }
+impl Model for KitsuneModel {
+    const NAME: &'static str = "Kitsune";
+    const SCORING: Scoring<Self> = Scoring::Packets(KitsuneModel::score_batch);
+    type Config = KitsuneConfig;
 
     /// Runs feature mapping and online ensemble training over the training
-    /// slice, returning the fitted per-packet scoring engine.
+    /// slice, returning the fitted per-packet scoring model.
     ///
     /// This is the single training path behind both drivers of the event
     /// contract. An empty training slice yields a degenerate (but
-    /// functional) engine: one feature cluster per block, untrained weights.
-    pub fn fit(&self, train: &TrainView) -> KitsuneEngine {
+    /// functional) model: one feature cluster per block, untrained weights.
+    fn fit(config: &KitsuneConfig, train: &TrainView) -> Self {
         // The reference λ bank.
         let mut extractor = AfterImage::new(AfterImageConfig::default());
         let width = extractor.feature_count();
@@ -124,7 +106,7 @@ impl Kitsune {
         };
 
         // Phase 2 — online ensemble training over the whole training slice.
-        let KitsuneConfig { seed } = self.config;
+        let KitsuneConfig { seed } = *config;
         let mut net = KitNet::new(clusters, width, KitNetConfig { seed });
         for features in buffered.iter().flatten() {
             net.train(features);
@@ -141,7 +123,7 @@ impl Kitsune {
         // Training is done: snapshot the ensemble weights for the execution
         // phase.
         net.freeze();
-        KitsuneEngine {
+        KitsuneModel {
             extractor,
             net,
             feat_buf: Vec::with_capacity(width),
@@ -155,11 +137,11 @@ impl Kitsune {
 /// A fitted Kitsune: damped-statistics extractor plus trained KitNET
 /// ensemble, scoring packets in arrival order (phase 3 of the crate docs).
 ///
-/// The engine is deliberately *stateful*: AfterImage statistics keep
+/// The model is deliberately *stateful*: AfterImage statistics keep
 /// evolving as evaluation packets arrive, exactly as in the reference
 /// implementation's execution phase.
 #[derive(Debug)]
-pub struct KitsuneEngine {
+pub struct KitsuneModel {
     extractor: AfterImage,
     net: KitNet,
     /// Reused per-packet feature buffer — the glue that keeps the
@@ -173,7 +155,7 @@ pub struct KitsuneEngine {
     batch_scores: Vec<f64>,
 }
 
-impl KitsuneEngine {
+impl KitsuneModel {
     /// Scores a burst of views, pushing one score per view in order.
     /// Feature extraction (stateful AfterImage updates) runs sequentially
     /// per packet; the ensemble forwards then run batched through
@@ -183,7 +165,7 @@ impl KitsuneEngine {
     ///
     /// Steady-state allocation-free: feature extraction, normalization,
     /// cluster partitioning, and every autoencoder forward pass write into
-    /// buffers owned by the engine (pinned by the `hot_path_allocs`
+    /// buffers owned by the model (pinned by the `hot_path_allocs`
     /// integration test).
     pub fn score_batch(
         &mut self,
@@ -214,12 +196,6 @@ impl KitsuneEngine {
     }
 }
 
-impl Default for Kitsune {
-    fn default() -> Self {
-        Kitsune::new(KitsuneConfig::default())
-    }
-}
-
 fn features_of(extractor: &mut AfterImage, view: &ParsedView) -> Option<Vec<f64>> {
     view.parsed.as_ref().map(|parsed| extractor.update(parsed))
 }
@@ -237,56 +213,10 @@ fn features_into(extractor: &mut AfterImage, view: &ParsedView, buf: &mut Vec<f6
     }
 }
 
-impl EventDetector for Kitsune {
-    fn name(&self) -> &str {
-        "Kitsune"
-    }
-
-    fn input_format(&self) -> InputFormat {
-        InputFormat::Packets
-    }
-
-    fn fit(&mut self, train: &TrainView) {
-        self.engine = Some(Kitsune::fit(self, train));
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
-        match event {
-            Event::Packet(view) => {
-                let mut single = std::mem::take(&mut self.single);
-                single.clear();
-                self.on_packet_batch(&mut std::iter::once(*view), &mut single);
-                let score = single[0];
-                self.single = single;
-                Some(score)
-            }
-            Event::FlowEvicted(_) => None,
-        }
-    }
-
-    fn on_packet_batch(
-        &mut self,
-        views: &mut dyn Iterator<Item = &ParsedView>,
-        scores: &mut Vec<f64>,
-    ) {
-        // Scoring without fit degrades to an untrained engine rather than
-        // panicking — the stream keeps flowing, as a deployed IDS must.
-        if self.engine.is_none() {
-            self.engine = Some(Kitsune::fit(self, &TrainView::default()));
-        }
-        let engine = self.engine.as_mut().expect("engine fitted above");
-        let started = self.probe.as_ref().and_then(|probe| probe.begin());
-        engine.score_batch(views, scores);
-        if let (Some(probe), Some(started)) = (&self.probe, started) {
-            probe.end(started);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idsbench_core::{AttackKind, Label, LabeledPacket};
+    use idsbench_core::{AttackKind, Event, EventDetector, InputFormat, Label, LabeledPacket};
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
     use std::net::Ipv4Addr;
 
@@ -400,7 +330,7 @@ mod tests {
     /// Stream batching, autoscaling and fabric re-homing all re-cut batch
     /// boundaries, so a score must not depend on where a batch was cut: one
     /// packet per call, the whole trace in one call, and an uneven random
-    /// split all give the same bits — from a trained engine and from an
+    /// split all give the same bits — from a trained model and from an
     /// unfitted one (one cluster per feature block, an empty input
     /// normalizer).
     #[test]

@@ -26,7 +26,7 @@
 //! # }
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io::{Read, Write};
 
 use bytes::Bytes;
 
@@ -41,6 +41,10 @@ const MAGIC_NANOS_SWAPPED: u32 = 0x4d3c_b2a1;
 const LINKTYPE_ETHERNET: u32 = 1;
 /// The standard maximum capture length written into the global header.
 const DEFAULT_SNAPLEN: u32 = 65_535;
+/// The largest capture length a record may claim, whatever the header's
+/// snaplen says (libpcap's `MAXIMUM_SNAPLEN`): the header is as untrusted
+/// as the records, and a record's buffer is sized before its bytes arrive.
+const MAX_SNAPLEN: u32 = 262_144;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Endianness {
@@ -117,7 +121,8 @@ impl<R: Read> PcapReader<R> {
     ///
     /// Returns [`NetError::Io`] if the file ends mid-record or the underlying
     /// read fails, and [`NetError::InvalidField`] if a record claims a
-    /// capture length beyond the snap length (corrupt file).
+    /// capture length beyond the snap length (at least 65,535) or beyond
+    /// libpcap's 262,144-byte maximum (corrupt file).
     pub fn next_packet(&mut self) -> Result<Option<Packet>> {
         let mut data = Vec::new();
         Ok(self.read_record_into(&mut data)?.map(|ts| Packet { ts, data: Bytes::from(data) }))
@@ -151,10 +156,11 @@ impl<R: Read> PcapReader<R> {
         let ts_secs = read_u32(&record[0..4]);
         let ts_frac = read_u32(&record[4..8]);
         let cap_len = read_u32(&record[8..12]);
-        if cap_len > self.snaplen.max(DEFAULT_SNAPLEN) {
+        let limit = self.snaplen.clamp(DEFAULT_SNAPLEN, MAX_SNAPLEN);
+        if cap_len > limit {
             return Err(NetError::invalid(
                 "pcap record",
-                format!("capture length {cap_len} exceeds snaplen {}", self.snaplen),
+                format!("capture length {cap_len} exceeds {limit} (snaplen {})", self.snaplen),
             ));
         }
         let micros = match self.resolution {
@@ -267,37 +273,22 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// Reads every packet from a pcap byte slice.
-///
-/// Convenience wrapper used heavily in tests and examples.
-///
-/// # Errors
-///
-/// Propagates any header or record error from [`PcapReader`].
-pub fn read_all(data: &[u8]) -> Result<Vec<Packet>> {
-    let reader = PcapReader::new(io::Cursor::new(data))?;
-    reader.collect()
-}
-
-/// Writes all `packets` into an in-memory pcap image.
-///
-/// # Errors
-///
-/// Propagates any error from [`PcapWriter`]; with an in-memory sink this can
-/// only be an allocation failure surfaced through `io`.
-pub fn write_all<'a>(packets: impl IntoIterator<Item = &'a Packet>) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    let mut writer = PcapWriter::new(&mut buf)?;
-    for packet in packets {
-        writer.write_packet(packet)?;
-    }
-    writer.flush()?;
-    Ok(buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn read_all(data: &[u8]) -> Result<Vec<Packet>> {
+        PcapReader::new(data)?.collect()
+    }
+
+    fn write_all(packets: &[Packet]) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        let mut writer = PcapWriter::new(&mut buf)?;
+        for packet in packets {
+            writer.write_packet(packet)?;
+        }
+        Ok(buf)
+    }
 
     fn sample_packets() -> Vec<Packet> {
         (0..5)
@@ -337,6 +328,19 @@ mod tests {
         let image = write_all(&packets).unwrap();
         let cut = &image[..image.len() - 10];
         assert!(matches!(read_all(cut), Err(NetError::Io(_))));
+    }
+
+    /// A record may not claim more than libpcap's maximum, even when the
+    /// header's snaplen allows it: the reader refuses it before sizing a
+    /// buffer for it.
+    #[test]
+    fn record_beyond_the_maximum_snaplen_is_invalid() {
+        let mut image = write_all(&[]).unwrap();
+        image[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        for field in [1u32, 0, MAX_SNAPLEN + 1, MAX_SNAPLEN + 1] {
+            image.extend_from_slice(&field.to_le_bytes());
+        }
+        assert!(matches!(read_all(&image), Err(NetError::InvalidField { .. })));
     }
 
     #[test]
@@ -390,7 +394,7 @@ mod tests {
     fn iterator_interface_counts() {
         let packets = sample_packets();
         let image = write_all(&packets).unwrap();
-        let mut reader = PcapReader::new(io::Cursor::new(&image[..])).unwrap();
+        let mut reader = PcapReader::new(&image[..]).unwrap();
         let mut count = 0;
         for item in &mut reader {
             item.unwrap();

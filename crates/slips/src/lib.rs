@@ -17,19 +17,25 @@
 //! * **Long connection / large upload** — auxiliary low-weight evidence.
 //!
 //! Slips is *streaming-native* under the Event API: it consumes
-//! [`Event::FlowEvicted`] events and must score each flow **at eviction
-//! time**, from the behavioural state accumulated so far — no second pass,
-//! no retroactive evidence. A beacon therefore scores zero until its group
-//! has shown enough periodic repetitions, and the early probes of a scan
-//! score zero until the per-window counter crosses its threshold: the
-//! flow-eviction timing the false-negative root-cause literature identifies
-//! as a detection variable is part of the contract, not an artifact.
+//! [`Event::FlowEvicted`](idsbench_core::Event::FlowEvicted) events and
+//! must score each flow **at eviction time**, from the behavioural state
+//! accumulated so far — no second pass, no retroactive evidence. A beacon
+//! therefore scores zero until its group has shown enough periodic
+//! repetitions, and the early probes of a scan score zero until the
+//! per-window counter crosses its threshold: the flow-eviction timing the
+//! false-negative root-cause literature identifies as a detection variable
+//! is part of the contract, not an artifact.
 //!
 //! The structural weaknesses the paper measures fall out of this design:
 //! spoofed floods never accumulate evidence on any profile (BoT-IoT ≈ zero
 //! detection), and low-and-slow attacks stay below per-window thresholds
 //! (UNSW-NB15 ≈ zero detection), while periodic C2 on a clean IoT baseline
 //! is caught (Stratosphere, Slips' best dataset).
+//!
+//! [`SlipsModel`] is the whole system — the behavioural state and the
+//! evidence fold; [`Slips`] is that model in the detector shell
+//! ([`idsbench_core::shell`]), which implements the `EventDetector`
+//! contract.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -37,7 +43,7 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use idsbench_core::fasthash::{FxHashMap, FxHashSet};
-use idsbench_core::{Event, EventDetector, InputFormat, LabeledFlow, TrainView};
+use idsbench_core::{Detector, LabeledFlow, Model, Scoring, TrainView};
 
 /// Profile time-window length in seconds (Slips' default is 1 hour; the
 /// evaluated traces are minutes long, so the out-of-the-box idsbench
@@ -101,12 +107,17 @@ mod weight {
 /// hundreds of repetitions — by then the verdict is long since stable.
 const MAX_GROUP_HISTORY: usize = 256;
 
-/// Online behavioural state: what every profile has shown so far. Window
-/// maps are bounded by the traffic itself (profiles × windows × services),
-/// exactly like Slips' Redis profiles; group histories are capped at
-/// [`MAX_GROUP_HISTORY`] entries.
+/// The Slips-style behavioural NIDS (see crate docs): [`SlipsModel`] in the
+/// detector shell, built with [`Default`]: every module threshold and weight
+/// is an out-of-the-box constant.
+pub type Slips = Detector<SlipsModel>;
+
+/// Slips' online behavioural state: what every profile has shown so far.
+/// Window maps are bounded by the traffic itself (profiles × windows ×
+/// services), exactly like Slips' Redis profiles; group histories are
+/// capped at `MAX_GROUP_HISTORY` entries.
 #[derive(Debug, Default)]
-struct BehaviourState {
+pub struct SlipsModel {
     /// (profile, dst, dport) → most recent first-seen times of the group's
     /// flows, kept sorted for the gap statistics.
     groups: FxHashMap<(IpAddr, IpAddr, u16), Vec<f64>>,
@@ -116,16 +127,6 @@ struct BehaviourState {
     horizontal: FxHashMap<(IpAddr, u64, u16), FxHashSet<IpAddr>>,
     /// (profile, window, dst, auth port) → sessions so far.
     auth: FxHashMap<(IpAddr, u64, IpAddr, u16), usize>,
-}
-
-/// The Slips-style behavioural NIDS (see crate docs), built with
-/// [`Default`]: every module threshold and weight is an out-of-the-box
-/// constant.
-#[derive(Debug, Default)]
-pub struct Slips {
-    state: BehaviourState,
-    /// Optional sampled timer around the inference kernel.
-    probe: Option<idsbench_telemetry::SpanTimer>,
 }
 
 fn matches_prefix(ip: IpAddr, prefix: (Ipv4Addr, u8)) -> bool {
@@ -148,19 +149,28 @@ fn is_blacklisted(ip: IpAddr) -> bool {
     BLACKLIST.iter().any(|&prefix| matches_prefix(ip, prefix))
 }
 
-impl Slips {
-    /// Attaches a sampled [`SpanTimer`](idsbench_telemetry::SpanTimer)
-    /// around the per-flow evidence fold. Purely observational — scores
-    /// are bit-identical with or without it — and allocation-free on the
-    /// scoring path.
-    pub fn attach_inference_probe(&mut self, probe: idsbench_telemetry::SpanTimer) {
-        self.probe = Some(probe);
-    }
+impl Model for SlipsModel {
+    const NAME: &'static str = "Slips";
+    const SCORING: Scoring<Self> = Scoring::Flows(SlipsModel::observe_flow);
+    type Config = ();
 
+    /// Training flows warm the behavioural state (profiles, groups, window
+    /// counters) without emitting scores, so evaluation flows are judged
+    /// against everything the site has already shown.
+    fn fit(_config: &(), train: &TrainView) -> Self {
+        let mut model = SlipsModel::default();
+        for flow in &train.flows {
+            let _ = model.observe_flow(flow);
+        }
+        model
+    }
+}
+
+impl SlipsModel {
     /// Folds one evicted flow into the behavioural state and returns the
     /// evidence this flow carries *at this moment* — the deployment-shaped
     /// scoring rule (see crate docs). Shared by `fit` (training flows warm
-    /// the state, scores discarded) and `on_event`.
+    /// the state, scores discarded) and scoring.
     fn observe_flow(&mut self, flow: &LabeledFlow) -> f64 {
         let key = flow.record.initiator_key();
         let profile = key.src_ip;
@@ -183,7 +193,7 @@ impl Slips {
         // (profile, dst, service) group; once the group has enough members
         // and their inter-start gaps are regular, the flow is beaconing.
         if is_external(key.dst_ip) && !PERIODIC_PORT_WHITELIST.contains(&key.dst_port) {
-            let members = self.state.groups.entry((profile, key.dst_ip, key.dst_port)).or_default();
+            let members = self.groups.entry((profile, key.dst_ip, key.dst_port)).or_default();
             let at = members.partition_point(|&t| t <= start);
             members.insert(at, start);
             if members.len() > MAX_GROUP_HISTORY {
@@ -207,12 +217,12 @@ impl Slips {
         // Scan modules: evidence lands on the probe flows from the moment
         // the per-window counters cross their thresholds.
         if is_unanswered(flow) {
-            let ports = self.state.vertical.entry((profile, window, key.dst_ip)).or_default();
+            let ports = self.vertical.entry((profile, window, key.dst_ip)).or_default();
             ports.insert(key.dst_port);
             if ports.len() >= SCAN_PORT_THRESHOLD {
                 evidence += weight::PORT_SCAN * (ports.len() as f64 / SCAN_PORT_THRESHOLD as f64);
             }
-            let hosts = self.state.horizontal.entry((profile, window, key.dst_port)).or_default();
+            let hosts = self.horizontal.entry((profile, window, key.dst_port)).or_default();
             hosts.insert(key.dst_ip);
             if hosts.len() >= SWEEP_HOST_THRESHOLD {
                 evidence += weight::SWEEP * (hosts.len() as f64 / SWEEP_HOST_THRESHOLD as f64);
@@ -221,8 +231,7 @@ impl Slips {
 
         // Brute force: repeated sessions to one authentication service.
         if AUTH_PORTS.contains(&key.dst_port) {
-            let count =
-                self.state.auth.entry((profile, window, key.dst_ip, key.dst_port)).or_default();
+            let count = self.auth.entry((profile, window, key.dst_ip, key.dst_port)).or_default();
             *count += 1;
             if *count >= BRUTE_FORCE_THRESHOLD {
                 evidence += weight::BRUTE_FORCE;
@@ -239,46 +248,12 @@ fn is_unanswered(flow: &LabeledFlow) -> bool {
     flow.record.is_unanswered_syn() || !flow.record.is_bidirectional()
 }
 
-impl EventDetector for Slips {
-    fn name(&self) -> &str {
-        "Slips"
-    }
-
-    fn input_format(&self) -> InputFormat {
-        InputFormat::Flows
-    }
-
-    /// Training flows warm the behavioural state (profiles, groups, window
-    /// counters) without emitting scores, so evaluation flows are judged
-    /// against everything the site has already shown.
-    fn fit(&mut self, train: &TrainView) {
-        for flow in &train.flows {
-            let _ = self.observe_flow(flow);
-        }
-    }
-
-    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
-        match event {
-            // Slips builds its state from flows; packets pass through.
-            Event::Packet(_) => None,
-            Event::FlowEvicted(flow) => {
-                let started = self.probe.as_ref().and_then(|probe| probe.begin());
-                let score = self.observe_flow(flow);
-                if let (Some(probe), Some(started)) = (&self.probe, started) {
-                    probe.end(started);
-                }
-                Some(score)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use idsbench_core::preprocess::{Pipeline, PipelineConfig};
     use idsbench_core::runner::replay;
-    use idsbench_core::{AttackKind, Label, LabeledPacket};
+    use idsbench_core::{AttackKind, EventDetector, InputFormat, Label, LabeledPacket};
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
 
     fn tcp_exchange(
@@ -573,7 +548,6 @@ mod tests {
             .prepare_events("warm", train_packets)
             .unwrap();
         // Hand-build the train view from the replayed flows.
-        let mut slips = Slips::default();
         let mut probe = Slips::default();
         let warm_flows = replay(&mut probe, &input).unwrap();
         assert!(warm_flows.scores.len() >= 8);
@@ -585,14 +559,18 @@ mod tests {
             collector.observe(view, |f| flows.push(f));
         }
         flows.extend(collector.flush());
-        slips.fit(&TrainView { packets: Vec::new(), flows });
 
         // ...then the next beacon in the cadence must be flagged
         // immediately.
         let mut next = Vec::new();
         beacon(8, &mut next);
-        let scores = flow_scores(&mut slips, next);
-        assert!(scores.iter().any(|(s, _, _)| *s > 0.0), "warmed group must flag: {scores:?}");
+        let mut input = Pipeline::new(PipelineConfig { train_fraction: 0.0, ..Default::default() })
+            .unwrap()
+            .prepare_events("next", next)
+            .unwrap();
+        input.train = TrainView { packets: Vec::new(), flows };
+        let scores = replay(&mut Slips::default(), &input).unwrap().scores;
+        assert!(scores.iter().any(|s| *s > 0.0), "warmed group must flag: {scores:?}");
     }
 
     #[test]

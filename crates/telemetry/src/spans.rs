@@ -12,6 +12,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
+use idsbench_core::InferenceProbe;
+
 use crate::hist::AtomicHistogram;
 
 /// A pipeline stage a span can time.
@@ -30,7 +32,7 @@ pub enum Stage {
     /// The feeder-side drain-and-rebalance barrier during a scale event.
     Rebalance,
     /// The model-inference portion of a detector's scoring path (attached
-    /// inside the detector via its `attach_inference_probe`).
+    /// through the detector shell's `attach_inference_probe`).
     Infer,
     /// A fabric peer-death recovery: re-homing a dead worker's shards onto
     /// survivors and replaying their buffered frames (coordinator side).
@@ -146,6 +148,19 @@ impl SpanTimer {
     /// The histogram this timer feeds.
     pub fn target(&self) -> &StageHistogram {
         &self.hist
+    }
+}
+
+/// The detector shell's inference probe ([`Stage::Infer`] spans).
+impl InferenceProbe for SpanTimer {
+    #[inline]
+    fn begin(&self) -> Option<Instant> {
+        SpanTimer::begin(self)
+    }
+
+    #[inline]
+    fn end(&self, started: Instant) {
+        SpanTimer::end(self, started);
     }
 }
 

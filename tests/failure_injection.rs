@@ -3,8 +3,11 @@
 
 use idsbench::core::preprocess::{EventInput, Pipeline, PipelineConfig};
 use idsbench::core::runner::replay;
-use idsbench::core::{AttackKind, Dataset, EventDetector, Label, ParsedView};
+use idsbench::core::{
+    AttackKind, Dataset, Event, EventDetector, InputFormat, Label, ParsedView, TrainView,
+};
 use idsbench::datasets::{scenarios, ScenarioScale};
+use idsbench::dnn::baselines::{DecisionTree, KNearest, LogisticRegression, NaiveBayes};
 use idsbench::dnn::Dnn;
 use idsbench::helad::Helad;
 use idsbench::kitsune::Kitsune;
@@ -16,13 +19,12 @@ fn prepared_input() -> EventInput {
     Pipeline::new(PipelineConfig::default()).unwrap().prepare_events("toy", packets).unwrap()
 }
 
+/// The eight systems: the paper's four and the DNN study's four baselines.
+const SYSTEMS: [&str; 8] =
+    ["Kitsune", "HELAD", "DNN", "Slips", "LogReg", "NaiveBayes", "DecisionTree", "kNN"];
+
 fn all_detectors() -> Vec<Box<dyn EventDetector>> {
-    vec![
-        Box::new(Kitsune::default()),
-        Box::new(Helad::default()),
-        Box::new(Dnn::default()),
-        Box::new(Slips::default()),
-    ]
+    SYSTEMS.iter().map(|name| fresh(name)).collect()
 }
 
 fn fresh(name: &str) -> Box<dyn EventDetector> {
@@ -30,7 +32,40 @@ fn fresh(name: &str) -> Box<dyn EventDetector> {
         "Kitsune" => Box::new(Kitsune::default()),
         "HELAD" => Box::new(Helad::default()),
         "DNN" => Box::new(Dnn::default()),
-        _ => Box::new(Slips::default()),
+        "Slips" => Box::new(Slips::default()),
+        "LogReg" => Box::new(LogisticRegression::default()),
+        "NaiveBayes" => Box::new(NaiveBayes::default()),
+        "DecisionTree" => Box::new(DecisionTree::default()),
+        "kNN" => Box::new(KNearest::default()),
+        other => panic!("unknown system {other}"),
+    }
+}
+
+/// Forwards every call except `fit`, so a replay scores a detector that
+/// was never fitted.
+struct Unfitted(Box<dyn EventDetector>);
+
+impl EventDetector for Unfitted {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn input_format(&self) -> InputFormat {
+        self.0.input_format()
+    }
+
+    fn fit(&mut self, _train: &TrainView) {}
+
+    fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
+        self.0.on_event(event)
+    }
+
+    fn on_packet_batch(
+        &mut self,
+        views: &mut dyn Iterator<Item = &ParsedView>,
+        scores: &mut Vec<f64>,
+    ) {
+        self.0.on_packet_batch(views, scores);
     }
 }
 
@@ -142,6 +177,22 @@ fn detectors_survive_empty_training() {
     }
 }
 
+/// Scoring before `fit` is fitting on an empty training slice first: for
+/// every system, the unfitted scores equal, bit for bit, the scores after
+/// `fit(&TrainView::default())`.
+#[test]
+fn scoring_before_fit_is_fitting_on_nothing() {
+    let mut input = prepared_input();
+    input.train = TrainView::default();
+    for name in SYSTEMS {
+        let unfitted = replay(&mut Unfitted(fresh(name)), &input).unwrap().scores;
+        let fitted = replay(fresh(name).as_mut(), &input).unwrap().scores;
+        assert!(!fitted.is_empty(), "{name}");
+        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert!(bits(&unfitted) == bits(&fitted), "{name}: unfitted scores differ");
+    }
+}
+
 /// Detectors must handle a single-item evaluation slice.
 #[test]
 fn detectors_survive_minimal_eval() {
@@ -152,10 +203,8 @@ fn detectors_survive_minimal_eval() {
         let format = detector.input_format();
         let replayed = replay(detector.as_mut(), &input).unwrap();
         match format {
-            idsbench::core::InputFormat::Packets => assert_eq!(replayed.scores.len(), 1, "{name}"),
-            idsbench::core::InputFormat::Flows => {
-                assert_eq!(replayed.scores.len(), replayed.eval_flows, "{name}")
-            }
+            InputFormat::Packets => assert_eq!(replayed.scores.len(), 1, "{name}"),
+            InputFormat::Flows => assert_eq!(replayed.scores.len(), replayed.eval_flows, "{name}"),
         }
     }
 }

@@ -5,16 +5,26 @@ use idsbench::core::preprocess::Pipeline;
 use idsbench::core::runner::replay;
 use idsbench::core::{Dataset, LabeledPacket};
 use idsbench::datasets::{scenarios, ScenarioScale};
-use idsbench::net::pcap;
+use idsbench::net::pcap::{PcapReader, PcapWriter};
+use idsbench::net::{NetError, Packet};
 use idsbench::slips::Slips;
+
+/// Writes `packets` into an in-memory capture and reads every record back.
+fn through_pcap(packets: &[Packet]) -> Result<Vec<Packet>, NetError> {
+    let mut image = Vec::new();
+    let mut writer = PcapWriter::new(&mut image)?;
+    for packet in packets {
+        writer.write_packet(packet)?;
+    }
+    PcapReader::new(&image[..])?.collect()
+}
 
 #[test]
 fn every_scenario_round_trips_through_pcap() {
     for scenario in scenarios::table4_scenarios(ScenarioScale::Tiny) {
         let labeled = scenario.generate(5);
         let packets: Vec<_> = labeled.iter().map(|lp| lp.packet.clone()).collect();
-        let image = pcap::write_all(&packets).unwrap();
-        let replayed = pcap::read_all(&image).unwrap();
+        let replayed = through_pcap(&packets).unwrap();
         assert_eq!(replayed, packets, "{} must survive the container", scenario.info().name);
     }
 }
@@ -32,8 +42,7 @@ fn replayed_capture_yields_identical_scores() {
     // Pcap replay path.
     let packets: Vec<_> = labeled.iter().map(|lp| lp.packet.clone()).collect();
     let labels: Vec<_> = labeled.iter().map(|lp| lp.label).collect();
-    let image = pcap::write_all(&packets).unwrap();
-    let recovered: Vec<LabeledPacket> = pcap::read_all(&image)
+    let recovered: Vec<LabeledPacket> = through_pcap(&packets)
         .unwrap()
         .into_iter()
         .zip(labels)

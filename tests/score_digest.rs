@@ -1,4 +1,5 @@
-//! Pins a bit-level digest of every batch score for all four systems.
+//! Pins a bit-level digest of every batch score for all eight systems: the
+//! paper's four and the DNN study's four classical baselines.
 //!
 //! The scoring hot path is under continuous optimisation — blocked matmul
 //! kernels, packed weight layouts, fused activation passes, fast-hash state
@@ -36,21 +37,28 @@
 use idsbench::core::preprocess::{EventInput, Pipeline};
 use idsbench::core::runner::{replay, EvalConfig};
 use idsbench::core::{Dataset, EventDetector};
-use idsbench::datasets::{scenarios, ScenarioScale};
+use idsbench::datasets::{scenarios, Scenario, ScenarioScale};
+use idsbench::dnn::baselines::{DecisionTree, KNearest, LogisticRegression, NaiveBayes};
 use idsbench::dnn::Dnn;
 use idsbench::helad::{Helad, HeladConfig};
 use idsbench::kitsune::{Kitsune, KitsuneConfig};
 use idsbench::slips::Slips;
 use idsbench::telemetry::{Stage, Telemetry, TelemetryConfig};
 
-/// `(detector, scored events, digest)` for the Tiny Stratosphere scenario
-/// with default `EvalConfig` on `linux-gnu`, release profile.
+/// `(detector, scored events, digest)` with default `EvalConfig` on
+/// `linux-gnu`, release profile: the paper's four systems on Tiny
+/// Stratosphere, the four baselines on Tiny UNSW-NB15 (see
+/// [`baseline_input`]).
 #[cfg(all(target_os = "linux", target_env = "gnu", not(debug_assertions)))]
-const PINNED: [(&str, usize, u64); 4] = [
+const PINNED: [(&str, usize, u64); 8] = [
     ("Kitsune", 3843, 0xbf7e_f8ed_57fa_0215),
     ("HELAD", 3843, 0x8139_a324_cea0_6e6f),
     ("DNN", 240, 0xb7f9_4f1c_3a8e_299e),
     ("Slips", 240, 0x1f30_458e_5d0a_79fa),
+    ("LogReg", 166, 0xd499_761e_9f4b_332f),
+    ("NaiveBayes", 166, 0xb8ea_d2e0_2253_5ecc),
+    ("DecisionTree", 166, 0x4966_c152_6093_764c),
+    ("kNN", 166, 0x61f4_ddfc_e345_263f),
 ];
 
 /// The digest fold: rotate-xor over the raw bits of each score in replay
@@ -63,10 +71,8 @@ fn digest_of(scores: &[f64]) -> u64 {
     digest
 }
 
-/// The canonical input: Tiny Stratosphere, prepared with the default
-/// `EvalConfig`.
-fn canonical_input() -> EventInput {
-    let scenario = scenarios::stratosphere_iot(ScenarioScale::Tiny);
+/// `scenario` at Tiny scale, prepared with the default `EvalConfig`.
+fn prepared(scenario: Scenario) -> EventInput {
     let config = EvalConfig::default();
     let pipeline = Pipeline::new(config.pipeline).expect("pipeline");
     pipeline
@@ -74,11 +80,28 @@ fn canonical_input() -> EventInput {
         .expect("preprocess")
 }
 
-/// Runs the canonical replay and returns `(name, events, digest)` per
-/// system. With `telemetry` supplied, every detector carries a sampled
-/// inference probe during the replay — the digests must not notice.
+/// The canonical input of the paper's four systems: Tiny Stratosphere.
+fn canonical_input() -> EventInput {
+    prepared(scenarios::stratosphere_iot(ScenarioScale::Tiny))
+}
+
+/// The baselines' input: Tiny UNSW-NB15, whose training slice holds both
+/// labels (24 of 98 flows are attacks). Stratosphere's is all benign, so
+/// the tree and kNN would score every flow 0 there and pin nothing.
+fn baseline_input() -> EventInput {
+    prepared(scenarios::unsw_nb15(ScenarioScale::Tiny))
+}
+
+fn digest_row(detector: &mut dyn EventDetector, input: &EventInput) -> (String, usize, u64) {
+    let scores = replay(detector, input).expect("replay").scores;
+    (detector.name().to_string(), scores.len(), digest_of(&scores))
+}
+
+/// Runs the canonical replays and returns `(name, events, digest)` per
+/// system. With `telemetry` supplied, each of the paper's four systems
+/// carries a sampled inference probe during the replay — the digests must
+/// not notice.
 fn replay_digests(telemetry: Option<&Telemetry>) -> Vec<(String, usize, u64)> {
-    let input = canonical_input();
     let mut kitsune = Kitsune::default();
     let mut helad = Helad::default();
     let mut dnn = Dnn::default();
@@ -89,15 +112,19 @@ fn replay_digests(telemetry: Option<&Telemetry>) -> Vec<(String, usize, u64)> {
         dnn.attach_inference_probe(telemetry.span(Stage::Infer, Some(2)));
         slips.attach_inference_probe(telemetry.span(Stage::Infer, Some(3)));
     }
-    let detectors: Vec<Box<dyn EventDetector>> =
-        vec![Box::new(kitsune), Box::new(helad), Box::new(dnn), Box::new(slips)];
-    detectors
-        .into_iter()
-        .map(|mut detector| {
-            let scores = replay(detector.as_mut(), &input).expect("replay").scores;
-            (detector.name().to_string(), scores.len(), digest_of(&scores))
-        })
-        .collect()
+    let systems: [Box<dyn EventDetector>; 4] =
+        [Box::new(kitsune), Box::new(helad), Box::new(dnn), Box::new(slips)];
+    let baselines: [Box<dyn EventDetector>; 4] = [
+        Box::new(LogisticRegression::default()),
+        Box::new(NaiveBayes::default()),
+        Box::new(DecisionTree::default()),
+        Box::new(KNearest::default()),
+    ];
+    let (input, baseline) = (canonical_input(), baseline_input());
+    let mut digests: Vec<_> =
+        systems.into_iter().map(|mut d| digest_row(d.as_mut(), &input)).collect();
+    digests.extend(baselines.into_iter().map(|mut d| digest_row(d.as_mut(), &baseline)));
+    digests
 }
 
 #[cfg(all(target_os = "linux", target_env = "gnu", not(debug_assertions)))]
