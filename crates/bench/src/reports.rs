@@ -153,20 +153,41 @@ pub fn sampling(scale: ScenarioScale, seed: u64) -> Outcome {
 
 /// One ablation CSV row: two naming columns, then accuracy, precision,
 /// recall, F1 and AUC.
-fn print_row(first: &str, second: &str, e: &Experiment) {
-    println!(
+fn csv_row(first: &str, second: &str, e: &Experiment) -> String {
+    format!(
         "{first},{second},{:.4},{:.4},{:.4},{:.4},{:.4}",
         e.metrics.accuracy, e.metrics.precision, e.metrics.recall, e.metrics.f1, e.auc
-    );
+    )
+}
+
+/// Attack flows in the training slice `evaluate` hands a detector for
+/// `dataset` under `config`: what a supervised model has to learn from.
+fn train_attacks(dataset: &dyn Dataset, config: &EvalConfig) -> Result<usize, String> {
+    let name = &dataset.info().name;
+    let input = Pipeline::new(config.pipeline)
+        .and_then(|pipeline| pipeline.prepare_events(name, dataset.generate(config.dataset_seed)))
+        .map_err(|e| format!("{name}: {e}"))?;
+    Ok(input.train.flows.iter().filter(|flow| flow.is_attack()).count())
 }
 
 /// Preprocessing ablation (Section V factor 5): the supervised DNN with and
 /// without min-max scaling and class rebalancing, plus the original study's
-/// classical-ML baselines under the standard pipeline.
+/// classical-ML baselines under the standard pipeline. The trailing
+/// `train_attacks` column counts the attack flows each row trained on; a
+/// dataset whose count is 0 gets a note on stderr, since no supervised
+/// model can learn an attack class it never saw.
 pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
     let config = EvalConfig { dataset_seed: seed, ..Default::default() };
-    println!("variant,dataset,accuracy,precision,recall,f1,auc");
+    println!("variant,dataset,accuracy,precision,recall,f1,auc,train_attacks");
     for scenario in table4_models(scale) {
+        let attacks = train_attacks(&scenario, &config)?;
+        if attacks == 0 {
+            eprintln!(
+                "note: the {} training slice holds no attack flow; its supervised rows are not a \
+                 measurement",
+                scenario.info().name
+            );
+        }
         let variants: Vec<(&str, Box<dyn EventDetector>)> = vec![
             ("dnn", Box::new(Dnn::default())),
             (
@@ -185,7 +206,7 @@ pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
         for (label, mut detector) in variants {
             let e = evaluate(detector.as_mut(), &scenario, &config)
                 .map_err(|e| format!("{label}: {e}"))?;
-            print_row(label, &e.dataset, &e);
+            println!("{},{attacks}", csv_row(label, &e.dataset, &e));
         }
     }
     Ok(())
@@ -197,6 +218,8 @@ pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
 pub fn baseline(scale: ScenarioScale, seed: u64) -> Outcome {
     let config = EvalConfig { dataset_seed: seed, ..Default::default() };
     println!("detector,baseline,accuracy,precision,recall,f1,auc");
+    // Each row's detector and F1, the clean-prefix rows first.
+    let mut f1s = Vec::new();
     for (label, scenario) in [
         ("clean-prefix", scenarios::stratosphere_iot(scale)),
         ("contaminated", scenarios::stratosphere_iot_contaminated(scale)),
@@ -206,13 +229,33 @@ pub fn baseline(scale: ScenarioScale, seed: u64) -> Outcome {
         for mut detector in detectors {
             let e = evaluate(detector.as_mut(), &scenario, &config)
                 .map_err(|e| format!("{label}: {e}"))?;
-            print_row(&e.detector, label, &e);
+            println!("{}", csv_row(&e.detector, label, &e));
+            f1s.push((e.detector, e.metrics.f1));
         }
     }
-    eprintln!(
-        "\nExpected shape: both detectors lose most of their F1 when the clean prefix is removed."
-    );
+    let (clean, contaminated) = f1s.split_at(f1s.len() / 2);
+    eprintln!();
+    for ((detector, before), (_, after)) in clean.iter().zip(contaminated) {
+        eprintln!("{}", baseline_shift(detector, *before, *after));
+    }
     Ok(())
+}
+
+/// How one detector's F1 moved when the clean benign prefix was removed:
+/// clean → contaminated, the signed change, and its direction.
+fn baseline_shift(detector: &str, clean: f64, contaminated: f64) -> String {
+    let change = contaminated - clean;
+    let direction = if change < 0.0 {
+        "fell"
+    } else if change > 0.0 {
+        "rose"
+    } else {
+        "held"
+    };
+    format!(
+        "{detector}: F1 {clean:.4} (clean prefix) → {contaminated:.4} (contaminated), \
+         {change:+.4}, {direction}"
+    )
 }
 
 /// One native scenario and each detector's name and stream report on it.
@@ -308,4 +351,22 @@ pub fn scenarios(scale: ScenarioScale, seed: u64) -> Outcome {
     println!("{json}");
     std::fs::write("BENCH_scenarios.json", format!("{json}\n"))
         .map_err(|e| format!("write BENCH_scenarios.json: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::baseline_shift;
+
+    #[test]
+    fn baseline_shift_reads_the_direction_off_the_rows() {
+        assert_eq!(
+            baseline_shift("kitsune", 0.3523, 0.5523),
+            "kitsune: F1 0.3523 (clean prefix) → 0.5523 (contaminated), +0.2000, rose"
+        );
+        assert_eq!(
+            baseline_shift("helad", 0.8, 0.25),
+            "helad: F1 0.8000 (clean prefix) → 0.2500 (contaminated), -0.5500, fell"
+        );
+        assert!(baseline_shift("helad", 0.5, 0.5).ends_with("+0.0000, held"));
+    }
 }

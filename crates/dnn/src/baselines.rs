@@ -67,7 +67,6 @@ impl Model for LogRegModel {
         for _ in 0..200 {
             model.train_batch(&matrix, &targets, Loss::BinaryCrossEntropy, &mut opt);
         }
-        model.freeze();
         LogRegModel(Some((model, norm)))
     }
 }

@@ -164,8 +164,6 @@ impl Model for DnnModel {
             }
         }
 
-        // Training is done: snapshot the layer weights for scoring.
-        mlp.freeze();
         DnnModel(Some(Network {
             norm,
             mlp,

@@ -154,10 +154,6 @@ impl Model for HeladModel {
 
         let mut recent = VecDeque::with_capacity(LSTM_WINDOW);
         recent.extend(&history[history.len().saturating_sub(LSTM_WINDOW)..]);
-        // Training is done: snapshot both models' weights for the scoring
-        // phase.
-        autoencoder.freeze();
-        lstm.freeze();
         HeladModel {
             extractor,
             norm,

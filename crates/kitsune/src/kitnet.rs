@@ -164,16 +164,6 @@ impl KitNet {
         self.output.train_sample(&self.scaled_buf)
     }
 
-    /// Ends the training phase: snapshots every autoencoder's weights.
-    /// [`KitNet::execute`] requires it; a later [`KitNet::train`] drops the
-    /// snapshots again.
-    pub fn freeze(&mut self) {
-        for ae in &mut self.ensemble {
-            ae.freeze();
-        }
-        self.output.freeze();
-    }
-
     /// Scores one sample without updating weights (execution phase): a
     /// one-row [`KitNet::execute_batch`]. The input normalizer still
     /// widens, matching the reference behaviour of normalizing by the range
@@ -181,8 +171,7 @@ impl KitNet {
     ///
     /// # Panics
     ///
-    /// Panics if `x` has the wrong width or the ensemble was trained since
-    /// the last [`KitNet::freeze`].
+    /// Panics if `x` has the wrong width.
     pub fn execute(&mut self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.input_norm.width(), "vector width mismatch");
         self.score_rows(x);
@@ -201,8 +190,7 @@ impl KitNet {
     ///
     /// # Panics
     ///
-    /// Panics if `xs` does not have the feature width as its column count,
-    /// or the ensemble was trained since the last [`KitNet::freeze`].
+    /// Panics if `xs` does not have the feature width as its column count.
     pub fn execute_batch(&mut self, xs: &Matrix, out: &mut Vec<f64>) {
         assert_eq!(xs.cols(), self.input_norm.width(), "vector width mismatch");
         self.score_rows(xs.as_slice());
@@ -266,7 +254,6 @@ mod tests {
             net.train(&pattern);
             net.train(&other);
         }
-        net.freeze();
         let on_manifold = net.execute(&[10.5, 19.5, 5.2, 1.1]);
         let off_manifold = net.execute(&[20.0, 1.0, 0.0, 9.0]);
         assert!(
@@ -281,7 +268,6 @@ mod tests {
         for _ in 0..50 {
             net.train(&[1.0, 2.0, 3.0, 4.0]);
         }
-        net.freeze();
         let a = net.execute(&[5.0, 5.0, 5.0, 5.0]);
         let b = net.execute(&[5.0, 5.0, 5.0, 5.0]);
         assert_eq!(a, b, "execution must be weight-pure");
@@ -297,7 +283,6 @@ mod tests {
             let s = net.train(&x);
             assert!(s.is_finite() && s >= 0.0);
         }
-        net.freeze();
         let s = net.execute(&[1e9, -1e9, 0.0, 42.0]);
         assert!(s.is_finite() && s >= 0.0);
     }

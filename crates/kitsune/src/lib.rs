@@ -120,9 +120,6 @@ impl Model for KitsuneModel {
             }
         }
 
-        // Training is done: snapshot the ensemble weights for the execution
-        // phase.
-        net.freeze();
         KitsuneModel {
             extractor,
             net,

@@ -62,7 +62,6 @@ proptest! {
             let s = net.train(sample);
             prop_assert!(s.is_finite() && s >= 0.0);
         }
-        net.freeze();
         for sample in &samples[split..] {
             let s = net.execute(sample);
             prop_assert!(s.is_finite() && s >= 0.0);

@@ -28,11 +28,10 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to one scalar — the per-element kernel of the
-    /// fused bias+activation epilogue (see
-    /// [`crate::Dense::forward_rows_into`]) and of the training forward:
-    /// this module's [`sigmoid`] / [`tanh`], which training and inference
-    /// share, so the two stay bit-identical.
+    /// Applies the activation to one scalar: this module's [`sigmoid`] /
+    /// [`tanh`], element for element what [`Activation::apply`] computes in
+    /// the fused bias+activation epilogue of every forward pass (see
+    /// [`crate::Dense::forward_rows_into`]), bit for bit.
     #[inline]
     pub fn eval(self, x: f64) -> f64 {
         match self {

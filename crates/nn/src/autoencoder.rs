@@ -41,7 +41,6 @@ impl Default for AutoencoderConfig {
 ///     ae.train_sample(&[0.1, 0.9, 0.1, 0.9]);
 /// }
 /// // …then an unseen pattern reconstructs worse.
-/// ae.freeze();
 /// let rows = Matrix::from_rows(&[&[0.9, 0.1, 0.9, 0.1], &[0.1, 0.9, 0.1, 0.9]]);
 /// let mut scores = Vec::new();
 /// ae.score_rows_with(&rows, &mut scores, &mut Workspace::new());
@@ -109,14 +108,6 @@ impl Autoencoder {
         [&self.encoder, &self.decoder]
     }
 
-    /// Snapshots both layers' parameters (see [`crate::Dense::freeze`]).
-    /// Call when training is finished; a later
-    /// [`Autoencoder::train_sample`] drops the snapshots automatically.
-    pub fn freeze(&mut self) {
-        self.encoder.freeze();
-        self.decoder.freeze();
-    }
-
     /// Reconstruction RMSE of every row of `xs`, without updating weights:
     /// one score per row is appended to `scores`. This is the steady-state
     /// entry point of the Kitsune/HELAD scoring hot path — zero heap
@@ -130,8 +121,7 @@ impl Autoencoder {
     ///
     /// # Panics
     ///
-    /// Panics if `xs` has the wrong width or there is no current snapshot
-    /// (call [`Autoencoder::freeze`] after the last training step).
+    /// Panics if `xs` has the wrong width.
     pub fn score_rows_with(&self, xs: &Matrix, scores: &mut Vec<f64>, ws: &mut Workspace) {
         assert_eq!(xs.cols(), self.input_size, "input width mismatch");
         self.encoder.forward_rows_into(xs, &mut ws.ping);
@@ -182,12 +172,10 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// Score of one sample on the autoencoder's current weights.
+    /// Score of one sample.
     fn score(ae: &Autoencoder, x: &[f64]) -> f64 {
-        let mut frozen = ae.clone();
-        frozen.freeze();
         let mut scores = Vec::new();
-        frozen.score_rows_with(&Matrix::row_vector(x), &mut scores, &mut Workspace::new());
+        ae.score_rows_with(&Matrix::row_vector(x), &mut scores, &mut Workspace::new());
         scores[0]
     }
 

@@ -1,10 +1,6 @@
 use crate::activation::Activation;
-use crate::matrix::{dot, Matrix, Packed};
+use crate::matrix::Matrix;
 use crate::optimizer::Optimizer;
-
-/// Output widths up to this use the transposed-weight dot kernel; beyond
-/// it the broadcast matmul vectorizes across the row and wins.
-const NARROW_OUTPUT: usize = 2;
 
 /// Batch rows from which [`Dense::backward`] computes the input gradient as
 /// a vectorized product against a scratch copy of `Wᵀ` instead of scalar
@@ -17,11 +13,10 @@ const PACK_ROWS: usize = 4;
 /// Parameter ids for the optimizer are `base_id` (weights) and
 /// `base_id + 1` (bias).
 ///
-/// Inference has one entry point, [`Dense::forward_rows_into`]. It reads a
-/// *snapshot* of the parameters taken by [`Dense::freeze`]; any further
-/// [`Dense::backward`] step drops the snapshot, so stale weights can never
-/// be consulted — inference after training without a fresh freeze panics
-/// instead.
+/// Inference has one entry point, [`Dense::forward_rows_into`]. It reads
+/// the parameters training updates, so a score always reflects the last
+/// [`Dense::backward`] step; the training forward is the same product and
+/// epilogue over the layer's own copy of its input.
 ///
 /// **Training contract.** A step is [`Dense::forward_training`] then
 /// [`Dense::backward`]. The layer owns everything the step needs
@@ -54,7 +49,6 @@ pub struct Dense {
     activation: Activation,
     base_id: usize,
     train: TrainScratch,
-    snapshot: Option<Frozen>,
 }
 
 /// One layer's training scratch (see the training contract on [`Dense`]).
@@ -76,71 +70,6 @@ struct TrainScratch {
     forwarded: bool,
 }
 
-/// The frozen copy of an affine block `x·W + b`, taken once at freeze time
-/// (never per sample): filled by `freeze`, dropped by any training step.
-#[derive(Debug, Clone)]
-pub(crate) struct Frozen {
-    /// Row-major `input × output` weights for the broadcast kernel.
-    pub(crate) weights: Matrix,
-    /// Column-packed transpose for the dot kernel; built for narrow heads
-    /// only — wide layers read `weights` directly, so a pack would be a
-    /// dead duplicate of the weight memory.
-    packed: Option<Packed>,
-    /// Bias row (empty for a bias-free block).
-    pub(crate) bias: Vec<f64>,
-}
-
-impl Frozen {
-    pub(crate) fn of(weights: &Matrix, bias: &[f64]) -> Self {
-        Frozen {
-            weights: weights.clone(),
-            packed: (weights.cols() <= NARROW_OUTPUT).then(|| Packed::pack(weights)),
-            bias: bias.to_vec(),
-        }
-    }
-
-    /// `out = act(x·W + b)` for every row of `x`. The product picks the
-    /// kernel by output width. Wide layers run the cache-blocked broadcast
-    /// matmul (SIMD across the output row — no per-element dependency
-    /// chain) followed by the fused bias+activation epilogue. Narrow heads
-    /// (where a broadcast pass would serialize through one or two memory
-    /// cells `K` times) run a dot product over the column pack. Either way
-    /// each output row is a function of its own input row alone, built by
-    /// the same operations in the same order whatever the batch size.
-    pub(crate) fn apply(&self, x: &Matrix, act: Activation, out: &mut Matrix) {
-        match &self.packed {
-            Some(packed) => {
-                assert_eq!(x.cols(), packed.rows(), "input width mismatch");
-                out.reshape(x.rows(), packed.cols());
-                for i in 0..x.rows() {
-                    let x_row = x.row(i);
-                    for (j, o) in out.row_mut(i).iter_mut().enumerate() {
-                        *o = act.eval(dot(x_row, packed.col(j)) + self.bias[j]);
-                    }
-                }
-            }
-            None => {
-                x.matmul_into(&self.weights, out);
-                bias_activate(out, &self.bias, act);
-            }
-        }
-    }
-}
-
-/// The current snapshot of a block.
-///
-/// # Panics
-///
-/// Panics if the block was not frozen since the last weight update — loud,
-/// instead of silently scoring from stale weights.
-pub(crate) fn frozen(snapshot: &Option<Frozen>) -> &Frozen {
-    snapshot.as_ref().unwrap_or_else(|| {
-        panic!(
-            "f64 inference without a current snapshot: call freeze() after the last weight update"
-        )
-    })
-}
-
 impl Dense {
     /// Creates a layer with Xavier-initialized weights, deterministic in
     /// `seed`.
@@ -157,15 +86,7 @@ impl Dense {
             activation,
             base_id,
             train: TrainScratch::default(),
-            snapshot: None,
         }
-    }
-
-    /// Snapshots the parameters — the weights row-major for the broadcast
-    /// kernel, plus a column pack for narrow heads. Call once when a model
-    /// finishes fitting; training afterwards drops the snapshot.
-    pub fn freeze(&mut self) {
-        self.snapshot = Some(Frozen::of(&self.weights, self.bias.as_slice()));
     }
 
     /// Input width.
@@ -202,15 +123,15 @@ impl Dense {
     /// operations in the same order whatever `x.rows()` is, so a result
     /// never depends on where a batch was cut — bitwise (pinned by the
     /// `batch_rows_parity` proptests). Each element is the exact
-    /// ascending-`k` chain of the naive triple loop, which is what keeps
-    /// batch scoring on the digest contract.
+    /// ascending-`k` chain of the naive triple loop ([`Matrix::matmul_into`]
+    /// picks its kernel by output width), which is what keeps batch scoring
+    /// on the digest contract.
     ///
     /// # Panics
     ///
-    /// Panics if `x` has the wrong width, or if the layer has no current
-    /// snapshot (see [`Dense::freeze`]).
+    /// Panics if `x` has the wrong width.
     pub fn forward_rows_into(&self, x: &Matrix, out: &mut Matrix) {
-        frozen(&self.snapshot).apply(x, self.activation, out);
+        affine_into(x, &self.weights, self.bias.as_slice(), self.activation, out);
     }
 
     /// Forward pass that keeps what a subsequent [`Dense::backward`] needs
@@ -222,8 +143,7 @@ impl Dense {
     pub fn forward_training(&mut self, x: &Matrix) -> &Matrix {
         let train = &mut self.train;
         train.input.assign(x.rows(), x.cols(), x.as_slice());
-        x.matmul_into(&self.weights, &mut train.output);
-        bias_activate(&mut train.output, self.bias.as_slice(), self.activation);
+        affine_into(x, &self.weights, self.bias.as_slice(), self.activation, &mut train.output);
         train.forwarded = true;
         &train.output
     }
@@ -284,18 +204,23 @@ impl Dense {
                 opt.step(self.base_id + 1, &mut self.bias, &train.grad_bias);
             }
         }
-        // The weights moved: the snapshot is stale.
-        self.snapshot = None;
     }
 }
 
-/// Fused epilogue: `out[i][j] = f(out[i][j] + b[j])`. The bias add runs
-/// per row; the activation then runs as one flat elementwise pass over the
-/// whole matrix ([`Activation::apply`]), `m·n` long, so the polynomial exp
-/// vectorizes at full width even for the narrow layers (`n` of 7–10) the
-/// ensemble autoencoders use. Same per-element arithmetic either way, same
-/// bits.
-fn bias_activate(out: &mut Matrix, bias: &[f64], act: Activation) {
+/// `out = f(x·W + b)`: the product, then the fused epilogue
+/// `out[i][j] = f(out[i][j] + b[j])`. The bias add runs per row; the
+/// activation then runs as one flat elementwise pass over the whole matrix
+/// ([`Activation::apply`]), `m·n` long, so the polynomial exp vectorizes at
+/// full width even for the narrow layers (`n` of 7–10) the ensemble
+/// autoencoders use. Same per-element arithmetic either way, same bits.
+pub(crate) fn affine_into(
+    x: &Matrix,
+    weights: &Matrix,
+    bias: &[f64],
+    act: Activation,
+    out: &mut Matrix,
+) {
+    x.matmul_into(weights, out);
     if !bias.is_empty() {
         for row in out.as_mut_slice().chunks_exact_mut(bias.len()) {
             for (o, &b) in row.iter_mut().zip(bias) {
@@ -312,12 +237,9 @@ mod tests {
     use crate::loss::Loss;
     use crate::optimizer::Sgd;
 
-    /// Inference on the layer's current weights.
     fn infer(layer: &Dense, x: &Matrix) -> Matrix {
-        let mut frozen = layer.clone();
-        frozen.freeze();
         let mut out = Matrix::default();
-        frozen.forward_rows_into(x, &mut out);
+        layer.forward_rows_into(x, &mut out);
         out
     }
 
@@ -383,9 +305,9 @@ mod tests {
 
     #[test]
     fn inference_is_bitwise_the_training_forward() {
-        // The narrow head (dot over the column pack), the wide layer
-        // (broadcast matmul) and the training-time forward all build the
-        // same ascending-k chain per element.
+        // Inference and the training-time forward share the product and
+        // epilogue, at narrow (one register accumulator per element) and
+        // wide (broadcast) output widths alike.
         for activation in
             [Activation::Sigmoid, Activation::Relu, Activation::Tanh, Activation::Linear]
         {
@@ -396,27 +318,6 @@ mod tests {
                 assert_eq!(infer(&layer, &x), trained, "{activation:?} x{outputs} diverged");
             }
         }
-    }
-
-    #[test]
-    fn only_narrow_heads_pack() {
-        // The broadcast kernel reads row-major weights directly; a pack
-        // would only duplicate the weight memory.
-        let weights = Matrix::xavier(5, 7, 23);
-        assert!(Frozen::of(&weights, &[0.0; 7]).packed.is_none());
-        let head = Matrix::xavier(5, 2, 23);
-        assert!(Frozen::of(&head, &[0.0; 2]).packed.is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "call freeze()")]
-    fn training_invalidates_the_snapshot() {
-        let mut layer = Dense::new(2, 2, Activation::Linear, 0, 1);
-        layer.freeze();
-        let mut opt = Sgd::new(0.1);
-        let out = layer.forward_training(&Matrix::zeros(1, 2)).clone();
-        layer.backward(&out, &mut opt, None);
-        layer.forward_rows_into(&Matrix::zeros(1, 2), &mut Matrix::default());
     }
 
     #[test]

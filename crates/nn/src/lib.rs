@@ -40,11 +40,11 @@
 //! chains are pinned bit for bit to the allocating `transpose`/`matmul`
 //! formulation kept as a test-side reference (`tests/training_reference.rs`).
 //!
-//! **One numeric lane.** Training and inference are both `f64`. A model
-//! snapshots its weights at `freeze()` time; any training step drops the
-//! snapshot, and inference without a current one panics rather than scoring
-//! from stale weights. The blocked kernels keep a fixed ascending
-//! accumulation order and the branch-free activations of [`activation`], so
+//! **One numeric lane.** Training and inference are both `f64`, and both
+//! read the one set of weights a model holds: a score always reflects the
+//! last training step, with no copy to take or invalidate. One product,
+//! [`Mat::matmul_into`], serves both; it picks its kernel by the output
+//! width alone. The kernels keep a fixed ascending accumulation order and the branch-free activations of [`activation`], so
 //! scores are bitwise-reproducible across runs, shard counts, batch shapes,
 //! build profiles and vector widths (the contract the score-digest tests
 //! pin). The matrix type [`Mat`] and its matmul stay generic over a
@@ -69,7 +69,6 @@
 //! for _ in 0..800 {
 //!     mlp.train_batch(&x, &y, Loss::Mse, &mut opt);
 //! }
-//! mlp.freeze();
 //! let mut ws = Workspace::new();
 //! let out = mlp.predict_with(&x, &mut ws);
 //! assert!(out.get(0, 0) < 0.2 && out.get(1, 0) > 0.8);

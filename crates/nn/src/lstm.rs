@@ -1,5 +1,5 @@
 use crate::activation::Activation;
-use crate::dense::{frozen, Frozen};
+use crate::dense::affine_into;
 use crate::matrix::{dot, Matrix};
 use crate::optimizer::{Adam, Optimizer};
 use crate::workspace::Workspace;
@@ -10,8 +10,7 @@ use crate::workspace::Workspace;
 /// output]`, each `hidden_size` wide.
 ///
 /// Inference has one entry point, [`Lstm::final_hidden_windows_with`]: a
-/// lockstep batch of sequences, reading the parameter snapshot taken by
-/// [`Lstm::freeze`].
+/// lockstep batch of sequences, reading the parameters training updates.
 #[derive(Debug, Clone)]
 pub struct Lstm {
     /// Input→gates weights, `input_size × 4·hidden`.
@@ -22,11 +21,6 @@ pub struct Lstm {
     bias: Matrix,
     input_size: usize,
     hidden_size: usize,
-    /// Snapshot of `x·w_x + bias`; present only while in sync with the
-    /// weights (any training step drops it).
-    frozen_x: Option<Frozen>,
-    /// Snapshot of the bias-free `h·w_h`, same lifecycle.
-    frozen_h: Option<Frozen>,
 }
 
 /// Training scratch of one LSTM: the per-timestep values BPTT needs, in
@@ -86,16 +80,7 @@ impl Lstm {
             bias,
             input_size,
             hidden_size,
-            frozen_x: None,
-            frozen_h: None,
         }
-    }
-
-    /// Snapshots the parameters. Call when training is finished; any
-    /// training step drops the snapshot.
-    pub fn freeze(&mut self) {
-        self.frozen_x = Some(Frozen::of(&self.w_x, self.bias.as_slice()));
-        self.frozen_h = Some(Frozen::of(&self.w_h, &[]));
     }
 
     /// Input width.
@@ -210,8 +195,7 @@ impl Lstm {
     ///
     /// # Panics
     ///
-    /// Panics if the window width is not a multiple of the input width or
-    /// there is no current snapshot (see [`Lstm::freeze`]).
+    /// Panics if the window width is not a multiple of the input width.
     pub fn final_hidden_windows_with<'w>(
         &self,
         windows: &Matrix,
@@ -228,7 +212,6 @@ impl Lstm {
         let (d, h) = (self.input_size, self.hidden_size);
         assert_eq!(windows.cols() % d, 0, "window width must be a multiple of the input width");
         let (m, steps) = (windows.rows(), windows.cols() / d);
-        let (frozen_x, frozen_h) = (frozen(&self.frozen_x), frozen(&self.frozen_h));
         ws.hidden.reshape_zeroed(m, h);
         ws.cell.reshape_zeroed(m, h);
         for step in 0..steps {
@@ -241,11 +224,11 @@ impl Lstm {
                 // the chain the general branch builds, without a kernel
                 // call per row per step on the slowest detector's hot loop.
                 ws.gates.reshape(m, 4 * h);
-                let wx = frozen_x.weights.row(0);
+                let (wx, bias) = (self.w_x.row(0), self.bias.as_slice());
                 for i in 0..m {
                     let x0 = windows.row(i)[step];
                     let gates = ws.gates.row_mut(i).iter_mut();
-                    for ((g, &w), &b) in gates.zip(wx).zip(&frozen_x.bias) {
+                    for ((g, &w), &b) in gates.zip(wx).zip(bias) {
                         *g = (0.0 + x0 * w) + b;
                     }
                 }
@@ -255,9 +238,10 @@ impl Lstm {
                     let x = &windows.row(i)[step * d..(step + 1) * d];
                     ws.stage.row_mut(i).copy_from_slice(x);
                 }
-                frozen_x.apply(&ws.stage, Activation::Linear, &mut ws.gates);
+                let bias = self.bias.as_slice();
+                affine_into(&ws.stage, &self.w_x, bias, Activation::Linear, &mut ws.gates);
             }
-            ws.hidden.matmul_into(&frozen_h.weights, &mut ws.gates_h);
+            ws.hidden.matmul_into(&self.w_h, &mut ws.gates_h);
             for (z, &zh) in ws.gates.as_mut_slice().iter_mut().zip(ws.gates_h.as_slice()) {
                 *z += zh;
             }
@@ -340,7 +324,6 @@ impl Default for LstmRegressorConfig {
 ///     let v = f64::from(round % 2);
 ///     model.train_window(&[v; 5], v);
 /// }
-/// model.freeze();
 /// // One five-step sequence per row.
 /// let windows = Matrix::from_rows(&[&[1.0; 5], &[0.0; 5]]);
 /// let mut predictions = Vec::new();
@@ -354,9 +337,6 @@ pub struct LstmRegressor {
     head_b: Matrix,
     optimizer: Adam,
     trained_sequences: u64,
-    /// Snapshot of the scalar head `h·head_w + head_b`; present only while
-    /// in sync, like the LSTM's own snapshots.
-    frozen_head: Option<Frozen>,
     /// Training scratch (see the training contract above).
     bptt: Bptt,
     grad_head_w: Matrix,
@@ -384,19 +364,10 @@ impl LstmRegressor {
             head_b: Matrix::zeros(1, 1),
             optimizer: Adam::new(config.learning_rate),
             trained_sequences: 0,
-            frozen_head: None,
             bptt: Bptt::default(),
             grad_head_w: Matrix::default(),
             grad_head_b: Matrix::default(),
         }
-    }
-
-    /// Snapshots the LSTM and head parameters. Call when training is
-    /// finished; a later [`LstmRegressor::train_window`] drops the
-    /// snapshots automatically.
-    pub fn freeze(&mut self) {
-        self.lstm.freeze();
-        self.frozen_head = Some(Frozen::of(&self.head_w, self.head_b.as_slice()));
     }
 
     /// Number of training sequences consumed.
@@ -422,16 +393,14 @@ impl LstmRegressor {
     ///
     /// # Panics
     ///
-    /// Panics if the window width is not a multiple of the input width or
-    /// there is no current snapshot (call [`LstmRegressor::freeze`] after
-    /// the last training step).
+    /// Panics if the window width is not a multiple of the input width.
     pub fn predict_windows_with(&self, windows: &Matrix, out: &mut Vec<f64>, ws: &mut Workspace) {
-        let head = frozen(&self.frozen_head);
         self.lstm.run(windows, ws);
-        // The 1-wide head is a narrow affine block: one dot product per
-        // row, the ascending chain `matmul` builds.
-        head.apply(&ws.hidden, Activation::Linear, &mut ws.ping);
-        out.extend_from_slice(ws.ping.as_slice());
+        // The scalar head, per row: the expression `train_window` uses.
+        let (head_w, head_b) = (self.head_w.as_slice(), self.head_b.get(0, 0));
+        for i in 0..ws.hidden.rows() {
+            out.push(dot(ws.hidden.row(i), head_w) + head_b);
+        }
     }
 
     /// One BPTT step on `(window, target)`, the window's timesteps laid end
@@ -472,10 +441,6 @@ impl LstmRegressor {
         self.optimizer.step(PID_B, &mut self.lstm.bias, &s.grad_b);
         self.optimizer.step(PID_HEAD_W, &mut self.head_w, &self.grad_head_w);
         self.optimizer.step(PID_HEAD_B, &mut self.head_b, &self.grad_head_b);
-        // The parameters moved: the snapshots are stale.
-        self.lstm.frozen_x = None;
-        self.lstm.frozen_h = None;
-        self.frozen_head = None;
         self.trained_sequences += 1;
         loss
     }
@@ -500,20 +465,16 @@ mod tests {
         Matrix::row_vector(&seq.concat())
     }
 
-    /// Prediction for one sequence on the model's current weights.
+    /// Prediction for one sequence.
     fn predict(model: &LstmRegressor, seq: &[Vec<f64>]) -> f64 {
-        let mut frozen = model.clone();
-        frozen.freeze();
         let mut out = Vec::new();
-        frozen.predict_windows_with(&window(seq), &mut out, &mut Workspace::new());
+        model.predict_windows_with(&window(seq), &mut out, &mut Workspace::new());
         out[0]
     }
 
     /// Final hidden state for one sequence.
     fn final_hidden(lstm: &Lstm, seq: &[Vec<f64>]) -> Matrix {
-        let mut frozen = lstm.clone();
-        frozen.freeze();
-        frozen.final_hidden_windows_with(&window(seq), &mut Workspace::new()).clone()
+        lstm.final_hidden_windows_with(&window(seq), &mut Workspace::new()).clone()
     }
 
     #[test]

@@ -151,15 +151,19 @@ impl<L: Lane> Mat<L> {
     /// Matrix product `self · other` written into `out` (reshaped as
     /// needed), allocating nothing once `out` has the right capacity.
     ///
-    /// The kernel is cache-blocked over the output columns and unrolled
+    /// The kernel follows the output width `n`. At one or two columns (the
+    /// narrow heads) a broadcast pass would serialize through one or two
+    /// memory cells `K` times, so each output element gets its own register
+    /// accumulator over `other`'s row-major elements (`narrow_rows`). Wider
+    /// products are cache-blocked over the output columns and unrolled
     /// eight-wide over the inner dimension: each pass over an output-row
-    /// tile folds eight rows of `other` in, so the tile is loaded and
-    /// stored `⌈K/8⌉` times instead of `K`. Every output element still
-    /// accumulates its `k` terms in ascending order from zero, so the
-    /// result is bitwise identical to the naive triple loop (the invariant
-    /// the score-digest tests pin), and each output row depends on its own
-    /// input row only — which is what makes a score independent of where a
-    /// batch was cut.
+    /// tile folds eight rows of `other` in, so the tile is loaded and stored
+    /// `⌈K/8⌉` times instead of `K` (`broadcast_tile`). Either way every
+    /// output element accumulates its `k` terms in ascending order from
+    /// zero, so the result is bitwise identical to the naive triple loop
+    /// (the invariant the score-digest tests pin), and each output row
+    /// depends on its own input row only — which is what makes a score
+    /// independent of where a batch was cut.
     ///
     /// # Panics
     ///
@@ -176,14 +180,21 @@ impl<L: Lane> Mat<L> {
             return;
         }
         out.reshape(m, n);
-        // Output-column tile sized so the tile plus the unroll window of
-        // `other` rows stay L1-resident (see `Lane::TILE`).
-        for j0 in (0..n).step_by(L::TILE) {
-            let jn = (j0 + L::TILE).min(n);
-            for i in 0..m {
-                let a_row = &self.data[i * kd..(i + 1) * kd];
-                let out_row = &mut out.data[i * n + j0..i * n + jn];
-                broadcast_tile(a_row, &other.data, n, j0, jn, out_row);
+        match n {
+            0 => {}
+            1 => narrow_rows::<L, 1>(&self.data, kd, &other.data, &mut out.data),
+            2 => narrow_rows::<L, 2>(&self.data, kd, &other.data, &mut out.data),
+            // Output-column tile sized so the tile plus the unroll window of
+            // `other` rows stay L1-resident (see `Lane::TILE`).
+            _ => {
+                for j0 in (0..n).step_by(L::TILE) {
+                    let jn = (j0 + L::TILE).min(n);
+                    for i in 0..m {
+                        let a_row = &self.data[i * kd..(i + 1) * kd];
+                        let out_row = &mut out.data[i * n + j0..i * n + jn];
+                        broadcast_tile(a_row, &other.data, n, j0, jn, out_row);
+                    }
+                }
             }
         }
     }
@@ -422,53 +433,20 @@ pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// A right-hand-side matrix packed column-major for the narrow-head
-/// inference kernel: column `j` of the original matrix is the contiguous
-/// slice [`Packed::col`]`(j)`.
-///
-/// Row-major `x · W` inference walks the columns of `W`; for a layer with
-/// one or two outputs a broadcast pass would serialize through one or two
-/// memory cells `K` times, so those layers pack the transpose once (at
-/// freeze time) and every output element becomes one [`dot`] over two
-/// contiguous slices. Packing permutes the *layout*, never any element's
-/// accumulation order.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Packed {
-    /// Inner dimension (rows of the original matrix).
-    k: usize,
-    /// Output dimension (columns of the original matrix).
-    n: usize,
-    /// Column-major data: column `j` lives at `data[j*k..(j+1)*k]`.
-    data: Vec<f64>,
-}
-
-impl Packed {
-    /// Packs `b` (the right-hand side of a product) column-major.
-    pub(crate) fn pack(b: &Matrix) -> Self {
-        let (k, n) = (b.rows, b.cols);
-        let mut data = Vec::with_capacity(k * n);
-        for j in 0..n {
-            for i in 0..k {
-                data.push(b.data[i * n + j]);
+/// The narrow-output kernel of [`Mat::matmul_into`]: `out = a · B` for a
+/// `B` of `N` (one or two) columns, row by row, with one register
+/// accumulator per output element reading `B`'s row-major elements where
+/// they lie — no transposed copy. Each element is the naive chain,
+/// ascending `k` from `0.0`.
+fn narrow_rows<L: Lane, const N: usize>(a: &[L], kd: usize, bdata: &[L], out: &mut [L]) {
+    for (a_row, out_row) in a.chunks_exact(kd).zip(out.chunks_exact_mut(N)) {
+        let mut acc = [L::ZERO; N];
+        for (&x, b_row) in a_row.iter().zip(bdata.chunks_exact(N)) {
+            for (s, &b) in acc.iter_mut().zip(b_row) {
+                *s += x * b;
             }
         }
-        Packed { k, n, data }
-    }
-
-    /// Inner dimension (rows of the packed matrix).
-    pub(crate) fn rows(&self) -> usize {
-        self.k
-    }
-
-    /// Output dimension (columns of the packed matrix).
-    pub(crate) fn cols(&self) -> usize {
-        self.n
-    }
-
-    /// Column `col` of the original matrix, contiguous.
-    #[inline]
-    pub(crate) fn col(&self, col: usize) -> &[f64] {
-        &self.data[col * self.k..(col + 1) * self.k]
+        out_row.copy_from_slice(&acc);
     }
 }
 
@@ -700,8 +678,23 @@ mod tests {
     #[test]
     fn blocked_kernel_matches_naive_product_bitwise() {
         // Shapes straddling the 4-wide unroll boundary and the remainder
-        // loop, including the one-row inference shape.
-        for (m, k, n) in [(1, 1, 1), (1, 100, 75), (3, 5, 7), (4, 8, 4), (2, 9, 13), (7, 4, 1)] {
+        // loop, including the one-row inference shape, and the one- and
+        // two-wide heads of the narrow kernel at `k` below 4, between 4 and
+        // 8, and past 8 with a remainder.
+        for (m, k, n) in [
+            (1, 1, 1),
+            (1, 100, 75),
+            (3, 5, 7),
+            (4, 8, 4),
+            (2, 9, 13),
+            (7, 4, 1),
+            (1, 3, 2),
+            (3, 6, 2),
+            (5, 17, 1),
+            (2, 19, 2),
+            (4, 1, 2),
+            (6, 8, 2),
+        ] {
             let a = Matrix::xavier(m, k, (m * 100 + k * 10 + n) as u64);
             let b = Matrix::xavier(k, n, (n * 100 + k) as u64);
             // Naive reference: the pre-blocking triple loop.
@@ -715,17 +708,6 @@ mod tests {
                 }
             }
             assert_eq!(a.matmul(&b), naive, "blocked kernel diverged at {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn packed_columns_are_original_columns() {
-        let b = Matrix::xavier(5, 3, 11);
-        let packed = Packed::pack(&b);
-        assert_eq!((packed.rows(), packed.cols()), (5, 3));
-        for j in 0..3 {
-            let col: Vec<f64> = (0..5).map(|i| b.get(i, j)).collect();
-            assert_eq!(packed.col(j), &col[..]);
         }
     }
 

@@ -29,9 +29,8 @@ impl Mlp {
     ///
     /// # Panics
     ///
-    /// Panics if `x` does not have [`Mlp::input_size`] columns, the network
-    /// has no layers, or there is no current snapshot (call [`Mlp::freeze`]
-    /// after the last training step).
+    /// Panics if `x` does not have [`Mlp::input_size`] columns or the
+    /// network has no layers.
     pub fn predict_with<'w>(&self, x: &Matrix, ws: &'w mut Workspace) -> &'w Matrix {
         assert!(!self.layers.is_empty(), "network needs at least one layer");
         let mut into_ping = true;
@@ -49,15 +48,6 @@ impl Mlp {
             &ws.pong
         } else {
             &ws.ping
-        }
-    }
-
-    /// Snapshots every layer's parameters (see [`crate::Dense::freeze`]).
-    /// Call when training is finished; a later [`Mlp::train_batch`] drops
-    /// the snapshots automatically.
-    pub fn freeze(&mut self) {
-        for layer in &mut self.layers {
-            layer.freeze();
         }
     }
 
@@ -181,11 +171,8 @@ mod tests {
     use super::*;
     use crate::optimizer::Adam;
 
-    /// Inference on the network's current weights.
     fn predict(mlp: &Mlp, x: &Matrix) -> Matrix {
-        let mut frozen = mlp.clone();
-        frozen.freeze();
-        frozen.predict_with(x, &mut Workspace::new()).clone()
+        mlp.predict_with(x, &mut Workspace::new()).clone()
     }
 
     #[test]

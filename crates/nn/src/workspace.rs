@@ -35,8 +35,7 @@ use crate::matrix::Matrix;
 /// ```
 /// use idsbench_nn::{Autoencoder, AutoencoderConfig, Matrix, Workspace};
 ///
-/// let mut ae = Autoencoder::new(4, AutoencoderConfig::default());
-/// ae.freeze();
+/// let ae = Autoencoder::new(4, AutoencoderConfig::default());
 /// let rows = Matrix::from_rows(&[&[0.1, 0.9, 0.1, 0.9], &[0.5, 0.5, 0.5, 0.5]]);
 /// let (mut ws, mut scores) = (Workspace::new(), Vec::new());
 /// ae.score_rows_with(&rows, &mut scores, &mut ws);

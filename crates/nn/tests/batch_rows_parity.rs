@@ -9,10 +9,10 @@
 //!   any random split of the `M` rows produce bitwise identical results per
 //!   row. This is why batching can sit underneath the score-digest contract
 //!   without its own pin.
-//! * **The naive loop is the reference.** The blocked, tiled, column-packed
-//!   kernels equal a plain triple loop (ascending `k` from `0.0`, then
-//!   bias, then the crate's activation) bit for bit. The reference lives
-//!   here, never in `src/`.
+//! * **The naive loop is the reference.** The blocked broadcast kernel and
+//!   the narrow-head kernel equal a plain triple loop (ascending `k` from
+//!   `0.0`, then bias, then the crate's activation) bit for bit. The
+//!   reference lives here, never in `src/`.
 
 use idsbench_nn::{
     Activation, Autoencoder, AutoencoderConfig, Dense, Lstm, LstmRegressor, LstmRegressorConfig,
@@ -103,8 +103,8 @@ fn naive_dense(x: &Matrix, w: &Matrix, bias: &Matrix, act: Activation) -> Vec<f6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dense: cut-invariant (narrow outputs exercise the column-packed dot
-    /// kernel) and equal to the naive triple loop with a trained (non-zero)
+    /// Dense: cut-invariant (outputs of one and two take the narrow
+    /// matmul kernel, wider ones the broadcast kernel) and equal to the naive triple loop with a trained (non-zero)
     /// bias.
     #[test]
     fn dense_is_cut_invariant_and_f64_is_the_naive_loop(
@@ -120,7 +120,6 @@ proptest! {
         let out = layer.forward_training(&x);
         let grad = Matrix::from_fn(out.rows(), out.cols(), |r, c| 0.05 + 0.01 * (r + c) as f64);
         layer.backward(&grad, &mut Sgd::new(0.1), None);
-        layer.freeze();
 
         let reference = assert_cut_invariant(&x, seed, |chunk, out| {
             let mut y = Matrix::default();
@@ -149,7 +148,6 @@ proptest! {
         for _ in 0..train_rounds {
             ae.train_sample(&sample);
         }
-        ae.freeze();
         let xs = Matrix::from_fn(rows, input, |r, c| ((r + c * 3) as f64 * 0.41).sin().abs());
 
         let mut ws = Workspace::new();
@@ -166,12 +164,11 @@ proptest! {
         rows in 1usize..9,
         seed in any::<u64>(),
     ) {
-        let mut mlp = MlpBuilder::new(input)
+        let mlp = MlpBuilder::new(input)
             .layer(hidden, Activation::Relu)
             .layer(1, Activation::Sigmoid)
             .seed(seed)
             .build();
-        mlp.freeze();
         let x = Matrix::from_fn(rows, input, |r, c| ((r * 7 + c) as f64 * 0.29).sin());
 
         let mut ws = Workspace::new();
@@ -197,7 +194,6 @@ proptest! {
         for i in 0..train_rounds {
             model.train_window(&window, (i % 2) as f64);
         }
-        model.freeze();
         let windows =
             Matrix::from_fn(rows, timesteps, |r, t| ((r * 13 + t) as f64 * 0.47).sin());
 
@@ -218,8 +214,7 @@ proptest! {
         rows in 1usize..6,
         seed in any::<u64>(),
     ) {
-        let mut lstm = Lstm::new(input, hidden, seed);
-        lstm.freeze();
+        let lstm = Lstm::new(input, hidden, seed);
         let windows =
             Matrix::from_fn(rows, timesteps * input, |r, c| ((r * 11 + c) as f64 * 0.31).cos());
 
