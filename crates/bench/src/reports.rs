@@ -6,7 +6,7 @@ use idsbench_bench::{paper_cell, standard_detectors};
 use idsbench_core::json::{fmt_num, quoted};
 use idsbench_core::metrics::{ConfusionMatrix, FamilyOutcome};
 use idsbench_core::preprocess::{Pipeline, PipelineConfig};
-use idsbench_core::runner::{evaluate, replay, run_grid, EvalConfig, Experiment};
+use idsbench_core::runner::{replay, run_grid, DetectorFactory, EvalConfig, Experiment};
 use idsbench_core::threshold::ThresholdPolicy;
 use idsbench_core::{registry, report, Dataset, EventDetector};
 use idsbench_datasets::{scenarios, ScenarioScale};
@@ -170,43 +170,57 @@ fn train_attacks(dataset: &dyn Dataset, config: &EvalConfig) -> Result<usize, St
     Ok(input.train.flows.iter().filter(|flow| flow.is_attack()).count())
 }
 
+/// A grid row label and the factory of its detector.
+fn variant(
+    label: &str,
+    make: impl Fn() -> Box<dyn EventDetector> + Send + Sync + 'static,
+) -> (String, DetectorFactory<'static>) {
+    (label.to_string(), Box::new(make))
+}
+
 /// Preprocessing ablation (Section V factor 5): the supervised DNN with and
 /// without min-max scaling and class rebalancing, plus the original study's
 /// classical-ML baselines under the standard pipeline. The trailing
 /// `train_attacks` column counts the attack flows each row trained on; a
 /// dataset whose count is 0 gets a note on stderr, since no supervised
-/// model can learn an attack class it never saw.
+/// model can learn an attack class it never saw. One [`run_grid`] scores
+/// every variant, so each dataset is prepared once for all of them.
 pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
     let config = EvalConfig { dataset_seed: seed, ..Default::default() };
     println!("variant,dataset,accuracy,precision,recall,f1,auc,train_attacks");
-    for scenario in table4_models(scale) {
-        let attacks = train_attacks(&scenario, &config)?;
-        if attacks == 0 {
+    let scenarios = table4_models(scale);
+    let datasets: Vec<&dyn Dataset> = scenarios.iter().map(|s| s as &dyn Dataset).collect();
+    let mut attacks = Vec::with_capacity(datasets.len());
+    for &dataset in &datasets {
+        let count = train_attacks(dataset, &config)?;
+        if count == 0 {
             eprintln!(
                 "note: the {} training slice holds no attack flow; its supervised rows are not a \
                  measurement",
-                scenario.info().name
+                dataset.info().name
             );
         }
-        let variants: Vec<(&str, Box<dyn EventDetector>)> = vec![
-            ("dnn", Box::new(Dnn::default())),
-            (
-                "dnn-no-normalize",
-                Box::new(Dnn::new(DnnConfig { normalize: false, ..Default::default() })),
-            ),
-            (
-                "dnn-no-rebalance",
-                Box::new(Dnn::new(DnnConfig { rebalance: false, ..Default::default() })),
-            ),
-            ("logreg", Box::new(LogisticRegression::default())),
-            ("naive-bayes", Box::new(NaiveBayes::default())),
-            ("decision-tree", Box::new(DecisionTree::default())),
-            ("knn", Box::new(KNearest::default())),
-        ];
-        for (label, mut detector) in variants {
-            let e = evaluate(detector.as_mut(), &scenario, &config)
-                .map_err(|e| format!("{label}: {e}"))?;
-            println!("{},{attacks}", csv_row(label, &e.dataset, &e));
+        attacks.push(count);
+    }
+    let variants = [
+        variant("dnn", || Box::new(Dnn::default())),
+        variant("dnn-no-normalize", || {
+            Box::new(Dnn::new(DnnConfig { normalize: false, ..Default::default() }))
+        }),
+        variant("dnn-no-rebalance", || {
+            Box::new(Dnn::new(DnnConfig { rebalance: false, ..Default::default() }))
+        }),
+        variant("logreg", || Box::new(LogisticRegression::default())),
+        variant("naive-bayes", || Box::new(NaiveBayes::default())),
+        variant("decision-tree", || Box::new(DecisionTree::default())),
+        variant("knn", || Box::new(KNearest::default())),
+    ];
+    let grid = run_grid(&variants, &datasets, &config).map_err(|e| format!("grid: {e}"))?;
+    // `run_grid` is detector-major; the report is dataset-major.
+    for (s, count) in attacks.iter().enumerate() {
+        for (d, (label, _)) in variants.iter().enumerate() {
+            let e = &grid[d * datasets.len() + s];
+            println!("{},{count}", csv_row(label, &e.dataset, e));
         }
     }
     Ok(())
@@ -214,29 +228,32 @@ pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
 
 /// Benign-baseline ablation (Section V factor 6 / VI-B-2): the leading-
 /// slice anomaly detectors on Stratosphere with a clean benign prefix
-/// versus the same site with the infection active from t = 0.
+/// versus the same site with the infection active from t = 0, both sites
+/// scored by one [`run_grid`].
 pub fn baseline(scale: ScenarioScale, seed: u64) -> Outcome {
     let config = EvalConfig { dataset_seed: seed, ..Default::default() };
     println!("detector,baseline,accuracy,precision,recall,f1,auc");
-    // Each row's detector and F1, the clean-prefix rows first.
-    let mut f1s = Vec::new();
-    for (label, scenario) in [
-        ("clean-prefix", scenarios::stratosphere_iot(scale)),
-        ("contaminated", scenarios::stratosphere_iot_contaminated(scale)),
-    ] {
-        let detectors: Vec<Box<dyn EventDetector>> =
-            vec![Box::new(Kitsune::default()), Box::new(Helad::default())];
-        for mut detector in detectors {
-            let e = evaluate(detector.as_mut(), &scenario, &config)
-                .map_err(|e| format!("{label}: {e}"))?;
-            println!("{}", csv_row(&e.detector, label, &e));
-            f1s.push((e.detector, e.metrics.f1));
+    let labels = ["clean-prefix", "contaminated"];
+    let sites =
+        [scenarios::stratosphere_iot(scale), scenarios::stratosphere_iot_contaminated(scale)];
+    let datasets: Vec<&dyn Dataset> = sites.iter().map(|s| s as &dyn Dataset).collect();
+    let detectors = [
+        variant("Kitsune", || Box::new(Kitsune::default())),
+        variant("HELAD", || Box::new(Helad::default())),
+    ];
+    let grid = run_grid(&detectors, &datasets, &config).map_err(|e| format!("grid: {e}"))?;
+    // `run_grid` is detector-major: cell `d * 2 + s` is detector `d` on
+    // site `s`. The report lists the clean-prefix rows first.
+    for (s, label) in labels.iter().enumerate() {
+        for d in 0..detectors.len() {
+            let e = &grid[d * labels.len() + s];
+            println!("{}", csv_row(&e.detector, label, e));
         }
     }
-    let (clean, contaminated) = f1s.split_at(f1s.len() / 2);
     eprintln!();
-    for ((detector, before), (_, after)) in clean.iter().zip(contaminated) {
-        eprintln!("{}", baseline_shift(detector, *before, *after));
+    for pair in grid.chunks_exact(labels.len()) {
+        let (clean, contaminated) = (&pair[0], &pair[1]);
+        eprintln!("{}", baseline_shift(&clean.detector, clean.metrics.f1, contaminated.metrics.f1));
     }
     Ok(())
 }

@@ -12,6 +12,9 @@
 //! | `HHjit` | channel jitter (inter-arrival) | 3 |
 //! | `HpHp` | socket src:port↔dst:port bandwidth | 7 |
 //!
+//! `HH` and `HHjit` share one entry per channel, so a packet costs three
+//! map lookups.
+//!
 //! With the default five decay rates λ ∈ {5, 3, 1, 0.1, 0.01} this yields
 //! (3+7+3+7)×5 = 100 features, matching the reference implementation.
 
@@ -73,15 +76,24 @@ fn canonical_socket(src: IpAddr, sp: u16, dst: IpAddr, dp: u16) -> (SocketKey, b
 }
 
 #[derive(Debug)]
-struct JitterEntry {
-    stats: Vec<DampedStat>,
-    last_seen: f64,
-}
-
-#[derive(Debug)]
 struct PairEntry {
     stats: Vec<DampedPairStat>,
     last_seen: f64,
+}
+
+impl PairEntry {
+    /// A pair entity first seen at `t`.
+    fn new(lambdas: &[f64], t: f64) -> Self {
+        PairEntry { stats: lambdas.iter().map(|&l| DampedPairStat::new(l)).collect(), last_seen: t }
+    }
+}
+
+/// An `HH` channel and its `HHjit` inter-arrival statistics: one entity
+/// under one key, so one lookup and one `last_seen` serve both groups.
+#[derive(Debug)]
+struct ChannelEntry {
+    pair: PairEntry,
+    jitter: Vec<DampedStat>,
 }
 
 #[derive(Debug)]
@@ -115,8 +127,7 @@ struct BandwidthEntry {
 pub struct AfterImage {
     config: AfterImageConfig,
     mac_ip: FxHashMap<(MacAddr, IpAddr), BandwidthEntry>,
-    channels: FxHashMap<ChannelKey, PairEntry>,
-    channel_jitter: FxHashMap<ChannelKey, JitterEntry>,
+    channels: FxHashMap<ChannelKey, ChannelEntry>,
     sockets: FxHashMap<SocketKey, PairEntry>,
     packets_seen: u64,
 }
@@ -135,7 +146,6 @@ impl AfterImage {
             config,
             mac_ip: FxHashMap::default(),
             channels: FxHashMap::default(),
-            channel_jitter: FxHashMap::default(),
             sockets: FxHashMap::default(),
             packets_seen: 0,
         }
@@ -197,16 +207,17 @@ impl AfterImage {
 
         // --- HH: channel bandwidth (with cross-direction covariance) ----
         let (channel_key, is_a) = canonical_channel(src_ip, dst_ip);
-        update_pair(&mut self.channels, channel_key, is_a, lambdas, t, size, features);
+        let channel = self.channels.entry(channel_key).or_insert_with(|| ChannelEntry {
+            pair: PairEntry::new(lambdas, t),
+            jitter: lambdas.iter().map(|&l| DampedStat::new(l)).collect(),
+        });
+        // The gap since the channel's previous packet; a new channel was
+        // created at `t`, so its first gap is 0.
+        let gap = (t - channel.pair.last_seen).max(0.0);
+        update_pair(&mut channel.pair, is_a, t, size, features);
 
         // --- HHjit: channel jitter --------------------------------------
-        let jitter = self.channel_jitter.entry(channel_key).or_insert_with(|| JitterEntry {
-            stats: lambdas.iter().map(|&l| DampedStat::new(l)).collect(),
-            last_seen: f64::NAN, // NAN marks "no previous packet"
-        });
-        let gap = if jitter.last_seen.is_nan() { 0.0 } else { (t - jitter.last_seen).max(0.0) };
-        jitter.last_seen = t;
-        for stat in &mut jitter.stats {
+        for stat in &mut channel.jitter {
             stat.insert(t, gap);
             features.extend_from_slice(&stat.snapshot());
         }
@@ -215,44 +226,33 @@ impl AfterImage {
         let sp = packet.src_port().unwrap_or(0);
         let dp = packet.dst_port().unwrap_or(0);
         let (socket_key, sock_is_a) = canonical_socket(src_ip, sp, dst_ip, dp);
-        update_pair(&mut self.sockets, socket_key, sock_is_a, lambdas, t, size, features);
+        let socket = self.sockets.entry(socket_key).or_insert_with(|| PairEntry::new(lambdas, t));
+        update_pair(socket, sock_is_a, t, size, features);
 
         debug_assert_eq!(features.len(), self.feature_count());
         self.maybe_purge();
     }
 
-    /// Total tracked entities across all aggregate maps.
+    /// Total tracked entities across all aggregate maps (a channel counts
+    /// once: its `HH` and `HHjit` statistics share one entry).
     pub fn tracked_entities(&self) -> usize {
-        self.mac_ip.len() + self.channels.len() + self.channel_jitter.len() + self.sockets.len()
+        self.mac_ip.len() + self.channels.len() + self.sockets.len()
     }
 
     /// Bounds memory: when a map exceeds the budget, drop the stalest half.
     fn maybe_purge(&mut self) {
         let cap = self.config.max_entities;
         purge_map(&mut self.mac_ip, cap, |e| e.last_seen);
-        purge_map(&mut self.channels, cap, |e| e.last_seen);
-        purge_map(&mut self.channel_jitter, cap, |e| e.last_seen);
+        purge_map(&mut self.channels, cap, |e| e.pair.last_seen);
         purge_map(&mut self.sockets, cap, |e| e.last_seen);
     }
 }
 
 /// The HH and HpHp update: folds one packet of `size` bytes at time `t`
-/// into the pair entity `key` (created on first sight) on every λ, and
-/// appends its 7 features per λ as seen from the packet's side of the pair
-/// (`is_a`: the canonical a→b direction).
-fn update_pair<K: std::hash::Hash + Eq>(
-    map: &mut FxHashMap<K, PairEntry>,
-    key: K,
-    is_a: bool,
-    lambdas: &[f64],
-    t: f64,
-    size: f64,
-    features: &mut Vec<f64>,
-) {
-    let entry = map.entry(key).or_insert_with(|| PairEntry {
-        stats: lambdas.iter().map(|&l| DampedPairStat::new(l)).collect(),
-        last_seen: t,
-    });
+/// into the pair entity `entry` on every λ, and appends its 7 features per
+/// λ as seen from the packet's side of the pair (`is_a`: the canonical a→b
+/// direction).
+fn update_pair(entry: &mut PairEntry, is_a: bool, t: f64, size: f64, features: &mut Vec<f64>) {
     entry.last_seen = t;
     for stat in &mut entry.stats {
         if is_a {
@@ -360,6 +360,29 @@ mod tests {
         assert_eq!(extractor.channels.len(), 1);
         assert_eq!(extractor.sockets.len(), 1);
         assert_eq!(extractor.mac_ip.len(), 2);
+        // HH and HHjit share the channel's entry: it counts once.
+        assert_eq!(extractor.tracked_entities(), 4);
+    }
+
+    #[test]
+    fn channel_jitter_is_the_gap_since_the_channel_last_spoke() {
+        // HHjit's mean per λ sits after MI (3 per λ) and HH (7 per λ).
+        let jitter_means = |features: &[f64]| -> Vec<f64> {
+            (0..5).map(|i| features[5 * (3 + 7) + 3 * i + 1]).collect()
+        };
+        let mut extractor = AfterImage::new(AfterImageConfig::default());
+        // A new channel's first gap is 0, from either direction.
+        let first = extractor.update(&packet(1, 1000, 2, 80, 100, 10.0));
+        assert_eq!(jitter_means(&first), vec![0.0; 5]);
+        // The reply 0.25 s later is on the same channel: every λ's mean
+        // moves off 0 toward the 0.25 s gap.
+        let reply = extractor.update(&packet(2, 80, 1, 1000, 100, 10.25));
+        for mean in jitter_means(&reply) {
+            assert!(mean > 0.0 && mean <= 0.25, "mean {mean}");
+        }
+        // Another pair of hosts is another channel, starting from 0 again.
+        let other = extractor.update(&packet(3, 1000, 4, 80, 100, 10.5));
+        assert_eq!(jitter_means(&other), vec![0.0; 5]);
     }
 
     #[test]

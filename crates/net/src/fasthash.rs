@@ -15,7 +15,7 @@
 //! Fx is unkeyed, so it resists neither crafted collisions nor unbounded
 //! key growth, and keys here come from header fields an attacker can
 //! spoof. Only two of the maps are capped: `FlowTable`'s flow map by
-//! `FlowTableConfig::max_flows`, and each of AfterImage's four aggregates
+//! `FlowTableConfig::max_flows`, and each of AfterImage's three entity maps
 //! by `AfterImageConfig::max_entities`. The rest grow with every distinct
 //! source key a spoofed flood mints: the assembler's label fold (bounded
 //! only by its 10-minute label horizon times the key rate), the shard's

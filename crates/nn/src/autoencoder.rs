@@ -1,4 +1,4 @@
-use crate::activation::Activation;
+use crate::activation::{sigmoid, Activation};
 use crate::dense::Dense;
 use crate::loss::Loss;
 use crate::matrix::Matrix;
@@ -114,20 +114,85 @@ impl Autoencoder {
     /// allocations once `ws` is warm; a single sample is a batch of one
     /// row.
     ///
-    /// Each layer's weights stream through cache once per batch, and every
-    /// row's score is bitwise identical however the rows are split across
-    /// calls — batching reorders only pure computation (pinned by the
-    /// `batch_rows_parity` proptests).
+    /// The kernel follows the shape. A narrow autoencoder (input width at
+    /// most `LANES_MAX_WIDTH`, every KitNET member) scores each full block
+    /// of `LANES` rows *rows-in-lanes*: the block is transposed into
+    /// feature-major scratch, so one vector holds one feature of eight
+    /// packets, and each output unit of the encoder, then the decoder, is
+    /// one register accumulator per block with the bias fused into its
+    /// store; the RMSE folds in as the decoder's outputs are activated.
+    /// Row-major products over output tiles four to thirteen columns wide
+    /// vectorise badly; eight packets per vector do not. The last `m mod LANES` rows
+    /// — so every one-row call — and every wider autoencoder (HELAD's
+    /// 100-wide one) run row-major through [`Dense::forward_rows_into`].
+    ///
+    /// Both paths build each element by the same chain: `0 + x₀·w₀`, then
+    /// `+ x_k·w_k` in ascending `k`, then `+ b`, then the crate's
+    /// `sigmoid`, and each RMSE sums `d²` in ascending feature order before
+    /// `/ k` and `sqrt`. So every row's score is bitwise identical however
+    /// the rows are split across calls and whichever path scored it —
+    /// batching reorders only pure computation (pinned by the
+    /// `batch_rows_parity` proptests, against a naive reference).
     ///
     /// # Panics
     ///
     /// Panics if `xs` has the wrong width.
     pub fn score_rows_with(&self, xs: &Matrix, scores: &mut Vec<f64>, ws: &mut Workspace) {
         assert_eq!(xs.cols(), self.input_size, "input width mismatch");
-        self.encoder.forward_rows_into(xs, &mut ws.ping);
-        self.decoder.forward_rows_into(&ws.ping, &mut ws.pong);
-        for i in 0..xs.rows() {
-            scores.push(rmse(xs.row(i), ws.pong.row(i)));
+        let (m, k) = (xs.rows(), self.input_size);
+        let blocked = if k <= LANES_MAX_WIDTH { m - m % LANES } else { 0 };
+        if blocked > 0 {
+            self.score_lanes(&xs.as_slice()[..blocked * k], scores, ws);
+        }
+        if blocked == m {
+            return;
+        }
+        let Workspace { ping, pong, stage, .. } = ws;
+        let rest = if blocked == 0 {
+            xs
+        } else {
+            stage.assign(m - blocked, k, &xs.as_slice()[blocked * k..]);
+            &*stage
+        };
+        self.encoder.forward_rows_into(rest, ping);
+        self.decoder.forward_rows_into(ping, pong);
+        for i in 0..rest.rows() {
+            scores.push(rmse(rest.row(i), pong.row(i)));
+        }
+    }
+
+    /// The rows-in-lanes kernel of [`Autoencoder::score_rows_with`] over
+    /// `rows`, a whole number of `LANES`-row blocks of row-major input.
+    fn score_lanes(&self, rows: &[f64], scores: &mut Vec<f64>, ws: &mut Workspace) {
+        let (k, hidden) = (self.input_size, self.hidden_size());
+        // Scratch, one `[f64; LANES]` per feature or unit: the transposed
+        // input, the hidden activations, the decoder's pre-activations.
+        ws.lanes.resize(2 * k + hidden, [0.0; LANES]);
+        let (xt, units) = ws.lanes.split_at_mut(k);
+        let (ht, yt) = units.split_at_mut(hidden);
+        let (we, be) = (self.encoder.weights().as_slice(), self.encoder.bias().as_slice());
+        let (wd, bd) = (self.decoder.weights().as_slice(), self.decoder.bias().as_slice());
+        for block in rows.chunks_exact(k * LANES) {
+            for (lane, row) in block.chunks_exact(k).enumerate() {
+                for (feature, &v) in xt.iter_mut().zip(row) {
+                    feature[lane] = v;
+                }
+            }
+            affine_lanes(xt, we, be, ht);
+            for h in ht.iter_mut() {
+                for v in h.iter_mut() {
+                    *v = sigmoid(*v);
+                }
+            }
+            affine_lanes(ht, wd, bd, yt);
+            let mut sum = [0.0; LANES];
+            for (x, y) in xt.iter().zip(yt.iter()) {
+                for lane in 0..LANES {
+                    let d = x[lane] - sigmoid(y[lane]);
+                    sum[lane] += d * d;
+                }
+            }
+            scores.extend(sum.map(|s| (s / k as f64).sqrt()));
         }
     }
 
@@ -150,6 +215,66 @@ impl Autoencoder {
         self.encoder.backward(&self.grad_hidden, &mut self.optimizer, None);
         self.trained_samples += 1;
         error
+    }
+}
+
+/// Rows per block of the rows-in-lanes kernel: one `f64` vector at
+/// AVX-512, two at AVX2. Only full blocks take the kernel, so a one-row
+/// call never pays for seven idle lanes.
+pub(crate) const LANES: usize = 8;
+
+/// Widest input the rows-in-lanes kernel scores. KitNET's members are at
+/// most ten wide and its output autoencoder is as wide as the ensemble
+/// (11–13 members on the Table IV datasets at Tiny and Small scale), so
+/// every KitNET layer takes the lanes, while HELAD's 100-wide autoencoder
+/// stays on the row-major path it was tuned on.
+const LANES_MAX_WIDTH: usize = 16;
+
+/// Output units of [`affine_lanes`] accumulated abreast: four units of
+/// eight lanes are eight independent add chains at AVX2 width, enough to
+/// hide the add latency. One unit at a time was 1.3–1.8× slower per row;
+/// eight abreast spills its accumulators and was slower from eight
+/// outputs up.
+const UNITS: usize = 4;
+
+/// `out[j] = Σ_i x[i]·w[i][j] + b[j]` for every lane of the feature-major
+/// block `x` and row-major weights `w` (`x.len() × out.len()`), `UNITS`
+/// output units at a time. The activation is a separate pass over `out`:
+/// applied inside the unit loop, its polynomial serialises behind each
+/// unit's accumulator.
+fn affine_lanes(x: &[[f64; LANES]], w: &[f64], b: &[f64], out: &mut [[f64; LANES]]) {
+    let mut j = 0;
+    while j + UNITS <= out.len() {
+        affine_units::<UNITS>(x, w, b, j, out);
+        j += UNITS;
+    }
+    for j in j..out.len() {
+        affine_units::<1>(x, w, b, j, out);
+    }
+}
+
+/// Output units `j..j + U` of [`affine_lanes`]: one accumulator per (unit,
+/// lane), `0 + x₀·w₀j` then ascending `i`, then `+ b` — the naive chain,
+/// lane by lane.
+#[inline(always)]
+fn affine_units<const U: usize>(
+    x: &[[f64; LANES]],
+    w: &[f64],
+    b: &[f64],
+    j: usize,
+    out: &mut [[f64; LANES]],
+) {
+    let n = out.len();
+    let mut acc = [[0.0; LANES]; U];
+    for (xi, w_row) in x.iter().zip(w.chunks_exact(n)) {
+        for (a, &wij) in acc.iter_mut().zip(&w_row[j..j + U]) {
+            for lane in 0..LANES {
+                a[lane] += xi[lane] * wij;
+            }
+        }
+    }
+    for (o, (a, &bj)) in out[j..j + U].iter_mut().zip(acc.iter().zip(&b[j..j + U])) {
+        *o = a.map(|v| v + bj);
     }
 }
 

@@ -26,6 +26,7 @@
 //! [`Lstm::final_hidden_windows_with`]: crate::Lstm::final_hidden_windows_with
 //! [`LstmRegressor::predict_windows_with`]: crate::LstmRegressor::predict_windows_with
 
+use crate::autoencoder::LANES;
 use crate::matrix::Matrix;
 
 /// Reusable inference scratch buffers (see module docs).
@@ -57,6 +58,11 @@ pub struct Workspace {
     pub(crate) hidden: Matrix,
     /// LSTM cell state.
     pub(crate) cell: Matrix,
+    /// One block of autoencoder rows in feature-major lanes, an array per
+    /// feature or unit and a lane per row: the transposed input, the
+    /// hidden activations and the decoder's pre-activations (see
+    /// [`crate::Autoencoder::score_rows_with`]).
+    pub(crate) lanes: Vec<[f64; LANES]>,
 }
 
 impl Workspace {

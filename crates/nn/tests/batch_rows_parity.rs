@@ -9,10 +9,11 @@
 //!   any random split of the `M` rows produce bitwise identical results per
 //!   row. This is why batching can sit underneath the score-digest contract
 //!   without its own pin.
-//! * **The naive loop is the reference.** The blocked broadcast kernel and
-//!   the narrow-head kernel equal a plain triple loop (ascending `k` from
-//!   `0.0`, then bias, then the crate's activation) bit for bit. The
-//!   reference lives here, never in `src/`.
+//! * **The naive loop is the reference.** The blocked broadcast kernel,
+//!   the narrow-head kernel and the autoencoder's rows-in-lanes kernel
+//!   equal a plain triple loop (ascending `k` from `0.0`, then bias, then
+//!   the crate's activation; for an autoencoder, then the ascending-order
+//!   RMSE) bit for bit. The reference lives here, never in `src/`.
 
 use idsbench_nn::{
     Activation, Autoencoder, AutoencoderConfig, Dense, Lstm, LstmRegressor, LstmRegressorConfig,
@@ -100,6 +101,29 @@ fn naive_dense(x: &Matrix, w: &Matrix, bias: &Matrix, act: Activation) -> Vec<f6
     out
 }
 
+/// The naive reference for an autoencoder score: [`naive_dense`] for the
+/// encoder, then for the decoder, then the RMSE with `d²` summed in
+/// ascending feature order from `0.0`, divided by the width, square-rooted.
+fn naive_autoencoder_scores(ae: &Autoencoder, xs: &Matrix) -> Vec<f64> {
+    let [encoder, decoder] = ae.layers();
+    let hidden = naive_dense(xs, encoder.weights(), encoder.bias(), Activation::Sigmoid);
+    let hidden = Matrix::from_fn(xs.rows(), encoder.output_size(), |r, c| {
+        hidden[r * encoder.output_size() + c]
+    });
+    let reconstruction =
+        naive_dense(&hidden, decoder.weights(), decoder.bias(), Activation::Sigmoid);
+    (0..xs.rows())
+        .map(|r| {
+            let mut sum = 0.0;
+            for c in 0..xs.cols() {
+                let d = xs.get(r, c) - reconstruction[r * xs.cols() + c];
+                sum += d * d;
+            }
+            (sum / xs.cols() as f64).sqrt()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -135,11 +159,15 @@ proptest! {
         );
     }
 
-    /// Autoencoder scores: cut-invariant.
+    /// Autoencoder scores: cut-invariant and equal to the naive reference.
+    /// Widths straddle the rows-in-lanes width bound (16); row counts cover
+    /// one-row calls, several eight-row lane blocks, the 32-packet burst
+    /// and ragged tails, and the random split mixes lane blocks with
+    /// row-major remainders.
     #[test]
     fn autoencoder_scores_are_cut_invariant(
-        input in 2usize..20,
-        rows in 1usize..9,
+        input in 1usize..=24,
+        rows in 1usize..=70,
         seed in any::<u64>(),
         train_rounds in 0usize..12,
     ) {
@@ -153,7 +181,12 @@ proptest! {
         let mut ws = Workspace::new();
         let reference =
             assert_cut_invariant(&xs, seed, |chunk, out| ae.score_rows_with(chunk, out, &mut ws))?;
-        prop_assert_eq!(reference.len(), rows);
+        let naive = naive_autoencoder_scores(&ae, &xs);
+        prop_assert_eq!(
+            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            naive.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "autoencoder scores diverged from the naive reference"
+        );
     }
 
     /// MLP predictions: cut-invariant.
