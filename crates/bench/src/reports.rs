@@ -4,7 +4,7 @@
 
 use idsbench_bench::{paper_cell, standard_detectors};
 use idsbench_core::json::{fmt_num, quoted};
-use idsbench_core::metrics::{ConfusionMatrix, FamilyOutcome};
+use idsbench_core::metrics::{Assessment, FamilyOutcome, Ranking};
 use idsbench_core::preprocess::{Pipeline, PipelineConfig};
 use idsbench_core::runner::{replay, run_grid, DetectorFactory, EvalConfig, Experiment};
 use idsbench_core::threshold::ThresholdPolicy;
@@ -103,15 +103,16 @@ pub fn sweep(scale: ScenarioScale, seed: u64) -> Outcome {
             .prepare_events(name, scenario.generate(seed))
             .map_err(|e| format!("{name}: {e}"))?;
         for (detector, factory) in standard_detectors() {
-            // One event replay per detector; every cap recalibrates the
-            // same score stream.
+            // One event replay and one ranking per detector; every cap
+            // recalibrates on that ranking.
             let replayed = replay(factory().as_mut(), &input)
                 .map_err(|e| format!("{detector}/{name}: {e}"))?;
-            let (scores, labels) = (&replayed.scores, &replayed.labels);
+            let ranking = Ranking::new(&replayed.scores, &replayed.labels);
             for cap in caps {
                 let threshold =
-                    ThresholdPolicy::DetectionFirst { max_fpr: cap }.calibrate(scores, labels);
-                let m = ConfusionMatrix::from_scores(scores, labels, threshold).metrics();
+                    ThresholdPolicy::DetectionFirst { max_fpr: cap }.calibrate_ranked(&ranking);
+                let cm = ranking.confusion_at(threshold);
+                let m = Assessment::new(threshold, cm, &BTreeMap::new(), f64::NAN).metrics;
                 println!(
                     "{detector},{name},{cap:.2},{threshold:.6e},{:.4},{:.4},{:.4},{:.4}",
                     m.accuracy, m.precision, m.recall, m.f1
@@ -160,16 +161,6 @@ fn csv_row(first: &str, second: &str, e: &Experiment) -> String {
     )
 }
 
-/// Attack flows in the training slice `evaluate` hands a detector for
-/// `dataset` under `config`: what a supervised model has to learn from.
-fn train_attacks(dataset: &dyn Dataset, config: &EvalConfig) -> Result<usize, String> {
-    let name = &dataset.info().name;
-    let input = Pipeline::new(config.pipeline)
-        .and_then(|pipeline| pipeline.prepare_events(name, dataset.generate(config.dataset_seed)))
-        .map_err(|e| format!("{name}: {e}"))?;
-    Ok(input.train.flows.iter().filter(|flow| flow.is_attack()).count())
-}
-
 /// A grid row label and the factory of its detector.
 fn variant(
     label: &str,
@@ -181,27 +172,16 @@ fn variant(
 /// Preprocessing ablation (Section V factor 5): the supervised DNN with and
 /// without min-max scaling and class rebalancing, plus the original study's
 /// classical-ML baselines under the standard pipeline. The trailing
-/// `train_attacks` column counts the attack flows each row trained on; a
-/// dataset whose count is 0 gets a note on stderr, since no supervised
-/// model can learn an attack class it never saw. One [`run_grid`] scores
-/// every variant, so each dataset is prepared once for all of them.
+/// `train_attacks` column counts the attack flows each row trained on (the
+/// cell's [`TrainMix`](idsbench_core::runner::TrainMix)); a dataset whose
+/// count is 0 gets a note on stderr, since no supervised model can learn an
+/// attack class it never saw. One [`run_grid`] scores every variant, so
+/// each dataset is prepared once for all of them.
 pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
     let config = EvalConfig { dataset_seed: seed, ..Default::default() };
     println!("variant,dataset,accuracy,precision,recall,f1,auc,train_attacks");
     let scenarios = table4_models(scale);
     let datasets: Vec<&dyn Dataset> = scenarios.iter().map(|s| s as &dyn Dataset).collect();
-    let mut attacks = Vec::with_capacity(datasets.len());
-    for &dataset in &datasets {
-        let count = train_attacks(dataset, &config)?;
-        if count == 0 {
-            eprintln!(
-                "note: the {} training slice holds no attack flow; its supervised rows are not a \
-                 measurement",
-                dataset.info().name
-            );
-        }
-        attacks.push(count);
-    }
     let variants = [
         variant("dnn", || Box::new(Dnn::default())),
         variant("dnn-no-normalize", || {
@@ -216,12 +196,20 @@ pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
         variant("knn", || Box::new(KNearest::default())),
     ];
     let grid = run_grid(&variants, &datasets, &config).map_err(|e| format!("grid: {e}"))?;
-    // `run_grid` is detector-major; the report is dataset-major.
-    for (s, count) in attacks.iter().enumerate() {
+    // `run_grid` is detector-major; the report is dataset-major. Every cell
+    // of a row trained on the same slice.
+    for s in 0..datasets.len() {
         for (d, (label, _)) in variants.iter().enumerate() {
             let e = &grid[d * datasets.len() + s];
-            println!("{},{count}", csv_row(label, &e.dataset, e));
+            println!("{},{}", csv_row(label, &e.dataset, e), e.train.attack_flows);
         }
+    }
+    for e in grid.iter().take(datasets.len()).filter(|e| e.train.attack_flows == 0) {
+        eprintln!(
+            "note: the {} training slice holds no attack flow; its supervised rows are not a \
+             measurement",
+            e.dataset
+        );
     }
     Ok(())
 }

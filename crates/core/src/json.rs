@@ -81,6 +81,39 @@ pub fn num_field(out: &mut String, key: &str, value: f64) {
     push_num(out, value);
 }
 
+/// Appends `"key":number` members separated by commas (no trailing comma).
+pub fn num_fields(out: &mut String, fields: &[(&str, f64)]) {
+    for (i, &(key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        num_field(out, key, value);
+    }
+}
+
+/// Returns a JSON object of number members.
+pub fn num_object(fields: &[(&str, f64)]) -> String {
+    let mut out = String::from("{");
+    num_fields(&mut out, fields);
+    out.push('}');
+    out
+}
+
+/// Appends a `"key":[…]` member of already-encoded JSON values (no
+/// trailing comma).
+pub fn list_field(out: &mut String, key: &str, items: impl IntoIterator<Item = String>) {
+    out.push('"');
+    escape_into(out, key);
+    out.push_str("\":[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&item);
+    }
+    out.push(']');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -65,7 +65,7 @@ pub use event::{
     ParsedView, TrainView, BURST_PACKETS,
 };
 pub use label::{AttackKind, Label, LabeledPacket};
-pub use metrics::{FamilyCounts, FamilyOutcome};
+pub use metrics::{Assessment, FamilyCounts, FamilyOutcome};
 pub use report::ScaleEvent;
 pub use shell::{Detector, InferenceProbe, Model, Scoring};
 pub use traffic::{PacketStream, ScenarioScale, TrafficModel};

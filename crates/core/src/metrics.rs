@@ -3,7 +3,9 @@
 //! The paper evaluates with accuracy, precision, recall, and F1 (Section
 //! IV-B) and explicitly warns that accuracy alone misleads on imbalanced
 //! datasets (Section V). This module implements those metrics plus the ROC
-//! curve and AUC for the threshold-sensitivity ablations.
+//! curve and AUC for the threshold-sensitivity ablations, and the
+//! [`Assessment`] both drivers report: one constructor turns a threshold,
+//! its confusion matrix, its per-family tallies and the AUC into a verdict.
 
 /// Binary confusion matrix.
 ///
@@ -214,48 +216,111 @@ pub struct FamilyOutcome {
 }
 
 impl FamilyOutcome {
-    /// Builds the outcome row from raw tallies.
-    pub fn from_counts(family: &str, counts: &FamilyCounts) -> Self {
-        FamilyOutcome {
-            family: family.to_string(),
-            recall: counts.alerts as f64 / counts.items().max(1) as f64,
-            alerts: counts.alerts,
-            packets: counts.packets,
-            flows: counts.flows,
-        }
-    }
-
     /// Total scored items of this family (packets + flows).
     pub fn items(&self) -> usize {
         self.packets + self.flows
     }
 
-    /// Serializes this row as a JSON object (the hand-rolled convention
-    /// shared by `Experiment` and `StreamReport` serialization).
+    /// Serializes this row as a JSON object: an element of
+    /// [`Assessment::push_json_members`]' `family_recall` array and of the
+    /// scenario matrix's `families`.
     pub fn to_json(&self) -> String {
-        use crate::json::{num_field, str_field};
-        let mut out = String::with_capacity(96);
-        out.push('{');
-        str_field(&mut out, "family", &self.family);
+        let mut out = String::from("{");
+        crate::json::str_field(&mut out, "family", &self.family);
         out.push(',');
-        num_field(&mut out, "recall", self.recall);
-        out.push(',');
-        num_field(&mut out, "alerts", self.alerts as f64);
-        out.push(',');
-        num_field(&mut out, "packets", self.packets as f64);
-        out.push(',');
-        num_field(&mut out, "flows", self.flows as f64);
+        crate::json::num_fields(
+            &mut out,
+            &[
+                ("recall", self.recall),
+                ("alerts", self.alerts as f64),
+                ("packets", self.packets as f64),
+                ("flows", self.flows as f64),
+            ],
+        );
         out.push('}');
         out
     }
 }
 
-/// Folds a per-family tally map into sorted [`FamilyOutcome`] rows — the
-/// one rendering rule shared by the batch runner and the stream merge.
-pub fn family_outcomes(
-    families: &std::collections::BTreeMap<&'static str, FamilyCounts>,
-) -> Vec<FamilyOutcome> {
-    families.iter().map(|(name, counts)| FamilyOutcome::from_counts(name, counts)).collect()
+/// The verdict on one scored population at one alert threshold, held by a
+/// batch `Experiment` and a `StreamReport` alike: a verdict figure is
+/// declared here and derived in [`Assessment::new`], nowhere else.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Assessment {
+    /// The alert threshold (`score >= threshold` ⇒ alert).
+    pub threshold: f64,
+    /// The four headline metrics at the threshold.
+    pub metrics: Metrics,
+    /// False-positive rate at the threshold.
+    pub false_positive_rate: f64,
+    /// Area under the ROC curve of the raw scores; `NaN` when no score set
+    /// was kept to rank (a stream run at a fixed threshold).
+    pub auc: f64,
+    /// Scored evaluation events (packets or flows).
+    pub eval_items: usize,
+    /// Fraction of scored evaluation events that are attacks.
+    pub attack_share: f64,
+    /// Per-attack-family outcomes at the threshold, sorted by family name:
+    /// the axis along which the paper explains every detector's wins and
+    /// losses (Section V factor 1).
+    pub family_recall: Vec<FamilyOutcome>,
+}
+
+impl Assessment {
+    /// Derives the verdict from the confusion matrix and the per-family
+    /// tallies at `threshold`, plus the AUC of the scores behind them.
+    pub fn new(
+        threshold: f64,
+        cm: ConfusionMatrix,
+        families: &std::collections::BTreeMap<&'static str, FamilyCounts>,
+        auc: f64,
+    ) -> Self {
+        Assessment {
+            threshold,
+            metrics: cm.metrics(),
+            false_positive_rate: cm.false_positive_rate(),
+            auc,
+            eval_items: cm.total() as usize,
+            attack_share: ratio(cm.true_positives + cm.false_negatives, cm.total()),
+            family_recall: families
+                .iter()
+                .map(|(family, c)| FamilyOutcome {
+                    family: family.to_string(),
+                    recall: c.alerts as f64 / c.items().max(1) as f64,
+                    alerts: c.alerts,
+                    packets: c.packets,
+                    flows: c.flows,
+                })
+                .collect(),
+        }
+    }
+
+    /// Appends this verdict's JSON members (no braces, no trailing comma):
+    /// `eval_items`, `attack_share`, `threshold`, the four metrics,
+    /// `false_positive_rate`, `auc` and the `family_recall` array.
+    pub fn push_json_members(&self, out: &mut String) {
+        let Metrics { accuracy, precision, recall, f1 } = self.metrics;
+        crate::json::num_fields(
+            out,
+            &[
+                ("eval_items", self.eval_items as f64),
+                ("attack_share", self.attack_share),
+                ("threshold", self.threshold),
+                ("accuracy", accuracy),
+                ("precision", precision),
+                ("recall", recall),
+                ("f1", f1),
+                ("false_positive_rate", self.false_positive_rate),
+                ("auc", self.auc),
+            ],
+        );
+        out.push(',');
+        crate::json::list_field(
+            out,
+            "family_recall",
+            self.family_recall.iter().map(FamilyOutcome::to_json),
+        );
+    }
 }
 
 /// One point of a ROC curve.

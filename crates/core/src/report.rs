@@ -6,7 +6,7 @@
 //! best F1 per dataset marked (the paper uses blue text; we use a `†`
 //! suffix).
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::Metrics;
@@ -59,26 +59,16 @@ impl ScaleEvent {
     /// journal, so the two outputs join byte-for-byte. Integral floats
     /// print without a fraction; non-finite values encode as `null`.
     pub fn to_json(&self) -> String {
-        use crate::json::num_field;
-        let mut out = String::with_capacity(128);
-        out.push('{');
-        num_field(&mut out, "seq", self.seq as f64);
-        out.push(',');
-        num_field(&mut out, "at_secs", self.at_secs);
-        out.push(',');
-        num_field(&mut out, "window", self.window as f64);
-        out.push(',');
-        num_field(&mut out, "from_shards", self.from_shards as f64);
-        out.push(',');
-        num_field(&mut out, "to_shards", self.to_shards as f64);
-        out.push(',');
-        num_field(&mut out, "trigger_pps", self.trigger_pps);
-        out.push(',');
-        num_field(&mut out, "migrated_flows", self.migrated_flows as f64);
-        out.push(',');
-        num_field(&mut out, "rebalance_micros", self.rebalance_micros as f64);
-        out.push('}');
-        out
+        crate::json::num_object(&[
+            ("seq", self.seq as f64),
+            ("at_secs", self.at_secs),
+            ("window", self.window as f64),
+            ("from_shards", self.from_shards as f64),
+            ("to_shards", self.to_shards as f64),
+            ("trigger_pps", self.trigger_pps),
+            ("migrated_flows", self.migrated_flows as f64),
+            ("rebalance_micros", self.rebalance_micros as f64),
+        ])
     }
 }
 
@@ -95,50 +85,29 @@ pub fn render_table4(experiments: &[Experiment]) -> String {
     let max = fold_metrics(experiments.iter().map(|e| e.metrics));
 
     // Best F1 per dataset across detectors.
-    let datasets: BTreeSet<&str> = experiments.iter().map(|e| e.dataset.as_str()).collect();
-    let best_f1: Vec<(&str, f64)> = datasets
-        .iter()
-        .map(|&d| {
-            let best = experiments
-                .iter()
-                .filter(|e| e.dataset == d)
-                .map(|e| e.metrics.f1)
-                .fold(f64::NEG_INFINITY, f64::max);
-            (d, best)
-        })
-        .collect();
+    let mut best_f1: BTreeMap<&str, f64> = BTreeMap::new();
+    for e in experiments {
+        let best = best_f1.entry(e.dataset.as_str()).or_insert(f64::NEG_INFINITY);
+        *best = best.max(e.metrics.f1);
+    }
 
-    let mut current_detector: Option<&str> = None;
-    let mut block: Vec<Metrics> = Vec::new();
-    for experiment in experiments {
-        if current_detector != Some(experiment.detector.as_str()) {
-            if current_detector.is_some() {
-                emit_average(&mut out, &block, &max);
-                block.clear();
-            }
-            current_detector = Some(experiment.detector.as_str());
-            let _ = writeln!(out, "| **IDS: {}** | | | | |", experiment.detector);
-        }
-        block.push(experiment.metrics);
-        let dataset_best = best_f1
-            .iter()
-            .find(|(d, _)| *d == experiment.dataset)
-            .map(|(_, f)| *f)
-            .unwrap_or(f64::NEG_INFINITY);
-        let f1_mark = if experiment.metrics.f1 >= dataset_best { " †" } else { "" };
+    let row = |out: &mut String, label: &str, m: &Metrics, mark: &str| {
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {}{} |",
-            experiment.dataset,
-            fmt_cell(experiment.metrics.accuracy, max.accuracy),
-            fmt_cell(experiment.metrics.precision, max.precision),
-            fmt_cell(experiment.metrics.recall, max.recall),
-            fmt_cell(experiment.metrics.f1, max.f1),
-            f1_mark,
+            "| {label} | {} | {} | {} | {}{mark} |",
+            fmt_cell(m.accuracy, max.accuracy),
+            fmt_cell(m.precision, max.precision),
+            fmt_cell(m.recall, max.recall),
+            fmt_cell(m.f1, max.f1),
         );
-    }
-    if current_detector.is_some() {
-        emit_average(&mut out, &block, &max);
+    };
+    for block in detector_blocks(experiments) {
+        let _ = writeln!(out, "| **IDS: {}** | | | | |", block[0].detector);
+        for e in block {
+            let mark = if e.metrics.f1 >= best_f1[e.dataset.as_str()] { " †" } else { "" };
+            row(&mut out, &e.dataset, &e.metrics, mark);
+        }
+        row(&mut out, "*Average:*", &block_mean(block), "");
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "**Bold**: highest value of all IDSs for the metric column.");
@@ -146,16 +115,21 @@ pub fn render_table4(experiments: &[Experiment]) -> String {
     out
 }
 
-fn emit_average(out: &mut String, block: &[Metrics], max: &Metrics) {
-    let avg = Metrics::mean(block);
-    let _ = writeln!(
-        out,
-        "| *Average:* | {} | {} | {} | {} |",
-        fmt_cell(avg.accuracy, max.accuracy),
-        fmt_cell(avg.precision, max.precision),
-        fmt_cell(avg.recall, max.recall),
-        fmt_cell(avg.f1, max.f1),
-    );
+/// `experiments` cut into runs of one detector: the blocks of Table IV.
+fn detector_blocks(experiments: &[Experiment]) -> impl Iterator<Item = &[Experiment]> {
+    let mut rest = experiments;
+    std::iter::from_fn(move || {
+        let first = rest.first()?;
+        let (block, tail) =
+            rest.split_at(rest.iter().take_while(|e| e.detector == first.detector).count());
+        rest = tail;
+        Some(block)
+    })
+}
+
+/// A block's "Average:" row.
+fn block_mean(block: &[Experiment]) -> Metrics {
+    Metrics::mean(&block.iter().map(|e| e.metrics).collect::<Vec<_>>())
 }
 
 fn fold_metrics(metrics: impl Iterator<Item = Metrics>) -> Metrics {
@@ -206,30 +180,26 @@ pub fn render_family_breakdown(dataset: &str, experiments: &[Experiment]) -> Str
             .unwrap_or(0);
         let _ = write!(out, "| {family} ({count}) |");
         for e in &rows {
-            match e.family_recall.iter().find(|f| f.family == family) {
-                Some(f) => {
-                    let recall = f.recall;
-                    let _ = write!(out, " {recall:.3} |");
-                }
-                None => {
-                    let _ = write!(out, " – |");
-                }
-            }
+            let _ = match e.family_recall.iter().find(|f| f.family == family) {
+                Some(f) => write!(out, " {:.3} |", f.recall),
+                None => write!(out, " – |"),
+            };
         }
         let _ = writeln!(out);
     }
     out
 }
 
-/// Renders experiments as CSV with full diagnostics (one row per cell).
+/// Renders experiments as CSV with full diagnostics (one row per cell),
+/// ending with the attack packets and flows each cell trained on.
 pub fn render_csv(experiments: &[Experiment]) -> String {
     let mut out = String::from(
-        "detector,dataset,accuracy,precision,recall,f1,threshold,eval_items,attack_share,auc,fpr,train_seconds,score_seconds\n",
+        "detector,dataset,accuracy,precision,recall,f1,threshold,eval_items,attack_share,auc,fpr,train_seconds,score_seconds,train_attack_packets,train_attack_flows\n",
     );
     for e in experiments {
         let _ = writeln!(
             out,
-            "{},{},{:.6},{:.6},{:.6},{:.6},{:.6e},{},{:.6},{:.6},{:.6},{:.3},{:.3}",
+            "{},{},{:.6},{:.6},{:.6},{:.6},{:.6e},{},{:.6},{:.6},{:.6},{:.3},{:.3},{},{}",
             e.detector,
             e.dataset,
             e.metrics.accuracy,
@@ -243,6 +213,8 @@ pub fn render_csv(experiments: &[Experiment]) -> String {
             e.false_positive_rate,
             e.train_seconds,
             e.score_seconds,
+            e.train.attack_packets,
+            e.train.attack_flows,
         );
     }
     out
@@ -257,40 +229,18 @@ pub fn render_console(experiments: &[Experiment]) -> String {
         "IDS", "Dataset", "Acc.", "Prec.", "Rec.", "F1"
     );
     let _ = writeln!(out, "{}", "-".repeat(66));
-    let mut current: Option<&str> = None;
-    let mut block: Vec<Metrics> = Vec::new();
-    for e in experiments {
-        if current != Some(e.detector.as_str()) {
-            if !block.is_empty() {
-                let avg = Metrics::mean(&block);
-                let _ = writeln!(
-                    out,
-                    "{:<12} {:<16} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
-                    "", "Average:", avg.accuracy, avg.precision, avg.recall, avg.f1
-                );
-                block.clear();
-            }
-            current = Some(e.detector.as_str());
+    let row = |out: &mut String, ids: &str, dataset: &str, m: Metrics| {
+        let _ = writeln!(
+            out,
+            "{ids:<12} {dataset:<16} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
+            m.accuracy, m.precision, m.recall, m.f1
+        );
+    };
+    for block in detector_blocks(experiments) {
+        for e in block {
+            row(&mut out, &e.detector, &e.dataset, e.metrics);
         }
-        block.push(e.metrics);
-        let _ = writeln!(
-            out,
-            "{:<12} {:<16} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
-            e.detector,
-            e.dataset,
-            e.metrics.accuracy,
-            e.metrics.precision,
-            e.metrics.recall,
-            e.metrics.f1
-        );
-    }
-    if !block.is_empty() {
-        let avg = Metrics::mean(&block);
-        let _ = writeln!(
-            out,
-            "{:<12} {:<16} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
-            "", "Average:", avg.accuracy, avg.precision, avg.recall, avg.f1
-        );
+        row(&mut out, "", "Average:", block_mean(block));
     }
     out
 }
@@ -303,15 +253,23 @@ mod tests {
         Experiment {
             detector: detector.to_string(),
             dataset: dataset.to_string(),
-            metrics: Metrics { accuracy: 0.9, precision: 0.8, recall: 0.7, f1 },
-            threshold: 0.5,
-            eval_items: 100,
-            attack_share: 0.2,
-            auc: 0.9,
-            false_positive_rate: 0.05,
+            assessment: crate::metrics::Assessment {
+                threshold: 0.5,
+                metrics: Metrics { accuracy: 0.9, precision: 0.8, recall: 0.7, f1 },
+                false_positive_rate: 0.05,
+                auc: 0.9,
+                eval_items: 100,
+                attack_share: 0.2,
+                family_recall: vec![outcome("syn-flood", 0.9, 100)],
+            },
+            train: crate::runner::TrainMix {
+                packets: 40,
+                attack_packets: 3,
+                flows: 6,
+                attack_flows: 1,
+            },
             train_seconds: 0.08,
             score_seconds: 0.02,
-            family_recall: vec![outcome("syn-flood", 0.9, 100)],
         }
     }
 
@@ -355,9 +313,10 @@ mod tests {
     #[test]
     fn family_breakdown_renders_per_detector_columns() {
         let mut a = experiment("A", "d1", 0.5);
-        a.family_recall = vec![outcome("syn-flood", 0.9, 50), outcome("stealth", 0.1, 10)];
+        a.assessment.family_recall =
+            vec![outcome("syn-flood", 0.9, 50), outcome("stealth", 0.1, 10)];
         let mut b = experiment("B", "d1", 0.6);
-        b.family_recall = vec![outcome("syn-flood", 0.4, 50)];
+        b.assessment.family_recall = vec![outcome("syn-flood", 0.4, 50)];
         let table = render_family_breakdown("d1", &[a, b]);
         assert!(table.contains("| syn-flood (50) | 0.900 | 0.400 |"), "{table}");
         assert!(table.contains("| stealth (10) | 0.100 | – |"), "{table}");
@@ -369,8 +328,9 @@ mod tests {
         let experiments = vec![experiment("A", "d1", 0.5)];
         let csv = render_csv(&experiments);
         let mut lines = csv.lines();
-        assert!(lines.next().unwrap().starts_with("detector,dataset"));
-        assert!(lines.next().unwrap().starts_with("A,d1,"));
+        assert!(lines.next().unwrap().ends_with(",train_attack_packets,train_attack_flows"));
+        let row = lines.next().unwrap();
+        assert!(row.starts_with("A,d1,") && row.ends_with(",3,1"), "{row}");
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! streaming run reproduces these results bitwise by construction.
 //!
 //! The pipeline has two halves. *Preparing a row* — `generate` →
-//! [`Pipeline::prepare_events`] — depends on the dataset and the seed
-//! only; *evaluating a cell* — a fresh detector fitted and replayed on a
-//! prepared [`EventInput`], its scores ranked once for the threshold, the
-//! confusion matrix and the AUC — reads that input without changing it.
+//! [`Pipeline::prepare_events`], then the training slice's [`TrainMix`] —
+//! depends on the dataset and the seed only; *evaluating a cell* — a fresh
+//! detector fitted and replayed on a prepared [`EventInput`], its scores
+//! ranked once for the threshold, the confusion matrix and the AUC — reads
+//! that input without changing it. The cell's verdict is an [`Assessment`]
+//! from [`Assessment::new`], the constructor the stream engine's merge
+//! calls too, so batch and stream derive every verdict figure one way.
 //! [`run_grid`] therefore realises each dataset **once per row**, not once
 //! per cell: cells are handed to the worker threads dataset-major, the
 //! first worker to reach a row prepares it, the row's detectors share the
@@ -23,6 +26,7 @@
 //! instance, and its result is what a standalone [`evaluate`] of the same
 //! pair returns.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -31,9 +35,9 @@ use std::time::Instant;
 use crate::dataset::Dataset;
 use crate::detector::InputFormat;
 use crate::event::{
-    Burst, BurstEvent, EventDetector, EventFactory, FlowEventAssembler, BURST_PACKETS,
+    Burst, BurstEvent, EventDetector, EventFactory, FlowEventAssembler, TrainView, BURST_PACKETS,
 };
-use crate::metrics::{family_outcomes, FamilyCounts, FamilyOutcome, Metrics, Ranking};
+use crate::metrics::{Assessment, FamilyCounts, Ranking};
 use crate::preprocess::{EventInput, Pipeline, PipelineConfig};
 use crate::threshold::ThresholdPolicy;
 use crate::{AttackKind, CoreError, Result};
@@ -57,18 +61,10 @@ pub struct Experiment {
     pub detector: String,
     /// Dataset name.
     pub dataset: String,
-    /// The four headline metrics.
-    pub metrics: Metrics,
-    /// Calibrated alert threshold.
-    pub threshold: f64,
-    /// Number of scored evaluation events (packets or flows).
-    pub eval_items: usize,
-    /// Fraction of scored evaluation events that are attacks.
-    pub attack_share: f64,
-    /// Area under the ROC curve of the raw scores.
-    pub auc: f64,
-    /// False-positive rate at the calibrated threshold.
-    pub false_positive_rate: f64,
+    /// The verdict at the calibrated threshold.
+    pub assessment: Assessment,
+    /// What the detector trained on.
+    pub train: TrainMix,
     /// Wall-clock seconds spent in `fit` — the one-time training and
     /// calibration cost a deployment pays once.
     pub train_seconds: f64,
@@ -78,10 +74,47 @@ pub struct Experiment {
     /// [`Experiment::train_seconds`] so practicality comparisons do not
     /// launder training time into per-packet cost (or vice versa).
     pub score_seconds: f64,
-    /// Per-attack-family outcomes at the calibrated threshold, sorted by
-    /// family name. The axis along which the paper explains every
-    /// detector's wins and losses (Section V factor 1).
-    pub family_recall: Vec<FamilyOutcome>,
+}
+
+/// `cell.metrics`, `cell.threshold`, … read the cell's [`Assessment`]:
+/// the repository benchmark, the examples and the crate docs read the
+/// verdict's fields off the cell directly, and this keeps them working
+/// without a second copy of the fields.
+impl std::ops::Deref for Experiment {
+    type Target = Assessment;
+
+    fn deref(&self) -> &Assessment {
+        &self.assessment
+    }
+}
+
+/// The composition of a training slice: what a detector had to learn from.
+/// A supervised model whose slice holds no attack cannot learn an attack
+/// class. Counted once per prepared row and carried by every batch cell;
+/// a `StreamReport` does not carry it, since a fabric run's coordinator
+/// never assembles the training flows it would count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TrainMix {
+    /// Training packets.
+    pub packets: usize,
+    /// Training packets labelled as attacks.
+    pub attack_packets: usize,
+    /// Flows assembled from the training packets.
+    pub flows: usize,
+    /// Training flows labelled as attacks.
+    pub attack_flows: usize,
+}
+
+impl TrainMix {
+    /// Counts `train`'s packets and flows, attacks among them.
+    pub fn of(train: &TrainView) -> Self {
+        TrainMix {
+            packets: train.packets.len(),
+            attack_packets: train.packets.iter().filter(|view| view.is_attack()).count(),
+            flows: train.flows.len(),
+            attack_flows: train.flows.iter().filter(|flow| flow.is_attack()).count(),
+        }
+    }
 }
 
 /// The raw outcome of one event replay, before threshold calibration: one
@@ -175,60 +208,63 @@ pub fn evaluate(
     dataset: &dyn Dataset,
     config: &EvalConfig,
 ) -> Result<Experiment> {
-    let input = prepare_row(dataset, config)?;
-    evaluate_prepared(detector, &dataset.info().name, &input, config.policy)
+    let row = prepare_row(dataset, config)?;
+    evaluate_prepared(detector, &dataset.info().name, &row, config.policy)
+}
+
+/// A prepared row: the input its cells replay and its training mix.
+#[derive(Debug)]
+struct PreparedRow {
+    input: EventInput,
+    train: TrainMix,
 }
 
 /// The detector-independent half of [`evaluate`]: one realisation of
 /// `dataset` from the configured seed, parsed once, split, with the
-/// training slice's flow view assembled.
-fn prepare_row(dataset: &dyn Dataset, config: &EvalConfig) -> Result<EventInput> {
+/// training slice's flow view assembled and its mix counted.
+fn prepare_row(dataset: &dyn Dataset, config: &EvalConfig) -> Result<PreparedRow> {
     let packets = dataset.generate(config.dataset_seed);
-    Pipeline::new(config.pipeline)?.prepare_events(&dataset.info().name, packets)
+    let input = Pipeline::new(config.pipeline)?.prepare_events(&dataset.info().name, packets)?;
+    Ok(PreparedRow { train: TrainMix::of(&input.train), input })
 }
 
 /// The per-cell half of [`evaluate`]: fit and replay `detector` on a
-/// prepared row, then rank the scores once and read the calibrated
-/// threshold, the confusion matrix and the AUC off that ranking.
+/// prepared row, rank the scores once, calibrate the threshold on that
+/// ranking, count the families at it and build the [`Assessment`].
 fn evaluate_prepared(
     detector: &mut dyn EventDetector,
     dataset: &str,
-    input: &EventInput,
+    row: &PreparedRow,
     policy: ThresholdPolicy,
 ) -> Result<Experiment> {
-    let replayed = replay(detector, input)?;
+    let replayed = replay(detector, &row.input)?;
 
     let ranking = Ranking::new(&replayed.scores, &replayed.labels);
     let threshold = policy.calibrate_ranked(&ranking);
-    let cm = ranking.confusion_at(threshold);
-    let attacks = cm.true_positives + cm.false_negatives;
 
-    // Per-family outcomes at the calibrated threshold. Every scored event
-    // shares the detector's declared input shape: packet-format detectors
-    // score packets, flow-format detectors score flow evictions.
+    // Every scored event shares the detector's declared input shape:
+    // packet-format detectors score packets, flow-format detectors score
+    // flow evictions.
     let is_flow = detector.input_format() == InputFormat::Flows;
-    let mut per_family: std::collections::BTreeMap<&'static str, FamilyCounts> =
-        std::collections::BTreeMap::new();
+    let mut families: BTreeMap<&'static str, FamilyCounts> = BTreeMap::new();
     for (score, kind) in replayed.scores.iter().zip(&replayed.kinds) {
         if let Some(kind) = kind {
-            per_family.entry(kind.name()).or_default().record(*score >= threshold, is_flow);
+            families.entry(kind.name()).or_default().record(*score >= threshold, is_flow);
         }
     }
-    let family_recall = family_outcomes(&per_family);
 
-    let eval_items = replayed.labels.len();
     Ok(Experiment {
         detector: detector.name().to_string(),
         dataset: dataset.to_string(),
-        metrics: cm.metrics(),
-        threshold,
-        eval_items,
-        attack_share: if eval_items == 0 { 0.0 } else { attacks as f64 / eval_items as f64 },
-        auc: ranking.auc(),
-        false_positive_rate: cm.false_positive_rate(),
+        assessment: Assessment::new(
+            threshold,
+            ranking.confusion_at(threshold),
+            &families,
+            ranking.auc(),
+        ),
+        train: row.train,
         train_seconds: replayed.train_seconds,
         score_seconds: replayed.score_seconds,
-        family_recall,
     })
 }
 
@@ -244,20 +280,20 @@ struct Row {
     /// stores nothing: each of the row's cells repeats it and reports the
     /// same error. One that panics stores nothing either, so a poisoned
     /// lock still guards a valid slot and is taken as if it were not.
-    input: Mutex<Option<Arc<EventInput>>>,
+    input: Mutex<Option<Arc<PreparedRow>>>,
     /// Cells of this row that have not finished yet.
     unfinished: AtomicUsize,
 }
 
 impl Row {
-    fn share(&self, dataset: &dyn Dataset, config: &EvalConfig) -> Result<Arc<EventInput>> {
+    fn share(&self, dataset: &dyn Dataset, config: &EvalConfig) -> Result<Arc<PreparedRow>> {
         let mut slot = self.input.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(input) = &*slot {
-            return Ok(Arc::clone(input));
+        if let Some(row) = &*slot {
+            return Ok(Arc::clone(row));
         }
-        let input = Arc::new(prepare_row(dataset, config)?);
-        *slot = Some(Arc::clone(&input));
-        Ok(input)
+        let row = Arc::new(prepare_row(dataset, config)?);
+        *slot = Some(Arc::clone(&row));
+        Ok(row)
     }
 }
 
@@ -328,10 +364,10 @@ fn grid_cells(
         let dataset = datasets[s];
         catch_unwind(AssertUnwindSafe(|| {
             let _share = RowShare(&rows[s]);
-            let input = rows[s].share(dataset, config)?;
+            let row = rows[s].share(dataset, config)?;
             let mut detector = factory();
             let mut cell =
-                evaluate_prepared(detector.as_mut(), &dataset.info().name, &input, config.policy)?;
+                evaluate_prepared(detector.as_mut(), &dataset.info().name, &row, config.policy)?;
             cell.detector = name.clone();
             Ok(cell)
         }))

@@ -522,7 +522,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::source::VecSource;
     use idsbench_core::metrics::ConfusionMatrix;
-    use idsbench_core::{AttackKind, Event, Label};
+    use idsbench_core::runner::{evaluate, EvalConfig};
+    use idsbench_core::{AttackKind, Dataset, DatasetInfo, Event, Label};
     use idsbench_flow::FlowKey;
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
     use idsbench_telemetry::Stage;
@@ -1101,6 +1102,19 @@ pub(crate) mod tests {
 
     #[test]
     fn report_reconciles_with_batch_experiment_shape() {
+        /// The same 200 packets as a dataset: the batch split's leading 30 %
+        /// is the stream's 60-packet warmup.
+        #[derive(Debug)]
+        struct Toy(DatasetInfo, Vec<LabeledPacket>);
+        impl Dataset for Toy {
+            fn info(&self) -> &DatasetInfo {
+                &self.0
+            }
+            fn generate(&self, _seed: u64) -> Vec<LabeledPacket> {
+                self.1.clone()
+            }
+        }
+
         let packets = workload(200);
         let run = run_stream(
             &factory,
@@ -1109,14 +1123,10 @@ pub(crate) mod tests {
             &StreamConfig::default(),
         )
         .unwrap();
-        let experiment = run.report.to_experiment();
-        assert_eq!(experiment.detector, "length");
-        assert_eq!(experiment.dataset, "toy");
-        assert_eq!(experiment.eval_items, 140);
-        assert_eq!(experiment.metrics, run.report.metrics);
-        assert_eq!(experiment.threshold, run.report.threshold);
-        assert_eq!(experiment.family_recall, run.report.family_recall);
-        assert_eq!(experiment.score_seconds, run.report.throughput.score_seconds);
-        assert_eq!(experiment.train_seconds, run.report.throughput.train_seconds);
+        let toy = Toy(DatasetInfo::new("toy", "toy", "unit test", 2024), packets);
+        let batch = evaluate(factory().as_mut(), &toy, &EvalConfig::default()).unwrap();
+        assert_eq!(run.report.eval_items, 140);
+        assert_eq!((run.report.detector.as_str(), run.report.source.as_str()), ("length", "toy"));
+        assert_eq!(run.report.assessment, batch.assessment);
     }
 }

@@ -38,12 +38,13 @@
 //!   fold, [`OnlineStats`]; with a fixed deployment threshold the engine
 //!   runs *zero-buffer*: shards fold as they score and no per-event score
 //!   is recorded.
-//! * [`report`] — [`StreamReport`] merges the shards and reconciles with
-//!   the batch `Experiment` shape ([`StreamReport::to_experiment`]), so
-//!   streaming and batch numbers are directly comparable; the
-//!   `stream_batch_parity` integration test pins single-shard streaming to
-//!   batch `evaluate()` bitwise — for all four systems, flow-input ones
-//!   included.
+//! * [`report`] — [`StreamReport`] merges the shards into the same
+//!   [`Assessment`](idsbench_core::metrics::Assessment) a batch
+//!   `Experiment` holds, built by the one constructor both drivers call,
+//!   so streaming and batch verdicts compare field for field; the
+//!   `stream_batch_parity` integration test pins a single-shard stream's
+//!   assessment equal to batch `evaluate()`'s — for all four systems,
+//!   flow-input ones included.
 //! * **Telemetry** — [`run_stream_with_telemetry`] attaches an
 //!   `idsbench-telemetry` [`Telemetry`](idsbench_telemetry::Telemetry)
 //!   runtime to the same pipeline: lock-free counters and gauges, sampled

@@ -9,13 +9,14 @@
 //! memory stays O(windows + families), not O(events). A calibrated run
 //! records one lightweight [`ScoredEvent`] per event instead, resolves the
 //! threshold over the merged scores at finalisation, and then folds the
-//! records through the same [`OnlineStats::record`]. Latency percentiles
-//! are approximate to within one histogram bucket (≤ 12.5% relative error)
-//! in both modes.
+//! records through the same [`OnlineStats::record`]. Either way the
+//! report's verdict is built from that fold by the batch runner's
+//! constructor, `Assessment::new`. Latency percentiles are approximate to
+//! within one histogram bucket (≤ 12.5% relative error) in both modes.
 
 use std::collections::BTreeMap;
 
-use idsbench_core::metrics::{family_outcomes, ConfusionMatrix, FamilyCounts, FamilyOutcome};
+use idsbench_core::metrics::{ConfusionMatrix, FamilyCounts};
 use idsbench_core::AttackKind;
 
 /// Tumbling-window index of a traffic timestamp — the one boundary rule
@@ -74,11 +75,14 @@ pub struct WindowMetrics {
 }
 
 /// Online aggregation of scored events at one threshold — the single
-/// summary behind every [`StreamReport`]. Everything the report carries
-/// except the threshold and the AUC (which need the score set) is read
-/// from this fold.
+/// summary behind every [`StreamReport`]. The report's [`Assessment`] is
+/// [`Assessment::new`] over this fold's confusion matrix and family
+/// tallies, plus the threshold and the AUC (which needs the score set);
+/// its windows and latency percentiles are read from the fold too.
 ///
 /// [`StreamReport`]: crate::report::StreamReport
+/// [`Assessment`]: idsbench_core::metrics::Assessment
+/// [`Assessment::new`]: idsbench_core::metrics::Assessment::new
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStats {
     /// Overall confusion counts at the threshold.
@@ -155,12 +159,6 @@ impl OnlineStats {
             })
             .collect()
     }
-
-    /// Renders the per-family outcomes, sorted by family name — the same
-    /// [`FamilyOutcome`] shape the batch runner reports.
-    pub fn family_recall(&self) -> Vec<FamilyOutcome> {
-        family_outcomes(&self.families)
-    }
 }
 
 /// The log-bucketed latency histogram, re-exported from
@@ -216,9 +214,15 @@ impl Throughput {
 mod tests {
     use super::*;
     use crate::shard::is_eviction;
+    use idsbench_core::metrics::{Assessment, FamilyOutcome};
 
     fn record(seq: u64, window: u64, score: f64, label: bool) -> ScoredEvent {
         ScoredEvent { seq, sub: 0, window, score, latency_nanos: 100, label, kind: None }
+    }
+
+    /// The per-family outcomes a report builds from `stats`.
+    fn family_recall(stats: &OnlineStats) -> Vec<FamilyOutcome> {
+        Assessment::new(0.5, stats.cm, &stats.families, f64::NAN).family_recall
     }
 
     /// Folds `records` at `threshold`, routing each through the shard's
@@ -261,7 +265,7 @@ mod tests {
         let mut records = vec![record(0, 0, 0.9, true), record(1, 0, 0.2, true)];
         records[0].kind = Some(AttackKind::SynFlood);
         records[1].kind = Some(AttackKind::SynFlood);
-        let families = fold(&records, 0.5).family_recall();
+        let families = family_recall(&fold(&records, 0.5));
         assert_eq!(families.len(), 1);
         assert_eq!(families[0].family, "syn-flood");
         assert_eq!(families[0].recall, 0.5);
@@ -280,7 +284,7 @@ mod tests {
         // The end-of-stream flush: `sub = 0`, told apart by its sentinel seq.
         let mut flush = record(u64::MAX, 0, 0.1, true);
         flush.kind = Some(AttackKind::PortScan);
-        let families = fold(&[packet_event, eviction, flush], 0.5).family_recall();
+        let families = family_recall(&fold(&[packet_event, eviction, flush], 0.5));
         assert_eq!(families[0].packets, 1);
         assert_eq!(families[0].flows, 2);
         assert_eq!(families[0].alerts, 2);

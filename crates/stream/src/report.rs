@@ -1,8 +1,10 @@
-//! The streaming run report and its reconciliation with the batch
-//! [`Experiment`] shape.
+//! The streaming run report. Its verdict is the same [`Assessment`] a
+//! batch `Experiment` holds, so streaming and batch results of the same
+//! detector/dataset pair compare field for field.
 
-use idsbench_core::metrics::{FamilyOutcome, Metrics};
-use idsbench_core::runner::Experiment;
+// The escaping and number conventions live in `idsbench_core::json`.
+use idsbench_core::json::{list_field, num_field, num_fields, num_object, str_field};
+use idsbench_core::metrics::Assessment;
 use idsbench_core::ScaleEvent;
 
 use crate::metrics::{Throughput, WindowMetrics};
@@ -28,7 +30,7 @@ pub struct ShardStats {
 }
 
 /// The merged outcome of one streaming run — the streaming counterpart of a
-/// batch [`Experiment`] cell, extended with the live dimensions batch
+/// batch `Experiment` cell, extended with the live dimensions batch
 /// evaluation cannot observe (windowed quality, latency, throughput,
 /// per-shard load).
 #[derive(Debug, Clone, PartialEq)]
@@ -44,28 +46,17 @@ pub struct StreamReport {
     pub batch_size: usize,
     /// Packets in the shared warmup slice.
     pub warmup_packets: usize,
-    /// Evaluation packets fed through the shards.
+    /// Evaluation packets fed through the shards. The assessment's
+    /// `eval_items` equals it for packet-format detectors and counts flow
+    /// evictions for flow-format ones.
     pub eval_packets: usize,
-    /// Evaluation events scored — equals `eval_packets` for packet-format
-    /// detectors, the flow-eviction count for flow-format detectors.
-    pub eval_items: usize,
     /// Packets the source dropped before the feeder saw them (lossy
     /// live-capture sources; always 0 for replay sources, which block).
     pub dropped_packets: u64,
-    /// Fraction of scored evaluation events that are attacks.
-    pub attack_share: f64,
-    /// Resolved alert threshold.
-    pub threshold: f64,
-    /// Overall headline metrics at the resolved threshold.
-    pub metrics: Metrics,
-    /// Overall false-positive rate at the resolved threshold.
-    pub false_positive_rate: f64,
-    /// Area under the ROC curve of the raw score stream. `NaN` in
+    /// The verdict at the resolved threshold. Its AUC is `NaN` in
     /// zero-buffer mode (fixed threshold), where no scores are recorded to
     /// rank.
-    pub auc: f64,
-    /// Per-attack-family detection outcomes, sorted by family name.
-    pub family_recall: Vec<FamilyOutcome>,
+    pub assessment: Assessment,
     /// Detection quality per tumbling traffic-time window.
     pub windows: Vec<WindowMetrics>,
     /// Wall-clock throughput and latency summary.
@@ -81,150 +72,94 @@ pub struct StreamReport {
     pub final_shards: usize,
 }
 
-impl StreamReport {
-    /// Projects this report onto the batch [`Experiment`] shape, so
-    /// streaming and batch results of the same detector/dataset pair can sit
-    /// in the same tables.
-    ///
-    /// `score_seconds` maps to the summed busy time across shards and
-    /// `train_seconds` to the shared assembly plus the slowest shard's fit
-    /// (the batch fields measure one detector's calls).
-    pub fn to_experiment(&self) -> Experiment {
-        Experiment {
-            detector: self.detector.clone(),
-            dataset: self.source.clone(),
-            metrics: self.metrics,
-            threshold: self.threshold,
-            eval_items: self.eval_items,
-            attack_share: self.attack_share,
-            auc: self.auc,
-            false_positive_rate: self.false_positive_rate,
-            train_seconds: self.throughput.train_seconds,
-            score_seconds: self.throughput.score_seconds,
-            family_recall: self.family_recall.clone(),
-        }
-    }
+/// `report.metrics`, `report.threshold`, … read the report's
+/// [`Assessment`]: the repository benchmark, the examples and the crate
+/// docs read the verdict's fields off the report directly, and this keeps
+/// them working without a second copy of the fields.
+impl std::ops::Deref for StreamReport {
+    type Target = Assessment;
 
+    fn deref(&self) -> &Assessment {
+        &self.assessment
+    }
+}
+
+impl StreamReport {
     /// Serializes the report as a self-contained JSON object.
     ///
     /// Hand-rolled through `idsbench_core::json`; the layout is stable.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push('{');
-        json_str(&mut out, "detector", &self.detector);
+        str_field(&mut out, "detector", &self.detector);
         out.push(',');
-        json_str(&mut out, "source", &self.source);
+        str_field(&mut out, "source", &self.source);
         out.push(',');
-        json_num(&mut out, "shards", self.shards as f64);
+        num_fields(
+            &mut out,
+            &[
+                ("shards", self.shards as f64),
+                ("batch_size", self.batch_size as f64),
+                ("warmup_packets", self.warmup_packets as f64),
+                ("eval_packets", self.eval_packets as f64),
+                ("dropped_packets", self.dropped_packets as f64),
+            ],
+        );
         out.push(',');
-        json_num(&mut out, "batch_size", self.batch_size as f64);
+        self.assessment.push_json_members(&mut out);
         out.push(',');
-        json_num(&mut out, "warmup_packets", self.warmup_packets as f64);
+        let t = &self.throughput;
+        num_fields(
+            &mut out,
+            &[
+                ("wall_seconds", t.wall_seconds),
+                ("packets_per_sec", t.packets_per_sec),
+                ("p50_latency_us", t.p50_latency_us),
+                ("p99_latency_us", t.p99_latency_us),
+                ("score_seconds", t.score_seconds),
+                ("train_seconds", t.train_seconds),
+            ],
+        );
         out.push(',');
-        json_num(&mut out, "eval_packets", self.eval_packets as f64);
+        let windows = self.windows.iter().map(|w| {
+            num_object(&[
+                ("start_secs", w.start_secs),
+                ("packets", w.packets as f64),
+                ("attacks", w.attacks as f64),
+                ("alerts", w.alerts as f64),
+                ("precision", w.precision),
+                ("recall", w.recall),
+                ("false_positive_rate", w.false_positive_rate),
+            ])
+        });
+        list_field(&mut out, "windows", windows);
         out.push(',');
-        json_num(&mut out, "eval_items", self.eval_items as f64);
+        let shard_stats = self.shard_stats.iter().map(|s| {
+            num_object(&[
+                ("shard", s.shard as f64),
+                ("packets", s.packets as f64),
+                ("items", s.items as f64),
+                ("flows", s.flows as f64),
+                ("score_seconds", s.score_seconds),
+                ("stalls", s.stalls as f64),
+            ])
+        });
+        list_field(&mut out, "shard_stats", shard_stats);
         out.push(',');
-        json_num(&mut out, "dropped_packets", self.dropped_packets as f64);
+        num_field(&mut out, "final_shards", self.final_shards as f64);
         out.push(',');
-        json_num(&mut out, "attack_share", self.attack_share);
-        out.push(',');
-        json_num(&mut out, "threshold", self.threshold);
-        out.push(',');
-        json_num(&mut out, "accuracy", self.metrics.accuracy);
-        out.push(',');
-        json_num(&mut out, "precision", self.metrics.precision);
-        out.push(',');
-        json_num(&mut out, "recall", self.metrics.recall);
-        out.push(',');
-        json_num(&mut out, "f1", self.metrics.f1);
-        out.push(',');
-        json_num(&mut out, "false_positive_rate", self.false_positive_rate);
-        out.push(',');
-        json_num(&mut out, "auc", self.auc);
-        out.push(',');
-        json_num(&mut out, "wall_seconds", self.throughput.wall_seconds);
-        out.push(',');
-        json_num(&mut out, "packets_per_sec", self.throughput.packets_per_sec);
-        out.push(',');
-        json_num(&mut out, "p50_latency_us", self.throughput.p50_latency_us);
-        out.push(',');
-        json_num(&mut out, "p99_latency_us", self.throughput.p99_latency_us);
-        out.push(',');
-        json_num(&mut out, "score_seconds", self.throughput.score_seconds);
-        out.push(',');
-        json_num(&mut out, "train_seconds", self.throughput.train_seconds);
-        out.push(',');
-        out.push_str("\"family_recall\":[");
-        for (i, outcome) in self.family_recall.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&outcome.to_json());
-        }
-        out.push_str("],\"windows\":[");
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json_num(&mut out, "start_secs", w.start_secs);
-            out.push(',');
-            json_num(&mut out, "packets", w.packets as f64);
-            out.push(',');
-            json_num(&mut out, "attacks", w.attacks as f64);
-            out.push(',');
-            json_num(&mut out, "alerts", w.alerts as f64);
-            out.push(',');
-            json_num(&mut out, "precision", w.precision);
-            out.push(',');
-            json_num(&mut out, "recall", w.recall);
-            out.push(',');
-            json_num(&mut out, "false_positive_rate", w.false_positive_rate);
-            out.push('}');
-        }
-        out.push_str("],\"shard_stats\":[");
-        for (i, s) in self.shard_stats.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json_num(&mut out, "shard", s.shard as f64);
-            out.push(',');
-            json_num(&mut out, "packets", s.packets as f64);
-            out.push(',');
-            json_num(&mut out, "items", s.items as f64);
-            out.push(',');
-            json_num(&mut out, "flows", s.flows as f64);
-            out.push(',');
-            json_num(&mut out, "score_seconds", s.score_seconds);
-            out.push(',');
-            json_num(&mut out, "stalls", s.stalls as f64);
-            out.push('}');
-        }
-        out.push_str("],");
-        json_num(&mut out, "final_shards", self.final_shards as f64);
-        out.push_str(",\"scale_events\":[");
-        for (i, e) in self.scale_events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            // One encoding for scale events everywhere: the report array and
-            // the telemetry journal both delegate to `ScaleEvent::to_json`.
-            out.push_str(&e.to_json());
-        }
-        out.push_str("]}");
+        // One encoding for scale events everywhere: the report array and the
+        // telemetry journal both delegate to `ScaleEvent::to_json`.
+        list_field(&mut out, "scale_events", self.scale_events.iter().map(ScaleEvent::to_json));
+        out.push('}');
         out
     }
 }
 
-// The escaping and number conventions live in `idsbench_core::json` (shared
-// with the batch report, the telemetry sink, and the fig binaries).
-use idsbench_core::json::{num_field as json_num, str_field as json_str};
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idsbench_core::metrics::{FamilyOutcome, Metrics};
 
     fn report() -> StreamReport {
         StreamReport {
@@ -234,20 +169,22 @@ mod tests {
             batch_size: 32,
             warmup_packets: 10,
             eval_packets: 90,
-            eval_items: 90,
             dropped_packets: 4,
-            attack_share: 0.1,
-            threshold: f64::INFINITY,
-            metrics: Metrics { accuracy: 0.9, precision: 1.0, recall: 0.5, f1: 2.0 / 3.0 },
-            false_positive_rate: 0.0,
-            auc: 0.95,
-            family_recall: vec![FamilyOutcome {
-                family: "syn-flood".to_string(),
-                recall: 0.5,
-                alerts: 4,
-                packets: 9,
-                flows: 0,
-            }],
+            assessment: Assessment {
+                threshold: f64::INFINITY,
+                metrics: Metrics { accuracy: 0.9, precision: 1.0, recall: 0.5, f1: 2.0 / 3.0 },
+                false_positive_rate: 0.0,
+                auc: 0.95,
+                eval_items: 90,
+                attack_share: 0.1,
+                family_recall: vec![FamilyOutcome {
+                    family: "syn-flood".to_string(),
+                    recall: 0.5,
+                    alerts: 4,
+                    packets: 9,
+                    flows: 0,
+                }],
+            },
             windows: vec![WindowMetrics {
                 index: 0,
                 start_secs: 0.0,
@@ -317,15 +254,48 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
+    /// The top-level keys of a JSON object, in order (strings followed by
+    /// `:` at depth 1).
+    fn top_level_keys(json: &str) -> Vec<String> {
+        let (mut keys, mut depth, mut chars) = (Vec::new(), 0, json.chars().peekable());
+        while let Some(c) = chars.next() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                '"' => {
+                    let mut text = String::new();
+                    while let Some(c) = chars.next() {
+                        match c {
+                            '\\' => text.extend(chars.next()),
+                            '"' => break,
+                            c => text.push(c),
+                        }
+                    }
+                    if depth == 1 && chars.peek() == Some(&':') {
+                        keys.push(text);
+                    }
+                }
+                _ => {}
+            }
+        }
+        keys
+    }
+
     #[test]
-    fn experiment_projection_keeps_headline_numbers() {
-        let r = report();
-        let e = r.to_experiment();
-        assert_eq!(e.detector, r.detector);
-        assert_eq!(e.dataset, r.source);
-        assert_eq!(e.metrics, r.metrics);
-        assert_eq!(e.eval_items, 90);
-        assert_eq!(e.score_seconds, 0.4);
-        assert_eq!(e.train_seconds, 0.1);
+    fn json_writes_each_key_once() {
+        let mut keys = top_level_keys(&report().to_json());
+        let count = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), count, "a key is written twice");
+        let mut expected: Vec<&str> = "detector source shards batch_size warmup_packets \
+            eval_packets eval_items dropped_packets attack_share threshold accuracy precision \
+            recall f1 false_positive_rate auc wall_seconds packets_per_sec p50_latency_us \
+            p99_latency_us score_seconds train_seconds family_recall windows shard_stats \
+            final_shards scale_events"
+            .split_whitespace()
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(keys, expected);
     }
 }

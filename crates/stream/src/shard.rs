@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use idsbench_core::metrics::Ranking;
+use idsbench_core::metrics::{Assessment, Ranking};
 use idsbench_core::{
     Burst, EventDetector, FlowEventAssembler, FlowMigration, Label, ParsedView, Result, ScaleEvent,
 };
@@ -398,8 +398,9 @@ impl ShardLoop {
 /// Both threshold modes settle into one [`OnlineStats`]: a fixed-threshold
 /// run's shards folded their events as they scored them, and a calibrated
 /// run's records are folded here, at the threshold resolved over the merged
-/// scores. Every report figure but the threshold and the AUC comes from
-/// that fold.
+/// scores. The report's [`Assessment`] is built from that fold's confusion
+/// matrix and family tallies by [`Assessment::new`], the batch runner's
+/// constructor, with the threshold and the AUC of the mode.
 ///
 /// `fed` is the total packets the feeder routed, `shard_stalls` the
 /// backpressure counts indexed by shard id (including retired shards), and
@@ -480,18 +481,8 @@ pub(crate) fn merge_outcomes(
         batch_size: config.batch_size,
         warmup_packets,
         eval_packets: fed as usize,
-        eval_items: stats.events,
         dropped_packets,
-        attack_share: if stats.events == 0 {
-            0.0
-        } else {
-            stats.attacks as f64 / stats.events as f64
-        },
-        threshold,
-        metrics: stats.cm.metrics(),
-        false_positive_rate: stats.cm.false_positive_rate(),
-        auc,
-        family_recall: stats.family_recall(),
+        assessment: Assessment::new(threshold, stats.cm, &stats.families, auc),
         windows: stats.window_metrics(config.window_secs),
         throughput: Throughput::from_histogram(
             fed as usize,

@@ -29,7 +29,7 @@ fn slips_family_outcomes(scenario: &str) -> Vec<idsbench_core::metrics::FamilyOu
         &config,
     )
     .expect("streaming run");
-    run.report.family_recall
+    run.report.assessment.family_recall
 }
 
 #[test]

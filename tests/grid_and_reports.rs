@@ -1,8 +1,9 @@
 //! Integration tests for the parallel grid runner and the table renderers,
 //! exercising the same code path as the Table IV regeneration binary.
 
+use idsbench::core::preprocess::Pipeline;
 use idsbench::core::report;
-use idsbench::core::runner::{run_grid, DetectorFactory, EvalConfig};
+use idsbench::core::runner::{run_grid, DetectorFactory, EvalConfig, TrainMix};
 use idsbench::core::{registry, Dataset, EventDetector};
 use idsbench::datasets::{scenarios, ScenarioScale};
 use idsbench::dnn::baselines::DecisionTree;
@@ -40,6 +41,48 @@ fn grid_produces_detector_major_table() {
     assert!(table.contains("**IDS: DecisionTree**"));
     let csv = report::render_csv(&experiments);
     assert_eq!(csv.lines().count(), 5); // header + 4 cells
+}
+
+/// Every cell carries the composition of the slice it trained on, counted
+/// once per row and equal to a standalone preparation of the same dataset
+/// and seed. At Tiny, seed 42, CICIDS2017's attacks all start after the
+/// training prefix, so its cells trained on no attack flow.
+#[test]
+fn grid_cells_carry_their_training_slice_mix() {
+    let bot = scenarios::bot_iot(ScenarioScale::Tiny);
+    let cic = scenarios::cicids2017(ScenarioScale::Tiny);
+    let datasets: Vec<&dyn Dataset> = vec![&bot, &cic];
+    let detectors: Vec<(String, DetectorFactory)> = vec![
+        ("Slips".into(), Box::new(|| Box::new(Slips::default()) as Box<dyn EventDetector>)),
+        (
+            "DecisionTree".into(),
+            Box::new(|| Box::new(DecisionTree::default()) as Box<dyn EventDetector>),
+        ),
+    ];
+    let config = EvalConfig { dataset_seed: 42, ..Default::default() };
+    let cells = run_grid(&detectors, &datasets, &config).unwrap();
+
+    let pipeline = Pipeline::new(config.pipeline).unwrap();
+    let standalone: Vec<TrainMix> = datasets
+        .iter()
+        .map(|dataset| {
+            let packets = dataset.generate(config.dataset_seed);
+            TrainMix::of(&pipeline.prepare_events(&dataset.info().name, packets).unwrap().train)
+        })
+        .collect();
+    for (at, cell) in cells.iter().enumerate() {
+        assert_eq!(
+            cell.train,
+            standalone[at % datasets.len()],
+            "{} on {}",
+            cell.detector,
+            cell.dataset
+        );
+    }
+    let [bot_mix, cic_mix] = [standalone[0], standalone[1]];
+    assert!(bot_mix.attack_flows > 0 && bot_mix.attack_packets > 0, "{bot_mix:?}");
+    assert_eq!((cic_mix.attack_flows, cic_mix.attack_packets), (0, 0), "{cic_mix:?}");
+    assert!(cic_mix.flows > 0 && cic_mix.packets > 0, "{cic_mix:?}");
 }
 
 /// Table IV itself, pinned: the Tiny grid at seed 42 — the four systems
