@@ -528,7 +528,8 @@ fn put_online(out: &mut Vec<u8>, stats: &OnlineStats) {
         put_u64(out, count);
     }
     put_u64(out, stats.events as u64);
-    put_u64(out, stats.attacks as u64);
+    // The attack count is the matrix's; the slot keeps the wire layout.
+    put_u64(out, stats.cm.true_positives + stats.cm.false_negatives);
 }
 
 fn read_online(r: &mut WireReader<'_>) -> WireResult<OnlineStats> {
@@ -557,7 +558,10 @@ fn read_online(r: &mut WireReader<'_>) -> WireResult<OnlineStats> {
         }
     }
     stats.events = r.u64()? as usize;
-    stats.attacks = r.u64()? as usize;
+    let attacks = stats.cm.true_positives.checked_add(stats.cm.false_negatives);
+    if Some(r.u64()?) != attacks {
+        return Err(WireError::Invalid("online attack count disagrees with the confusion matrix"));
+    }
     Ok(stats)
 }
 
@@ -1022,5 +1026,23 @@ mod tests {
             },
             other => panic!("wrong message: {other:?}"),
         }
+    }
+
+    /// The online fold's last slot carries its attack count, which the
+    /// decoder reads off the confusion matrix: a slot that disagrees is
+    /// refused.
+    #[test]
+    fn online_attack_slot_must_match_the_matrix() {
+        let mut stats = OnlineStats::default();
+        for (score, label) in [(0.9, true), (0.1, true), (0.8, false)] {
+            stats.record(0, score, 0.5, label, None, false, 100);
+        }
+        let mut body = Vec::new();
+        put_online(&mut body, &stats);
+        let slot = body.len() - 8;
+        assert_eq!(body[slot..], 2u64.to_le_bytes());
+        assert_eq!(read_online(&mut WireReader::new(&body)), Ok(stats));
+        body[slot] = 3;
+        assert!(matches!(read_online(&mut WireReader::new(&body)), Err(WireError::Invalid(_))));
     }
 }

@@ -118,26 +118,29 @@ impl Model for HeladModel {
         );
 
         // Phase 1 — train the autoencoder over the (assumed benign)
-        // training slice. The first pass extracts features and widens the
-        // normalizer; the normalizer is then fixed, so each buffered vector
-        // is normalized once, in place, and every epoch retrains on them.
-        let mut buffered: Vec<Vec<f64>> = Vec::with_capacity(train.len());
-        for view in train.iter() {
-            if let Some(features) = features_of(&mut extractor, view) {
-                norm.observe(&features);
-                buffered.push(features);
-            }
+        // training slice. The first pass extracts each packet's features
+        // into one flat row of `rows` and widens the normalizer; the
+        // normalizer is then fixed, so each row is normalized once, in
+        // place, and every epoch retrains on them.
+        let mut rows = Matrix::zeros(train.len(), width);
+        let mut features = Vec::with_capacity(width);
+        let mut staged = 0;
+        for parsed in train.iter().filter_map(|view| view.parsed.as_ref()) {
+            extractor.update_into(parsed, &mut features);
+            norm.observe(&features);
+            rows.row_mut(staged).copy_from_slice(&features);
+            staged += 1;
         }
-        let mut normalized = Vec::with_capacity(width);
-        for features in &mut buffered {
-            norm.transform_into(features, &mut normalized);
-            std::mem::swap(features, &mut normalized);
+        let rows = &mut rows.as_mut_slice()[..staged * width];
+        for row in rows.chunks_exact_mut(width) {
+            norm.transform_into(row, &mut features);
+            row.copy_from_slice(&features);
         }
-        let mut history: Vec<f64> = Vec::with_capacity(buffered.len());
+        let mut history: Vec<f64> = Vec::with_capacity(staged);
         for _ in 0..EPOCHS {
             history.clear();
-            for features in &buffered {
-                history.push(autoencoder.train_sample(features));
+            for row in rows.chunks_exact(width) {
+                history.push(autoencoder.train_sample(row));
             }
         }
 
@@ -300,10 +303,6 @@ impl HeladModel {
             i += 1;
         }
     }
-}
-
-fn features_of(extractor: &mut AfterImage, view: &ParsedView) -> Option<Vec<f64>> {
-    view.parsed.as_ref().map(|parsed| extractor.update(parsed))
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 use crate::activation::{sigmoid, Activation};
-use crate::dense::Dense;
+use crate::dense::{affine_lanes, Dense, LANES};
 use crate::loss::Loss;
 use crate::matrix::Matrix;
 use crate::optimizer::Sgd;
@@ -114,17 +114,16 @@ impl Autoencoder {
     /// allocations once `ws` is warm; a single sample is a batch of one
     /// row.
     ///
-    /// The kernel follows the shape. A narrow autoencoder (input width at
-    /// most `LANES_MAX_WIDTH`, every KitNET member) scores each full block
-    /// of `LANES` rows *rows-in-lanes*: the block is transposed into
-    /// feature-major scratch, so one vector holds one feature of eight
-    /// packets, and each output unit of the encoder, then the decoder, is
-    /// one register accumulator per block with the bias fused into its
-    /// store; the RMSE folds in as the decoder's outputs are activated.
-    /// Row-major products over output tiles four to thirteen columns wide
-    /// vectorise badly; eight packets per vector do not. The last `m mod LANES` rows
-    /// — so every one-row call — and every wider autoencoder (HELAD's
-    /// 100-wide one) run row-major through [`Dense::forward_rows_into`].
+    /// The kernel follows the row count. Each full block of `LANES` rows is
+    /// scored *rows-in-lanes*: the block is transposed into feature-major
+    /// scratch, so one vector holds one feature of eight packets, and each
+    /// output unit of the encoder, then the decoder, is one register
+    /// accumulator per block with the bias fused into its store; the RMSE
+    /// folds in as the decoder's outputs are activated. That holds at every
+    /// width: at KitNET's 4–13-wide layers row-major tiles vectorise badly,
+    /// and at HELAD's 100 → 50 → 100 the lanes took about half the
+    /// row-major time per row. The last `m mod LANES` rows — so every
+    /// one-row call — run row-major through [`Dense::forward_rows_into`].
     ///
     /// Both paths build each element by the same chain: `0 + x₀·w₀`, then
     /// `+ x_k·w_k` in ascending `k`, then `+ b`, then the crate's
@@ -140,7 +139,7 @@ impl Autoencoder {
     pub fn score_rows_with(&self, xs: &Matrix, scores: &mut Vec<f64>, ws: &mut Workspace) {
         assert_eq!(xs.cols(), self.input_size, "input width mismatch");
         let (m, k) = (xs.rows(), self.input_size);
-        let blocked = if k <= LANES_MAX_WIDTH { m - m % LANES } else { 0 };
+        let blocked = m - m % LANES;
         if blocked > 0 {
             self.score_lanes(&xs.as_slice()[..blocked * k], scores, ws);
         }
@@ -215,66 +214,6 @@ impl Autoencoder {
         self.encoder.backward(&self.grad_hidden, &mut self.optimizer, None);
         self.trained_samples += 1;
         error
-    }
-}
-
-/// Rows per block of the rows-in-lanes kernel: one `f64` vector at
-/// AVX-512, two at AVX2. Only full blocks take the kernel, so a one-row
-/// call never pays for seven idle lanes.
-pub(crate) const LANES: usize = 8;
-
-/// Widest input the rows-in-lanes kernel scores. KitNET's members are at
-/// most ten wide and its output autoencoder is as wide as the ensemble
-/// (11–13 members on the Table IV datasets at Tiny and Small scale), so
-/// every KitNET layer takes the lanes, while HELAD's 100-wide autoencoder
-/// stays on the row-major path it was tuned on.
-const LANES_MAX_WIDTH: usize = 16;
-
-/// Output units of [`affine_lanes`] accumulated abreast: four units of
-/// eight lanes are eight independent add chains at AVX2 width, enough to
-/// hide the add latency. One unit at a time was 1.3–1.8× slower per row;
-/// eight abreast spills its accumulators and was slower from eight
-/// outputs up.
-const UNITS: usize = 4;
-
-/// `out[j] = Σ_i x[i]·w[i][j] + b[j]` for every lane of the feature-major
-/// block `x` and row-major weights `w` (`x.len() × out.len()`), `UNITS`
-/// output units at a time. The activation is a separate pass over `out`:
-/// applied inside the unit loop, its polynomial serialises behind each
-/// unit's accumulator.
-fn affine_lanes(x: &[[f64; LANES]], w: &[f64], b: &[f64], out: &mut [[f64; LANES]]) {
-    let mut j = 0;
-    while j + UNITS <= out.len() {
-        affine_units::<UNITS>(x, w, b, j, out);
-        j += UNITS;
-    }
-    for j in j..out.len() {
-        affine_units::<1>(x, w, b, j, out);
-    }
-}
-
-/// Output units `j..j + U` of [`affine_lanes`]: one accumulator per (unit,
-/// lane), `0 + x₀·w₀j` then ascending `i`, then `+ b` — the naive chain,
-/// lane by lane.
-#[inline(always)]
-fn affine_units<const U: usize>(
-    x: &[[f64; LANES]],
-    w: &[f64],
-    b: &[f64],
-    j: usize,
-    out: &mut [[f64; LANES]],
-) {
-    let n = out.len();
-    let mut acc = [[0.0; LANES]; U];
-    for (xi, w_row) in x.iter().zip(w.chunks_exact(n)) {
-        for (a, &wij) in acc.iter_mut().zip(&w_row[j..j + U]) {
-            for lane in 0..LANES {
-                a[lane] += xi[lane] * wij;
-            }
-        }
-    }
-    for (o, (a, &bj)) in out[j..j + U].iter_mut().zip(acc.iter().zip(&b[j..j + U])) {
-        *o = a.map(|v| v + bj);
     }
 }
 

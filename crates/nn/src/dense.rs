@@ -231,6 +231,85 @@ pub(crate) fn affine_into(
     act.apply(out.as_mut_slice());
 }
 
+/// Rows per block of the rows-in-lanes kernels ([`crate::Autoencoder`]
+/// scoring, [`crate::Lstm`] windows): one `f64` vector at AVX-512, two at
+/// AVX2. Only full blocks take them, so a one-row call never pays for seven
+/// idle lanes.
+pub(crate) const LANES: usize = 8;
+
+/// Output units of [`affine_lanes`] accumulated abreast: four units of
+/// eight lanes are eight independent add chains at AVX2 width, enough to
+/// hide the add latency. One unit at a time was 1.3–1.8× slower per row;
+/// eight abreast spills its accumulators and was slower from eight
+/// outputs up.
+const UNITS: usize = 4;
+
+/// `out[j] = Σ_i x[i]·w[i][j] + b[j]` for every lane of the feature-major
+/// block `x` and row-major weights `w` (`x.len() × out.len()`), `UNITS`
+/// output units at a time: the rows-in-lanes form of [`affine_into`],
+/// element for element the same chain. The activation is a separate pass
+/// over `out`: applied inside the unit loop, its polynomial serialises
+/// behind each unit's accumulator.
+pub(crate) fn affine_lanes(x: &[[f64; LANES]], w: &[f64], b: &[f64], out: &mut [[f64; LANES]]) {
+    product_lanes(x, w, out, |j, o, acc| *o = acc.map(|v| v + b[j]));
+}
+
+/// `out[j] += Σ_i x[i]·w[i][j]`: the product of [`affine_lanes`] without a
+/// bias, added onto what `out` already holds — the LSTM's recurrent term
+/// joining its input term, `z = (x·w_x + b) + h·w_h`, with no `+ 0` in
+/// the chain.
+pub(crate) fn add_product_lanes(x: &[[f64; LANES]], w: &[f64], out: &mut [[f64; LANES]]) {
+    product_lanes(x, w, out, |_, o, acc| {
+        for (o, a) in o.iter_mut().zip(acc) {
+            *o += a;
+        }
+    });
+}
+
+/// The one rows-in-lanes product loop, `UNITS` output units at a time;
+/// `store(j, out[j], acc)` is the epilogue of unit `j`.
+#[inline(always)]
+fn product_lanes(
+    x: &[[f64; LANES]],
+    w: &[f64],
+    out: &mut [[f64; LANES]],
+    store: impl Fn(usize, &mut [f64; LANES], [f64; LANES]) + Copy,
+) {
+    let mut j = 0;
+    while j + UNITS <= out.len() {
+        product_units::<UNITS>(x, w, j, out, store);
+        j += UNITS;
+    }
+    for j in j..out.len() {
+        product_units::<1>(x, w, j, out, store);
+    }
+}
+
+/// Output units `j..j + U` of [`product_lanes`]: one accumulator per
+/// (unit, lane), `0 + x₀·w₀j` then ascending `i` — the naive chain, lane
+/// by lane — handed to `store`.
+#[inline(always)]
+fn product_units<const U: usize>(
+    x: &[[f64; LANES]],
+    w: &[f64],
+    j: usize,
+    out: &mut [[f64; LANES]],
+    store: impl Fn(usize, &mut [f64; LANES], [f64; LANES]),
+) {
+    let n = out.len();
+    let mut acc = [[0.0; LANES]; U];
+    for (xi, w_row) in x.iter().zip(w.chunks_exact(n)) {
+        for (a, &wij) in acc.iter_mut().zip(&w_row[j..j + U]) {
+            for lane in 0..LANES {
+                a[lane] += xi[lane] * wij;
+            }
+        }
+    }
+    for (u, (o, a)) in out[j..j + U].iter_mut().zip(acc).enumerate() {
+        store(j + u, o, a);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

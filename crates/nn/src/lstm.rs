@@ -1,5 +1,5 @@
-use crate::activation::Activation;
-use crate::dense::affine_into;
+use crate::activation::{sigmoid, tanh, Activation};
+use crate::dense::{add_product_lanes, affine_into, affine_lanes, LANES};
 use crate::matrix::{dot, Matrix};
 use crate::optimizer::{Adam, Optimizer};
 use crate::workspace::Workspace;
@@ -11,6 +11,9 @@ use crate::workspace::Workspace;
 ///
 /// Inference has one entry point, [`Lstm::final_hidden_windows_with`]: a
 /// lockstep batch of sequences, reading the parameters training updates.
+/// Each full block of eight sequences runs rows-in-lanes, one SIMD lane per
+/// sequence, and the rest row-major; every state is the same bits either
+/// way.
 #[derive(Debug, Clone)]
 pub struct Lstm {
     /// Input→gates weights, `input_size × 4·hidden`.
@@ -185,13 +188,19 @@ impl Lstm {
     /// final state. Zero heap allocations once `ws` is warm; a single
     /// sequence is a batch of one row.
     ///
-    /// Per timestep the `M` hidden states advance together, so the
-    /// hidden→gates product is one `M×h · h×4h` matmul — the recurrent
+    /// Per timestep the sequences advance together, so the recurrent
     /// weights stream through cache once per timestep instead of once per
-    /// sequence per timestep. Every row's arithmetic chain is the chain the
-    /// training-time step builds for that sequence alone, so each returned
-    /// state is bitwise independent of the rows it was batched with (pinned
-    /// by the `batch_rows_parity` proptests).
+    /// sequence per timestep. Each full block of `LANES` (8) rows runs
+    /// *rows-in-lanes*: the block's state is one `[f64; 8]` per unit, one
+    /// lane per sequence, and both products and every activation run eight
+    /// sequences per vector. The last `m mod 8` rows — so every one-row
+    /// call — run row-major, where the hidden→gates product is one
+    /// `M×h · h×4h` matmul. Every row's arithmetic chain is the chain the
+    /// training-time step builds for that sequence alone,
+    /// `z = ((0 + Σ x·w_x) + b) + (0 + Σ h·w_h)` and then the crate's
+    /// `sigmoid`/`tanh` and `c = f·c + i·g`, so each returned state is
+    /// bitwise independent of the rows it was batched with and of the
+    /// kernel that ran it (pinned by the `batch_rows_parity` proptests).
     ///
     /// # Panics
     ///
@@ -207,11 +216,34 @@ impl Lstm {
 
     /// [`Lstm::final_hidden_windows_with`], leaving the states in
     /// `ws.hidden` so crate-internal callers can keep using the rest of
-    /// `ws`.
+    /// `ws`. Each full block of `LANES` windows runs rows-in-lanes
+    /// ([`Lstm::run_lanes`]); the last `m mod LANES` windows — so every
+    /// one-row call — run row-major ([`Lstm::run_rows`]). Both build every
+    /// element by the chain the training-time step builds, so which kernel
+    /// ran a window never shows in its state.
     fn run(&self, windows: &Matrix, ws: &mut Workspace) {
         let (d, h) = (self.input_size, self.hidden_size);
         assert_eq!(windows.cols() % d, 0, "window width must be a multiple of the input width");
-        let (m, steps) = (windows.rows(), windows.cols() / d);
+        let m = windows.rows();
+        let blocked = m - m % LANES;
+        self.run_rows(windows, blocked, ws);
+        if blocked > 0 {
+            // The tail's states wait in `cell`, which the tail no longer
+            // needs, while the blocks fill the rows above them.
+            ws.cell.assign(m - blocked, h, ws.hidden.as_slice());
+            ws.hidden.reshape(m, h);
+            self.run_lanes(windows, blocked, ws);
+            ws.hidden.as_mut_slice()[blocked * h..].copy_from_slice(ws.cell.as_slice());
+        }
+    }
+
+    /// The row-major kernel of [`Lstm::run`] over the windows from row
+    /// `first` on, their final states left in `ws.hidden` (one row each).
+    /// Per timestep the rows advance together, so the hidden→gates product
+    /// is one `M×h · h×4h` matmul.
+    fn run_rows(&self, windows: &Matrix, first: usize, ws: &mut Workspace) {
+        let (d, h) = (self.input_size, self.hidden_size);
+        let (m, steps) = (windows.rows() - first, windows.cols() / d);
         ws.hidden.reshape_zeroed(m, h);
         ws.cell.reshape_zeroed(m, h);
         for step in 0..steps {
@@ -226,7 +258,7 @@ impl Lstm {
                 ws.gates.reshape(m, 4 * h);
                 let (wx, bias) = (self.w_x.row(0), self.bias.as_slice());
                 for i in 0..m {
-                    let x0 = windows.row(i)[step];
+                    let x0 = windows.row(first + i)[step];
                     let gates = ws.gates.row_mut(i).iter_mut();
                     for ((g, &w), &b) in gates.zip(wx).zip(bias) {
                         *g = (0.0 + x0 * w) + b;
@@ -235,7 +267,7 @@ impl Lstm {
             } else {
                 ws.stage.reshape(m, d);
                 for i in 0..m {
-                    let x = &windows.row(i)[step * d..(step + 1) * d];
+                    let x = &windows.row(first + i)[step * d..(step + 1) * d];
                     ws.stage.row_mut(i).copy_from_slice(x);
                 }
                 let bias = self.bias.as_slice();
@@ -254,6 +286,46 @@ impl Lstm {
             for i in 0..m {
                 for (t, &o) in ws.hidden.row_mut(i).iter_mut().zip(&ws.gates.row(i)[3 * h..]) {
                     *t *= o;
+                }
+            }
+        }
+    }
+
+    /// The rows-in-lanes kernel of [`Lstm::run`] over the first `rows`
+    /// windows, a whole number of `LANES`-row blocks, one SIMD lane per
+    /// window: per timestep the block's inputs are transposed into
+    /// feature-major scratch, the input term `(0 + Σ x·w_x) + b` is
+    /// [`affine_lanes`] and the recurrent term `0 + Σ h·w_h` joins it through
+    /// [`add_product_lanes`], and the gates, the cell update and `tanh(c)`
+    /// run over whole eight-lane arrays. Each block's final states are
+    /// transposed back into rows `0..rows` of `ws.hidden`.
+    fn run_lanes(&self, windows: &Matrix, rows: usize, ws: &mut Workspace) {
+        let (d, h) = (self.input_size, self.hidden_size);
+        let steps = windows.cols() / d;
+        let Workspace { lanes, hidden, .. } = ws;
+        // One `[f64; LANES]` per input feature, gate and unit of state.
+        lanes.resize(d + 6 * h, [0.0; LANES]);
+        let (xt, rest) = lanes.split_at_mut(d);
+        let (z, rest) = rest.split_at_mut(4 * h);
+        let (ht, ct) = rest.split_at_mut(h);
+        let (wx, wh, bias) = (self.w_x.as_slice(), self.w_h.as_slice(), self.bias.as_slice());
+        for first in (0..rows).step_by(LANES) {
+            ht.fill([0.0; LANES]);
+            ct.fill([0.0; LANES]);
+            for step in 0..steps {
+                for lane in 0..LANES {
+                    let x = &windows.row(first + lane)[step * d..(step + 1) * d];
+                    for (feature, &v) in xt.iter_mut().zip(x) {
+                        feature[lane] = v;
+                    }
+                }
+                affine_lanes(xt, wx, bias, z);
+                add_product_lanes(ht, wh, z);
+                gate_update_lanes(h, z, ct, ht);
+            }
+            for lane in 0..LANES {
+                for (out, unit) in hidden.row_mut(first + lane).iter_mut().zip(ht.iter()) {
+                    *out = unit[lane];
                 }
             }
         }
@@ -278,6 +350,39 @@ fn gate_update(h: usize, z: &mut [f64], cell: &mut [f64], c_out: &mut [f64]) {
         let c = f_gate[j] * cell[j] + i_gate[j] * candidate[j];
         cell[j] = c;
         c_out[j] = c;
+    }
+}
+
+/// [`gate_update`] for one block of `LANES` sequences, then the new hidden
+/// state: `z` holds the summed pre-activations `[i, f, g, o]` one array
+/// per unit, `c = f·c + i·g` and `h = tanh(c)·o` are written to `cell` and
+/// `hidden` — per lane the operations the row-major step performs.
+#[inline]
+fn gate_update_lanes(
+    h: usize,
+    z: &mut [[f64; LANES]],
+    cell: &mut [[f64; LANES]],
+    hidden: &mut [[f64; LANES]],
+) {
+    let (input_forget, rest) = z.split_at_mut(2 * h);
+    let (candidate, output) = rest.split_at_mut(h);
+    for unit in input_forget.iter_mut().chain(output.iter_mut()) {
+        for v in unit.iter_mut() {
+            *v = sigmoid(*v);
+        }
+    }
+    for unit in candidate.iter_mut() {
+        for v in unit.iter_mut() {
+            *v = tanh(*v);
+        }
+    }
+    let (i_gate, f_gate) = input_forget.split_at(h);
+    for j in 0..h {
+        for lane in 0..LANES {
+            let c = f_gate[j][lane] * cell[j][lane] + i_gate[j][lane] * candidate[j][lane];
+            cell[j][lane] = c;
+            hidden[j][lane] = tanh(c) * output[j][lane];
+        }
     }
 }
 

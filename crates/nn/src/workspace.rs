@@ -26,7 +26,7 @@
 //! [`Lstm::final_hidden_windows_with`]: crate::Lstm::final_hidden_windows_with
 //! [`LstmRegressor::predict_windows_with`]: crate::LstmRegressor::predict_windows_with
 
-use crate::autoencoder::LANES;
+use crate::dense::LANES;
 use crate::matrix::Matrix;
 
 /// Reusable inference scratch buffers (see module docs).
@@ -58,10 +58,12 @@ pub struct Workspace {
     pub(crate) hidden: Matrix,
     /// LSTM cell state.
     pub(crate) cell: Matrix,
-    /// One block of autoencoder rows in feature-major lanes, an array per
-    /// feature or unit and a lane per row: the transposed input, the
-    /// hidden activations and the decoder's pre-activations (see
-    /// [`crate::Autoencoder::score_rows_with`]).
+    /// One block of rows in feature-major lanes, an array per feature or
+    /// unit and a lane per row: for an autoencoder the transposed input,
+    /// the hidden activations and the decoder's pre-activations (see
+    /// [`crate::Autoencoder::score_rows_with`]); for an LSTM one timestep's
+    /// transposed inputs, the gates, and the hidden and cell states (see
+    /// [`crate::Lstm::final_hidden_windows_with`]).
     pub(crate) lanes: Vec<[f64; LANES]>,
 }
 

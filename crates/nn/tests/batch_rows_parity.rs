@@ -14,6 +14,10 @@
 //!   equal a plain triple loop (ascending `k` from `0.0`, then bias, then
 //!   the crate's activation; for an autoencoder, then the ascending-order
 //!   RMSE) bit for bit. The reference lives here, never in `src/`.
+//! * **Lanes equal rows.** Full eight-row blocks of an autoencoder or LSTM
+//!   batch run rows-in-lanes, and the one-row calls of every check run
+//!   row-major, so each check with eight rows or more pins the two kernels
+//!   against each other bit for bit.
 
 use idsbench_nn::{
     Activation, Autoencoder, AutoencoderConfig, Dense, Lstm, LstmRegressor, LstmRegressorConfig,
@@ -78,6 +82,17 @@ fn assert_cut_invariant(
     prop_assert_eq!(&whole, &ones, "one-row calls differ from one {}-row call", rows);
     prop_assert_eq!(&whole, &split, "a random split differs from one {}-row call", rows);
     Ok(whole.into_iter().map(f64::from_bits).collect())
+}
+
+/// Autoencoder input widths: KitNET's 1–24, and 90–140 (HELAD's 100, and
+/// past 128) in two cases of three.
+fn arb_autoencoder_width() -> impl Strategy<Value = usize> {
+    (0usize..75).prop_map(|i| if i < 24 { i + 1 } else { i + 66 })
+}
+
+/// LSTM hidden widths 1–16, HELAD's 12 drawn in half the cases.
+fn arb_lstm_hidden() -> impl Strategy<Value = usize> {
+    (0usize..32).prop_map(|i| if i < 16 { 12 } else { i - 15 })
 }
 
 fn flat(m: &Matrix, out: &mut Vec<f64>) {
@@ -160,18 +175,20 @@ proptest! {
     }
 
     /// Autoencoder scores: cut-invariant and equal to the naive reference.
-    /// Widths straddle the rows-in-lanes width bound (16); row counts cover
-    /// one-row calls, several eight-row lane blocks, the 32-packet burst
-    /// and ragged tails, and the random split mixes lane blocks with
-    /// row-major remainders.
+    /// Widths cover KitNET's (1–24) and HELAD's shape (90–140, past 128);
+    /// row counts cover one-row calls, several eight-row lane blocks, the
+    /// 32-packet burst and ragged tails, and the random split mixes lane
+    /// blocks with row-major remainders.
     #[test]
     fn autoencoder_scores_are_cut_invariant(
-        input in 1usize..=24,
+        input in arb_autoencoder_width(),
+        hidden_ratio in (0usize..2).prop_map(|i| [0.75, 0.5][i]),
         rows in 1usize..=70,
         seed in any::<u64>(),
         train_rounds in 0usize..12,
     ) {
-        let mut ae = Autoencoder::new(input, AutoencoderConfig { seed, ..Default::default() });
+        let config = AutoencoderConfig { hidden_ratio, seed, ..Default::default() };
+        let mut ae = Autoencoder::new(input, config);
         let sample: Vec<f64> = (0..input).map(|i| (i as f64 * 0.7).sin().abs()).collect();
         for _ in 0..train_rounds {
             ae.train_sample(&sample);
@@ -213,16 +230,19 @@ proptest! {
         prop_assert_eq!(reference.len(), rows);
     }
 
-    /// LSTM regressor over score-history windows (the HELAD shape): each
-    /// prediction is cut-invariant.
+    /// LSTM regressor over score-history windows (the HELAD shape, up to
+    /// its 12 timesteps and hidden width 12): each prediction is
+    /// cut-invariant, lane blocks and row-major tails alike.
     #[test]
     fn lstm_window_predictions_are_cut_invariant(
-        timesteps in 1usize..12,
-        rows in 1usize..7,
+        timesteps in 1usize..=12,
+        hidden in arb_lstm_hidden(),
+        rows in 1usize..=70,
         seed in any::<u64>(),
         train_rounds in 0usize..6,
     ) {
-        let mut model = LstmRegressor::new(1, LstmRegressorConfig { seed, ..Default::default() });
+        let config = LstmRegressorConfig { hidden_size: hidden, seed, ..Default::default() };
+        let mut model = LstmRegressor::new(1, config);
         let window: Vec<f64> = (0..timesteps).map(|t| (t % 2) as f64).collect();
         for i in 0..train_rounds {
             model.train_window(&window, (i % 2) as f64);
@@ -241,10 +261,10 @@ proptest! {
     /// cut-invariant.
     #[test]
     fn lstm_final_states_are_cut_invariant(
-        input in 1usize..4,
-        hidden in 1usize..9,
+        input in 1usize..5,
+        hidden in arb_lstm_hidden(),
         timesteps in 1usize..8,
-        rows in 1usize..6,
+        rows in 1usize..=40,
         seed in any::<u64>(),
     ) {
         let lstm = Lstm::new(input, hidden, seed);

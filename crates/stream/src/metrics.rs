@@ -95,8 +95,6 @@ pub struct OnlineStats {
     pub latency: LatencyHistogram,
     /// Scored events folded in.
     pub events: usize,
-    /// Attack events folded in.
-    pub attacks: usize,
 }
 
 impl OnlineStats {
@@ -123,7 +121,6 @@ impl OnlineStats {
         }
         self.latency.record(latency_nanos);
         self.events += 1;
-        self.attacks += usize::from(label);
     }
 
     /// Merges another shard's aggregation into this one.
@@ -139,7 +136,6 @@ impl OnlineStats {
         }
         self.latency.merge(&other.latency);
         self.events += other.events;
-        self.attacks += other.attacks;
     }
 
     /// Renders the per-window metrics, one per window that saw an event
@@ -246,7 +242,7 @@ mod tests {
         ];
         let stats = fold(&records, 0.5);
         assert_eq!(stats.events, 4);
-        assert_eq!(stats.attacks, 2);
+        assert_eq!(stats.cm.true_positives + stats.cm.false_negatives, 2);
         let windows = stats.window_metrics(10.0);
         assert_eq!(windows.len(), 3, "empty window 2 omitted");
         assert_eq!(windows[0].packets, 2);

@@ -197,9 +197,14 @@ fn steady_state_scoring_allocates_nothing() {
     flow_detectors_evict_without_allocating();
 
     // ---- The shard loop around them: burst staging reuses its buffers ----
-    let mut kitsune: Box<dyn EventDetector> = Box::new(Kitsune::default());
-    kitsune.fit(&train);
-    shard_loop_bursts_allocate_nothing(kitsune, warm, measure);
+    // Packet detectors: a 32-packet burst is four full eight-row lane
+    // blocks of every autoencoder and of HELAD's LSTM windows.
+    for mut detector in
+        [Box::new(Kitsune::default()) as Box<dyn EventDetector>, Box::new(Helad::default())]
+    {
+        detector.fit(&train);
+        shard_loop_bursts_allocate_nothing(detector, warm, measure);
+    }
     let sessions: Vec<ParsedView> = (0..1_000).flat_map(session_at).collect();
     let train = TrainView::assemble(sessions[..500].to_vec(), FlowTableConfig::default());
     for mut detector in
