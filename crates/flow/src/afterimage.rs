@@ -15,42 +15,42 @@
 //! `HH` and `HHjit` share one entry per channel, so a packet costs three
 //! map lookups.
 //!
-//! With the default five decay rates λ ∈ {5, 3, 1, 0.1, 0.01} this yields
-//! (3+7+3+7)×5 = 100 features, matching the reference implementation.
+//! Every entity runs the fixed five-rate bank λ ∈ {5, 3, 1, 0.1, 0.01} as
+//! one [`DampedStat`]/[`DampedPairStat`] of five lanes, which yields
+//! (3+7+3+7)×5 = 100 features, matching the reference implementation. One
+//! [`DecayBank`] serves every entity, so a packet pays `powf` once per
+//! distinct interval its entities' clocks advance by, not once per
+//! statistic and λ.
 
 use std::net::IpAddr;
 
 use idsbench_net::fasthash::FxHashMap;
 use idsbench_net::{MacAddr, ParsedPacket};
 
-use crate::damped::{DampedPairStat, DampedStat};
+use crate::damped::{DampedPairStat, DampedStat, DecayBank};
 
-/// Number of features produced per packet by [`AfterImage`] with the default
-/// configuration.
-pub const AFTERIMAGE_FEATURES: usize = 100;
+/// The reference decay rates, most to least aggressive.
+const LAMBDAS: [f64; 5] = [5.0, 3.0, 1.0, 0.1, 0.01];
+
+/// Lanes of every entity's bank.
+const L: usize = LAMBDAS.len();
+
+/// Number of features produced per packet by [`AfterImage`]: per λ, 3 `MI`,
+/// 7 `HH`, 3 `HHjit` and 7 `HpHp` features.
+pub const AFTERIMAGE_FEATURES: usize = L * (3 + 7 + 3 + 7);
 
 /// Configuration for the [`AfterImage`] extractor.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AfterImageConfig {
-    /// Damped-window decay rates, most to least aggressive.
-    pub lambdas: Vec<f64>,
     /// Maximum tracked entities per aggregate map before the stalest
     /// entries are purged (memory guard for scans/floods that mint keys).
     pub max_entities: usize,
 }
 
 impl Default for AfterImageConfig {
-    /// The reference Kitsune configuration: λ ∈ {5, 3, 1, 0.1, 0.01},
-    /// bounded at 100 000 entities per aggregate.
+    /// The reference bound of 100 000 entities per aggregate.
     fn default() -> Self {
-        AfterImageConfig { lambdas: vec![5.0, 3.0, 1.0, 0.1, 0.01], max_entities: 100_000 }
-    }
-}
-
-impl AfterImageConfig {
-    /// Number of features produced per packet under this configuration.
-    pub fn feature_count(&self) -> usize {
-        self.lambdas.len() * (3 + 7 + 3 + 7)
+        AfterImageConfig { max_entities: 100_000 }
     }
 }
 
@@ -75,17 +75,15 @@ fn canonical_socket(src: IpAddr, sp: u16, dst: IpAddr, dp: u16) -> (SocketKey, b
     }
 }
 
+// Entity records are boxed in their maps, so a flood of fresh keys moves
+// pointers, not records, when a map grows. `last_seen` is the time of the
+// entity's last packet, in or out of order: it drives the purge and the
+// `HHjit` gap, apart from the statistics' clocks, which only move forward.
+
 #[derive(Debug)]
 struct PairEntry {
-    stats: Vec<DampedPairStat>,
+    stats: DampedPairStat<L>,
     last_seen: f64,
-}
-
-impl PairEntry {
-    /// A pair entity first seen at `t`.
-    fn new(lambdas: &[f64], t: f64) -> Self {
-        PairEntry { stats: lambdas.iter().map(|&l| DampedPairStat::new(l)).collect(), last_seen: t }
-    }
 }
 
 /// An `HH` channel and its `HHjit` inter-arrival statistics: one entity
@@ -93,12 +91,12 @@ impl PairEntry {
 #[derive(Debug)]
 struct ChannelEntry {
     pair: PairEntry,
-    jitter: Vec<DampedStat>,
+    jitter: DampedStat<L>,
 }
 
 #[derive(Debug)]
 struct BandwidthEntry {
-    stats: Vec<DampedStat>,
+    stats: DampedStat<L>,
     last_seen: f64,
 }
 
@@ -118,7 +116,8 @@ struct BandwidthEntry {
 ///     .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
 ///     .tcp(40000, 80, TcpFlags::SYN)
 ///     .build(Timestamp::from_secs(1));
-/// let features = extractor.update(&ParsedPacket::parse(&packet)?);
+/// let mut features = Vec::new();
+/// extractor.update_into(&ParsedPacket::parse(&packet)?, &mut features);
 /// assert_eq!(features.len(), AFTERIMAGE_FEATURES);
 /// # Ok(())
 /// # }
@@ -126,9 +125,10 @@ struct BandwidthEntry {
 #[derive(Debug)]
 pub struct AfterImage {
     config: AfterImageConfig,
-    mac_ip: FxHashMap<(MacAddr, IpAddr), BandwidthEntry>,
-    channels: FxHashMap<ChannelKey, ChannelEntry>,
-    sockets: FxHashMap<SocketKey, PairEntry>,
+    bank: DecayBank<L>,
+    mac_ip: FxHashMap<(MacAddr, IpAddr), Box<BandwidthEntry>>,
+    channels: FxHashMap<ChannelKey, Box<ChannelEntry>>,
+    sockets: FxHashMap<SocketKey, Box<PairEntry>>,
     packets_seen: u64,
 }
 
@@ -137,13 +137,12 @@ impl AfterImage {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has no decay rates or a zero entity
-    /// budget.
+    /// Panics if the configuration has a zero entity budget.
     pub fn new(config: AfterImageConfig) -> Self {
-        assert!(!config.lambdas.is_empty(), "at least one decay rate required");
         assert!(config.max_entities > 0, "max_entities must be at least 1");
         AfterImage {
             config,
+            bank: DecayBank::new(LAMBDAS),
             mac_ip: FxHashMap::default(),
             channels: FxHashMap::default(),
             sockets: FxHashMap::default(),
@@ -153,7 +152,7 @@ impl AfterImage {
 
     /// Number of features produced per packet.
     pub fn feature_count(&self) -> usize {
-        self.config.feature_count()
+        AFTERIMAGE_FEATURES
     }
 
     /// Number of packets processed so far.
@@ -161,75 +160,57 @@ impl AfterImage {
         self.packets_seen
     }
 
-    /// Processes one packet and returns its temporal-context feature vector.
+    /// Processes one packet and writes its temporal-context feature vector
+    /// into `features` (cleared and refilled). On traffic whose entities are
+    /// already tracked this performs zero heap allocations — the per-packet
+    /// feature-extraction step of the Kitsune/HELAD scoring hot path.
     ///
-    /// Non-IP packets still produce a vector (all-zero except MAC-level
-    /// weight features) so packet- and feature-streams stay aligned.
-    pub fn update(&mut self, packet: &ParsedPacket) -> Vec<f64> {
-        let mut features = Vec::with_capacity(self.feature_count());
-        self.update_into(packet, &mut features);
-        features
-    }
-
-    /// [`AfterImage::update`] into a caller-owned buffer (cleared and
-    /// refilled). On traffic whose entities are already tracked this
-    /// performs zero heap allocations — the per-packet feature-extraction
-    /// step of the Kitsune/HELAD scoring hot path.
+    /// Non-IP packets still produce a vector (all zeros) so packet- and
+    /// feature-streams stay aligned.
     pub fn update_into(&mut self, packet: &ParsedPacket, features: &mut Vec<f64>) {
         self.packets_seen += 1;
         let t = packet.ts.as_secs_f64();
         let size = packet.wire_len as f64;
-        let lambdas = &self.config.lambdas;
+        let bank = &mut self.bank;
         features.clear();
-
-        // --- MI: source MAC+IP bandwidth -------------------------------
-        if let Some(src_ip) = packet.src_ip() {
-            let entry =
-                self.mac_ip.entry((packet.src_mac(), src_ip)).or_insert_with(|| BandwidthEntry {
-                    stats: lambdas.iter().map(|&l| DampedStat::new(l)).collect(),
-                    last_seen: t,
-                });
-            entry.last_seen = t;
-            for stat in &mut entry.stats {
-                stat.insert(t, size);
-                features.extend_from_slice(&stat.snapshot());
-            }
-        } else {
-            features.extend(std::iter::repeat(0.0).take(3 * lambdas.len()));
-        }
+        features.resize(AFTERIMAGE_FEATURES, 0.0);
+        let (mi, rest) = features.split_at_mut(3 * L);
+        let (hh, rest) = rest.split_at_mut(7 * L);
+        let (hh_jit, hphp) = rest.split_at_mut(3 * L);
 
         let (Some(src_ip), Some(dst_ip)) = (packet.src_ip(), packet.dst_ip()) else {
-            // Pad the channel/socket groups for non-IP packets.
-            features.extend(std::iter::repeat(0.0).take((7 + 3 + 7) * lambdas.len()));
-            debug_assert_eq!(features.len(), self.feature_count());
             return;
         };
 
+        // --- MI: source MAC+IP bandwidth -------------------------------
+        let entry = self.mac_ip.entry((packet.src_mac(), src_ip)).or_insert_with(|| {
+            Box::new(BandwidthEntry { stats: DampedStat::default(), last_seen: t })
+        });
+        entry.last_seen = t;
+        entry.stats.insert(bank, t, size);
+        write_groups(mi, entry.stats.snapshot());
+
         // --- HH: channel bandwidth (with cross-direction covariance) ----
         let (channel_key, is_a) = canonical_channel(src_ip, dst_ip);
-        let channel = self.channels.entry(channel_key).or_insert_with(|| ChannelEntry {
-            pair: PairEntry::new(lambdas, t),
-            jitter: lambdas.iter().map(|&l| DampedStat::new(l)).collect(),
+        let channel = self.channels.entry(channel_key).or_insert_with(|| {
+            Box::new(ChannelEntry { pair: PairEntry::new(t), jitter: DampedStat::default() })
         });
         // The gap since the channel's previous packet; a new channel was
         // created at `t`, so its first gap is 0.
         let gap = (t - channel.pair.last_seen).max(0.0);
-        update_pair(&mut channel.pair, is_a, t, size, features);
+        channel.pair.update(bank, is_a, t, size, hh);
 
         // --- HHjit: channel jitter --------------------------------------
-        for stat in &mut channel.jitter {
-            stat.insert(t, gap);
-            features.extend_from_slice(&stat.snapshot());
-        }
+        channel.jitter.insert(bank, t, gap);
+        write_groups(hh_jit, channel.jitter.snapshot());
 
         // --- HpHp: socket bandwidth -------------------------------------
         let sp = packet.src_port().unwrap_or(0);
         let dp = packet.dst_port().unwrap_or(0);
         let (socket_key, sock_is_a) = canonical_socket(src_ip, sp, dst_ip, dp);
-        let socket = self.sockets.entry(socket_key).or_insert_with(|| PairEntry::new(lambdas, t));
-        update_pair(socket, sock_is_a, t, size, features);
+        let socket = self.sockets.entry(socket_key).or_insert_with(|| Box::new(PairEntry::new(t)));
+        socket.update(bank, sock_is_a, t, size, hphp);
 
-        debug_assert_eq!(features.len(), self.feature_count());
         self.maybe_purge();
     }
 
@@ -248,29 +229,27 @@ impl AfterImage {
     }
 }
 
-/// The HH and HpHp update: folds one packet of `size` bytes at time `t`
-/// into the pair entity `entry` on every λ, and appends its 7 features per
-/// λ as seen from the packet's side of the pair (`is_a`: the canonical a→b
-/// direction).
-fn update_pair(entry: &mut PairEntry, is_a: bool, t: f64, size: f64, features: &mut Vec<f64>) {
-    entry.last_seen = t;
-    for stat in &mut entry.stats {
-        if is_a {
-            stat.insert_a(t, size);
-            features.extend_from_slice(&stat.snapshot_for_a());
-        } else {
-            stat.insert_b(t, size);
-            let [w, mean, std] = stat.b().snapshot();
-            features.extend_from_slice(&[
-                w,
-                mean,
-                std,
-                stat.magnitude(),
-                stat.radius(),
-                stat.covariance(),
-                stat.correlation(),
-            ]);
-        }
+impl PairEntry {
+    /// A pair entity first seen at `t`.
+    fn new(t: f64) -> Self {
+        PairEntry { stats: DampedPairStat::default(), last_seen: t }
+    }
+
+    /// The HH and HpHp update: folds one packet of `size` bytes at time `t`
+    /// into the pair on every λ, and writes its 7 features per λ into
+    /// `out` as seen from the packet's side of the pair (`is_a`: the
+    /// canonical a→b direction).
+    fn update(&mut self, bank: &mut DecayBank<L>, is_a: bool, t: f64, size: f64, out: &mut [f64]) {
+        self.last_seen = t;
+        self.stats.insert(bank, is_a, t, size);
+        write_groups(out, self.stats.snapshot(is_a));
+    }
+}
+
+/// Writes per-λ feature groups back to back into `out`.
+fn write_groups<const W: usize>(out: &mut [f64], groups: [[f64; W]; L]) {
+    for (out, group) in out.chunks_exact_mut(W).zip(groups) {
+        out.copy_from_slice(&group);
     }
 }
 
@@ -304,10 +283,20 @@ mod tests {
         ParsedPacket::parse(&p).unwrap()
     }
 
+    fn update(extractor: &mut AfterImage, packet: &ParsedPacket) -> Vec<f64> {
+        let mut features = Vec::new();
+        extractor.update_into(packet, &mut features);
+        features
+    }
+
+    fn flat<const W: usize>(groups: [[f64; W]; L]) -> Vec<f64> {
+        groups.iter().flatten().copied().collect()
+    }
+
     #[test]
     fn produces_100_features_by_default() {
         let mut extractor = AfterImage::new(AfterImageConfig::default());
-        let features = extractor.update(&packet(1, 1000, 2, 80, 100, 0.0));
+        let features = update(&mut extractor, &packet(1, 1000, 2, 80, 100, 0.0));
         assert_eq!(features.len(), AFTERIMAGE_FEATURES);
         assert_eq!(extractor.feature_count(), AFTERIMAGE_FEATURES);
     }
@@ -316,14 +305,17 @@ mod tests {
     fn all_features_finite_under_traffic() {
         let mut extractor = AfterImage::new(AfterImageConfig::default());
         for i in 0..500 {
-            let features = extractor.update(&packet(
-                (i % 5) as u8 + 1,
-                1000 + (i % 7) as u16,
-                (i % 3) as u8 + 10,
-                80,
-                (i % 1000) + 40,
-                i as f64 * 0.001,
-            ));
+            let features = update(
+                &mut extractor,
+                &packet(
+                    (i % 5) as u8 + 1,
+                    1000 + (i % 7) as u16,
+                    (i % 3) as u8 + 10,
+                    80,
+                    (i % 1000) + 40,
+                    i as f64 * 0.001,
+                ),
+            );
             for (j, v) in features.iter().enumerate() {
                 assert!(v.is_finite(), "feature {j} not finite at packet {i}");
             }
@@ -333,8 +325,8 @@ mod tests {
     #[test]
     fn weight_grows_with_repeated_traffic() {
         let mut extractor = AfterImage::new(AfterImageConfig::default());
-        let first = extractor.update(&packet(1, 1000, 2, 80, 100, 0.0));
-        let second = extractor.update(&packet(1, 1000, 2, 80, 100, 0.001));
+        let first = update(&mut extractor, &packet(1, 1000, 2, 80, 100, 0.0));
+        let second = update(&mut extractor, &packet(1, 1000, 2, 80, 100, 0.001));
         // Feature 0 is the weight of the most aggressive MI window.
         assert!(second[0] > first[0]);
     }
@@ -343,9 +335,9 @@ mod tests {
     fn distinct_sources_have_independent_mi_stats() {
         let mut extractor = AfterImage::new(AfterImageConfig::default());
         for i in 0..10 {
-            extractor.update(&packet(1, 1000, 2, 80, 100, i as f64 * 0.01));
+            update(&mut extractor, &packet(1, 1000, 2, 80, 100, i as f64 * 0.01));
         }
-        let fresh = extractor.update(&packet(3, 1000, 2, 80, 100, 0.2));
+        let fresh = update(&mut extractor, &packet(3, 1000, 2, 80, 100, 0.2));
         assert!((fresh[0] - 1.0).abs() < 1e-9, "new source starts at weight 1, got {}", fresh[0]);
     }
 
@@ -353,8 +345,8 @@ mod tests {
     fn bidirectional_channel_shares_pair_state() {
         let mut extractor = AfterImage::new(AfterImageConfig::default());
         for i in 0..20 {
-            extractor.update(&packet(1, 1000, 2, 80, 100, i as f64 * 0.01));
-            extractor.update(&packet(2, 80, 1, 1000, 1000, i as f64 * 0.01 + 0.005));
+            update(&mut extractor, &packet(1, 1000, 2, 80, 100, i as f64 * 0.01));
+            update(&mut extractor, &packet(2, 80, 1, 1000, 1000, i as f64 * 0.01 + 0.005));
         }
         // One channel entity tracks both directions.
         assert_eq!(extractor.channels.len(), 1);
@@ -372,43 +364,79 @@ mod tests {
         };
         let mut extractor = AfterImage::new(AfterImageConfig::default());
         // A new channel's first gap is 0, from either direction.
-        let first = extractor.update(&packet(1, 1000, 2, 80, 100, 10.0));
+        let first = update(&mut extractor, &packet(1, 1000, 2, 80, 100, 10.0));
         assert_eq!(jitter_means(&first), vec![0.0; 5]);
         // The reply 0.25 s later is on the same channel: every λ's mean
         // moves off 0 toward the 0.25 s gap.
-        let reply = extractor.update(&packet(2, 80, 1, 1000, 100, 10.25));
+        let reply = update(&mut extractor, &packet(2, 80, 1, 1000, 100, 10.25));
         for mean in jitter_means(&reply) {
             assert!(mean > 0.0 && mean <= 0.25, "mean {mean}");
         }
         // Another pair of hosts is another channel, starting from 0 again.
-        let other = extractor.update(&packet(3, 1000, 4, 80, 100, 10.5));
+        let other = update(&mut extractor, &packet(3, 1000, 4, 80, 100, 10.5));
         assert_eq!(jitter_means(&other), vec![0.0; 5]);
     }
 
     #[test]
     fn entity_budget_is_enforced() {
-        let config = AfterImageConfig { max_entities: 50, ..Default::default() };
+        let config = AfterImageConfig { max_entities: 50 };
         let mut extractor = AfterImage::new(config);
         // A scan mints a new socket per packet.
         for i in 0..500u16 {
-            extractor.update(&packet(1, 1000 + i, 2, 80, 60, i as f64 * 0.001));
+            update(&mut extractor, &packet(1, 1000 + i, 2, 80, 60, i as f64 * 0.001));
         }
         assert!(extractor.sockets.len() <= 50, "sockets = {}", extractor.sockets.len());
     }
 
     #[test]
-    fn feature_count_follows_lambda_count() {
-        let config = AfterImageConfig { lambdas: vec![1.0, 0.1], max_entities: 1000 };
-        let mut extractor = AfterImage::new(config);
-        let features = extractor.update(&packet(1, 1, 2, 2, 100, 0.0));
-        assert_eq!(features.len(), 40);
+    fn features_are_the_fixed_100_wide_layout() {
+        let mut extractor = AfterImage::new(AfterImageConfig::default());
+        // The lanes run λ = 5, 3, 1, 0.1, 0.01: a source's second packet,
+        // 1 s after its first, reads weight 1 + 2^-λ per λ.
+        update(&mut extractor, &packet(9, 1, 8, 1, 100, 0.0));
+        let second = update(&mut extractor, &packet(9, 1, 8, 1, 100, 1.0));
+        for (i, lambda) in [5.0, 3.0, 1.0, 0.1, 0.01].into_iter().enumerate() {
+            assert!((second[3 * i] - (1.0 + 2f64.powf(-lambda))).abs() < 1e-12);
+        }
+        // MI | HH | HHjit | HpHp, each group's λ lanes back to back, every
+        // value bit for bit the bank's, from the packet's side of each pair.
+        let mut bank = DecayBank::new(LAMBDAS);
+        let mut mi = [DampedStat::<L>::default(); 2];
+        let (mut hh, mut hphp) = (DampedPairStat::<L>::default(), DampedPairStat::<L>::default());
+        let mut jitter = DampedStat::<L>::default();
+        let mut last = None;
+        for i in 0..40 {
+            let (forward, t) = (i % 3 != 0, 10.0 + i as f64 * 0.05);
+            let p = if forward {
+                packet(1, 1000, 2, 80, 40 + 37 * i, t)
+            } else {
+                packet(2, 80, 1, 1000, 40 + 37 * i, t)
+            };
+            let features = update(&mut extractor, &p);
+            let size = p.wire_len as f64;
+            let source = &mut mi[usize::from(!forward)];
+            source.insert(&mut bank, t, size);
+            hh.insert(&mut bank, forward, t, size);
+            jitter.insert(&mut bank, t, last.map_or(0.0, |last| t - last));
+            last = Some(t);
+            hphp.insert(&mut bank, forward, t, size);
+            let groups = [
+                flat(source.snapshot()),
+                flat(hh.snapshot(forward)),
+                flat(jitter.snapshot()),
+                flat(hphp.snapshot(forward)),
+            ];
+            assert_eq!(features, groups.concat(), "packet {i}");
+            assert_eq!(features.len(), AFTERIMAGE_FEATURES);
+        }
+        assert_eq!(AFTERIMAGE_FEATURES, 100);
     }
 
     #[test]
     fn packets_seen_counts() {
         let mut extractor = AfterImage::new(AfterImageConfig::default());
         for i in 0..7 {
-            extractor.update(&packet(1, 1000, 2, 80, 100, i as f64));
+            update(&mut extractor, &packet(1, 1000, 2, 80, 100, i as f64));
         }
         assert_eq!(extractor.packets_seen(), 7);
     }

@@ -5,249 +5,267 @@
 //! exponentially with wall-clock time: an observation inserted `Δt` seconds
 //! ago contributes with weight `2^(-λΔt)`. Recent traffic therefore dominates
 //! the estimate, and a single parameter λ selects the effective time window.
+//!
+//! The statistics run as a *bank* of `N` decay rates over one stream: every
+//! moment is a `[f64; N]` array, one lane per λ, and the lanes share one
+//! clock, since they always update together. Decay, insert and snapshot are
+//! loops across the lanes. The rates live in a [`DecayBank`], which every
+//! statistic of an extractor shares and which computes the factors
+//! `2^(-λΔt)` once per distinct interval `Δt`. A one-λ statistic is the
+//! `N = 1` bank, and lane `i` of an `N`-λ bank equals it at `λ_i` bit for
+//! bit.
 
-/// A 1-D damped incremental statistic.
+use std::array::from_fn;
+
+/// Intervals whose decay factors a [`DecayBank`] remembers.
+const MEMO: usize = 8;
+
+/// The decay rates λ of a bank (per second), with a memo of the decay
+/// factors of the intervals seen last.
+///
+/// Packets of one extractor mostly advance their statistics' clocks by one
+/// of a few intervals, so the bank computes `2^(-λΔt)` (`N` calls of
+/// `powf`) once per distinct `Δt`, keyed by its bits, and every statistic
+/// advanced by that `Δt` reuses the factors.
+#[derive(Debug)]
+pub struct DecayBank<const N: usize> {
+    lambdas: [f64; N],
+    /// The bits of the remembered intervals, overwritten round-robin. Key 0
+    /// is `Δt = +0`, which never decays, so an unused slot never matches.
+    keys: [u64; MEMO],
+    /// `factors[k]` belongs to `keys[k]`.
+    factors: [[f64; N]; MEMO],
+    next: usize,
+}
+
+impl<const N: usize> DecayBank<N> {
+    /// A bank of decay rates `lambdas`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rate is not finite and positive.
+    pub fn new(lambdas: [f64; N]) -> Self {
+        assert!(lambdas.iter().all(|l| l.is_finite() && *l > 0.0), "lambda must be positive");
+        DecayBank { lambdas, keys: [0; MEMO], factors: [[0.0; N]; MEMO], next: 0 }
+    }
+
+    /// `2^(-λ·dt)` per lane, for `dt > 0`.
+    fn factors(&mut self, dt: f64) -> [f64; N] {
+        let key = dt.to_bits();
+        if let Some(k) = self.keys.iter().position(|&k| k == key) {
+            return self.factors[k];
+        }
+        let factors = self.lambdas.map(|lambda| 2f64.powf(-lambda * dt));
+        self.keys[self.next] = key;
+        self.factors[self.next] = factors;
+        self.next = (self.next + 1) % MEMO;
+        factors
+    }
+}
+
+/// The time of a statistic's last decay, shared by its lanes; `None`
+/// before its first update.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Clock(Option<f64>);
+
+impl Clock {
+    /// Moves the clock to `t` and returns the factors to decay by: none on
+    /// the first update, nor when `t` is not later than the clock
+    /// (out-of-order timestamps apply no decay, matching the reference
+    /// implementation).
+    fn advance<const N: usize>(&mut self, bank: &mut DecayBank<N>, t: f64) -> Option<[f64; N]> {
+        let Some(last) = self.0 else {
+            self.0 = Some(t);
+            return None;
+        };
+        let dt = t - last;
+        (dt > 0.0).then(|| {
+            self.0 = Some(t);
+            bank.factors(dt)
+        })
+    }
+}
+
+/// A 1-D damped incremental statistic over a bank of `N` decay rates (one
+/// rate by default).
 ///
 /// # Examples
 ///
 /// ```
-/// use idsbench_flow::DampedStat;
+/// use idsbench_flow::{DampedStat, DecayBank};
 ///
-/// let mut stat = DampedStat::new(0.1);
-/// stat.insert(0.0, 10.0);
-/// stat.insert(1.0, 20.0);
-/// assert!(stat.mean() > 10.0 && stat.mean() < 20.0);
+/// let mut bank = DecayBank::new([0.1]);
+/// let mut stat = DampedStat::default();
+/// stat.insert(&mut bank, 0.0, 10.0);
+/// stat.insert(&mut bank, 1.0, 20.0);
+/// let [[_weight, mean, _std]] = stat.snapshot();
+/// assert!(mean > 10.0 && mean < 20.0);
 /// // The newer observation carries more weight.
-/// assert!(stat.mean() > 15.0);
+/// assert!(mean > 15.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DampedStat {
-    lambda: f64,
-    weight: f64,
-    linear_sum: f64,
-    squared_sum: f64,
-    last_time: f64,
-    last_residual: f64,
-    initialized: bool,
+pub struct DampedStat<const N: usize = 1> {
+    weight: [f64; N],
+    linear_sum: [f64; N],
+    squared_sum: [f64; N],
+    last_residual: [f64; N],
+    clock: Clock,
 }
 
-impl DampedStat {
-    /// Creates a statistic with decay rate `lambda` (per second).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is not finite and positive.
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda.is_finite() && lambda > 0.0, "lambda must be positive");
+impl<const N: usize> Default for DampedStat<N> {
+    fn default() -> Self {
         DampedStat {
-            lambda,
-            weight: 0.0,
-            linear_sum: 0.0,
-            squared_sum: 0.0,
-            last_time: 0.0,
-            last_residual: 0.0,
-            initialized: false,
+            weight: [0.0; N],
+            linear_sum: [0.0; N],
+            squared_sum: [0.0; N],
+            last_residual: [0.0; N],
+            clock: Clock::default(),
         }
     }
+}
 
-    /// The decay rate λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
+/// Per-lane mean, variance and standard deviation of a [`DampedStat`],
+/// each computed once.
+struct Moments<const N: usize> {
+    mean: [f64; N],
+    variance: [f64; N],
+    std: [f64; N],
+}
 
+impl<const N: usize> DampedStat<N> {
     /// Decays the sums to time `t` without inserting an observation.
-    ///
-    /// Out-of-order timestamps (`t` earlier than the last update) apply no
-    /// decay, matching the reference implementation.
-    pub fn decay_to(&mut self, t: f64) {
-        if !self.initialized {
-            self.last_time = t;
-            self.initialized = true;
-            return;
-        }
-        let dt = t - self.last_time;
-        if dt > 0.0 {
-            let factor = 2f64.powf(-self.lambda * dt);
-            self.weight *= factor;
-            self.linear_sum *= factor;
-            self.squared_sum *= factor;
-            self.last_time = t;
+    pub fn decay_to(&mut self, bank: &mut DecayBank<N>, t: f64) {
+        if let Some(factors) = self.clock.advance(bank, t) {
+            for (i, f) in factors.into_iter().enumerate() {
+                self.weight[i] *= f;
+                self.linear_sum[i] *= f;
+                self.squared_sum[i] *= f;
+            }
         }
     }
 
-    /// Inserts observation `x` at time `t` (seconds).
-    pub fn insert(&mut self, t: f64, x: f64) {
-        self.decay_to(t);
-        self.weight += 1.0;
-        self.linear_sum += x;
-        self.squared_sum += x * x;
-        self.last_residual = x - self.mean();
-    }
-
-    /// Current (damped) weight — the effective number of recent observations.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-
-    /// Damped mean (0 when the weight is zero).
-    pub fn mean(&self) -> f64 {
-        if self.weight > 0.0 {
-            self.linear_sum / self.weight
-        } else {
-            0.0
+    /// Inserts observation `x` at time `t` (seconds) on every lane.
+    pub fn insert(&mut self, bank: &mut DecayBank<N>, t: f64, x: f64) {
+        self.decay_to(bank, t);
+        for i in 0..N {
+            self.weight[i] += 1.0;
+            self.linear_sum[i] += x;
+            self.squared_sum[i] += x * x;
+            // The residual against the mean at insert time, for the
+            // cross-stream covariance; the weight is at least 1 here.
+            self.last_residual[i] = x - self.linear_sum[i] / self.weight[i];
         }
-    }
-
-    /// Damped variance (never negative).
-    pub fn variance(&self) -> f64 {
-        if self.weight > 0.0 {
-            let mean = self.linear_sum / self.weight;
-            (self.squared_sum / self.weight - mean * mean).max(0.0)
-        } else {
-            0.0
-        }
-    }
-
-    /// Damped standard deviation.
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Residual of the most recent observation against the mean at insert
-    /// time. Used for cross-stream covariance.
-    pub fn last_residual(&self) -> f64 {
-        self.last_residual
-    }
-
-    /// Time of the last update or decay.
-    pub fn last_time(&self) -> f64 {
-        self.last_time
     }
 
     /// The `[weight, mean, std]` feature triple exported by the Kitsune
-    /// extractor.
-    pub fn snapshot(&self) -> [f64; 3] {
-        [self.weight(), self.mean(), self.std()]
+    /// extractor, per lane.
+    pub fn snapshot(&self) -> [[f64; 3]; N] {
+        let Moments { mean, std, .. } = self.moments();
+        from_fn(|i| [self.weight[i], mean[i], std[i]])
+    }
+
+    /// Damped mean and variance (0 in a lane whose weight has decayed to 0;
+    /// the variance is never negative).
+    fn moments(&self) -> Moments<N> {
+        let mean = from_fn(|i| ratio(self.linear_sum[i], self.weight[i]));
+        let variance =
+            from_fn(|i| (ratio(self.squared_sum[i], self.weight[i]) - mean[i] * mean[i]).max(0.0));
+        Moments { mean, variance, std: variance.map(f64::sqrt) }
+    }
+}
+
+/// `x / d`, or 0 unless `d > 0`: the guard on every damped quotient.
+fn ratio(x: f64, d: f64) -> f64 {
+    if d > 0.0 {
+        x / d
+    } else {
+        0.0
     }
 }
 
 /// A pair of damped streams with damped cross-covariance, used for the
-/// channel (src↔dst) and socket statistics.
+/// channel (src↔dst) and socket statistics, over a bank of `N` decay rates.
 ///
-/// Stream `a` carries one direction, stream `b` the other. The covariance is
-/// estimated from products of residuals, as in the reference AfterImage
-/// implementation.
+/// Stream `a` carries one direction, stream `b` the other, each with its
+/// own clock; the joint weight and residual products run on a third. The
+/// covariance is estimated from products of residuals, as in the reference
+/// AfterImage implementation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DampedPairStat {
-    a: DampedStat,
-    b: DampedStat,
-    joint_weight: f64,
-    residual_products: f64,
-    lambda: f64,
-    last_time: f64,
-    initialized: bool,
+pub struct DampedPairStat<const N: usize = 1> {
+    a: DampedStat<N>,
+    b: DampedStat<N>,
+    joint_weight: [f64; N],
+    residual_products: [f64; N],
+    clock: Clock,
 }
 
-impl DampedPairStat {
-    /// Creates a pair statistic with decay rate `lambda`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is not finite and positive.
-    pub fn new(lambda: f64) -> Self {
+impl<const N: usize> Default for DampedPairStat<N> {
+    fn default() -> Self {
         DampedPairStat {
-            a: DampedStat::new(lambda),
-            b: DampedStat::new(lambda),
-            joint_weight: 0.0,
-            residual_products: 0.0,
-            lambda,
-            last_time: 0.0,
-            initialized: false,
+            a: DampedStat::default(),
+            b: DampedStat::default(),
+            joint_weight: [0.0; N],
+            residual_products: [0.0; N],
+            clock: Clock::default(),
         }
     }
+}
 
-    fn decay_joint(&mut self, t: f64) {
-        if !self.initialized {
-            self.last_time = t;
-            self.initialized = true;
-            return;
+impl<const N: usize> DampedPairStat<N> {
+    /// Inserts observation `x` at time `t` into stream `a` (`into_a`) or
+    /// stream `b`.
+    pub fn insert(&mut self, bank: &mut DecayBank<N>, into_a: bool, t: f64, x: f64) {
+        if let Some(factors) = self.clock.advance(bank, t) {
+            for (i, f) in factors.into_iter().enumerate() {
+                self.joint_weight[i] *= f;
+                self.residual_products[i] *= f;
+            }
         }
-        let dt = t - self.last_time;
-        if dt > 0.0 {
-            let factor = 2f64.powf(-self.lambda * dt);
-            self.joint_weight *= factor;
-            self.residual_products *= factor;
-            self.last_time = t;
-        }
-    }
-
-    /// Inserts observation `x` into stream `a` at time `t`.
-    pub fn insert_a(&mut self, t: f64, x: f64) {
-        self.decay_joint(t);
-        self.a.insert(t, x);
-        self.joint_weight += 1.0;
-        self.residual_products += self.a.last_residual() * self.b.last_residual();
-    }
-
-    /// Inserts observation `x` into stream `b` at time `t`.
-    pub fn insert_b(&mut self, t: f64, x: f64) {
-        self.decay_joint(t);
-        self.b.insert(t, x);
-        self.joint_weight += 1.0;
-        self.residual_products += self.a.last_residual() * self.b.last_residual();
-    }
-
-    /// Stream `a`.
-    pub fn a(&self) -> &DampedStat {
-        &self.a
-    }
-
-    /// Stream `b`.
-    pub fn b(&self) -> &DampedStat {
-        &self.b
-    }
-
-    /// 2-D magnitude: `sqrt(mean_a² + mean_b²)`.
-    pub fn magnitude(&self) -> f64 {
-        (self.a.mean().powi(2) + self.b.mean().powi(2)).sqrt()
-    }
-
-    /// 2-D radius: `sqrt(var_a² + var_b²)`.
-    pub fn radius(&self) -> f64 {
-        (self.a.variance().powi(2) + self.b.variance().powi(2)).sqrt()
-    }
-
-    /// Damped covariance estimate.
-    pub fn covariance(&self) -> f64 {
-        if self.joint_weight > 0.0 {
-            self.residual_products / self.joint_weight
+        if into_a {
+            self.a.insert(bank, t, x);
         } else {
-            0.0
+            self.b.insert(bank, t, x);
+        }
+        for i in 0..N {
+            self.joint_weight[i] += 1.0;
+            self.residual_products[i] += self.a.last_residual[i] * self.b.last_residual[i];
         }
     }
 
-    /// Damped Pearson correlation coefficient (0 when either stream is
-    /// degenerate).
-    pub fn correlation(&self) -> f64 {
-        let denom = self.a.std() * self.b.std();
-        if denom > 0.0 {
-            (self.covariance() / denom).clamp(-1.0, 1.0)
-        } else {
-            0.0
-        }
-    }
-
-    /// Time of the most recent update.
-    pub fn last_time(&self) -> f64 {
-        self.last_time
+    /// The damped sum of residual products, per lane.
+    pub fn residual_products(&self) -> [f64; N] {
+        self.residual_products
     }
 
     /// The 7-feature group exported by the Kitsune extractor for the stream
-    /// that just received a packet: `[w, mean, std]` of that stream plus
-    /// `[magnitude, radius, covariance, correlation]` of the pair.
-    pub fn snapshot_for_a(&self) -> [f64; 7] {
-        let [w, mean, std] = self.a.snapshot();
-        [w, mean, std, self.magnitude(), self.radius(), self.covariance(), self.correlation()]
+    /// that just received a packet (`a` when `of_a`), per lane: `[w, mean,
+    /// std]` of that stream plus the pair's magnitude `sqrt(mean_a² +
+    /// mean_b²)`, radius `sqrt(var_a² + var_b²)`, covariance and Pearson
+    /// correlation (clamped to [-1, 1]; 0 when either stream is degenerate).
+    pub fn snapshot(&self, of_a: bool) -> [[f64; 7]; N] {
+        let (ma, mb) = (self.a.moments(), self.b.moments());
+        // Each feature is one loop across the lanes; the groups are
+        // interleaved last.
+        let magnitude: [f64; N] =
+            from_fn(|i| (ma.mean[i] * ma.mean[i] + mb.mean[i] * mb.mean[i]).sqrt());
+        let radius: [f64; N] =
+            from_fn(|i| (ma.variance[i] * ma.variance[i] + mb.variance[i] * mb.variance[i]).sqrt());
+        let covariance: [f64; N] =
+            from_fn(|i| ratio(self.residual_products[i], self.joint_weight[i]));
+        let correlation: [f64; N] =
+            from_fn(|i| ratio(covariance[i], ma.std[i] * mb.std[i]).clamp(-1.0, 1.0));
+        let (side, m) = if of_a { (&self.a, &ma) } else { (&self.b, &mb) };
+        from_fn(|i| {
+            [
+                side.weight[i],
+                m.mean[i],
+                m.std[i],
+                magnitude[i],
+                radius[i],
+                covariance[i],
+                correlation[i],
+            ]
+        })
     }
 }
 
@@ -255,116 +273,133 @@ impl DampedPairStat {
 mod tests {
     use super::*;
 
+    fn bank(lambda: f64) -> DecayBank<1> {
+        DecayBank::new([lambda])
+    }
+
     #[test]
     fn mean_of_constant_stream_is_constant() {
-        let mut stat = DampedStat::new(1.0);
+        let (mut bank, mut stat) = (bank(1.0), DampedStat::default());
         for i in 0..100 {
-            stat.insert(i as f64 * 0.01, 5.0);
+            stat.insert(&mut bank, i as f64 * 0.01, 5.0);
         }
-        assert!((stat.mean() - 5.0).abs() < 1e-9);
-        assert!(stat.variance() < 1e-9);
+        let [[_, mean, std]] = stat.snapshot();
+        assert!((mean - 5.0).abs() < 1e-9);
+        assert!(std * std < 1e-9);
     }
 
     #[test]
     fn weight_decays_by_half_life() {
-        let mut stat = DampedStat::new(1.0); // half-life = 1s
-        stat.insert(0.0, 1.0);
-        assert!((stat.weight() - 1.0).abs() < 1e-12);
-        stat.decay_to(1.0);
-        assert!((stat.weight() - 0.5).abs() < 1e-12);
-        stat.decay_to(2.0);
-        assert!((stat.weight() - 0.25).abs() < 1e-12);
+        let (mut bank, mut stat) = (bank(1.0), DampedStat::default()); // half-life = 1s
+        stat.insert(&mut bank, 0.0, 1.0);
+        assert!((stat.snapshot()[0][0] - 1.0).abs() < 1e-12);
+        stat.decay_to(&mut bank, 1.0);
+        assert!((stat.snapshot()[0][0] - 0.5).abs() < 1e-12);
+        stat.decay_to(&mut bank, 2.0);
+        assert!((stat.snapshot()[0][0] - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn recent_observations_dominate() {
-        let mut stat = DampedStat::new(2.0);
-        stat.insert(0.0, 0.0);
-        stat.insert(5.0, 100.0);
-        assert!(stat.mean() > 99.0, "old observation decayed to ~nothing: {}", stat.mean());
+        let (mut bank, mut stat) = (bank(2.0), DampedStat::default());
+        stat.insert(&mut bank, 0.0, 0.0);
+        stat.insert(&mut bank, 5.0, 100.0);
+        let mean = stat.snapshot()[0][1];
+        assert!(mean > 99.0, "old observation decayed to ~nothing: {mean}");
     }
 
     #[test]
     fn variance_is_never_negative() {
-        let mut stat = DampedStat::new(0.5);
+        let (mut bank, mut stat) = (bank(0.5), DampedStat::default());
         for i in 0..1000 {
-            stat.insert(i as f64 * 1e-4, if i % 2 == 0 { 1e9 } else { 1e-9 });
+            stat.insert(&mut bank, i as f64 * 1e-4, if i % 2 == 0 { 1e9 } else { 1e-9 });
         }
-        assert!(stat.variance() >= 0.0);
+        // A negative variance would make the std NaN.
+        assert!(stat.snapshot()[0][2] >= 0.0);
     }
 
     #[test]
     fn out_of_order_timestamps_apply_no_decay() {
-        let mut stat = DampedStat::new(1.0);
-        stat.insert(10.0, 1.0);
-        let w = stat.weight();
-        stat.decay_to(5.0); // earlier than last update
-        assert_eq!(stat.weight(), w + 0.0);
+        let (mut bank, mut stat) = (bank(1.0), DampedStat::default());
+        stat.insert(&mut bank, 10.0, 1.0);
+        let before = stat;
+        stat.decay_to(&mut bank, 5.0); // earlier than last update
+        assert_eq!(stat, before);
+    }
+
+    #[test]
+    fn repeated_intervals_reuse_their_factors() {
+        let mut bank = DecayBank::new([5.0, 0.01]);
+        let expected = [2f64.powf(-5.0 * 0.25), 2f64.powf(-0.01 * 0.25)];
+        assert_eq!(bank.factors(0.25), expected);
+        assert!(bank.keys.contains(&0.25f64.to_bits()));
+        assert_eq!(bank.factors(0.25), expected);
+        // A full round of other intervals evicts it; it is recomputed.
+        for k in 1..=MEMO {
+            bank.factors(k as f64);
+        }
+        assert!(!bank.keys.contains(&0.25f64.to_bits()));
+        assert_eq!(bank.factors(0.25), expected);
+    }
+
+    fn alternating_pair(second: impl Fn(f64) -> f64) -> DampedPairStat {
+        let (mut bank, mut pair) = (bank(0.1), DampedPairStat::default());
+        for i in 0..200 {
+            let t = i as f64 * 0.01;
+            let x = (i % 10) as f64;
+            pair.insert(&mut bank, true, t, x);
+            pair.insert(&mut bank, false, t + 0.001, second(x));
+        }
+        pair
     }
 
     #[test]
     fn correlated_pair_has_positive_pcc() {
-        let mut pair = DampedPairStat::new(0.1);
-        // Alternate between the two directions with correlated magnitudes.
-        for i in 0..200 {
-            let t = i as f64 * 0.01;
-            let x = (i % 10) as f64;
-            pair.insert_a(t, x);
-            pair.insert_b(t + 0.001, x + 0.5);
-        }
-        assert!(pair.correlation() > 0.5, "pcc = {}", pair.correlation());
+        let pcc = alternating_pair(|x| x + 0.5).snapshot(true)[0][6];
+        assert!(pcc > 0.5, "pcc = {pcc}");
     }
 
     #[test]
     fn anticorrelated_pair_has_negative_pcc() {
-        let mut pair = DampedPairStat::new(0.1);
-        for i in 0..200 {
-            let t = i as f64 * 0.01;
-            let x = (i % 10) as f64;
-            pair.insert_a(t, x);
-            pair.insert_b(t + 0.001, 10.0 - x);
-        }
-        assert!(pair.correlation() < -0.5, "pcc = {}", pair.correlation());
+        let pcc = alternating_pair(|x| 10.0 - x).snapshot(true)[0][6];
+        assert!(pcc < -0.5, "pcc = {pcc}");
     }
 
     #[test]
     fn correlation_is_clamped() {
-        let mut pair = DampedPairStat::new(1.0);
-        pair.insert_a(0.0, 1.0);
-        pair.insert_b(0.0, 1.0);
-        let pcc = pair.correlation();
+        let (mut bank, mut pair) = (bank(1.0), DampedPairStat::default());
+        pair.insert(&mut bank, true, 0.0, 1.0);
+        pair.insert(&mut bank, false, 0.0, 1.0);
+        let pcc = pair.snapshot(true)[0][6];
         assert!((-1.0..=1.0).contains(&pcc));
     }
 
     #[test]
     fn one_sided_pair_behaves_like_single_stat() {
-        let mut pair = DampedPairStat::new(0.5);
-        let mut single = DampedStat::new(0.5);
+        let (mut bank, mut pair, mut single) =
+            (bank(0.5), DampedPairStat::default(), DampedStat::default());
         for i in 0..50 {
             let t = i as f64 * 0.1;
             let x = (i as f64).sqrt();
-            pair.insert_a(t, x);
-            single.insert(t, x);
+            pair.insert(&mut bank, true, t, x);
+            single.insert(&mut bank, t, x);
         }
-        assert!((pair.a().mean() - single.mean()).abs() < 1e-12);
-        assert!((pair.a().std() - single.std()).abs() < 1e-12);
-        assert_eq!(pair.b().weight(), 0.0);
-        assert_eq!(pair.correlation(), 0.0);
+        let [[w, mean, std, _, _, _, pcc]] = pair.snapshot(true);
+        assert_eq!([w, mean, std], single.snapshot()[0]);
+        assert_eq!(pair.snapshot(false)[0][0], 0.0, "stream b never received");
+        assert_eq!(pcc, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "lambda must be positive")]
     fn zero_lambda_panics() {
-        let _ = DampedStat::new(0.0);
+        let _ = DecayBank::new([1.0, 0.0]);
     }
 
     #[test]
     fn snapshot_layout() {
-        let mut stat = DampedStat::new(1.0);
-        stat.insert(0.0, 2.0);
-        let [w, mean, std] = stat.snapshot();
-        assert_eq!(w, 1.0);
-        assert_eq!(mean, 2.0);
-        assert_eq!(std, 0.0);
+        let (mut bank, mut stat) = (bank(1.0), DampedStat::default());
+        stat.insert(&mut bank, 0.0, 2.0);
+        assert_eq!(stat.snapshot(), [[1.0, 2.0, 0.0]]);
     }
 }

@@ -17,7 +17,10 @@
 //! * [`DampedStat`]/[`DampedPairStat`]/[`AfterImage`]: the damped incremental
 //!   statistics framework from Kitsune (Mirsky et al., NDSS'18) that HELAD
 //!   reuses — per-packet 100-dimensional temporal context vectors computed in
-//!   O(1) per packet.
+//!   O(1) per packet. The statistics run as a λ bank in structure-of-arrays
+//!   form: each moment is one array across the five decay rates, one clock
+//!   serves them, and a shared [`DecayBank`] computes each distinct decay
+//!   interval's factors once.
 //! * [`RunningStats`]: exact streaming moments used by the flow features.
 //!
 //! # Examples
@@ -56,7 +59,7 @@ mod running;
 mod table;
 
 pub use afterimage::{AfterImage, AfterImageConfig, AFTERIMAGE_FEATURES};
-pub use damped::{DampedPairStat, DampedStat};
+pub use damped::{DampedPairStat, DampedStat, DecayBank};
 pub use features::{FlowFeatures, FLOW_FEATURE_COUNT, FLOW_FEATURE_NAMES};
 pub use key::{FlowDirection, FlowKey};
 pub use record::{FlowRecord, FlowTermination};

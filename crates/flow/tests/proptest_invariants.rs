@@ -3,8 +3,8 @@
 //! must conserve packets.
 
 use idsbench_flow::{
-    AfterImage, AfterImageConfig, DampedStat, FlowFeatures, FlowTable, FlowTableConfig,
-    RunningStats,
+    AfterImage, AfterImageConfig, DampedStat, DecayBank, FlowFeatures, FlowTable, FlowTableConfig,
+    RunningStats, AFTERIMAGE_FEATURES,
 };
 use idsbench_net::{MacAddr, PacketBuilder, ParsedPacket, TcpFlags, Timestamp};
 use proptest::prelude::*;
@@ -62,16 +62,17 @@ proptest! {
         values in proptest::collection::vec(0.0f64..1000.0, 1..100),
         lambda in 0.01f64..10.0,
     ) {
-        let mut stat = DampedStat::new(lambda);
+        let (mut bank, mut stat) = (DecayBank::new([lambda]), DampedStat::default());
         for (i, &x) in values.iter().enumerate() {
-            stat.insert(i as f64 * 0.1, x);
+            stat.insert(&mut bank, i as f64 * 0.1, x);
         }
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(stat.mean() >= min - 1e-9 && stat.mean() <= max + 1e-9,
-            "mean {} outside [{min}, {max}]", stat.mean());
-        prop_assert!(stat.variance() >= 0.0);
-        prop_assert!(stat.weight() > 0.0);
+        let [[weight, mean, std]] = stat.snapshot();
+        prop_assert!(mean >= min - 1e-9 && mean <= max + 1e-9,
+            "mean {mean} outside [{min}, {max}]");
+        prop_assert!(std >= 0.0);
+        prop_assert!(weight > 0.0);
     }
 
     /// Decay is monotone: weight never increases without an insert.
@@ -80,15 +81,16 @@ proptest! {
         lambda in 0.01f64..5.0,
         gaps in proptest::collection::vec(0.0f64..10.0, 1..50),
     ) {
-        let mut stat = DampedStat::new(lambda);
-        stat.insert(0.0, 1.0);
+        let (mut bank, mut stat) = (DecayBank::new([lambda]), DampedStat::default());
+        stat.insert(&mut bank, 0.0, 1.0);
         let mut t = 0.0;
-        let mut prev = stat.weight();
+        let mut prev = stat.snapshot()[0][0];
         for gap in gaps {
             t += gap;
-            stat.decay_to(t);
-            prop_assert!(stat.weight() <= prev + 1e-12);
-            prev = stat.weight();
+            stat.decay_to(&mut bank, t);
+            let weight = stat.snapshot()[0][0];
+            prop_assert!(weight <= prev + 1e-12);
+            prev = weight;
         }
     }
 
@@ -162,7 +164,7 @@ proptest! {
         }
     }
 
-    /// AfterImage always yields exactly `feature_count` finite features.
+    /// AfterImage always yields exactly `AFTERIMAGE_FEATURES` finite features.
     #[test]
     fn afterimage_shape_is_stable(
         packets in proptest::collection::vec(
@@ -171,6 +173,7 @@ proptest! {
         ),
     ) {
         let mut extractor = AfterImage::new(AfterImageConfig::default());
+        let mut features = Vec::new();
         for (i, (src, sport, dst, dport, len)) in packets.iter().enumerate() {
             let p = PacketBuilder::new()
                 .ethernet(MacAddr::from_host_id(*src as u32), MacAddr::from_host_id(*dst as u32))
@@ -178,8 +181,8 @@ proptest! {
                 .udp(*sport, *dport)
                 .payload_len(*len)
                 .build(Timestamp::from_micros(i as u64 * 137));
-            let features = extractor.update(&ParsedPacket::parse(&p).unwrap());
-            prop_assert_eq!(features.len(), extractor.feature_count());
+            extractor.update_into(&ParsedPacket::parse(&p).unwrap(), &mut features);
+            prop_assert_eq!(features.len(), AFTERIMAGE_FEATURES);
             for v in &features {
                 prop_assert!(v.is_finite());
             }

@@ -39,7 +39,7 @@ pub mod feature_mapper;
 pub mod kitnet;
 
 use idsbench_core::{Detector, Model, ParsedView, Scoring, TrainView};
-use idsbench_flow::{AfterImage, AfterImageConfig};
+use idsbench_flow::{AfterImage, AfterImageConfig, AFTERIMAGE_FEATURES};
 use idsbench_nn::Matrix;
 
 use feature_mapper::CorrelationTracker;
@@ -75,24 +75,20 @@ impl Model for KitsuneModel {
     /// contract. An empty training slice yields a degenerate (but
     /// functional) model: one feature cluster per block, untrained weights.
     fn fit(config: &KitsuneConfig, train: &TrainView) -> Self {
-        // The reference λ bank.
-        let mut extractor = AfterImage::new(AfterImageConfig::default());
-        let width = extractor.feature_count();
+        let width = AFTERIMAGE_FEATURES;
         let train = &train.packets;
 
         // Phase 1 — feature mapping over the leading slice of the training
-        // data. Feature vectors are buffered so the ensemble can train on
-        // them afterwards without re-extracting.
+        // data.
         let fm_len =
             ((train.len() as f64 * FM_GRACE_FRACTION) as usize).clamp(1.min(train.len()), 5_000);
         let mut tracker = CorrelationTracker::new(width);
-        let mut buffered: Vec<Option<Vec<f64>>> = Vec::with_capacity(fm_len);
-        for view in &train[..fm_len.min(train.len())] {
-            let features = features_of(&mut extractor, view);
-            if let Some(f) = &features {
-                tracker.observe(f);
+        let mut grace = AfterImage::new(AfterImageConfig::default());
+        let mut features = Vec::with_capacity(width);
+        for view in &train[..fm_len] {
+            if features_into(&mut grace, view, &mut features) {
+                tracker.observe(&features);
             }
-            buffered.push(features);
         }
         let clusters = if tracker.count() >= 2 {
             tracker.cluster(MAX_AUTOENCODER_SIZE)
@@ -106,17 +102,15 @@ impl Model for KitsuneModel {
         };
 
         // Phase 2 — online ensemble training over the whole training slice.
+        // A fresh extractor replays the grace slice into the same features
+        // phase 1 saw (AfterImage is a function of the packets so far), so
+        // nothing is staged between the phases.
         let KitsuneConfig { seed } = *config;
         let mut net = KitNet::new(clusters, width, KitNetConfig { seed });
-        for features in buffered.iter().flatten() {
-            net.train(features);
-        }
-        if train.len() > fm_len {
-            let mut features = Vec::with_capacity(width);
-            for view in &train[fm_len..] {
-                if features_into(&mut extractor, view, &mut features) {
-                    net.train(&features);
-                }
+        let mut extractor = AfterImage::new(AfterImageConfig::default());
+        for view in train {
+            if features_into(&mut extractor, view, &mut features) {
+                net.train(&features);
             }
         }
 
@@ -193,13 +187,8 @@ impl KitsuneModel {
     }
 }
 
-fn features_of(extractor: &mut AfterImage, view: &ParsedView) -> Option<Vec<f64>> {
-    view.parsed.as_ref().map(|parsed| extractor.update(parsed))
-}
-
 /// Extracts features into a reused buffer; `false` for malformed packets
-/// (buffer contents unspecified). The allocation-free sibling of
-/// [`features_of`] used on the per-packet paths.
+/// (buffer contents unspecified).
 fn features_into(extractor: &mut AfterImage, view: &ParsedView, buf: &mut Vec<f64>) -> bool {
     match &view.parsed {
         Some(parsed) => {
