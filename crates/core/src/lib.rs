@@ -67,7 +67,7 @@ pub use event::{
 pub use label::{AttackKind, Label, LabeledPacket};
 pub use metrics::{Assessment, FamilyCounts, FamilyOutcome};
 pub use report::ScaleEvent;
-pub use shell::{Detector, InferenceProbe, Model, Scoring};
+pub use shell::{Detector, InferenceProbe, Model, Scoring, TrainRows};
 pub use traffic::{PacketStream, ScenarioScale, TrafficModel};
 
 /// Result alias used throughout this crate.

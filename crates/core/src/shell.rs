@@ -2,20 +2,28 @@
 //! for every system, and each system supplies only its [`Model`].
 //!
 //! A model declares its name, its configuration, how it fits on the
-//! training slice, and how it scores ([`Scoring`]: a burst of packets or one
-//! evicted flow, which is also its [`InputFormat`]). The shell owns the
-//! rest, written once for all of them:
+//! training slice, and how it scores ([`Scoring`]: AfterImage feature rows
+//! of packets, or one evicted flow, which is also its [`InputFormat`]). The
+//! shell owns the rest, written once for all of them:
 //!
+//! * a feature model's one AfterImage extractor: `fit` reads the training
+//!   rows through [`TrainRows`], and the shell scores on with the extractor
+//!   that has seen the whole slice;
 //! * scoring before [`EventDetector::fit`] first fits on an empty
 //!   [`TrainView`] — the stream keeps flowing, as a deployed IDS must;
-//! * dispatch on the input format: a packet model scores each
+//! * dispatch on the input format: a feature model scores each
 //!   [`EventDetector::on_packet_batch`] burst, and an [`Event::Packet`] as a
-//!   burst of one; a flow model scores each [`Event::FlowEvicted`]; every
-//!   other event passes through unscored;
-//! * the sampled [`InferenceProbe`] around each scoring call.
+//!   burst of one, where a malformed view scores 0 unextracted and
+//!   unstaged; a flow model scores each [`Event::FlowEvicted`]; every other
+//!   event passes through unscored;
+//! * the sampled [`InferenceProbe`] around each scoring call, extraction
+//!   included.
 
 use std::fmt;
 use std::time::Instant;
+
+use idsbench_flow::{AfterImage, AfterImageConfig};
+use idsbench_net::ParsedPacket;
 
 use crate::detector::{InputFormat, LabeledFlow};
 use crate::event::{Event, EventDetector, ParsedView, TrainView};
@@ -34,9 +42,14 @@ pub trait InferenceProbe: fmt::Debug + Send {
 /// How a [`Model`] scores, which is also the [`InputFormat`] it consumes.
 #[derive(Debug)]
 pub enum Scoring<M> {
-    /// Scores a burst of packets, pushing one score per view in order.
-    /// Scores must not depend on where the stream was cut into bursts.
-    Packets(fn(&mut M, &mut dyn Iterator<Item = &ParsedView>, &mut Vec<f64>)),
+    /// Scores packets by their AfterImage rows. Scores must not depend on
+    /// where the stream was cut into bursts.
+    Features {
+        /// Stages a well-formed packet of the burst with its row.
+        stage: fn(&mut M, &ParsedPacket, &[f64]),
+        /// Pushes one score per row staged since the last call, in order.
+        score: fn(&mut M, &mut Vec<f64>),
+    },
     /// Scores one flow as the flow table evicts it.
     Flows(fn(&mut M, &LabeledFlow) -> f64),
 }
@@ -52,17 +65,90 @@ pub trait Model: fmt::Debug + Send + Sized {
     /// What an experiment may set ([`Detector::new`]); `()` for none.
     type Config: fmt::Debug + Send;
 
-    /// Fits a model on the training slice. An empty slice must give a
+    /// Fits a model on the training slice, whose rows a feature model reads
+    /// from `rows` (a flow model gets none). An empty slice must give a
     /// working model: it is what scoring before `fit` scores with.
-    fn fit(config: &Self::Config, train: &TrainView) -> Self;
+    fn fit(config: &Self::Config, train: &TrainView, rows: &mut TrainRows<'_>) -> Self;
+}
+
+/// The AfterImage rows of a slice's well-formed views, extracted in order
+/// as they are read, by an extractor that starts fresh.
+#[derive(Debug)]
+pub struct TrainRows<'a> {
+    views: std::slice::Iter<'a, ParsedView>,
+    extractor: AfterImage,
+    row: Vec<f64>,
+}
+
+impl<'a> TrainRows<'a> {
+    /// A cursor over the rows of `views`.
+    pub fn new(views: &'a [ParsedView]) -> Self {
+        let extractor = AfterImage::new(AfterImageConfig::default());
+        TrainRows { views: views.iter(), extractor, row: Vec::new() }
+    }
+
+    /// The next well-formed view's row; `None` past the last.
+    pub fn next_row(&mut self) -> Option<&[f64]> {
+        let parsed = self.views.by_ref().find_map(|view| view.parsed.as_ref())?;
+        self.extractor.update_into(parsed, &mut self.row);
+        Some(&self.row)
+    }
+}
+
+/// A fitted model with the extractor past its training slice (nothing, for
+/// a flow model) and every packet scored since, the row being staged, and
+/// the positions of the malformed views in the burst being scored.
+#[derive(Debug)]
+struct Fitted<M> {
+    model: M,
+    extractor: AfterImage,
+    row: Vec<f64>,
+    malformed: Vec<usize>,
+}
+
+impl<M: Model> Fitted<M> {
+    /// Fits the model, then extracts the training rows it left unread.
+    fn new(config: &M::Config, train: &TrainView) -> Self {
+        let flows = matches!(M::SCORING, Scoring::Flows(_));
+        let mut rows = TrainRows::new(if flows { &[] } else { &train.packets });
+        let model = M::fit(config, train, &mut rows);
+        while rows.next_row().is_some() {}
+        Fitted { model, extractor: rows.extractor, row: rows.row, malformed: Vec::new() }
+    }
+
+    /// Stages each well-formed view with its row, scores them in one call
+    /// and pushes one score per view, 0 for a malformed one.
+    fn score_burst(
+        &mut self,
+        stage: fn(&mut M, &ParsedPacket, &[f64]),
+        score: fn(&mut M, &mut Vec<f64>),
+        views: &mut dyn Iterator<Item = &ParsedView>,
+        out: &mut Vec<f64>,
+    ) {
+        self.malformed.clear();
+        for (i, view) in views.enumerate() {
+            let Some(parsed) = &view.parsed else {
+                self.malformed.push(i);
+                continue;
+            };
+            self.extractor.update_into(parsed, &mut self.row);
+            stage(&mut self.model, parsed, &self.row);
+        }
+        let start = out.len();
+        score(&mut self.model, out);
+        // In ascending order, each insert lands at its final position.
+        for &i in &self.malformed {
+            out.insert(start + i, 0.0);
+        }
+    }
 }
 
 /// The one [`EventDetector`] implementation (see module docs).
 #[derive(Debug)]
 pub struct Detector<M: Model> {
     config: M::Config,
-    /// The fitted model; `None` until `fit` or the first scored event.
-    model: Option<M>,
+    /// `None` until `fit` or the first scored event.
+    fitted: Option<Fitted<M>>,
     /// Optional sampled timer around the scoring call.
     probe: Option<Box<dyn InferenceProbe>>,
     /// The one-score output of a one-packet [`Event::Packet`] burst.
@@ -72,23 +158,24 @@ pub struct Detector<M: Model> {
 impl<M: Model> Detector<M> {
     /// An unfitted detector with the given configuration.
     pub fn new(config: M::Config) -> Self {
-        Detector { config, model: None, probe: None, single: Vec::with_capacity(1) }
+        Detector { config, fitted: None, probe: None, single: Vec::with_capacity(1) }
     }
 
     /// Attaches a sampled timer around the scoring call: once per packet
-    /// burst (an [`Event::Packet`] is a burst of one) or once per flow.
-    /// Purely observational — scores are bit-identical with or without it —
-    /// and allocation-free on the scoring path.
+    /// burst (an [`Event::Packet`] is a burst of one), extraction included,
+    /// or once per flow. Purely observational — scores are bit-identical
+    /// with or without it — and allocation-free on the scoring path.
     pub fn attach_inference_probe(&mut self, probe: impl InferenceProbe + 'static) {
         self.probe = Some(Box::new(probe));
     }
 
-    /// Runs `score` on the model, fitting on nothing first if `fit` never
-    /// ran, inside the probe's span.
-    fn timed<T>(&mut self, score: impl FnOnce(&mut M, &mut Vec<f64>) -> T) -> T {
-        let model = self.model.get_or_insert_with(|| M::fit(&self.config, &TrainView::default()));
+    /// Runs `score`, fitting on nothing first if `fit` never ran, inside the
+    /// probe's span.
+    fn timed<T>(&mut self, score: impl FnOnce(&mut Fitted<M>, &mut Vec<f64>) -> T) -> T {
+        let fitted =
+            self.fitted.get_or_insert_with(|| Fitted::new(&self.config, &TrainView::default()));
         let started = self.probe.as_ref().and_then(|probe| probe.begin());
-        let out = score(model, &mut self.single);
+        let out = score(fitted, &mut self.single);
         if let (Some(probe), Some(started)) = (&self.probe, started) {
             probe.end(started);
         }
@@ -112,24 +199,26 @@ impl<M: Model> EventDetector for Detector<M> {
 
     fn input_format(&self) -> InputFormat {
         match M::SCORING {
-            Scoring::Packets(_) => InputFormat::Packets,
+            Scoring::Features { .. } => InputFormat::Packets,
             Scoring::Flows(_) => InputFormat::Flows,
         }
     }
 
     fn fit(&mut self, train: &TrainView) {
-        self.model = Some(M::fit(&self.config, train));
+        self.fitted = Some(Fitted::new(&self.config, train));
     }
 
     fn on_event(&mut self, event: &Event<'_>) -> Option<f64> {
         match (M::SCORING, event) {
-            (Scoring::Packets(score), Event::Packet(view)) => self.timed(|model, single| {
-                single.clear();
-                score(model, &mut std::iter::once(*view), single);
-                single.pop()
-            }),
+            (Scoring::Features { stage, score }, Event::Packet(view)) => {
+                self.timed(|fitted, single| {
+                    single.clear();
+                    fitted.score_burst(stage, score, &mut std::iter::once(*view), single);
+                    single.pop()
+                })
+            }
             (Scoring::Flows(score), Event::FlowEvicted(flow)) => {
-                Some(self.timed(|model, _| score(model, flow)))
+                Some(self.timed(|fitted, _| score(&mut fitted.model, flow)))
             }
             _ => None,
         }
@@ -141,8 +230,8 @@ impl<M: Model> EventDetector for Detector<M> {
         scores: &mut Vec<f64>,
     ) {
         // A flow model scores no packet.
-        if let Scoring::Packets(score) = M::SCORING {
-            self.timed(|model, _| score(model, views, scores));
+        if let Scoring::Features { stage, score } = M::SCORING {
+            self.timed(|fitted, _| fitted.score_burst(stage, score, views, scores));
         }
     }
 }
@@ -151,28 +240,39 @@ impl<M: Model> EventDetector for Detector<M> {
 mod tests {
     use super::*;
     use crate::label::{Label, LabeledPacket};
-    use idsbench_net::{Packet, Timestamp};
+    use idsbench_net::{MacAddr, Packet, PacketBuilder, Timestamp};
+    use std::net::Ipv4Addr;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    /// Scores each packet by wire length plus the number of fits so far.
+    /// Scores each packet by its source's packet weight at the fastest λ
+    /// (feature 0) plus the number of fits so far, and counts the rows it
+    /// is handed.
     #[derive(Debug)]
-    struct Length {
+    struct Weight {
         fits: usize,
+        staged: Vec<f64>,
+        stages: usize,
     }
 
-    impl Model for Length {
-        const NAME: &'static str = "length";
-        const SCORING: Scoring<Self> = Scoring::Packets(Length::score);
+    impl Model for Weight {
+        const NAME: &'static str = "weight";
+        const SCORING: Scoring<Self> =
+            Scoring::Features { stage: Weight::stage, score: Weight::score };
         type Config = usize;
-        fn fit(config: &usize, train: &TrainView) -> Self {
-            Length { fits: config + train.packets.len() }
+        fn fit(config: &usize, train: &TrainView, _rows: &mut TrainRows<'_>) -> Self {
+            Weight { fits: config + train.packets.len(), staged: Vec::new(), stages: 0 }
         }
     }
 
-    impl Length {
-        fn score(&mut self, views: &mut dyn Iterator<Item = &ParsedView>, out: &mut Vec<f64>) {
-            out.extend(views.map(|v| (v.packet.packet.wire_len() + self.fits) as f64));
+    impl Weight {
+        fn stage(&mut self, _parsed: &ParsedPacket, row: &[f64]) {
+            self.staged.push(row[0] + self.fits as f64);
+            self.stages += 1;
+        }
+
+        fn score(&mut self, out: &mut Vec<f64>) {
+            out.append(&mut self.staged);
         }
     }
 
@@ -190,35 +290,75 @@ mod tests {
         }
     }
 
-    fn view(len: usize) -> ParsedView {
-        let packet = Packet::new(Timestamp::ZERO, vec![0; len]);
+    /// A packet from host `source`, all at one instant: a source's weight
+    /// counts its packets, undecayed.
+    fn view(source: u8) -> ParsedView {
+        let packet = PacketBuilder::new()
+            .ethernet(MacAddr::from_host_id(source.into()), MacAddr::from_host_id(100))
+            .ipv4(Ipv4Addr::new(10, 0, 0, source), Ipv4Addr::new(10, 0, 0, 100))
+            .udp(4000, 53)
+            .build(Timestamp::ZERO);
         ParsedView::from_packet(LabeledPacket::new(packet, Label::Benign))
+    }
+
+    /// A frame too short for an Ethernet header.
+    fn malformed() -> ParsedView {
+        let packet = Packet::new(Timestamp::ZERO, vec![0; 10]);
+        ParsedView::from_packet(LabeledPacket::new(packet, Label::Benign))
+    }
+
+    fn stages(detector: &Detector<Weight>) -> usize {
+        detector.fitted.as_ref().expect("fitted").model.stages
     }
 
     #[test]
     fn scoring_before_fit_fits_on_an_empty_slice() {
-        let mut detector = Detector::<Length>::new(7);
-        assert_eq!(detector.on_event(&Event::Packet(&view(60))), Some(67.0));
-        detector.fit(&TrainView { packets: vec![view(1), view(2)], flows: Vec::new() });
-        assert_eq!(detector.on_event(&Event::Packet(&view(60))), Some(69.0));
+        let mut detector = Detector::<Weight>::new(7);
+        assert_eq!(detector.on_event(&Event::Packet(&view(1))), Some(1.0 + 7.0));
+        // A fit replaces the model and the extractor, which has then seen
+        // the two training packets of source 1.
+        detector.fit(&TrainView { packets: vec![view(1), view(1)], flows: Vec::new() });
+        assert_eq!(detector.on_event(&Event::Packet(&view(1))), Some(3.0 + 9.0));
+        assert_eq!(detector.on_event(&Event::Packet(&view(2))), Some(1.0 + 9.0));
     }
 
     #[test]
     fn a_packet_is_a_burst_of_one_and_the_probe_spans_each_burst() {
-        let mut detector = Detector::<Length>::default();
         let probe = Counting::default();
-        detector.attach_inference_probe(probe.clone());
-        let views = [view(10), view(20), view(30)];
+        let (mut batched, mut single) =
+            (Detector::<Weight>::default(), Detector::<Weight>::default());
+        batched.attach_inference_probe(probe.clone());
+        single.attach_inference_probe(probe.clone());
+        let views = [view(1), view(2), view(1)];
         let mut scores = Vec::new();
-        detector.on_packet_batch(&mut views.iter(), &mut scores);
-        let single: Vec<f64> =
-            views.iter().filter_map(|v| detector.on_event(&Event::Packet(v))).collect();
-        assert_eq!(scores, [10.0, 20.0, 30.0]);
-        assert_eq!(single, scores);
-        assert_eq!(detector.name(), "length");
-        assert_eq!(detector.input_format(), InputFormat::Packets);
+        batched.on_packet_batch(&mut views.iter(), &mut scores);
+        let one_by_one: Vec<f64> =
+            views.iter().filter_map(|v| single.on_event(&Event::Packet(v))).collect();
+        assert_eq!(scores, [1.0, 1.0, 2.0]);
+        assert_eq!(one_by_one, scores);
+        assert_eq!(batched.name(), "weight");
+        assert_eq!(batched.input_format(), InputFormat::Packets);
         // One span for the burst, one per single packet.
         assert_eq!(probe.0[0].load(Ordering::Relaxed), 4);
         assert_eq!(probe.0[1].load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn a_malformed_view_scores_zero_and_reaches_neither_extractor_nor_model() {
+        let clean = [view(1), view(1), view(2), view(1)];
+        let with_malformed = [view(1), view(1), malformed(), view(2), view(1)];
+        let (mut reference, mut detector) =
+            (Detector::<Weight>::default(), Detector::<Weight>::default());
+        let (mut expected, mut scores) = (Vec::new(), Vec::new());
+        reference.on_packet_batch(&mut clean.iter(), &mut expected);
+        detector.on_packet_batch(&mut with_malformed.iter(), &mut scores);
+        expected.insert(2, 0.0);
+        assert_eq!(scores, expected);
+        assert_eq!(scores, [1.0, 2.0, 0.0, 1.0, 3.0]);
+        assert_eq!(stages(&detector), 4);
+        // Nor does a malformed packet event, which is a burst of one.
+        assert_eq!(detector.on_event(&Event::Packet(&malformed())), Some(0.0));
+        assert_eq!(detector.on_event(&Event::Packet(&view(1))), Some(4.0));
+        assert_eq!(stages(&detector), 5);
     }
 }

@@ -4,7 +4,7 @@
 //! through the same event pipeline as the headline systems: train once in
 //! `fit`, then score each flow the moment the flow table evicts it.
 
-use idsbench_core::{Detector, LabeledFlow, Model, Scoring, TrainView};
+use idsbench_core::{Detector, LabeledFlow, Model, Scoring, TrainRows, TrainView};
 use idsbench_nn::{
     Activation, Adam, Loss, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, Workspace, ZScoreNormalizer,
 };
@@ -55,7 +55,7 @@ impl Model for LogRegModel {
     const SCORING: Scoring<Self> = Scoring::Flows(LogRegModel::score_flow);
     type Config = ();
 
-    fn fit(_config: &(), train: &TrainView) -> Self {
+    fn fit(_config: &(), train: &TrainView, _rows: &mut TrainRows<'_>) -> Self {
         let Some((x, y, norm)) = training_matrix(train) else {
             return LogRegModel(None);
         };
@@ -122,7 +122,7 @@ impl Model for NaiveBayesModel {
     const SCORING: Scoring<Self> = Scoring::Flows(NaiveBayesModel::score_flow);
     type Config = ();
 
-    fn fit(_config: &(), train: &TrainView) -> Self {
+    fn fit(_config: &(), train: &TrainView, _rows: &mut TrainRows<'_>) -> Self {
         if train.flows.is_empty() {
             return NaiveBayesModel(None);
         }
@@ -252,7 +252,7 @@ impl Model for TreeModel {
     const SCORING: Scoring<Self> = Scoring::Flows(TreeModel::score_flow);
     type Config = ();
 
-    fn fit(_config: &(), train: &TrainView) -> Self {
+    fn fit(_config: &(), train: &TrainView, _rows: &mut TrainRows<'_>) -> Self {
         if train.flows.is_empty() {
             return TreeModel(None);
         }
@@ -309,7 +309,7 @@ impl Model for KnnModel {
     const SCORING: Scoring<Self> = Scoring::Flows(KnnModel::score_flow);
     type Config = ();
 
-    fn fit(_config: &(), train: &TrainView) -> Self {
+    fn fit(_config: &(), train: &TrainView, _rows: &mut TrainRows<'_>) -> Self {
         let Some((x, y, norm)) = training_matrix(train) else {
             return KnnModel(None);
         };

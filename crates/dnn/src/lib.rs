@@ -24,7 +24,7 @@
 
 pub mod baselines;
 
-use idsbench_core::{Detector, LabeledFlow, Model, Scoring, TrainView};
+use idsbench_core::{Detector, LabeledFlow, Model, Scoring, TrainRows, TrainView};
 use idsbench_nn::{Activation, Adam, Loss, Matrix, MinMaxNormalizer, Mlp, MlpBuilder, Workspace};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -109,7 +109,7 @@ impl Model for DnnModel {
     const SCORING: Scoring<Self> = Scoring::Flows(DnnModel::score_flow);
     type Config = DnnConfig;
 
-    fn fit(config: &DnnConfig, train: &TrainView) -> Self {
+    fn fit(config: &DnnConfig, train: &TrainView, _rows: &mut TrainRows<'_>) -> Self {
         if train.flows.is_empty() {
             // No labelled training data: stay untrained and emit a neutral
             // constant score per flow. The calibration layer then chooses

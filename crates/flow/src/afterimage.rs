@@ -18,7 +18,7 @@
 //! Every entity runs the fixed five-rate bank λ ∈ {5, 3, 1, 0.1, 0.01} as
 //! one [`DampedStat`]/[`DampedPairStat`] of five lanes, which yields
 //! (3+7+3+7)×5 = 100 features, matching the reference implementation. One
-//! [`DecayBank`] serves every entity, so a packet pays `powf` once per
+//! [`DecayBank`] serves every entity, so a packet pays `exp2` once per
 //! distinct interval its entities' clocks advance by, not once per
 //! statistic and λ.
 
@@ -148,11 +148,6 @@ impl AfterImage {
             sockets: FxHashMap::default(),
             packets_seen: 0,
         }
-    }
-
-    /// Number of features produced per packet.
-    pub fn feature_count(&self) -> usize {
-        AFTERIMAGE_FEATURES
     }
 
     /// Number of packets processed so far.
@@ -298,7 +293,6 @@ mod tests {
         let mut extractor = AfterImage::new(AfterImageConfig::default());
         let features = update(&mut extractor, &packet(1, 1000, 2, 80, 100, 0.0));
         assert_eq!(features.len(), AFTERIMAGE_FEATURES);
-        assert_eq!(extractor.feature_count(), AFTERIMAGE_FEATURES);
     }
 
     #[test]
@@ -395,8 +389,8 @@ mod tests {
         // 1 s after its first, reads weight 1 + 2^-λ per λ.
         update(&mut extractor, &packet(9, 1, 8, 1, 100, 0.0));
         let second = update(&mut extractor, &packet(9, 1, 8, 1, 100, 1.0));
-        for (i, lambda) in [5.0, 3.0, 1.0, 0.1, 0.01].into_iter().enumerate() {
-            assert!((second[3 * i] - (1.0 + 2f64.powf(-lambda))).abs() < 1e-12);
+        for (i, lambda) in [5.0f64, 3.0, 1.0, 0.1, 0.01].into_iter().enumerate() {
+            assert!((second[3 * i] - (1.0 + (-lambda).exp2())).abs() < 1e-12);
         }
         // MI | HH | HHjit | HpHp, each group's λ lanes back to back, every
         // value bit for bit the bank's, from the packet's side of each pair.

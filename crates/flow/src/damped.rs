@@ -25,7 +25,7 @@ const MEMO: usize = 8;
 ///
 /// Packets of one extractor mostly advance their statistics' clocks by one
 /// of a few intervals, so the bank computes `2^(-λΔt)` (`N` calls of
-/// `powf`) once per distinct `Δt`, keyed by its bits, and every statistic
+/// `exp2`) once per distinct `Δt`, keyed by its bits, and every statistic
 /// advanced by that `Δt` reuses the factors.
 #[derive(Debug)]
 pub struct DecayBank<const N: usize> {
@@ -55,7 +55,7 @@ impl<const N: usize> DecayBank<N> {
         if let Some(k) = self.keys.iter().position(|&k| k == key) {
             return self.factors[k];
         }
-        let factors = self.lambdas.map(|lambda| 2f64.powf(-lambda * dt));
+        let factors = self.lambdas.map(|lambda| (-lambda * dt).exp2());
         self.keys[self.next] = key;
         self.factors[self.next] = factors;
         self.next = (self.next + 1) % MEMO;
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn repeated_intervals_reuse_their_factors() {
         let mut bank = DecayBank::new([5.0, 0.01]);
-        let expected = [2f64.powf(-5.0 * 0.25), 2f64.powf(-0.01 * 0.25)];
+        let expected = [(-5.0f64 * 0.25).exp2(), (-0.01f64 * 0.25).exp2()];
         assert_eq!(bank.factors(0.25), expected);
         assert!(bank.keys.contains(&0.25f64.to_bits()));
         assert_eq!(bank.factors(0.25), expected);

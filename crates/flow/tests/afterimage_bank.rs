@@ -156,15 +156,14 @@ fn out_of_order_trace(packets: usize, seed: u64) -> Vec<ParsedPacket> {
 /// count after each, folded (rotate-xor, as `tests/score_digest.rs` does)
 /// with an 8-entity budget, so the `HHjit` gap, the `last_seen` purge clock
 /// and the statistics' forward-only clocks all show. The constants were
-/// computed with the per-λ statistics the bank replaced. `2f64.powf` is
-/// glibc's `pow` in a debug build and becomes `exp2` in a release build,
-/// so each profile has its own constant; other targets' libms are not
-/// pinned.
+/// computed with the per-λ statistics the bank replaced. The decay is
+/// glibc's `exp2` in every profile (the bits a release build's
+/// `2f64.powf` already gave), so one constant holds in debug and release;
+/// other targets' libms are not pinned.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 #[test]
 fn out_of_order_features_fold_to_the_pinned_digest() {
-    const PINNED: u64 =
-        if cfg!(debug_assertions) { 0x94d0_de10_51cb_2bb2 } else { 0x2896_199c_5796_59c5 };
+    const PINNED: u64 = 0x2896_199c_5796_59c5;
     let mut extractor = AfterImage::new(AfterImageConfig { max_entities: 8 });
     let mut features = Vec::new();
     let mut digest = 0u64;

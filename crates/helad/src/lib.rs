@@ -26,13 +26,14 @@
 //! traffic and collapses (Table IV), while on Stratosphere's clean IoT
 //! baseline it is the best system tested.
 //!
-//! [`HeladModel`] is the whole system; [`Helad`] is that model in the
-//! detector shell ([`idsbench_core::shell`]), which implements the
-//! `EventDetector` contract. Like Kitsune, HELAD has one training/scoring
-//! code path (`fit`, then [`HeladModel::score_batch`] once per burst; a
-//! packet event is a burst of one), so batch and single-shard streaming
-//! runs produce bit-identical scores, and every packet is read through its
-//! already-parsed view, never re-parsed.
+//! [`HeladModel`] is the ensemble; [`Helad`] is that model in the detector
+//! shell ([`idsbench_core::shell`]), which runs the AfterImage extractor
+//! it shares with Kitsune and implements the `EventDetector` contract.
+//! Like Kitsune, HELAD has one training/scoring code path (`fit` on the
+//! training slice's feature rows, then one score call per burst of staged
+//! rows; a packet event is a burst of one), so batch and single-shard
+//! streaming runs produce bit-identical scores, and every packet is read
+//! through its already-parsed view, never re-parsed.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -40,8 +41,9 @@
 use std::collections::VecDeque;
 
 use idsbench_core::fasthash::FxHashMap;
-use idsbench_core::{Detector, Model, ParsedView, Scoring, TrainView};
-use idsbench_flow::{AfterImage, AfterImageConfig};
+use idsbench_core::{Detector, Model, Scoring, TrainRows, TrainView};
+use idsbench_flow::AFTERIMAGE_FEATURES;
+use idsbench_net::ParsedPacket;
 use idsbench_nn::{
     Autoencoder, AutoencoderConfig, LstmRegressor, LstmRegressorConfig, Matrix, MinMaxNormalizer,
     Workspace,
@@ -88,17 +90,16 @@ pub type Helad = Detector<HeladModel>;
 
 impl Model for HeladModel {
     const NAME: &'static str = "HELAD";
-    const SCORING: Scoring<Self> = Scoring::Packets(HeladModel::score_batch);
+    const SCORING: Scoring<Self> =
+        Scoring::Features { stage: HeladModel::stage, score: HeladModel::score };
     type Config = HeladConfig;
 
     /// Trains the autoencoder and LSTM over the (assumed benign) training
-    /// slice and returns the fitted per-packet scoring model — the single
-    /// training path behind both drivers of the event contract.
-    fn fit(config: &HeladConfig, train: &TrainView) -> Self {
-        let train = &train.packets;
-        // The reference λ bank, shared with Kitsune.
-        let mut extractor = AfterImage::new(AfterImageConfig::default());
-        let width = extractor.feature_count();
+    /// slice's feature rows and returns the fitted per-packet scoring model
+    /// — the single training path behind both drivers of the event
+    /// contract.
+    fn fit(config: &HeladConfig, train: &TrainView, rows: &mut TrainRows<'_>) -> Self {
+        let width = AFTERIMAGE_FEATURES;
         let mut norm = MinMaxNormalizer::new(width);
         let mut autoencoder = Autoencoder::new(
             width,
@@ -118,25 +119,24 @@ impl Model for HeladModel {
         );
 
         // Phase 1 — train the autoencoder over the (assumed benign)
-        // training slice. The first pass extracts each packet's features
-        // into one flat row of `rows` and widens the normalizer; the
+        // training slice. The first pass copies each packet's feature row
+        // into one flat row of `staged` and widens the normalizer; the
         // normalizer is then fixed, so each row is normalized once, in
         // place, and every epoch retrains on them.
-        let mut rows = Matrix::zeros(train.len(), width);
-        let mut features = Vec::with_capacity(width);
-        let mut staged = 0;
-        for parsed in train.iter().filter_map(|view| view.parsed.as_ref()) {
-            extractor.update_into(parsed, &mut features);
-            norm.observe(&features);
-            rows.row_mut(staged).copy_from_slice(&features);
-            staged += 1;
+        let mut staged = Matrix::zeros(train.packets.len(), width);
+        let mut count = 0;
+        while let Some(row) = rows.next_row() {
+            norm.observe(row);
+            staged.row_mut(count).copy_from_slice(row);
+            count += 1;
         }
-        let rows = &mut rows.as_mut_slice()[..staged * width];
+        let rows = &mut staged.as_mut_slice()[..count * width];
+        let mut features = Vec::with_capacity(width);
         for row in rows.chunks_exact_mut(width) {
             norm.transform_into(row, &mut features);
             row.copy_from_slice(&features);
         }
-        let mut history: Vec<f64> = Vec::with_capacity(staged);
+        let mut history: Vec<f64> = Vec::with_capacity(count);
         for _ in 0..EPOCHS {
             history.clear();
             for row in rows.chunks_exact(width) {
@@ -158,30 +158,27 @@ impl Model for HeladModel {
         let mut recent = VecDeque::with_capacity(LSTM_WINDOW);
         recent.extend(&history[history.len().saturating_sub(LSTM_WINDOW)..]);
         HeladModel {
-            extractor,
             norm,
             autoencoder,
             lstm,
             recent,
             channel_history: FxHashMap::default(),
-            feat_buf: Vec::with_capacity(width),
             norm_buf: Vec::with_capacity(width),
             batch_rmses: Vec::new(),
             batch_preds: Vec::new(),
             batch_keys: Vec::new(),
-            feat_rows: Matrix::default(),
+            feat_rows: Matrix::zeros(0, width),
             windows: Matrix::default(),
             ws: Workspace::new(),
         }
     }
 }
 
-/// A fitted HELAD ensemble scoring packets in arrival order (phase 3): damped
-/// feature extraction, offline-fitted normalizer, trained autoencoder and
-/// LSTM, plus the rolling score and per-channel smoothing state.
+/// A fitted HELAD ensemble scoring feature rows in arrival order (phase
+/// 3): offline-fitted normalizer, trained autoencoder and LSTM, plus the
+/// rolling score and per-channel smoothing state.
 #[derive(Debug)]
 pub struct HeladModel {
-    extractor: AfterImage,
     norm: MinMaxNormalizer,
     autoencoder: Autoencoder,
     lstm: LstmRegressor,
@@ -190,19 +187,15 @@ pub struct HeladModel {
     recent: VecDeque<f64>,
     /// Recent errors per src↔dst channel for the smoothing term.
     channel_history: FxHashMap<ChannelKey, VecDeque<f64>>,
-    /// Reused per-packet feature buffer.
-    feat_buf: Vec<f64>,
     /// Reused normalized-feature buffer.
     norm_buf: Vec<f64>,
-    /// Reconstruction errors for the valid rows of the current burst.
+    /// Reconstruction errors for the staged rows.
     batch_rmses: Vec<f64>,
     /// LSTM predictions for the rows whose history window was full.
     batch_preds: Vec<f64>,
-    /// Per-view routing for the current burst: `None` = malformed (scores
-    /// 0), `Some(None)` = valid but channel-less, `Some(Some(key))` = valid
-    /// with a smoothing channel.
-    batch_keys: Vec<Option<Option<ChannelKey>>>,
-    /// One normalized feature row per well-formed packet of the burst.
+    /// Each staged row's smoothing channel (`None`: channel-less).
+    batch_keys: Vec<Option<ChannelKey>>,
+    /// One normalized feature row per staged packet.
     feat_rows: Matrix,
     /// Lockstep LSTM input: one score-history window per predicted row.
     windows: Matrix,
@@ -211,55 +204,34 @@ pub struct HeladModel {
 }
 
 impl HeladModel {
-    /// Scores a burst of views, pushing one score per view in order.
-    /// Stateful stages (AfterImage extraction, the score window, per-channel
-    /// smoothing) run sequentially in arrival order; the pure model
-    /// forwards run batched — all autoencoder RMSEs in one batch forward,
-    /// then the LSTM in lockstep over every row's history window — so both
-    /// models stream their weights through cache once per *burst* instead
-    /// of once per *packet*. Scores do not depend on how the packet stream
-    /// was cut into bursts, down to bursts of one packet; malformed packets
-    /// (no parsed view) score 0 (pass-through), keeping stream alignment.
-    ///
-    /// Steady-state allocation-free: extraction, normalization, both model
-    /// forward passes, and the score window all reuse model-owned buffers
-    /// (pinned by the `hot_path_allocs` integration test).
-    pub fn score_batch(
-        &mut self,
-        views: &mut dyn Iterator<Item = &ParsedView>,
-        out: &mut Vec<f64>,
-    ) {
-        self.batch_keys.clear();
-        self.feat_rows.start_rows(self.extractor.feature_count());
-        // Pass 1 (sequential): feature extraction and normalization into
-        // the staging rows; channel keys are captured here because the
-        // views are consumed by this pass.
-        for view in views {
-            let Some(parsed) = &view.parsed else {
-                self.batch_keys.push(None);
-                continue;
-            };
-            self.extractor.update_into(parsed, &mut self.feat_buf);
-            // HELAD fits its scaler offline on the training set;
-            // out-of-range eval features clamp to the boundary (and read as
-            // anomalous) rather than re-scaling the whole space.
-            self.norm.transform_into(&self.feat_buf, &mut self.norm_buf);
-            self.feat_rows.push_row(self.norm_buf.iter().copied());
-            let key = match (parsed.src_ip(), parsed.dst_ip()) {
-                (Some(a), Some(b)) => Some(if a <= b { (a, b) } else { (b, a) }),
-                _ => None,
-            };
-            self.batch_keys.push(Some(key));
-        }
+    /// Normalizes and stages one packet's feature row, with its channel.
+    fn stage(&mut self, packet: &ParsedPacket, row: &[f64]) {
+        // HELAD fits its scaler offline on the training set; out-of-range
+        // eval features clamp to the boundary (and read as anomalous)
+        // rather than re-scaling the whole space.
+        self.norm.transform_into(row, &mut self.norm_buf);
+        self.feat_rows.push_row(self.norm_buf.iter().copied());
+        let key = match (packet.src_ip(), packet.dst_ip()) {
+            (Some(a), Some(b)) => Some(if a <= b { (a, b) } else { (b, a) }),
+            _ => None,
+        };
+        self.batch_keys.push(key);
+    }
 
-        // Pass 2 (batched): every row's reconstruction error in one
-        // autoencoder batch forward.
+    /// Scores the staged rows in order. The stateful stages (the score
+    /// window, per-channel smoothing) run in arrival order; the autoencoder
+    /// and then the LSTM run once per burst, batched, so both stream their
+    /// weights through cache once per *burst*. Allocation-free in steady
+    /// state (pinned by `hot_path_allocs`).
+    fn score(&mut self, out: &mut Vec<f64>) {
+        // Every row's reconstruction error in one autoencoder batch
+        // forward.
         self.batch_rmses.clear();
         self.autoencoder.score_rows_with(&self.feat_rows, &mut self.batch_rmses, &mut self.ws);
 
-        // Pass 3 (sequential window, then lockstep LSTM): snapshot each row's
-        // history window in arrival order — row `i` sees the window after the
-        // pushes of rows `0..i` — then predict every full window in one
+        // Sequential window, then lockstep LSTM: snapshot each row's
+        // history window in arrival order — row `i` sees the window after
+        // the pushes of rows `0..i` — then predict every full window in one
         // lockstep batch. The first `missing` rows have incomplete windows
         // (no surprise term): the warm-up of a freshly fitted model.
         let missing = LSTM_WINDOW - self.recent.len().min(LSTM_WINDOW);
@@ -275,17 +247,10 @@ impl HeladModel {
         self.batch_preds.clear();
         self.lstm.predict_windows_with(&self.windows, &mut self.batch_preds, &mut self.ws);
 
-        // Pass 4 (sequential): blend and per-channel smoothing in arrival
-        // order — the channel histories are shared mutable state. A
-        // channel's sustained anomaly stays high; other channels keep their
-        // own quiet history.
-        let mut i = 0;
-        for entry in &self.batch_keys {
-            let Some(channel) = entry else {
-                out.push(0.0);
-                continue;
-            };
-            let rmse = self.batch_rmses[i];
+        // Sequential blend and per-channel smoothing in arrival order — the
+        // channel histories are shared mutable state. A channel's sustained
+        // anomaly stays high; other channels keep their own quiet history.
+        for (i, (channel, &rmse)) in self.batch_keys.iter().zip(&self.batch_rmses).enumerate() {
             let surprise =
                 if i >= missing { (rmse - self.batch_preds[i - missing]).abs() } else { 0.0 };
             let smoothed = match channel {
@@ -300,15 +265,18 @@ impl HeladModel {
                 None => rmse,
             };
             out.push(WEIGHT_AE * smoothed + WEIGHT_LSTM * surprise);
-            i += 1;
         }
+        self.batch_keys.clear();
+        self.feat_rows.start_rows(AFTERIMAGE_FEATURES);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idsbench_core::{AttackKind, Event, EventDetector, InputFormat, Label, LabeledPacket};
+    use idsbench_core::{
+        AttackKind, Event, EventDetector, InputFormat, Label, LabeledPacket, ParsedView,
+    };
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
     use std::net::Ipv4Addr;
 

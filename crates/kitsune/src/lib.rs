@@ -3,8 +3,10 @@
 //!
 //! Kitsune is an online, unsupervised, plug-and-play NIDS:
 //!
-//! 1. **AfterImage** extracts a ~100-dimensional temporal-context vector per
-//!    packet ([`idsbench_flow::AfterImage`]).
+//! 1. **AfterImage** extracts a 100-dimensional temporal-context vector per
+//!    packet ([`idsbench_flow::AfterImage`]). The detector shell
+//!    ([`idsbench_core::shell`]) runs it, for HELAD too, and hands the model
+//!    one feature row per well-formed packet.
 //! 2. A **feature mapper** clusters correlated features during a grace
 //!    period ([`feature_mapper::CorrelationTracker`]).
 //! 3. **KitNET** — an ensemble of small autoencoders plus an output
@@ -12,15 +14,11 @@
 //!    traffic; its reconstruction RMSE is the anomaly score
 //!    ([`kitnet::KitNet`]).
 //!
-//! [`KitsuneModel`] is the whole system; [`Kitsune`] is that model in the
-//! detector shell ([`idsbench_core::shell`]), which implements the unified
-//! `EventDetector` contract: `fit` spends the training slice on feature
-//! mapping and ensemble training, then every packet event is scored from
-//! its already-parsed view — Kitsune never touches raw bytes, so the
-//! pipeline's parse-once guarantee holds through the detector. Batch
-//! evaluation and a single-shard streaming replay of the same packets
-//! produce bit-identical scores (one `fit`/`score_batch` code path; a
-//! packet event is a burst of one).
+//! [`KitsuneModel`] is steps 2 and 3; [`Kitsune`] is that model in the
+//! detector shell, which implements the `EventDetector` contract: `fit`
+//! spends the training rows on feature mapping and ensemble training, then
+//! each burst's rows are scored in one call. Kitsune never touches raw
+//! bytes, and batch and single-shard streaming runs score bit-identically.
 //!
 //! # Examples
 //!
@@ -38,8 +36,9 @@
 pub mod feature_mapper;
 pub mod kitnet;
 
-use idsbench_core::{Detector, Model, ParsedView, Scoring, TrainView};
-use idsbench_flow::{AfterImage, AfterImageConfig, AFTERIMAGE_FEATURES};
+use idsbench_core::{Detector, Model, Scoring, TrainRows, TrainView};
+use idsbench_flow::AFTERIMAGE_FEATURES;
+use idsbench_net::ParsedPacket;
 use idsbench_nn::Matrix;
 
 use feature_mapper::CorrelationTracker;
@@ -65,7 +64,8 @@ pub type Kitsune = Detector<KitsuneModel>;
 
 impl Model for KitsuneModel {
     const NAME: &'static str = "Kitsune";
-    const SCORING: Scoring<Self> = Scoring::Packets(KitsuneModel::score_batch);
+    const SCORING: Scoring<Self> =
+        Scoring::Features { stage: KitsuneModel::stage, score: KitsuneModel::score };
     type Config = KitsuneConfig;
 
     /// Runs feature mapping and online ensemble training over the training
@@ -74,21 +74,18 @@ impl Model for KitsuneModel {
     /// This is the single training path behind both drivers of the event
     /// contract. An empty training slice yields a degenerate (but
     /// functional) model: one feature cluster per block, untrained weights.
-    fn fit(config: &KitsuneConfig, train: &TrainView) -> Self {
+    fn fit(config: &KitsuneConfig, train: &TrainView, rows: &mut TrainRows<'_>) -> Self {
         let width = AFTERIMAGE_FEATURES;
         let train = &train.packets;
 
-        // Phase 1 — feature mapping over the leading slice of the training
-        // data.
+        // Phase 1 — feature mapping over the leading views of the training
+        // slice, malformed ones included.
         let fm_len =
             ((train.len() as f64 * FM_GRACE_FRACTION) as usize).clamp(1.min(train.len()), 5_000);
         let mut tracker = CorrelationTracker::new(width);
-        let mut grace = AfterImage::new(AfterImageConfig::default());
-        let mut features = Vec::with_capacity(width);
-        for view in &train[..fm_len] {
-            if features_into(&mut grace, view, &mut features) {
-                tracker.observe(&features);
-            }
+        let mut grace = TrainRows::new(&train[..fm_len]);
+        while let Some(row) = grace.next_row() {
+            tracker.observe(row);
         }
         let clusters = if tracker.count() >= 2 {
             tracker.cluster(MAX_AUTOENCODER_SIZE)
@@ -102,107 +99,49 @@ impl Model for KitsuneModel {
         };
 
         // Phase 2 — online ensemble training over the whole training slice.
-        // A fresh extractor replays the grace slice into the same features
-        // phase 1 saw (AfterImage is a function of the packets so far), so
-        // nothing is staged between the phases.
-        let KitsuneConfig { seed } = *config;
-        let mut net = KitNet::new(clusters, width, KitNetConfig { seed });
-        let mut extractor = AfterImage::new(AfterImageConfig::default());
-        for view in train {
-            if features_into(&mut extractor, view, &mut features) {
-                net.train(&features);
-            }
+        // The shell's extractor replays the grace slice into the same
+        // features phase 1 saw (AfterImage is a function of the packets so
+        // far), so nothing is staged between the phases.
+        let mut net = KitNet::new(clusters, width, KitNetConfig { seed: config.seed });
+        while let Some(row) = rows.next_row() {
+            net.train(row);
         }
-
-        KitsuneModel {
-            extractor,
-            net,
-            feat_buf: Vec::with_capacity(width),
-            feat_rows: Matrix::default(),
-            valid: Vec::new(),
-            batch_scores: Vec::new(),
-        }
+        KitsuneModel { net, feat_rows: Matrix::zeros(0, width) }
     }
 }
 
-/// A fitted Kitsune: damped-statistics extractor plus trained KitNET
-/// ensemble, scoring packets in arrival order (phase 3 of the crate docs).
-///
-/// The model is deliberately *stateful*: AfterImage statistics keep
-/// evolving as evaluation packets arrive, exactly as in the reference
-/// implementation's execution phase.
+/// A fitted Kitsune: the trained KitNET ensemble, scoring feature rows in
+/// arrival order. Deliberately *stateful*, as in the reference
+/// implementation's execution phase: its input normalizer keeps widening
+/// as evaluation rows arrive.
 #[derive(Debug)]
 pub struct KitsuneModel {
-    extractor: AfterImage,
     net: KitNet,
-    /// Reused per-packet feature buffer — the glue that keeps the
-    /// extractor→ensemble hand-off off the heap.
-    feat_buf: Vec<f64>,
-    /// Batch staging: one feature row per well-formed packet of the burst.
+    /// The feature rows staged since the last score.
     feat_rows: Matrix,
-    /// Which views of the current burst parsed (malformed ones score 0).
-    valid: Vec<bool>,
-    /// Ensemble scores for the valid rows of the current burst.
-    batch_scores: Vec<f64>,
 }
 
 impl KitsuneModel {
-    /// Scores a burst of views, pushing one score per view in order.
-    /// Feature extraction (stateful AfterImage updates) runs sequentially
-    /// per packet; the ensemble forwards then run batched through
-    /// [`KitNet::execute_batch`], amortizing every autoencoder's weight
-    /// traffic across the burst. Scores do not depend on how the packet
-    /// stream was cut into bursts, down to bursts of one packet.
-    ///
-    /// Steady-state allocation-free: feature extraction, normalization,
-    /// cluster partitioning, and every autoencoder forward pass write into
-    /// buffers owned by the model (pinned by the `hot_path_allocs`
-    /// integration test).
-    pub fn score_batch(
-        &mut self,
-        views: &mut dyn Iterator<Item = &ParsedView>,
-        out: &mut Vec<f64>,
-    ) {
-        self.valid.clear();
-        self.feat_rows.start_rows(self.extractor.feature_count());
-        // First pass: sequential feature extraction into the staging rows.
-        for view in views {
-            let ok = features_into(&mut self.extractor, view, &mut self.feat_buf);
-            self.valid.push(ok);
-            if ok {
-                self.feat_rows.push_row(self.feat_buf.iter().copied());
-            }
-        }
-        self.batch_scores.clear();
-        self.net.execute_batch(&self.feat_rows, &mut self.batch_scores);
-        // Merge: valid views take the next batch score, malformed score 0.
-        let mut scored = self.batch_scores.iter();
-        out.extend(self.valid.iter().map(|&ok| {
-            if ok {
-                *scored.next().expect("one score per valid view")
-            } else {
-                0.0
-            }
-        }));
+    /// Stages one packet's feature row.
+    fn stage(&mut self, _packet: &ParsedPacket, row: &[f64]) {
+        self.feat_rows.push_row(row.iter().copied());
     }
-}
 
-/// Extracts features into a reused buffer; `false` for malformed packets
-/// (buffer contents unspecified).
-fn features_into(extractor: &mut AfterImage, view: &ParsedView, buf: &mut Vec<f64>) -> bool {
-    match &view.parsed {
-        Some(parsed) => {
-            extractor.update_into(parsed, buf);
-            true
-        }
-        None => false,
+    /// Scores the staged rows in one [`KitNet::execute_batch`], amortizing
+    /// every autoencoder's weight traffic across the burst, into buffers
+    /// the model owns (allocation-free, pinned by `hot_path_allocs`).
+    fn score(&mut self, out: &mut Vec<f64>) {
+        self.net.execute_batch(&self.feat_rows, out);
+        self.feat_rows.start_rows(AFTERIMAGE_FEATURES);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idsbench_core::{AttackKind, Event, EventDetector, InputFormat, Label, LabeledPacket};
+    use idsbench_core::{
+        AttackKind, Event, EventDetector, InputFormat, Label, LabeledPacket, ParsedView,
+    };
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
     use std::net::Ipv4Addr;
 

@@ -43,7 +43,7 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use idsbench_core::fasthash::{FxHashMap, FxHashSet};
-use idsbench_core::{Detector, LabeledFlow, Model, Scoring, TrainView};
+use idsbench_core::{Detector, LabeledFlow, Model, Scoring, TrainRows, TrainView};
 
 /// Profile time-window length in seconds (Slips' default is 1 hour; the
 /// evaluated traces are minutes long, so the out-of-the-box idsbench
@@ -157,7 +157,7 @@ impl Model for SlipsModel {
     /// Training flows warm the behavioural state (profiles, groups, window
     /// counters) without emitting scores, so evaluation flows are judged
     /// against everything the site has already shown.
-    fn fit(_config: &(), train: &TrainView) -> Self {
+    fn fit(_config: &(), train: &TrainView, _rows: &mut TrainRows<'_>) -> Self {
         let mut model = SlipsModel::default();
         for flow in &train.flows {
             let _ = model.observe_flow(flow);

@@ -19,9 +19,10 @@
 //! same in every profile, on every host and at every vector width (pinned
 //! on their own, on all targets, by `crates/nn/tests/activation_accuracy.rs`).
 //! Two things outside the networks still resolve to the platform's libm,
-//! whose implementations differ by ULPs: AfterImage's `2f64.powf(−λ·Δt)`
-//! decay (`crates/flow/src/damped.rs`, upstream of Kitsune and HELAD) and
-//! the `ln`/`powf` inter-arrival and size sampling of
+//! whose implementations differ by ULPs across platforms: AfterImage's
+//! `(−λ·Δt).exp2()` decay (`crates/flow/src/damped.rs`, upstream of Kitsune
+//! and HELAD; the same bits in debug and release on `linux-gnu`) and the
+//! `ln`/`powf` inter-arrival and size sampling of
 //! `crates/datasets/src/session.rs` (upstream of all four). And a few
 //! pre-existing `powi` calls (Adam's bias correction, the damped
 //! statistics) fold differently under `-O`. So the pinning test still only
@@ -36,21 +37,23 @@
 
 use idsbench::core::preprocess::{EventInput, Pipeline};
 use idsbench::core::runner::{replay, EvalConfig};
-use idsbench::core::{Dataset, EventDetector};
+use idsbench::core::{Dataset, EventDetector, LabeledPacket, ParsedView};
 use idsbench::datasets::{scenarios, Scenario, ScenarioScale};
 use idsbench::dnn::baselines::{DecisionTree, KNearest, LogisticRegression, NaiveBayes};
 use idsbench::dnn::Dnn;
 use idsbench::helad::{Helad, HeladConfig};
 use idsbench::kitsune::{Kitsune, KitsuneConfig};
+use idsbench::net::Packet;
 use idsbench::slips::Slips;
 use idsbench::telemetry::{Stage, Telemetry, TelemetryConfig};
 
 /// `(detector, scored events, digest)` with default `EvalConfig` on
 /// `linux-gnu`, release profile: the paper's four systems on Tiny
 /// Stratosphere, the four baselines on Tiny UNSW-NB15 (see
-/// [`baseline_input`]).
+/// [`baseline_input`]), then Kitsune and HELAD once more on Tiny
+/// Stratosphere with truncated frames (see [`malformed_input`]).
 #[cfg(all(target_os = "linux", target_env = "gnu", not(debug_assertions)))]
-const PINNED: [(&str, usize, u64); 8] = [
+const PINNED: [(&str, usize, u64); 10] = [
     ("Kitsune", 3843, 0xbf7e_f8ed_57fa_0215),
     ("HELAD", 3843, 0x8139_a324_cea0_6e6f),
     ("DNN", 240, 0xb7f9_4f1c_3a8e_299e),
@@ -59,7 +62,13 @@ const PINNED: [(&str, usize, u64); 8] = [
     ("NaiveBayes", 166, 0xb8ea_d2e0_2253_5ecc),
     ("DecisionTree", 166, 0x4966_c152_6093_764c),
     ("kNN", 166, 0x61f4_ddfc_e345_263f),
+    ("Kitsune", 3843, 0x08ea_51c0_1da7_ba1a),
+    ("HELAD", 3843, 0x48e1_7ee4_ad00_e028),
 ];
+
+/// Every `MALFORMED_EVERY`-th generated frame of [`malformed_input`] is
+/// cut short of an Ethernet header.
+const MALFORMED_EVERY: usize = 53;
 
 /// The digest fold: rotate-xor over the raw bits of each score in replay
 /// order.
@@ -71,25 +80,44 @@ fn digest_of(scores: &[f64]) -> u64 {
     digest
 }
 
-/// `scenario` at Tiny scale, prepared with the default `EvalConfig`.
-fn prepared(scenario: Scenario) -> EventInput {
+/// `scenario`'s packets, changed by `edit`, prepared with the default
+/// `EvalConfig`.
+fn prepared(scenario: Scenario, edit: impl FnOnce(&mut [LabeledPacket])) -> EventInput {
     let config = EvalConfig::default();
+    let mut packets = scenario.generate(config.dataset_seed);
+    edit(&mut packets);
     let pipeline = Pipeline::new(config.pipeline).expect("pipeline");
-    pipeline
-        .prepare_events(&scenario.info().name, scenario.generate(config.dataset_seed))
-        .expect("preprocess")
+    pipeline.prepare_events(&scenario.info().name, packets).expect("preprocess")
 }
 
 /// The canonical input of the paper's four systems: Tiny Stratosphere.
 fn canonical_input() -> EventInput {
-    prepared(scenarios::stratosphere_iot(ScenarioScale::Tiny))
+    prepared(scenarios::stratosphere_iot(ScenarioScale::Tiny), |_| {})
 }
 
 /// The baselines' input: Tiny UNSW-NB15, whose training slice holds both
 /// labels (24 of 98 flows are attacks). Stratosphere's is all benign, so
 /// the tree and kNN would score every flow 0 there and pin nothing.
 fn baseline_input() -> EventInput {
-    prepared(scenarios::unsw_nb15(ScenarioScale::Tiny))
+    prepared(scenarios::unsw_nb15(ScenarioScale::Tiny), |_| {})
+}
+
+/// Tiny Stratosphere with every [`MALFORMED_EVERY`]-th frame truncated to
+/// 10 bytes, so no view of it parses: a few land in Kitsune's grace prefix
+/// of the training slice and dozens inside evaluation bursts. A malformed
+/// view scores 0 and must leave the features of every other view as they
+/// were.
+fn malformed_input() -> EventInput {
+    let input = prepared(scenarios::stratosphere_iot(ScenarioScale::Tiny), |packets| {
+        for labeled in packets.iter_mut().step_by(MALFORMED_EVERY) {
+            let packet = &mut labeled.packet;
+            *packet = Packet::new(packet.ts, packet.data[..10].to_vec());
+        }
+    });
+    let malformed = |views: &[ParsedView]| views.iter().filter(|v| v.parsed.is_none()).count();
+    assert!(malformed(&input.train.packets[..input.train.packets.len() / 10]) > 0);
+    assert!(malformed(&input.eval) > 20);
+    input
 }
 
 fn digest_row(detector: &mut dyn EventDetector, input: &EventInput) -> (String, usize, u64) {
@@ -97,20 +125,23 @@ fn digest_row(detector: &mut dyn EventDetector, input: &EventInput) -> (String, 
     (detector.name().to_string(), scores.len(), digest_of(&scores))
 }
 
-/// Runs the canonical replays and returns `(name, events, digest)` per
-/// system. With `telemetry` supplied, each of the paper's four systems
-/// carries a sampled inference probe during the replay — the digests must
-/// not notice.
+/// Runs the replays of `PINNED`'s rows, in order, and returns `(name,
+/// events, digest)` for each. With `telemetry` supplied, every replay of
+/// the paper's four systems carries a sampled inference probe — the
+/// digests must not notice.
 fn replay_digests(telemetry: Option<&Telemetry>) -> Vec<(String, usize, u64)> {
     let mut kitsune = Kitsune::default();
     let mut helad = Helad::default();
     let mut dnn = Dnn::default();
     let mut slips = Slips::default();
+    let (mut malformed_kitsune, mut malformed_helad) = (Kitsune::default(), Helad::default());
     if let Some(telemetry) = telemetry {
         kitsune.attach_inference_probe(telemetry.span(Stage::Infer, Some(0)));
         helad.attach_inference_probe(telemetry.span(Stage::Infer, Some(1)));
         dnn.attach_inference_probe(telemetry.span(Stage::Infer, Some(2)));
         slips.attach_inference_probe(telemetry.span(Stage::Infer, Some(3)));
+        malformed_kitsune.attach_inference_probe(telemetry.span(Stage::Infer, Some(0)));
+        malformed_helad.attach_inference_probe(telemetry.span(Stage::Infer, Some(1)));
     }
     let systems: [Box<dyn EventDetector>; 4] =
         [Box::new(kitsune), Box::new(helad), Box::new(dnn), Box::new(slips)];
@@ -124,6 +155,9 @@ fn replay_digests(telemetry: Option<&Telemetry>) -> Vec<(String, usize, u64)> {
     let mut digests: Vec<_> =
         systems.into_iter().map(|mut d| digest_row(d.as_mut(), &input)).collect();
     digests.extend(baselines.into_iter().map(|mut d| digest_row(d.as_mut(), &baseline)));
+    let malformed = malformed_input();
+    digests.push(digest_row(&mut malformed_kitsune, &malformed));
+    digests.push(digest_row(&mut malformed_helad, &malformed));
     digests
 }
 
