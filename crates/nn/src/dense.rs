@@ -5,7 +5,10 @@ use crate::optimizer::Optimizer;
 /// Batch rows from which [`Dense::backward`] computes the input gradient as
 /// a vectorized product against a scratch copy of `Wᵀ` instead of scalar
 /// dot chains over `W`'s rows (measured crossover at the DNN's layer
-/// shapes: two to three rows).
+/// shapes: two to three rows with 256-bit vectors; with 512-bit ones the
+/// copy took 0.97× the dot chains' step time at two rows and 0.91–0.93× at
+/// three). Only a DNN epoch's last, partial mini-batch can fall below it,
+/// so lowering it would move no workload.
 const PACK_ROWS: usize = 4;
 
 /// A fully connected layer: `y = f(x·W + b)`.
@@ -233,15 +236,21 @@ pub(crate) fn affine_into(
 
 /// Rows per block of the rows-in-lanes kernels ([`crate::Autoencoder`]
 /// scoring, [`crate::Lstm`] windows): one `f64` vector at AVX-512, two at
-/// AVX2. Only full blocks take them, so a one-row call never pays for seven
-/// idle lanes.
+/// AVX2. The one-vector form needs LLVM's 256-bit preference lifted
+/// (`-prefer-256-bit` in `.cargo/config.toml`); without it an AVX-512 host
+/// also runs each block as two 256-bit halves. Only full blocks take them,
+/// so a one-row call never pays for seven idle lanes.
 pub(crate) const LANES: usize = 8;
 
-/// Output units of [`affine_lanes`] accumulated abreast: four units of
-/// eight lanes are eight independent add chains at AVX2 width, enough to
-/// hide the add latency. One unit at a time was 1.3–1.8× slower per row;
-/// eight abreast spills its accumulators and was slower from eight
-/// outputs up.
+/// Output units of [`affine_lanes`] accumulated abreast. At AVX2 width
+/// four units of eight lanes are eight independent add chains, enough to
+/// hide the add latency; one unit at a time was 1.3–1.8× slower per row,
+/// and eight abreast spilled its accumulators from its sixteen registers
+/// and was slower from eight outputs up. At AVX-512 width the four units
+/// are four chains of one vector each, and each step's multiply and add
+/// (never fused) keep both vector ports busy, so more chains add nothing:
+/// eight abreast fits AVX-512's 32 registers but took 0.97–1.00× the time
+/// of four at HELAD's and KitNET's shapes, too little to change.
 const UNITS: usize = 4;
 
 /// `out[j] = Σ_i x[i]·w[i][j] + b[j]` for every lane of the feature-major

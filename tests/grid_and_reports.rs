@@ -92,11 +92,12 @@ fn grid_cells_carry_their_training_slice_mix() {
 /// The score digests pin what the detectors emit; this pins what the
 /// runner makes of it — ranking, candidate sweep, tie-breaks, confusion
 /// counts, ROC integration — so a change there cannot move the table
-/// unnoticed. Gated like the score digests, for the same reasons (the
-/// scores underneath are libm- and opt-level-sensitive); CI's
-/// `test-release` lane runs it. Re-pin only deliberately: the failure
-/// message prints the constant and every cell.
-#[cfg(all(target_os = "linux", target_env = "gnu", not(debug_assertions)))]
+/// unnoticed. Gated to `linux-gnu` like the score digests, for the same
+/// reason (the scores underneath are libm-sensitive); it runs in both
+/// profiles, and CI's `test-release` lane runs it again on the vectorised
+/// build. Re-pin only deliberately: the failure message prints the
+/// constant and every cell.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
 #[test]
 fn tiny_table4_is_bitwise_pinned() {
     const PINNED: u64 = 0x7263_3c23_2516_7c20;

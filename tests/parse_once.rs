@@ -58,6 +58,22 @@ fn exactly_one_parse_per_packet_across_the_pipeline() {
         "generators must build packets without parsing them"
     );
 
+    // The counter is a process-wide total: parses made on another thread
+    // count once that thread is joined.
+    let before = ParsedPacket::parse_calls();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for labeled in &packets[..10] {
+                let _ = ParsedPacket::parse(&labeled.packet);
+            }
+        });
+    });
+    assert_eq!(
+        ParsedPacket::parse_calls() - before,
+        10,
+        "parses on a spawned thread must reach parse_calls"
+    );
+
     // Batch preprocessing parses each packet exactly once...
     let pipeline = Pipeline::new(config.pipeline).expect("valid default pipeline");
     let before = ParsedPacket::parse_calls();
