@@ -63,7 +63,9 @@
 
 use std::time::Instant;
 
-use idsbench_flow::{FlowFeatures, FlowKey, FlowRecord, FlowTable, FlowTableConfig};
+use idsbench_flow::{
+    FlowFeatures, FlowKey, FlowRecord, FlowTable, FlowTableConfig, AFTERIMAGE_FEATURES,
+};
 use idsbench_net::fasthash::FxHashMap;
 use idsbench_net::{Duration, ParsedPacket, Timestamp};
 
@@ -77,7 +79,9 @@ use crate::{CoreError, Result};
 /// parse site: the decoded headers and the canonical flow key derived from
 /// them ride along with the packet through routing, flow assembly, and
 /// detector feature extraction, so nothing downstream ever re-parses the
-/// raw bytes.
+/// raw bytes. In a `run_stream` of a packet-format detector the view also
+/// carries the packet's AfterImage row, extracted once in feed order by
+/// the feeder's [`FeatureStage`](crate::shell::FeatureStage).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedView {
     /// The raw packet and its ground-truth label.
@@ -92,7 +96,17 @@ pub struct ParsedView {
     /// the streaming feeder routes on it and the flow assembler groups by
     /// it.
     pub flow_key: Option<FlowKey>,
+    /// The packet's AfterImage feature row, when an ordered extraction
+    /// stage upstream computed it ([`FeatureStage`](crate::shell::FeatureStage));
+    /// the detector shell then stages this row instead of extracting one.
+    /// `None` from [`ParsedView::from_packet`], and always for a malformed
+    /// frame. Boxed, so the row costs the view one pointer (the view's size
+    /// is pinned: see its size test).
+    pub features: Option<FeatureRow>,
 }
+
+/// One packet's AfterImage feature row, as it rides in a [`ParsedView`].
+pub type FeatureRow = Box<[f64; AFTERIMAGE_FEATURES]>;
 
 impl ParsedView {
     /// Parses a labeled packet into its view — **the** `ParsedPacket::parse`
@@ -101,7 +115,7 @@ impl ParsedView {
     pub fn from_packet(packet: LabeledPacket) -> Self {
         let parsed = ParsedPacket::parse(&packet.packet).ok();
         let flow_key = parsed.as_ref().and_then(FlowKey::from_packet).map(|key| key.canonical().0);
-        ParsedView { packet, parsed, flow_key }
+        ParsedView { packet, parsed, flow_key, features: None }
     }
 
     /// Ground-truth label of the underlying packet.
@@ -253,9 +267,11 @@ pub trait EventDetector: Send {
     /// state (per-host profiles, per-channel statistics) is shared across
     /// flows and stays shard-local: routing by flow key splits it across
     /// the shards of a multi-shard run, so a detector that keeps any
-    /// (Kitsune, HELAD, Slips) scores differently than at one shard. Only
-    /// a detector whose state is all per-flow (DNN) can score the same at
-    /// every shard count. The default (no per-flow state) returns `None`.
+    /// (Kitsune's and HELAD's models, Slips) scores differently than at one
+    /// shard. AfterImage's entity-keyed statistics stay whole only because
+    /// `run_stream` extracts every row on its feeder. Only a detector whose
+    /// state is all per-flow (DNN) can score the same at every shard count.
+    /// The default (no per-flow state) returns `None`.
     fn extract_flow_state(&mut self, _key: &FlowKey) -> Option<Vec<u8>> {
         None
     }
@@ -767,6 +783,19 @@ mod tests {
 
     fn tcp_view(src: (u8, u16), dst: (u8, u16), t: f64, label: Label) -> ParsedView {
         flagged_view(src, dst, TcpFlags::ACK, t, label)
+    }
+
+    /// A view is moved whole per packet — built, pushed into its batch,
+    /// handed back through the recycle lane — and `slips-iot` is bound by
+    /// that feeder-side work, so its size is throughput. At 184 bytes a
+    /// `StreamItem` (sequence number and view) fills three cache lines. On
+    /// a 2-core Xeon VM `slips-iot` read 11 % fewer packets per second with
+    /// a 192-byte view, and 6 % fewer again when a field grew a 192-byte
+    /// view to 200. So the feature row is boxed, and `ParsedPacket`'s
+    /// lengths and the `Bytes` range are `u32`s to make room for it.
+    #[test]
+    fn a_parsed_view_stays_within_184_bytes() {
+        assert!(std::mem::size_of::<ParsedView>() <= 184, "{}", std::mem::size_of::<ParsedView>());
     }
 
     fn flagged_view(

@@ -61,13 +61,13 @@ pub use dataset::{Dataset, DatasetInfo};
 pub use detector::{InputFormat, LabeledFlow};
 pub use error::CoreError;
 pub use event::{
-    Burst, BurstEvent, Event, EventDetector, EventFactory, FlowEventAssembler, FlowMigration,
-    ParsedView, TrainView, BURST_PACKETS,
+    Burst, BurstEvent, Event, EventDetector, EventFactory, FeatureRow, FlowEventAssembler,
+    FlowMigration, ParsedView, TrainView, BURST_PACKETS,
 };
 pub use label::{AttackKind, Label, LabeledPacket};
 pub use metrics::{Assessment, FamilyCounts, FamilyOutcome};
 pub use report::ScaleEvent;
-pub use shell::{Detector, InferenceProbe, Model, Scoring, TrainRows};
+pub use shell::{Detector, FeatureStage, InferenceProbe, Model, Scoring, TrainRows};
 pub use traffic::{PacketStream, ScenarioScale, TrafficModel};
 
 /// Result alias used throughout this crate.

@@ -8,7 +8,11 @@
 //!
 //! * a feature model's one AfterImage extractor: `fit` reads the training
 //!   rows through [`TrainRows`], and the shell scores on with the extractor
-//!   that has seen the whole slice;
+//!   that has seen the whole slice — unless the views arrive carrying their
+//!   rows ([`ParsedView::features`]). A `run_stream` of a packet-format
+//!   detector extracts them once, in feed order, with the feeder's
+//!   [`FeatureStage`], which is built past the training slice as this
+//!   extractor is; the shell then stages the carried rows and extracts none;
 //! * scoring before [`EventDetector::fit`] first fits on an empty
 //!   [`TrainView`] — the stream keeps flowing, as a deployed IDS must;
 //! * dispatch on the input format: a feature model scores each
@@ -17,16 +21,17 @@
 //!   unstaged; a flow model scores each [`Event::FlowEvicted`]; every other
 //!   event passes through unscored;
 //! * the sampled [`InferenceProbe`] around each scoring call, extraction
-//!   included.
+//!   included where the shell extracts (a stream run times the feeder's
+//!   extraction as a stage of its own).
 
 use std::fmt;
 use std::time::Instant;
 
-use idsbench_flow::{AfterImage, AfterImageConfig};
+use idsbench_flow::{AfterImage, AfterImageConfig, AFTERIMAGE_FEATURES};
 use idsbench_net::ParsedPacket;
 
 use crate::detector::{InputFormat, LabeledFlow};
-use crate::event::{Event, EventDetector, ParsedView, TrainView};
+use crate::event::{Event, EventDetector, FeatureRow, ParsedView, TrainView};
 
 /// A sampled timer around a model's scoring call. `idsbench-telemetry`
 /// implements it for its `SpanTimer`; core cannot name that type, because
@@ -93,6 +98,60 @@ impl<'a> TrainRows<'a> {
         self.extractor.update_into(parsed, &mut self.row);
         Some(&self.row)
     }
+
+    /// Reads the rows left unread; the extractor past the whole slice and
+    /// the row buffer.
+    fn finish(mut self) -> (AfterImage, Vec<f64>) {
+        while self.next_row().is_some() {}
+        (self.extractor, self.row)
+    }
+}
+
+/// The ordered extraction stage of a stream run: one AfterImage that sees
+/// every evaluation packet in feed order and attaches each well-formed
+/// view's row ([`ParsedView::features`]) for the shard that scores it.
+///
+/// It is built past the training slice the way the shell's own extractor is
+/// after `fit` (every well-formed training view, in order, through
+/// [`TrainRows`]). So at one shard the carried rows are bit for bit the
+/// rows the shard would have extracted, and at any shard count every shard
+/// scores rows of the global packet sequence. Consumed rows come back
+/// through [`FeatureStage::reclaim`], so a warm stage allocates nothing.
+#[derive(Debug)]
+pub struct FeatureStage {
+    extractor: AfterImage,
+    /// The row being extracted.
+    row: Vec<f64>,
+    /// Reclaimed rows, reused before a new one is allocated.
+    spare: Vec<FeatureRow>,
+}
+
+impl FeatureStage {
+    /// A stage past the well-formed views of `train`.
+    pub fn new(train: &TrainView) -> Self {
+        let (extractor, row) = TrainRows::new(&train.packets).finish();
+        FeatureStage { extractor, row, spare: Vec::new() }
+    }
+
+    /// Extracts `view`'s row and attaches a copy in a spare buffer (a new
+    /// one when none is left); a malformed view gets none.
+    ///
+    /// A reclaimed buffer was last read on a shard's core. Extracting into
+    /// the stage's own row and copying it over in one pass costs less than
+    /// scattering the extractor's stores across those lines.
+    pub fn attach(&mut self, view: &mut ParsedView) {
+        if let Some(parsed) = &view.parsed {
+            self.extractor.update_into(parsed, &mut self.row);
+            let mut row = self.spare.pop().unwrap_or_else(|| Box::new([0.0; AFTERIMAGE_FEATURES]));
+            row.copy_from_slice(&self.row);
+            view.features = Some(row);
+        }
+    }
+
+    /// Keeps a consumed view's row, if it carried one, for reuse.
+    pub fn reclaim(&mut self, row: Option<FeatureRow>) {
+        self.spare.extend(row);
+    }
 }
 
 /// A fitted model with the extractor past its training slice (nothing, for
@@ -112,12 +171,18 @@ impl<M: Model> Fitted<M> {
         let flows = matches!(M::SCORING, Scoring::Flows(_));
         let mut rows = TrainRows::new(if flows { &[] } else { &train.packets });
         let model = M::fit(config, train, &mut rows);
-        while rows.next_row().is_some() {}
-        Fitted { model, extractor: rows.extractor, row: rows.row, malformed: Vec::new() }
+        let (extractor, row) = rows.finish();
+        Fitted { model, extractor, row, malformed: Vec::new() }
     }
 
-    /// Stages each well-formed view with its row, scores them in one call
-    /// and pushes one score per view, 0 for a malformed one.
+    /// Stages each well-formed view with its row — the one it carries, or
+    /// else one this extractor extracts — scores them in one call and
+    /// pushes one score per view, 0 for a malformed one.
+    ///
+    /// The well-formed views of a burst either all carry rows or all do
+    /// not: a carried row means an upstream stage has seen the packet and
+    /// this extractor has not, so a bare view after it would be extracted
+    /// out of order. Debug builds refuse a mixed burst.
     fn score_burst(
         &mut self,
         stage: fn(&mut M, &ParsedPacket, &[f64]),
@@ -126,13 +191,22 @@ impl<M: Model> Fitted<M> {
         out: &mut Vec<f64>,
     ) {
         self.malformed.clear();
+        let mut carried = None;
         for (i, view) in views.enumerate() {
             let Some(parsed) = &view.parsed else {
                 self.malformed.push(i);
                 continue;
             };
-            self.extractor.update_into(parsed, &mut self.row);
-            stage(&mut self.model, parsed, &self.row);
+            let first = *carried.get_or_insert(view.features.is_some());
+            debug_assert_eq!(first, view.features.is_some(), "a burst mixes carried and bare rows");
+            let row = match &view.features {
+                Some(row) => &row[..],
+                None => {
+                    self.extractor.update_into(parsed, &mut self.row);
+                    &self.row[..]
+                }
+            };
+            stage(&mut self.model, parsed, row);
         }
         let start = out.len();
         score(&mut self.model, out);
@@ -162,9 +236,11 @@ impl<M: Model> Detector<M> {
     }
 
     /// Attaches a sampled timer around the scoring call: once per packet
-    /// burst (an [`Event::Packet`] is a burst of one), extraction included,
-    /// or once per flow. Purely observational — scores are bit-identical
-    /// with or without it — and allocation-free on the scoring path.
+    /// burst (an [`Event::Packet`] is a burst of one), the shell's own
+    /// extraction included (rows a [`FeatureStage`] carried in were timed
+    /// upstream), or once per flow. Purely observational — scores are
+    /// bit-identical with or without it — and allocation-free on the
+    /// scoring path.
     pub fn attach_inference_probe(&mut self, probe: impl InferenceProbe + 'static) {
         self.probe = Some(Box::new(probe));
     }
@@ -276,6 +352,31 @@ mod tests {
         }
     }
 
+    /// Scores each packet by a weighted sum over its whole row, so any
+    /// feature that moves moves the score.
+    #[derive(Debug)]
+    struct RowSum(Vec<f64>);
+
+    impl Model for RowSum {
+        const NAME: &'static str = "row-sum";
+        const SCORING: Scoring<Self> =
+            Scoring::Features { stage: RowSum::stage, score: RowSum::score };
+        type Config = ();
+        fn fit(_config: &(), _train: &TrainView, _rows: &mut TrainRows<'_>) -> Self {
+            RowSum(Vec::new())
+        }
+    }
+
+    impl RowSum {
+        fn stage(&mut self, _parsed: &ParsedPacket, row: &[f64]) {
+            self.0.push(row.iter().enumerate().map(|(i, x)| (i + 1) as f64 * x).sum());
+        }
+
+        fn score(&mut self, out: &mut Vec<f64>) {
+            out.append(&mut self.0);
+        }
+    }
+
     /// Counts the spans it is asked to start and finish; samples every call.
     #[derive(Debug, Default, Clone)]
     struct Counting(Arc<[AtomicUsize; 2]>);
@@ -298,6 +399,18 @@ mod tests {
             .ipv4(Ipv4Addr::new(10, 0, 0, source), Ipv4Addr::new(10, 0, 0, 100))
             .udp(4000, 53)
             .build(Timestamp::ZERO);
+        ParsedView::from_packet(LabeledPacket::new(packet, Label::Benign))
+    }
+
+    /// A packet from host `source` to host 100 at `micros`, on the source's
+    /// own UDP port.
+    fn view_at(source: u8, micros: u64) -> ParsedView {
+        let packet = PacketBuilder::new()
+            .ethernet(MacAddr::from_host_id(source.into()), MacAddr::from_host_id(100))
+            .ipv4(Ipv4Addr::new(10, 0, 0, source), Ipv4Addr::new(10, 0, 0, 100))
+            .udp(4000 + u16::from(source), 53)
+            .payload_len(usize::from(source) * 10)
+            .build(Timestamp::from_micros(micros));
         ParsedView::from_packet(LabeledPacket::new(packet, Label::Benign))
     }
 
@@ -360,5 +473,67 @@ mod tests {
         assert_eq!(detector.on_event(&Event::Packet(&malformed())), Some(0.0));
         assert_eq!(detector.on_event(&Event::Packet(&view(1))), Some(4.0));
         assert_eq!(stages(&detector), 5);
+    }
+
+    #[test]
+    fn carried_rows_score_bit_for_bit_like_rows_the_shell_extracts() {
+        let train = TrainView {
+            packets: (0..40).map(|i| view_at(i % 3 + 1, 700 * u64::from(i))).collect(),
+            flows: Vec::new(),
+        };
+        let burst: Vec<ParsedView> = (0..48u8)
+            .map(|i| {
+                if i == 17 {
+                    malformed()
+                } else {
+                    view_at(i % 5 + 1, 30_000 + 450 * u64::from(i))
+                }
+            })
+            .collect();
+        let mut carried = burst.clone();
+        let mut stage = FeatureStage::new(&train);
+        for view in &mut carried {
+            stage.attach(view);
+        }
+        assert!(carried[17].features.is_none(), "a malformed view carries no row");
+        assert_eq!(carried.iter().filter(|view| view.features.is_some()).count(), 47);
+
+        let (mut extracting, mut staging) =
+            (Detector::<RowSum>::default(), Detector::<RowSum>::default());
+        extracting.fit(&train);
+        staging.fit(&train);
+        let (mut expected, mut scores) = (Vec::new(), Vec::new());
+        extracting.on_packet_batch(&mut burst.iter(), &mut expected);
+        staging.on_packet_batch(&mut carried.iter(), &mut scores);
+        assert_eq!(scores.len(), 48);
+        assert_eq!(scores[17], 0.0);
+        let bits = |scores: &[f64]| scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&scores), bits(&expected));
+        // The shell staged the carried rows and extracted none of its own.
+        let seen = |detector: &Detector<RowSum>| {
+            detector.fitted.as_ref().expect("fitted").extractor.packets_seen()
+        };
+        assert_eq!((seen(&extracting), seen(&staging)), (40 + 47, 40));
+
+        // Consumed rows are reused, not reallocated.
+        for view in &mut carried {
+            stage.reclaim(view.features.take());
+        }
+        let reused: Vec<*const [f64; AFTERIMAGE_FEATURES]> =
+            stage.spare.iter().map(|row| &**row as *const _).collect();
+        let mut again = view_at(1, 60_000);
+        stage.attach(&mut again);
+        assert_eq!(again.features.as_deref().map(|row| row as *const _), reused.last().copied());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a burst mixes carried and bare rows")]
+    fn a_burst_mixing_carried_and_bare_rows_is_refused() {
+        let mut views = [view_at(1, 0), view_at(2, 10), view_at(1, 20)];
+        let mut stage = FeatureStage::new(&TrainView::default());
+        stage.attach(&mut views[0]);
+        stage.attach(&mut views[2]);
+        Detector::<RowSum>::default().on_packet_batch(&mut views.iter(), &mut Vec::new());
     }
 }

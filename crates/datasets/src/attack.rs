@@ -656,13 +656,13 @@ mod tests {
             bytes_per_session: 100_000,
         };
         let packets = run(&exfil, 4);
-        let (mut up, mut down) = (0usize, 0usize);
+        let (mut up, mut down) = (0u64, 0u64);
         for p in &packets {
             let parsed = ParsedPacket::parse(&p.packet).unwrap();
             if parsed.dst_port() == Some(443) {
-                up += parsed.payload_len;
+                up += u64::from(parsed.payload_len);
             } else {
-                down += parsed.payload_len;
+                down += u64::from(parsed.payload_len);
             }
         }
         assert!(up > down * 20, "uploads must dominate: up {up} down {down}");

@@ -454,13 +454,13 @@ mod tests {
             transfers: 5,
         };
         let packets = run(&generator, 7);
-        let (mut down, mut up) = (0usize, 0usize);
+        let (mut down, mut up) = (0u64, 0u64);
         for p in &packets {
             let parsed = ParsedPacket::parse(&p.packet).unwrap();
             if parsed.src_port() == Some(445) {
-                down += parsed.payload_len;
+                down += u64::from(parsed.payload_len);
             } else {
-                up += parsed.payload_len;
+                up += u64::from(parsed.payload_len);
             }
         }
         assert!(down > up * 10, "downloads must dominate: down {down}, up {up}");

@@ -82,9 +82,11 @@ pub struct ParsedPacket {
     /// Transport layer, when the network layer carries one.
     pub transport: Option<TransportLayer>,
     /// Bytes of transport payload (application data).
-    pub payload_len: usize,
-    /// Total frame length in bytes.
-    pub wire_len: usize,
+    pub payload_len: u32,
+    /// Total frame length in bytes. Both lengths are `u32`, which keeps a
+    /// parsed view (the unit a stream run moves per packet) small; they
+    /// saturate at `u32::MAX`, a length no link carries.
+    pub wire_len: u32,
 }
 
 /// Count of [`ParsedPacket::parse`] invocations, kept per thread.
@@ -169,14 +171,16 @@ impl ParsedPacket {
             _ => (None, 0),
         };
 
-        let payload_len = after_net.len().saturating_sub(transport_len);
+        // No link carries a frame of 4 GiB, so the lengths saturate
+        // instead of failing the parse.
+        let saturate = |len: usize| u32::try_from(len).unwrap_or(u32::MAX);
         Ok(ParsedPacket {
             ts: packet.ts,
             ethernet,
             network,
             transport,
-            payload_len,
-            wire_len: data.len(),
+            payload_len: saturate(after_net.len().saturating_sub(transport_len)),
+            wire_len: saturate(data.len()),
         })
     }
 
@@ -298,7 +302,7 @@ mod tests {
         assert_eq!(parsed.payload_len, 3);
         assert_eq!(parsed.ip_protocol(), Some(IpProtocol::Tcp));
         assert!(parsed.tcp().unwrap().flags.contains(TcpFlags::SYN));
-        assert_eq!(parsed.wire_len, packet.wire_len());
+        assert_eq!(parsed.wire_len as usize, packet.wire_len());
     }
 
     #[test]

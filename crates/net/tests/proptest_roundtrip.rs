@@ -61,7 +61,7 @@ proptest! {
         prop_assert_eq!(parsed.dst_ip(), Some(dst_ip.into()));
         prop_assert_eq!(parsed.src_port(), Some(src_port));
         prop_assert_eq!(parsed.dst_port(), Some(dst_port));
-        prop_assert_eq!(parsed.payload_len, payload.len());
+        prop_assert_eq!(parsed.payload_len as usize, payload.len());
         let tcp = parsed.tcp().unwrap();
         prop_assert_eq!(tcp.seq, seq);
         prop_assert_eq!(tcp.ack, ack);

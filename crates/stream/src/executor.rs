@@ -19,6 +19,16 @@
 //!   view's precomputed canonical flow key, and the pool ships the view to
 //!   the shard. Detectors and per-shard flow tables all consume that same
 //!   view; nothing downstream re-parses.
+//! * **Extract once, in order.** For a packet-format detector the pool runs
+//!   one [`FeatureStage`] on the feeder thread: every well-formed view
+//!   leaves with its AfterImage row, extracted in feed order, and the
+//!   shards score the rows they are handed. AfterImage's state is keyed by
+//!   host, channel and socket, not by flow, so at any shard count every
+//!   shard scores the features a single shard would, and at one shard the
+//!   run is bit for bit the unstaged one. Rows come back with their batch
+//!   through the recycle lane, so a warm run allocates none. The pool sees
+//!   only the input format, so a packet detector that reads no row pays
+//!   for the extraction too.
 //! * **Per-flow locality.** Packets are routed by the canonical 5-tuple
 //!   over a consistent-hash ring ([`HashRing`]), so both directions of a
 //!   conversation always reach the flow's owning shard and each shard's
@@ -57,14 +67,14 @@ use std::time::Instant;
 
 use idsbench_core::threshold::ThresholdPolicy;
 use idsbench_core::{
-    CoreError, EventDetector, FlowEventAssembler, FlowMigration, InputFormat, LabeledPacket,
-    ParsedView, Result, TrainView, BURST_PACKETS,
+    CoreError, EventDetector, FeatureStage, FlowEventAssembler, FlowMigration, InputFormat,
+    LabeledPacket, ParsedView, Result, TrainView, BURST_PACKETS,
 };
 use idsbench_flow::FlowTableConfig;
-use idsbench_telemetry::{Counter, JournalEvent, Telemetry};
+use idsbench_telemetry::{Counter, JournalEvent, SpanTimer, Stage, Telemetry};
 
 use crate::autoscale::AutoscalePolicy;
-use crate::feeder::{Feeder, ShardPool};
+use crate::feeder::{with_span, Feeder, ShardPool};
 use crate::report::StreamReport;
 use crate::ring::HashRing;
 use crate::shard::{Recorder, ShardLoop, ShardOutcome, ShardSpans, StreamItem};
@@ -213,6 +223,13 @@ struct ShardSlot {
     tx: SyncSender<ShardMsg>,
 }
 
+/// A packet-format run's ordered extraction stage and its sampled
+/// `extract` span (none without telemetry).
+struct OrderedStage {
+    rows: FeatureStage,
+    span: Option<SpanTimer>,
+}
+
 fn died(shard: usize) -> CoreError {
     CoreError::stream(format!("shard {shard} died"))
 }
@@ -232,13 +249,17 @@ struct LocalPool<'scope, 'env> {
     stalls: Vec<usize>,
     /// Consumed batches flow back to the feeder through this lane: `ship`
     /// hands each view's payload buffer to the source's arena
-    /// (`PacketSource::recycle_packet`) and reuses the vector, so the
-    /// steady-state fan-out allocates neither a `Vec` per batch nor a
-    /// payload per packet. Both ends use the non-blocking ops: recycling is
+    /// (`PacketSource::recycle_packet`), each carried row back to the
+    /// extraction stage, and reuses the vector, so the steady-state fan-out
+    /// allocates neither a `Vec` per batch nor a payload or a row per
+    /// packet. Both ends use the non-blocking ops: recycling is
     /// an optimisation, never a stall (a full return lane just drops the
     /// buffer).
     recycle_rx: Receiver<Vec<StreamItem>>,
     stall_counter: Option<Arc<Counter>>,
+    /// The ordered extraction stage; `None` for a flow-format detector,
+    /// and boxed so that pool carries one pointer of it.
+    stage: Option<Box<OrderedStage>>,
 }
 
 impl<'scope, 'env> LocalPool<'scope, 'env> {
@@ -258,9 +279,17 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
             workers: Vec::new(),
             stalls: Vec::new(),
             recycle_rx,
+            stage: None,
         };
         for id in 0..pool.ctx.config.shards {
             pool.spawn_slot(id, true);
+        }
+        // Built while the shards fit, so it adds nothing to set-up time.
+        if pool.ctx.format == InputFormat::Packets {
+            pool.stage = Some(Box::new(OrderedStage {
+                rows: FeatureStage::new(pool.ctx.train),
+                span: pool.ctx.telemetry.map(|telemetry| telemetry.span(Stage::Extract, None)),
+            }));
         }
         pool.ctx.start_line.wait();
         pool
@@ -341,6 +370,15 @@ impl<'scope, 'env> LocalPool<'scope, 'env> {
 impl ShardPool for LocalPool<'_, '_> {
     type Error = CoreError;
 
+    /// Attaches the view's row, under a sampled `extract` span, when the
+    /// run has an ordered extraction stage.
+    fn prepare(&mut self, view: &mut ParsedView) {
+        if let Some(stage) = &mut self.stage {
+            let OrderedStage { rows, span } = &mut **stage;
+            with_span(span.as_ref(), || rows.attach(view));
+        }
+    }
+
     /// Swaps a recycled buffer (or an empty placeholder that first pushes
     /// grow) into the lane and sends the full one: a non-blocking attempt
     /// first, then — accounting the stall — the blocking send the
@@ -353,9 +391,20 @@ impl ShardPool for LocalPool<'_, '_> {
     ) -> Result<()> {
         let next_seq = batch.last().map_or(0, |item| item.seq + 1);
         let mut replacement = self.recycle_rx.try_recv().unwrap_or_default();
-        // Consumed views give their payload buffers back to the source.
-        for item in replacement.drain(..) {
-            source.recycle_packet(item.view.packet.packet);
+        // Consumed views give their payload buffers back to the source and
+        // their rows, where the stage attached any, back to the stage.
+        match &mut self.stage {
+            None => {
+                for item in replacement.drain(..) {
+                    source.recycle_packet(item.view.packet.packet);
+                }
+            }
+            Some(stage) => {
+                for item in replacement.drain(..) {
+                    stage.rows.reclaim(item.view.features);
+                    source.recycle_packet(item.view.packet.packet);
+                }
+            }
         }
         let batch = std::mem::replace(batch, replacement);
         let at = self.index_of(shard);
@@ -463,7 +512,8 @@ pub fn run_stream(
 /// When `telemetry` is `Some`, the run additionally emits the feeder
 /// telemetry [`Feeder::new`] lists, plus what only this pool can observe:
 /// `feeder_stalls_total` and a `FeederStall` journal event whenever a full
-/// channel blocks the feeder, and full-coverage per-shard
+/// channel blocks the feeder, sampled feeder `extract` spans of a
+/// packet-format run's ordered extraction stage, and full-coverage per-shard
 /// `score`/`evict`/`migrate` stage latencies (the scoring stages reuse
 /// latencies the recorder already measures, so no clock reads are added to
 /// the per-event path).
@@ -943,6 +993,25 @@ pub(crate) mod tests {
             .map(|s| s.histogram().len())
             .sum();
         assert!(evictions > 0, "per-shard stage histograms must record");
+        // A flow-format run has no ordered extraction stage.
+        assert!(telemetry.stage(Stage::Extract, None).histogram().is_empty());
+
+        // A packet-format run's feeder times its extraction stage.
+        let packets = workload(400);
+        let config = StreamConfig { shards: 2, ..Default::default() };
+        let plain =
+            run_stream(&factory, &[], VecSource::new("toy", packets.clone()), &config).unwrap();
+        let telemetry = Telemetry::new(TelemetryConfig { sample_every: 4 });
+        let observed = run_stream_with_telemetry(
+            &factory,
+            &[],
+            VecSource::new("toy", packets),
+            &config,
+            Some(&telemetry),
+        )
+        .unwrap();
+        assert_eq!(plain.scores, observed.scores, "telemetry must not steer the run");
+        assert_eq!(telemetry.stage(Stage::Extract, None).histogram().len(), 400 / 4);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! alike.
 //!
 //! Everything that is *policy* lives here and exists once: configuration
-//! validation, the source loop and its single parse, the `Autoscaler` and
+//! validation, the source loop and its single parse (each view then passes
+//! through [`ShardPool::prepare`], in feed order), the `Autoscaler` and
 //! its suppressed crossings, the [`HashRing`] and shard-id allocation,
 //! victim choice, batching, the rebalance ordering, the [`ScaleEvent`]
 //! constructor, routing, the feeder telemetry, and the call to
@@ -78,6 +79,13 @@ pub trait ShardPool: Sized {
         source: &mut impl PacketSource,
     ) -> Result<(), Self::Error>;
 
+    /// Runs on every parsed view in feed order, before it is routed. The
+    /// in-process pool's ordered extraction stage attaches the packet's
+    /// feature row here ([`idsbench_core::FeatureStage`]), so every shard
+    /// scores rows of the global packet sequence. The default does
+    /// nothing: the fabric's pool ships bare views and its workers extract.
+    fn prepare(&mut self, _view: &mut ParsedView) {}
+
     /// Brings up shard `id` (a fresh detector fitted on the shared train
     /// view) with an empty lane.
     fn spawn(&mut self, id: usize) -> Result<(), Self::Error>;
@@ -136,7 +144,7 @@ struct FeederTelemetry<'run> {
 
 /// Runs `body` under a sampled stage span when one is attached.
 #[inline]
-fn with_span<T>(span: Option<&SpanTimer>, body: impl FnOnce() -> T) -> T {
+pub(crate) fn with_span<T>(span: Option<&SpanTimer>, body: impl FnOnce() -> T) -> T {
     match span.and_then(|span| span.begin().map(|started| (span, started))) {
         Some((span, started)) => {
             let out = body();
@@ -269,9 +277,10 @@ impl<'run> Feeder<'run> {
         while let Some(packet) = source.next_packet()? {
             // The eval stream's single parse per packet on this side of
             // any process boundary.
-            let view = with_span(self.telemetry.as_ref().map(|f| &f.parse), || {
+            let mut view = with_span(self.telemetry.as_ref().map(|f| &f.parse), || {
                 ParsedView::from_packet(packet)
             });
+            pool.prepare(&mut view);
             if let Some(feeder) = &self.telemetry {
                 feeder.packets.inc();
             }

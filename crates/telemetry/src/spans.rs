@@ -1,5 +1,5 @@
 //! Sampled stage spans: cheap wall-clock timing of pipeline stages (parse,
-//! route, score, evict, migrate, rebalance, model inference) feeding
+//! route, extract, score, evict, migrate, rebalance, model inference) feeding
 //! per-shard [`AtomicHistogram`]s, so per-stage p50/p99 is visible live.
 //!
 //! A [`SpanTimer`] samples 1-in-`every` calls: `begin()` returns
@@ -23,6 +23,9 @@ pub enum Stage {
     Parse,
     /// Flow-key routing in the feeder (ring lookup + shard dispatch).
     Route,
+    /// The feeder's ordered AfterImage extraction of a packet-format run
+    /// (`idsbench_core::FeatureStage::attach`).
+    Extract,
     /// Detector scoring of a packet event in a shard.
     Score,
     /// Detector scoring of a flow-eviction event in a shard.
@@ -45,6 +48,7 @@ impl Stage {
         match self {
             Stage::Parse => "parse",
             Stage::Route => "route",
+            Stage::Extract => "extract",
             Stage::Score => "score",
             Stage::Evict => "evict",
             Stage::Migrate => "migrate",
@@ -206,6 +210,7 @@ mod tests {
         for (stage, name) in [
             (Stage::Parse, "parse"),
             (Stage::Route, "route"),
+            (Stage::Extract, "extract"),
             (Stage::Score, "score"),
             (Stage::Evict, "evict"),
             (Stage::Migrate, "migrate"),

@@ -33,10 +33,12 @@
 //! the autoencoder, the LSTM regressor and the MLP allocate nothing.
 //!
 //! The **in-process stream path** is pinned per packet: a whole
-//! `run_stream` of Slips at 2 shards (feeder, feeder→shard channels, shard
-//! loops, batch recycle lane) costs at most 0.1 allocations per extra
-//! packet, measured as the difference between two stream lengths so the
-//! fixed setup and merge cancel out.
+//! `run_stream` (feeder, feeder→shard channels, shard loops, batch recycle
+//! lane) costs at most 0.1 allocations per extra packet, measured as the
+//! difference between two stream lengths so the fixed setup and merge
+//! cancel out. It runs Slips at 2 shards for the flow format, and Kitsune
+//! at 1 and 2 shards for the packet format, whose feeder extracts a boxed
+//! AfterImage row per packet: rows must come back through the recycle lane.
 
 use idsbench::core::allocwatch::{allocation_snapshot, CountingAllocator};
 use idsbench::core::{
@@ -238,32 +240,48 @@ fn broker_packet(i: u64) -> LabeledPacket {
     LabeledPacket::new(p, Label::Benign)
 }
 
-/// Allocations of one `run_stream` of Slips at 2 shards over `packets`
-/// packets, built before the window opens.
-fn stream_run_allocations(packets: u64) -> u64 {
+/// A `run_stream` detector factory.
+type Factory = dyn Fn() -> Box<dyn EventDetector> + Sync;
+
+/// Allocations of one `run_stream` of `factory`'s detector at `shards`
+/// shards over `packets` packets, built before the window opens.
+fn stream_run_allocations(factory: &Factory, shards: usize, packets: u64) -> u64 {
     let warmup: Vec<LabeledPacket> = (0..512).map(broker_packet).collect();
     let source = VecSource::new("stream-path", (512..512 + packets).map(broker_packet).collect());
-    let factory = || Box::new(Slips::default()) as Box<dyn EventDetector>;
-    let config = StreamConfig { shards: 2, ..Default::default() };
+    let config = StreamConfig { shards, ..Default::default() };
     let before = allocation_snapshot();
-    let run = run_stream(&factory, &warmup, source, &config).expect("stream run");
+    let run = run_stream(factory, &warmup, source, &config).expect("stream run");
     let after = allocation_snapshot();
     assert_eq!(run.report.eval_packets as u64, packets, "every packet fed");
     after.allocations_since(&before)
 }
 
+/// Slips exercises the flow-format path; Kitsune the packet-format one, whose
+/// feeder-side extraction stage attaches a boxed row to every view — rows
+/// that must come back through the recycle lane, not be allocated anew.
 fn stream_path_allocates_at_most_a_tenth_per_packet() {
-    let (short, long) = (4_096u64, 16_384u64);
-    let at_short = stream_run_allocations(short);
-    let at_long = stream_run_allocations(long);
-    // Setup, warmup and the final merge cost the same in both runs; the
-    // difference is what the extra packets cost.
-    let marginal = at_long.saturating_sub(at_short) as f64 / (long - short) as f64;
-    assert!(
-        marginal <= 0.1,
-        "run_stream: {marginal:.3} allocations per packet ({at_short} at {short} packets, \
-         {at_long} at {long})"
-    );
+    let slips = || Box::new(Slips::default()) as Box<dyn EventDetector>;
+    let kitsune = || Box::new(Kitsune::default()) as Box<dyn EventDetector>;
+    let runs: [(&str, &Factory, usize); 3] =
+        [("Slips", &slips, 2), ("Kitsune", &kitsune, 1), ("Kitsune", &kitsune, 2)];
+    // A debug build's shards are far slower than its feeder, so every lane
+    // fills up in both runs. A release build's lanes fill as timing has it,
+    // so it adds enough packets that one more set of full lanes (about 4,400
+    // rows at 2 shards) stays well inside the budget.
+    let (short, long) =
+        if cfg!(debug_assertions) { (8_192u64, 24_576u64) } else { (16_384, 131_072) };
+    for (name, factory, shards) in runs {
+        let at_short = stream_run_allocations(factory, shards, short);
+        let at_long = stream_run_allocations(factory, shards, long);
+        // Setup, warmup and the final merge cost the same in both runs; the
+        // difference is what the extra packets cost.
+        let marginal = at_long.saturating_sub(at_short) as f64 / (long - short) as f64;
+        assert!(
+            marginal <= 0.1,
+            "run_stream of {name} at {shards} shard(s): {marginal:.3} allocations per packet \
+             ({at_short} at {short} packets, {at_long} at {long})"
+        );
+    }
 }
 
 /// A UDP packet on a 5-tuple no other index shares (source address

@@ -8,25 +8,36 @@
 //! threshold, alert decisions, and metrics. That now includes the
 //! flow-event systems (Slips, DNN): their flow-eviction events fire at the
 //! same flow-table moments in both drivers. Multi-shard runs route by the
-//! canonical flow key, which keeps every flow whole on one shard, so only a
-//! detector whose state is all per-flow (DNN) can score the same at every
+//! canonical flow key, which keeps every flow whole on one shard, so a
+//! detector whose state is all per-flow (DNN) scores the same at every
 //! shard count; the autoscaled bursty replay below pins that for the DNN.
-//! Kitsune, HELAD and Slips also keep per-host, per-channel or per-profile
-//! state, which a multi-shard run splits across shards, so their
-//! multi-shard scores differ from the single-shard run. Routing is still
-//! deterministic, so every multi-shard run is reproducible.
+//!
+//! Kitsune's and HELAD's features are AfterImage rows, whose state is keyed
+//! by host, channel and socket. `run_stream` extracts them once, in feed
+//! order, on the feeder, and each shard scores the rows it is handed, so
+//! at any shard count (autoscaled too) their features equal the
+//! single-shard features; a model whose score is a function of its row
+//! alone scores the same multiset everywhere, which
+//! `row_scores_are_one_multiset_at_every_shard_count` pins. Their scores
+//! still differ at N > 1: KitNET's input normaliser and HELAD's score
+//! windows are per shard. `run_fabric` ships bare views, and its workers
+//! still extract per shard. Slips keeps per-profile state, which a
+//! multi-shard run splits too. Routing is deterministic, so every
+//! multi-shard run is reproducible.
 
 use std::collections::HashSet;
 
 use idsbench::core::metrics::Assessment;
+use idsbench::core::preprocess::EventInput;
 use idsbench::core::preprocess::Pipeline;
 use idsbench::core::runner::{evaluate, replay, EvalConfig};
 use idsbench::core::{
-    CoreError, Dataset, Event, EventDetector, InputFormat, LabeledPacket, TrainView,
+    CoreError, Dataset, Detector, Event, EventDetector, InputFormat, LabeledPacket, Model,
+    ParsedView, Scoring, TrainRows, TrainView,
 };
 use idsbench::datasets::{scenarios, ScenarioScale};
 use idsbench::dnn::Dnn;
-use idsbench::flow::FlowKey;
+use idsbench::flow::{FlowKey, FlowTableConfig};
 use idsbench::helad::Helad;
 use idsbench::kitsune::Kitsune;
 use idsbench::net::{ParsedPacket, Timestamp};
@@ -417,6 +428,79 @@ fn autoscaled_bursty_replay_is_score_parity_with_single_shard() {
             "sorted flow score {i} diverged: single-shard {e} vs autoscaled {g}"
         );
     }
+}
+
+/// Scores each packet by a weighted sum over its AfterImage row and nothing
+/// else: a score that is a function of the row alone.
+#[derive(Debug)]
+struct RowScore(Vec<f64>);
+
+impl Model for RowScore {
+    const NAME: &'static str = "row-score";
+    const SCORING: Scoring<Self> =
+        Scoring::Features { stage: RowScore::stage, score: RowScore::score };
+    type Config = ();
+    fn fit(_config: &(), _train: &TrainView, _rows: &mut TrainRows<'_>) -> Self {
+        RowScore(Vec::new())
+    }
+}
+
+impl RowScore {
+    fn stage(&mut self, _packet: &ParsedPacket, row: &[f64]) {
+        self.0.push(row.iter().enumerate().map(|(i, x)| (i + 1) as f64 * x).sum());
+    }
+
+    fn score(&mut self, out: &mut Vec<f64>) {
+        out.append(&mut self.0);
+    }
+}
+
+/// The ordered-stage invariant: `run_stream` extracts every AfterImage row
+/// on the feeder in feed order, so a row-pure model scores the batch
+/// replay's multiset at 1, 2 and 4 shards and in an autoscaled run, on a
+/// trace whose hosts' flows the ring spreads across shards (bit for bit,
+/// and in order, at one shard).
+#[test]
+fn row_scores_are_one_multiset_at_every_shard_count() {
+    let packets = bursty_sessions(10);
+    let split = packets.partition_point(|lp| lp.packet.ts < Timestamp::from_micros(2_000_000));
+    let (warmup, eval) = packets.split_at(split);
+    let factory = || Box::new(Detector::<RowScore>::default()) as Box<dyn EventDetector>;
+    let views = |packets: &[LabeledPacket]| -> Vec<ParsedView> {
+        packets.iter().cloned().map(ParsedView::from_packet).collect()
+    };
+    let input = EventInput {
+        train: TrainView::assemble(views(warmup), FlowTableConfig::default()),
+        eval: views(eval),
+        flow_config: FlowTableConfig::default(),
+    };
+    let batch = replay(factory().as_mut(), &input).expect("batch replay").scores;
+    let sorted = |scores: &[f64]| {
+        let mut bits: Vec<u64> = scores.iter().map(|score| score.to_bits()).collect();
+        bits.sort_unstable();
+        bits
+    };
+    let expected = sorted(&batch);
+    assert_eq!(batch.len(), eval.len());
+
+    let stream = |config: &StreamConfig| {
+        run_stream(&factory, warmup, VecSource::new("bursty", eval.to_vec()), config)
+            .expect("streaming run")
+    };
+    for shards in [1, 2, 4] {
+        let run = stream(&StreamConfig { shards, window_secs: 1.0, ..Default::default() });
+        if shards == 1 {
+            assert_bitwise("row-score", &run.scores, &batch);
+        } else {
+            let busy = run.report.shard_stats.iter().filter(|s| s.packets > 0).count();
+            assert_eq!(busy, shards, "the trace must reach every shard");
+        }
+        assert!(sorted(&run.scores) == expected, "row scores moved at {shards} shards");
+    }
+    let auto = stream(&autoscale_fixture().1);
+    let events = &auto.report.scale_events;
+    assert!(events.iter().any(|e| e.is_scale_up()) && events.iter().any(|e| e.is_scale_down()));
+    assert!(sorted(&auto.scores) == expected, "row scores moved in the autoscaled run");
 }
 
 /// Scale decisions key off the traffic timeline, so the whole elastic run —
