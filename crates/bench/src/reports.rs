@@ -4,9 +4,8 @@
 
 use idsbench_bench::{paper_cell, standard_detectors};
 use idsbench_core::json::{fmt_num, quoted};
-use idsbench_core::metrics::{Assessment, FamilyOutcome, Ranking};
-use idsbench_core::preprocess::{Pipeline, PipelineConfig};
-use idsbench_core::runner::{replay, run_grid, DetectorFactory, EvalConfig, Experiment};
+use idsbench_core::metrics::FamilyOutcome;
+use idsbench_core::runner::{run_conditions, run_grid, DetectorFactory, EvalConfig, Experiment};
 use idsbench_core::threshold::ThresholdPolicy;
 use idsbench_core::{registry, report, Dataset, EventDetector};
 use idsbench_datasets::{scenarios, ScenarioScale};
@@ -48,16 +47,28 @@ pub fn table3() -> Outcome {
     Ok(())
 }
 
+/// `detectors` on every Table IV dataset at `scale` under each condition:
+/// one [`run_conditions`] grid, and the number of datasets `S` — result
+/// `(c·D + d)·S + s` is detector `d` on dataset `s` under condition `c`.
+fn table4_grid(
+    detectors: &[(String, DetectorFactory<'_>)],
+    scale: ScenarioScale,
+    conditions: &[EvalConfig],
+) -> Result<(Vec<Experiment>, usize), String> {
+    let scenarios = table4_models(scale);
+    let datasets: Vec<&dyn Dataset> = scenarios.iter().map(|s| s as &dyn Dataset).collect();
+    let grid =
+        run_conditions(detectors, &datasets, conditions).map_err(|e| format!("grid: {e}"))?;
+    Ok((grid, datasets.len()))
+}
+
 /// Table IV in the paper's layout, a paper-vs-measured comparison, the
 /// diagnostics CSV, and — from the same grid — per-attack-family recall
 /// per dataset: which families each IDS actually catches, the mechanism
 /// behind every cell (Section V factor 1).
 pub fn table4(scale: ScenarioScale, seed: u64) -> Outcome {
-    let scenarios = table4_models(scale);
-    let datasets: Vec<&dyn Dataset> = scenarios.iter().map(|s| s as &dyn Dataset).collect();
     let config = EvalConfig { dataset_seed: seed, ..Default::default() };
-    let experiments =
-        run_grid(&standard_detectors(), &datasets, &config).map_err(|e| format!("grid: {e}"))?;
+    let (experiments, sets) = table4_grid(&standard_detectors(), scale, &[config])?;
 
     println!("## Table IV — performance results for tested IDSs and datasets (measured)\n");
     println!("{}", report::render_table4(&experiments));
@@ -82,8 +93,8 @@ pub fn table4(scale: ScenarioScale, seed: u64) -> Outcome {
     println!("\n## Diagnostics (CSV)\n");
     println!("{}", report::render_csv(&experiments));
 
-    for scenario in &scenarios {
-        let name = &scenario.info().name;
+    // The first detector's cells name the datasets in grid order.
+    for name in experiments[..sets].iter().map(|e| &e.dataset) {
         println!("## {name} — per-family recall at the calibrated threshold\n");
         println!("{}", report::render_family_breakdown(name, &experiments));
     }
@@ -92,32 +103,28 @@ pub fn table4(scale: ScenarioScale, seed: u64) -> Outcome {
 
 /// Threshold sensitivity (Section IV-A step 4): each IDS's metrics as the
 /// calibration rule's false-positive cap sweeps from strict to lax, one CSV
-/// row per (IDS, dataset, cap).
+/// row per (IDS, dataset, cap). One grid of five conditions that differ
+/// only in their cap, so each cell's one replay serves all five.
 pub fn sweep(scale: ScenarioScale, seed: u64) -> Outcome {
-    let caps = [0.01, 0.05, 0.10, 0.25, 0.50];
-    let pipeline = Pipeline::new(PipelineConfig::default()).map_err(|e| e.to_string())?;
     println!("detector,dataset,max_fpr,threshold,accuracy,precision,recall,f1");
-    for scenario in table4_models(scale) {
-        let name = &scenario.info().name;
-        let input = pipeline
-            .prepare_events(name, scenario.generate(seed))
-            .map_err(|e| format!("{name}: {e}"))?;
-        for (detector, factory) in standard_detectors() {
-            // One event replay and one ranking per detector; every cap
-            // recalibrates on that ranking.
-            let replayed = replay(factory().as_mut(), &input)
-                .map_err(|e| format!("{detector}/{name}: {e}"))?;
-            let ranking = Ranking::new(&replayed.scores, &replayed.labels);
-            for cap in caps {
-                let threshold =
-                    ThresholdPolicy::DetectionFirst { max_fpr: cap }.calibrate_ranked(&ranking);
-                let cm = ranking.confusion_at(threshold);
-                let m = Assessment::new(threshold, cm, &BTreeMap::new(), f64::NAN).metrics;
-                println!(
-                    "{detector},{name},{cap:.2},{threshold:.6e},{:.4},{:.4},{:.4},{:.4}",
-                    m.accuracy, m.precision, m.recall, m.f1
-                );
-            }
+    let caps = [0.01, 0.05, 0.10, 0.25, 0.50];
+    let conditions = caps.map(|max_fpr| EvalConfig {
+        policy: ThresholdPolicy::DetectionFirst { max_fpr },
+        dataset_seed: seed,
+        ..Default::default()
+    });
+    let detectors = standard_detectors();
+    let (grid, sets) = table4_grid(&detectors, scale, &conditions)?;
+    // The report is dataset-major, then detector, then cap: its `i`-th
+    // (dataset, detector) pair is cell `d·S + s` of every condition's block.
+    let block = detectors.len() * sets;
+    for cell in (0..block).map(|i| (i % detectors.len()) * sets + i / detectors.len()) {
+        for (cap, e) in caps.iter().zip(grid.iter().skip(cell).step_by(block)) {
+            let m = &e.metrics;
+            println!(
+                "{},{},{cap:.2},{:.6e},{:.4},{:.4},{:.4},{:.4}",
+                e.detector, e.dataset, e.threshold, m.accuracy, m.precision, m.recall, m.f1
+            );
         }
     }
     Ok(())
@@ -125,27 +132,22 @@ pub fn sweep(scale: ScenarioScale, seed: u64) -> Outcome {
 
 /// Sampling ablation (Section IV-A step 1): Table IV metrics as the random
 /// flow-sampling rate drops from 100% to 10%, one CSV row per (IDS,
-/// dataset, rate).
+/// dataset, rate). One grid of four conditions, one pipeline each.
 pub fn sampling(scale: ScenarioScale, seed: u64) -> Outcome {
     println!("sampling_rate,detector,dataset,accuracy,precision,recall,f1,eval_items");
-    let scenarios = table4_models(scale);
-    let datasets: Vec<&dyn Dataset> = scenarios.iter().map(|s| s as &dyn Dataset).collect();
-    let detectors = standard_detectors();
-    for rate in [1.0, 0.5, 0.25, 0.1] {
+    let rates = [1.0, 0.5, 0.25, 0.1];
+    let conditions = rates.map(|sampling_rate| {
         let mut config = EvalConfig { dataset_seed: seed, ..Default::default() };
-        config.pipeline.sampling_rate = rate;
-        let experiments =
-            run_grid(&detectors, &datasets, &config).map_err(|e| format!("grid: {e}"))?;
-        for e in experiments {
+        config.pipeline.sampling_rate = sampling_rate;
+        config
+    });
+    let (grid, _) = table4_grid(&standard_detectors(), scale, &conditions)?;
+    for (rate, block) in rates.iter().zip(grid.chunks(grid.len() / rates.len())) {
+        for e in block {
+            let m = &e.metrics;
             println!(
                 "{rate:.2},{},{},{:.4},{:.4},{:.4},{:.4},{}",
-                e.detector,
-                e.dataset,
-                e.metrics.accuracy,
-                e.metrics.precision,
-                e.metrics.recall,
-                e.metrics.f1,
-                e.eval_items
+                e.detector, e.dataset, m.accuracy, m.precision, m.recall, m.f1, e.eval_items
             );
         }
     }
@@ -175,13 +177,11 @@ fn variant(
 /// `train_attacks` column counts the attack flows each row trained on (the
 /// cell's [`TrainMix`](idsbench_core::runner::TrainMix)); a dataset whose
 /// count is 0 gets a note on stderr, since no supervised model can learn an
-/// attack class it never saw. One [`run_grid`] scores every variant, so
+/// attack class it never saw. One grid scores every variant, so
 /// each dataset is prepared once for all of them.
 pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
     let config = EvalConfig { dataset_seed: seed, ..Default::default() };
     println!("variant,dataset,accuracy,precision,recall,f1,auc,train_attacks");
-    let scenarios = table4_models(scale);
-    let datasets: Vec<&dyn Dataset> = scenarios.iter().map(|s| s as &dyn Dataset).collect();
     let variants = [
         variant("dnn", || Box::new(Dnn::default())),
         variant("dnn-no-normalize", || {
@@ -195,16 +195,16 @@ pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
         variant("decision-tree", || Box::new(DecisionTree::default())),
         variant("knn", || Box::new(KNearest::default())),
     ];
-    let grid = run_grid(&variants, &datasets, &config).map_err(|e| format!("grid: {e}"))?;
-    // `run_grid` is detector-major; the report is dataset-major. Every cell
+    let (grid, sets) = table4_grid(&variants, scale, &[config])?;
+    // The grid is detector-major; the report is dataset-major. Every cell
     // of a row trained on the same slice.
-    for s in 0..datasets.len() {
+    for s in 0..sets {
         for (d, (label, _)) in variants.iter().enumerate() {
-            let e = &grid[d * datasets.len() + s];
+            let e = &grid[d * sets + s];
             println!("{},{}", csv_row(label, &e.dataset, e), e.train.attack_flows);
         }
     }
-    for e in grid.iter().take(datasets.len()).filter(|e| e.train.attack_flows == 0) {
+    for e in grid.iter().take(sets).filter(|e| e.train.attack_flows == 0) {
         eprintln!(
             "note: the {} training slice holds no attack flow; its supervised rows are not a \
              measurement",
@@ -270,8 +270,8 @@ pub type MatrixRow = (ScenarioSpec, Vec<(String, StreamReport)>);
 /// campaigns) streamed through all four detectors, one report per
 /// detector. Each scenario runs as a stream — the generator is never
 /// materialised: the leading attack-free span (`spec.warmup_secs`) trains
-/// and calibrates, the rest is scored under the engine's default
-/// calibrated threshold so results stay comparable with `table4`.
+/// and sets the threshold, the rest is scored under the engine's default
+/// threshold rule so results stay comparable with `table4`.
 pub fn scenario_matrix(scale: ScenarioScale, seed: u64) -> Result<Vec<MatrixRow>, String> {
     let detectors = standard_detectors();
     let mut rows = Vec::new();

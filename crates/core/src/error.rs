@@ -1,7 +1,7 @@
 use std::fmt;
 
 /// Error type for the evaluation pipeline.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum CoreError {
     /// A dataset produced no packets (or none survived preprocessing).

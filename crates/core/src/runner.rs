@@ -7,24 +7,33 @@
 //! streaming shard in `idsbench-stream` runs too, so a single-shard
 //! streaming run reproduces these results bitwise by construction.
 //!
-//! The pipeline has two halves. *Preparing a row* — `generate` →
+//! The pipeline has three parts. *Preparing a row* — `generate` →
 //! [`Pipeline::prepare_events`], then the training slice's [`TrainMix`] —
-//! depends on the dataset and the seed only; *evaluating a cell* — a fresh
-//! detector fitted and replayed on a prepared [`EventInput`], its scores
-//! ranked once for the threshold, the confusion matrix and the AUC — reads
-//! that input without changing it. The cell's verdict is an [`Assessment`]
-//! from [`Assessment::new`], the constructor the stream engine's merge
-//! calls too, so batch and stream derive every verdict figure one way.
-//! [`run_grid`] therefore realises each dataset **once per row**, not once
-//! per cell: cells are handed to the worker threads dataset-major, the
-//! first worker to reach a row prepares it, the row's detectors share the
-//! prepared input read-only, and the worker that finishes the row's last
-//! cell drops it. Because cells are claimed in row order, a row that is
-//! still alive has a cell in flight, so no more prepared rows are ever
-//! resident than there are workers — the grid's peak memory does not grow
-//! with the number of datasets. Every cell still gets a fresh detector
-//! instance, and its result is what a standalone [`evaluate`] of the same
-//! pair returns.
+//! depends on the dataset, the seed and the pipeline only. *Scoring a
+//! cell* — a fresh detector fitted and replayed on a prepared
+//! [`EventInput`], its scores ranked once — reads that input without
+//! changing it. *Assessing* a scored cell under a threshold policy
+//! calibrates on that ranking, counts the attack families at the threshold
+//! and builds an [`Assessment`] through [`Assessment::new`], the
+//! constructor the stream engine's merge calls too, so batch and stream
+//! derive every verdict figure one way.
+//!
+//! [`run_conditions`] evaluates a detector × dataset grid under a list of
+//! conditions ([`EvalConfig`]s); [`run_grid`] is its one-condition case. A
+//! row is keyed by (dataset, `dataset_seed`, `pipeline`): conditions that
+//! differ only in `policy` share it, and each dataset is realised **once
+//! per row**, not once per cell or per condition. A cell is a (detector,
+//! row) pair: it builds one fresh detector and runs one replay and one
+//! ranking, and every condition with the row's key assesses that ranking
+//! under its own policy. Cells are handed to the worker threads row-major,
+//! the first worker to reach a row prepares it, the row's detectors share
+//! the prepared input read-only, and the worker that finishes the row's
+//! last cell drops it. Because cells are claimed in row order, a row that
+//! is still alive has a cell in flight, so no more prepared rows are ever
+//! resident than there are workers — the grid's peak memory grows with
+//! neither the number of datasets nor the number of conditions. Every
+//! result is what a standalone [`evaluate`] of the same pair under its own
+//! condition returns.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -209,7 +218,8 @@ pub fn evaluate(
     config: &EvalConfig,
 ) -> Result<Experiment> {
     let row = prepare_row(dataset, config)?;
-    evaluate_prepared(detector, &dataset.info().name, &row, config.policy)
+    let scored = Scored::new(detector, &row.input)?;
+    Ok(scored.experiment(detector.name(), &dataset.info().name, &row, config.policy))
 }
 
 /// A prepared row: the input its cells replay and its training mix.
@@ -219,60 +229,75 @@ struct PreparedRow {
     train: TrainMix,
 }
 
-/// The detector-independent half of [`evaluate`]: one realisation of
+/// The detector-independent part of [`evaluate`]: one realisation of
 /// `dataset` from the configured seed, parsed once, split, with the
-/// training slice's flow view assembled and its mix counted.
+/// training slice's flow view assembled and its mix counted. Reads only
+/// `config`'s row key, `dataset_seed` and `pipeline`.
 fn prepare_row(dataset: &dyn Dataset, config: &EvalConfig) -> Result<PreparedRow> {
     let packets = dataset.generate(config.dataset_seed);
     let input = Pipeline::new(config.pipeline)?.prepare_events(&dataset.info().name, packets)?;
     Ok(PreparedRow { train: TrainMix::of(&input.train), input })
 }
 
-/// The per-cell half of [`evaluate`]: fit and replay `detector` on a
-/// prepared row, rank the scores once, calibrate the threshold on that
-/// ranking, count the families at it and build the [`Assessment`].
-fn evaluate_prepared(
-    detector: &mut dyn EventDetector,
-    dataset: &str,
-    row: &PreparedRow,
-    policy: ThresholdPolicy,
-) -> Result<Experiment> {
-    let replayed = replay(detector, &row.input)?;
+/// The policy-independent half of a cell, which every condition sharing its
+/// row reads: a detector fitted and replayed on a prepared row, its scores
+/// ranked once.
+struct Scored {
+    replayed: ScoredReplay,
+    ranking: Ranking,
+    auc: f64,
+    /// Every scored event shares the detector's declared input shape:
+    /// packet-format detectors score packets, flow-format detectors score
+    /// flow evictions.
+    is_flow: bool,
+}
 
-    let ranking = Ranking::new(&replayed.scores, &replayed.labels);
-    let threshold = policy.calibrate_ranked(&ranking);
-
-    // Every scored event shares the detector's declared input shape:
-    // packet-format detectors score packets, flow-format detectors score
-    // flow evictions.
-    let is_flow = detector.input_format() == InputFormat::Flows;
-    let mut families: BTreeMap<&'static str, FamilyCounts> = BTreeMap::new();
-    for (score, kind) in replayed.scores.iter().zip(&replayed.kinds) {
-        if let Some(kind) = kind {
-            families.entry(kind.name()).or_default().record(*score >= threshold, is_flow);
-        }
+impl Scored {
+    fn new(detector: &mut dyn EventDetector, input: &EventInput) -> Result<Self> {
+        let replayed = replay(detector, input)?;
+        let ranking = Ranking::new(&replayed.scores, &replayed.labels);
+        let auc = ranking.auc();
+        Ok(Scored {
+            replayed,
+            ranking,
+            auc,
+            is_flow: detector.input_format() == InputFormat::Flows,
+        })
     }
 
-    Ok(Experiment {
-        detector: detector.name().to_string(),
-        dataset: dataset.to_string(),
-        assessment: Assessment::new(
-            threshold,
-            ranking.confusion_at(threshold),
-            &families,
-            ranking.auc(),
-        ),
-        train: row.train,
-        train_seconds: replayed.train_seconds,
-        score_seconds: replayed.score_seconds,
-    })
+    /// The per-condition half: calibrate `policy`'s threshold on the
+    /// ranking, count the families at it and build the [`Assessment`].
+    fn experiment(
+        &self,
+        detector: &str,
+        dataset: &str,
+        row: &PreparedRow,
+        policy: ThresholdPolicy,
+    ) -> Experiment {
+        let threshold = policy.calibrate_ranked(&self.ranking);
+        let mut families: BTreeMap<&'static str, FamilyCounts> = BTreeMap::new();
+        for (score, kind) in self.replayed.scores.iter().zip(&self.replayed.kinds) {
+            if let Some(kind) = kind {
+                families.entry(kind.name()).or_default().record(*score >= threshold, self.is_flow);
+            }
+        }
+        let cm = self.ranking.confusion_at(threshold);
+        Experiment {
+            detector: detector.to_string(),
+            dataset: dataset.to_string(),
+            assessment: Assessment::new(threshold, cm, &families, self.auc),
+            train: row.train,
+            train_seconds: self.replayed.train_seconds,
+            score_seconds: self.replayed.score_seconds,
+        }
+    }
 }
 
 /// A named detector factory: the grid builds a fresh instance per cell so
 /// no state leaks between datasets (the paper's out-of-the-box rule).
 pub type DetectorFactory<'a> = EventFactory<'a>;
 
-/// One dataset row of a running grid: the prepared input its cells share.
+/// One row of a running grid: the prepared input its cells share.
 struct Row {
     /// Filled by the first cell to arrive (the lock is held while it
     /// prepares, so the row's other cells wait instead of preparing it
@@ -320,7 +345,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Evaluates every detector on every dataset, in parallel.
+/// Evaluates every detector on every dataset, in parallel:
+/// [`run_conditions`] under the one condition `config`.
 ///
 /// Results are ordered detector-major (all datasets for the first detector,
 /// then the second, …) regardless of completion order, matching Table IV's
@@ -340,36 +366,77 @@ pub fn run_grid(
     datasets: &[&dyn Dataset],
     config: &EvalConfig,
 ) -> Result<Vec<Experiment>> {
-    grid_cells(detectors, datasets, config).into_iter().collect()
+    run_conditions(detectors, datasets, std::slice::from_ref(config))
 }
 
-/// Every cell's own outcome, in [`run_grid`]'s order.
+/// Evaluates every detector on every dataset under every condition, in
+/// parallel.
+///
+/// Results are condition-major: one block of `detectors.len() ×
+/// datasets.len()` results per condition, in `conditions` order, each block
+/// in [`run_grid`]'s detector-major order — result `(c·D + d)·S + s` is
+/// detector `d` on dataset `s` under condition `c`. Conditions with the
+/// same `dataset_seed` and `pipeline` share their rows, and a detector is
+/// fitted, replayed and ranked once per row: each such condition calibrates
+/// its own `policy` on that ranking, so their results carry the same two
+/// timings. Every result equals a standalone [`evaluate`] of its pair under
+/// its condition in every other field.
+///
+/// # Errors
+///
+/// Returns the first error in result order. A detector (or dataset) that
+/// panics fails its cell with [`CoreError::CellPanicked`] under every
+/// condition that shares the cell's row; the other cells still run.
+pub fn run_conditions(
+    detectors: &[(String, DetectorFactory<'_>)],
+    datasets: &[&dyn Dataset],
+    conditions: &[EvalConfig],
+) -> Result<Vec<Experiment>> {
+    grid_cells(detectors, datasets, conditions).into_iter().collect()
+}
+
+/// Every result's own outcome, in [`run_conditions`]' order.
 fn grid_cells(
     detectors: &[(String, DetectorFactory<'_>)],
     datasets: &[&dyn Dataset],
-    config: &EvalConfig,
+    conditions: &[EvalConfig],
 ) -> Vec<Result<Experiment>> {
-    let rows: Vec<Row> = datasets
-        .iter()
+    // The row keys in order of first appearance, each listing the
+    // conditions that share it; its first condition prepares its rows.
+    let key_of = |config: &EvalConfig| (config.dataset_seed, config.pipeline);
+    let mut keys: Vec<Vec<usize>> = Vec::new();
+    for (c, condition) in conditions.iter().enumerate() {
+        match keys.iter_mut().find(|key| key_of(&conditions[key[0]]) == key_of(condition)) {
+            Some(key) => key.push(c),
+            None => keys.push(vec![c]),
+        }
+    }
+    // Row `r` is dataset `r % S` under key `r / S`.
+    let rows: Vec<Row> = (0..keys.len() * datasets.len())
         .map(|_| Row { input: Mutex::new(None), unfinished: AtomicUsize::new(detectors.len()) })
         .collect();
-    let cells = detectors.len() * datasets.len();
-    let results: Mutex<Vec<(usize, Result<Experiment>)>> = Mutex::new(Vec::with_capacity(cells));
-    // Cells are claimed dataset-major: claim `c` is detector `c % D` on
-    // dataset `c / D`.
+    let cells = detectors.len() * rows.len();
+    let results: Mutex<Vec<(usize, Result<Experiment>)>> =
+        Mutex::new(Vec::with_capacity(conditions.len() * detectors.len() * datasets.len()));
+    // Cells are claimed row-major: claim `c` is detector `c % D` on row
+    // `c / D`.
     let next = AtomicUsize::new(0);
 
-    let run_cell = |d: usize, s: usize| -> Result<Experiment> {
+    // Detector `d` on row `r`: one outcome per condition of the row's key,
+    // each with its result slot.
+    let run_cell = |d: usize, r: usize| -> Vec<(usize, Result<Experiment>)> {
         let (name, factory) = &detectors[d];
+        let (key, s) = (&keys[r / datasets.len()], r % datasets.len());
         let dataset = datasets[s];
-        catch_unwind(AssertUnwindSafe(|| {
-            let _share = RowShare(&rows[s]);
-            let row = rows[s].share(dataset, config)?;
-            let mut detector = factory();
-            let mut cell =
-                evaluate_prepared(detector.as_mut(), &dataset.info().name, &row, config.policy)?;
-            cell.detector = name.clone();
-            Ok(cell)
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Experiment>> {
+            let _share = RowShare(&rows[r]);
+            let row = rows[r].share(dataset, &conditions[key[0]])?;
+            let scored = Scored::new(factory().as_mut(), &row.input)?;
+            let dataset_name = &dataset.info().name;
+            Ok(key
+                .iter()
+                .map(|&c| scored.experiment(name, dataset_name, &row, conditions[c].policy))
+                .collect())
         }))
         .unwrap_or_else(|payload| {
             Err(CoreError::CellPanicked {
@@ -377,7 +444,14 @@ fn grid_cells(
                 dataset: dataset.info().name.clone(),
                 detail: panic_message(payload.as_ref()),
             })
-        })
+        });
+        let slot = |c: usize| (c * detectors.len() + d) * datasets.len() + s;
+        match outcome {
+            Ok(experiments) => {
+                key.iter().map(|&c| slot(c)).zip(experiments.into_iter().map(Ok)).collect()
+            }
+            Err(error) => key.iter().map(|&c| (slot(c), Err(error.clone()))).collect(),
+        }
     };
 
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(cells.max(1));
@@ -388,12 +462,8 @@ fn grid_cells(
                 if claim >= cells {
                     return;
                 }
-                let (s, d) = (claim / detectors.len(), claim % detectors.len());
-                let outcome = run_cell(d, s);
-                results
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push((d * datasets.len() + s, outcome));
+                let outcomes = run_cell(claim % detectors.len(), claim / detectors.len());
+                results.lock().unwrap_or_else(PoisonError::into_inner).extend(outcomes);
             });
         }
     });
@@ -598,6 +668,26 @@ mod tests {
         assert_eq!(order[1], ("length".to_string(), "beta".to_string()));
         assert_eq!(order[2], ("length2".to_string(), "alpha".to_string()));
         assert_eq!(order[3], ("length2".to_string(), "beta".to_string()));
+
+        // Two conditions on different rows: one block per condition, in
+        // the conditions' order, each laid out as the one-condition grid.
+        let fixed = EvalConfig {
+            policy: ThresholdPolicy::Fixed(500.0),
+            dataset_seed: 7,
+            ..Default::default()
+        };
+        let blocks =
+            run_conditions(&detectors, &datasets, &[EvalConfig::default(), fixed]).unwrap();
+        assert_eq!(blocks.len(), 8);
+        for (at, cell) in blocks.iter().enumerate() {
+            let (c, alone) = (at / results.len(), &results[at % results.len()]);
+            assert_eq!((&cell.detector, &cell.dataset), (&alone.detector, &alone.dataset));
+            if c == 0 {
+                assert_eq!(cell.assessment, alone.assessment, "cell {at}");
+            } else {
+                assert_eq!(cell.threshold, 500.0, "cell {at}");
+            }
+        }
     }
 
     #[test]
@@ -656,6 +746,23 @@ mod tests {
                 assert!(detail.contains("cannot fit 30 packets"), "detail = {detail}");
             }
             other => panic!("expected CellPanicked, got {other}"),
+        }
+
+        // Two conditions that share every row share each cell's one fit,
+        // so the panicking cell fails in both blocks and no other cell
+        // fails in either.
+        let max_f1 = EvalConfig { policy: ThresholdPolicy::MaxF1, ..config };
+        let cells = grid_cells(&detectors, &datasets, &[config, max_f1]);
+        assert_eq!(cells.len(), 12);
+        for (at, cell) in cells.iter().enumerate() {
+            let (d, s) = (at / datasets.len() % detectors.len(), at % datasets.len());
+            match cell {
+                Err(CoreError::CellPanicked { detector, dataset, .. }) => {
+                    assert_eq!((d, s), (1, 1), "cell {at}");
+                    assert_eq!((detector.as_str(), dataset.as_str()), ("fragile", "beta"));
+                }
+                other => assert!(other.is_ok() && (d, s) != (1, 1), "cell {at}: {other:?}"),
+            }
         }
 
         // The panic neither leaked the row it shared nor took the lock with
@@ -723,7 +830,7 @@ mod tests {
         ];
         // The first cell of the broken row poisons the row lock; the ones
         // after it must still lock it, panic the same way, and say so.
-        let cells = grid_cells(&detectors, &datasets, &EvalConfig::default());
+        let cells = grid_cells(&detectors, &datasets, &[EvalConfig::default()]);
         assert_eq!(cells.len(), 9);
         for (index, cell) in cells.iter().enumerate() {
             let (d, s) = (index / datasets.len(), index % datasets.len());

@@ -6,7 +6,10 @@
 //! The grid holds the same line one level up: `run_grid` realises and
 //! parses each dataset **once per row**, not once per cell — its detectors
 //! share the prepared input — and every cell is still what a standalone
-//! `evaluate` of the same pair returns.
+//! `evaluate` of the same pair returns. Under a list of conditions a row is
+//! a (dataset, seed, pipeline) key: conditions that differ only in their
+//! threshold policy share its one realisation and each detector's one
+//! replay on it.
 //!
 //! The check reads the process-wide parse counter
 //! (`ParsedPacket::parse_calls`), so everything lives in one `#[test]`
@@ -17,7 +20,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use idsbench::core::preprocess::Pipeline;
-use idsbench::core::runner::{evaluate, replay, run_grid, EvalConfig};
+use idsbench::core::runner::{
+    evaluate, replay, run_conditions, run_grid, DetectorFactory, EvalConfig,
+};
+use idsbench::core::threshold::ThresholdPolicy;
 use idsbench::core::{Dataset, DatasetInfo, EventDetector, LabeledPacket};
 use idsbench::datasets::{scenarios, ScenarioScale};
 use idsbench::kitsune::Kitsune;
@@ -166,5 +172,74 @@ fn exactly_one_parse_per_packet_across_the_pipeline() {
         alone.detector = name.clone();
         (alone.train_seconds, alone.score_seconds) = (cell.train_seconds, cell.score_seconds);
         assert_eq!(cell, &alone, "{name} on {} differs from its standalone run", cell.dataset);
+    }
+
+    // A list of conditions holds the line per row key, not per condition:
+    // two caps at one seed share a row, a second seed makes rows of its
+    // own, and each (detector, row) builds one detector and replays once
+    // for every condition of the row...
+    let seeds = [config.dataset_seed, config.dataset_seed + 1];
+    let condition = |max_fpr, dataset_seed| EvalConfig {
+        policy: ThresholdPolicy::DetectionFirst { max_fpr },
+        dataset_seed,
+        ..config
+    };
+    let conditions =
+        [condition(0.25, seeds[0]), condition(0.10, seeds[0]), condition(0.25, seeds[1])];
+    let per_seed: u64 =
+        per_row + rows.iter().map(|row| row.inner.generate(seeds[1]).len() as u64).sum::<u64>();
+    let built = AtomicUsize::new(0);
+    let counting: Vec<(String, DetectorFactory)> = detectors
+        .iter()
+        .map(|(name, factory)| {
+            let built = &built;
+            let counted: DetectorFactory = Box::new(move || {
+                built.fetch_add(1, Ordering::SeqCst);
+                factory()
+            });
+            (name.clone(), counted)
+        })
+        .collect();
+    for row in &rows {
+        row.generated.store(0, Ordering::SeqCst);
+    }
+    let before = ParsedPacket::parse_calls();
+    let blocks = run_conditions(&counting, &datasets, &conditions).expect("condition grid");
+    assert_eq!(
+        ParsedPacket::parse_calls() - before,
+        per_seed,
+        "a condition grid must parse each packet once per (dataset, seed), not once per condition"
+    );
+    for row in &rows {
+        assert_eq!(
+            row.generated.load(Ordering::SeqCst),
+            seeds.len(),
+            "{} must be realised once per seed",
+            row.info().name
+        );
+    }
+    assert_eq!(
+        built.load(Ordering::SeqCst),
+        detectors.len() * rows.len() * seeds.len(),
+        "a detector must be built once per (detector, row), not once per condition"
+    );
+
+    // ...and every result is a standalone evaluation of its pair under its
+    // own condition, the two wall-clock timings aside. The first condition
+    // is `config`, whose cells were checked against standalone runs above.
+    assert_eq!(conditions[0], config);
+    assert_eq!(blocks.len(), conditions.len() * cells.len());
+    for (at, cell) in blocks.iter().enumerate() {
+        let condition = &conditions[at / cells.len()];
+        let (name, factory) = &detectors[at % cells.len() / rows.len()];
+        let mut alone = if at < cells.len() {
+            cells[at].clone()
+        } else {
+            evaluate(factory().as_mut(), datasets[at % rows.len()], condition)
+                .expect("standalone evaluation")
+        };
+        alone.detector = name.clone();
+        (alone.train_seconds, alone.score_seconds) = (cell.train_seconds, cell.score_seconds);
+        assert_eq!(cell, &alone, "{name} on {} under {condition:?} differs", cell.dataset);
     }
 }
