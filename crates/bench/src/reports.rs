@@ -1,10 +1,12 @@
-//! The report subcommands: the paper's tables, the four ablations, and the
-//! native-scenario matrix. Each prints to stdout; only `scenarios` writes a
+//! The report subcommands: the paper's tables, the four ablations and the
+//! native-scenario matrix, each scoring report a projection of one
+//! [`run_conditions`] grid. Each prints to stdout; only `scenarios` writes a
 //! file.
 
 use idsbench_bench::{paper_cell, standard_detectors};
 use idsbench_core::json::{fmt_num, quoted};
 use idsbench_core::metrics::FamilyOutcome;
+use idsbench_core::preprocess::Split;
 use idsbench_core::runner::{run_conditions, run_grid, DetectorFactory, EvalConfig, Experiment};
 use idsbench_core::threshold::ThresholdPolicy;
 use idsbench_core::{registry, report, Dataset, EventDetector};
@@ -13,7 +15,6 @@ use idsbench_dnn::baselines::{DecisionTree, KNearest, LogisticRegression, NaiveB
 use idsbench_dnn::{Dnn, DnnConfig};
 use idsbench_helad::Helad;
 use idsbench_kitsune::Kitsune;
-use idsbench_stream::{run_stream, ScenarioSource, StreamConfig, StreamReport};
 use idsbench_trafficgen::{registry as workloads, table4_models, ScenarioSpec, Tier};
 use std::collections::BTreeMap;
 
@@ -263,38 +264,44 @@ fn baseline_shift(detector: &str, clean: f64, contaminated: f64) -> String {
     )
 }
 
-/// One native scenario and each detector's name and stream report on it.
-pub type MatrixRow = (ScenarioSpec, Vec<(String, StreamReport)>);
+/// One native scenario and each detector's cell on it.
+pub type MatrixRow = (ScenarioSpec, Vec<Experiment>);
 
 /// Every native trafficgen scenario (benign mix, floods, scans, staged
-/// campaigns) streamed through all four detectors, one report per
-/// detector. Each scenario runs as a stream — the generator is never
-/// materialised: the leading attack-free span (`spec.warmup_secs`) trains
-/// and sets the threshold, the rest is scored under the engine's default
-/// threshold rule so results stay comparable with `table4`.
+/// campaigns) scored by all four detectors in one [`run_conditions`] grid.
+/// Condition `s` trains on scenario `s`'s attack-free lead
+/// (`spec.warmup_secs`) under the default threshold policy, so results stay
+/// comparable with `table4`, and row `s` keeps its cells on scenario `s`.
+/// Conditions with equal leads share their rows: each scenario is realised
+/// and scored once per distinct lead (all six are 30 s).
 pub fn scenario_matrix(scale: ScenarioScale, seed: u64) -> Result<Vec<MatrixRow>, String> {
-    let detectors = standard_detectors();
-    let mut rows = Vec::new();
-    for spec in workloads().into_iter().filter(|s| s.tier != Tier::Legacy) {
-        let model = spec.build(scale);
-        let mut cells = Vec::new();
-        for (detector, factory) in &detectors {
-            let (warmup, source) =
-                ScenarioSource::new(model.as_ref(), seed).split_warmup_secs(spec.warmup_secs);
-            let run = run_stream(factory.as_ref(), &warmup, source, &StreamConfig::default())
-                .map_err(|e| format!("{}/{detector}: {e}", spec.name))?;
-            cells.push((detector.clone(), run.report));
-        }
-        rows.push((spec, cells));
-    }
-    Ok(rows)
+    let specs: Vec<ScenarioSpec> =
+        workloads().into_iter().filter(|s| s.tier != Tier::Legacy).collect();
+    let models: Vec<_> = specs.iter().map(|spec| spec.build(scale)).collect();
+    let datasets: Vec<&dyn Dataset> = models.iter().map(|m| m as &dyn Dataset).collect();
+    let lead = |spec: &ScenarioSpec| {
+        let mut config = EvalConfig { dataset_seed: seed, ..Default::default() };
+        config.pipeline.split = Split::BeforeSecs(spec.warmup_secs);
+        config
+    };
+    let conditions: Vec<EvalConfig> = specs.iter().map(lead).collect();
+    let (detectors, s_count) = (standard_detectors(), specs.len());
+    let grid =
+        run_conditions(&detectors, &datasets, &conditions).map_err(|e| format!("grid: {e}"))?;
+    // Result `i` is scenario `i % S` under condition `i / (D·S)`, detector-major.
+    let own = |(i, _): &(usize, Experiment)| i / (detectors.len() * s_count) == i % s_count;
+    let mut cells = grid.into_iter().enumerate().filter(own).map(|(_, cell)| cell);
+    Ok(specs
+        .into_iter()
+        .map(|spec| (spec, cells.by_ref().take(detectors.len()).collect()))
+        .collect())
 }
 
 /// Greatest max-minus-min recall across detectors on any family of one
 /// scenario (families at least two detectors report), with its name.
-pub fn max_family_spread(cells: &[(String, StreamReport)]) -> (f64, String) {
+pub fn max_family_spread(cells: &[Experiment]) -> (f64, String) {
     let mut ranges: BTreeMap<&str, (f64, f64, usize)> = BTreeMap::new();
-    for f in cells.iter().flat_map(|(_, report)| &report.family_recall) {
+    for f in cells.iter().flat_map(|cell| &cell.family_recall) {
         let (lo, hi, n) = ranges.entry(&f.family).or_insert((f64::MAX, f64::MIN, 0));
         (*lo, *hi, *n) = (lo.min(f.recall), hi.max(f.recall), *n + 1);
     }
@@ -311,34 +318,25 @@ pub fn scenarios(scale: ScenarioScale, seed: u64) -> Outcome {
     let mut scenario_json = Vec::new();
     for (spec, cells) in scenario_matrix(scale, seed)? {
         eprintln!("## {} ({}) — {}", spec.name, spec.tier.name(), spec.summary);
-        for (detector, report) in &cells {
-            let rows: Vec<String> = report
+        let mut detectors = Vec::new();
+        for cell in &cells {
+            let (detector, threshold, eval) = (&cell.detector, cell.threshold, cell.eval_packets);
+            let rows: Vec<String> = cell
                 .family_recall
                 .iter()
                 .map(|f| format!("{}={:.3}", f.family, f.recall))
                 .collect();
-            eprintln!(
-                "  {detector:<10} thr={:.4} eval={}  {}",
-                report.threshold,
-                report.eval_packets,
-                if rows.is_empty() { "(benign only)".to_string() } else { rows.join("  ") }
-            );
+            let rows = if rows.is_empty() { "(benign only)".to_string() } else { rows.join("  ") };
+            eprintln!("  {detector:<10} thr={threshold:.4} eval={eval}  {rows}");
+            let families: Vec<String> =
+                cell.family_recall.iter().map(FamilyOutcome::to_json).collect();
+            detectors.push(format!(
+                "{{\"detector\":{},\"threshold\":{},\"eval_packets\":{eval},\"families\":[{}]}}",
+                quoted(detector),
+                fmt_num(threshold),
+                families.join(",")
+            ));
         }
-
-        let detectors: Vec<String> = cells
-            .iter()
-            .map(|(detector, report)| {
-                let families: Vec<String> =
-                    report.family_recall.iter().map(FamilyOutcome::to_json).collect();
-                format!(
-                    "{{\"detector\":{},\"threshold\":{},\"eval_packets\":{},\"families\":[{}]}}",
-                    quoted(detector),
-                    fmt_num(report.threshold),
-                    report.eval_packets,
-                    families.join(",")
-                )
-            })
-            .collect();
         scenario_json.push(format!(
             "{{\"scenario\":{},\"tier\":{},\"warmup_secs\":{},\"detectors\":[{}]}}",
             quoted(spec.name),

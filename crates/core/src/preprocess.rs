@@ -8,10 +8,11 @@
 //! 2. **Timestamp re-sort** — after sampling, packets are re-sorted by
 //!    timestamp so "the IDSs received data that preserved the temporal
 //!    statistics of the input packets".
-//! 3. **Train/eval split** — the leading fraction of the trace (by time) is
+//! 3. **Train/eval split** — the leading part of the trace (by time) is
 //!    made available for training/calibration, mirroring how the evaluated
 //!    systems train on initial traffic when no explicit benign capture
-//!    exists.
+//!    exists: a fraction of the packets ([`Split::Fraction`]), or every
+//!    packet before a traffic time ([`Split::BeforeSecs`]).
 //! 4. **Flow assembly** — the same packet stream is also delivered as
 //!    labeled flow records for flow-input IDSs.
 
@@ -28,14 +29,23 @@ use crate::{CoreError, Result};
 /// Seed for the flow-sampling RNG.
 const SAMPLING_SEED: u64 = 0;
 
+/// Where the timestamp-sorted trace splits into training and evaluation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Split {
+    /// The leading fraction of packets, in `[0, 1)` ([`split_at_fraction`]).
+    Fraction(f64),
+    /// Every packet before this traffic time in seconds, finite and ≥ 0: a
+    /// scenario's attack-free lead (`ScenarioSource::split_warmup_secs`' rule).
+    BeforeSecs(f64),
+}
+
 /// Configuration for the preprocessing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Fraction of flows retained by random flow sampling (1.0 = keep all).
     pub sampling_rate: f64,
-    /// Fraction of the trace (by packet count, after sorting) available for
-    /// training/calibration.
-    pub train_fraction: f64,
+    /// The part of the sorted trace available for training/calibration.
+    pub split: Split,
     /// Flow-table parameters used for flow assembly.
     pub flow_config: FlowTableConfig,
 }
@@ -46,7 +56,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             sampling_rate: 1.0,
-            train_fraction: 0.3,
+            split: Split::Fraction(0.3),
             flow_config: FlowTableConfig::default(),
         }
     }
@@ -84,7 +94,7 @@ impl Pipeline {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when `sampling_rate` is outside
-    /// `(0, 1]` or `train_fraction` outside `[0, 1)`.
+    /// `(0, 1]` or `split` out of the range its [`Split`] variant names.
     pub fn new(config: PipelineConfig) -> Result<Self> {
         if !(config.sampling_rate > 0.0 && config.sampling_rate <= 1.0) {
             return Err(CoreError::invalid(
@@ -92,11 +102,12 @@ impl Pipeline {
                 format!("{} not in (0, 1]", config.sampling_rate),
             ));
         }
-        if !(0.0..1.0).contains(&config.train_fraction) {
-            return Err(CoreError::invalid(
-                "train_fraction",
-                format!("{} not in [0, 1)", config.train_fraction),
-            ));
+        let split_ok = match config.split {
+            Split::Fraction(fraction) => (0.0..1.0).contains(&fraction),
+            Split::BeforeSecs(secs) => secs.is_finite() && secs >= 0.0,
+        };
+        if !split_ok {
+            return Err(CoreError::invalid("split", format!("{:?} out of range", config.split)));
         }
         Ok(Pipeline { config })
     }
@@ -129,7 +140,14 @@ impl Pipeline {
         let mut sorted = sampled;
         sorted.sort_by_key(|view| view.packet.packet.ts);
 
-        let (train_views, eval) = split_at_fraction(sorted, self.config.train_fraction);
+        let (train_views, eval) = match self.config.split {
+            Split::Fraction(fraction) => split_at_fraction(sorted, fraction),
+            Split::BeforeSecs(secs) => {
+                let lead = sorted.partition_point(|v| v.packet.packet.ts.as_secs_f64() < secs);
+                let eval = sorted.split_off(lead);
+                (sorted, eval)
+            }
+        };
         let train = TrainView::assemble(train_views, self.config.flow_config);
         Ok(EventInput { train, eval, flow_config: self.config.flow_config })
     }
@@ -160,7 +178,7 @@ impl Pipeline {
 
 /// Step 3: splits a timestamp-sorted trace at the leading `fraction` of
 /// items (`⌊len · fraction⌋`) into (train/warmup, eval) — the *single*
-/// definition of the train/eval split rule. The batch pipeline (packets
+/// definition of the [`Split::Fraction`] rule. The batch pipeline (packets
 /// and parsed views alike) and the streaming engine's warmup split all call
 /// this function, which is what keeps the streaming↔batch parity invariant
 /// stable under maintenance.
@@ -229,8 +247,11 @@ mod tests {
 
     #[test]
     fn sampling_keeps_whole_flows() {
-        let config =
-            PipelineConfig { sampling_rate: 0.5, train_fraction: 0.0, ..Default::default() };
+        let config = PipelineConfig {
+            sampling_rate: 0.5,
+            split: Split::Fraction(0.0),
+            ..Default::default()
+        };
         let pipeline = Pipeline::new(config).unwrap();
         let input = pipeline.prepare_events("t", many_flows(100, 4)).unwrap();
         // Every surviving flow must have all 4 packets.
@@ -260,7 +281,7 @@ mod tests {
 
     #[test]
     fn split_fraction_is_respected() {
-        let config = PipelineConfig { train_fraction: 0.25, ..Default::default() };
+        let config = PipelineConfig { split: Split::Fraction(0.25), ..Default::default() };
         let pipeline = Pipeline::new(config).unwrap();
         let input = pipeline.prepare_events("t", many_flows(10, 4)).unwrap();
         assert_eq!(input.train.packets.len(), 10);
@@ -270,7 +291,8 @@ mod tests {
     #[test]
     fn flows_inherit_attack_labels() {
         let pipeline =
-            Pipeline::new(PipelineConfig { train_fraction: 0.9, ..Default::default() }).unwrap();
+            Pipeline::new(PipelineConfig { split: Split::Fraction(0.9), ..Default::default() })
+                .unwrap();
         let mut packets = many_flows(3, 2);
         packets.push(tcp_packet(
             (9, 6666),
@@ -301,8 +323,37 @@ mod tests {
     fn invalid_configs_are_rejected() {
         assert!(Pipeline::new(PipelineConfig { sampling_rate: 0.0, ..Default::default() }).is_err());
         assert!(Pipeline::new(PipelineConfig { sampling_rate: 1.5, ..Default::default() }).is_err());
-        assert!(
-            Pipeline::new(PipelineConfig { train_fraction: 1.0, ..Default::default() }).is_err()
-        );
+        let split = |split| Pipeline::new(PipelineConfig { split, ..Default::default() });
+        assert!(split(Split::Fraction(1.0)).is_err());
+        assert!(split(Split::BeforeSecs(f64::NAN)).is_err());
+        assert!(split(Split::BeforeSecs(-1.0)).is_err());
+        assert!(split(Split::BeforeSecs(f64::INFINITY)).is_err());
+        assert!(split(Split::BeforeSecs(0.0)).is_ok());
+    }
+
+    #[test]
+    fn a_time_split_trains_on_the_packets_strictly_before_it() {
+        // Flow f's packets sit at f, f + 1 ms and f + 2 ms; the two packets
+        // at exactly 4.0 s arrive tied, flow 9's first.
+        let mut packets = many_flows(6, 3);
+        packets.push(tcp_packet((9, 9000), (20, 80), 4.0, Label::Benign));
+        packets.push(tcp_packet((8, 8000), (20, 80), 4.0, Label::Benign));
+        let prepare = |secs| {
+            let config = PipelineConfig { split: Split::BeforeSecs(secs), ..Default::default() };
+            Pipeline::new(config).unwrap().prepare_events("t", packets.clone()).unwrap()
+        };
+        let port = |view: &ParsedView| view.parsed.as_ref().unwrap().src_port().unwrap();
+        let input = prepare(4.0);
+        assert_eq!(input.train.packets.len(), 12);
+        assert!(input.train.packets.iter().all(|view| view.packet.packet.ts.as_secs_f64() < 4.0));
+        // A packet at exactly the boundary is evaluated, and ties keep
+        // their arrival order.
+        let ports: Vec<u16> = input.eval.iter().take(3).map(port).collect();
+        assert_eq!(ports, [1004, 9000, 8000]);
+        assert_eq!(input.eval.len(), 8);
+        // A split at 0 s trains on nothing.
+        let input = prepare(0.0);
+        assert!(input.train.packets.is_empty() && input.train.flows.is_empty());
+        assert_eq!(input.eval.len(), 20);
     }
 }

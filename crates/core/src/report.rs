@@ -268,6 +268,7 @@ mod tests {
                 flows: 6,
                 attack_flows: 1,
             },
+            eval_packets: 100,
             train_seconds: 0.08,
             score_seconds: 0.02,
         }

@@ -74,6 +74,9 @@ pub struct Experiment {
     pub assessment: Assessment,
     /// What the detector trained on.
     pub train: TrainMix,
+    /// Evaluation packets replayed; `eval_items` equals it for a packet
+    /// detector and counts flow evictions for a flow detector.
+    pub eval_packets: usize,
     /// Wall-clock seconds spent in `fit` — the one-time training and
     /// calibration cost a deployment pays once.
     pub train_seconds: f64,
@@ -287,6 +290,7 @@ impl Scored {
             dataset: dataset.to_string(),
             assessment: Assessment::new(threshold, cm, &families, self.auc),
             train: row.train,
+            eval_packets: self.replayed.eval_packets,
             train_seconds: self.replayed.train_seconds,
             score_seconds: self.replayed.score_seconds,
         }

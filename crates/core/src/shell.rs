@@ -6,13 +6,14 @@
 //! of packets, or one evicted flow, which is also its [`InputFormat`]). The
 //! shell owns the rest, written once for all of them:
 //!
-//! * a feature model's one AfterImage extractor: `fit` reads the training
-//!   rows through [`TrainRows`], and the shell scores on with the extractor
-//!   that has seen the whole slice — unless the views arrive carrying their
-//!   rows ([`ParsedView::features`]). A `run_stream` of a packet-format
-//!   detector extracts them once, in feed order, with the feeder's
-//!   [`FeatureStage`], which is built past the training slice as this
-//!   extractor is; the shell then stages the carried rows and extracts none;
+//! * a feature model's one AfterImage [`FeatureStage`]: `fit` reads the
+//!   training rows through [`TrainRows`], and the shell scores on with the
+//!   stage that has seen the whole slice — unless the views arrive carrying
+//!   their rows ([`ParsedView::features`]). A `run_stream` of a
+//!   packet-format detector extracts them once, in feed order, with the
+//!   feeder's own stage, built past the training slice as the shell's is;
+//!   the first carried row drops the shell's stage, which then extracts
+//!   nothing again;
 //! * scoring before [`EventDetector::fit`] first fits on an empty
 //!   [`TrainView`] — the stream keeps flowing, as a deployed IDS must;
 //! * dispatch on the input format: a feature model scores each
@@ -77,33 +78,34 @@ pub trait Model: fmt::Debug + Send + Sized {
 }
 
 /// The AfterImage rows of a slice's well-formed views, extracted in order
-/// as they are read, by an extractor that starts fresh.
+/// as they are read, by a [`FeatureStage`] that starts fresh.
 #[derive(Debug)]
 pub struct TrainRows<'a> {
     views: std::slice::Iter<'a, ParsedView>,
-    extractor: AfterImage,
-    row: Vec<f64>,
+    stage: FeatureStage,
 }
 
 impl<'a> TrainRows<'a> {
     /// A cursor over the rows of `views`.
     pub fn new(views: &'a [ParsedView]) -> Self {
-        let extractor = AfterImage::new(AfterImageConfig::default());
-        TrainRows { views: views.iter(), extractor, row: Vec::new() }
+        let stage = FeatureStage {
+            extractor: AfterImage::new(AfterImageConfig::default()),
+            row: Vec::new(),
+            spare: Vec::new(),
+        };
+        TrainRows { views: views.iter(), stage }
     }
 
     /// The next well-formed view's row; `None` past the last.
     pub fn next_row(&mut self) -> Option<&[f64]> {
         let parsed = self.views.by_ref().find_map(|view| view.parsed.as_ref())?;
-        self.extractor.update_into(parsed, &mut self.row);
-        Some(&self.row)
+        Some(self.stage.extract(parsed))
     }
 
-    /// Reads the rows left unread; the extractor past the whole slice and
-    /// the row buffer.
-    fn finish(mut self) -> (AfterImage, Vec<f64>) {
+    /// Reads the rows left unread; the stage past the whole slice.
+    fn finish(mut self) -> FeatureStage {
         while self.next_row().is_some() {}
-        (self.extractor, self.row)
+        self.stage
     }
 }
 
@@ -111,9 +113,10 @@ impl<'a> TrainRows<'a> {
 /// every evaluation packet in feed order and attaches each well-formed
 /// view's row ([`ParsedView::features`]) for the shard that scores it.
 ///
-/// It is built past the training slice the way the shell's own extractor is
+/// It is built past the training slice the way the shell's own stage is
 /// after `fit` (every well-formed training view, in order, through
-/// [`TrainRows`]). So at one shard the carried rows are bit for bit the
+/// [`TrainRows`]); its private `extract` is the one place either
+/// extracts. So at one shard the carried rows are bit for bit the
 /// rows the shard would have extracted, and at any shard count every shard
 /// scores rows of the global packet sequence. Consumed rows come back
 /// through [`FeatureStage::reclaim`], so a warm stage allocates nothing.
@@ -129,8 +132,13 @@ pub struct FeatureStage {
 impl FeatureStage {
     /// A stage past the well-formed views of `train`.
     pub fn new(train: &TrainView) -> Self {
-        let (extractor, row) = TrainRows::new(&train.packets).finish();
-        FeatureStage { extractor, row, spare: Vec::new() }
+        TrainRows::new(&train.packets).finish()
+    }
+
+    /// The next packet's row, in the stage's own buffer.
+    fn extract(&mut self, parsed: &ParsedPacket) -> &[f64] {
+        self.extractor.update_into(parsed, &mut self.row);
+        &self.row
     }
 
     /// Extracts `view`'s row and attaches a copy in a spare buffer (a new
@@ -141,9 +149,8 @@ impl FeatureStage {
     /// scattering the extractor's stores across those lines.
     pub fn attach(&mut self, view: &mut ParsedView) {
         if let Some(parsed) = &view.parsed {
-            self.extractor.update_into(parsed, &mut self.row);
             let mut row = self.spare.pop().unwrap_or_else(|| Box::new([0.0; AFTERIMAGE_FEATURES]));
-            row.copy_from_slice(&self.row);
+            row.copy_from_slice(self.extract(parsed));
             view.features = Some(row);
         }
     }
@@ -154,14 +161,13 @@ impl FeatureStage {
     }
 }
 
-/// A fitted model with the extractor past its training slice (nothing, for
-/// a flow model) and every packet scored since, the row being staged, and
-/// the positions of the malformed views in the burst being scored.
+/// A fitted model, the stage past its training slice and every packet the
+/// shell extracted since (none for a flow model, nor once rows arrive
+/// carried), and the positions of the malformed views in the burst.
 #[derive(Debug)]
 struct Fitted<M> {
     model: M,
-    extractor: AfterImage,
-    row: Vec<f64>,
+    rows: Option<FeatureStage>,
     malformed: Vec<usize>,
 }
 
@@ -171,18 +177,17 @@ impl<M: Model> Fitted<M> {
         let flows = matches!(M::SCORING, Scoring::Flows(_));
         let mut rows = TrainRows::new(if flows { &[] } else { &train.packets });
         let model = M::fit(config, train, &mut rows);
-        let (extractor, row) = rows.finish();
-        Fitted { model, extractor, row, malformed: Vec::new() }
+        Fitted { model, rows: (!flows).then(|| rows.finish()), malformed: Vec::new() }
     }
 
     /// Stages each well-formed view with its row — the one it carries, or
-    /// else one this extractor extracts — scores them in one call and
+    /// else one the shell's stage extracts — scores them in one call and
     /// pushes one score per view, 0 for a malformed one.
     ///
-    /// The well-formed views of a burst either all carry rows or all do
-    /// not: a carried row means an upstream stage has seen the packet and
-    /// this extractor has not, so a bare view after it would be extracted
-    /// out of order. Debug builds refuse a mixed burst.
+    /// A carried row means an upstream stage has seen the packet and the
+    /// shell's has not, so the first one drops the shell's stage. A bare
+    /// view after it cannot be extracted in order: it is neither staged nor
+    /// scored, and the burst's count check refuses the short burst.
     fn score_burst(
         &mut self,
         stage: fn(&mut M, &ParsedPacket, &[f64]),
@@ -191,22 +196,24 @@ impl<M: Model> Fitted<M> {
         out: &mut Vec<f64>,
     ) {
         self.malformed.clear();
-        let mut carried = None;
-        for (i, view) in views.enumerate() {
+        // The position of the next view's score in this burst.
+        let mut at = 0;
+        for view in views {
             let Some(parsed) = &view.parsed else {
-                self.malformed.push(i);
+                self.malformed.push(at);
+                at += 1;
                 continue;
             };
-            let first = *carried.get_or_insert(view.features.is_some());
-            debug_assert_eq!(first, view.features.is_some(), "a burst mixes carried and bare rows");
-            let row = match &view.features {
-                Some(row) => &row[..],
-                None => {
-                    self.extractor.update_into(parsed, &mut self.row);
-                    &self.row[..]
+            let row = match (&view.features, &mut self.rows) {
+                (Some(row), rows) => {
+                    *rows = None;
+                    &row[..]
                 }
+                (None, Some(rows)) => rows.extract(parsed),
+                (None, None) => continue,
             };
             stage(&mut self.model, parsed, row);
+            at += 1;
         }
         let start = out.len();
         score(&mut self.model, out);
@@ -428,8 +435,8 @@ mod tests {
     fn scoring_before_fit_fits_on_an_empty_slice() {
         let mut detector = Detector::<Weight>::new(7);
         assert_eq!(detector.on_event(&Event::Packet(&view(1))), Some(1.0 + 7.0));
-        // A fit replaces the model and the extractor, which has then seen
-        // the two training packets of source 1.
+        // A fit replaces the model and the stage, which has then seen the
+        // two training packets of source 1.
         detector.fit(&TrainView { packets: vec![view(1), view(1)], flows: Vec::new() });
         assert_eq!(detector.on_event(&Event::Packet(&view(1))), Some(3.0 + 9.0));
         assert_eq!(detector.on_event(&Event::Packet(&view(2))), Some(1.0 + 9.0));
@@ -509,11 +516,13 @@ mod tests {
         assert_eq!(scores[17], 0.0);
         let bits = |scores: &[f64]| scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&scores), bits(&expected));
-        // The shell staged the carried rows and extracted none of its own.
+        // The shell staged the carried rows, extracted none of its own and
+        // dropped its stage at the first.
         let seen = |detector: &Detector<RowSum>| {
-            detector.fitted.as_ref().expect("fitted").extractor.packets_seen()
+            let rows = &detector.fitted.as_ref().expect("fitted").rows;
+            rows.as_ref().map(|stage| stage.extractor.packets_seen())
         };
-        assert_eq!((seen(&extracting), seen(&staging)), (40 + 47, 40));
+        assert_eq!((seen(&extracting), seen(&staging)), (Some(40 + 47), None));
 
         // Consumed rows are reused, not reallocated.
         for view in &mut carried {
@@ -527,13 +536,17 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "a burst mixes carried and bare rows")]
-    fn a_burst_mixing_carried_and_bare_rows_is_refused() {
-        let mut views = [view_at(1, 0), view_at(2, 10), view_at(1, 20)];
+    fn a_bare_view_after_a_carried_row_fails_its_burst() {
+        let mut views = [view_at(1, 0), view_at(2, 10), malformed(), view_at(1, 20)];
         let mut stage = FeatureStage::new(&TrainView::default());
         stage.attach(&mut views[0]);
-        stage.attach(&mut views[2]);
-        Detector::<RowSum>::default().on_packet_batch(&mut views.iter(), &mut Vec::new());
+        stage.attach(&mut views[3]);
+        let mut detector = Detector::<RowSum>::default();
+        let mut burst = crate::event::Burst::default();
+        let err = burst.score(&mut detector, None, views.iter()).unwrap_err();
+        assert!(
+            matches!(err, crate::CoreError::ScoreCountMismatch { expected: 4, got: 3, .. }),
+            "{err}"
+        );
     }
 }

@@ -324,7 +324,7 @@ impl Model for KnnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idsbench_core::preprocess::{EventInput, Pipeline, PipelineConfig};
+    use idsbench_core::preprocess::{EventInput, Pipeline, PipelineConfig, Split};
     use idsbench_core::runner::replay;
     use idsbench_core::{AttackKind, EventDetector, Label, LabeledPacket};
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
@@ -351,7 +351,7 @@ mod tests {
             packets.push(LabeledPacket::new(p, Label::Attack(AttackKind::PortScan)));
         }
         packets.sort_by_key(|lp| lp.packet.ts);
-        Pipeline::new(PipelineConfig { train_fraction: 0.5, ..Default::default() })
+        Pipeline::new(PipelineConfig { split: Split::Fraction(0.5), ..Default::default() })
             .unwrap()
             .prepare_events("toy", packets)
             .unwrap()

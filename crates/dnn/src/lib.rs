@@ -202,7 +202,7 @@ fn rebalance(rows: Vec<(Vec<f64>, f64)>, seed: u64) -> Vec<(Vec<f64>, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idsbench_core::preprocess::{EventInput, Pipeline, PipelineConfig};
+    use idsbench_core::preprocess::{EventInput, Pipeline, PipelineConfig, Split};
     use idsbench_core::runner::{replay, ScoredReplay};
     use idsbench_core::{AttackKind, Label, LabeledPacket};
     use idsbench_core::{EventDetector, InputFormat};
@@ -240,7 +240,8 @@ mod tests {
         }
         packets.sort_by_key(|lp| lp.packet.ts);
         let pipeline =
-            Pipeline::new(PipelineConfig { train_fraction: 0.5, ..Default::default() }).unwrap();
+            Pipeline::new(PipelineConfig { split: Split::Fraction(0.5), ..Default::default() })
+                .unwrap();
         pipeline.prepare_events("toy", packets).unwrap()
     }
 

@@ -251,7 +251,7 @@ fn is_unanswered(flow: &LabeledFlow) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idsbench_core::preprocess::{Pipeline, PipelineConfig};
+    use idsbench_core::preprocess::{Pipeline, PipelineConfig, Split};
     use idsbench_core::runner::replay;
     use idsbench_core::{AttackKind, EventDetector, InputFormat, Label, LabeledPacket};
     use idsbench_net::{MacAddr, PacketBuilder, TcpFlags, Timestamp};
@@ -288,10 +288,11 @@ mod tests {
     ) -> Vec<(f64, bool, Option<AttackKind>)> {
         let mut sorted = packets;
         sorted.sort_by_key(|lp| lp.packet.ts);
-        let input = Pipeline::new(PipelineConfig { train_fraction: 0.0, ..Default::default() })
-            .unwrap()
-            .prepare_events("toy", sorted)
-            .unwrap();
+        let input =
+            Pipeline::new(PipelineConfig { split: Split::Fraction(0.0), ..Default::default() })
+                .unwrap()
+                .prepare_events("toy", sorted)
+                .unwrap();
         let replayed = replay(slips, &input).unwrap();
         replayed
             .scores
@@ -543,10 +544,11 @@ mod tests {
         for i in 0..8u16 {
             beacon(i, &mut train_packets);
         }
-        let input = Pipeline::new(PipelineConfig { train_fraction: 0.0, ..Default::default() })
-            .unwrap()
-            .prepare_events("warm", train_packets)
-            .unwrap();
+        let input =
+            Pipeline::new(PipelineConfig { split: Split::Fraction(0.0), ..Default::default() })
+                .unwrap()
+                .prepare_events("warm", train_packets)
+                .unwrap();
         // Hand-build the train view from the replayed flows.
         let mut probe = Slips::default();
         let warm_flows = replay(&mut probe, &input).unwrap();
@@ -564,10 +566,11 @@ mod tests {
         // immediately.
         let mut next = Vec::new();
         beacon(8, &mut next);
-        let mut input = Pipeline::new(PipelineConfig { train_fraction: 0.0, ..Default::default() })
-            .unwrap()
-            .prepare_events("next", next)
-            .unwrap();
+        let mut input =
+            Pipeline::new(PipelineConfig { split: Split::Fraction(0.0), ..Default::default() })
+                .unwrap()
+                .prepare_events("next", next)
+                .unwrap();
         input.train = TrainView { packets: Vec::new(), flows };
         let scores = replay(&mut Slips::default(), &input).unwrap().scores;
         assert!(scores.iter().any(|s| *s > 0.0), "warmed group must flag: {scores:?}");

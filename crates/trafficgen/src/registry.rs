@@ -50,9 +50,11 @@ pub struct ScenarioSpec {
     pub tier: Tier,
     /// One-line description.
     pub summary: &'static str,
-    /// Traffic seconds a streaming run should treat as warmup: the leading
-    /// attack-free span every native scenario guarantees. Legacy scenarios
-    /// interleave attacks from t=0 and use fraction-based splits instead.
+    /// Traffic seconds a run trains on: the leading attack-free span every
+    /// native scenario guarantees (the batch grid's `Split::BeforeSecs`, a
+    /// stream's `ScenarioSource::split_warmup_secs`; both train strictly
+    /// before it). Legacy scenarios interleave attacks from t=0 and use
+    /// fraction-based splits instead.
     pub warmup_secs: f64,
     builder: fn(ScenarioScale) -> Box<dyn TrafficModel>,
 }

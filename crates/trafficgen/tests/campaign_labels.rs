@@ -2,14 +2,17 @@
 //! family of the staged campaign must survive the full path — flow-table
 //! assembly, eviction, sharded scoring, and the per-family merge — and
 //! come out as its own [`FamilyOutcome`] row, on both the flow-event path
-//! (Slips) and the packet-event path (Kitsune).
+//! (Slips) and the packet-event path (Kitsune). The batch grid trained on
+//! a scenario's attack-free lead scores exactly what that stream scores.
 
 use std::collections::BTreeMap;
 
-use idsbench_core::{EventDetector, ScenarioScale};
+use idsbench_core::preprocess::{PipelineConfig, Split};
+use idsbench_core::runner::{run_grid, DetectorFactory, EvalConfig};
+use idsbench_core::{Dataset, EventDetector, ScenarioScale};
 use idsbench_kitsune::Kitsune;
 use idsbench_slips::Slips;
-use idsbench_stream::{run_stream, ScenarioSource, StreamConfig, ThresholdMode};
+use idsbench_stream::{run_stream, PacketSource, ScenarioSource, StreamConfig, ThresholdMode};
 use idsbench_trafficgen::spec;
 
 /// The five stage families the staged campaign emits, by construction.
@@ -55,5 +58,41 @@ fn stage_labels_survive_on_the_packet_path() {
             .unwrap_or_else(|| panic!("family {family} missing: {families:?}"));
         assert!(packets > 0, "{family}: no packet events scored ({families:?})");
         assert_eq!(flows, 0, "{family}: packet-format run scored flow events");
+    }
+}
+
+/// Each cell of the native-scenario matrix is a grid cell under
+/// `Split::BeforeSecs(spec.warmup_secs)`. It must equal a one-shard
+/// calibrated stream over `split_warmup_secs`, on the packet and the flow
+/// path alike, also when a packet sits exactly on the boundary (it is
+/// evaluated on both sides).
+#[test]
+fn a_grid_cell_trained_on_the_lead_equals_a_one_shard_stream() {
+    let detectors: Vec<(String, DetectorFactory)> = vec![
+        ("Kitsune".into(), Box::new(|| Box::new(Kitsune::default()) as Box<dyn EventDetector>)),
+        ("Slips".into(), Box::new(|| Box::new(Slips::default()) as Box<dyn EventDetector>)),
+    ];
+    for name in ["stealth-campaign", "syn-burst"] {
+        let spec = spec(name).expect("registered scenario");
+        let model = spec.build(ScenarioScale::Tiny);
+        let split = |secs| ScenarioSource::new(model.as_ref(), 42).split_warmup_secs(secs);
+        let first_eval = split(spec.warmup_secs).1.next_packet().expect("source").expect("eval");
+        for secs in [spec.warmup_secs, first_eval.packet.ts.as_secs_f64()] {
+            let config = EvalConfig {
+                pipeline: PipelineConfig { split: Split::BeforeSecs(secs), ..Default::default() },
+                dataset_seed: 42,
+                ..Default::default()
+            };
+            let cells = run_grid(&detectors, &[&model as &dyn Dataset], &config).expect("grid");
+            for ((detector, factory), cell) in detectors.iter().zip(&cells) {
+                let (warmup, source) = split(secs);
+                let run = run_stream(factory.as_ref(), &warmup, source, &StreamConfig::default())
+                    .expect("streaming run");
+                let at = format!("{name}/{detector} split at {secs} s");
+                assert_eq!(run.report.assessment, cell.assessment, "{at}");
+                assert_eq!(run.report.eval_packets, cell.eval_packets, "{at}");
+                assert_eq!(run.report.warmup_packets, cell.train.packets, "{at}");
+            }
+        }
     }
 }

@@ -264,12 +264,11 @@ fn stream_path_allocates_at_most_a_tenth_per_packet() {
     let kitsune = || Box::new(Kitsune::default()) as Box<dyn EventDetector>;
     let runs: [(&str, &Factory, usize); 3] =
         [("Slips", &slips, 2), ("Kitsune", &kitsune, 1), ("Kitsune", &kitsune, 2)];
-    // A debug build's shards are far slower than its feeder, so every lane
-    // fills up in both runs. A release build's lanes fill as timing has it,
-    // so it adds enough packets that one more set of full lanes (about 4,400
-    // rows at 2 shards) stays well inside the budget.
-    let (short, long) =
-        if cfg!(debug_assertions) { (8_192u64, 24_576u64) } else { (16_384, 131_072) };
+    // Lanes fill as timing has it, in a debug build too (its shards need not
+    // stay far slower than its feeder), so both profiles add enough packets
+    // that one more set of full lanes (about 4,400 rows at 2 shards) stays
+    // well inside the budget.
+    let (short, long) = (16_384u64, 131_072u64);
     for (name, factory, shards) in runs {
         let at_short = stream_run_allocations(factory, shards, short);
         let at_long = stream_run_allocations(factory, shards, long);
