@@ -1,13 +1,14 @@
 //! The report subcommands: the paper's tables, the four ablations and the
-//! native-scenario matrix, each scoring report a projection of one
-//! [`run_conditions`] grid. Each prints to stdout; only `scenarios` writes a
-//! file.
+//! native-scenario matrix, each scoring report a projection of one grid:
+//! [`run_grid`] for Table IV, [`run_rows`] over the report's own (dataset,
+//! condition) rows for the rest. Each prints to stdout; only `scenarios`
+//! writes a file.
 
 use idsbench_bench::{paper_cell, standard_detectors};
 use idsbench_core::json::{fmt_num, quoted};
 use idsbench_core::metrics::FamilyOutcome;
 use idsbench_core::preprocess::Split;
-use idsbench_core::runner::{run_conditions, run_grid, DetectorFactory, EvalConfig, Experiment};
+use idsbench_core::runner::{run_grid, run_rows, DetectorFactory, EvalConfig, Experiment};
 use idsbench_core::threshold::ThresholdPolicy;
 use idsbench_core::{registry, report, Dataset, EventDetector};
 use idsbench_datasets::{scenarios, ScenarioScale};
@@ -48,19 +49,19 @@ pub fn table3() -> Outcome {
     Ok(())
 }
 
-/// `detectors` on every Table IV dataset at `scale` under each condition:
-/// one [`run_conditions`] grid, and the number of datasets `S` — result
-/// `(c·D + d)·S + s` is detector `d` on dataset `s` under condition `c`.
-fn table4_grid(
+/// `models` as the grid's dataset list.
+fn as_datasets<D: Dataset>(models: &[D]) -> Vec<&dyn Dataset> {
+    models.iter().map(|m| m as &dyn Dataset).collect()
+}
+
+/// `detectors` on `rows` of `models`: one [`run_rows`] grid, `grid[r][d]`
+/// is detector `d` on row `r`.
+fn score_rows<D: Dataset>(
     detectors: &[(String, DetectorFactory<'_>)],
-    scale: ScenarioScale,
-    conditions: &[EvalConfig],
-) -> Result<(Vec<Experiment>, usize), String> {
-    let scenarios = table4_models(scale);
-    let datasets: Vec<&dyn Dataset> = scenarios.iter().map(|s| s as &dyn Dataset).collect();
-    let grid =
-        run_conditions(detectors, &datasets, conditions).map_err(|e| format!("grid: {e}"))?;
-    Ok((grid, datasets.len()))
+    models: &[D],
+    rows: &[(usize, EvalConfig)],
+) -> Result<Vec<Vec<Experiment>>, String> {
+    run_rows(detectors, &as_datasets(models), rows).map_err(|e| format!("grid: {e}"))
 }
 
 /// Table IV in the paper's layout, a paper-vs-measured comparison, the
@@ -69,7 +70,9 @@ fn table4_grid(
 /// behind every cell (Section V factor 1).
 pub fn table4(scale: ScenarioScale, seed: u64) -> Outcome {
     let config = EvalConfig { dataset_seed: seed, ..Default::default() };
-    let (experiments, sets) = table4_grid(&standard_detectors(), scale, &[config])?;
+    let models = table4_models(scale);
+    let experiments = run_grid(&standard_detectors(), &as_datasets(&models), &config)
+        .map_err(|e| format!("grid: {e}"))?;
 
     println!("## Table IV — performance results for tested IDSs and datasets (measured)\n");
     println!("{}", report::render_table4(&experiments));
@@ -94,8 +97,7 @@ pub fn table4(scale: ScenarioScale, seed: u64) -> Outcome {
     println!("\n## Diagnostics (CSV)\n");
     println!("{}", report::render_csv(&experiments));
 
-    // The first detector's cells name the datasets in grid order.
-    for name in experiments[..sets].iter().map(|e| &e.dataset) {
+    for name in models.iter().map(|m| &m.info().name) {
         println!("## {name} — per-family recall at the calibrated threshold\n");
         println!("{}", report::render_family_breakdown(name, &experiments));
     }
@@ -104,8 +106,9 @@ pub fn table4(scale: ScenarioScale, seed: u64) -> Outcome {
 
 /// Threshold sensitivity (Section IV-A step 4): each IDS's metrics as the
 /// calibration rule's false-positive cap sweeps from strict to lax, one CSV
-/// row per (IDS, dataset, cap). One grid of five conditions that differ
-/// only in their cap, so each cell's one replay serves all five.
+/// row per (IDS, dataset, cap). One grid with a row per (dataset, cap):
+/// a dataset's five rows differ only in their cap, so each cell's one
+/// replay serves all five.
 pub fn sweep(scale: ScenarioScale, seed: u64) -> Outcome {
     println!("detector,dataset,max_fpr,threshold,accuracy,precision,recall,f1");
     let caps = [0.01, 0.05, 0.10, 0.25, 0.50];
@@ -114,18 +117,18 @@ pub fn sweep(scale: ScenarioScale, seed: u64) -> Outcome {
         dataset_seed: seed,
         ..Default::default()
     });
-    let detectors = standard_detectors();
-    let (grid, sets) = table4_grid(&detectors, scale, &conditions)?;
-    // The report is dataset-major, then detector, then cap: its `i`-th
-    // (dataset, detector) pair is cell `d·S + s` of every condition's block.
-    let block = detectors.len() * sets;
-    for cell in (0..block).map(|i| (i % detectors.len()) * sets + i / detectors.len()) {
-        for (cap, e) in caps.iter().zip(grid.iter().skip(cell).step_by(block)) {
-            let m = &e.metrics;
-            println!(
-                "{},{},{cap:.2},{:.6e},{:.4},{:.4},{:.4},{:.4}",
-                e.detector, e.dataset, e.threshold, m.accuracy, m.precision, m.recall, m.f1
-            );
+    let (detectors, models) = (standard_detectors(), table4_models(scale));
+    let rows: Vec<_> = (0..models.len()).flat_map(|s| conditions.map(|c| (s, c))).collect();
+    // The report is dataset-major, then detector, then cap.
+    for dataset in score_rows(&detectors, &models, &rows)?.chunks(caps.len()) {
+        for d in 0..detectors.len() {
+            for (cap, row) in caps.iter().zip(dataset) {
+                let (e, m) = (&row[d], &row[d].metrics);
+                println!(
+                    "{},{},{cap:.2},{:.6e},{:.4},{:.4},{:.4},{:.4}",
+                    e.detector, e.dataset, e.threshold, m.accuracy, m.precision, m.recall, m.f1
+                );
+            }
         }
     }
     Ok(())
@@ -133,7 +136,8 @@ pub fn sweep(scale: ScenarioScale, seed: u64) -> Outcome {
 
 /// Sampling ablation (Section IV-A step 1): Table IV metrics as the random
 /// flow-sampling rate drops from 100% to 10%, one CSV row per (IDS,
-/// dataset, rate). One grid of four conditions, one pipeline each.
+/// dataset, rate). One grid with a row per (rate, dataset), each rate its
+/// own pipeline.
 pub fn sampling(scale: ScenarioScale, seed: u64) -> Outcome {
     println!("sampling_rate,detector,dataset,accuracy,precision,recall,f1,eval_items");
     let rates = [1.0, 0.5, 0.25, 0.1];
@@ -142,14 +146,19 @@ pub fn sampling(scale: ScenarioScale, seed: u64) -> Outcome {
         config.pipeline.sampling_rate = sampling_rate;
         config
     });
-    let (grid, _) = table4_grid(&standard_detectors(), scale, &conditions)?;
-    for (rate, block) in rates.iter().zip(grid.chunks(grid.len() / rates.len())) {
-        for e in block {
-            let m = &e.metrics;
-            println!(
-                "{rate:.2},{},{},{:.4},{:.4},{:.4},{:.4},{}",
-                e.detector, e.dataset, m.accuracy, m.precision, m.recall, m.f1, e.eval_items
-            );
+    let (detectors, models) = (standard_detectors(), table4_models(scale));
+    let rows: Vec<_> =
+        conditions.iter().flat_map(|&c| (0..models.len()).map(move |s| (s, c))).collect();
+    let grid = score_rows(&detectors, &models, &rows)?;
+    // The report is rate-major, then detector, then dataset.
+    for (rate, block) in rates.iter().zip(grid.chunks(models.len())) {
+        for d in 0..detectors.len() {
+            for (e, m) in block.iter().map(|row| (&row[d], &row[d].metrics)) {
+                println!(
+                    "{rate:.2},{},{},{:.4},{:.4},{:.4},{:.4},{}",
+                    e.detector, e.dataset, m.accuracy, m.precision, m.recall, m.f1, e.eval_items
+                );
+            }
         }
     }
     Ok(())
@@ -196,16 +205,14 @@ pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
         variant("decision-tree", || Box::new(DecisionTree::default())),
         variant("knn", || Box::new(KNearest::default())),
     ];
-    let (grid, sets) = table4_grid(&variants, scale, &[config])?;
-    // The grid is detector-major; the report is dataset-major. Every cell
-    // of a row trained on the same slice.
-    for s in 0..sets {
-        for (d, (label, _)) in variants.iter().enumerate() {
-            let e = &grid[d * sets + s];
-            println!("{},{}", csv_row(label, &e.dataset, e), e.train.attack_flows);
-        }
+    let models = table4_models(scale);
+    let rows: Vec<_> = (0..models.len()).map(|s| (s, config)).collect();
+    let grid = score_rows(&variants, &models, &rows)?;
+    // Dataset-major; every cell of a row trained on the same slice.
+    for e in grid.iter().flatten() {
+        println!("{},{}", csv_row(&e.detector, &e.dataset, e), e.train.attack_flows);
     }
-    for e in grid.iter().take(sets).filter(|e| e.train.attack_flows == 0) {
+    for e in grid.iter().map(|row| &row[0]).filter(|e| e.train.attack_flows == 0) {
         eprintln!(
             "note: the {} training slice holds no attack flow; its supervised rows are not a \
              measurement",
@@ -217,31 +224,26 @@ pub fn preprocessing(scale: ScenarioScale, seed: u64) -> Outcome {
 
 /// Benign-baseline ablation (Section V factor 6 / VI-B-2): the leading-
 /// slice anomaly detectors on Stratosphere with a clean benign prefix
-/// versus the same site with the infection active from t = 0, both sites
-/// scored by one [`run_grid`].
+/// versus the same site with the infection active from t = 0, one grid row
+/// per site.
 pub fn baseline(scale: ScenarioScale, seed: u64) -> Outcome {
     let config = EvalConfig { dataset_seed: seed, ..Default::default() };
     println!("detector,baseline,accuracy,precision,recall,f1,auc");
     let labels = ["clean-prefix", "contaminated"];
     let sites =
         [scenarios::stratosphere_iot(scale), scenarios::stratosphere_iot_contaminated(scale)];
-    let datasets: Vec<&dyn Dataset> = sites.iter().map(|s| s as &dyn Dataset).collect();
     let detectors = [
         variant("Kitsune", || Box::new(Kitsune::default())),
         variant("HELAD", || Box::new(Helad::default())),
     ];
-    let grid = run_grid(&detectors, &datasets, &config).map_err(|e| format!("grid: {e}"))?;
-    // `run_grid` is detector-major: cell `d * 2 + s` is detector `d` on
-    // site `s`. The report lists the clean-prefix rows first.
-    for (s, label) in labels.iter().enumerate() {
-        for d in 0..detectors.len() {
-            let e = &grid[d * labels.len() + s];
+    let grid = score_rows(&detectors, &sites, &[(0, config), (1, config)])?;
+    for (label, row) in labels.iter().zip(&grid) {
+        for e in row {
             println!("{}", csv_row(&e.detector, label, e));
         }
     }
     eprintln!();
-    for pair in grid.chunks_exact(labels.len()) {
-        let (clean, contaminated) = (&pair[0], &pair[1]);
+    for (clean, contaminated) in grid[0].iter().zip(&grid[1]) {
         eprintln!("{}", baseline_shift(&clean.detector, clean.metrics.f1, contaminated.metrics.f1));
     }
     Ok(())
@@ -268,33 +270,22 @@ fn baseline_shift(detector: &str, clean: f64, contaminated: f64) -> String {
 pub type MatrixRow = (ScenarioSpec, Vec<Experiment>);
 
 /// Every native trafficgen scenario (benign mix, floods, scans, staged
-/// campaigns) scored by all four detectors in one [`run_conditions`] grid.
-/// Condition `s` trains on scenario `s`'s attack-free lead
+/// campaigns) scored by all four detectors in one grid with a row per
+/// scenario. Row `s` trains on scenario `s`'s attack-free lead
 /// (`spec.warmup_secs`) under the default threshold policy, so results stay
-/// comparable with `table4`, and row `s` keeps its cells on scenario `s`.
-/// Conditions with equal leads share their rows: each scenario is realised
-/// and scored once per distinct lead (all six are 30 s).
+/// comparable with `table4`; each scenario is realised and scored once.
 pub fn scenario_matrix(scale: ScenarioScale, seed: u64) -> Result<Vec<MatrixRow>, String> {
     let specs: Vec<ScenarioSpec> =
         workloads().into_iter().filter(|s| s.tier != Tier::Legacy).collect();
     let models: Vec<_> = specs.iter().map(|spec| spec.build(scale)).collect();
-    let datasets: Vec<&dyn Dataset> = models.iter().map(|m| m as &dyn Dataset).collect();
-    let lead = |spec: &ScenarioSpec| {
+    let lead = |(s, spec): (usize, &ScenarioSpec)| {
         let mut config = EvalConfig { dataset_seed: seed, ..Default::default() };
         config.pipeline.split = Split::BeforeSecs(spec.warmup_secs);
-        config
+        (s, config)
     };
-    let conditions: Vec<EvalConfig> = specs.iter().map(lead).collect();
-    let (detectors, s_count) = (standard_detectors(), specs.len());
-    let grid =
-        run_conditions(&detectors, &datasets, &conditions).map_err(|e| format!("grid: {e}"))?;
-    // Result `i` is scenario `i % S` under condition `i / (D·S)`, detector-major.
-    let own = |(i, _): &(usize, Experiment)| i / (detectors.len() * s_count) == i % s_count;
-    let mut cells = grid.into_iter().enumerate().filter(own).map(|(_, cell)| cell);
-    Ok(specs
-        .into_iter()
-        .map(|spec| (spec, cells.by_ref().take(detectors.len()).collect()))
-        .collect())
+    let rows: Vec<_> = specs.iter().enumerate().map(lead).collect();
+    let grid = score_rows(&standard_detectors(), &models, &rows)?;
+    Ok(specs.into_iter().zip(grid).collect())
 }
 
 /// Greatest max-minus-min recall across detectors on any family of one

@@ -18,21 +18,22 @@
 //! constructor the stream engine's merge calls too, so batch and stream
 //! derive every verdict figure one way.
 //!
-//! [`run_conditions`] evaluates a detector × dataset grid under a list of
-//! conditions ([`EvalConfig`]s); [`run_grid`] is its one-condition case. A
-//! row is keyed by (dataset, `dataset_seed`, `pipeline`): conditions that
-//! differ only in `policy` share it, and each dataset is realised **once
-//! per row**, not once per cell or per condition. A cell is a (detector,
-//! row) pair: it builds one fresh detector and runs one replay and one
-//! ranking, and every condition with the row's key assesses that ranking
-//! under its own policy. Cells are handed to the worker threads row-major,
-//! the first worker to reach a row prepares it, the row's detectors share
-//! the prepared input read-only, and the worker that finishes the row's
-//! last cell drops it. Because cells are claimed in row order, a row that
-//! is still alive has a cell in flight, so no more prepared rows are ever
+//! [`run_rows`] evaluates detectors on a list of rows, each row one
+//! dataset under one condition (an [`EvalConfig`]); [`run_grid`] is its
+//! case of every dataset under one condition. Rows are keyed by (dataset,
+//! `dataset_seed`, `pipeline`): rows that differ only in `policy` share a
+//! key, and each key's dataset is realised **once**, not once per cell or
+//! per row. A cell is a (detector, key) pair: it builds one fresh detector
+//! and runs one replay and one ranking, and every row with the key assesses
+//! that ranking under its own policy. Cells are handed to the worker
+//! threads key by key, in the order of each key's first row; the first
+//! worker to reach a key prepares it, the key's detectors share the
+//! prepared input read-only, and the worker that finishes the key's last
+//! cell drops it. Because cells are claimed in key order, a key that is
+//! still prepared has a cell in flight, so no more prepared inputs are ever
 //! resident than there are workers — the grid's peak memory grows with
-//! neither the number of datasets nor the number of conditions. Every
-//! result is what a standalone [`evaluate`] of the same pair under its own
+//! neither the number of datasets nor the number of rows. Every result is
+//! what a standalone [`evaluate`] of the same pair under its row's
 //! condition returns.
 
 use std::collections::BTreeMap;
@@ -220,14 +221,14 @@ pub fn evaluate(
     dataset: &dyn Dataset,
     config: &EvalConfig,
 ) -> Result<Experiment> {
-    let row = prepare_row(dataset, config)?;
-    let scored = Scored::new(detector, &row.input)?;
-    Ok(scored.experiment(detector.name(), &dataset.info().name, &row, config.policy))
+    let prepared = prepare(dataset, config)?;
+    let scored = Scored::new(detector, &prepared.input)?;
+    Ok(scored.experiment(detector.name(), &dataset.info().name, &prepared, config.policy))
 }
 
-/// A prepared row: the input its cells replay and its training mix.
+/// A prepared dataset: the input its cells replay and its training mix.
 #[derive(Debug)]
-struct PreparedRow {
+struct Prepared {
     input: EventInput,
     train: TrainMix,
 }
@@ -235,15 +236,15 @@ struct PreparedRow {
 /// The detector-independent part of [`evaluate`]: one realisation of
 /// `dataset` from the configured seed, parsed once, split, with the
 /// training slice's flow view assembled and its mix counted. Reads only
-/// `config`'s row key, `dataset_seed` and `pipeline`.
-fn prepare_row(dataset: &dyn Dataset, config: &EvalConfig) -> Result<PreparedRow> {
+/// `config`'s `dataset_seed` and `pipeline`, its part of a row key.
+fn prepare(dataset: &dyn Dataset, config: &EvalConfig) -> Result<Prepared> {
     let packets = dataset.generate(config.dataset_seed);
     let input = Pipeline::new(config.pipeline)?.prepare_events(&dataset.info().name, packets)?;
-    Ok(PreparedRow { train: TrainMix::of(&input.train), input })
+    Ok(Prepared { train: TrainMix::of(&input.train), input })
 }
 
-/// The policy-independent half of a cell, which every condition sharing its
-/// row reads: a detector fitted and replayed on a prepared row, its scores
+/// The policy-independent half of a cell, which every row sharing its key
+/// reads: a detector fitted and replayed on a prepared input, its scores
 /// ranked once.
 struct Scored {
     replayed: ScoredReplay,
@@ -268,13 +269,13 @@ impl Scored {
         })
     }
 
-    /// The per-condition half: calibrate `policy`'s threshold on the
-    /// ranking, count the families at it and build the [`Assessment`].
+    /// The per-row half: calibrate `policy`'s threshold on the ranking,
+    /// count the families at it and build the [`Assessment`].
     fn experiment(
         &self,
         detector: &str,
         dataset: &str,
-        row: &PreparedRow,
+        prepared: &Prepared,
         policy: ThresholdPolicy,
     ) -> Experiment {
         let threshold = policy.calibrate_ranked(&self.ranking);
@@ -289,7 +290,7 @@ impl Scored {
             detector: detector.to_string(),
             dataset: dataset.to_string(),
             assessment: Assessment::new(threshold, cm, &families, self.auc),
-            train: row.train,
+            train: prepared.train,
             eval_packets: self.replayed.eval_packets,
             train_seconds: self.replayed.train_seconds,
             score_seconds: self.replayed.score_seconds,
@@ -301,37 +302,37 @@ impl Scored {
 /// no state leaks between datasets (the paper's out-of-the-box rule).
 pub type DetectorFactory<'a> = EventFactory<'a>;
 
-/// One row of a running grid: the prepared input its cells share.
-struct Row {
+/// One key of a running grid: the prepared input its cells share.
+struct Preparation {
     /// Filled by the first cell to arrive (the lock is held while it
-    /// prepares, so the row's other cells wait instead of preparing it
+    /// prepares, so the key's other cells wait instead of preparing it
     /// again), emptied by the last cell to leave. A preparation that fails
-    /// stores nothing: each of the row's cells repeats it and reports the
+    /// stores nothing: each of the key's cells repeats it and reports the
     /// same error. One that panics stores nothing either, so a poisoned
     /// lock still guards a valid slot and is taken as if it were not.
-    input: Mutex<Option<Arc<PreparedRow>>>,
-    /// Cells of this row that have not finished yet.
+    input: Mutex<Option<Arc<Prepared>>>,
+    /// Cells of this key that have not finished yet.
     unfinished: AtomicUsize,
 }
 
-impl Row {
-    fn share(&self, dataset: &dyn Dataset, config: &EvalConfig) -> Result<Arc<PreparedRow>> {
+impl Preparation {
+    fn share(&self, dataset: &dyn Dataset, config: &EvalConfig) -> Result<Arc<Prepared>> {
         let mut slot = self.input.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(row) = &*slot {
-            return Ok(Arc::clone(row));
+        if let Some(prepared) = &*slot {
+            return Ok(Arc::clone(prepared));
         }
-        let row = Arc::new(prepare_row(dataset, config)?);
-        *slot = Some(Arc::clone(&row));
-        Ok(row)
+        let prepared = Arc::new(prepare(dataset, config)?);
+        *slot = Some(Arc::clone(&prepared));
+        Ok(prepared)
     }
 }
 
-/// One cell's claim on its row, released on drop — so a cell that fails or
-/// panics still counts as finished and the last one out still frees the
-/// prepared input.
-struct RowShare<'a>(&'a Row);
+/// One cell's claim on its key's preparation, released on drop — so a cell
+/// that fails or panics still counts as finished and the last one out
+/// still frees the prepared input.
+struct Claim<'a>(&'a Preparation);
 
-impl Drop for RowShare<'_> {
+impl Drop for Claim<'_> {
     fn drop(&mut self) {
         if self.0.unfinished.fetch_sub(1, Ordering::SeqCst) == 1 {
             *self.0.input.lock().unwrap_or_else(PoisonError::into_inner) = None;
@@ -349,97 +350,103 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Evaluates every detector on every dataset, in parallel:
-/// [`run_conditions`] under the one condition `config`.
-///
-/// Results are ordered detector-major (all datasets for the first detector,
-/// then the second, …) regardless of completion order, matching Table IV's
-/// layout. Each experiment's `detector` field is set to the *registered*
-/// factory name, so the same implementation can appear under several
-/// configurations (as the ablation benches do). Each dataset is realised
-/// and preprocessed once and shared by its row of cells (see the module
-/// docs); a cell equals a standalone [`evaluate`] of the same pair.
+/// Evaluates every detector on every dataset under the one condition
+/// `config`, in parallel: [`run_rows`] with one row per dataset, its
+/// results laid out detector-major (all datasets for the first detector,
+/// then the second, …) as in Table IV.
 ///
 /// # Errors
 ///
-/// Returns the first error any cell produced, in result order. A detector
-/// (or dataset) that panics fails its own cell with
-/// [`CoreError::CellPanicked`]; the other cells still run.
+/// Returns the first error in result order, as [`run_rows`] describes.
 pub fn run_grid(
     detectors: &[(String, DetectorFactory<'_>)],
     datasets: &[&dyn Dataset],
     config: &EvalConfig,
 ) -> Result<Vec<Experiment>> {
-    run_conditions(detectors, datasets, std::slice::from_ref(config))
+    let rows: Vec<_> = (0..datasets.len()).map(|s| (s, *config)).collect();
+    // Cell `s·D + d` is result `d·S + s`: a stable sort by detector keeps
+    // each detector's datasets in order.
+    let mut cells: Vec<_> =
+        grid_cells(detectors, datasets, &rows).into_iter().enumerate().collect();
+    cells.sort_by_key(|(at, _)| at % detectors.len());
+    cells.into_iter().map(|(_, cell)| cell).collect()
 }
 
-/// Evaluates every detector on every dataset under every condition, in
-/// parallel.
+/// Evaluates every detector on every row, in parallel. A row is one
+/// dataset, by its index in `datasets`, under one condition.
 ///
-/// Results are condition-major: one block of `detectors.len() ×
-/// datasets.len()` results per condition, in `conditions` order, each block
-/// in [`run_grid`]'s detector-major order — result `(c·D + d)·S + s` is
-/// detector `d` on dataset `s` under condition `c`. Conditions with the
-/// same `dataset_seed` and `pipeline` share their rows, and a detector is
-/// fitted, replayed and ranked once per row: each such condition calibrates
-/// its own `policy` on that ranking, so their results carry the same two
-/// timings. Every result equals a standalone [`evaluate`] of its pair under
-/// its condition in every other field.
+/// Results hold one `Vec` per row, in `rows` order, each with one
+/// [`Experiment`] per detector in `detectors` order. Each `detector` field
+/// is the *registered* factory name, so one implementation can appear
+/// under several configurations. Rows with the same dataset,
+/// `dataset_seed` and `pipeline` share one realisation, and a detector is
+/// fitted, replayed and ranked once for all of them: each such row
+/// calibrates its own `policy` on that ranking, so their results carry the
+/// same two timings. Every result equals a standalone [`evaluate`] of its
+/// pair under its row's condition in every other field.
 ///
 /// # Errors
 ///
-/// Returns the first error in result order. A detector (or dataset) that
-/// panics fails its cell with [`CoreError::CellPanicked`] under every
-/// condition that shares the cell's row; the other cells still run.
-pub fn run_conditions(
+/// Returns the first error in row order, then in detector order. A
+/// detector (or dataset) that panics fails its cell with
+/// [`CoreError::CellPanicked`] in every row that shares the cell's key; the
+/// other cells still run.
+///
+/// # Panics
+///
+/// Panics if a row's dataset index is out of range of `datasets`.
+pub fn run_rows(
     detectors: &[(String, DetectorFactory<'_>)],
     datasets: &[&dyn Dataset],
-    conditions: &[EvalConfig],
-) -> Result<Vec<Experiment>> {
-    grid_cells(detectors, datasets, conditions).into_iter().collect()
+    rows: &[(usize, EvalConfig)],
+) -> Result<Vec<Vec<Experiment>>> {
+    let mut cells = grid_cells(detectors, datasets, rows).into_iter();
+    rows.iter().map(|_| cells.by_ref().take(detectors.len()).collect()).collect()
 }
 
-/// Every result's own outcome, in [`run_conditions`]' order.
+/// Every cell's own outcome, row-major: outcome `r·D + d` is detector `d`
+/// on row `r`.
 fn grid_cells(
     detectors: &[(String, DetectorFactory<'_>)],
     datasets: &[&dyn Dataset],
-    conditions: &[EvalConfig],
+    rows: &[(usize, EvalConfig)],
 ) -> Vec<Result<Experiment>> {
-    // The row keys in order of first appearance, each listing the
-    // conditions that share it; its first condition prepares its rows.
-    let key_of = |config: &EvalConfig| (config.dataset_seed, config.pipeline);
+    // The keys in order of first appearance, each listing the rows that
+    // share it; its first row prepares it.
+    let key_of = |&(s, config): &(usize, EvalConfig)| (s, config.dataset_seed, config.pipeline);
     let mut keys: Vec<Vec<usize>> = Vec::new();
-    for (c, condition) in conditions.iter().enumerate() {
-        match keys.iter_mut().find(|key| key_of(&conditions[key[0]]) == key_of(condition)) {
-            Some(key) => key.push(c),
-            None => keys.push(vec![c]),
+    for (r, row) in rows.iter().enumerate() {
+        assert!(row.0 < datasets.len(), "row {r} names dataset {} of {}", row.0, datasets.len());
+        match keys.iter_mut().find(|key| key_of(&rows[key[0]]) == key_of(row)) {
+            Some(key) => key.push(r),
+            None => keys.push(vec![r]),
         }
     }
-    // Row `r` is dataset `r % S` under key `r / S`.
-    let rows: Vec<Row> = (0..keys.len() * datasets.len())
-        .map(|_| Row { input: Mutex::new(None), unfinished: AtomicUsize::new(detectors.len()) })
+    let preparations: Vec<Preparation> = (0..keys.len())
+        .map(|_| Preparation { input: Mutex::default(), unfinished: detectors.len().into() })
         .collect();
-    let cells = detectors.len() * rows.len();
+    let cells = detectors.len() * keys.len();
     let results: Mutex<Vec<(usize, Result<Experiment>)>> =
-        Mutex::new(Vec::with_capacity(conditions.len() * detectors.len() * datasets.len()));
-    // Cells are claimed row-major: claim `c` is detector `c % D` on row
+        Mutex::new(Vec::with_capacity(rows.len() * detectors.len()));
+    // Cells are claimed key-major: claim `c` is detector `c % D` on key
     // `c / D`.
     let next = AtomicUsize::new(0);
 
-    // Detector `d` on row `r`: one outcome per condition of the row's key,
-    // each with its result slot.
-    let run_cell = |d: usize, r: usize| -> Vec<(usize, Result<Experiment>)> {
+    // Detector `d` on key `k`: one outcome per row of the key, each with
+    // its result slot.
+    let run_cell = |d: usize, k: usize| -> Vec<(usize, Result<Experiment>)> {
         let (name, factory) = &detectors[d];
-        let (key, s) = (&keys[r / datasets.len()], r % datasets.len());
-        let dataset = datasets[s];
+        let key = &keys[k];
+        let (s, config) = &rows[key[0]];
+        let dataset = datasets[*s];
         let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Experiment>> {
-            let _share = RowShare(&rows[r]);
-            let row = rows[r].share(dataset, &conditions[key[0]])?;
-            let scored = Scored::new(factory().as_mut(), &row.input)?;
+            let _claim = Claim(&preparations[k]);
+            let prepared = preparations[k].share(dataset, config)?;
+            let scored = Scored::new(factory().as_mut(), &prepared.input)?;
             let dataset_name = &dataset.info().name;
             Ok(key
                 .iter()
-                .map(|&c| scored.experiment(name, dataset_name, &row, conditions[c].policy))
+                .map(|&r| scored.experiment(name, dataset_name, &prepared, rows[r].1.policy))
                 .collect())
         }))
         .unwrap_or_else(|payload| {
@@ -449,13 +456,11 @@ fn grid_cells(
                 detail: panic_message(payload.as_ref()),
             })
         });
-        let slot = |c: usize| (c * detectors.len() + d) * datasets.len() + s;
-        match outcome {
-            Ok(experiments) => {
-                key.iter().map(|&c| slot(c)).zip(experiments.into_iter().map(Ok)).collect()
-            }
-            Err(error) => key.iter().map(|&c| (slot(c), Err(error.clone()))).collect(),
-        }
+        let outcomes = match outcome {
+            Ok(experiments) => experiments.into_iter().map(Ok).collect(),
+            Err(error) => vec![Err(error); key.len()],
+        };
+        key.iter().map(|&r| r * detectors.len() + d).zip(outcomes).collect()
     };
 
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(cells.max(1));
@@ -673,25 +678,40 @@ mod tests {
         assert_eq!(order[2], ("length2".to_string(), "alpha".to_string()));
         assert_eq!(order[3], ("length2".to_string(), "beta".to_string()));
 
-        // Two conditions on different rows: one block per condition, in
-        // the conditions' order, each laid out as the one-condition grid.
+        // Rows in any order, a dataset on several keys: one `Vec` per row,
+        // in the rows' order, its cells in detector order.
         let fixed = EvalConfig {
             policy: ThresholdPolicy::Fixed(500.0),
             dataset_seed: 7,
             ..Default::default()
         };
-        let blocks =
-            run_conditions(&detectors, &datasets, &[EvalConfig::default(), fixed]).unwrap();
-        assert_eq!(blocks.len(), 8);
-        for (at, cell) in blocks.iter().enumerate() {
-            let (c, alone) = (at / results.len(), &results[at % results.len()]);
-            assert_eq!((&cell.detector, &cell.dataset), (&alone.detector, &alone.dataset));
-            if c == 0 {
-                assert_eq!(cell.assessment, alone.assessment, "cell {at}");
-            } else {
-                assert_eq!(cell.threshold, 500.0, "cell {at}");
+        let rows = [(1, EvalConfig::default()), (0, fixed), (0, EvalConfig::default())];
+        let grid = run_rows(&detectors, &datasets, &rows).unwrap();
+        assert_eq!(grid.len(), rows.len());
+        for ((s, condition), cells) in rows.iter().zip(&grid) {
+            assert_eq!(cells.len(), detectors.len());
+            for (d, cell) in cells.iter().enumerate() {
+                let alone = &results[d * datasets.len() + s];
+                assert_eq!((&cell.detector, &cell.dataset), (&alone.detector, &alone.dataset));
+                if *condition == fixed {
+                    assert_eq!(cell.threshold, 500.0, "row ({s}, fixed), detector {d}");
+                } else {
+                    assert_eq!(cell.assessment, alone.assessment, "row {s}, detector {d}");
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 names dataset 2 of 2")]
+    fn a_row_naming_no_dataset_is_refused() {
+        let (a, b) = (ToyDataset::new("alpha"), ToyDataset::new("beta"));
+        let detectors: Vec<(String, DetectorFactory)> = vec![(
+            "length".into(),
+            Box::new(|| Box::new(LengthDetector) as Box<dyn EventDetector>),
+        )];
+        let rows = [(0, EvalConfig::default()), (2, EvalConfig::default())];
+        let _ = run_rows(&detectors, &[&a, &b], &rows);
     }
 
     #[test]
@@ -752,14 +772,14 @@ mod tests {
             other => panic!("expected CellPanicked, got {other}"),
         }
 
-        // Two conditions that share every row share each cell's one fit,
-        // so the panicking cell fails in both blocks and no other cell
-        // fails in either.
+        // Two rows on one key share each cell's one fit, so the panicking
+        // cell fails in both rows and no other cell fails in any row.
         let max_f1 = EvalConfig { policy: ThresholdPolicy::MaxF1, ..config };
-        let cells = grid_cells(&detectors, &datasets, &[config, max_f1]);
+        let rows = [(0, config), (1, config), (1, max_f1), (0, max_f1)];
+        let cells = grid_cells(&detectors, &datasets, &rows);
         assert_eq!(cells.len(), 12);
         for (at, cell) in cells.iter().enumerate() {
-            let (d, s) = (at / datasets.len() % detectors.len(), at % datasets.len());
+            let (d, s) = (at % detectors.len(), rows[at / detectors.len()].0);
             match cell {
                 Err(CoreError::CellPanicked { detector, dataset, .. }) => {
                     assert_eq!((d, s), (1, 1), "cell {at}");
@@ -769,8 +789,18 @@ mod tests {
             }
         }
 
-        // The panic neither leaked the row it shared nor took the lock with
-        // it: the same rows, walked again around the failed cell, still
+        // Errors come in row order, then detector order: the first row's
+        // panic in its second cell, not the second row's unpreparable
+        // dataset, which fails its first cell.
+        let empty = ToyDataset::sized("empty", 0);
+        let with_empty: Vec<&dyn Dataset> = vec![&a, &b, &empty];
+        match run_rows(&detectors, &with_empty, &[(1, config), (2, config)]).unwrap_err() {
+            CoreError::CellPanicked { detector, .. } => assert_eq!(detector, "fragile"),
+            other => panic!("expected the first row's panic, got {other}"),
+        }
+
+        // The panic neither leaked the input it shared nor took the lock
+        // with it: the same datasets, walked again around the failed cell, still
         // serve the detectors that come after it.
         let survivors: Vec<(String, DetectorFactory)> = detectors.into_iter().step_by(2).collect();
         let cells = run_grid(&survivors, &datasets, &config).unwrap();
@@ -779,32 +809,32 @@ mod tests {
 
     #[test]
     fn a_panicking_cell_releases_its_row() {
-        // Drive the row bookkeeping by hand: three cells share a row, the
+        // Drive the key bookkeeping by hand: three cells share a key, the
         // second panics after taking its share.
         let dataset = ToyDataset::new("toy");
         let config = EvalConfig::default();
-        let row = Row { input: Mutex::new(None), unfinished: AtomicUsize::new(3) };
-        let first = RowShare(&row);
-        let shared = row.share(&dataset, &config).unwrap();
+        let key = Preparation { input: Mutex::new(None), unfinished: AtomicUsize::new(3) };
+        let first = Claim(&key);
+        let shared = key.share(&dataset, &config).unwrap();
         let panicked = catch_unwind(AssertUnwindSafe(|| {
-            let _share = RowShare(&row);
-            let _input = row.share(&dataset, &config).unwrap();
+            let _claim = Claim(&key);
+            let _input = key.share(&dataset, &config).unwrap();
             panic!("cell failed");
         }));
         assert!(panicked.is_err());
-        assert_eq!(row.unfinished.load(Ordering::SeqCst), 2);
+        assert_eq!(key.unfinished.load(Ordering::SeqCst), 2);
         // Still prepared, still the same realisation, lock still usable.
-        let last = RowShare(&row);
-        assert!(Arc::ptr_eq(&shared, &row.share(&dataset, &config).unwrap()));
+        let last = Claim(&key);
+        assert!(Arc::ptr_eq(&shared, &key.share(&dataset, &config).unwrap()));
         drop(first);
-        assert!(row.input.lock().unwrap().is_some(), "a cell is still unfinished");
+        assert!(key.input.lock().unwrap().is_some(), "a cell is still unfinished");
         drop(last);
-        assert!(row.input.lock().unwrap().is_none(), "the last cell out frees the row");
+        assert!(key.input.lock().unwrap().is_none(), "the last cell out frees the input");
         assert_eq!(Arc::strong_count(&shared), 1);
     }
 
-    /// A dataset whose realisation panics: inside `Row::share`, with the
-    /// row lock held.
+    /// A dataset whose realisation panics: inside `Preparation::share`,
+    /// with its lock held.
     #[derive(Debug)]
     struct PanicsInGenerate {
         info: DatasetInfo,
@@ -832,12 +862,13 @@ mod tests {
             ("flows".into(), Box::new(|| Box::new(FlowCounter) as Box<dyn EventDetector>)),
             ("length2".into(), Box::new(|| Box::new(LengthDetector) as Box<dyn EventDetector>)),
         ];
-        // The first cell of the broken row poisons the row lock; the ones
+        // The first cell of the broken dataset poisons its lock; the ones
         // after it must still lock it, panic the same way, and say so.
-        let cells = grid_cells(&detectors, &datasets, &[EvalConfig::default()]);
+        let cells =
+            grid_cells(&detectors, &datasets, &[0, 1, 2].map(|s| (s, EvalConfig::default())));
         assert_eq!(cells.len(), 9);
         for (index, cell) in cells.iter().enumerate() {
-            let (d, s) = (index / datasets.len(), index % datasets.len());
+            let (d, s) = (index % detectors.len(), index / detectors.len());
             if s != 1 {
                 assert!(cell.is_ok(), "cell {index}: {cell:?}");
                 continue;
@@ -862,11 +893,11 @@ mod tests {
             ("length2".into(), Box::new(|| Box::new(LengthDetector) as Box<dyn EventDetector>)),
         ];
         let config = EvalConfig::default();
-        // Nothing is cached for a failed row: every cell that asks gets the
-        // error, not a stale or half-built input.
-        let row = Row { input: Mutex::new(None), unfinished: AtomicUsize::new(2) };
+        // Nothing is cached for a failed preparation: every cell that asks
+        // gets the error, not a stale or half-built input.
+        let key = Preparation { input: Mutex::new(None), unfinished: AtomicUsize::new(2) };
         for _cell in 0..2 {
-            let err = row.share(&empty, &config).unwrap_err();
+            let err = key.share(&empty, &config).unwrap_err();
             assert!(matches!(err, CoreError::EmptyDataset { ref dataset } if dataset == "empty"));
         }
         let err = run_grid(&detectors, &datasets, &config).unwrap_err();

@@ -100,7 +100,8 @@ pub struct ScenarioSource {
     name: String,
     stream: PacketStream,
     /// One-packet lookahead: [`ScenarioSource::split_warmup_secs`] pulls
-    /// until it sees the first eval-side packet, which must not be lost.
+    /// until it sees the first eval-side packet, which must not be lost; a
+    /// later split starts from it.
     pending: Option<LabeledPacket>,
 }
 
@@ -143,11 +144,11 @@ impl ScenarioSource {
     /// eval side: only the warmup prefix is collected, and the stream is
     /// consumed exactly one packet past the boundary (held in a lookahead
     /// slot). This is the split the scenario registry's `warmup_secs`
-    /// drives.
+    /// drives. The remainder may be split again (a warmup, then a holdout):
+    /// each split starts from the packet the previous one held.
     pub fn split_warmup_secs(mut self, secs: f64) -> (Vec<LabeledPacket>, Self) {
         let mut warmup = Vec::new();
-        debug_assert!(self.pending.is_none(), "split before first pull");
-        for packet in self.stream.by_ref() {
+        while let Some(packet) = self.pending.take().or_else(|| self.stream.next()) {
             if packet.packet.ts.as_secs_f64() < secs {
                 warmup.push(packet);
             } else {
@@ -453,6 +454,23 @@ mod tests {
         let rest = drain(rest);
         assert_eq!(rest.len(), 7, "lookahead packet at 3s must not be lost");
         assert_eq!(rest[0].packet.ts.as_micros(), 3_000_000);
+    }
+
+    #[test]
+    fn a_second_split_keeps_every_packet_once_in_order() {
+        let model = ticks(10);
+        // A later boundary, the same one, and an earlier one than the
+        // packet the first split holds.
+        for (first, second) in [(3.0, 6.0), (3.0, 3.0), (3.0, 1.0)] {
+            let (warmup, rest) = ScenarioSource::new(&model, 0).split_warmup_secs(first);
+            let (holdout, rest) = rest.split_warmup_secs(second);
+            let seconds: Vec<u64> = [warmup, holdout, drain(rest)]
+                .concat()
+                .iter()
+                .map(|p| p.packet.ts.as_micros() / 1_000_000)
+                .collect();
+            assert_eq!(seconds, (0..10).collect::<Vec<u64>>(), "split at {first}s, then {second}s");
+        }
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! "tolerable level of false positives" is a judgment call, and this
 //! example quantifies how much it matters.
 //!
-//! Each rule is one condition of a single grid cell: the six conditions
-//! share the dataset's one realisation and Kitsune's one replay, and each
-//! calibrates its own threshold on that replay's scores.
+//! Each rule is one row of a single grid: the six rows are the same
+//! dataset under the same seed and pipeline, so they share the dataset's
+//! one realisation and Kitsune's one replay, and each row calibrates its
+//! own threshold on that replay's scores.
 //!
 //! ```text
 //! cargo run --release --example threshold_tuning
 //! ```
 
-use idsbench::core::runner::{run_conditions, DetectorFactory, EvalConfig};
+use idsbench::core::runner::{run_rows, DetectorFactory, EvalConfig};
 use idsbench::core::threshold::ThresholdPolicy;
 use idsbench::core::{CoreError, Dataset, EventDetector};
 use idsbench::datasets::{scenarios, ScenarioScale};
@@ -27,13 +28,14 @@ fn main() -> Result<(), CoreError> {
         ("99.9th score quantile", ThresholdPolicy::ScoreQuantile { quantile: 0.999 }),
         ("fixed 0.5", ThresholdPolicy::Fixed(0.5)),
     ];
-    let conditions =
-        policies.map(|(_, policy)| EvalConfig { policy, dataset_seed: 42, ..Default::default() });
+    let rows = policies
+        .map(|(_, policy)| (0, EvalConfig { policy, dataset_seed: 42, ..Default::default() }));
     let detectors: Vec<(String, DetectorFactory)> = vec![(
         "Kitsune".into(),
         Box::new(|| Box::new(Kitsune::default()) as Box<dyn EventDetector>),
     )];
-    let cells = run_conditions(&detectors, &[&dataset], &conditions)?;
+    // One row per policy, one cell per row: Kitsune's.
+    let cells: Vec<_> = run_rows(&detectors, &[&dataset], &rows)?.into_iter().flatten().collect();
 
     println!(
         "Kitsune on {}: {} eval packets, AUC {:.3}\n",

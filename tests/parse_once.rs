@@ -4,12 +4,12 @@
 //! features from the same parsed view, with no re-parse anywhere.
 //!
 //! The grid holds the same line one level up: `run_grid` realises and
-//! parses each dataset **once per row**, not once per cell — its detectors
-//! share the prepared input — and every cell is still what a standalone
-//! `evaluate` of the same pair returns. Under a list of conditions a row is
-//! a (dataset, seed, pipeline) key: conditions that differ only in their
-//! threshold policy share its one realisation and each detector's one
-//! replay on it.
+//! parses each dataset **once**, not once per cell — its detectors share
+//! the prepared input — and every cell is still what a standalone
+//! `evaluate` of the same pair returns. `run_rows` keys each row, one
+//! dataset under one condition, by (dataset, seed, pipeline): rows that
+//! differ only in their threshold policy share the key's one realisation
+//! and each detector's one replay on it.
 //!
 //! The check reads the process-wide parse counter
 //! (`ParsedPacket::parse_calls`), so everything lives in one `#[test]`
@@ -19,9 +19,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use idsbench::core::preprocess::Pipeline;
+use idsbench::core::preprocess::{Pipeline, Split};
 use idsbench::core::runner::{
-    evaluate, replay, run_conditions, run_grid, DetectorFactory, EvalConfig,
+    evaluate, replay, run_grid, run_rows, DetectorFactory, EvalConfig, Experiment,
 };
 use idsbench::core::threshold::ThresholdPolicy;
 use idsbench::core::{Dataset, DatasetInfo, EventDetector, LabeledPacket};
@@ -135,49 +135,51 @@ fn exactly_one_parse_per_packet_across_the_pipeline() {
     }
 
     // The grid: four detectors share each dataset's one realisation and
-    // one parse — the counters move once per row, not once per cell...
-    let rows = [
+    // one parse — the counters move once per dataset, not once per cell...
+    let sets = [
         Counted { inner: scenarios::bot_iot(ScenarioScale::Tiny), generated: AtomicUsize::new(0) },
         Counted { inner: scenario, generated: AtomicUsize::new(0) },
     ];
-    let datasets: Vec<&dyn Dataset> = rows.iter().map(|row| row as &dyn Dataset).collect();
-    let per_row: u64 =
-        rows.iter().map(|row| row.inner.generate(config.dataset_seed).len() as u64).sum();
+    let datasets: Vec<&dyn Dataset> = sets.iter().map(|set| set as &dyn Dataset).collect();
+    let one_seed: u64 =
+        sets.iter().map(|set| set.inner.generate(config.dataset_seed).len() as u64).sum();
     let detectors = idsbench_bench::standard_detectors();
     assert_eq!(detectors.len(), 4);
     let before = ParsedPacket::parse_calls();
     let cells = run_grid(&detectors, &datasets, &config).expect("grid");
     assert_eq!(
         ParsedPacket::parse_calls() - before,
-        per_row,
+        one_seed,
         "a grid must parse each packet once per dataset, not once per cell"
     );
-    for row in &rows {
+    for set in &sets {
         assert_eq!(
-            row.generated.load(Ordering::SeqCst),
+            set.generated.load(Ordering::SeqCst),
             1,
-            "{} must be realised once for its whole row",
-            row.info().name
+            "{} must be realised once for all its cells",
+            set.info().name
         );
     }
 
     // ...and sharing changes nothing a cell reports: each one equals a
     // standalone evaluation of the same pair in every field but the two
     // wall-clock timings.
-    assert_eq!(cells.len(), 8);
-    for (at, cell) in cells.iter().enumerate() {
-        let (name, factory) = &detectors[at / rows.len()];
-        let mut alone = evaluate(factory().as_mut(), datasets[at % rows.len()], &config)
-            .expect("standalone evaluation");
+    let standalone = |cell: &Experiment, d: usize, s: usize, condition: &EvalConfig| {
+        let (name, factory) = &detectors[d];
+        let mut alone =
+            evaluate(factory().as_mut(), datasets[s], condition).expect("standalone evaluation");
         alone.detector = name.clone();
         (alone.train_seconds, alone.score_seconds) = (cell.train_seconds, cell.score_seconds);
-        assert_eq!(cell, &alone, "{name} on {} differs from its standalone run", cell.dataset);
+        assert_eq!(cell, &alone, "{name} on {} under {condition:?} differs", cell.dataset);
+    };
+    assert_eq!(cells.len(), 8);
+    for (at, cell) in cells.iter().enumerate() {
+        standalone(cell, at / sets.len(), at % sets.len(), &config);
     }
 
-    // A list of conditions holds the line per row key, not per condition:
-    // two caps at one seed share a row, a second seed makes rows of its
-    // own, and each (detector, row) builds one detector and replays once
-    // for every condition of the row...
+    // Rows hold the line per row key, not per row: two caps at one seed
+    // share a key, a second seed makes keys of its own, and each (detector,
+    // key) builds one detector and replays once for every row of the key...
     let seeds = [config.dataset_seed, config.dataset_seed + 1];
     let condition = |max_fpr, dataset_seed| EvalConfig {
         policy: ThresholdPolicy::DetectionFirst { max_fpr },
@@ -186,8 +188,10 @@ fn exactly_one_parse_per_packet_across_the_pipeline() {
     };
     let conditions =
         [condition(0.25, seeds[0]), condition(0.10, seeds[0]), condition(0.25, seeds[1])];
-    let per_seed: u64 =
-        per_row + rows.iter().map(|row| row.inner.generate(seeds[1]).len() as u64).sum::<u64>();
+    let grid_rows: Vec<(usize, EvalConfig)> =
+        conditions.iter().flat_map(|&c| (0..sets.len()).map(move |s| (s, c))).collect();
+    let two_seeds: u64 =
+        one_seed + sets.iter().map(|set| set.inner.generate(seeds[1]).len() as u64).sum::<u64>();
     let built = AtomicUsize::new(0);
     let counting: Vec<(String, DetectorFactory)> = detectors
         .iter()
@@ -200,46 +204,76 @@ fn exactly_one_parse_per_packet_across_the_pipeline() {
             (name.clone(), counted)
         })
         .collect();
-    for row in &rows {
-        row.generated.store(0, Ordering::SeqCst);
-    }
+    let reset = || {
+        built.store(0, Ordering::SeqCst);
+        for set in &sets {
+            set.generated.store(0, Ordering::SeqCst);
+        }
+    };
+    reset();
     let before = ParsedPacket::parse_calls();
-    let blocks = run_conditions(&counting, &datasets, &conditions).expect("condition grid");
+    let grid = run_rows(&counting, &datasets, &grid_rows).expect("row grid");
     assert_eq!(
         ParsedPacket::parse_calls() - before,
-        per_seed,
-        "a condition grid must parse each packet once per (dataset, seed), not once per condition"
+        two_seeds,
+        "a row grid must parse each packet once per (dataset, seed), not once per row"
     );
-    for row in &rows {
+    for set in &sets {
         assert_eq!(
-            row.generated.load(Ordering::SeqCst),
+            set.generated.load(Ordering::SeqCst),
             seeds.len(),
             "{} must be realised once per seed",
-            row.info().name
+            set.info().name
         );
     }
     assert_eq!(
         built.load(Ordering::SeqCst),
-        detectors.len() * rows.len() * seeds.len(),
-        "a detector must be built once per (detector, row), not once per condition"
+        detectors.len() * sets.len() * seeds.len(),
+        "a detector must be built once per (detector, key), not once per row"
     );
 
     // ...and every result is a standalone evaluation of its pair under its
-    // own condition, the two wall-clock timings aside. The first condition
-    // is `config`, whose cells were checked against standalone runs above.
+    // own row's condition, the two wall-clock timings aside. The rows under
+    // `config` are the grid above, checked against standalone runs there.
     assert_eq!(conditions[0], config);
-    assert_eq!(blocks.len(), conditions.len() * cells.len());
-    for (at, cell) in blocks.iter().enumerate() {
-        let condition = &conditions[at / cells.len()];
-        let (name, factory) = &detectors[at % cells.len() / rows.len()];
-        let mut alone = if at < cells.len() {
-            cells[at].clone()
-        } else {
-            evaluate(factory().as_mut(), datasets[at % rows.len()], condition)
-                .expect("standalone evaluation")
-        };
-        alone.detector = name.clone();
-        (alone.train_seconds, alone.score_seconds) = (cell.train_seconds, cell.score_seconds);
-        assert_eq!(cell, &alone, "{name} on {} under {condition:?} differs", cell.dataset);
+    assert_eq!(grid.len(), grid_rows.len());
+    for (&(s, condition), row) in grid_rows.iter().zip(&grid) {
+        for (d, cell) in row.iter().enumerate() {
+            if condition == config {
+                let mut alone = cells[d * sets.len() + s].clone();
+                (alone.train_seconds, alone.score_seconds) =
+                    (cell.train_seconds, cell.score_seconds);
+                assert_eq!(cell, &alone, "{} on {} under config differs", alone.detector, s);
+            } else {
+                standalone(cell, d, s, &condition);
+            }
+        }
+    }
+
+    // Rows need not form a product, as a matrix of scenarios each trained
+    // on its own lead does not: each dataset on one row of its own, under
+    // its own `Split::BeforeSecs`, is realised and parsed once, builds one
+    // detector per cell, and every cell is a standalone evaluation of its
+    // pair under its row's lead.
+    let lead = |s: usize, secs: f64| {
+        let mut condition = config;
+        condition.pipeline.split = Split::BeforeSecs(secs);
+        (s, condition)
+    };
+    let own_leads = [lead(0, 5.0), lead(1, 10.0)];
+    reset();
+    let before = ParsedPacket::parse_calls();
+    let grid = run_rows(&counting, &datasets, &own_leads).expect("lead grid");
+    assert_eq!(ParsedPacket::parse_calls() - before, one_seed, "each dataset parsed once");
+    for set in &sets {
+        assert_eq!(set.generated.load(Ordering::SeqCst), 1, "{} realised once", set.info().name);
+    }
+    assert_eq!(built.load(Ordering::SeqCst), detectors.len() * own_leads.len());
+    for (&(s, condition), row) in own_leads.iter().zip(&grid) {
+        assert_eq!(row.len(), detectors.len());
+        for (d, cell) in row.iter().enumerate() {
+            assert!(cell.train.packets > 0 && cell.eval_packets > 0, "both sides of the lead");
+            standalone(cell, d, s, &condition);
+        }
     }
 }
